@@ -33,6 +33,16 @@ var noallocGates = map[string]struct {
 		funcs: []string{
 			"redhanded/internal/feature.(*Extractor).ExtractInto",
 			"redhanded/internal/feature.(*Extractor).extractFast",
+			"redhanded/internal/feature.(*bowSnapshot).lookup",
+			"redhanded/internal/feature.(*extractScratch).sentimentStep",
+			"redhanded/internal/feature.hashWord",
+			"redhanded/internal/feature.(wordInfo).sentiment",
+			"redhanded/internal/feature.(wordInfo).tag",
+			"redhanded/internal/text/pos.TagOpenLower",
+			"redhanded/internal/text/sentiment.(*Stepper).Reset",
+			"redhanded/internal/text/sentiment.(*Stepper).Step",
+			"redhanded/internal/text/sentiment.(*Stepper).Score",
+			"redhanded/internal/text/sentiment.Squeeze",
 		},
 	},
 	"FeaturePathScan": {
@@ -41,6 +51,8 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/text.(*Scratch).Reset",
 			"redhanded/internal/text.(*Scratch).Scan",
 			"redhanded/internal/text.(*Scratch).field",
+			"redhanded/internal/text.fieldEnd",
+			"redhanded/internal/text.spaceLen",
 		},
 	},
 	"UserstateObserveHot": {

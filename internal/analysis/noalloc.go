@@ -8,7 +8,8 @@ import (
 
 // NoAlloc proves that //redvet:noalloc regions contain no allocating
 // constructs: make/new, escaping composite literals, string
-// concatenation and conversion, closures, goroutine spawns, interface
+// concatenation and conversion (a string(bytes) that is only compared with
+// == or != is free), closures, goroutine spawns, interface
 // boxing of non-pointer values, and append calls whose growth is not
 // reassigned into the appended slice (the amortized-reuse idiom the hot
 // paths rely on is `s.buf = append(s.buf, ...)` and stays legal).
@@ -63,6 +64,15 @@ func checkRegionNoAlloc(pass *Pass, region Region) {
 			if n.Op == token.ADD && isString(info.TypeOf(n)) {
 				pass.Reportf(n.Pos(), "string concatenation allocates")
 			}
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				// string(b) == s compares the bytes in place: the compiler
+				// never materializes a conversion that is only compared.
+				for _, operand := range []ast.Expr{n.X, n.Y} {
+					if call, ok := ast.Unparen(operand).(*ast.CallExpr); ok && len(call.Args) == 1 && isByteSlice(info.TypeOf(call.Args[0])) {
+						sanctioned[call] = true
+					}
+				}
+			}
 		case *ast.CallExpr:
 			checkCallNoAlloc(pass, info, n, sanctioned)
 		}
@@ -98,6 +108,8 @@ func checkCallNoAlloc(pass *Pass, info *types.Info, call *ast.CallExpr, sanction
 		}
 		dst, src := info.TypeOf(call), info.TypeOf(call.Args[0])
 		switch {
+		case sanctioned[call] && isString(dst):
+			// compared, not kept (see the BinaryExpr case)
 		case isString(dst) && (isByteOrRuneSlice(src) || isBasicKind(src, types.IsInteger)):
 			pass.Reportf(call.Pos(), "conversion to string allocates a copy")
 		case isByteOrRuneSlice(dst) && isString(src):

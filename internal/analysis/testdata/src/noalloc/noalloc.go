@@ -49,6 +49,9 @@ func clean(b *buf, s string) int {
 	b.n++
 	b.data = append(b.data, s...) // amortized reuse: sanctioned
 	sink(&b.n)                    // pointers fit the interface word, no box
+	if string(b.data) == s || string(b.data) != "lit" {
+		b.n++ // a conversion that is only compared is never materialized
+	}
 	return len(b.data)
 }
 

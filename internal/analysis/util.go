@@ -41,15 +41,30 @@ func isBasicKind(t types.Type, info types.BasicInfo) bool {
 }
 
 func isByteOrRuneSlice(t types.Type) bool {
+	k, ok := sliceElemKind(t)
+	return ok && (k == types.Byte || k == types.Rune)
+}
+
+func isByteSlice(t types.Type) bool {
+	k, ok := sliceElemKind(t)
+	return ok && k == types.Byte
+}
+
+// sliceElemKind returns the basic kind of a slice type's elements (byte and
+// rune report as their aliases uint8 and int32).
+func sliceElemKind(t types.Type) (types.BasicKind, bool) {
 	if t == nil {
-		return false
+		return 0, false
 	}
 	s, ok := t.Underlying().(*types.Slice)
 	if !ok {
-		return false
+		return 0, false
 	}
 	e, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (e.Kind() == types.Byte || e.Kind() == types.Rune || e.Kind() == types.Uint8 || e.Kind() == types.Int32)
+	if !ok {
+		return 0, false
+	}
+	return e.Kind(), true
 }
 
 func typeLabel(info *types.Info, e ast.Expr) string {

@@ -3,6 +3,7 @@ package feature
 import (
 	"testing"
 
+	"redhanded/internal/text"
 	"redhanded/internal/twitterdata"
 )
 
@@ -45,6 +46,19 @@ func BenchmarkFeaturePathFast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ExtractInto(dst, &tweets[i%len(tweets)])
+	}
+}
+
+// BenchmarkFeaturePathScanCorpus measures the scanner alone on the corpus
+// BenchmarkFeaturePathFast extracts, so the two subtract to the per-token
+// lookup cost (text's own BenchmarkFeaturePathScan loops over one tweet).
+func BenchmarkFeaturePathScanCorpus(b *testing.B) {
+	tweets := benchTweets(2000)
+	var sc text.Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Scan(tweets[i%len(tweets)].Text)
 	}
 }
 

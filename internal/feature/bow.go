@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"redhanded/internal/text"
 	"redhanded/internal/text/lexicon"
 	"redhanded/internal/text/stem"
 )
@@ -68,45 +69,66 @@ func (c BoWConfig) withDefaults() BoWConfig {
 	return c
 }
 
+// wordCount is one word's decayed per-tweet presence count.
+type wordCount struct {
+	n float64
+	// seen is the sequence number of the last tweet that counted the word,
+	// which makes counting per-tweet presence without a per-tweet set.
+	seen uint64
+}
+
 // wordTable is a decayed word-frequency table for one side (aggressive or
-// normal tweets).
+// normal tweets). Counters are pointers so that bumping a known word from
+// the scanner's byte tokens neither allocates a key nor re-inserts it.
 type wordTable struct {
-	counts map[string]float64
+	counts map[string]*wordCount
 	tweets float64
+	seq    uint64 // tweets observed; never decayed
 }
 
 func newWordTable() *wordTable {
-	return &wordTable{counts: make(map[string]float64)}
+	return &wordTable{counts: make(map[string]*wordCount)}
 }
 
-func (t *wordTable) observe(tokens []string) {
+// begin opens the next tweet.
+func (t *wordTable) begin() {
 	t.tweets++
-	seen := map[string]bool{}
-	for _, tok := range tokens {
-		if len(tok) < 2 || seen[tok] {
-			continue // per-tweet presence counting
-		}
-		seen[tok] = true
-		t.counts[tok]++
+	t.seq++
+}
+
+// bump counts one canonicalized token of the current tweet: once per tweet
+// however often it occurs (per-tweet presence), and not at all when it is
+// shorter than two bytes.
+func (t *wordTable) bump(tok []byte) {
+	if len(tok) < 2 {
+		return
+	}
+	c := t.counts[string(tok)]
+	if c == nil {
+		c = new(wordCount)
+		t.counts[string(tok)] = c
+	}
+	if c.seen != t.seq {
+		c.seen = t.seq
+		c.n++
 	}
 }
 
 // rate returns the fraction of tweets containing the word.
 func (t *wordTable) rate(w string) float64 {
-	if t.tweets == 0 {
+	c := t.counts[w]
+	if c == nil || t.tweets == 0 {
 		return 0
 	}
-	return t.counts[w] / t.tweets
+	return c.n / t.tweets
 }
 
 func (t *wordTable) decay(factor float64) {
 	t.tweets *= factor
 	for w, c := range t.counts {
-		c *= factor
-		if c < 0.05 {
+		c.n *= factor
+		if c.n < 0.05 {
 			delete(t.counts, w)
-		} else {
-			t.counts[w] = c
 		}
 	}
 }
@@ -122,11 +144,27 @@ func (t *wordTable) prune(maxVocab int) {
 	}
 	all := make([]wc, 0, len(t.counts))
 	for w, c := range t.counts {
-		all = append(all, wc{w, c})
+		all = append(all, wc{w, c.n})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].c > all[j].c })
 	for _, e := range all[maxVocab:] {
 		delete(t.counts, e.w)
+	}
+}
+
+// flat and setFlat convert to and from the checkpoint form of the counts.
+func (t *wordTable) flat() map[string]float64 {
+	out := make(map[string]float64, len(t.counts))
+	for w, c := range t.counts {
+		out[w] = c.n
+	}
+	return out
+}
+
+func (t *wordTable) setFlat(counts map[string]float64) {
+	t.counts = make(map[string]*wordCount, len(counts))
+	for w, n := range counts {
+		t.counts[w] = &wordCount{n: n}
 	}
 }
 
@@ -148,23 +186,21 @@ type AdaptiveBoW struct {
 	additions   int
 	removals    int
 
-	// snap is the lock-free membership view used by the extraction fast
-	// path: an immutable open-addressed hash table rebuilt whenever the
-	// vocabulary changes, so per-tweet scoring does neither map hashing
-	// with string conversion nor mutex hops.
+	// snap is the lock-free view used by the extraction fast path: the
+	// fused word table, rebuilt whenever the vocabulary changes, so
+	// per-tweet scoring does neither map hashing nor mutex hops.
 	snap atomic.Pointer[bowSnapshot]
 	// snapVersion numbers snapshot publications; only touched by
 	// rebuildSnapshot under the write lock (or during construction).
 	snapVersion uint64
 }
 
-// bowSnapshot is an immutable open-addressed (linear probing) string set.
-// Vocabulary mutations build a fresh table; readers only ever load the
-// pointer once per tweet and probe. Empty slots hold ""; the empty string
-// is never a vocabulary word (seed words and learned words are non-empty).
+// bowSnapshot is one immutable publication of the fused word table (see
+// fusedtable.go): the static word lists with this vocabulary's membership
+// overlaid. Vocabulary mutations build a fresh table; readers load the
+// pointer once per tweet and probe.
 type bowSnapshot struct {
-	mask uint32
-	keys []string
+	slots []tableSlot // open-addressed, linear probing, power-of-two length
 	// stem mirrors the BoW's canonicalization config at snapshot time, so
 	// fast-path readers never touch the (lock-guarded) cfg.
 	stem bool
@@ -175,91 +211,15 @@ type bowSnapshot struct {
 	version uint64
 }
 
-// fnv1a and fnv1aString are the FNV-1a 32-bit hash over the token bytes;
-// insert (newBowSnapshot) and lookup (contains/containsString) must share
-// these so the probe sequences line up.
-func fnv1a(w []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range w {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
-
-func fnv1aString(w string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(w); i++ {
-		h ^= uint32(w[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func newBowSnapshot(words map[string]bool, stemmed bool) *bowSnapshot {
-	size := uint32(1)
-	for size < uint32(len(words))*2+1 {
-		size <<= 1
-	}
-	s := &bowSnapshot{mask: size - 1, keys: make([]string, size), stem: stemmed}
-	for w := range words {
-		if w == "" {
-			continue
-		}
-		for i := fnv1aString(w) & s.mask; ; i = (i + 1) & s.mask {
-			if s.keys[i] == "" {
-				s.keys[i] = w
-				break
-			}
-		}
-	}
-	return s
-}
-
-// contains reports membership of an already-canonicalized (lowercased and,
-// if configured, stemmed) token.
-func (s *bowSnapshot) contains(w []byte) bool {
-	if s == nil || len(w) == 0 {
-		return false
-	}
-	for i := fnv1a(w) & s.mask; ; i = (i + 1) & s.mask {
-		k := s.keys[i]
-		if k == "" {
-			return false
-		}
-		if k == string(w) {
-			return true
-		}
-	}
-}
-
-// containsString is contains for the (allocating) stemmed-token path.
-func (s *bowSnapshot) containsString(w string) bool {
-	if s == nil || w == "" {
-		return false
-	}
-	for i := fnv1aString(w) & s.mask; ; i = (i + 1) & s.mask {
-		k := s.keys[i]
-		if k == "" {
-			return false
-		}
-		if k == w {
-			return true
-		}
-	}
-}
-
-// rebuildSnapshot refreshes the lock-free view. Callers hold the write
-// lock (or are constructing the BoW).
+// rebuildSnapshot republishes the lock-free view after a membership
+// change. Callers hold the write lock (or are constructing the BoW).
 func (b *AdaptiveBoW) rebuildSnapshot() {
 	b.snapVersion++
-	s := newBowSnapshot(b.words, b.cfg.Stem)
-	s.version = b.snapVersion
-	b.snap.Store(s)
+	b.snap.Store(&bowSnapshot{slots: buildFusedTable(b.words), stem: b.cfg.Stem, version: b.snapVersion})
 }
 
 // SnapshotVersion returns the publication counter of the current
-// membership snapshot (monotone; bumps on every vocabulary republication).
+// membership snapshot (monotone; bumps when the vocabulary changes).
 func (b *AdaptiveBoW) SnapshotVersion() uint64 {
 	return b.snap.Load().version
 }
@@ -392,11 +352,40 @@ func (b *AdaptiveBoW) Learn(tokens []string, aggressive bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if aggressive {
-		b.aggressive.observe(lower)
-	} else {
-		b.normal.observe(lower)
+	t := b.side(aggressive)
+	t.begin()
+	for _, tok := range lower {
+		t.bump([]byte(tok))
 	}
+	b.learned()
+}
+
+// learnScanned is Learn fed straight from a scanned tweet: the scanner's
+// lowered words are the canonical tokens of an unstemmed BoW.
+func (b *AdaptiveBoW) learnScanned(ts *text.Scratch, aggressive bool) {
+	if b.cfg.Frozen {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t := b.side(aggressive)
+	t.begin()
+	for i, n := 0, ts.Words(); i < n; i++ {
+		t.bump(ts.Lower(i))
+	}
+	b.learned()
+}
+
+func (b *AdaptiveBoW) side(aggressive bool) *wordTable {
+	if aggressive {
+		return b.aggressive
+	}
+	return b.normal
+}
+
+// learned closes one labeled tweet: every UpdateEvery of them run an
+// enhancement round. Callers hold the write lock.
+func (b *AdaptiveBoW) learned() {
 	b.sinceUpdate++
 	if b.sinceUpdate >= b.cfg.UpdateEvery {
 		b.sinceUpdate = 0
@@ -409,6 +398,7 @@ func (b *AdaptiveBoW) enhance() {
 	if b.aggressive.tweets < 50 || b.normal.tweets < 50 {
 		return // not enough evidence yet
 	}
+	additions, removals := b.additions, b.removals
 	for w := range b.aggressive.counts {
 		if b.words[w] {
 			continue
@@ -435,7 +425,11 @@ func (b *AdaptiveBoW) enhance() {
 	b.normal.decay(b.cfg.Decay)
 	b.aggressive.prune(b.cfg.MaxVocab)
 	b.normal.prune(b.cfg.MaxVocab)
-	b.rebuildSnapshot()
+	// A round that moved no word keeps the published snapshot, and with it
+	// every extraction-cache entry keyed by its version.
+	if b.additions != additions || b.removals != removals {
+		b.rebuildSnapshot()
+	}
 }
 
 func maxf(a, b float64) float64 {

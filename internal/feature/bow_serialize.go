@@ -29,9 +29,9 @@ func (b *AdaptiveBoW) MarshalBinary() ([]byte, error) {
 	defer b.mu.RUnlock()
 	st := bowState{
 		Cfg:         b.cfg,
-		AggrCounts:  b.aggressive.counts,
+		AggrCounts:  b.aggressive.flat(),
 		AggrTweets:  b.aggressive.tweets,
-		NormCounts:  b.normal.counts,
+		NormCounts:  b.normal.flat(),
 		NormTweets:  b.normal.tweets,
 		SinceUpdate: b.sinceUpdate,
 		Additions:   b.additions,
@@ -62,14 +62,10 @@ func (b *AdaptiveBoW) UnmarshalBinary(data []byte) error {
 		b.words[w] = true
 	}
 	b.aggressive = newWordTable()
-	if st.AggrCounts != nil {
-		b.aggressive.counts = st.AggrCounts
-	}
+	b.aggressive.setFlat(st.AggrCounts)
 	b.aggressive.tweets = st.AggrTweets
 	b.normal = newWordTable()
-	if st.NormCounts != nil {
-		b.normal.counts = st.NormCounts
-	}
+	b.normal.setFlat(st.NormCounts)
 	b.normal.tweets = st.NormTweets
 	b.sinceUpdate = st.SinceUpdate
 	b.additions = st.Additions

@@ -174,3 +174,60 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		t.Fatalf("cache hit allocates: %v allocs/op", allocs)
 	}
 }
+
+// TestNoChangeRoundKeepsSnapshotAndCache pins the republication rule: an
+// enhancement round that neither adds nor removes a word keeps the
+// published snapshot version, and with it every resident cache entry; a
+// round that does add or remove bumps the version and invalidates.
+func TestNoChangeRoundKeepsSnapshotAndCache(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 256
+	cfg.BoW.UpdateEvery = 10
+	ex := NewExtractor(cfg)
+	learn := func(n int, text, label string) {
+		for i := 0; i < n; i++ {
+			ex.Learn(&twitterdata.Tweet{Text: text, Label: label})
+		}
+	}
+	probe := twitterdata.Tweet{Text: "plain words about zorp nobody scores"}
+	x := make([]float64, NumFeatures)
+	resident := func() bool { return ex.LookupCached(x, &probe) }
+
+	// 20 effective rounds (both sides past the 50-tweet evidence floor) in
+	// which the two classes use the same words: nothing to add or remove.
+	ex.ExtractCachedInto(x, &probe)
+	v0 := ex.BoW().SnapshotVersion()
+	for i := 0; i < 150; i++ {
+		learn(1, "same boring words everywhere", twitterdata.LabelAbusive)
+		learn(1, "same boring words everywhere", twitterdata.LabelNormal)
+	}
+	if got := ex.BoW().SnapshotVersion(); got != v0 {
+		t.Fatalf("no-change rounds moved the snapshot version %d -> %d", v0, got)
+	}
+	if !resident() {
+		t.Fatal("no-change rounds flushed a resident cache entry")
+	}
+
+	// A word only aggressive tweets use gets added: version bumps, the
+	// entry goes stale, and a fresh extraction scores the new word.
+	learn(40, "zorp zorp you zorp", twitterdata.LabelAbusive)
+	v1 := ex.BoW().SnapshotVersion()
+	if v1 == v0 || !ex.BoW().Contains("zorp") {
+		t.Fatalf("addition round: version %d -> %d, zorp member = %v", v0, v1, ex.BoW().Contains("zorp"))
+	}
+	if resident() {
+		t.Fatal("addition round left a stale cache entry reachable")
+	}
+	if ex.ExtractCachedInto(x, &probe); x[BoWScore] != 1 {
+		t.Fatalf("BoW score after addition = %v, want 1", x[BoWScore])
+	}
+
+	// The word turns popular in normal tweets and is evicted again.
+	learn(400, "zorp is a lovely zorp", twitterdata.LabelNormal)
+	if v2 := ex.BoW().SnapshotVersion(); v2 == v1 || ex.BoW().Contains("zorp") {
+		t.Fatalf("removal round: version %d -> %d, zorp member = %v", v1, v2, ex.BoW().Contains("zorp"))
+	}
+	if resident() {
+		t.Fatal("removal round left a stale cache entry reachable")
+	}
+}

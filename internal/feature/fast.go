@@ -1,11 +1,9 @@
 package feature
 
 import (
-	"bytes"
 	"sync"
 
 	"redhanded/internal/text"
-	"redhanded/internal/text/lexicon"
 	"redhanded/internal/text/pos"
 	"redhanded/internal/text/sentiment"
 	"redhanded/internal/text/stem"
@@ -26,7 +24,7 @@ import (
 type extractScratch struct {
 	ts   text.Scratch
 	step sentiment.Stepper
-	apos []byte // apostrophe-stripped sentiment word
+	alt  []byte // a token's second lookup key: apostrophe-stripped or de-elongated
 }
 
 var extractPool = sync.Pool{New: func() any { return new(extractScratch) }}
@@ -89,20 +87,23 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 		x[WordsPerSentence] = float64(nw) / float64(st.Sentences)
 	}
 
-	// Token-level features in one loop: POS tally, sentiment stepping,
-	// swear hits, BoW membership.
+	// Token-level features in one loop. One probe of the fused table per
+	// token answers the POS, sentiment, swear and BoW questions at once; a
+	// token is probed again only under another key: without its
+	// apostrophes or de-elongated for sentiment, stemmed for a stemming BoW.
 	var adjectives, adverbs, verbs int
 	swears := 0
 	bowScore := 0.0
 	sc.step.Reset()
-	var prevLower []byte
-	prevTag := pos.Other
+	afterTo, afterDeterminer := false, false
 	for i := 0; i < nw; i++ {
 		lower := ts.Lower(i)
-		clean := ts.Clean(i)
-		letters, uppers, elongated := ts.WordInfo(i)
+		info := snap.lookup(lower)
 
-		tag := e.tagger.TagLowerWord(lower, prevLower, prevTag)
+		tag, closed := info.tag()
+		if !closed {
+			tag = pos.TagOpenLower(lower, afterTo, afterDeterminer)
+		}
 		switch tag {
 		case pos.Adjective:
 			adjectives++
@@ -111,36 +112,21 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 		case pos.Verb:
 			verbs++
 		}
+		afterTo, afterDeterminer = string(lower) == "to", tag == pos.Determiner
 
-		// Sentiment wants the apostrophe-free normalized word; reuse the
-		// lowered bytes directly when there is nothing to strip.
-		word := lower
-		if bytes.IndexByte(lower, '\'') >= 0 {
-			sc.apos = sc.apos[:0]
-			for _, c := range lower {
-				if c != '\'' {
-					sc.apos = append(sc.apos, c)
-				}
-			}
-			word = sc.apos
-		}
-		sc.step.Token(clean, word, letters >= 2 && uppers == letters, elongated)
+		sc.sentimentStep(snap, i, lower, info)
 
-		if lexicon.IsSwearLower(lower) {
+		if info&infoSwear != 0 {
 			swears++
 		}
-
-		if snap != nil && snap.stem {
+		if snap.stem {
 			// Stemming allocates; it is off in every default config.
-			//redvet:ignore noalloc the stemmer is string-based and opt-in; the default BoW path below stays allocation-free
-			if snap.containsString(stem.Stem(string(lower))) {
-				bowScore++
-			}
-		} else if snap.contains(lower) {
+			//redvet:ignore noalloc the stemmer is string-based and opt-in; the default BoW path stays allocation-free
+			info = snap.lookup([]byte(stem.Stem(string(lower))))
+		}
+		if info&infoBoW != 0 {
 			bowScore++
 		}
-
-		prevLower, prevTag = lower, tag
 	}
 
 	x[CntAdjectives] = float64(adjectives)
@@ -154,4 +140,37 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 
 	x[CntSwearWords] = float64(swears)
 	x[BoWScore] = bowScore
+}
+
+// sentimentStep folds word i of the scanned text, whose lowered form and
+// table entry the caller already holds, into the sentiment stepper.
+//
+//redvet:noalloc gate=FeaturePathFast
+func (sc *extractScratch) sentimentStep(snap *bowSnapshot, i int, lower []byte, info wordInfo) {
+	if info&infoEmoticon != 0 {
+		//redvet:ignore noalloc a map lookup keyed by string(bytes) does not materialize the string; only tokens that lower to an emoticon get here
+		if v, ok := letterEmoticons[string(sc.ts.Clean(i))]; ok {
+			sc.step.Score(v)
+			return
+		}
+	}
+	// Sentiment keys on the apostrophe-free word ("don't" -> "dont").
+	word := lower
+	letters, uppers, elongated, apostrophe := sc.ts.WordInfo(i)
+	if apostrophe {
+		sc.alt = sc.alt[:0]
+		for _, c := range lower {
+			if c != '\'' {
+				sc.alt = append(sc.alt, c)
+			}
+		}
+		word, info = sc.alt, snap.lookup(sc.alt)
+	}
+	sw := info.sentiment()
+	if elongated && sw == (sentiment.Word{}) {
+		// "coooool" is on no list, but its squeezed form "col" may be a term.
+		sc.alt = sentiment.Squeeze(sc.alt[:0], word)
+		sw.Strength = snap.lookup(sc.alt).sentiment().Strength
+	}
+	sc.step.Step(sw, letters >= 2 && uppers == letters, elongated)
 }

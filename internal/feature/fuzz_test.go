@@ -24,6 +24,14 @@ func FuzzExtractEquivalence(f *testing.F) {
 		"sh1t f#ck b!tch a$$ leetspeak",
 		"I İstanbul K KELVIN ſtrange",
 		"one. two! three? four\nfive",
+		// The scanner's ASCII fast-path boundary (see text's nastyInputs),
+		// around words the fused table knows.
+		"very\vgood\fso\x1cbad\x1d not\x1egood\x1f damn\x7fit",
+		"so\u0085good not\u00a0bad to\u00a0run the\u0085running",
+		"hate\x80 \x80love \xffnot\xff good",
+		"İdiot ſo Kill \u212aill \u212a\u212a\u212a",
+		"xD XD xd x'D xDD don't donnn't sooo'o",
+		"to " + strings.Repeat("fuckINg'", 9<<10),
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,6 +1,7 @@
 package text
 
 import (
+	"bytes"
 	"unicode"
 	"unicode/utf8"
 )
@@ -48,6 +49,7 @@ type word struct {
 	lowerOff, lowerEnd int32 // span in Scratch.lower
 	letters, uppers    int32 // letter runes / uppercase letter runes
 	elongated          bool  // a rune repeated >= 3 times in a row
+	apos               bool  // an apostrophe inside the token ("don't")
 }
 
 // Scratch is the reusable state of the single-pass scanner. The zero value
@@ -110,11 +112,63 @@ func (s *Scratch) Lower(i int) []byte {
 	return s.lower[w.lowerOff:w.lowerEnd]
 }
 
-// WordInfo returns word i's letter count, uppercase-letter count, and
-// whether it carries an elongation ("sooo").
-func (s *Scratch) WordInfo(i int) (letters, uppers int, elongated bool) {
+// WordInfo returns word i's letter count, uppercase-letter count, whether
+// it carries an elongation ("sooo"), and whether it holds an apostrophe.
+func (s *Scratch) WordInfo(i int) (letters, uppers int, elongated, apostrophe bool) {
 	w := &s.words[i]
-	return int(w.letters), int(w.uppers), w.elongated
+	return int(w.letters), int(w.uppers), w.elongated, w.apos
+}
+
+// Byte classes of the ASCII fast path. Scan and field look every byte
+// below utf8.RuneSelf up in byteClass instead of decoding a rune and asking
+// the unicode tables; bytes >= 0x80 have class 0 and take the rune path.
+const (
+	bSpace  = 1 << iota // unicode.IsSpace: \t \n \v \f \r and space
+	bUpper              // A-Z
+	bLower              // a-z
+	bDigit              // 0-9
+	bTerm               // sentence terminators . ! ?
+	bApos               // '
+	bLetter = bUpper | bLower
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = bSpace
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-0x20] = bLower, bUpper
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = bDigit
+	}
+	t['.'], t['!'], t['?'], t['\''] = bTerm, bTerm, bTerm, bApos
+	return t
+}()
+
+// spaceLen returns the byte length of the whitespace rune at src[i], or 0
+// when the rune there is not whitespace.
+//
+//redvet:noalloc gate=FeaturePathScan
+func spaceLen(src string, i int) int {
+	if c := src[i]; c < utf8.RuneSelf {
+		return int(byteClass[c] & bSpace) // bSpace is 1, an ASCII space's length
+	}
+	if r, sz := utf8.DecodeRuneInString(src[i:]); unicode.IsSpace(r) {
+		return sz
+	}
+	return 0
+}
+
+// fieldEnd returns the offset of the first whitespace rune at or after i.
+//
+//redvet:noalloc gate=FeaturePathScan
+func fieldEnd(src string, i int) int {
+	for i < len(src) && spaceLen(src, i) == 0 {
+		_, sz := utf8.DecodeRuneInString(src[i:])
+		i += sz
+	}
+	return i
 }
 
 // Scan processes one tweet text. Any previous scan state is discarded.
@@ -122,23 +176,12 @@ func (s *Scratch) WordInfo(i int) (letters, uppers int, elongated bool) {
 //redvet:noalloc gate=FeaturePathScan
 func (s *Scratch) Scan(src string) {
 	s.Reset()
-	i, n := 0, len(src)
-	for i < n {
-		r, sz := utf8.DecodeRuneInString(src[i:])
-		if unicode.IsSpace(r) {
+	for i := 0; i < len(src); {
+		if sz := spaceLen(src, i); sz > 0 {
 			i += sz
-			continue
+		} else {
+			i = s.field(src, i)
 		}
-		start := i
-		i += sz
-		for i < n {
-			r, sz = utf8.DecodeRuneInString(src[i:])
-			if unicode.IsSpace(r) {
-				break
-			}
-			i += sz
-		}
-		s.field(src[start:i])
 	}
 	// Final sentence flush (SplitSentences flushes the trailing chunk).
 	if s.sentHasLetter {
@@ -147,136 +190,175 @@ func (s *Scratch) Scan(src string) {
 	}
 }
 
-// field processes one whitespace-delimited token of the raw text.
+// field processes the whitespace-delimited token of the raw text that
+// starts at src[start] and returns the offset just past it.
 //
 //redvet:noalloc gate=FeaturePathScan
-func (s *Scratch) field(f string) {
+func (s *Scratch) field(src string, start int) int {
 	// Entity classification mirrors IsMentionToken / IsHashtagToken /
-	// IsURLToken; the three are mutually exclusive by first byte.
-	if len(f) > 1 && f[0] == '@' {
-		s.Stats.Mentions++
-		return
-	}
-	if len(f) > 1 && f[0] == '#' {
-		s.Stats.Hashtags++
-		return
-	}
-	if isURLField(f) {
+	// IsURLToken; the three are mutually exclusive by first byte. The URL
+	// prefixes hold no whitespace, so matching them on the rest of the text
+	// is matching them on the field.
+	switch c := src[start]; {
+	case c == '@' || c == '#':
+		end := fieldEnd(src, start+1)
+		if end == start+1 {
+			break // a lone '@' or '#' is punctuation
+		}
+		if c == '@' {
+			s.Stats.Mentions++
+		} else {
+			s.Stats.Hashtags++
+		}
+		return end
+	case isURLField(src[start:]):
 		s.Stats.URLs++
-		return
+		return fieldEnd(src, start)
 	}
 
-	// Single rune pass: trimPunct bounds, letter statistics, and the
-	// cleaned + lowered bytes (letters and apostrophes survive cleaning).
-	cOff, lOff := len(s.clean), len(s.lower)
+	// One pass over the field finds its end and gathers everything on the
+	// way: trimPunct bounds, letter statistics, the cleaned + lowered bytes
+	// (letters and apostrophes survive cleaning), the elongation run over
+	// the cleaned runes, and the sentence events of the entity-stripped text
+	// ('.', '!', '?' flush a sentence; letters mark the current one
+	// non-empty). Arenas and sentence state live in locals and are committed
+	// at the end, so an abbreviation token leaves no trace.
+	clean, lower := s.clean, s.lower
+	cOff, lOff := len(clean), len(lower)
+	sentences, sentHasLetter := s.Stats.Sentences, s.sentHasLetter
 	var letters, uppers int32
-	firstAl, lastAlEnd := -1, -1 // outermost letter-or-digit byte offsets
-	for i := 0; i < len(f); {
-		r, sz := utf8.DecodeRuneInString(f[i:])
-		isLetter := unicode.IsLetter(r)
-		if isLetter || unicode.IsDigit(r) {
-			if firstAl < 0 {
-				firstAl = i
-			}
-			lastAlEnd = i + sz
-		}
-		if isLetter {
-			letters++
-			if unicode.IsUpper(r) {
-				uppers++
-			}
-			s.clean = append(s.clean, f[i:i+sz]...)
-			s.lower = utf8.AppendRune(s.lower, unicode.ToLower(r))
-		} else if r == '\'' {
-			s.clean = append(s.clean, '\'')
-			s.lower = append(s.lower, '\'')
-		}
-		i += sz
-	}
-	trimmed := ""
-	if firstAl >= 0 {
-		trimmed = f[firstAl:lastAlEnd]
-	}
-
-	// Shouted-word count (CountUpperWords): trimmed token present, not
-	// "RT", at least two letters, every letter uppercase. All letters are
-	// alphanumeric, so field-wide letter counts equal trimmed-range counts.
-	if trimmed != "" && !isFoldRT(trimmed) && letters >= 2 && uppers == letters {
-		s.Stats.UpperWords++
-	}
-
-	// Abbreviation tokens (RT, DM, ...) are removed by both the word
-	// cleaning and the sentence-boundary cleaning, so they contribute
-	// neither a word nor sentence events.
-	if trimmed != "" && isAbbrevField(trimmed) {
-		s.clean = s.clean[:cOff]
-		s.lower = s.lower[:lOff]
-		return
-	}
-
-	// Sentence events of the entity-stripped text: '.', '!', '?' flush a
-	// sentence; letters mark the current sentence non-empty.
-	for i := 0; i < len(f); {
-		c := f[i]
+	firstAl, lastAlEnd := len(src), -1 // outermost letter-or-digit byte offsets
+	prev, run := rune(-1), 0           // current run of equal cleaned runes
+	elongated, apos := false, false
+	i := start
+scan:
+	for i < len(src) {
+		c := src[i]
 		if c < utf8.RuneSelf {
-			switch {
-			case c == '.' || c == '!' || c == '?':
-				if s.sentHasLetter {
-					s.Stats.Sentences++
+			switch k := byteClass[c]; {
+			case k&bLetter != 0:
+				firstAl, lastAlEnd = min(firstAl, i), i+1
+				clean = append(clean, c)
+				lower = append(lower, c|0x20)
+				letters++
+				if k&bUpper != 0 {
+					uppers++
 				}
-				s.sentHasLetter = false
-			case 'a' <= c|0x20 && c|0x20 <= 'z':
-				s.sentHasLetter = true
+				sentHasLetter = true
+				if rune(c) != prev {
+					prev, run = rune(c), 1
+				} else if run++; run >= 3 {
+					elongated = true
+				}
+			case k&bSpace != 0:
+				break scan
+			case k&bDigit != 0:
+				firstAl, lastAlEnd = min(firstAl, i), i+1
+			case k&bTerm != 0:
+				if sentHasLetter {
+					sentences++
+				}
+				sentHasLetter = false
+			case k&bApos != 0:
+				apos = true
+				clean = append(clean, '\'')
+				lower = append(lower, '\'')
 			}
 			i++
 			continue
 		}
-		r, sz := utf8.DecodeRuneInString(f[i:])
-		if unicode.IsLetter(r) {
-			s.sentHasLetter = true
+		r, sz := utf8.DecodeRuneInString(src[i:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		isLetter := unicode.IsLetter(r)
+		if isLetter || unicode.IsDigit(r) {
+			firstAl, lastAlEnd = min(firstAl, i), i+sz
+		}
+		if isLetter {
+			clean = append(clean, src[i:i+sz]...)
+			lower = utf8.AppendRune(lower, unicode.ToLower(r))
+			letters++
+			if unicode.IsUpper(r) {
+				uppers++
+			}
+			sentHasLetter = true
+			if r != prev {
+				prev, run = r, 1
+			} else if run++; run >= 3 {
+				elongated = true
+			}
 		}
 		i += sz
 	}
 
 	// Finalize the word token: trim apostrophes at both ends (cleanToken's
 	// strings.Trim(.., "'")). Apostrophes are single bytes in both arenas
-	// and occupy the same rune positions, so the trim counts transfer.
-	cb := s.clean[cOff:]
-	la := 0
-	for la < len(cb) && cb[la] == '\'' {
-		la++
+	// and occupy the same rune positions, so the trim counts transfer. An
+	// apostrophe breaks a letter run and three in a row are a run of their
+	// own, but only inside the trimmed token — rare enough to rescan.
+	la, ta := 0, 0 // leading / trailing apostrophe counts
+	if apos {
+		cb := clean[cOff:]
+		for la < len(cb) && cb[la] == '\'' {
+			la++
+		}
+		for ta < len(cb)-la && cb[len(cb)-1-ta] == '\'' {
+			ta++
+		}
+		cb = cb[la : len(cb)-ta]
+		elongated = hasElongationBytes(cb)
+		apos = bytes.IndexByte(cb, '\'') >= 0
 	}
-	tb := len(cb)
-	for tb > la && cb[tb-1] == '\'' {
-		tb--
+
+	isWord := len(clean)-cOff > la+ta // else the field cleans away entirely
+	if lastAlEnd >= 0 {
+		trimmed := src[firstAl:lastAlEnd]
+		// Shouted-word count (CountUpperWords): trimmed token present, not
+		// "RT", at least two letters, every letter uppercase. All letters
+		// are alphanumeric, so field-wide letter counts equal trimmed-range
+		// counts.
+		if letters >= 2 && uppers == letters && !isFoldRT(trimmed) {
+			s.Stats.UpperWords++
+		}
+		// Abbreviation tokens (RT, DM, ...) are removed by both the word
+		// cleaning and the sentence-boundary cleaning, so they contribute
+		// neither a word nor sentence events.
+		if isAbbrevField(trimmed) {
+			sentences, sentHasLetter, isWord = s.Stats.Sentences, s.sentHasLetter, false
+		}
 	}
-	if la == tb { // nothing left: the field cleans away entirely
-		s.clean = s.clean[:cOff]
-		s.lower = s.lower[:lOff]
-		return
+	s.Stats.Sentences, s.sentHasLetter = sentences, sentHasLetter
+	if !isWord {
+		s.clean, s.lower = clean[:cOff], lower[:lOff] // keep grown capacity
+		return i
 	}
-	lb := s.lower[lOff:]
-	lEnd := len(lb)
-	ta := len(cb) - tb // trailing apostrophe count
-	s.words = append(s.words, word{
-		cleanOff:  int32(cOff + la),
-		cleanEnd:  int32(cOff + tb),
-		lowerOff:  int32(lOff + la),
-		lowerEnd:  int32(lOff + lEnd - ta),
-		letters:   letters,
-		uppers:    uppers,
-		elongated: hasElongationBytes(s.clean[cOff+la : cOff+tb]),
-	})
+	s.clean, s.lower = clean, lower
+	// Filled in place: a literal would be assembled on the stack from narrow
+	// stores and copied out with wide loads that cannot be forwarded.
+	s.words = append(s.words, word{})
+	w := &s.words[len(s.words)-1]
+	w.cleanOff, w.cleanEnd = int32(cOff+la), int32(len(clean)-ta)
+	w.lowerOff, w.lowerEnd = int32(lOff+la), int32(len(lower)-ta)
+	w.letters, w.uppers = letters, uppers
+	w.elongated, w.apos = elongated, apos
 	s.Stats.LetterSum += int(letters)
+	return i
 }
 
-// isURLField mirrors IsURLToken without lowercasing the whole token: the
-// prefixes are ASCII, and no non-ASCII rune lowercases into them.
+// isURLField mirrors IsURLToken on a non-empty field without lowercasing
+// the whole token: the prefixes are ASCII, and no non-ASCII rune lowercases
+// into them.
 func isURLField(f string) bool {
-	return hasFoldPrefix(f, "http://") ||
-		hasFoldPrefix(f, "https://") ||
-		hasFoldPrefix(f, "www.") ||
-		hasFoldPrefix(f, "t.co/")
+	switch f[0] | 0x20 {
+	case 'h':
+		return hasFoldPrefix(f, "http://") || hasFoldPrefix(f, "https://")
+	case 'w':
+		return hasFoldPrefix(f, "www.")
+	case 't':
+		return hasFoldPrefix(f, "t.co/")
+	}
+	return false
 }
 
 // hasFoldPrefix reports whether s starts with the lowercase-ASCII prefix p,

@@ -3,6 +3,8 @@ package text
 import (
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 func TestScanBasics(t *testing.T) {
@@ -28,7 +30,7 @@ func TestScanBasics(t *testing.T) {
 	if strings.Join(words, " ") != strings.Join(want, " ") {
 		t.Errorf("words = %q, want %q", words, want)
 	}
-	if _, _, elongated := sc.WordInfo(5); !elongated {
+	if _, _, elongated, _ := sc.WordInfo(5); !elongated {
 		t.Errorf("expected %q to be elongated", words[5])
 	}
 }
@@ -62,5 +64,35 @@ func TestScanZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Scan allocates %.1f times per tweet, want 0", allocs)
+	}
+}
+
+// TestByteClassMatchesUnicode pins the ASCII fast path's class table to the
+// unicode predicates the rune path (and the legacy pipeline) uses.
+func TestByteClassMatchesUnicode(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		r, k := rune(c), byteClass[c]
+		if c >= utf8.RuneSelf {
+			if k != 0 {
+				t.Errorf("byte %#x: class %#x, want 0 (rune path)", c, k)
+			}
+			continue
+		}
+		want := map[uint8]bool{
+			bSpace: unicode.IsSpace(r),
+			bUpper: unicode.IsUpper(r),
+			bLower: unicode.IsLetter(r) && !unicode.IsUpper(r),
+			bDigit: unicode.IsDigit(r),
+			bTerm:  r == '.' || r == '!' || r == '?',
+			bApos:  r == '\'',
+		}
+		for bit, on := range want {
+			if (k&bit != 0) != on {
+				t.Errorf("byte %q: class bit %#x = %v, want %v", r, bit, k&bit != 0, on)
+			}
+		}
+		if k&bUpper != 0 && rune(c|0x20) != unicode.ToLower(r) {
+			t.Errorf("byte %q: |0x20 lowers to %q, unicode.ToLower to %q", r, c|0x20, unicode.ToLower(r))
+		}
 	}
 }

@@ -50,6 +50,18 @@ func nastyInputs() []string {
 		"İ ı K Å ſ",
 		"ends.with.abbrev rt. DM! cc?",
 		"#tag.with.dots @user.name www.a.b!c",
+		// The ASCII fast path's boundary: every ASCII byte unicode.IsSpace
+		// accepts and the control bytes next to them that it does not, the
+		// two-byte Latin-1 spaces, lone continuation and invalid bytes, runes
+		// that lowercase into ASCII, and a single field longer than the
+		// arenas a scratch retains.
+		"a\vb\fc\rd\te\x1cf\x1dg\x1eh\x1fi\x7fj\x00k",
+		"nel\u0085split nbsp\u00a0split @\u00a0x #\u0085y http://\u00a0z",
+		"lone\x80cont \x80 \xff\xffinvalid\xc2 trunc\xc2",
+		"İİİ ſſſ KKK İstanbul ſo Kelvin \u212a\u212a\u212a",
+		"@ # @\x80 #\xff www. WWW.\x80 t.co/ T.CO/x hTTp://",
+		"it's ''' 'a' a''' '''a a'''b x'''' ''''x",
+		strings.Repeat("aB'9.", 14<<10),
 	}
 }
 
@@ -109,8 +121,10 @@ func FuzzTokenizeFast(f *testing.F) {
 			if wantLower := strings.ToLower(w); gotLower != wantLower {
 				t.Fatalf("Scan(%q): lower %d = %q, legacy %q", s, i, gotLower, wantLower)
 			}
-			letters, uppers, elongated := sc.WordInfo(i)
-			_ = uppers
+			letters, _, elongated, apostrophe := sc.WordInfo(i)
+			if apostrophe != strings.Contains(w, "'") {
+				t.Fatalf("Scan(%q): word %d apostrophe = %v, token %q", s, i, apostrophe, w)
+			}
 			wantLetters := 0
 			for _, r := range w {
 				if unicode.IsLetter(r) {

@@ -118,13 +118,6 @@ func IsSwear(token string) bool {
 	return seedSet[strings.ToLower(token)]
 }
 
-// IsSwearLower reports whether the already-lowercased token is in the seed
-// list. It is the allocation-free fast path of IsSwear: the map lookup
-// through string(token) compiles without copying.
-func IsSwearLower(token []byte) bool {
-	return seedSet[string(token)]
-}
-
 // CountSwears counts tokens present in the seed swear list.
 func CountSwears(tokens []string) int {
 	n := 0

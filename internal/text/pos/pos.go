@@ -118,81 +118,87 @@ func (tg *Tagger) Count(tokens []string) Counts {
 	return c
 }
 
-// TagLowerWord is the allocation-free fast path: it tags one word that the
-// caller has already cleaned (letter ends, no digits) and lowercased, given
-// its left context — the previous word in the same lowered form (nil at the
-// start of the text) and the tag assigned to it. It mirrors the tagOne
-// decision procedure exactly; the feature package's golden and fuzz tests
-// pin the two paths together. Map lookups use the map[string(bytes)] form,
-// which Go compiles without allocating.
-func (tg *Tagger) TagLowerWord(w, prev []byte, prevTag Tag) Tag {
-	if len(w) == 0 {
+// closedClasses lists the closed-class word sets in tagOne's priority
+// order: a word in several sets takes the tag of the first.
+var closedClasses = []struct {
+	words map[string]bool
+	tag   Tag
+}{
+	{determiners, Determiner}, {pronouns, Pronoun}, {prepositions, Preposition},
+	{conjunctions, Conjunction}, {interjections, Interjection}, {auxVerbs, Verb},
+	{commonAdverbs, Adverb}, {commonAdjectives, Adjective}, {commonVerbs, Verb},
+}
+
+// ClosedClass returns every word the lexicon tags without looking at
+// suffixes or context, with the tag tagOne gives it. The feature package
+// folds it into its fused per-token lookup table.
+func ClosedClass() map[string]Tag {
+	out := make(map[string]Tag)
+	for i := len(closedClasses) - 1; i >= 0; i-- {
+		for w := range closedClasses[i].words {
+			out[w] = closedClasses[i].tag
+		}
+	}
+	return out
+}
+
+// suffixRules indexes the three suffix lists by their last byte, so that
+// TagOpenLower compares a word against the handful of suffixes it can end in
+// instead of looping over all thirty.
+var suffixRules = func() (t [256][]suffixRule) {
+	for class, list := range [][]string{adjSuffixes, verbSuffixes, nounSuffixes} {
+		for _, s := range list {
+			c := s[len(s)-1]
+			t[c] = append(t[c], suffixRule{suffix: s, class: 1 << class})
+		}
+	}
+	return t
+}()
+
+type suffixRule struct {
+	suffix string
+	class  uint8 // 1: adjective, 2: verb, 4: noun
+}
+
+// TagOpenLower is the allocation-free tail of tagOne: it tags one cleaned,
+// lowercased word that is in no closed-class set, given whether the previous
+// word is "to" and whether the previous word was tagged Determiner. The
+// feature package's equivalence tests pin it to tagOne.
+//
+//redvet:noalloc gate=FeaturePathFast
+func TagOpenLower(w []byte, afterTo, afterDeterminer bool) Tag {
+	n := len(w)
+	if n == 0 {
 		return Other
 	}
-	switch {
-	case determiners[string(w)]:
-		return Determiner
-	case pronouns[string(w)]:
-		return Pronoun
-	case prepositions[string(w)]:
-		return Preposition
-	case conjunctions[string(w)]:
-		return Conjunction
-	case interjections[string(w)]:
-		return Interjection
-	case auxVerbs[string(w)]:
-		return Verb
-	case commonAdverbs[string(w)]:
-		return Adverb
-	case commonAdjectives[string(w)]:
-		return Adjective
-	case commonVerbs[string(w)]:
-		return Verb
-	}
-	if prev != nil && len(prev) == 2 && prev[0] == 't' && prev[1] == 'o' &&
-		!suffixAdjectiveB(w) && !suffixNounB(w) {
-		return Verb
-	}
-	switch {
-	case hasSuffixB(w, "ly") && len(w) > 3:
-		return Adverb
-	case suffixAdjectiveB(w):
-		return Adjective
-	case suffixVerbB(w):
-		if prevTag == Determiner && prev != nil {
-			return Noun
+	var classes uint8
+	for _, r := range suffixRules[w[n-1]] {
+		if n > len(r.suffix)+1 && string(w[n-len(r.suffix):]) == r.suffix {
+			classes |= r.class
 		}
-		return Verb
-	case suffixNounB(w):
-		return Noun
-	default:
-		return Noun
 	}
+	adjective, verb, noun := classes&1 != 0, classes&2 != 0, classes&4 != 0
+	switch {
+	case afterTo && !adjective && !noun:
+		return Verb // "to <word>" is an infinitive
+	case n > 3 && w[n-1] == 'y' && w[n-2] == 'l':
+		return Adverb
+	case adjective:
+		return Adjective
+	case verb && !afterDeterminer:
+		return Verb
+	}
+	return Noun
 }
 
 func (tg *Tagger) tagOne(w string, i int, tokens []string, tags []Tag) Tag {
 	if w == "" {
 		return Other
 	}
-	switch {
-	case determiners[w]:
-		return Determiner
-	case pronouns[w]:
-		return Pronoun
-	case prepositions[w]:
-		return Preposition
-	case conjunctions[w]:
-		return Conjunction
-	case interjections[w]:
-		return Interjection
-	case auxVerbs[w]:
-		return Verb
-	case commonAdverbs[w]:
-		return Adverb
-	case commonAdjectives[w]:
-		return Adjective
-	case commonVerbs[w]:
-		return Verb
+	for _, c := range closedClasses {
+		if c.words[w] {
+			return c.tag
+		}
 	}
 	// Context: "to <word>" is an infinitive verb; "<det> <word>" leans noun
 	// unless suffix says adjective.
@@ -221,67 +227,21 @@ func (tg *Tagger) tagOne(w string, i int, tokens []string, tags []Tag) Tag {
 	}
 }
 
-func suffixAdjective(w string) bool {
-	for _, s := range [...]string{"ful", "ous", "ive", "able", "ible", "ish", "less", "ic", "al", "ant", "ent", "est"} {
-		if strings.HasSuffix(w, s) && len(w) > len(s)+1 {
-			return true
-		}
-	}
-	return false
-}
-
-func suffixVerb(w string) bool {
-	for _, s := range [...]string{"ing", "ed", "ize", "ise", "ify", "ate"} {
-		if strings.HasSuffix(w, s) && len(w) > len(s)+1 {
-			return true
-		}
-	}
-	return false
-}
-
-func suffixNoun(w string) bool {
-	for _, s := range [...]string{"tion", "sion", "ness", "ment", "ity", "ship", "hood", "ism", "ist", "er", "or", "ology"} {
-		if strings.HasSuffix(w, s) && len(w) > len(s)+1 {
-			return true
-		}
-	}
-	return false
-}
-
-// adjSuffixes, verbSuffixes, and nounSuffixes are the suffix tables shared
-// by the byte-slice helpers below; the string helpers keep their original
-// literals so the legacy path stays byte-for-byte intact.
+// The open-class suffix lists; a suffix counts only on a word at least two
+// bytes longer than itself.
 var (
 	adjSuffixes  = []string{"ful", "ous", "ive", "able", "ible", "ish", "less", "ic", "al", "ant", "ent", "est"}
 	verbSuffixes = []string{"ing", "ed", "ize", "ise", "ify", "ate"}
 	nounSuffixes = []string{"tion", "sion", "ness", "ment", "ity", "ship", "hood", "ism", "ist", "er", "or", "ology"}
 )
 
-func hasSuffixB(w []byte, s string) bool {
-	return len(w) >= len(s) && string(w[len(w)-len(s):]) == s
-}
+func suffixAdjective(w string) bool { return hasListedSuffix(w, adjSuffixes) }
+func suffixVerb(w string) bool      { return hasListedSuffix(w, verbSuffixes) }
+func suffixNoun(w string) bool      { return hasListedSuffix(w, nounSuffixes) }
 
-func suffixAdjectiveB(w []byte) bool {
-	for _, s := range adjSuffixes {
-		if hasSuffixB(w, s) && len(w) > len(s)+1 {
-			return true
-		}
-	}
-	return false
-}
-
-func suffixVerbB(w []byte) bool {
-	for _, s := range verbSuffixes {
-		if hasSuffixB(w, s) && len(w) > len(s)+1 {
-			return true
-		}
-	}
-	return false
-}
-
-func suffixNounB(w []byte) bool {
-	for _, s := range nounSuffixes {
-		if hasSuffixB(w, s) && len(w) > len(s)+1 {
+func hasListedSuffix(w string, list []string) bool {
+	for _, s := range list {
+		if strings.HasSuffix(w, s) && len(w) > len(s)+1 {
 			return true
 		}
 	}

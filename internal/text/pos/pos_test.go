@@ -1,6 +1,9 @@
 package pos
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func tagOf(t *testing.T, sentence []string, i int) Tag {
 	t.Helper()
@@ -90,5 +93,51 @@ func TestEmptyAndGarbage(t *testing.T) {
 func TestTagString(t *testing.T) {
 	if Noun.String() != "NOUN" || Adverb.String() != "ADV" || Tag(99).String() != "OTHER" {
 		t.Fatalf("Tag.String misbehaves: %v %v %v", Noun, Adverb, Tag(99))
+	}
+}
+
+// TestTagOpenLowerMatchesTagTokens pins the last-byte-indexed suffix rules to the
+// three suffix lists of the reference tagger: every suffix, at the lengths
+// either side of its minimum, under each left context, plus words that
+// match suffixes of several classes.
+func TestTagOpenLowerMatchesTagTokens(t *testing.T) {
+	tg := New()
+	suffixes := strings.Fields("ful ous ive able ible ish less ic al ant ent est ing ed ize ise ify ate " +
+		"tion sion ness ment ity ship hood ism ist er or ology ly")
+	var words []string
+	for _, s := range suffixes {
+		for _, stem := range []string{"", "z", "zq", "zqx", "zqxl"} {
+			words = append(words, stem+s)
+		}
+	}
+	words = append(words, "government", "hopelessness", "zqly", "zly", "ly", "y", "z", "économiste", "zqé")
+	closed := ClosedClass()
+	for _, c := range closedClasses {
+		for w := range c.words {
+			if _, ok := closed[w]; !ok {
+				t.Fatalf("ClosedClass() misses %q", w)
+			}
+		}
+	}
+	for _, w := range words {
+		if _, ok := closed[w]; ok {
+			continue
+		}
+		for _, prev := range []string{"", "to", "the", "zq"} {
+			tokens := []string{w}
+			if prev != "" {
+				tokens = []string{prev, w}
+			}
+			tags := tg.TagTokens(tokens)
+			want := tags[len(tags)-1]
+			if got := TagOpenLower([]byte(w), prev == "to", prev == "the"); got != want {
+				t.Errorf("TagOpenLower(%q) after %q = %v, TagTokens %v", w, prev, got, want)
+			}
+		}
+	}
+	for w, want := range closed {
+		if got := tg.TagTokens([]string{"to", w})[1]; got != want {
+			t.Errorf("ClosedClass()[%q] = %v, TagTokens %v", w, want, got)
+		}
 	}
 }

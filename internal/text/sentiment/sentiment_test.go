@@ -1,6 +1,10 @@
 package sentiment
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"unicode"
+)
 
 func analyze(t *testing.T, s string) Score {
 	t.Helper()
@@ -144,5 +148,50 @@ func TestLexicalHelpers(t *testing.T) {
 		if TermStrength(w) <= 0 {
 			t.Fatalf("positive term %q has strength %d", w, TermStrength(w))
 		}
+	}
+}
+
+// TestStepperMatchesAnalyze feeds the stepper what the feature package's
+// fused table would resolve for each token and requires Analyze's score.
+func TestStepperMatchesAnalyze(t *testing.T) {
+	words := Words()
+	for _, text := range []string{
+		"not very good", "so damn bad", "barely fucking awful", "never ever good",
+		"xD this is great", "I HATE you", "coooool story", "daaamn", "sooo good",
+		"really not bad at all", "good xD not bad", "hardly lovely",
+	} {
+		var st Stepper
+		st.Reset()
+		for _, raw := range strings.Fields(text) {
+			if v, ok := LetterEmoticons()[raw]; ok {
+				st.Score(v)
+				continue
+			}
+			w := normalizeToken(raw)
+			long := hasElongation(raw)
+			word := words[w]
+			if long && word == (Word{}) {
+				word.Strength = words[string(Squeeze(nil, []byte(w)))].Strength
+			}
+			st.Step(word, isShout(raw), long)
+		}
+		if got, want := st.Finish(0), New().Analyze(text); got != want {
+			t.Errorf("stepper(%q) = %+v, Analyze %+v", text, got, want)
+		}
+	}
+}
+
+// TestLetterEmoticons: exactly the emoticons text cleaning leaves intact
+// (letters only) are offered to the fast path.
+func TestLetterEmoticons(t *testing.T) {
+	got := LetterEmoticons()
+	for e, v := range emoticons {
+		letters := normalizeToken(e) != "" && !strings.ContainsFunc(e, func(r rune) bool { return !unicode.IsLetter(r) })
+		if gv, ok := got[e]; ok != letters || (ok && gv != v) {
+			t.Errorf("emoticon %q: offered=%v strength=%d, letters-only=%v strength=%d", e, ok, gv, letters, v)
+		}
+	}
+	if got["xD"] != 4 {
+		t.Errorf(`LetterEmoticons()["xD"] = %d, want 4`, got["xD"])
 	}
 }

@@ -13,7 +13,7 @@ func countSwears(text string) int {
 	n := 0
 	for _, w := range strings.Fields(strings.ToLower(text)) {
 		w = strings.Trim(w, ".,!?#@:")
-		if lexicon.IsSwearLower([]byte(w)) {
+		if lexicon.IsSwear(w) {
 			n++
 		}
 	}

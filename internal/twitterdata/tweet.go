@@ -66,7 +66,7 @@ func (t *Tweet) IsLabeled() bool { return t.Label != "" }
 // PostedAt parses the tweet timestamp; the zero time is returned for
 // malformed payloads.
 func (t *Tweet) PostedAt() time.Time {
-	ts, err := time.Parse(TimeLayout, t.CreatedAt)
+	ts, err := parseTime(t.CreatedAt)
 	if err != nil {
 		return time.Time{}
 	}
@@ -77,11 +77,72 @@ func (t *Tweet) PostedAt() time.Time {
 // time (0 when either timestamp is malformed or inconsistent).
 func (t *Tweet) AccountAgeDays() float64 {
 	posted := t.PostedAt()
-	created, err := time.Parse(TimeLayout, t.User.CreatedAt)
+	created, err := parseTime(t.User.CreatedAt)
 	if err != nil || posted.IsZero() || created.After(posted) {
 		return 0
 	}
 	return posted.Sub(created).Hours() / 24
+}
+
+// parseTime is time.Parse(TimeLayout, s) with a fixed-offset fast path:
+// the pipeline parses three timestamps per tweet, and the reflective
+// layout walk was 4.5% of extraction. The fast path takes only strings
+// spelled exactly as time.Format(TimeLayout) spells them — fixed width,
+// canonical names, all digits in place, in-range fields — and returns what
+// time.Parse returns for them; anything else (one-digit hours, odd
+// capitalisation, out-of-range values, a malformed string) goes to
+// time.Parse, which stays the judge of what is accepted. FuzzParseTime
+// pins the two together.
+func parseTime(s string) (time.Time, error) {
+	const (
+		days   = "SunMonTueWedThuFriSat"
+		months = "JanFebMarAprMayJunJulAugSepOctNovDec"
+	)
+	// Layout offsets:  0123456789012345678901234567890
+	//                  Mon Jan 02 15:04:05 -0700 2006
+	if len(s) != len(TimeLayout) || s[3] != ' ' || s[7] != ' ' || s[10] != ' ' ||
+		s[13] != ':' || s[16] != ':' || s[19] != ' ' || s[25] != ' ' ||
+		(s[20] != '+' && s[20] != '-') || strings.Index(days, s[0:3])%3 != 0 {
+		return time.Parse(TimeLayout, s)
+	}
+	month := strings.Index(months, s[4:7])
+	day, hour, minute, sec := num2(s[8:]), num2(s[11:]), num2(s[14:]), num2(s[17:])
+	zh, zm, century, yy := num2(s[21:]), num2(s[23:]), num2(s[26:]), num2(s[28:])
+	if month%3 != 0 || day < 1 || hour|minute|sec|zh|zm|century|yy < 0 ||
+		hour > 23 || minute > 59 || sec > 59 || zh > 23 || zm > 59 {
+		return time.Parse(TimeLayout, s)
+	}
+	year := century*100 + yy
+	offset := (zh*60 + zm) * 60
+	if s[20] == '-' {
+		offset = -offset
+	}
+	utc := time.Date(year, time.Month(month/3+1), day, hour, minute, sec, 0, time.UTC)
+	if utc.Day() != day { // day beyond the month's end: Date normalized it
+		return time.Parse(TimeLayout, s)
+	}
+	utc = utc.Add(-time.Duration(offset) * time.Second)
+	// time.Parse reports the time in Local when Local is at that offset at
+	// that instant, else in a fabricated zone (cached for whole hours).
+	if local := utc.In(time.Local); zoneOffset(local) == offset {
+		return local, nil
+	}
+	return utc.In(time.FixedZone("", offset)), nil
+}
+
+// num2 reads two ASCII digits, returning a negative number if either byte
+// is not a digit.
+func num2(s string) int {
+	a, b := int(s[0])-'0', int(s[1])-'0'
+	if a < 0 || a > 9 || b < 0 || b > 9 {
+		return -1
+	}
+	return a*10 + b
+}
+
+func zoneOffset(t time.Time) int {
+	_, off := t.Zone()
+	return off
 }
 
 // Clone returns a copy of the tweet whose string fields are freshly
