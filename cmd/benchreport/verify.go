@@ -24,8 +24,8 @@ var noallocGates = map[string]struct {
 		funcs: []string{
 			"redhanded/internal/stream.(*Compiled).PredictInto",
 			"redhanded/internal/stream.(*Compiled).predictSLR",
-			"redhanded/internal/stream.(*compiledTree).naiveBayesInto",
 			"redhanded/internal/stream.(*compiledTree).predictInto",
+			"redhanded/internal/stream.naiveBayesInto",
 		},
 	},
 	"FeaturePathFast": {
@@ -60,6 +60,7 @@ var noallocGates = map[string]struct {
 		funcs: []string{
 			"redhanded/internal/userstate.(*Store).Observe",
 			"redhanded/internal/userstate.(*Store).observeLocked",
+			"redhanded/internal/userstate.(*record).slide",
 		},
 	},
 	"SpanLifecycle": {

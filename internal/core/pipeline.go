@@ -152,7 +152,8 @@ func (p *Pipeline) initSnapshot() {
 
 // refreshSnapshotLocked re-publishes the compiled snapshot if the model
 // mutated since the last publication, reusing every unchanged member
-// tree (the rebuild is O(changed trees), see stream.CompileSnapshot).
+// tree and, inside a trained tree that did not split, every untouched
+// leaf (see stream.CompileSnapshot).
 // Called with p.mu held; returns the current snapshot (nil when the
 // compiled path is off). The compile cost is attributed to sp's
 // StageCompile so a tweet that happened to pay for a rebuild shows it

@@ -14,22 +14,31 @@ import (
 // model's prediction function into that form:
 //
 //   - tree models become one cnode array per tree (split feature,
-//     threshold, child indices) plus two float64 arenas: `dist` for
-//     leaf class-count / log-prior blocks and `nb` for the precomputed
-//     naive-Bayes per-(feature, class) Gaussian records;
+//     threshold, child indices) plus one frozen float64 block per leaf
+//     (class counts, or log priors followed by the precomputed
+//     naive-Bayes per-(feature, class) Gaussian records), held in
+//     fixed-size chunks so snapshots can share them;
 //   - SLR becomes a single flat weight vector with a per-class stride.
 //
 // The flattening preserves the exact floating-point operation order of
 // the live predict paths, so a snapshot's votes are bit-for-bit
 // identical to the source model's Predict at the epoch it was compiled
-// (hoeffding_compiled_test.go proves this per model and under
-// concurrent training).
+// (compiled_test.go proves this per model and under concurrent
+// training, compiled_incremental_test.go after every train step).
 //
-// Rebuilds are incremental: every model carries a monotone epoch
-// counter bumped on each mutation, and an ARF snapshot reuses the
-// flattened form of any member tree whose (pointer, epoch) pair is
-// unchanged since the previous snapshot — a drift replacement or a
-// trained member re-flattens only that member, O(changed trees).
+// Rebuilds are incremental at two levels. Every model carries a
+// monotone epoch counter bumped on each mutation, and an ARF snapshot
+// reuses the flattened form of any member tree whose (pointer, epoch)
+// pair is unchanged since the previous snapshot. Within a changed tree,
+// a train step that does not split changes one leaf: the tree records
+// the leaves touched since its latest compile, and compileTree shares
+// that compile's node array and every untouched leaf chunk, re-freezing
+// only the touched leaves — O(touched leaves), not O(tree). Published
+// snapshots are never written, so the sharing needs no coordination
+// with readers. Anything that changes the node layout (a split, a
+// delta merge, a restore) drops the tree's latest-compile reference,
+// and a prev that is not the latest compile (a second consumer holding
+// its own prev) is refused: both take one full flatten.
 
 // Compilable is a streaming model whose prediction function can be
 // flattened into an immutable Compiled snapshot.
@@ -46,12 +55,8 @@ type Compilable interface {
 }
 
 // cnode is one flattened tree node. Internal nodes have feature >= 0
-// and left/right as node-array indices. Leaves have feature == -1:
-// left is the offset of the leaf's block in the dist arena, and right
-// is the offset of its naive-Bayes block in the nb arena, or -1 for a
-// majority-class leaf. A majority-class leaf's dist block holds its raw
-// class counts; a naive-Bayes leaf's dist block holds per-class log
-// priors (-Inf for classes the leaf never saw).
+// and left/right as node-array indices. Leaves have feature == -1 and
+// left is the leaf's slot in the tree's leaf table (right is unused).
 type cnode struct {
 	threshold float64
 	feature   int32
@@ -59,15 +64,33 @@ type cnode struct {
 	right     int32
 }
 
+// Leaf blocks live in fixed-size chunks: an incremental compile copies
+// the chunk-pointer table and the one chunk holding each touched leaf,
+// and shares every other chunk with the previous snapshot.
+const (
+	leafChunkShift = 5
+	leafChunkLen   = 1 << leafChunkShift
+)
+
+// leafChunk holds the frozen blocks of leafChunkLen consecutive leaf
+// slots. A block of exactly numClasses values is a majority-class leaf
+// (its raw class counts). A longer block is a naive-Bayes leaf: the
+// per-class log priors (-Inf for classes the leaf never saw), then the
+// observed-feature count, then per observed feature its index and one
+// (valid, mean, std, log std) record per class.
+type leafChunk [leafChunkLen][]float64
+
 // compiledTree is one flattened Hoeffding tree. src/srcEpoch identify
 // the live tree it was flattened from — used only as the incremental-
-// rebuild reuse key, never dereferenced at predict time.
+// rebuild reuse key, never dereferenced at predict time. nodes and the
+// chunks behind leaves may be shared with other compiles of the same
+// tree; nothing reachable from a compiledTree is written after
+// compileTree returns.
 type compiledTree struct {
 	src      *HoeffdingTree
 	srcEpoch uint64
 	nodes    []cnode
-	dist     []float64
-	nb       []float64
+	leaves   []*leafChunk
 }
 
 // Compiled is an immutable, pointer-free snapshot of a model's
@@ -78,7 +101,7 @@ type Compiled struct {
 	src        any // source model identity, for prev-reuse checks only
 	epoch      uint64
 	numClasses int
-	rebuilt    int // trees re-flattened while building this snapshot
+	rebuilt    int // trees recompiled while building this snapshot
 
 	// Tree models. A single HT compiles to one tree with no ensemble
 	// vote; ARF compiles to one tree per member plus accuracy weights.
@@ -94,8 +117,8 @@ type Compiled struct {
 // Epoch returns the source-model epoch this snapshot was compiled at.
 func (c *Compiled) Epoch() uint64 { return c.epoch }
 
-// Rebuilt returns how many trees were re-flattened (rather than reused
-// from the previous snapshot) when this snapshot was built.
+// Rebuilt returns how many trees were recompiled (rather than reused
+// whole from the previous snapshot) when this snapshot was built.
 func (c *Compiled) Rebuilt() int { return c.rebuilt }
 
 // NumClasses returns the class-domain size of the compiled model.
@@ -183,48 +206,47 @@ func (ct *compiledTree) predictInto(votes, logv, x []float64) {
 			}
 			continue
 		}
-		if nd.right < 0 {
+		blk := ct.leaves[nd.left>>leafChunkShift][nd.left&(leafChunkLen-1)]
+		if len(blk) == len(votes) {
 			// Majority-class leaf: raw class-count copy.
-			base := int(nd.left)
-			for c := range votes {
-				votes[c] = ct.dist[base+c]
-			}
+			copy(votes, blk)
 			return
 		}
-		ct.naiveBayesInto(votes, logv, x, int(nd.left), int(nd.right))
+		naiveBayesInto(votes, logv, x, blk)
 		return
 	}
 }
 
-// naiveBayesInto replays HoeffdingTree.naiveBayesVotes against the
-// precomputed arena records: per class, the log prior plus each valid
-// (feature, class) Gaussian log-likelihood in ascending feature order,
-// then a max-shifted exp — the identical operation sequence, so the
-// result is bit-for-bit the live path's.
+// naiveBayesInto replays HoeffdingTree.naiveBayesVotes against one
+// frozen naive-Bayes leaf block: per class, the log prior plus each
+// valid (feature, class) Gaussian log-likelihood in ascending feature
+// order, then a max-shifted exp — the identical operation sequence, so
+// the result is bit-for-bit the live path's.
 //
 //redvet:noalloc gate=CompiledClassify
-func (ct *compiledTree) naiveBayesInto(votes, logv, x []float64, lpOff, nbOff int) {
-	nFeat := int(ct.nb[nbOff])
+func naiveBayesInto(votes, logv, x, blk []float64) {
+	nb := blk[len(votes):]
+	nFeat := int(nb[0])
 	stride := 1 + 4*len(votes)
 	maxLog := math.Inf(-1)
 	for c := range votes {
-		lp := ct.dist[lpOff+c]
+		lp := blk[c]
 		if math.IsInf(lp, -1) {
 			logv[c] = lp
 			continue
 		}
 		lv := lp
-		off := nbOff + 1
+		off := 1
 		for f := 0; f < nFeat; f++ {
-			feat := int(ct.nb[off])
+			feat := int(nb[off])
 			rec := off + 1 + 4*c
 			off += stride
-			if feat >= len(x) || ct.nb[rec] == 0 {
+			if feat >= len(x) || nb[rec] == 0 {
 				continue
 			}
-			std := ct.nb[rec+2]
-			z := (x[feat] - ct.nb[rec+1]) / std
-			lv += -0.5*z*z - ct.nb[rec+3]
+			std := nb[rec+2]
+			z := (x[feat] - nb[rec+1]) / std
+			lv += -0.5*z*z - nb[rec+3]
 		}
 		logv[c] = lv
 		if lv > maxLog {
@@ -274,80 +296,111 @@ func (c *Compiled) predictSLR(dst, x []float64) {
 
 // --- compilation ---
 
-// compileTree flattens one live Hoeffding tree.
-func compileTree(t *HoeffdingTree) *compiledTree {
+// compileTree returns the compiled form of t's current state. When prev
+// is the tree's latest compile, the node layout is unchanged since (every
+// layout change drops t.compiled) and t.touched lists exactly the leaves
+// whose statistics moved: the result shares prev's node array and leaf
+// chunks and re-freezes only those leaves. Any other prev is refused and
+// the tree is flattened in full.
+func compileTree(t *HoeffdingTree, prev *compiledTree) *compiledTree {
 	ct := &compiledTree{src: t, srcEpoch: t.epoch}
-	ct.addNode(t, t.root)
+	if prev == nil || prev != t.compiled {
+		// Full flatten: every leaf gets its slot in depth-first order.
+		ct.nodes = make([]cnode, 0, t.NumNodes())
+		ct.leaves = make([]*leafChunk, 0, (t.NumLeaves()+leafChunkLen-1)>>leafChunkShift)
+		slots := int32(0)
+		ct.addNode(t, t.root, &slots)
+	} else {
+		ct.nodes = prev.nodes
+		ct.leaves = append([]*leafChunk(nil), prev.leaves...)
+		for _, leaf := range t.touched {
+			ci := leaf.slot >> leafChunkShift
+			if ct.leaves[ci] == prev.leaves[ci] {
+				chunk := *prev.leaves[ci]
+				ct.leaves[ci] = &chunk
+			}
+			ct.leaves[ci][leaf.slot&(leafChunkLen-1)] = freezeLeaf(t, leaf.stats)
+			leaf.dirty = false
+		}
+	}
+	t.touched = t.touched[:0]
+	t.compiled = ct
 	return ct
 }
 
 // addNode appends n (and, for internal nodes, its subtree) to the node
-// array and returns its index.
-func (ct *compiledTree) addNode(t *HoeffdingTree, n *htNode) int32 {
+// array and returns its index. *slots is the next free leaf slot; a leaf
+// takes it, and with it a clean touched mark.
+func (ct *compiledTree) addNode(t *HoeffdingTree, n *htNode, slots *int32) int32 {
 	idx := int32(len(ct.nodes))
 	ct.nodes = append(ct.nodes, cnode{})
 	if n.isLeaf() {
-		ct.nodes[idx] = ct.compileLeaf(t, n.stats)
+		n.slot, n.dirty = *slots, false
+		*slots++
+		if n.slot&(leafChunkLen-1) == 0 {
+			ct.leaves = append(ct.leaves, new(leafChunk))
+		}
+		ct.leaves[n.slot>>leafChunkShift][n.slot&(leafChunkLen-1)] = freezeLeaf(t, n.stats)
+		ct.nodes[idx] = cnode{feature: -1, left: n.slot, right: -1}
 		return idx
 	}
 	ct.nodes[idx].feature = int32(n.feature)
 	ct.nodes[idx].threshold = n.threshold
-	l := ct.addNode(t, n.left)
-	r := ct.addNode(t, n.right)
+	l := ct.addNode(t, n.left, slots)
+	r := ct.addNode(t, n.right, slots)
 	ct.nodes[idx].left = l
 	ct.nodes[idx].right = r
 	return idx
 }
 
-// compileLeaf freezes one leaf's prediction. The NaiveBayesAdaptive
-// choice (nbCorrect > mcCorrect) is resolved here: it only changes
-// under training, which bumps the epoch and re-flattens the tree. A
+// freezeLeaf freezes one leaf's prediction into a fresh, exactly sized
+// block (see leafChunk for the layout). The NaiveBayesAdaptive choice
+// (nbCorrect > mcCorrect) is resolved here: it only changes under
+// training, which marks the leaf touched so it is frozen again. A
 // naive-Bayes leaf that has seen no weight votes all-zero, exactly what
-// copying its zero class counts yields, so it compiles as majority-class.
-func (ct *compiledTree) compileLeaf(t *HoeffdingTree, s *leafStats) cnode {
+// copying its zero class counts yields, so it freezes as majority-class.
+func freezeLeaf(t *HoeffdingTree, s *leafStats) []float64 {
 	nb := t.cfg.LeafPrediction == NaiveBayes ||
 		(t.cfg.LeafPrediction == NaiveBayesAdaptive && s.nbCorrect > s.mcCorrect)
 	total := sum(s.classCounts)
 	if !nb || total == 0 {
-		off := int32(len(ct.dist))
-		ct.dist = append(ct.dist, s.classCounts...)
-		return cnode{feature: -1, left: off, right: -1}
+		return append([]float64(nil), s.classCounts...)
 	}
-	lpOff := int32(len(ct.dist))
-	for _, cnt := range s.classCounts {
-		if cnt == 0 {
-			ct.dist = append(ct.dist, math.Inf(-1))
-		} else {
-			ct.dist = append(ct.dist, math.Log(cnt/total))
-		}
-	}
-	nbOff := int32(len(ct.nb))
+	k := len(s.classCounts)
 	nFeat := 0
 	for _, obs := range s.observers {
 		if obs != nil {
 			nFeat++
 		}
 	}
-	ct.nb = append(ct.nb, float64(nFeat))
+	blk := make([]float64, 0, k+1+nFeat*(1+4*k))
+	for _, cnt := range s.classCounts {
+		if cnt == 0 {
+			blk = append(blk, math.Inf(-1))
+		} else {
+			blk = append(blk, math.Log(cnt/total))
+		}
+	}
+	blk = append(blk, float64(nFeat))
 	for f, obs := range s.observers {
 		if obs == nil {
 			continue
 		}
-		ct.nb = append(ct.nb, float64(f))
-		for c := 0; c < len(s.classCounts); c++ {
+		blk = append(blk, float64(f))
+		for c := 0; c < k; c++ {
 			w := obs.PerClass[c]
 			if w.N < 2 {
-				ct.nb = append(ct.nb, 0, 0, 0, 0)
+				blk = append(blk, 0, 0, 0, 0)
 				continue
 			}
 			std := w.Std()
 			if std < 1e-9 {
 				std = 1e-9
 			}
-			ct.nb = append(ct.nb, 1, w.Mean, std, math.Log(std))
+			blk = append(blk, 1, w.Mean, std, math.Log(std))
 		}
 	}
-	return cnode{feature: -1, left: lpOff, right: nbOff}
+	return blk
 }
 
 // Epoch implements Compilable.
@@ -355,15 +408,19 @@ func (t *HoeffdingTree) Epoch() uint64 { return t.epoch }
 
 // CompileSnapshot implements Compilable.
 func (t *HoeffdingTree) CompileSnapshot(prev *Compiled) *Compiled {
-	if prev != nil && prev.src == any(t) && prev.epoch == t.epoch {
-		return prev
+	var prevTree *compiledTree
+	if prev != nil && prev.src == any(t) {
+		if prev.epoch == t.epoch {
+			return prev
+		}
+		prevTree = prev.trees[0]
 	}
 	return &Compiled{
 		src:        t,
 		epoch:      t.epoch,
 		numClasses: t.cfg.NumClasses,
 		rebuilt:    1,
-		trees:      []*compiledTree{compileTree(t)},
+		trees:      []*compiledTree{compileTree(t, prevTree)},
 	}
 }
 
@@ -398,10 +455,12 @@ func (s *SLR) CompileSnapshot(prev *Compiled) *Compiled {
 func (f *AdaptiveRandomForest) Epoch() uint64 { return f.epoch }
 
 // CompileSnapshot implements Compilable. Member vote weights are
-// recomputed every rebuild (O(members)); a member tree is re-flattened
+// recomputed every rebuild (O(members)); a member tree is recompiled
 // only when its (pointer, epoch) reuse key changed since prev — members
 // whose bagging weight drew zero, and the unchanged majority after a
-// drift replacement, are reused as-is.
+// drift replacement, are reused as-is — and a recompiled member goes
+// through compileTree with its previous form, so a trained member costs
+// its touched leaves and only a replaced or split one a full flatten.
 func (f *AdaptiveRandomForest) CompileSnapshot(prev *Compiled) *Compiled {
 	if prev != nil && prev.src == any(f) && prev.epoch == f.epoch {
 		return prev
@@ -416,12 +475,15 @@ func (f *AdaptiveRandomForest) CompileSnapshot(prev *Compiled) *Compiled {
 	}
 	for i, m := range f.members {
 		c.weights[i] = m.weight()
-		if prev != nil && i < len(prev.trees) && prev.trees[i] != nil &&
-			prev.trees[i].src == m.tree && prev.trees[i].srcEpoch == m.tree.epoch {
-			c.trees[i] = prev.trees[i]
+		var prevTree *compiledTree
+		if prev != nil && i < len(prev.trees) {
+			prevTree = prev.trees[i]
+		}
+		if prevTree != nil && prevTree.src == m.tree && prevTree.srcEpoch == m.tree.epoch {
+			c.trees[i] = prevTree
 			continue
 		}
-		c.trees[i] = compileTree(m.tree)
+		c.trees[i] = compileTree(m.tree, prevTree)
 		c.rebuilt++
 	}
 	return c

@@ -89,6 +89,11 @@ type htNode struct {
 	left      *htNode
 	right     *htNode
 	stats     *leafStats
+	// Incremental-compile bookkeeping (compiled.go), meaningful only while
+	// the tree holds a latest compile: the leaf's slot in that compile's
+	// leaf table, and whether the leaf already sits in the touched list.
+	slot  int32
+	dirty bool
 }
 
 func (n *htNode) isLeaf() bool { return n.stats != nil }
@@ -110,6 +115,13 @@ type HoeffdingTree struct {
 	// lock-free classify path only ever touches published Compiled
 	// snapshots, never the live tree.
 	epoch uint64
+	// compiled is the tree's latest compile while the node layout it was
+	// flattened from still stands (nil otherwise), and touched lists the
+	// leaves whose statistics changed since it was built, each once. The
+	// tree owns both: training appends, compileTree consumes and resets,
+	// and every layout change (split, delta merge, restore) drops them.
+	compiled *compiledTree
+	touched  []*htNode
 }
 
 var _ ml.DistributedClassifier = (*HoeffdingTree)(nil)
@@ -263,7 +275,18 @@ func (t *HoeffdingTree) Train(in ml.Instance) {
 	}
 }
 
+// dropCompiled forgets the latest compile: the next compileTree flattens
+// the whole tree. Stale dirty marks are cleared by that flatten.
+func (t *HoeffdingTree) dropCompiled() {
+	t.compiled = nil
+	t.touched = t.touched[:0]
+}
+
 func (t *HoeffdingTree) updateLeaf(leaf *htNode, x []float64, label int, w float64) {
+	if t.compiled != nil && !leaf.dirty {
+		leaf.dirty = true
+		t.touched = append(t.touched, leaf)
+	}
 	s := leaf.stats
 	// Naive-Bayes-adaptive bookkeeping: score both predictors on this
 	// instance before learning from it.
@@ -362,6 +385,7 @@ func (t *HoeffdingTree) split(leaf *htNode, cand candidateSplit) {
 	leaf.left = left
 	leaf.right = right
 	t.splitCount++
+	t.dropCompiled()
 }
 
 func isPure(counts []float64) bool {

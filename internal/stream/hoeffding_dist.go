@@ -110,5 +110,6 @@ func (t *HoeffdingTree) ApplyAccumulators(accs []ml.Accumulator) {
 	}
 	if mutated {
 		t.epoch++
+		t.dropCompiled()
 	}
 }

@@ -176,6 +176,7 @@ func (t *HoeffdingTree) UnmarshalBinary(data []byte) error {
 	}
 	t.root = root
 	t.epoch++ // the whole tree was rebuilt: invalidate compiled snapshots
+	t.dropCompiled()
 	return nil
 }
 

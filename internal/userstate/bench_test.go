@@ -84,3 +84,41 @@ func BenchmarkUserstateLookup(b *testing.B) {
 		}
 	})
 }
+
+// observeWindowLoop drives one user whose session window holds `entries`
+// tweets in steady state (one in, one out per observation) and returns the
+// function that performs the next observation. The window length is the
+// only thing that differs between sizes, so the per-observation cost
+// ratio large/small is the window's scaling law.
+func observeWindowLoop(entries int) func() {
+	s := New(Config{Shards: 1})
+	gap := int64(s.cfg.Session.Window) / int64(entries)
+	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	i := int64(0)
+	next := func() {
+		i++
+		// Mostly normal tweets: the share test fails, so this is the path
+		// every non-verdict observation takes.
+		s.Observe(Observation{UserID: "u", At: time.Unix(0, start+i*gap), Aggressive: i%5 == 0, Confidence: 0.8})
+	}
+	for k := 0; k < 2*entries; k++ {
+		next()
+	}
+	return next
+}
+
+// BenchmarkUserstateObserveWindow is the scaling guard for the session
+// window: the cost of one Observe must not depend on how many tweets the
+// user's window already holds.
+func BenchmarkUserstateObserveWindow(b *testing.B) {
+	for _, entries := range []int{10, 10000} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			next := observeWindowLoop(entries)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next()
+			}
+		})
+	}
+}

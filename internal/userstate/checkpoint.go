@@ -150,11 +150,11 @@ func (s *Store) MarshalBinary() ([]byte, error) {
 				RecentN:        r.recentN,
 				Ref:            r.ref,
 			}
-			for _, e := range r.entries {
-				rs.Entries = append(rs.Entries, entryState{At: e.at, Aggressive: e.aggressive, Confidence: e.confidence})
+			for _, e := range r.window() {
+				rs.Entries = append(rs.Entries, entryState{At: e.at(), Aggressive: e.aggressive(), Confidence: e.confidence})
 			}
 			for _, b := range r.recent {
-				rs.Recent = append(rs.Recent, entryState{At: b.at, Aggressive: b.aggressive, Confidence: b.confidence})
+				rs.Recent = append(rs.Recent, entryState{At: b.at(), Aggressive: b.aggressive(), Confidence: b.confidence})
 			}
 			st.Records = append(st.Records, rs)
 		}
@@ -283,11 +283,13 @@ func (s *Store) UnmarshalBinary(data []byte) error {
 				ref:            rs.Ref,
 				ringIdx:        len(sh.ring),
 			}
-			for _, e := range rs.Entries {
-				r.entries = append(r.entries, entry{at: e.At, aggressive: e.Aggressive, confidence: e.Confidence})
+			r.entries = make([]entry, len(rs.Entries))
+			for j, e := range rs.Entries {
+				r.entries[j] = newEntry(clampNanos(e.At), e.Aggressive, e.Confidence)
 			}
+			r.recount()
 			for j, b := range rs.Recent {
-				r.recent[j] = entry{at: b.At, aggressive: b.Aggressive, confidence: b.Confidence}
+				r.recent[j] = newEntry(clampNanos(b.At), b.Aggressive, b.Confidence)
 			}
 			sh.ring = append(sh.ring, r)
 			sh.users[r.id] = r

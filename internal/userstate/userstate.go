@@ -60,8 +60,11 @@ var (
 		"User records evicted from the store by reason.",
 		metrics.Labels{"reason": "ttl"})
 	// lockWait is the shard-lock contention histogram: time Observe spent
-	// waiting to acquire its shard stripe. Sub-microsecond buckets — on an
-	// uncontended store every observation lands in the first one or two.
+	// waiting to acquire its shard stripe. An acquire that finds the stripe
+	// free is recorded as 0 s (first bucket) without reading the clock;
+	// only an acquire that had to block is timed. The count is therefore
+	// every observation, the sum is time spent blocked, and the share above
+	// the first bucket is the contended share.
 	lockWait = metrics.Default().Histogram(
 		"redhanded_userstate_lock_wait_seconds",
 		"Time Observe waited on its shard lock (contention histogram).",
@@ -311,17 +314,31 @@ type Snapshot struct {
 }
 
 // entry is one observed tweet: a session-window element and a last-N
-// verdict-ring slot share the same shape.
+// verdict-ring slot share the same shape. A store holds one per windowed
+// tweet, so the verdict bit rides in the timestamp word (16 bytes, not
+// 24): stamp is the unix-nano time shifted left once with the aggressive
+// flag in bit 0. nanos() saturates times to the 63 bits that leaves.
 type entry struct {
-	at         int64 // unix nanos
-	aggressive bool
+	stamp      int64
 	confidence float64
 }
 
+func newEntry(at int64, aggressive bool, confidence float64) entry {
+	e := entry{stamp: at << 1, confidence: confidence}
+	if aggressive {
+		e.stamp |= 1
+	}
+	return e
+}
+
+func (e entry) at() int64        { return e.stamp >> 1 }
+func (e entry) aggressive() bool { return e.stamp&1 != 0 }
+
 // record is one user's state. All times are unix nanos (0 = unset).
 // The CLOCK cache holds up to MaxUsers (default 100k) of these, so the
-// field order is alignment-packed: word-sized fields first, the two
-// byte-wide flags together at the tail. The fieldalign check and the
+// field order is alignment-packed: word-sized fields first, then the two
+// half-word window counters, the byte-wide flags together at the tail.
+// The fieldalign check and the
 // TestRecordSizePinned pin enforce it (two stray interior bools
 // previously cost 8 bytes per record — 0.8 MB at the default cap).
 //
@@ -330,7 +347,7 @@ type record struct {
 	id         string
 	screenName string
 
-	// Sliding session window, time-ordered; trimmed on every observe.
+	// Sliding session window (window.go): entries[head:] in arrival order.
 	entries     []entry
 	lastVerdict int64
 
@@ -351,8 +368,13 @@ type record struct {
 	// CLOCK bookkeeping.
 	ringIdx int
 
-	suspended bool // offense history: suspension latch
-	ref       bool // CLOCK reference bit
+	winMin  int64 // session window: oldest time in it, kept while disordered
+	head    int32 // session window: index of the oldest live entry
+	winAggr int32 // session window: aggressive entries in entries[head:]
+
+	suspended  bool // offense history: suspension latch
+	ref        bool // CLOCK reference bit
+	disordered bool // session window: arrival order is not time order
 }
 
 // shard is one lock stripe: a map for lookup plus a CLOCK ring (slice +
@@ -429,11 +451,19 @@ func (s *Store) shardFor(id string) *shard {
 	return s.shards[fnv64a(id)&s.mask]
 }
 
+// maxNanos bounds stored times to what entry.stamp can carry beside its
+// flag bit: years 1823 to 2116.
+const maxNanos = 1<<62 - 1
+
 func nanos(t time.Time) int64 {
 	if t.IsZero() {
 		return 0
 	}
-	return t.UnixNano()
+	return clampNanos(t.UnixNano())
+}
+
+func clampNanos(n int64) int64 {
+	return max(-maxNanos, min(n, maxNanos))
 }
 
 func fromNanos(n int64) time.Time {
@@ -453,11 +483,15 @@ func (s *Store) Observe(o Observation) Outcome {
 		return Outcome{}
 	}
 	sh := s.shardFor(o.UserID)
-	//redvet:ignore hotpathhygiene lock-wait contention is the one latency this subsystem must self-report; two clock reads bracketing the acquire are the instrument, not an accident
-	t0 := time.Now()
-	sh.mu.Lock()
-	//redvet:ignore hotpathhygiene see t0 above: the pair feeds the redhanded_userstate_lock_wait histogram
-	lockWait.Observe(time.Since(t0).Seconds())
+	if sh.mu.TryLock() {
+		lockWait.Observe(0)
+	} else {
+		//redvet:ignore hotpathhygiene contended acquires only: the stripe was held, so the wait is real and worth two clock reads
+		t0 := time.Now()
+		sh.mu.Lock()
+		//redvet:ignore hotpathhygiene see t0 above: the pair times the blocked acquire for redhanded_userstate_lock_wait_seconds
+		lockWait.Observe(time.Since(t0).Seconds())
+	}
 	out := s.observeLocked(sh, o)
 	sh.mu.Unlock()
 	return out
@@ -507,7 +541,7 @@ func (s *Store) observeLocked(sh *shard, o Observation) Outcome {
 				r.cadence += 0.2 * (gap - r.cadence)
 			}
 		}
-		r.recent[r.recentPos] = entry{at: at, aggressive: o.Aggressive, confidence: o.Confidence}
+		r.recent[r.recentPos] = newEntry(at, o.Aggressive, o.Confidence)
 		r.recentPos = (r.recentPos + 1) % len(r.recent)
 		if r.recentN < len(r.recent) {
 			r.recentN++
@@ -529,16 +563,8 @@ func (s *Store) observeLocked(sh *shard, o Observation) Outcome {
 	}
 
 	if !o.OffenseOnly && hasTime {
-		// Sliding session window: append, trim, judge.
-		r.entries = append(r.entries, entry{at: at, aggressive: o.Aggressive, confidence: o.Confidence})
-		cutoff := at - s.window
-		keep := r.entries[:0]
-		for _, e := range r.entries {
-			if e.at >= cutoff {
-				keep = append(keep, e)
-			}
-		}
-		r.entries = keep
+		// Sliding session window: append, expire, judge.
+		r.slide(newEntry(at, o.Aggressive, o.Confidence), at-s.window)
 		if v := s.judgeSession(r, at); v != nil {
 			out.Session = v
 		}
@@ -557,22 +583,24 @@ func (s *Store) observeLocked(sh *shard, o Observation) Outcome {
 // judgeSession applies the session-window threshold (the legacy
 // SessionTracker semantics, verbatim).
 func (s *Store) judgeSession(r *record, at int64) *SessionVerdict {
-	if len(r.entries) < s.cfg.Session.MinTweets {
+	win := r.window()
+	if len(win) < s.cfg.Session.MinTweets {
 		return nil
 	}
 	if r.lastVerdict != 0 && at-r.lastVerdict < s.sessCd {
 		return nil
 	}
-	aggr, confSum := 0, 0.0
-	for _, e := range r.entries {
-		if e.aggressive {
-			aggr++
-			confSum += e.confidence
-		}
-	}
-	share := float64(aggr) / float64(len(r.entries))
+	share := r.windowShare()
 	if share < s.cfg.Session.AggressiveShare {
 		return nil
+	}
+	// Only a firing verdict reads the window: the confidences are summed
+	// oldest to newest, so the mean is the one a full re-walk would give.
+	confSum := 0.0
+	for _, e := range win {
+		if e.aggressive() {
+			confSum += e.confidence
+		}
 	}
 	r.lastVerdict = at
 	r.sessions++
@@ -581,11 +609,11 @@ func (s *Store) judgeSession(r *record, at int64) *SessionVerdict {
 	return &SessionVerdict{
 		UserID:          r.id,
 		ScreenName:      r.screenName,
-		WindowStart:     fromNanos(r.entries[0].at),
+		WindowStart:     fromNanos(win[0].at()),
 		WindowEnd:       fromNanos(at),
-		Tweets:          len(r.entries),
+		Tweets:          len(win),
 		AggressiveShare: share,
-		MeanConfidence:  confSum / float64(aggr),
+		MeanConfidence:  confSum / float64(r.winAggr),
 	}
 }
 
@@ -616,7 +644,7 @@ func (s *Store) judgeEscalation(r *record, at int64) *EscalationVerdict {
 	for i := 0; i < r.recentN; i++ {
 		// Logical index i=0 is the oldest retained slot.
 		b := r.recent[(r.recentPos-r.recentN+i+2*len(r.recent))%len(r.recent)]
-		if !b.aggressive {
+		if !b.aggressive() {
 			continue
 		}
 		aggr++
@@ -784,7 +812,7 @@ func snapshotOf(r *record) Snapshot {
 		LastSeen:       fromNanos(r.lastSeen),
 		Tweets:         r.tweets,
 		Aggressive:     r.aggressive,
-		WindowTweets:   len(r.entries),
+		WindowTweets:   len(r.window()),
 		Offenses:       r.offenses,
 		Suspended:      r.suspended,
 		Score:          r.score,
@@ -792,19 +820,13 @@ func snapshotOf(r *record) Snapshot {
 		Sessions:       r.sessions,
 		Escalations:    r.escalations,
 	}
-	if len(r.entries) > 0 {
-		aggr := 0
-		for _, e := range r.entries {
-			if e.aggressive {
-				aggr++
-			}
-		}
-		sn.WindowAggressiveShare = float64(aggr) / float64(len(r.entries))
+	if sn.WindowTweets > 0 {
+		sn.WindowAggressiveShare = r.windowShare()
 	}
 	for i := 0; i < r.recentN; i++ {
 		b := r.recent[(r.recentPos-r.recentN+i+2*len(r.recent))%len(r.recent)]
 		sn.Recent = append(sn.Recent, RecentVerdict{
-			At: fromNanos(b.at), Aggressive: b.aggressive, Confidence: b.confidence,
+			At: fromNanos(b.at()), Aggressive: b.aggressive(), Confidence: b.confidence,
 		})
 	}
 	return sn
