@@ -221,10 +221,10 @@ func main() {
 		logger.Info("shutting down", "signal", sig.String())
 	}
 
-	// Drain first: it stops intake, terminates the long-lived SSE streams,
-	// and waits for the shard queues to empty — so the HTTP shutdown that
-	// follows (which waits on in-flight requests) finishes promptly and
-	// cannot eat the drain budget.
+	// Drain first: it stops intake, waits for the shard queues to empty,
+	// and then ends the long-lived SSE streams (after they have written the
+	// last alerts) — so the HTTP shutdown that follows (which waits on
+	// in-flight requests) finishes promptly and cannot eat the drain budget.
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drainWait)
 	defer cancelDrain()
 	drainErr := srv.Drain(drainCtx)

@@ -9,8 +9,9 @@ import (
 )
 
 // noallocGates is the authoritative pairing between the //redvet:noalloc
-// gate names annotated in source and the benchreport measurements that
-// enforce 0 allocs/op for those functions. -verify-noalloc diffs this
+// gate names annotated in source and the measurements (a benchreport mode,
+// or for SSEEmit an AllocsPerRun test) that enforce 0 allocs/op for those
+// functions. -verify-noalloc diffs this
 // table against the annotations the analysis driver actually indexes, in
 // both directions: deleting any single annotation (or inventing a gate
 // no benchmark measures) fails the check. When a hot path genuinely
@@ -126,6 +127,16 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/ingestlog.DecodeTweet",
 			"redhanded/internal/ingestlog.frameAt",
 			"redhanded/internal/ingestlog.scanSegment",
+		},
+	},
+	"SSEEmit": {
+		measuredBy: "go test ./internal/serve: TestAlertEgressZeroAlloc (AllocsPerRun = 0) and BenchmarkSSEEmit allocs/op",
+		funcs: []string{
+			"redhanded/internal/serve.appendFrame",
+			"redhanded/internal/serve.appendJSONFloat",
+			"redhanded/internal/serve.appendJSONString",
+			"redhanded/internal/serve.appendJSONTime",
+			"redhanded/internal/serve.drainFrames",
 		},
 	},
 }

@@ -53,8 +53,11 @@ func (f AlertSinkFunc) HandleAlert(a Alert) { f(a) }
 type Alerter struct {
 	mu        sync.Mutex
 	threshold float64
-	sinks     []AlertSink
-	users     *userstate.Store
+	// sinks is copy-on-write: Subscribe installs a fresh slice and never
+	// writes to a published one, so Consider iterates the slice it read
+	// under mu without cloning it per alert.
+	sinks []AlertSink
+	users *userstate.Store
 	// SuspendAfter is the repeated-offense count that triggers an account
 	// suspension recommendation (0 disables).
 	SuspendAfter int
@@ -77,7 +80,7 @@ func newAlerterWith(threshold float64, users *userstate.Store) *Alerter {
 func (a *Alerter) Subscribe(s AlertSink) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.sinks = append(a.sinks, s)
+	a.sinks = append(a.sinks[:len(a.sinks):len(a.sinks)], s)
 }
 
 // Consider raises an alert when confidence clears the threshold; it
@@ -98,7 +101,7 @@ func (a *Alerter) Consider(tw *twitterdata.Tweet, predicted string, confidence f
 	a.raised++
 	alertsRaisedTotal.Inc()
 	suspendAfter := a.SuspendAfter
-	sinks := append([]AlertSink(nil), a.sinks...)
+	sinks := a.sinks
 	a.mu.Unlock()
 	if alert.UserID != "" {
 		// Offense-only: the session window and behavioral aggregates are

@@ -46,6 +46,7 @@ func arfTraffic(n int) []twitterdata.Tweet {
 
 func ingestAll(t *testing.T, s *Server, tweets []twitterdata.Tweet) {
 	t.Helper()
+	before := processedTotal(s) // a restored server starts at its checkpoint's count
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", ndjson(t, tweets))
@@ -53,7 +54,7 @@ func ingestAll(t *testing.T, s *Server, tweets []twitterdata.Tweet) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitProcessed(t, s, int64(len(tweets)))
+	waitProcessed(t, s, before+int64(len(tweets)))
 }
 
 // TestServeARFCheckpointRestoreContinues proves restore-then-continue

@@ -15,6 +15,11 @@
 //	GET  /v1/stats     per-shard prequential metrics and queue state
 //	GET  /healthz      liveness probe
 //	GET  /metrics      Prometheus text-format metrics
+//
+// The alert stream is coalesced: a subscriber's writer sends whatever is
+// queued for it in one write and flush, so a client may receive several
+// events in one chunk. Each event still ends with a blank line (the SSE
+// frame boundary), and ids increase strictly per subscriber.
 package serve
 
 import (
@@ -247,9 +252,11 @@ type Server struct {
 	tracer *obs.Tracer // nil when tracing is disabled
 	mux    *http.ServeMux
 	start  time.Time
-	// draining is closed by Drain so long-lived handlers (the SSE alert
-	// streams) terminate and graceful HTTP shutdown can complete.
-	draining chan struct{}
+	// drained is closed once Drain has closed the queues and every shard
+	// loop has exited: it releases Drain's callers and ends the SSE alert
+	// streams (after they write what the shards left queued), so graceful
+	// HTTP shutdown can complete.
+	drained chan struct{}
 
 	// enqueueMu guards producers against Drain closing the queues: Offer
 	// holds the read side, Drain the write side.
@@ -314,7 +321,7 @@ func newServer(opts Options, start bool) *Server {
 		opts:      opts,
 		hub:       newAlertHub(opts.AlertBuffer, reg),
 		start:     time.Now(),
-		draining:  make(chan struct{}),
+		drained:   make(chan struct{}),
 		accepted:  reg.Counter("redhanded_ingest_accepted_total", "Tweets accepted into a shard queue.", nil),
 		rejected:  reg.Counter("redhanded_ingest_rejected_total", "Tweets rejected with 429 because a shard queue was full.", nil),
 		malformed: reg.Counter("redhanded_ingest_malformed_total", "NDJSON lines that failed to decode.", nil),
@@ -496,26 +503,27 @@ func (s *Server) QueueDepths() []int {
 }
 
 // Drain stops accepting work, closes the shard queues, and waits (up to
-// ctx) for the shards to finish what is already queued. After Drain the
-// ingestion endpoints answer 503; read-only endpoints keep working so the
-// final state remains observable during shutdown.
+// ctx) for the shards to finish what is already queued; only then do the
+// SSE streams end, so every alert those tweets raise is written first.
+// After Drain the ingestion endpoints answer 503; read-only endpoints keep
+// working so the final state remains observable during shutdown.
 func (s *Server) Drain(ctx context.Context) error {
 	s.enqueueMu.Lock()
 	if !s.closed.Swap(true) {
-		close(s.draining)
 		for _, sh := range s.shards {
 			close(sh.queue)
 		}
+		// Outlives a Drain whose ctx expires: the streams still end when
+		// the shards finish, and a later Drain call waits on the same signal.
+		go func() {
+			s.wg.Wait()
+			close(s.drained)
+		}()
 	}
 	s.enqueueMu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.drained:
 		// Log-offset-aware barrier: the shard loops have exited, so every
 		// offset handed to a queue must now be applied. A shortfall means a
 		// logged tweet was lost between queue and pipeline — checkpointing
@@ -563,6 +571,7 @@ func (s *Server) UnregisterMetrics() {
 			s.opts.Registry.Unregister("redhanded_featcache_entries", labels)
 		}
 	}
+	s.opts.Registry.Unregister("redhanded_sse_flush_events", nil)
 	s.opts.Registry.Unregister("redhanded_ingress_decodes_total", nil)
 	s.opts.Registry.Unregister("redhanded_ingress_decode_errors_total", nil)
 	s.opts.Registry.Unregister("redhanded_ingress_arena_chunks", nil)

@@ -55,16 +55,21 @@ func ndjson(t *testing.T, tweets []twitterdata.Tweet) *bytes.Buffer {
 	return &b
 }
 
+// processedTotal is how many tweets the server's shards have applied.
+func processedTotal(s *Server) int64 {
+	var total int64
+	for i := 0; i < s.Shards(); i++ {
+		total += s.Pipeline(i).Processed()
+	}
+	return total
+}
+
 // waitProcessed polls until the server has run n tweets through its shards.
 func waitProcessed(t *testing.T, s *Server, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		var total int64
-		for i := 0; i < s.Shards(); i++ {
-			total += s.Pipeline(i).Processed()
-		}
-		if total >= n {
+		if processedTotal(s) >= n {
 			return
 		}
 		time.Sleep(time.Millisecond)
@@ -326,6 +331,7 @@ func TestMetricsExposition(t *testing.T) {
 		`redhanded_classify_latency_seconds_count{outcome="ok"} 1`,
 		`redhanded_shard_process_seconds_bucket{shard=`,
 		`redhanded_http_requests_total{path="/v1/classify"} 1`,
+		"# TYPE redhanded_sse_flush_events histogram",
 		// The process-default registry rides along: core/engine wiring.
 		"# TYPE redhanded_alerts_raised_total counter",
 	} {
