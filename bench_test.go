@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§V). Each benchmark runs its experiment at a reduced scale so the whole
-// suite completes in minutes; `cmd/benchrunner -scale 1` reproduces the
-// paper-scale numbers recorded in EXPERIMENTS.md.
+// suite completes in minutes; `cmd/benchrunner -scale 1` runs them at
+// paper scale.
 package redhanded_test
 
 import (

@@ -61,7 +61,6 @@ func main() {
 		queue      = flag.Int("queue", 2048, "per-shard queue depth before 429 backpressure")
 		drainBatch = flag.Int("drain-batch", 32, "max queued tweets a shard drains per lock acquisition (1 = per-tweet)")
 		featCache  = flag.Int("featcache", 0, "per-shard extraction-cache entries for duplicate texts (0 = default 8192, negative disables)")
-		legacyDec  = flag.Bool("legacy-json-decode", false, "decode ingress bodies with encoding/json instead of the pooled zero-alloc decoder (A/B escape hatch)")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		checkpoint = flag.String("checkpoint", "", "checkpoint directory written on graceful shutdown")
 		restore    = flag.Bool("restore", false, "restore shard state from -checkpoint before serving")
@@ -154,13 +153,12 @@ func main() {
 	}
 
 	srv := serve.NewServer(serve.Options{
-		Pipeline:         opts,
-		Shards:           *shards,
-		QueueDepth:       *queue,
-		DrainBatch:       *drainBatch,
-		RetryAfter:       *retryAfter,
-		Log:              ilog,
-		LegacyJSONDecode: *legacyDec,
+		Pipeline:   opts,
+		Shards:     *shards,
+		QueueDepth: *queue,
+		DrainBatch: *drainBatch,
+		RetryAfter: *retryAfter,
+		Log:        ilog,
 		Trace: obs.Config{
 			Enabled:    *trace,
 			RingSize:   *traceRing,

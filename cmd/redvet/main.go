@@ -5,6 +5,10 @@
 //	redvet -checks noalloc ./...  run a subset
 //	redvet -escape ./...          add compiler escape-analysis cross-check
 //
+// Whenever the noalloc check runs, so does the gate cross-check: every
+// //redvet:noalloc gate=... annotation must be listed in the gate table
+// (gates.go), which names the tier-1 test measuring it, and vice versa.
+//
 // Exit codes: 0 clean, 1 findings reported, 2 driver or usage error —
 // the contract CI keys off.
 package main
@@ -14,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"redhanded/internal/analysis"
 )
@@ -52,8 +57,12 @@ func main() {
 	}
 
 	diags := analysis.Run(prog, analyzers)
+	index := analysis.BuildIndex(prog)
+	if slices.Contains(analyzers, analysis.NoAlloc) {
+		diags = append(diags, checkGates(prog, index)...)
+	}
 	if *escape {
-		esc, err := analysis.EscapeCheck(prog, analysis.BuildIndex(prog))
+		esc, err := analysis.EscapeCheck(prog, index)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "redvet:", err)
 			os.Exit(2)

@@ -117,11 +117,6 @@ type Options struct {
 	// history, escalation scoring, memory bounds). The zero value resolves
 	// to the userstate defaults: 16 shards, unbounded users, 24h idle TTL.
 	Users userstate.Config
-	// DisableCompiledSnapshots forces the pipeline onto the fully locked
-	// classify path even when the model supports compiled snapshots. It
-	// exists for equivalence testing and benchmarking the two paths
-	// against each other; production configurations leave it false.
-	DisableCompiledSnapshots bool
 	// FeatureCacheEntries sizes the content-addressed extraction cache
 	// that memoizes text-feature vectors for duplicate tweet texts
 	// (retweets/copypasta). 0 resolves to the default capacity; a negative
@@ -151,7 +146,7 @@ func DefaultOptions() Options {
 }
 
 // newModel builds the configured streaming classifier.
-func newModel(o Options) ml.DistributedClassifier {
+func newModel(o Options) Model {
 	k := o.Scheme.NumClasses()
 	switch o.Model {
 	case ModelARF:

@@ -40,18 +40,35 @@ type VerdictSink interface {
 	HandleEscalation(EscalationVerdict)
 }
 
-// Pipeline is the sequential reference implementation of the detection
-// framework (Fig. 1). The distributed engines reuse its components
-// (Extractor, Normalizer, Model) with parallel tasks; their results are
-// equivalent by the merge semantics of each component.
+// Model is what a Pipeline runs: a distributed streaming classifier whose
+// prediction function flattens into an immutable stream.Compiled snapshot.
+// The classify step reads only that snapshot, so "compilable" is part of
+// the type and checked by the compiler.
+type Model interface {
+	ml.DistributedClassifier
+	stream.Compilable
+}
+
+// Pipeline is the detection framework of Fig. 1: one per-tweet dataflow,
+// preprocess → extract → normalize → predict/train → alert → evaluate →
+// sample. ProcessBatch is its one implementation; Process and ProcessAll
+// are a batch of one and a chunker over it. The micro-batch and cluster
+// engines run the extract/normalize/predict steps as parallel tasks over
+// the pipeline's components (Extractor, Normalizer, Model) and hand each
+// classified batch back through AbsorbBatch, which applies the same
+// effects section.
 //
-// Pipeline is not safe for concurrent use; engines coordinate access.
+// A Pipeline supports one processing goroutine. The read accessors
+// (Processed, Summary, BoWSizeCurve, PredictedDistribution, LogOffset,
+// SnapshotStats, DriftStats, Checkpoint) serialize against it, so the
+// serving layer can report live statistics while a shard runs; engines
+// partition work across pipelines instead of sharing one.
 type Pipeline struct {
 	opts       Options
 	classes    ml.Classes
 	extractor  *feature.Extractor
 	normalizer *norm.Normalizer
-	model      ml.DistributedClassifier
+	model      Model
 	evaluator  *eval.Prequential
 	alerter    *Alerter
 	users      *userstate.Store
@@ -60,12 +77,11 @@ type Pipeline struct {
 	bowSizes   []eval.Point // Fig. 10 series
 	processed  int64
 
-	// logOffset is the ingest-log offset of the last tweet applied via
-	// ProcessLogged (-1 when nothing log-backed has been processed).
-	// Updated under mu in the same critical section as the tweet's
-	// effects, so a checkpoint always captures model state and applied
-	// offset as one consistent cut — the invariant exactly-once replay
-	// rests on.
+	// logOffset is the ingest-log offset of the last Logged entry applied
+	// (-1 when nothing log-backed has been processed). Updated under mu in
+	// the same critical section as the tweet's effects, so a checkpoint
+	// always captures model state and applied offset as one consistent
+	// cut — the invariant exactly-once replay rests on.
 	logOffset int64
 
 	// Distribution of predicted labels over unlabeled traffic (the
@@ -74,28 +90,25 @@ type Pipeline struct {
 
 	// snapshot is the RCU-published compiled form of the model: an
 	// immutable, pointer-free flattening (see stream.Compiled) that the
-	// classify step reads without taking mu. It is nil when the model is
-	// not stream.Compilable or snapshots are disabled; otherwise it is
-	// re-published under mu whenever the model's epoch moves, so at every
-	// predict the snapshot is bit-for-bit the live model.
+	// classify step reads without taking mu. It is re-published under mu
+	// whenever the model's epoch moves, so at every predict the snapshot
+	// is bit-for-bit the live model.
 	snapshot     atomic.Pointer[stream.Compiled]
 	snapRebuilds atomic.Int64 // snapshot publications that re-flattened something
 	snapTrees    atomic.Int64 // member trees re-flattened across all rebuilds
 
-	// classifyScratch backs the zero-alloc PredictInto calls. Only the
-	// processing goroutine touches it (Pipeline supports one processor).
+	// classifyScratch backs the zero-alloc PredictInto calls; batchRaws and
+	// batchXs are per-run working storage. Only the processing goroutine
+	// touches them.
 	classifyScratch []float64
+	batchRaws       []*feature.Vec
+	batchXs         [][]float64
 
-	// batchRaws / batchXs are ProcessBatch working storage, reused across
-	// batches on the processing goroutine.
-	batchRaws []*feature.Vec
-	batchXs   [][]float64
-
-	// activeSpan is the span of the tweet currently inside its mutation /
-	// verdict fan-out section (guarded by mu; nil between tweets). Verdict
-	// sinks run synchronously inside that section, so a sink can attribute
-	// its cost to the right span even on the batched path, where the
-	// shard-level "current span" is ambiguous.
+	// activeSpan is the span of the tweet currently inside its effects
+	// section (guarded by mu; nil between tweets). Verdict sinks run
+	// synchronously inside that section, so a sink can attribute its cost
+	// to the right span mid-batch, where the shard-level "current span" is
+	// ambiguous.
 	activeSpan *obs.Span
 
 	mu sync.Mutex
@@ -128,50 +141,31 @@ func NewPipeline(opts Options) *Pipeline {
 		predCounts: make([]int64, k),
 		logOffset:  -1,
 	}
-	p.initSnapshot()
-	return p
-}
-
-// initSnapshot publishes the first compiled snapshot when the model
-// supports compilation and snapshots are enabled; otherwise the pipeline
-// stays on the fully locked path for its lifetime (snapshot == nil).
-func (p *Pipeline) initSnapshot() {
-	if p.opts.DisableCompiledSnapshots {
-		return
-	}
-	cm, ok := p.model.(stream.Compilable)
-	if !ok {
-		return
-	}
-	snap := cm.CompileSnapshot(nil)
+	snap := p.model.CompileSnapshot(nil)
 	p.snapshot.Store(snap)
 	p.snapRebuilds.Add(1)
 	p.snapTrees.Add(int64(snap.Rebuilt()))
 	p.classifyScratch = make([]float64, snap.ScratchLen())
+	return p
 }
 
 // refreshSnapshotLocked re-publishes the compiled snapshot if the model
 // mutated since the last publication, reusing every unchanged member
 // tree and, inside a trained tree that did not split, every untouched
-// leaf (see stream.CompileSnapshot).
-// Called with p.mu held; returns the current snapshot (nil when the
-// compiled path is off). The compile cost is attributed to sp's
-// StageCompile so a tweet that happened to pay for a rebuild shows it
-// in its trace instead of an inflated classify stage.
+// leaf (see stream.CompileSnapshot). Called with p.mu held; returns the
+// current snapshot. The compile cost is attributed to sp's StageCompile
+// so a tweet that happened to pay for a rebuild shows it in its trace
+// instead of an inflated classify stage.
 func (p *Pipeline) refreshSnapshotLocked(sp *obs.Span) *stream.Compiled {
 	snap := p.snapshot.Load()
-	if snap == nil {
-		return nil
-	}
-	cm := p.model.(stream.Compilable)
-	if snap.Epoch() == cm.Epoch() {
+	if snap.Epoch() == p.model.Epoch() {
 		return snap
 	}
 	var start time.Time
 	if sp != nil {
 		start = time.Now()
 	}
-	next := cm.CompileSnapshot(snap)
+	next := p.model.CompileSnapshot(snap)
 	p.snapshot.Store(next)
 	p.snapRebuilds.Add(1)
 	p.snapTrees.Add(int64(next.Rebuilt()))
@@ -184,14 +178,15 @@ func (p *Pipeline) refreshSnapshotLocked(sp *obs.Span) *stream.Compiled {
 // SnapshotStats is the compiled-snapshot telemetry surfaced on /v1/stats
 // and /metrics.
 type SnapshotStats struct {
-	// Enabled reports whether the lock-free compiled classify path is on.
+	// Enabled is always true: every model classifies through its compiled
+	// snapshot. The field stays for /v1/stats consumers.
 	Enabled bool `json:"enabled"`
 	// Epoch is the model epoch the published snapshot was compiled at.
 	Epoch uint64 `json:"epoch"`
 	// ModelEpoch is the live model's current epoch; Age = ModelEpoch -
 	// Epoch is the number of model mutations the snapshot is behind
 	// (0 = fresh; the pipeline re-publishes before every classify and at
-	// the end of every mutation section, so a nonzero age is transient).
+	// the end of every effects section, so a nonzero age is transient).
 	ModelEpoch uint64 `json:"model_epoch"`
 	Age        uint64 `json:"age"`
 	// Rebuilds counts snapshot publications; TreesRebuilt sums the member
@@ -205,13 +200,9 @@ type SnapshotStats struct {
 	Nodes int `json:"nodes"`
 }
 
-// SnapshotStats reports the compiled-snapshot telemetry (zero value when
-// the compiled path is off).
+// SnapshotStats reports the compiled-snapshot telemetry.
 func (p *Pipeline) SnapshotStats() SnapshotStats {
 	snap := p.snapshot.Load()
-	if snap == nil {
-		return SnapshotStats{}
-	}
 	st := SnapshotStats{
 		Enabled:      true,
 		Epoch:        snap.Epoch(),
@@ -221,7 +212,7 @@ func (p *Pipeline) SnapshotStats() SnapshotStats {
 		Nodes:        snap.NumNodes(),
 	}
 	p.mu.Lock()
-	st.ModelEpoch = p.model.(stream.Compilable).Epoch()
+	st.ModelEpoch = p.model.Epoch()
 	p.mu.Unlock()
 	if st.ModelEpoch >= st.Epoch {
 		st.Age = st.ModelEpoch - st.Epoch
@@ -230,7 +221,7 @@ func (p *Pipeline) SnapshotStats() SnapshotStats {
 }
 
 // ActiveSpan returns the span of the tweet currently inside its
-// mutation/fan-out section, or nil. Verdict sinks run synchronously on
+// effects section, or nil. Verdict sinks run synchronously on
 // the processing goroutine within that section (which holds p.mu), so a
 // sink may call this to attribute emit cost to the triggering tweet.
 func (p *Pipeline) ActiveSpan() *obs.Span { return p.activeSpan }
@@ -242,7 +233,7 @@ func (p *Pipeline) Options() Options { return p.opts }
 func (p *Pipeline) Classes() ml.Classes { return p.classes }
 
 // Model exposes the streaming classifier (engines need its accumulators).
-func (p *Pipeline) Model() ml.DistributedClassifier { return p.model }
+func (p *Pipeline) Model() Model { return p.model }
 
 // Extractor exposes the feature extractor.
 func (p *Pipeline) Extractor() *feature.Extractor { return p.extractor }
@@ -349,121 +340,160 @@ func (p *Pipeline) PredictedDistribution() []float64 {
 	return out
 }
 
-// ExtractInstance runs preprocessing, feature extraction, and
-// normalization (steps 1-3) for one tweet, returning the instance with its
-// class index attached when the tweet is labeled. The normalizer statistics
-// are updated with the raw vector before scaling.
-func (p *Pipeline) ExtractInstance(tw *twitterdata.Tweet) ml.Instance {
-	return p.extractInstanceTraced(tw, nil)
-}
-
-// extractInstanceTraced is ExtractInstance with stage attribution: the
-// extraction-cache probe lands in StageCache, and StageExtract opens only
-// on a miss (so a hit's trace shows extract literally skipped). The raw
-// pre-normalization vector is what the cache stores; the normalizer fold
-// runs on every tweet either way, so its statistics are identical with
-// and without the cache.
-func (p *Pipeline) extractInstanceTraced(tw *twitterdata.Tweet, sp *obs.Span) ml.Instance {
-	// Extraction runs through the pooled fast path; only the normalized
-	// vector escapes (into the instance), so the raw vector is returned to
-	// the pool before this function exits.
-	raw := feature.GetVec()
-	sp.BeginStage(obs.StageCache)
-	if !p.extractor.LookupCached(raw[:], tw) {
-		sp.BeginStage(obs.StageExtract)
-		p.extractor.ExtractAndCache(raw[:], tw)
-	}
-	p.normalizer.Observe(raw[:])
-	x := p.normalizer.Normalize(raw[:], nil)
-	feature.PutVec(raw)
-	label := ml.Unlabeled
-	if tw.IsLabeled() {
-		label = p.opts.Scheme.LabelIndex(tw.Label)
-	}
-	return ml.Instance{X: x, Label: label, Weight: 1, ID: tw.IDStr, Day: tw.Day}
-}
-
-// Process runs one tweet through the full pipeline: extract, normalize,
-// predict, then — for labeled tweets — evaluate prequentially and train;
-// for all tweets, alerting and sampling are applied to the prediction.
-//
-// Process serializes against the snapshot readers (Processed, Summary,
-// BoWSizeCurve, PredictedDistribution, Checkpoint) so the serving layer
-// can report live statistics while a shard goroutine runs the pipeline;
-// concurrent Process calls on one pipeline remain unsupported (engines
-// partition work across pipelines instead).
-func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
-	return p.ProcessTraced(tw, nil)
-}
-
-// ProcessTraced is Process with stage instrumentation: the span (nil when
-// tracing is off — every span method no-ops) records the time spent in
-// extraction, classification, the user-state fold, and verdict fan-out.
-// The caller owns the span; ProcessTraced leaves the verdict stage open so
-// post-processing cost (reply delivery, bookkeeping) lands there until the
-// caller's Finish.
-func (p *Pipeline) ProcessTraced(tw *twitterdata.Tweet, sp *obs.Span) Result {
-	if p.snapshot.Load() != nil {
-		return p.processFast(tw, 0, false, sp)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.processLocked(tw, sp)
-}
-
-// ProcessLogged is ProcessTraced for a tweet replayed from or appended to
-// the durable ingest log: it additionally records the tweet's log offset,
-// in the same critical section as the tweet's effects. Offsets must
-// arrive in order — the caller (a serve shard, which owns its partition)
-// guarantees that.
-func (p *Pipeline) ProcessLogged(tw *twitterdata.Tweet, offset int64, sp *obs.Span) Result {
-	if p.snapshot.Load() != nil {
-		return p.processFast(tw, offset, true, sp)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	res := p.processLocked(tw, sp)
-	p.logOffset = offset
-	return res
-}
-
-// LogOffset returns the ingest-log offset of the last tweet applied via
-// ProcessLogged, or -1. After Checkpoint, replaying offsets (LogOffset,
-// end] reproduces the uninterrupted run.
+// LogOffset returns the ingest-log offset of the last Logged entry
+// applied, or -1. After Checkpoint, replaying offsets (LogOffset, end]
+// reproduces the uninterrupted run.
 func (p *Pipeline) LogOffset() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.logOffset
 }
 
-func (p *Pipeline) processLocked(tw *twitterdata.Tweet, sp *obs.Span) Result {
-	in := p.extractInstanceTraced(tw, sp)
-	sp.BeginStage(obs.StageClassify)
-	votes := p.model.Predict(in.X)
-	pred := votes.ArgMax()
-	res := Result{
-		Instance:   in,
-		Prediction: votes,
-		Predicted:  pred,
-		Confidence: votes.Confidence(),
-	}
-	p.finishProcess(tw, &res, sp)
-	return res
+// BatchEntry is one tweet of a ProcessBatch call. Span may be nil (tracing
+// off). Offset is the tweet's ingest-log offset, recorded when Logged is
+// true; entries must carry offsets in order — the caller (a serve shard,
+// which owns its log partition) guarantees that.
+type BatchEntry struct {
+	Tweet  *twitterdata.Tweet
+	Span   *obs.Span
+	Offset int64
+	Logged bool
 }
 
-// finishProcess is the mutation section shared by the locked, fast, and
-// batched paths: everything after classification — prequential record +
-// train (labeled) or sampling + distribution counts (unlabeled), the
+// labelOf resolves a tweet to the class index its instance will carry
+// (ml.Unlabeled for unlabeled tweets and unknown label strings). It is
+// the run-splitting predicate of ProcessBatch: an entry trains the model
+// iff labelOf >= 0, exactly mirroring Instance.IsLabeled.
+func (p *Pipeline) labelOf(tw *twitterdata.Tweet) int {
+	if tw.IsLabeled() {
+		return p.opts.Scheme.LabelIndex(tw.Label)
+	}
+	return ml.Unlabeled
+}
+
+// Process runs one tweet through the pipeline: a batch of one, over
+// scratch on the caller's stack. (tw itself escapes: it travels in a
+// BatchEntry beside a span the pipeline retains for its sinks, and escape
+// analysis does not tell the two fields apart — callers looping over
+// Process should reuse one Tweet rather than declare one per iteration.)
+func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
+	entry := [1]BatchEntry{{Tweet: tw}}
+	var result [1]Result
+	return p.ProcessBatch(entry[:], result[:0])[0]
+}
+
+// ProcessBatch runs tweets through the full pipeline — extract, normalize,
+// predict, then for labeled tweets evaluate prequentially and train, and
+// for all tweets user-state fold, alerting and sampling — appending one
+// Result per entry to results (pass results[:0] to reuse backing storage)
+// and returning the extended slice.
+//
+// The batch is processed as a sequence of runs, a run being zero or more
+// unlabeled entries followed by at most one labeled entry, each in four
+// phases: (A) extract every raw vector outside the lock — only a labeled
+// entry's Learn mutates the extractor, and it is last, so each extraction
+// sees exactly the state one-at-a-time processing would; (B) one critical
+// section folds the normalizer statistics in entry order and refreshes
+// the snapshot; (C) classify every entry lock-free against that snapshot
+// — the model cannot move before the run's last effect; (D) one critical
+// section applies the effects in entry order, the labeled entry's train
+// last, and re-publishes the snapshot so a mutation is visible to
+// lock-free readers within the same call (the staleness bound). Every
+// observable effect — verdicts, normalizer folds, sampler offers, alert
+// decisions, log offsets — therefore happens in exactly the order
+// one-at-a-time calls produce, whatever the batch boundaries.
+//
+// Each span's stage is closed after the entry's share of a phase, so
+// stage durations never absorb other entries' time; inter-phase gaps
+// appear only in the span total. A tweet's stages are the same alone and
+// mid-batch: cache, extract (on a miss, plus the normalizer fold), classify
+// (plus record and train when labeled), observe, verdict, and compile for
+// the entry that paid for a snapshot rebuild.
+func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result {
+	for len(entries) > 0 {
+		n, label := 0, ml.Unlabeled
+		for n < len(entries) && label == ml.Unlabeled {
+			label = p.labelOf(entries[n].Tweet)
+			n++
+		}
+		run := entries[:n]
+		entries = entries[n:]
+		base := len(results)
+
+		raws := p.batchRaws[:0]
+		for _, e := range run {
+			raw := feature.GetVec()
+			e.Span.BeginStage(obs.StageCache)
+			if !p.extractor.LookupCached(raw[:], e.Tweet) {
+				e.Span.BeginStage(obs.StageExtract)
+				p.extractor.ExtractAndCache(raw[:], e.Tweet)
+			}
+			e.Span.EndStage()
+			raws = append(raws, raw)
+		}
+
+		xs := p.batchXs[:0]
+		p.mu.Lock()
+		for k, e := range run {
+			e.Span.BeginStage(obs.StageExtract)
+			p.normalizer.Observe(raws[k][:])
+			xs = append(xs, p.normalizer.Normalize(raws[k][:], nil))
+			e.Span.EndStage()
+		}
+		snap := p.refreshSnapshotLocked(run[0].Span)
+		p.mu.Unlock()
+		for _, raw := range raws {
+			feature.PutVec(raw)
+		}
+		p.batchRaws = raws[:0]
+
+		for k, e := range run {
+			in := ml.Instance{X: xs[k], Label: ml.Unlabeled, Weight: 1, ID: e.Tweet.IDStr, Day: e.Tweet.Day}
+			if k == n-1 {
+				in.Label = label
+			}
+			e.Span.BeginStage(obs.StageClassify)
+			votes := make(ml.Prediction, snap.NumClasses())
+			snap.PredictInto(votes, p.classifyScratch, xs[k])
+			e.Span.EndStage()
+			results = append(results, Result{
+				Instance:   in,
+				Prediction: votes,
+				Predicted:  votes.ArgMax(),
+				Confidence: votes.Confidence(),
+			})
+		}
+		p.batchXs = xs[:0]
+
+		p.mu.Lock()
+		for k, e := range run {
+			res := &results[base+k]
+			if res.Instance.IsLabeled() {
+				e.Span.BeginStage(obs.StageClassify)
+				p.model.Train(res.Instance)
+			}
+			p.absorb(e.Tweet, res, e.Span)
+			if e.Logged {
+				p.logOffset = e.Offset
+			}
+			e.Span.EndStage()
+		}
+		p.refreshSnapshotLocked(run[n-1].Span)
+		p.mu.Unlock()
+	}
+	return results
+}
+
+// absorb applies everything a classified tweet does to the pipeline apart
+// from training the model: prequential record + adaptive-BoW learning
+// (labeled) or distribution counts + sampling (unlabeled), then the
 // user-state fold, verdict fan-out, alerting, and bookkeeping. Called
-// with p.mu held; leaves the verdict stage open (callers close or
-// Finish it).
-func (p *Pipeline) finishProcess(tw *twitterdata.Tweet, res *Result, sp *obs.Span) {
+// with p.mu held; leaves the verdict stage open.
+func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span) {
 	p.activeSpan = sp
-	in, pred := res.Instance, res.Predicted
-	if in.IsLabeled() {
-		// Prequential: test first, then train.
-		p.evaluator.Record(in.Label, pred)
-		p.model.Train(in)
+	pred := res.Predicted
+	if res.Instance.IsLabeled() {
+		p.evaluator.Record(res.Instance.Label, pred)
 		p.extractor.Learn(tw)
 		res.Tested = true
 	} else {
@@ -489,200 +519,12 @@ func (p *Pipeline) finishProcess(tw *twitterdata.Tweet, res *Result, sp *obs.Spa
 	p.activeSpan = nil
 }
 
-// processFast is the lock-free-classify path, taken whenever a compiled
-// snapshot is published. Extraction runs outside the lock (the BoW
-// lookup is already lock-free), a short first critical section folds the
-// normalizer statistics and re-publishes the snapshot if the model moved,
-// classification runs against the immutable snapshot with no lock held,
-// and a second critical section applies the mutation effects (train /
-// sample / observe / alert / offset). The verdict stream is bit-for-bit
-// the locked path's: the pipeline has a single processing writer, so the
-// model cannot move between the refresh and the classify, and the
-// refreshed snapshot equals the live model by the stream equivalence
-// tests.
-func (p *Pipeline) processFast(tw *twitterdata.Tweet, offset int64, logged bool, sp *obs.Span) Result {
-	raw := feature.GetVec()
-	sp.BeginStage(obs.StageCache)
-	if !p.extractor.LookupCached(raw[:], tw) {
-		sp.BeginStage(obs.StageExtract)
-		p.extractor.ExtractAndCache(raw[:], tw)
-	}
-
-	p.mu.Lock()
-	p.normalizer.Observe(raw[:])
-	x := p.normalizer.Normalize(raw[:], nil)
-	snap := p.refreshSnapshotLocked(sp)
-	p.mu.Unlock()
-	feature.PutVec(raw)
-	label := ml.Unlabeled
-	if tw.IsLabeled() {
-		label = p.opts.Scheme.LabelIndex(tw.Label)
-	}
-	in := ml.Instance{X: x, Label: label, Weight: 1, ID: tw.IDStr, Day: tw.Day}
-
-	sp.BeginStage(obs.StageClassify)
-	votes := make(ml.Prediction, snap.NumClasses())
-	snap.PredictInto(votes, p.classifyScratch, x)
-	pred := votes.ArgMax()
-	res := Result{
-		Instance:   in,
-		Prediction: votes,
-		Predicted:  pred,
-		Confidence: votes.Confidence(),
-	}
-
-	p.mu.Lock()
-	p.finishProcess(tw, &res, sp)
-	if logged {
-		p.logOffset = offset
-	}
-	// Re-publish before releasing the lock so a mutation becomes visible
-	// to lock-free readers within the same call — the staleness bound.
-	p.refreshSnapshotLocked(sp)
-	p.mu.Unlock()
-	return res
-}
-
-// BatchEntry is one tweet of a micro-batched drain (see ProcessBatch).
-// Span may be nil (tracing off). Offset is the tweet's ingest-log offset,
-// applied when Logged is true — entries must carry offsets in order, as
-// with ProcessLogged.
-type BatchEntry struct {
-	Tweet  *twitterdata.Tweet
-	Span   *obs.Span
-	Offset int64
-	Logged bool
-}
-
-// labelOf resolves a tweet to the class index its instance will carry
-// (ml.Unlabeled for unlabeled tweets and unknown label strings). It is
-// the run-splitting predicate of ProcessBatch: an entry trains the model
-// iff labelOf >= 0, exactly mirroring Instance.IsLabeled.
-func (p *Pipeline) labelOf(tw *twitterdata.Tweet) int {
-	if tw.IsLabeled() {
-		return p.opts.Scheme.LabelIndex(tw.Label)
-	}
-	return ml.Unlabeled
-}
-
-// ProcessBatch runs a micro-batch of tweets through the pipeline,
-// appending one Result per entry to results (pass results[:0] to reuse
-// backing storage) and returning the extended slice.
-//
-// Labeled entries mutate the model, so they are processed one at a time
-// on the fast path; maximal runs of consecutive unlabeled entries are
-// batch-processed with two lock acquisitions for the whole run instead
-// of two per tweet (see processRun). Every observable effect — verdicts,
-// normalizer folds, sampler offers, alert decisions, log offsets —
-// happens in exactly the order sequential Process calls would produce,
-// so the verdict stream is bit-for-bit identical.
-//
-// Without a compiled snapshot the batch degenerates to per-entry locked
-// processing.
-func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result {
-	if p.snapshot.Load() == nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		for _, e := range entries {
-			results = append(results, p.processLocked(e.Tweet, e.Span))
-			if e.Logged {
-				p.logOffset = e.Offset
-			}
-			e.Span.EndStage()
-		}
-		return results
-	}
-	for i := 0; i < len(entries); {
-		if p.labelOf(entries[i].Tweet) != ml.Unlabeled {
-			e := entries[i]
-			results = append(results, p.processFast(e.Tweet, e.Offset, e.Logged, e.Span))
-			e.Span.EndStage()
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(entries) && p.labelOf(entries[j].Tweet) == ml.Unlabeled {
-			j++
-		}
-		results = p.processRun(entries[i:j], results)
-		i = j
-	}
-	return results
-}
-
-// processRun batch-processes a run of consecutive unlabeled tweets in
-// four phases: (A) extract every raw vector outside the lock — no entry
-// in the run mutates the extractor, so each extraction sees exactly the
-// state sequential processing would; (B) one critical section folds the
-// normalizer statistics in entry order and refreshes the snapshot once;
-// (C) classify every entry lock-free against that snapshot — the model
-// cannot move inside an unlabeled run; (D) one critical section applies
-// the mutation sections in entry order. Stages are closed eagerly after
-// each entry's share of work so a span's stage durations never absorb
-// other entries' time; inter-phase gaps appear only in the span total.
-func (p *Pipeline) processRun(entries []BatchEntry, results []Result) []Result {
-	base := len(results)
-	raws := p.batchRaws[:0]
-	for range entries {
-		raws = append(raws, feature.GetVec())
-	}
-	for k, e := range entries {
-		e.Span.BeginStage(obs.StageCache)
-		if !p.extractor.LookupCached(raws[k][:], e.Tweet) {
-			e.Span.BeginStage(obs.StageExtract)
-			p.extractor.ExtractAndCache(raws[k][:], e.Tweet)
-		}
-		e.Span.EndStage()
-	}
-
-	xs := p.batchXs[:0]
-	p.mu.Lock()
-	for k, e := range entries {
-		e.Span.BeginStage(obs.StageExtract)
-		p.normalizer.Observe(raws[k][:])
-		xs = append(xs, p.normalizer.Normalize(raws[k][:], nil))
-		e.Span.EndStage()
-	}
-	snap := p.refreshSnapshotLocked(entries[0].Span)
-	p.mu.Unlock()
-	for _, raw := range raws {
-		feature.PutVec(raw)
-	}
-	p.batchRaws = raws[:0]
-
-	for k, e := range entries {
-		e.Span.BeginStage(obs.StageClassify)
-		votes := make(ml.Prediction, snap.NumClasses())
-		snap.PredictInto(votes, p.classifyScratch, xs[k])
-		e.Span.EndStage()
-		results = append(results, Result{
-			Instance:   ml.Instance{X: xs[k], Label: ml.Unlabeled, Weight: 1, ID: e.Tweet.IDStr, Day: e.Tweet.Day},
-			Prediction: votes,
-			Predicted:  votes.ArgMax(),
-			Confidence: votes.Confidence(),
-		})
-	}
-	p.batchXs = xs[:0]
-
-	p.mu.Lock()
-	for k, e := range entries {
-		p.finishProcess(e.Tweet, &results[base+k], e.Span)
-		if e.Logged {
-			p.logOffset = e.Offset
-		}
-		e.Span.EndStage()
-	}
-	p.mu.Unlock()
-	return results
-}
-
 // processAllBatch is the ProcessAll chunk size: large enough that the
 // two-locks-per-run amortization dominates, small enough that the reused
 // per-batch working storage stays cache-resident.
 const processAllBatch = 256
 
-// ProcessAll streams a dataset through the pipeline via the batched
-// path, amortizing lock acquisitions over runs of unlabeled tweets.
+// ProcessAll streams a dataset through ProcessBatch in chunks.
 func (p *Pipeline) ProcessAll(tweets []twitterdata.Tweet) {
 	entries := make([]BatchEntry, 0, processAllBatch)
 	results := make([]Result, 0, processAllBatch)
@@ -707,40 +549,24 @@ type Outcome struct {
 	Conf  float64
 }
 
-// AbsorbBatch applies the driver-side sequential steps for one processed
-// micro-batch: prequential recording, adaptive-BoW learning, alerting,
-// sampling, and bookkeeping. Engines call it after merging the batch's
+// AbsorbBatch applies the effects of one micro-batch an engine classified
+// and trained on in parallel. Engines call it after merging the batch's
 // model and normalizer deltas; outcomes[i] corresponds to tweets[i].
 func (p *Pipeline) AbsorbBatch(tweets []twitterdata.Tweet, outcomes []Outcome) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := range tweets {
-		tw := &tweets[i]
 		o := outcomes[i]
-		if o.Label >= 0 {
-			p.evaluator.Record(o.Label, o.Pred)
-			p.extractor.Learn(tw)
-		} else {
-			if o.Pred >= 0 && o.Pred < len(p.predCounts) {
-				p.predCounts[o.Pred]++
+		res := Result{Instance: ml.Instance{Label: o.Label}, Predicted: o.Pred, Confidence: o.Conf}
+		if o.Label < 0 {
+			// Tasks ship the winning class, not the votes; the sampler
+			// sees a one-hot prediction.
+			res.Prediction = make(ml.Prediction, p.classes.Len())
+			if o.Pred >= 0 && o.Pred < len(res.Prediction) {
+				res.Prediction[o.Pred] = 1
 			}
-			votes := make(ml.Prediction, p.classes.Len())
-			if o.Pred >= 0 && o.Pred < len(votes) {
-				votes[o.Pred] = 1
-			}
-			p.sampler.Offer(tw, votes)
 		}
-		p.observeUser(tw, o.Pred > 0, o.Conf, nil)
-		if o.Pred > 0 {
-			p.alerter.Consider(tw, p.classes.Name(o.Pred), o.Conf)
-		}
-		p.processed++
-		if p.opts.SampleStep > 0 && p.processed%p.opts.SampleStep == 0 {
-			p.bowSizes = append(p.bowSizes, eval.Point{
-				Instances: p.processed,
-				Value:     float64(p.extractor.BoW().Size()),
-			})
-		}
+		p.absorb(&tweets[i], &res, nil)
 	}
 	// The engine merged model deltas (ApplyAccumulators) before calling
 	// AbsorbBatch; re-publish so the snapshot catches up with the merge.

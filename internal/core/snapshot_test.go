@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"redhanded/internal/obs"
 	"redhanded/internal/twitterdata"
 )
 
@@ -95,81 +96,23 @@ func requireSameState(t *testing.T, fast, locked *Pipeline) {
 	}
 }
 
-// TestFastPathMatchesLockedGolden is the tentpole equivalence proof: the
-// lock-free compiled classify path must produce a bit-for-bit identical
-// verdict stream to the fully locked path, for every model kind, over a
-// stream mixing labeled, unlabeled, and unknown-label tweets.
-func TestFastPathMatchesLockedGolden(t *testing.T) {
-	for _, tc := range []struct {
-		kind    ModelKind
-		n, a, h int
-	}{
-		{ModelHT, 2500, 1200, 250},
-		{ModelARF, 1200, 600, 120},
-		{ModelSLR, 2500, 1200, 250},
-	} {
-		t.Run(tc.kind.String(), func(t *testing.T) {
-			tweets := mixedStream(uint64(100+tc.kind), tc.n, tc.a, tc.h)
-			opts := DefaultOptions()
-			opts.Model = tc.kind
-			fast := NewPipeline(opts)
-			if !fast.SnapshotStats().Enabled {
-				t.Fatalf("compiled snapshots should be on by default for %v", tc.kind)
-			}
-			lockedOpts := opts
-			lockedOpts.DisableCompiledSnapshots = true
-			locked := NewPipeline(lockedOpts)
-			if locked.SnapshotStats().Enabled {
-				t.Fatalf("DisableCompiledSnapshots did not disable the compiled path")
-			}
-			for i := range tweets {
-				var fr, lr Result
-				if i%4 == 2 { // exercise the logged variant too
-					fr = fast.ProcessLogged(&tweets[i], int64(i), nil)
-					lr = locked.ProcessLogged(&tweets[i], int64(i), nil)
-				} else {
-					fr = fast.Process(&tweets[i])
-					lr = locked.Process(&tweets[i])
-				}
-				requireSameResult(t, fmt.Sprintf("%v/tweet%d", tc.kind, i), fr, lr)
-			}
-			requireSameState(t, fast, locked)
-			if st := fast.SnapshotStats(); st.Rebuilds < 2 {
-				t.Fatalf("fast path never rebuilt its snapshot: %+v", st)
-			}
-		})
-	}
-}
-
-// TestProcessBatchMatchesSequential proves the micro-batched drain is a
-// pure amortization: batching tweets through ProcessBatch yields the
-// same results and state as one-at-a-time Process calls, for batch
-// sizes that split labeled/unlabeled runs at every possible boundary.
+// TestProcessBatchMatchesSequential proves batching is a pure
+// amortization: tweets pushed through ProcessBatch yield the same results
+// and state as the one-at-a-time reference, for batch sizes that cut the
+// labeled/unlabeled runs at every possible boundary.
 func TestProcessBatchMatchesSequential(t *testing.T) {
 	tweets := mixedStream(201, 1500, 700, 150)
+	opts := DefaultOptions()
+	opts.Model = ModelARF
+	seq := NewPipeline(opts)
+	var seqResults []Result
+	for i := range tweets {
+		seqResults = append(seqResults, referenceProcess(seq, &tweets[i], int64(i), true))
+	}
 	for _, batchSize := range []int{1, 7, 64} {
 		t.Run(fmt.Sprintf("batch%d", batchSize), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Model = ModelARF
-			seq := NewPipeline(opts)
 			bat := NewPipeline(opts)
-			var seqResults []Result
-			for i := range tweets {
-				seqResults = append(seqResults, seq.ProcessLogged(&tweets[i], int64(i), nil))
-			}
-			var batResults []Result
-			entries := make([]BatchEntry, 0, batchSize)
-			for lo := 0; lo < len(tweets); lo += batchSize {
-				hi := lo + batchSize
-				if hi > len(tweets) {
-					hi = len(tweets)
-				}
-				entries = entries[:0]
-				for i := lo; i < hi; i++ {
-					entries = append(entries, BatchEntry{Tweet: &tweets[i], Offset: int64(i), Logged: true})
-				}
-				batResults = bat.ProcessBatch(entries, batResults)
-			}
+			batResults := processInBatches(bat, tweets, batchSize, true)
 			if len(batResults) != len(seqResults) {
 				t.Fatalf("%d batched results, want %d", len(batResults), len(seqResults))
 			}
@@ -181,34 +124,172 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestProcessBatchLockedPathMatches covers the ProcessBatch fallback:
-// with snapshots disabled, batching must still equal sequential calls.
-func TestProcessBatchLockedPathMatches(t *testing.T) {
-	tweets := mixedStream(202, 600, 300, 60)
-	opts := DefaultOptions()
-	opts.DisableCompiledSnapshots = true
-	seq := NewPipeline(opts)
-	bat := NewPipeline(opts)
-	var seqResults []Result
-	for i := range tweets {
-		seqResults = append(seqResults, seq.Process(&tweets[i]))
-	}
-	var batResults []Result
-	for lo := 0; lo < len(tweets); lo += 16 {
-		hi := lo + 16
-		if hi > len(tweets) {
-			hi = len(tweets)
-		}
-		entries := make([]BatchEntry, 0, 16)
+// processInBatches feeds tweets to p.ProcessBatch batchSize at a time,
+// tweet i as a logged entry at offset i when logged is set.
+func processInBatches(p *Pipeline, tweets []twitterdata.Tweet, batchSize int, logged bool) []Result {
+	var results []Result
+	entries := make([]BatchEntry, 0, batchSize)
+	for lo := 0; lo < len(tweets); lo += batchSize {
+		hi := min(lo+batchSize, len(tweets))
+		entries = entries[:0]
 		for i := lo; i < hi; i++ {
-			entries = append(entries, BatchEntry{Tweet: &tweets[i]})
+			entries = append(entries, BatchEntry{Tweet: &tweets[i], Offset: int64(i), Logged: logged})
 		}
-		batResults = bat.ProcessBatch(entries, batResults)
+		results = p.ProcessBatch(entries, results)
 	}
-	for i := range seqResults {
-		requireSameResult(t, fmt.Sprintf("tweet%d", i), batResults[i], seqResults[i])
+	return results
+}
+
+// TestProcessBatchRunBoundaries walks the run splitter over every shape a
+// batch can take — unlabeled entries before and after a labeled one,
+// back-to-back labeled entries, a lone entry of either kind, an unknown
+// label string (an unlabeled entry), and no entries at all — with the
+// batch boundary falling inside, on, and outside each shape.
+func TestProcessBatchRunBoundaries(t *testing.T) {
+	const u, l, spam = "", twitterdata.LabelAbusive, "spam"
+	for _, tc := range []struct {
+		name   string
+		labels []string
+	}{
+		{"uuLu", []string{u, u, l, u}},
+		{"LL", []string{l, l}},
+		{"L", []string{l}},
+		{"u", []string{u}},
+		{"empty", nil},
+		{"unknown-label", []string{u, spam, l, spam}},
+	} {
+		for _, batchSize := range []int{1, 7, 64} {
+			t.Run(fmt.Sprintf("%s/batch%d", tc.name, batchSize), func(t *testing.T) {
+				// The shape repeats so that it also straddles batch
+				// boundaries, after a warm-up that grows a model worth
+				// classifying with.
+				tweets := smallDataset(208, 160, 80, 16)
+				warm, tail := tweets[:200], tweets[200:]
+				if len(tc.labels) == 0 {
+					tail = nil
+				}
+				for i := range tail {
+					tail[i].Label = tc.labels[i%len(tc.labels)]
+				}
+				seq, bat := NewPipeline(DefaultOptions()), NewPipeline(DefaultOptions())
+				for i := range warm {
+					referenceProcess(seq, &warm[i], 0, false)
+					bat.Process(&warm[i])
+				}
+				if got := bat.ProcessBatch(nil, nil); len(got) != 0 {
+					t.Fatalf("an empty batch produced %d results", len(got))
+				}
+				got := processInBatches(bat, tail, batchSize, false)
+				if len(got) != len(tail) {
+					t.Fatalf("%d results for %d entries", len(got), len(tail))
+				}
+				for i := range got {
+					want := referenceProcess(seq, &tail[i], 0, false)
+					requireSameResult(t, fmt.Sprintf("tweet%d", i), got[i], want)
+					if wantTested := tail[i].Label == l; got[i].Tested != wantTested {
+						t.Fatalf("tweet%d (label %q): tested = %v", i, tail[i].Label, got[i].Tested)
+					}
+				}
+				requireSameState(t, bat, seq)
+			})
+		}
 	}
-	requireSameState(t, bat, seq)
+}
+
+// TestProcessAllocsPerTweet holds Process — a batch of one over
+// stack scratch — to the per-tweet allocations of the parent
+// commit's single-tweet path: the normalized vector, the votes, and what
+// alerts and sampler offers retain. On this procedure (steady state: every
+// text cached, every user resident, nothing labeled) commit a198a31
+// measured 5.46 mallocs per tweet, of which AllocsPerRun reports the
+// integer part; bench/'s core.process_allocs reads 3.3 on its own corpus.
+func TestProcessAllocsPerTweet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	tweets := mixedStream(209, 1500, 700, 150)
+	p := NewPipeline(DefaultOptions())
+	p.ProcessAll(tweets)
+	for i := range tweets {
+		tweets[i].Label = ""
+	}
+	p.ProcessAll(tweets)
+	i := 0
+	got := testing.AllocsPerRun(len(tweets)-1, func() {
+		p.Process(&tweets[i])
+		i++
+	})
+	if got > 5 {
+		t.Fatalf("Process allocates %.0f per tweet in steady state, the parent commit 5", got)
+	}
+}
+
+// TestTraceStagesIndependentOfBatching pins a tweet's stage attribution:
+// the same tweet records the same set of stages processed alone and in
+// the middle of a batch. A cache hit's normalizer fold is charged to
+// extract, a labeled entry's record + train to classify, and a snapshot
+// rebuild to the compile stage of the labeled entry that caused it.
+func TestTraceStagesIndependentOfBatching(t *testing.T) {
+	warm := smallDataset(210, 300, 150, 30)
+	tail := smallDataset(211, 6, 3, 1)
+	for i := range tail {
+		tail[i].Label = ""
+	}
+	hit, labeled := 1, 3
+	tail[hit].Text = tail[0].Text // retweets: extraction-cache hits
+	tail[labeled].Text = tail[0].Text
+	tail[labeled].Label = twitterdata.LabelAbusive
+
+	// stages runs tail through a warmed pipeline in batches of batchSize
+	// and returns, per tweet, which stages recorded time.
+	stages := func(batchSize int) [][obs.NumStages]bool {
+		p := NewPipeline(DefaultOptions())
+		p.ProcessAll(warm)
+		hitsBefore := p.Extractor().CacheStats().Hits
+		tracer := obs.New(obs.Config{Enabled: true})
+		out := make([][obs.NumStages]bool, len(tail))
+		for lo := 0; lo < len(tail); lo += batchSize {
+			var entries []BatchEntry
+			for i := lo; i < min(lo+batchSize, len(tail)); i++ {
+				sp := tracer.Begin(0)
+				sp.EndStage() // no queue wait in this test
+				entries = append(entries, BatchEntry{Tweet: &tail[i], Span: sp})
+			}
+			p.ProcessBatch(entries, nil)
+			for k, e := range entries {
+				for s := obs.Stage(0); s < obs.NumStages; s++ {
+					out[lo+k][s] = e.Span.StageDur(s) > 0
+				}
+				e.Span.Finish()
+			}
+		}
+		if hits := p.Extractor().CacheStats().Hits - hitsBefore; hits != 2 {
+			t.Fatalf("%d extraction-cache hits, want the 2 retweets", hits)
+		}
+		return out
+	}
+
+	alone, batched := stages(1), stages(len(tail))
+	for i := range tail {
+		if alone[i] != batched[i] {
+			t.Errorf("tweet %d: stages alone %v, mid-batch %v", i, alone[i], batched[i])
+		}
+	}
+	for _, got := range [][][obs.NumStages]bool{alone, batched} {
+		for _, i := range []int{hit, labeled} {
+			if h := got[i]; !h[obs.StageCache] || !h[obs.StageExtract] {
+				t.Errorf("cache hit %d: cache=%v extract=%v, want both (lookup, then the normalizer fold)", i, h[obs.StageCache], h[obs.StageExtract])
+			}
+		}
+		if l := got[labeled]; !l[obs.StageClassify] || !l[obs.StageCompile] {
+			t.Errorf("labeled entry: classify=%v compile=%v, want both", l[obs.StageClassify], l[obs.StageCompile])
+		}
+		for i := range tail {
+			if i != labeled && got[i][obs.StageCompile] {
+				t.Errorf("tweet %d paid for a compile it did not cause", i)
+			}
+		}
+	}
 }
 
 // TestSnapshotStalenessBound pins the publication rule: every Process
@@ -287,7 +368,7 @@ func TestFastClassifyRacingTraining(t *testing.T) {
 	warm := smallDataset(206, 400, 200, 40)
 	p.ProcessAll(warm)
 
-	probe := p.ExtractInstance(&warm[0]).X
+	probe := p.Process(&warm[0]).Instance.X
 
 	var stop atomic.Bool
 	var checks atomic.Int64
@@ -299,9 +380,6 @@ func TestFastClassifyRacingTraining(t *testing.T) {
 			var a, b, scratch []float64
 			for !stop.Load() {
 				snap := p.snapshot.Load()
-				if snap == nil {
-					continue
-				}
 				if len(a) < snap.NumClasses() {
 					a = make([]float64, snap.NumClasses())
 					b = make([]float64, snap.NumClasses())
@@ -341,40 +419,23 @@ func TestFastClassifyRacingTraining(t *testing.T) {
 }
 
 // FuzzProcessBatchEquivalence fuzzes the run-splitting logic: arbitrary
-// label patterns and batch sizes must never make the batched path
-// diverge from sequential processing.
+// label patterns and batch sizes must never make ProcessBatch diverge
+// from the one-at-a-time reference.
 func FuzzProcessBatchEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint(5), uint64(0x35))
 	f.Add(uint64(7), uint(1), uint64(0xff))
 	f.Add(uint64(42), uint(31), uint64(0x00))
 	f.Fuzz(func(t *testing.T, seed uint64, batchSize uint, labelMask uint64) {
-		size := int(batchSize%64) + 1
 		tweets := smallDataset(seed%1024, 60, 30, 10)
 		for i := range tweets {
 			if labelMask>>(uint(i)%64)&1 == 0 {
 				tweets[i].Label = ""
 			}
 		}
-		opts := DefaultOptions()
-		seq := NewPipeline(opts)
-		bat := NewPipeline(opts)
-		var seqResults, batResults []Result
+		seq, bat := NewPipeline(DefaultOptions()), NewPipeline(DefaultOptions())
+		batResults := processInBatches(bat, tweets, int(batchSize%64)+1, false)
 		for i := range tweets {
-			seqResults = append(seqResults, seq.Process(&tweets[i]))
-		}
-		for lo := 0; lo < len(tweets); lo += size {
-			hi := lo + size
-			if hi > len(tweets) {
-				hi = len(tweets)
-			}
-			entries := make([]BatchEntry, 0, size)
-			for i := lo; i < hi; i++ {
-				entries = append(entries, BatchEntry{Tweet: &tweets[i]})
-			}
-			batResults = bat.ProcessBatch(entries, batResults)
-		}
-		for i := range seqResults {
-			requireSameResult(t, fmt.Sprintf("tweet%d", i), batResults[i], seqResults[i])
+			requireSameResult(t, fmt.Sprintf("tweet%d", i), batResults[i], referenceProcess(seq, &tweets[i], 0, false))
 		}
 		requireSameState(t, bat, seq)
 	})

@@ -68,7 +68,7 @@ type ClusterConfig struct {
 	// per node in the paper's testbed).
 	TasksPerExecutor int
 	// DisableDelta forces the full model/vocab re-broadcast every batch
-	// (the v1 wire behavior); cmd/benchreport uses it for the before/after
+	// (the v1 wire behavior); rhdriver -no-delta sets it for a before/after
 	// broadcast-bytes measurement.
 	DisableDelta bool
 	// DisablePipeline turns off the batch k+1 data presend (debugging aid;

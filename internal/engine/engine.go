@@ -284,9 +284,13 @@ func RunSequential(p *core.Pipeline, src Source) Stats {
 	start := time.Now()
 	driftDone := captureDrift(p)
 	var n int64
+	// One Tweet for the whole run: Process's argument escapes, so a
+	// per-iteration variable would be a heap allocation per tweet, and
+	// nothing retains the pointer past the call.
+	var t twitterdata.Tweet
 	for {
-		t, ok := src.Next()
-		if !ok {
+		var ok bool
+		if t, ok = src.Next(); !ok {
 			break
 		}
 		p.Process(&t)

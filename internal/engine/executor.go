@@ -457,6 +457,11 @@ func (s *execSession) processData(msg *wireMsg) bool {
 func (s *execSession) runShare(msg *wireMsg) batchResponse {
 	resp := batchResponse{Seq: msg.Seq, Lo: msg.Lo, Hi: msg.Hi}
 	model := s.model
+	compilable, ok := model.(stream.Compilable)
+	if !ok {
+		resp.Err = fmt.Sprintf("engine: model kind %q cannot be compiled", s.modelKind)
+		return resp
+	}
 	scheme := core.ClassScheme(s.scheme)
 	stats := s.stats.Clone()
 	s.e.vocabSize.Store(int64(s.extractor.BoW().Size()))
@@ -517,29 +522,16 @@ func (s *execSession) runShare(msg *wireMsg) batchResponse {
 	// Phase 2 (parallel): normalize, predict, accumulate training deltas.
 	// Prediction goes through the compiled form of the broadcast model —
 	// immutable, so the parallel tasks share it without coordination.
-	var csnap *stream.Compiled
-	if cm, ok := model.(stream.Compilable); ok {
-		s.snap = cm.CompileSnapshot(s.snap)
-		csnap = s.snap
-	}
+	s.snap = compilable.CompileSnapshot(s.snap)
+	csnap := s.snap
 	results := make([]partitionResult, parts)
 	runTasks(func(part int) {
 		res := partitionResult{part: part, acc: model.NewAccumulator()}
-		var votesBuf ml.Prediction
-		var scratch []float64
-		if csnap != nil {
-			votesBuf = make(ml.Prediction, csnap.NumClasses())
-			scratch = make([]float64, csnap.ScratchLen())
-		}
+		votes := make(ml.Prediction, csnap.NumClasses())
+		scratch := make([]float64, csnap.ScratchLen())
 		for idx := part; idx < len(tweets); idx += parts {
 			x := snapshot.Normalize(raws[idx][:], nil)
-			var votes ml.Prediction
-			if csnap != nil {
-				csnap.PredictInto(votesBuf, scratch, x)
-				votes = votesBuf
-			} else {
-				votes = model.Predict(x)
-			}
+			csnap.PredictInto(votes, scratch, x)
 			label := labels[idx]
 			if label >= 0 {
 				res.acc.Observe(ml.Instance{

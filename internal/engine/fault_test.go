@@ -431,8 +431,9 @@ func TestClusterSteadyStateBroadcastShrinks(t *testing.T) {
 	delta := measure(false)
 	// The first steady batch still broadcasts the full state to the fresh
 	// connections, so the average includes one full payload over 10
-	// batches; require a 2x shrink here and leave the 10x steady-state
-	// headline to BENCH_cluster.json, which amortizes over more batches.
+	// batches; require a 2x shrink here and leave the steady-state figure
+	// to bench/'s engine.cluster_broadcast_bytes_per_batch, which
+	// amortizes over more batches.
 	if delta*2 > full {
 		t.Errorf("steady-state broadcast bytes/batch: delta %d, full %d — expected at least 2x shrink", delta, full)
 	}

@@ -208,11 +208,8 @@ func runOneBatch(p *core.Pipeline, batch []twitterdata.Tweet, cfg MicroBatchConf
 	// trees the previous batch's merge changed. (Broadcast emulation
 	// rebuilds every node, so with EmulateBroadcast on the recompile is
 	// necessarily full — the real serialization cost being modeled.)
-	var csnap *stream.Compiled
-	if cm, ok := model.(stream.Compilable); ok && !p.Options().DisableCompiledSnapshots {
-		csnap = cm.CompileSnapshot(*snapCache)
-		*snapCache = csnap
-	}
+	csnap := model.CompileSnapshot(*snapCache)
+	*snapCache = csnap
 	snapshot := &norm.Normalizer{Mode: p.Normalizer().Mode, Stats: p.Normalizer().Stats.Clone()}
 	results := make([]partitionResult, parts)
 	for part := 0; part < parts; part++ {
@@ -220,21 +217,11 @@ func runOneBatch(p *core.Pipeline, batch []twitterdata.Tweet, cfg MicroBatchConf
 		wg.Add(1)
 		tasks <- taskMsg{done: &wg, fn: func() {
 			res := partitionResult{part: part, acc: model.NewAccumulator()}
-			var votesBuf ml.Prediction
-			var scratch []float64
-			if csnap != nil {
-				votesBuf = make(ml.Prediction, csnap.NumClasses())
-				scratch = make([]float64, csnap.ScratchLen())
-			}
+			votes := make(ml.Prediction, csnap.NumClasses())
+			scratch := make([]float64, csnap.ScratchLen())
 			for idx := part; idx < len(batch); idx += parts {
 				x := snapshot.Normalize(raws[idx][:], nil)
-				var votes ml.Prediction
-				if csnap != nil {
-					csnap.PredictInto(votesBuf, scratch, x)
-					votes = votesBuf
-				} else {
-					votes = model.Predict(x)
-				}
+				csnap.PredictInto(votes, scratch, x)
 				label := labels[idx]
 				if label >= 0 {
 					res.acc.Observe(ml.Instance{

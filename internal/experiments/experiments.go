@@ -2,7 +2,7 @@
 // paper's evaluation (§V), producing the same rows and series the paper
 // reports. Runners are shared by the benchrunner CLI and the repository's
 // benchmark suite. Absolute numbers differ from the paper (synthetic data,
-// different hardware); EXPERIMENTS.md records measured-vs-paper values.
+// different hardware).
 package experiments
 
 import (

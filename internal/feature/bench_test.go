@@ -36,8 +36,9 @@ func BenchmarkExtractNoPreprocess(b *testing.B) {
 	}
 }
 
-// BenchmarkFeaturePathFast measures the single-pass pooled fast path —
-// the numbers recorded in BENCH_featurepath.json (tweets/s, allocs/op).
+// BenchmarkFeaturePathFast measures the single-pass pooled fast path
+// (tweets/s, allocs/op); bench/ reports the same layer as
+// feature.extract_us / feature.extract_allocs.
 func BenchmarkFeaturePathFast(b *testing.B) {
 	tweets := benchTweets(2000)
 	e := NewExtractor(DefaultConfig())

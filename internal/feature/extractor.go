@@ -147,16 +147,6 @@ func (e *Extractor) CacheStats() CacheStats {
 	return e.cache.stats()
 }
 
-// ExtractLegacy computes the feature vector via the multi-pass reference
-// implementation. It exists for the equivalence tests and the benchmark
-// report (cmd/benchreport), which record the fast path's speedup against
-// it; production callers use Extract/ExtractInto.
-func (e *Extractor) ExtractLegacy(tw *twitterdata.Tweet) []float64 {
-	x := make([]float64, NumFeatures)
-	e.extractLegacyInto(x, tw)
-	return x
-}
-
 // extractLegacyInto is the original multi-pass implementation: Clean +
 // Tokenize + per-feature passes, each allocating intermediate strings and
 // slices. It stays byte-for-byte intact for two reasons: it serves the

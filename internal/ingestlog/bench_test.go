@@ -9,28 +9,62 @@ import (
 	"redhanded/internal/twitterdata"
 )
 
+// tweetLines returns n generator tweets in the form the log stores them:
+// the NDJSON line a client sent.
+func tweetLines(tb testing.TB, n int) [][]byte {
+	tb.Helper()
+	g := twitterdata.NewGenerator(1, 10)
+	lines := make([][]byte, n)
+	for i := range lines {
+		tw := g.Tweet(i%3, i%10)
+		line, err := tw.Marshal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lines[i] = line
+	}
+	return lines
+}
+
 // buildTweetLog fills a single-partition log with n generator tweets and
 // returns its directory.
-func buildTweetLog(b *testing.B, n int) string {
-	b.Helper()
-	dir := b.TempDir()
+func buildTweetLog(tb testing.TB, n int) string {
+	tb.Helper()
+	dir := tb.TempDir()
 	l, err := Open(Options{Dir: dir, Partitions: 1, SegmentBytes: 8 << 20, Fsync: FsyncOff})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	g := twitterdata.NewGenerator(1, 10)
-	var buf []byte
-	for i := 0; i < n; i++ {
-		tw := g.Tweet(i%3, i%10)
-		buf = AppendTweet(buf[:0], &tw)
-		if _, err := l.Append(0, buf); err != nil {
-			b.Fatal(err)
+	for _, line := range tweetLines(tb, n) {
+		if _, err := l.Append(0, line); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return dir
+}
+
+// TestSegmentReadZeroAlloc is the SegmentRead gate: Reader.Next over an
+// mmap'd segment — frame parse + checksum, payload a view into the mapping
+// — allocates nothing.
+func TestSegmentReadZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	r, err := OpenPartitionReader(buildTweetLog(t, 2000), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Reader.Next allocates %v per record, want 0", allocs)
+	}
 }
 
 func BenchmarkIngestlogAppend(b *testing.B) {
@@ -40,17 +74,11 @@ func BenchmarkIngestlogAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close()
-	g := twitterdata.NewGenerator(1, 10)
-	tweets := make([]twitterdata.Tweet, 1000)
-	for i := range tweets {
-		tweets[i] = g.Tweet(i%3, i%10)
-	}
-	var buf []byte
+	lines := tweetLines(b, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendTweet(buf[:0], &tweets[i%len(tweets)])
-		if _, err := l.Append(0, buf); err != nil {
+		if _, err := l.Append(0, lines[i%len(lines)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +110,7 @@ func BenchmarkIngestlogSegmentRead(b *testing.B) {
 }
 
 // BenchmarkIngestlogReplayScan is the replay-into-scan-path headline:
-// segment read + zero-copy decode + the single-pass text scanner, i.e.
+// segment read + pooled NDJSON decode + the single-pass text scanner, i.e.
 // how fast disk replay can feed the zero-alloc scan path.
 func BenchmarkIngestlogReplayScan(b *testing.B) {
 	dir := buildTweetLog(b, 5000)
@@ -93,6 +121,8 @@ func BenchmarkIngestlogReplayScan(b *testing.B) {
 	defer r.Close()
 	var sc text.Scratch
 	var tw twitterdata.Tweet
+	dec := twitterdata.GetDecoder()
+	defer twitterdata.PutDecoder(dec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,16 +136,16 @@ func BenchmarkIngestlogReplayScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := DecodeTweet(payload, &tw, false); err != nil {
+		if err := dec.DecodeInto(&tw, payload); err != nil {
 			b.Fatal(err)
 		}
 		sc.Scan(tw.Text)
+		dec.Discard()
 	}
 }
 
 // BenchmarkIngestlogReplayExtract is the full replay fast path: segment
-// read, zero-copy decode, and feature extraction straight off the
-// mapped bytes.
+// read, pooled NDJSON decode, and feature extraction.
 func BenchmarkIngestlogReplayExtract(b *testing.B) {
 	dir := buildTweetLog(b, 5000)
 	r, err := OpenPartitionReader(dir, 0)
@@ -126,6 +156,8 @@ func BenchmarkIngestlogReplayExtract(b *testing.B) {
 	ext := feature.NewExtractor(feature.DefaultConfig())
 	dst := make([]float64, feature.NumFeatures)
 	var tw twitterdata.Tweet
+	dec := twitterdata.GetDecoder()
+	defer twitterdata.PutDecoder(dec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -139,9 +171,10 @@ func BenchmarkIngestlogReplayExtract(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := DecodeTweet(payload, &tw, false); err != nil {
+		if err := dec.DecodeInto(&tw, payload); err != nil {
 			b.Fatal(err)
 		}
 		ext.ExtractInto(dst, &tw)
+		dec.Discard()
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"redhanded/internal/twitterdata"
 )
 
 func testOptions(dir string) Options {
@@ -359,62 +357,6 @@ func TestCorruptMidLogSurfacesResumeOffset(t *testing.T) {
 	}
 	if ce.Offset != 0 {
 		t.Fatalf("resume offset = %d, want 0", ce.Offset)
-	}
-}
-
-func sampleTweet() twitterdata.Tweet {
-	return twitterdata.Tweet{
-		IDStr:     "991",
-		Text:      "you're all IDIOTS and losers http://t.co/x #rage",
-		CreatedAt: "Mon Jan 02 15:04:05 +0000 2017",
-		Label:     twitterdata.LabelAbusive,
-		Day:       3,
-		User: twitterdata.User{
-			IDStr:          "u42",
-			ScreenName:     "angry_bird",
-			CreatedAt:      "Sat Jan 02 10:00:00 +0000 2016",
-			FollowersCount: 17,
-			FriendsCount:   230,
-			StatusesCount:  9001,
-			ListedCount:    2,
-		},
-	}
-}
-
-func TestTweetCodecRoundTrip(t *testing.T) {
-	g := twitterdata.NewGenerator(3, 10)
-	tweets := make([]twitterdata.Tweet, 0, 201)
-	tweets = append(tweets, sampleTweet(), twitterdata.Tweet{})
-	for i := 0; i < 199; i++ {
-		tweets = append(tweets, g.Tweet(i%3, i%10))
-	}
-	var buf []byte
-	for i := range tweets {
-		buf = AppendTweet(buf[:0], &tweets[i])
-		for _, copyStrings := range []bool{true, false} {
-			var got twitterdata.Tweet
-			if err := DecodeTweet(buf, &got, copyStrings); err != nil {
-				t.Fatalf("tweet %d (copy=%v): %v", i, copyStrings, err)
-			}
-			if got != tweets[i] {
-				t.Fatalf("tweet %d (copy=%v) round trip diverged:\n%+v\n%+v", i, copyStrings, got, tweets[i])
-			}
-		}
-	}
-}
-
-func TestDecodeTweetRejectsTruncation(t *testing.T) {
-	tw := sampleTweet()
-	full := AppendTweet(nil, &tw)
-	for cut := 0; cut < len(full); cut++ {
-		var got twitterdata.Tweet
-		if err := DecodeTweet(full[:cut], &got, true); err == nil {
-			t.Fatalf("truncation at %d decoded without error", cut)
-		}
-	}
-	var got twitterdata.Tweet
-	if err := DecodeTweet(append(append([]byte(nil), full...), 0), &got, true); err == nil {
-		t.Fatal("trailing byte decoded without error")
 	}
 }
 

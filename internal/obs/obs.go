@@ -47,9 +47,9 @@ type Stage uint8
 // and queueing cost).
 const (
 	StageQueue           Stage = iota // shard queue wait (ingest → shard loop)
-	StageCache                        // extraction-cache lookup (hit ⇒ StageExtract is skipped)
-	StageExtract                      // preprocessing + feature extraction + normalization
-	StageClassify                     // model predict, prequential record, train
+	StageCache                        // extraction-cache lookup
+	StageExtract                      // feature extraction (cache miss only) + normalizer fold and scaling (every tweet)
+	StageClassify                     // snapshot predict; labeled tweets: also train + prequential record
 	StageObserve                      // userstate Observe fold
 	StageVerdict                      // session/escalation fan-out + alerting
 	StageEmit                         // SSE hub publish (subset-free: excluded from Verdict)

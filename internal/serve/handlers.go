@@ -175,56 +175,41 @@ var bodyBufPool = sync.Pool{New: func() any {
 // handleClassify runs one tweet through its shard synchronously. Latency
 // is recorded for every terminal outcome, labeled by outcome, so the
 // accepted-path series stays clean while rejections and disconnects remain
-// observable. The body decodes through the pooled zero-alloc Decoder (the
-// legacy encoding/json path stays reachable via Options.LegacyJSONDecode),
-// and the raw body bytes ride into the WAL append verbatim.
+// observable. The body decodes through the pooled zero-alloc Decoder, and
+// the raw body bytes ride into the WAL append verbatim.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	outcome := outcomeOK
 	defer func() {
 		s.latency[outcome].Observe(time.Since(start).Seconds())
 	}()
+	bp := bodyBufPool.Get().(*[]byte)
+	defer bodyBufPool.Put(bp)
+	body := bytes.NewBuffer((*bp)[:0])
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
+		outcome = outcomeBadRequest
+		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("read tweet: %v", err)})
+		return
+	}
+	raw := body.Bytes()
+	dec := twitterdata.GetDecoder()
+	defer twitterdata.PutDecoder(dec)
 	var tw twitterdata.Tweet
-	var raw []byte
-	var dec *twitterdata.Decoder
-	if s.opts.LegacyJSONDecode {
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&tw); err != nil {
-			outcome = outcomeBadRequest
-			s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode tweet: %v", err)})
-			return
-		}
-	} else {
-		bp := bodyBufPool.Get().(*[]byte)
-		defer bodyBufPool.Put(bp)
-		body := bytes.NewBuffer((*bp)[:0])
-		if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 1<<20)); err != nil {
-			outcome = outcomeBadRequest
-			s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("read tweet: %v", err)})
-			return
-		}
-		raw = body.Bytes()
-		dec = twitterdata.GetDecoder()
-		defer twitterdata.PutDecoder(dec)
-		if err := dec.DecodeInto(&tw, raw); err != nil {
-			outcome = outcomeBadRequest
-			s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode tweet: %v", err)})
-			return
-		}
+	if err := dec.DecodeInto(&tw, raw); err != nil {
+		outcome = outcomeBadRequest
+		s.writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode tweet: %v", err)})
+		return
 	}
 	reply := make(chan core.Result, 1)
 	sh, ok, err := s.offerRaw(job{tweet: tw, reply: reply}, raw)
 	if err != nil {
-		if dec != nil {
-			dec.Discard()
-		}
+		dec.Discard()
 		outcome = outcomeDraining
 		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 		return
 	}
 	if !ok {
-		if dec != nil {
-			dec.Discard()
-		}
+		dec.Discard()
 		outcome = outcomeQueueFull
 		s.rejected.Inc()
 		s.writeBackpressure(w, map[string]string{"error": "shard queue full"})
@@ -267,11 +252,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	bp := bodyBufPool.Get().(*[]byte)
 	defer bodyBufPool.Put(bp)
 	sc.Buffer(*bp, 4*1024*1024)
-	var dec *twitterdata.Decoder
-	if !s.opts.LegacyJSONDecode {
-		dec = twitterdata.GetDecoder()
-		defer twitterdata.PutDecoder(dec)
-	}
+	dec := twitterdata.GetDecoder()
+	defer twitterdata.PutDecoder(dec)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if resp.Rejected > 0 {
@@ -285,25 +267,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		var tw twitterdata.Tweet
-		var raw []byte
-		if dec != nil {
-			if dec.DecodeInto(&tw, line) != nil {
-				resp.Malformed++
-				continue
-			}
-			raw = line
-		} else {
-			var err error
-			if tw, err = twitterdata.Unmarshal(line); err != nil {
-				resp.Malformed++
-				continue
-			}
+		if dec.DecodeInto(&tw, line) != nil {
+			resp.Malformed++
+			continue
 		}
-		_, ok, err := s.offerRaw(job{tweet: tw}, raw)
+		_, ok, err := s.offerRaw(job{tweet: tw}, line)
 		if err != nil {
-			if dec != nil {
-				dec.Discard()
-			}
+			dec.Discard()
 			s.recordIngest(resp)
 			s.writeJSON(w, http.StatusServiceUnavailable, resp)
 			return
@@ -311,9 +281,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			resp.Accepted++
 		} else {
-			if dec != nil {
-				dec.Discard()
-			}
+			dec.Discard()
 			resp.Rejected++
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"redhanded/internal/core"
 	"redhanded/internal/ingestlog"
 	"redhanded/internal/twitterdata"
 )
@@ -36,11 +37,10 @@ import (
 var errReplaying = errors.New("serve: server is replaying the ingest log")
 
 // offerLogged is the WAL ingestion path. The caller holds enqueueMu.RLock,
-// which excludes Drain closing the queue mid-send. With raw set (the fast
-// ingress path) the tweet's NDJSON wire bytes are appended verbatim — no
-// re-marshal on the hot path; a nil raw (legacy decode, internal offers)
-// encodes the binary record codec as before. Replay dispatches on the
-// payload's first byte, so the two record forms coexist in one log.
+// which excludes Drain closing the queue mid-send. The tweet's NDJSON wire
+// bytes are appended verbatim — no re-marshal on the hot path — so a log
+// record is exactly what a client sent and replay decodes it the way
+// ingress did.
 func (s *Server) offerLogged(sh *shard, j job, raw []byte) (*shard, bool, error) {
 	sh.ingestMu.Lock()
 	defer sh.ingestMu.Unlock()
@@ -48,12 +48,7 @@ func (s *Server) offerLogged(sh *shard, j job, raw []byte) (*shard, bool, error)
 		s.tracer.Abort(j.span)
 		return sh, false, nil
 	}
-	payload := raw
-	if payload == nil {
-		sh.encBuf = ingestlog.AppendTweet(sh.encBuf[:0], &j.tweet)
-		payload = sh.encBuf
-	}
-	off, err := s.opts.Log.Append(sh.id, payload)
+	off, err := s.opts.Log.Append(sh.id, raw)
 	if err != nil {
 		s.tracer.Abort(j.span)
 		if errors.Is(err, ingestlog.ErrBackpressure) {
@@ -79,9 +74,11 @@ func (s *Server) Log() *ingestlog.Log { return s.opts.Log }
 // tweets cannot interleave with the replayed prefix.
 //
 // Replay reads the partitions concurrently (one goroutine per shard,
-// mirroring live operation) through mmap'd segment readers; records
-// decode with copied strings because the pipeline retains them (user
-// state IDs, alert text) beyond the segment mapping's lifetime.
+// mirroring live operation) through mmap'd segment readers and feeds each
+// record to the shard's pipeline as a logged batch entry — the same call
+// the shard loop makes. A record that does not decode as an NDJSON tweet
+// stops that shard's replay with an error naming shard and offset; every
+// record before it stays applied.
 func (s *Server) Replay() (int64, error) {
 	if s.opts.Log == nil {
 		return 0, nil
@@ -123,14 +120,13 @@ func (s *Server) replayShard(sh *shard) (int64, error) {
 	}
 	var n int64
 	var tw twitterdata.Tweet
-	// Raw-NDJSON records decode through the pooled fast decoder; the binary
-	// codec's version byte (0x01) can never open a JSON document, so the
-	// first payload byte discriminates the two record forms and logs written
-	// by older servers replay unchanged. Arena strings are never discarded
-	// here: anything the pipeline retains past the ProcessLogged call is
-	// cloned at the retention boundary, and dead chunks fall to the GC.
+	// Arena strings are never discarded here: anything the pipeline retains
+	// past the ProcessBatch call is cloned at the retention boundary, and
+	// dead chunks fall to the GC.
 	dec := twitterdata.GetDecoder()
 	defer twitterdata.PutDecoder(dec)
+	var entry [1]core.BatchEntry
+	var result [1]core.Result
 	for {
 		payload, off, err := r.Next()
 		if err == io.EOF {
@@ -139,15 +135,11 @@ func (s *Server) replayShard(sh *shard) (int64, error) {
 		if err != nil {
 			return n, fmt.Errorf("serve: replay shard %d: %w", sh.id, err)
 		}
-		if len(payload) > 0 && payload[0] == ingestlog.CodecVersion {
-			err = ingestlog.DecodeTweet(payload, &tw, true)
-		} else {
-			err = dec.DecodeInto(&tw, payload)
-		}
-		if err != nil {
+		if err := dec.DecodeInto(&tw, payload); err != nil {
 			return n, fmt.Errorf("serve: replay shard %d offset %d: %w", sh.id, off, err)
 		}
-		sh.p.ProcessLogged(&tw, off, nil)
+		entry[0] = core.BatchEntry{Tweet: &tw, Offset: off, Logged: true}
+		sh.p.ProcessBatch(entry[:], result[:0])
 		sh.lastEnqueued.Store(off)
 		n++
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"redhanded/internal/core"
 	"redhanded/internal/ingestlog"
 	"redhanded/internal/metrics"
 	"redhanded/internal/twitterdata"
@@ -93,8 +94,17 @@ type pipelineFingerprint struct {
 	ActiveUsers int
 }
 
-func fingerprint(s *Server, shard int) pipelineFingerprint {
-	p := s.Pipeline(shard)
+// offer is offerRaw for tests that hold a Tweet rather than wire bytes: it
+// marshals the tweet to the NDJSON line a client would have sent.
+func (s *Server) offer(j job) (*shard, bool, error) {
+	raw, err := j.tweet.Marshal()
+	if err != nil {
+		panic(err)
+	}
+	return s.offerRaw(j, raw)
+}
+
+func fingerprint(p *core.Pipeline) pipelineFingerprint {
 	return pipelineFingerprint{
 		Processed:   p.Processed(),
 		LogOffset:   p.LogOffset(),
@@ -167,7 +177,7 @@ func TestReplayExactlyOnceUnderConcurrentIngest(t *testing.T) {
 	wantTotal := int64(0)
 	wantFP := make([]pipelineFingerprint, shards)
 	for i := 0; i < shards; i++ {
-		wantFP[i] = fingerprint(a, i)
+		wantFP[i] = fingerprint(a.Pipeline(i))
 		wantTotal += wantFP[i].Processed
 	}
 	if wantTotal != n {
@@ -201,7 +211,7 @@ func TestReplayExactlyOnceUnderConcurrentIngest(t *testing.T) {
 	}
 
 	for i := 0; i < shards; i++ {
-		if got := fingerprint(b, i); !reflect.DeepEqual(got, wantFP[i]) {
+		if got := fingerprint(b.Pipeline(i)); !reflect.DeepEqual(got, wantFP[i]) {
 			t.Errorf("shard %d diverged after replay:\n got %+v\nwant %+v", i, got, wantFP[i])
 		}
 	}
@@ -227,13 +237,12 @@ func TestReplayExactlyOnceUnderConcurrentIngest(t *testing.T) {
 	probes := walTweets(50)
 	for i := range probes {
 		sh := ShardFor(probes[i].User.IDStr, shards)
-		pa, pb := a.Pipeline(sh), b.Pipeline(sh)
-		ia, ib := pa.ExtractInstance(&probes[i]), pb.ExtractInstance(&probes[i])
-		if !reflect.DeepEqual(ia.X, ib.X) {
+		ra, rb := a.Pipeline(sh).Process(&probes[i]), b.Pipeline(sh).Process(&probes[i])
+		if !reflect.DeepEqual(ra.Instance.X, rb.Instance.X) {
 			t.Fatalf("probe %d: feature vectors diverged", i)
 		}
-		if va, vb := pa.Model().Predict(ia.X), pb.Model().Predict(ib.X); !reflect.DeepEqual(va, vb) {
-			t.Fatalf("probe %d: predictions diverged: %v vs %v", i, va, vb)
+		if !reflect.DeepEqual(ra.Prediction, rb.Prediction) {
+			t.Fatalf("probe %d: predictions diverged: %v vs %v", i, ra.Prediction, rb.Prediction)
 		}
 	}
 }

@@ -12,84 +12,85 @@ import (
 	"strings"
 	"testing"
 
+	"redhanded/internal/core"
 	"redhanded/internal/ingestlog"
 	"redhanded/internal/twitterdata"
 )
 
-// TestIngestFastLegacyEquivalence runs the same NDJSON batch — valid
-// lines, malformed lines, blank lines — through a fast-decode server and
-// a LegacyJSONDecode server and demands identical outcomes: the same
-// IngestResponse and, after processing, the same per-shard pipeline
-// fingerprints. The fuzz oracle proves the decoders agree tweet by
-// tweet; this proves the servers agree end to end.
-func TestIngestFastLegacyEquivalence(t *testing.T) {
+// TestIngestMixedBatchMatchesPipelines posts one NDJSON batch — valid
+// lines, malformed lines, blank lines — and demands the counts the batch
+// implies (a blank line is malformed, so Accepted+Malformed stays a prefix
+// length) and, after processing, per-shard pipeline fingerprints equal to
+// in-process pipelines fed the valid lines through the encoding/json
+// oracle. The fuzz test proves the decoder agrees with encoding/json tweet
+// by tweet; this proves the server agrees end to end.
+func TestIngestMixedBatchMatchesPipelines(t *testing.T) {
 	tweets := walTweets(120)
+	opts := testOptions()
+	opts.Shards = 2
+	want := make([]*core.Pipeline, opts.Shards)
+	for i := range want {
+		want[i] = core.NewPipeline(opts.Pipeline)
+	}
 	var body bytes.Buffer
+	var valid, malformed int64
 	for i := range tweets {
-		if i%17 == 0 {
-			body.WriteString("{\"id_str\": broken\n") // malformed
-			continue
+		switch {
+		case i%17 == 0:
+			body.WriteString("{\"id_str\": broken\n")
+			malformed++
+		case i%23 == 0:
+			body.WriteByte('\n')
+			malformed++
+		default:
+			blob, err := tweets[i].Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body.Write(blob)
+			body.WriteByte('\n')
+			tw, err := twitterdata.Unmarshal(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[ShardFor(tw.User.IDStr, opts.Shards)].Process(&tw)
+			valid++
 		}
-		if i%23 == 0 {
-			body.WriteByte('\n') // blank
-			continue
-		}
-		blob, err := tweets[i].Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body.Write(blob)
-		body.WriteByte('\n')
-	}
-	raw := body.Bytes()
-
-	run := func(legacy bool) (IngestResponse, []pipelineFingerprint) {
-		opts := testOptions()
-		opts.Shards = 2
-		opts.LegacyJSONDecode = legacy
-		s := NewServer(opts)
-		defer drainServer(t, s)
-		ts := httptest.NewServer(s)
-		defer ts.Close()
-		resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ir IngestResponse
-		if err := jsonDecodeBody(resp, &ir); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("legacy=%v: status %d (%+v)", legacy, resp.StatusCode, ir)
-		}
-		waitProcessed(t, s, ir.Accepted)
-		fps := make([]pipelineFingerprint, s.Shards())
-		for i := range fps {
-			fps[i] = fingerprint(s, i)
-		}
-		return ir, fps
 	}
 
-	fastIR, fastFP := run(false)
-	legacyIR, legacyFP := run(true)
-	if fastIR != legacyIR {
-		t.Fatalf("ingest responses diverge: fast=%+v legacy=%+v", fastIR, legacyIR)
+	s := NewServer(opts)
+	defer drainServer(t, s)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", &body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fastIR.Malformed == 0 {
-		t.Fatal("batch contained malformed lines but none were counted")
+	var ir IngestResponse
+	if err := jsonDecodeBody(resp, &ir); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fastFP, legacyFP) {
-		t.Fatalf("pipeline fingerprints diverge:\nfast:   %+v\nlegacy: %+v", fastFP, legacyFP)
+	if resp.StatusCode != http.StatusOK || ir != (IngestResponse{Accepted: valid, Malformed: malformed}) {
+		t.Fatalf("status %d, response %+v; want 200 with %d accepted, %d malformed", resp.StatusCode, ir, valid, malformed)
+	}
+	waitProcessed(t, s, ir.Accepted)
+	for i := range want {
+		if got, want := fingerprint(s.Pipeline(i)), fingerprint(want[i]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d diverges from the in-process pipeline:\n got: %+v\nwant: %+v", i, got, want)
+		}
 	}
 }
 
-// TestClassifyFastDecodeBehavior checks the synchronous endpoint on the
-// fast path: a valid document classifies with the same verdict the
-// legacy decoder produces, a malformed document is 400 on both paths,
-// and trailing garbage after the document is rejected by the fast path
-// (a deliberate tightening over json.NewDecoder's stream semantics).
-func TestClassifyFastDecodeBehavior(t *testing.T) {
-	post := func(ts *httptest.Server, body string) (*http.Response, ClassifyResponse) {
+// TestClassifyDecodeBehavior checks the synchronous endpoint's decode
+// contract: a valid document classifies, a malformed document is 400, and
+// trailing garbage after the document is rejected (a deliberate tightening
+// over json.NewDecoder's stream semantics).
+func TestClassifyDecodeBehavior(t *testing.T) {
+	s := NewServer(testOptions())
+	defer drainServer(t, s)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	post := func(body string) (int, ClassifyResponse) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/classify", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -97,38 +98,21 @@ func TestClassifyFastDecodeBehavior(t *testing.T) {
 		}
 		var cr ClassifyResponse
 		_ = jsonDecodeBody(resp, &cr)
-		return resp, cr
+		return resp.StatusCode, cr
 	}
 	tw := makeTweet("900", "77", "you are a worthless idiot", "")
 	blob, err := tw.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var verdicts [2]ClassifyResponse
-	for i, legacy := range []bool{false, true} {
-		opts := testOptions()
-		opts.LegacyJSONDecode = legacy
-		s := NewServer(opts)
-		ts := httptest.NewServer(s)
-		resp, cr := post(ts, string(blob))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("legacy=%v: classify status %d", legacy, resp.StatusCode)
-		}
-		verdicts[i] = cr
-		if resp, _ := post(ts, `{"id_str": nope}`); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("legacy=%v: malformed classify status %d, want 400", legacy, resp.StatusCode)
-		}
-		if !legacy {
-			if resp, _ := post(ts, string(blob)+"trailing"); resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("fast path accepted trailing garbage: status %d", resp.StatusCode)
-			}
-		}
-		ts.Close()
-		drainServer(t, s)
+	if status, cr := post(string(blob)); status != http.StatusOK || cr.TweetID != "900" {
+		t.Fatalf("classify status %d, response %+v", status, cr)
 	}
-	if verdicts[0] != verdicts[1] {
-		t.Fatalf("classify verdicts diverge: fast=%+v legacy=%+v", verdicts[0], verdicts[1])
+	if status, _ := post(`{"id_str": nope}`); status != http.StatusBadRequest {
+		t.Fatalf("malformed classify status %d, want 400", status)
+	}
+	if status, _ := post(string(blob) + "trailing"); status != http.StatusBadRequest {
+		t.Fatalf("trailing garbage accepted: status %d", status)
 	}
 }
 
@@ -225,7 +209,7 @@ func TestIngestRejectedBatchArenaSteadyState(t *testing.T) {
 
 // TestWALStoresRawNDJSONRecords checks the zero-re-marshal contract:
 // tweets accepted over HTTP land in the log as their verbatim NDJSON
-// wire bytes (first payload byte '{'), not the binary codec.
+// wire bytes.
 func TestWALStoresRawNDJSONRecords(t *testing.T) {
 	opts, l := walOptions(t, t.TempDir(), 1, ingestlog.Options{Fsync: ingestlog.FsyncOff})
 	defer l.Close()
@@ -269,51 +253,45 @@ func TestWALStoresRawNDJSONRecords(t *testing.T) {
 	}
 }
 
-// TestReplayMixedRecordForms proves logs written by older servers (binary
-// codec records) and the raw-NDJSON records the fast ingress writes can
-// coexist in one partition: replay dispatches per record on the leading
-// byte, and a mixed log replays to exactly the state an all-binary log of
-// the same tweets produces.
-func TestReplayMixedRecordForms(t *testing.T) {
-	tweets := walTweets(60)
-	build := func(dir string, mixed bool) *Server {
-		t.Helper()
-		opts, l := walOptions(t, dir, 1, ingestlog.Options{Fsync: ingestlog.FsyncOff})
-		t.Cleanup(func() { l.Close() })
-		for i := range tweets {
-			var payload []byte
-			if mixed && i%2 == 0 {
-				blob, err := tweets[i].Marshal()
-				if err != nil {
-					t.Fatal(err)
-				}
-				payload = blob
-			} else {
-				payload = ingestlog.AppendTweet(nil, &tweets[i])
-			}
-			if _, err := l.Append(0, payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s := newServer(opts, false)
-		n, err := s.Replay()
+// TestReplayRejectsNonNDJSONRecord appends one record that is not an
+// NDJSON tweet (led by 0x01, the version byte of the binary record form
+// servers wrote before the log stored wire bytes) in the middle of a log.
+// Replay must stop there with an error naming shard and offset, never
+// mis-parse it, and leave every earlier record applied exactly once.
+func TestReplayRejectsNonNDJSONRecord(t *testing.T) {
+	tweets := walTweets(40)
+	const bad = 25
+	opts, l := walOptions(t, t.TempDir(), 1, ingestlog.Options{Fsync: ingestlog.FsyncOff})
+	defer l.Close()
+	want := core.NewPipeline(opts.Pipeline)
+	for i := range tweets {
+		payload, err := tweets[i].Marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != int64(len(tweets)) {
-			t.Fatalf("replayed %d records, want %d", n, len(tweets))
+		if i == bad {
+			payload = []byte("\x01\x03991\x05hello")
+		} else if i < bad {
+			tw, err := twitterdata.Unmarshal(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.ProcessBatch([]core.BatchEntry{{Tweet: &tw, Offset: int64(i), Logged: true}}, nil)
 		}
-		return s
+		if _, err := l.Append(0, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	mixed := build(t.TempDir(), true)
-	binary := build(t.TempDir(), false)
-	got, want := fingerprint(mixed, 0), fingerprint(binary, 0)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed-log replay diverges from binary-log replay:\nmixed:  %+v\nbinary: %+v", got, want)
+	s := newServer(opts, false)
+	n, err := s.Replay()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("replay shard 0 offset %d", bad)) {
+		t.Fatalf("Replay error = %v, want one naming shard 0 offset %d", err, bad)
 	}
-	if off := mixed.Pipeline(0).LogOffset(); off != int64(len(tweets))-1 {
-		t.Fatalf("applied offset %d after mixed replay, want %d", off, len(tweets)-1)
+	if n != bad {
+		t.Fatalf("replayed %d records before the bad one, want %d", n, bad)
+	}
+	if got, want := fingerprint(s.Pipeline(0)), fingerprint(want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state after the failed replay is not the first %d records applied once:\n got: %+v\nwant: %+v", bad, got, want)
 	}
 }
 

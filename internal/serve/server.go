@@ -76,13 +76,6 @@ type Options struct {
 	// hash); NewServer panics on a mismatch since running with broken
 	// affinity would corrupt replay. The server does not close the log.
 	Log *ingestlog.Log
-	// LegacyJSONDecode routes /v1/classify and /v1/ingest through
-	// encoding/json instead of the zero-allocation twitterdata.Decoder.
-	// It exists as an A/B escape hatch for benchmarking and for bisecting
-	// decoder-suspected issues; the two paths accept the same inputs
-	// (fuzz-enforced equivalence), so production configurations leave it
-	// false.
-	LegacyJSONDecode bool
 }
 
 // DefaultServerOptions returns the paper-default pipeline behind 4 shards.
@@ -124,8 +117,9 @@ type job struct {
 	reply chan core.Result
 	span  *obs.Span
 	// offset is the tweet's ingest-log offset when the server runs with a
-	// WAL (logged true); the shard loop then applies it via ProcessLogged
-	// so the pipeline's applied offset advances with the tweet's effects.
+	// WAL (logged true); the shard loop passes both on in the tweet's
+	// core.BatchEntry so the pipeline's applied offset advances with the
+	// tweet's effects.
 	offset int64
 	logged bool
 }
@@ -145,13 +139,11 @@ type shard struct {
 	// append-then-enqueue pair so log order equals queue order, and the
 	// queue-capacity check under it guarantees the enqueue after a
 	// successful append can never block or be shed — a logged tweet is
-	// always applied. encBuf is the append-path encode buffer (guarded by
-	// ingestMu). lastEnqueued is the highest log offset handed to the
+	// always applied. lastEnqueued is the highest log offset handed to the
 	// queue or replayed (-1 initially); Drain's barrier compares it
 	// against the pipeline's applied offset to prove nothing logged was
 	// lost between queue and pipeline.
 	ingestMu     sync.Mutex
-	encBuf       []byte
 	lastEnqueued atomic.Int64
 }
 
@@ -370,17 +362,16 @@ func newServer(opts Options, start bool) *Server {
 		users := sh.p.Users()
 		reg.GaugeFunc("redhanded_userstate_active_users", "Tracked user records per shard.",
 			labels, func() float64 { return float64(users.Len()) })
-		if p := sh.p; p.SnapshotStats().Enabled {
-			reg.GaugeFunc("redhanded_snapshot_rebuilds", "Compiled-snapshot publications per shard.",
-				labels, func() float64 { return float64(p.SnapshotStats().Rebuilds) })
-			reg.GaugeFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-flattened across snapshot rebuilds per shard.",
-				labels, func() float64 { return float64(p.SnapshotStats().TreesRebuilt) })
-			reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's published snapshot is behind.",
-				labels, func() float64 { return float64(p.SnapshotStats().Age) })
-		}
+		p := sh.p
+		reg.GaugeFunc("redhanded_snapshot_rebuilds", "Compiled-snapshot publications per shard.",
+			labels, func() float64 { return float64(p.SnapshotStats().Rebuilds) })
+		reg.GaugeFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-flattened across snapshot rebuilds per shard.",
+			labels, func() float64 { return float64(p.SnapshotStats().TreesRebuilt) })
+		reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's published snapshot is behind.",
+			labels, func() float64 { return float64(p.SnapshotStats().Age) })
 		sh.lastEnqueued.Store(-1)
 		if l := opts.Log; l != nil {
-			part, p := sh.id, sh.p
+			part := sh.id
 			reg.GaugeFunc("redhanded_ingestlog_replay_lag",
 				"Records appended to the shard's log partition but not yet applied by its pipeline.",
 				labels, func() float64 { return float64(l.AppendedOffset(part) - p.LogOffset()) })
@@ -441,22 +432,15 @@ func (s *Server) shardOf(tw *twitterdata.Tweet) *shard {
 // errServerClosed distinguishes drain-time rejection from backpressure.
 var errServerClosed = fmt.Errorf("serve: server is draining")
 
-// offer enqueues a job on the tweet's shard without blocking, returning
+// offerRaw enqueues a job on the tweet's shard without blocking, returning
 // the shard it routed to. A false return with a nil error means the queue
-// is full (backpressure). Tracing starts here: the span's queue stage
-// opens at enqueue, and spans for tweets the server sheds are aborted
-// unrecorded (a 429 never reached the pipeline, so it has no stage
-// breakdown to report).
-func (s *Server) offer(j job) (sh *shard, ok bool, err error) {
-	return s.offerRaw(j, nil)
-}
-
-// offerRaw is offer with the tweet's NDJSON wire bytes attached: WAL-backed
-// servers append raw verbatim to the shard's log partition instead of
-// re-encoding the tweet (the zero-re-marshal ingress path). Append copies
-// the bytes into the segment synchronously, so the caller may reuse the
-// buffer as soon as offerRaw returns. A nil raw falls back to the binary
-// record codec.
+// is full (backpressure). raw is the tweet's NDJSON wire form: WAL-backed
+// servers append it verbatim to the shard's log partition (no re-marshal
+// between the wire and the log). Append copies the bytes into the segment
+// synchronously, so the caller may reuse the buffer as soon as offerRaw
+// returns. Tracing starts here: the span's queue stage opens at enqueue,
+// and spans for tweets the server sheds are aborted unrecorded (a 429
+// never reached the pipeline, so it has no stage breakdown to report).
 func (s *Server) offerRaw(j job, raw []byte) (sh *shard, ok bool, err error) {
 	s.enqueueMu.RLock()
 	defer s.enqueueMu.RUnlock()
@@ -556,11 +540,9 @@ func (s *Server) UnregisterMetrics() {
 		s.opts.Registry.Unregister("redhanded_shard_drain_batch", labels)
 		s.opts.Registry.Unregister("redhanded_shard_processed_total", labels)
 		s.opts.Registry.Unregister("redhanded_userstate_active_users", labels)
-		if sh.p.SnapshotStats().Enabled {
-			s.opts.Registry.Unregister("redhanded_snapshot_rebuilds", labels)
-			s.opts.Registry.Unregister("redhanded_snapshot_trees_rebuilt", labels)
-			s.opts.Registry.Unregister("redhanded_snapshot_age", labels)
-		}
+		s.opts.Registry.Unregister("redhanded_snapshot_rebuilds", labels)
+		s.opts.Registry.Unregister("redhanded_snapshot_trees_rebuilt", labels)
+		s.opts.Registry.Unregister("redhanded_snapshot_age", labels)
 		if s.opts.Log != nil {
 			s.opts.Registry.Unregister("redhanded_ingestlog_replay_lag", labels)
 		}

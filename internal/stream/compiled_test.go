@@ -285,6 +285,38 @@ func TestCompiledSnapshotImmutableUnderConcurrentTraining(t *testing.T) {
 	}
 }
 
+// TestCompiledPredictZeroAlloc is the CompiledClassify gate: classifying
+// against a compiled snapshot of each model kind, with caller-owned vote
+// and scratch buffers, allocates nothing.
+func TestCompiledPredictZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	data := gaussianStream(3000, 3, 16, 1.5, 51)
+	for name, model := range map[string]interface {
+		ml.StreamClassifier
+		Compilable
+	}{
+		"HT":  NewHoeffdingTree(HTConfig{NumClasses: 3, NumFeatures: 16, LeafPrediction: NaiveBayesAdaptive}),
+		"ARF": NewAdaptiveRandomForest(ARFConfig{NumClasses: 3, NumFeatures: 16, EnsembleSize: 10, Seed: 1}),
+		"SLR": NewSLR(SLRConfig{NumClasses: 3, NumFeatures: 16}),
+	} {
+		for _, in := range data {
+			model.Train(in)
+		}
+		snap := model.CompileSnapshot(nil)
+		dst := make([]float64, snap.NumClasses())
+		scratch := make([]float64, snap.ScratchLen())
+		i := 0
+		if allocs := testing.AllocsPerRun(1000, func() {
+			snap.PredictInto(dst, scratch, data[i%len(data)].X)
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: PredictInto allocates %v per call, want 0", name, allocs)
+		}
+	}
+}
+
 func BenchmarkCompiledPredict(b *testing.B) {
 	data := gaussianStream(3000, 3, 16, 1.5, 51)
 	f := NewAdaptiveRandomForest(ARFConfig{NumClasses: 3, NumFeatures: 16, EnsembleSize: 10, Seed: 1})

@@ -1,13 +1,12 @@
 package twitterdata
 
-// Hand-rolled streaming NDJSON tweet decoder. The serve ingress decodes
-// every tweet line through encoding/json's reflection walker, which is the
-// last allocating stage below the HTTP boundary. DecodeInto replaces it
-// with a single-pass parser that is byte-for-byte equivalent to
-// json.Unmarshal on the Tweet schema (proven by FuzzDecodeTweetEquivalence)
-// while allocating nothing on the steady-state path: decoded string fields
-// are carved out of a pooled 64KB arena chunk, so one Decoder amortizes one
-// chunk allocation across ~64KB of interned tweet text.
+// Hand-rolled streaming NDJSON tweet decoder: the one decoder the serve
+// ingress and WAL replay use. DecodeInto is a single-pass parser that is
+// byte-for-byte equivalent to json.Unmarshal on the Tweet schema (proven
+// by the fuzz test in decode_fuzz_test.go, with encoding/json as the
+// oracle) while allocating nothing on the steady-state path: decoded
+// string fields are carved out of a pooled 64KB arena chunk, so one Decoder
+// amortizes one chunk allocation across ~64KB of interned tweet text.
 //
 // Arena discipline: DecodeInto marks the arena high-water position on
 // entry; a failed decode rewinds automatically, and callers that reject an

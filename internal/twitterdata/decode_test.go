@@ -232,6 +232,39 @@ func TestDecodeStringsSurviveChunkTurnover(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoZeroAlloc is the IngressDecode gate: a warmed pooled
+// decoder parses NDJSON tweets into a reused Tweet without allocating.
+func TestDecodeIntoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	tweets := GenerateAggression(AggressionConfig{Seed: 3, Days: 2, NormalCount: 64, AbusiveCount: 24, HatefulCount: 12})
+	lines := make([][]byte, len(tweets))
+	for i := range tweets {
+		var err error
+		if lines[i], err = tweets[i].Marshal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := GetDecoder()
+	defer PutDecoder(d)
+	var tw Tweet
+	i := 0
+	decode := func() {
+		if err := d.DecodeInto(&tw, lines[i%len(lines)]); err != nil {
+			t.Fatal(err)
+		}
+		d.Discard()
+		i++
+	}
+	for range lines {
+		decode() // warm the arena and scratch to steady state
+	}
+	if allocs := testing.AllocsPerRun(1000, decode); allocs != 0 {
+		t.Fatalf("DecodeInto allocates %v per tweet, want 0", allocs)
+	}
+}
+
 func BenchmarkDecodeInto(b *testing.B) {
 	tweets := GenerateAggression(AggressionConfig{Seed: 3, Days: 2, NormalCount: 64, AbusiveCount: 24, HatefulCount: 12})
 	lines := make([][]byte, len(tweets))

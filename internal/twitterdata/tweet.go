@@ -44,9 +44,9 @@ type User struct {
 
 // Tweet is one stream element: the JSON payload of the Twitter Streaming
 // API plus, for the labeled stream, a class-label attribute. It is wire
-// format three ways — the JSONL dataset files, the gob cluster frames,
-// and the ingestlog binary codec — so literals must stay keyed and the
-// ingestlog encode/decode pair is symmetry-checked against its fields.
+// format three ways — the JSONL dataset files, the NDJSON records of the
+// ingest log (the same bytes a client sent), and the gob cluster frames —
+// so literals must stay keyed.
 //
 //redvet:wire
 type Tweet struct {

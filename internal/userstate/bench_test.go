@@ -65,6 +65,39 @@ func BenchmarkUserstateObserveHot(b *testing.B) {
 	})
 }
 
+// TestObserveResidentUserZeroAlloc is the UserstateObserveHot gate:
+// folding an observation into a user who already has a record — session
+// window slide, running counts, EWMA — allocates nothing as long as no
+// verdict fires. Each user posts every 16 minutes, so windows stay a few
+// entries long and their storage stops growing during the warm-up.
+func TestObserveResidentUserZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	s := New(Config{Shards: 4})
+	ids := benchIDs(16)
+	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	i := 0
+	observe := func() {
+		out := s.Observe(Observation{
+			UserID:     ids[i%len(ids)],
+			At:         start.Add(time.Duration(i) * time.Minute),
+			Aggressive: i%3 == 0,
+			Confidence: 0.8,
+		})
+		if out.Session != nil || out.Escalation != nil {
+			t.Fatalf("observation %d drew a verdict; the gate measures the verdict-free fold", i)
+		}
+		i++
+	}
+	for i < 2000 {
+		observe()
+	}
+	if allocs := testing.AllocsPerRun(1000, observe); allocs != 0 {
+		t.Fatalf("Observe allocates %v per resident-user observation, want 0", allocs)
+	}
+}
+
 // BenchmarkUserstateLookup measures read-side snapshots against a
 // populated store.
 func BenchmarkUserstateLookup(b *testing.B) {

@@ -1,0 +1,8 @@
+//go:build !race
+
+package userstate
+
+// raceEnabled reports whether the race detector is active; its
+// instrumentation allocates inside sync.Pool, so the zero-allocation
+// assertions only hold without it.
+const raceEnabled = false
