@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// distributed statistics-merge training strategy, the per-batch model
-// broadcast, leaf prediction modes, normalization modes, and the adaptive
-// bag-of-words.
+// distributed statistics-merge training strategy, leaf prediction modes,
+// normalization modes, and the adaptive bag-of-words.
 package redhanded_test
 
 import (
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"redhanded/internal/core"
-	"redhanded/internal/engine"
 	"redhanded/internal/feature"
 	"redhanded/internal/ml"
 	"redhanded/internal/norm"
@@ -80,25 +78,6 @@ func BenchmarkAblationMergeStrategy(b *testing.B) {
 					ht.ApplyAccumulators(accs)
 				}
 				b.ReportMetric(accuracy(ht), "holdout-acc")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBroadcast measures the cost of the per-batch model
-// broadcast emulation (serialize + restore each micro-batch).
-func BenchmarkAblationBroadcast(b *testing.B) {
-	for _, emulate := range []bool{false, true} {
-		b.Run(fmt.Sprintf("emulate=%v", emulate), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.DefaultOptions()
-				opts.SampleStep = 0
-				p := core.NewPipeline(opts)
-				cfg := engine.SparkSingleConfig()
-				cfg.EmulateBroadcast = emulate
-				if _, err := engine.RunMicroBatch(p, engine.NewSliceSource(ablationData), cfg); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -52,7 +52,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		model      = flag.String("model", "ht", "streaming model: ht, arf, slr")
-		classes    = flag.Int("classes", 3, "class scheme: 2 or 3")
+		classes    = flag.String("classes", "3", "class scheme: 2 or 3")
 		preprocess = flag.Bool("preprocess", true, "enable text preprocessing")
 		normMode   = flag.String("norm", "robust", "normalization: none, minmax, robust, zscore")
 		adaptive   = flag.Bool("adaptive-bow", true, "enable the adaptive bag-of-words")
@@ -60,7 +60,6 @@ func main() {
 		shards     = flag.Int("shards", 4, "pipeline shards (user affinity is hash(userID) % shards)")
 		queue      = flag.Int("queue", 2048, "per-shard queue depth before 429 backpressure")
 		drainBatch = flag.Int("drain-batch", 32, "max queued tweets a shard drains per lock acquisition (1 = per-tweet)")
-		featCache  = flag.Int("featcache", 0, "per-shard extraction-cache entries for duplicate texts (0 = default 8192, negative disables)")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		checkpoint = flag.String("checkpoint", "", "checkpoint directory written on graceful shutdown")
 		restore    = flag.Bool("restore", false, "restore shard state from -checkpoint before serving")
@@ -92,42 +91,21 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.Preprocess = *preprocess
-	opts.FeatureCacheEntries = *featCache
 	opts.AdaptiveBoW = *adaptive
 	opts.AlertThreshold = *threshold
 	opts.Users.MaxUsers = *maxUsers
 	opts.Users.TTL = *userTTL
 	opts.Users.Escalation.Threshold = *escScore
 	opts.Users.Escalation.MinTweets = *escMin
-	switch *model {
-	case "ht":
-		opts.Model = core.ModelHT
-	case "arf":
-		opts.Model = core.ModelARF
-	case "slr":
-		opts.Model = core.ModelSLR
-	default:
-		fatal("unknown model", "model", *model)
+	var err error
+	if opts.Model, err = core.ParseModelKind(*model); err != nil {
+		fatal("bad -model", "err", err)
 	}
-	switch *classes {
-	case 2:
-		opts.Scheme = core.TwoClass
-	case 3:
-		opts.Scheme = core.ThreeClass
-	default:
-		fatal("classes must be 2 or 3", "classes", *classes)
+	if opts.Scheme, err = core.ParseScheme(*classes); err != nil {
+		fatal("bad -classes", "err", err)
 	}
-	switch *normMode {
-	case "none":
-		opts.Normalization = norm.None
-	case "minmax":
-		opts.Normalization = norm.MinMax
-	case "robust":
-		opts.Normalization = norm.MinMaxRobust
-	case "zscore":
-		opts.Normalization = norm.ZScore
-	default:
-		fatal("unknown normalization", "norm", *normMode)
+	if opts.Normalization, err = norm.ParseMode(*normMode); err != nil {
+		fatal("bad -norm", "err", err)
 	}
 
 	var ilog *ingestlog.Log

@@ -26,7 +26,7 @@ func main() {
 	var (
 		in         = flag.String("in", "-", "input JSONL path (- for stdin)")
 		model      = flag.String("model", "ht", "streaming model: ht, arf, slr")
-		classes    = flag.Int("classes", 3, "class scheme: 2 or 3")
+		classes    = flag.String("classes", "3", "class scheme: 2 or 3")
 		preprocess = flag.Bool("preprocess", true, "enable text preprocessing")
 		normMode   = flag.String("norm", "robust", "normalization: none, minmax, robust, zscore")
 		adaptive   = flag.Bool("adaptive-bow", true, "enable the adaptive bag-of-words")
@@ -40,35 +40,15 @@ func main() {
 	opts.Preprocess = *preprocess
 	opts.AdaptiveBoW = *adaptive
 	opts.AlertThreshold = *threshold
-	switch *model {
-	case "ht":
-		opts.Model = core.ModelHT
-	case "arf":
-		opts.Model = core.ModelARF
-	case "slr":
-		opts.Model = core.ModelSLR
-	default:
-		log.Fatalf("unknown model %q", *model)
+	var err error
+	if opts.Model, err = core.ParseModelKind(*model); err != nil {
+		log.Fatal(err)
 	}
-	switch *classes {
-	case 2:
-		opts.Scheme = core.TwoClass
-	case 3:
-		opts.Scheme = core.ThreeClass
-	default:
-		log.Fatalf("classes must be 2 or 3")
+	if opts.Scheme, err = core.ParseScheme(*classes); err != nil {
+		log.Fatal(err)
 	}
-	switch *normMode {
-	case "none":
-		opts.Normalization = norm.None
-	case "minmax":
-		opts.Normalization = norm.MinMax
-	case "robust":
-		opts.Normalization = norm.MinMaxRobust
-	case "zscore":
-		opts.Normalization = norm.ZScore
-	default:
-		log.Fatalf("unknown normalization %q", *normMode)
+	if opts.Normalization, err = norm.ParseMode(*normMode); err != nil {
+		log.Fatal(err)
 	}
 
 	r := os.Stdin
@@ -95,8 +75,11 @@ func main() {
 
 	reader := twitterdata.NewReader(r)
 	var processed, malformed int64
+	// One Tweet for the whole run: Process's argument escapes, so a
+	// per-iteration variable would be a heap allocation per tweet.
+	var tw twitterdata.Tweet
 	for {
-		tw, err := reader.Read()
+		tw, err = reader.Read()
 		if err == io.EOF {
 			break
 		}

@@ -115,6 +115,37 @@ func TestRhdriverAgainstRhexecutors(t *testing.T) {
 	}
 }
 
+// TestBinariesRejectBadOptions: the three binaries that take -model,
+// -classes and -norm share one parser each, so a value none of them knows
+// ends every one of them non-zero, naming the value, before it touches the
+// network or its input. (rhdriver has no -norm; the flag package rejects it.)
+func TestBinariesRejectBadOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI test is slow")
+	}
+	dir := t.TempDir()
+	for _, tool := range []struct {
+		name string
+		args []string
+	}{
+		{"aggroserve", []string{"-addr", "127.0.0.1:0"}},
+		{"aggrostream", nil},
+		{"rhdriver", []string{"-executors", "127.0.0.1:1"}},
+	} {
+		bin := buildTool(t, dir, tool.name)
+		for _, bad := range [][2]string{{"-classes", "4"}, {"-model", "xgb"}, {"-norm", "l2"}} {
+			cmd := exec.Command(bin, append(tool.args, bad[0], bad[1])...)
+			cmd.Stdin = strings.NewReader("")
+			out, err := cmd.CombinedOutput()
+			if err == nil {
+				t.Errorf("%s %s %s exited zero:\n%s", tool.name, bad[0], bad[1], out)
+			} else if !strings.Contains(string(out), bad[1]) && !strings.Contains(string(out), bad[0]) {
+				t.Errorf("%s %s %s failed without naming the option:\n%s", tool.name, bad[0], bad[1], out)
+			}
+		}
+	}
+}
+
 func TestBenchrunnerList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test is slow")

@@ -35,7 +35,7 @@ func main() {
 	var (
 		in        = flag.String("in", "-", "input JSONL path (- for stdin)")
 		executors = flag.String("executors", "", "comma-separated executor addresses")
-		classes   = flag.Int("classes", 3, "class scheme: 2 or 3")
+		classes   = flag.String("classes", "3", "class scheme: 2 or 3")
 		model     = flag.String("model", "ht", "streaming model: ht, arf, slr")
 		batch     = flag.Int("batch", 3000, "micro-batch size")
 		tasks     = flag.Int("tasks", 8, "parallel tasks per executor")
@@ -43,8 +43,6 @@ func main() {
 		attempts  = flag.Int("reconnect-attempts", 5, "reconnect attempts before abandoning a dead executor")
 		backoff   = flag.Duration("reconnect-backoff", 50*time.Millisecond, "initial reconnect backoff (doubles per attempt)")
 		downWait  = flag.Duration("alldown-wait", 5*time.Second, "how long to wait for a reconnect when every executor is down")
-		noDelta   = flag.Bool("no-delta", false, "re-broadcast the full model/vocab every batch (v1 wire behavior)")
-		noPipe    = flag.Bool("no-pipeline", false, "disable next-batch data presend")
 
 		trace     = flag.Bool("trace", false, "record a per-batch span (queue, executor_rtt, executor_compute, merge)")
 		traceSlow = flag.Duration("trace-slow-budget", 250*time.Millisecond, "batch latency budget; slower batches are captured with full stage breakdown (negative disables)")
@@ -58,23 +56,16 @@ func main() {
 		logger.Error(msg, args...)
 		os.Exit(1)
 	}
+	opts := core.DefaultOptions()
+	var err error
+	if opts.Model, err = core.ParseModelKind(*model); err != nil {
+		fatal("bad -model", "err", err)
+	}
+	if opts.Scheme, err = core.ParseScheme(*classes); err != nil {
+		fatal("bad -classes", "err", err)
+	}
 	if *executors == "" {
 		fatal("need -executors host:port[,host:port...]")
-	}
-
-	opts := core.DefaultOptions()
-	switch *model {
-	case "ht":
-		opts.Model = core.ModelHT
-	case "arf":
-		opts.Model = core.ModelARF
-	case "slr":
-		opts.Model = core.ModelSLR
-	default:
-		fatal("unknown model (use ht, arf, or slr)", "model", *model)
-	}
-	if *classes == 2 {
-		opts.Scheme = core.TwoClass
 	}
 
 	r := os.Stdin
@@ -121,8 +112,6 @@ func main() {
 		MaxConnAttempts:  *attempts,
 		ReconnectBackoff: *backoff,
 		AllDownWait:      *downWait,
-		DisableDelta:     *noDelta,
-		DisablePipeline:  *noPipe,
 		Tracer:           tracer,
 	})
 	if err != nil {

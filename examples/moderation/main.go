@@ -23,6 +23,11 @@ func main() {
 	opts := redhanded.DefaultOptions()
 	opts.Scheme = redhanded.TwoClass
 	opts.AlertThreshold = 0.7 // only confident alerts reach moderators
+	// The pipeline's own per-user store watches for repetitive hostility
+	// within sliding windows.
+	opts.Users.Session = redhanded.SessionConfig{
+		Window: 24 * time.Hour, MinTweets: 4, AggressiveShare: 0.7,
+	}
 	p := redhanded.NewPipeline(opts)
 	p.Alerter().SuspendAfter = 3
 
@@ -47,11 +52,8 @@ func main() {
 
 	// Live traffic: the generator doubles as ground truth for the
 	// simulated annotators. A small pool of habitual offenders posts the
-	// aggressive tweets, so per-user histories accumulate. A session
-	// tracker watches for repetitive hostility within sliding windows.
-	sessions := core.NewSessionTracker(core.SessionConfig{
-		Window: 24 * time.Hour, MinTweets: 4, AggressiveShare: 0.7,
-	})
+	// aggressive tweets, so per-user histories accumulate and their
+	// windows draw session verdicts.
 	gen := twitterdata.NewGenerator(77, 10)
 	var live []twitterdata.Tweet
 	classes := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 2} // ~30% aggressive
@@ -69,7 +71,7 @@ func main() {
 		live = append(live, truth)
 		tw.Label = "" // the pipeline sees it unlabeled
 		res := p.Process(&tw)
-		if v := sessions.Observe(&tw, res.Predicted > 0, res.Confidence); v != nil {
+		if v := res.Session; v != nil {
 			sessionVerdicts++
 			if sessionVerdicts <= 3 {
 				fmt.Printf("SESSION @%s: %d tweets, %.0f%% aggressive in window\n",

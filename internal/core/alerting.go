@@ -46,10 +46,9 @@ func (f AlertSinkFunc) HandleAlert(a Alert) { f(a) }
 
 // Alerter implements the alerting step: it filters predictions by
 // confidence and forwards alerts to registered sinks. The per-user alert
-// history and suspension flags live in the userstate store the alerter is
-// bound to — the pipeline's sharded store, or a private one for
-// standalone alerters — so history survives checkpoints and stays
-// memory-bounded alongside the rest of the user state.
+// history and suspension flags live in the pipeline's userstate store, so
+// history survives checkpoints and stays memory-bounded alongside the rest
+// of the user state.
 type Alerter struct {
 	mu        sync.Mutex
 	threshold float64
@@ -64,15 +63,9 @@ type Alerter struct {
 	raised       int64
 }
 
-// NewAlerter creates a standalone alerter with the given confidence
-// threshold, backed by a private user-state store.
-func NewAlerter(threshold float64) *Alerter {
-	return newAlerterWith(threshold, userstate.New(userstate.Config{Shards: 4}))
-}
-
-// newAlerterWith binds the alerter to an existing store (the pipeline
-// path: one store carries sessions, offenses, and escalation state).
-func newAlerterWith(threshold float64, users *userstate.Store) *Alerter {
+// newAlerter binds an alerter to the pipeline's store: one store carries
+// sessions, offenses, and escalation state.
+func newAlerter(threshold float64, users *userstate.Store) *Alerter {
 	return &Alerter{threshold: threshold, users: users, SuspendAfter: 5}
 }
 

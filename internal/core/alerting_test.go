@@ -11,8 +11,15 @@ func mkTweet(id, userID string) *twitterdata.Tweet {
 	return &twitterdata.Tweet{IDStr: id, User: twitterdata.User{IDStr: userID}}
 }
 
+// testAlerter returns the alerter of a fresh pipeline.
+func testAlerter(threshold float64) *Alerter {
+	opts := DefaultOptions()
+	opts.AlertThreshold = threshold
+	return NewPipeline(opts).Alerter()
+}
+
 func TestAlerterThreshold(t *testing.T) {
-	a := NewAlerter(0.8)
+	a := testAlerter(0.8)
 	if a.Consider(mkTweet("1", "u1"), "abusive", 0.5) {
 		t.Fatalf("below-threshold alert raised")
 	}
@@ -25,7 +32,7 @@ func TestAlerterThreshold(t *testing.T) {
 }
 
 func TestAlerterSinkDelivery(t *testing.T) {
-	a := NewAlerter(0.5)
+	a := testAlerter(0.5)
 	var got []Alert
 	a.Subscribe(AlertSinkFunc(func(al Alert) { got = append(got, al) }))
 	a.Consider(mkTweet("7", "u9"), "hateful", 0.99)
@@ -35,7 +42,7 @@ func TestAlerterSinkDelivery(t *testing.T) {
 }
 
 func TestAlerterSuspension(t *testing.T) {
-	a := NewAlerter(0.5)
+	a := testAlerter(0.5)
 	a.SuspendAfter = 3
 	for i := 0; i < 2; i++ {
 		a.Consider(mkTweet("x", "offender"), "abusive", 0.9)

@@ -13,12 +13,9 @@ import (
 // the incrementally learned state. A checkpoint captures the streaming
 // model, the normalizer statistics, the adaptive BoW vocabulary, and the
 // evaluation counters; restoring into a pipeline with the same Options
-// resumes detection exactly where it stopped. Models must be remote-
-// trainable — every kind in the stream codec registry (HT, SLR, ARF)
-// qualifies, the same property the cluster engine requires. The ARF's
-// encoding includes its drift detectors, background trees, and RNG state,
-// so a restored forest reacts to future drift exactly as the original
-// would have.
+// resumes detection exactly where it stopped. The ARF's encoding includes
+// its drift detectors, background trees, and RNG state, so a restored
+// forest reacts to future drift exactly as the original would have.
 
 // checkpointState is the gob payload.
 type checkpointState struct {
@@ -46,15 +43,11 @@ type checkpointState struct {
 func (p *Pipeline) Checkpoint(w io.Writer) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rm, ok := p.model.(stream.RemoteTrainable)
-	if !ok {
-		return fmt.Errorf("core: model %T does not support checkpointing", p.model)
-	}
-	kind, err := stream.ModelKindOf(rm)
+	kind, err := stream.ModelKindOf(p.model)
 	if err != nil {
 		return err
 	}
-	modelBlob, err := rm.MarshalBinary()
+	modelBlob, err := p.model.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("core: checkpoint model: %w", err)
 	}
@@ -104,11 +97,7 @@ func (p *Pipeline) Restore(r io.Reader) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rm, ok := p.model.(stream.RemoteTrainable)
-	if !ok {
-		return fmt.Errorf("core: model %T does not support checkpointing", p.model)
-	}
-	kind, err := stream.ModelKindOf(rm)
+	kind, err := stream.ModelKindOf(p.model)
 	if err != nil {
 		return err
 	}
@@ -119,7 +108,7 @@ func (p *Pipeline) Restore(r io.Reader) error {
 		return fmt.Errorf("core: checkpoint has %d classes, pipeline has %d",
 			st.EvalK, p.evaluator.Matrix().NumClasses())
 	}
-	if err := rm.UnmarshalBinary(st.ModelBlob); err != nil {
+	if err := p.model.UnmarshalBinary(st.ModelBlob); err != nil {
 		return fmt.Errorf("core: restore model: %w", err)
 	}
 	stats := norm.NewFeatureStats(p.normalizer.Stats.Dim())

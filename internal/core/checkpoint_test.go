@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"testing"
+
+	"redhanded/internal/twitterdata"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -210,4 +213,38 @@ func TestLegacyCheckpointWithoutUserState(t *testing.T) {
 	if restored.Users().Len() != 0 {
 		t.Fatalf("legacy restore invented user records")
 	}
+}
+
+// testdata/parent_ht.ckpt is a Pipeline.Checkpoint written on commit
+// 43b51b2 after the first parentCkptHead tweets of parentCkptStream; its
+// BoW blob still carries the BoWConfig.Stem field that commit had.
+// testdata/parent_ht.golden is goldenFinal of that commit's pipeline after
+// it restored the checkpoint and processed the rest of the stream. Do not
+// regenerate either from this tree.
+const (
+	parentCkpt       = "testdata/parent_ht.ckpt"
+	parentCkptGolden = "testdata/parent_ht.golden"
+	parentCkptHead   = 1500
+)
+
+func parentCkptStream() []twitterdata.Tweet { return mixedStream(211, 1800, 900, 180) }
+
+// TestRestoreParentCheckpoint proves a checkpoint written before
+// BoWConfig lost its Stem field still restores (gob drops the unknown
+// field) and resumes to exactly the state the parent commit reached.
+func TestRestoreParentCheckpoint(t *testing.T) {
+	f, err := os.Open(parentCkpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p := NewPipeline(DefaultOptions())
+	if err := p.Restore(f); err != nil {
+		t.Fatal(err)
+	}
+	if p.Processed() != parentCkptHead {
+		t.Fatalf("restored at %d tweets, want %d", p.Processed(), parentCkptHead)
+	}
+	p.ProcessAll(parentCkptStream()[parentCkptHead:])
+	requireGolden(t, "restored pipeline", goldenFinal(p), loadGolden(t, parentCkptGolden)[""])
 }

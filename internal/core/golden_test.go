@@ -126,11 +126,11 @@ func mustJSON(v any) string {
 	return string(b)
 }
 
-// loadLockedGolden returns the golden's lines per goldenCases name: one
-// per tweet, then goldenFinal's.
-func loadLockedGolden(t *testing.T) map[string][]string {
+// loadGolden returns a golden file's lines per "== name" section ("" for
+// lines before any section), skipping "#" header lines.
+func loadGolden(t *testing.T, path string) map[string][]string {
 	t.Helper()
-	data, err := os.ReadFile(lockedPathGolden)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func requireGolden(t *testing.T, tag string, got, want []string) {
 // other tests compare against reproduce, bit for bit, the verdict stream
 // the parent commit's fully locked path produced.
 func TestFastPathMatchesLockedGolden(t *testing.T) {
-	golden := loadLockedGolden(t)
+	golden := loadGolden(t, lockedPathGolden)
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := golden[tc.name]

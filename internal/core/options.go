@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"redhanded/internal/feature"
 	"redhanded/internal/ml"
@@ -66,6 +67,18 @@ func (s ClassScheme) String() string {
 	return fmt.Sprintf("c=%d", s.NumClasses())
 }
 
+// ParseScheme parses the -classes flag values: "2" or "3" (String's "c=2"
+// and "c=3" are accepted too).
+func ParseScheme(s string) (ClassScheme, error) {
+	switch strings.TrimPrefix(s, "c=") {
+	case "2":
+		return TwoClass, nil
+	case "3":
+		return ThreeClass, nil
+	}
+	return 0, fmt.Errorf("core: unknown class scheme %q (want 2 or 3)", s)
+}
+
 // ModelKind selects the streaming classifier.
 type ModelKind int
 
@@ -88,6 +101,17 @@ func (k ModelKind) String() string {
 	default:
 		return "HT"
 	}
+}
+
+// ParseModelKind parses the -model flag values, in either case: ht, arf,
+// slr.
+func ParseModelKind(s string) (ModelKind, error) {
+	for _, k := range []ModelKind{ModelHT, ModelARF, ModelSLR} {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown model %q (want ht, arf, slr)", s)
 }
 
 // Options configures a Pipeline. The zero value plus an Options from
@@ -117,18 +141,14 @@ type Options struct {
 	// history, escalation scoring, memory bounds). The zero value resolves
 	// to the userstate defaults: 16 shards, unbounded users, 24h idle TTL.
 	Users userstate.Config
-	// FeatureCacheEntries sizes the content-addressed extraction cache
-	// that memoizes text-feature vectors for duplicate tweet texts
-	// (retweets/copypasta). 0 resolves to the default capacity; a negative
-	// value disables the cache (the benchmarking no-cache baseline).
-	// Requires Preprocess; the legacy extraction path never consults it.
-	FeatureCacheEntries int
 }
 
-// defaultFeatureCacheEntries is the per-pipeline extraction-cache capacity
-// when Options.FeatureCacheEntries is 0: large enough to cover the working
-// set of recent viral texts per shard, small enough (~8k × 160B ≈ 1.3MB)
-// to be negligible next to the userstate store.
+// defaultFeatureCacheEntries is the capacity of a pipeline's
+// content-addressed extraction cache, which memoizes text-feature vectors
+// for duplicate tweet texts (retweets/copypasta): large enough to cover the
+// working set of recent viral texts per shard, small enough (~8k × 160B ≈
+// 1.3MB) to be negligible next to the userstate store. The cache needs
+// Preprocess; the legacy extraction path never consults it.
 const defaultFeatureCacheEntries = 8192
 
 // DefaultOptions returns the configuration of the paper's main experiments.

@@ -40,23 +40,21 @@ type VerdictSink interface {
 	HandleEscalation(EscalationVerdict)
 }
 
-// Model is what a Pipeline runs: a distributed streaming classifier whose
-// prediction function flattens into an immutable stream.Compiled snapshot.
-// The classify step reads only that snapshot, so "compilable" is part of
-// the type and checked by the compiler.
-type Model interface {
-	ml.DistributedClassifier
-	stream.Compilable
-}
+// Model is what a Pipeline runs: a streaming classifier that serializes
+// (checkpoints, cluster broadcast, remote accumulator deltas) and flattens
+// into the immutable stream.Compiled snapshot the classify step reads. Both
+// are part of the type, so checkpointing and every engine work for any
+// model a pipeline can hold.
+type Model = stream.Model
 
 // Pipeline is the detection framework of Fig. 1: one per-tweet dataflow,
 // preprocess → extract → normalize → predict/train → alert → evaluate →
 // sample. ProcessBatch is its one implementation; Process and ProcessAll
 // are a batch of one and a chunker over it. The micro-batch and cluster
-// engines run the extract/normalize/predict steps as parallel tasks over
-// the pipeline's components (Extractor, Normalizer, Model) and hand each
-// classified batch back through AbsorbBatch, which applies the same
-// effects section.
+// engines compute extract/normalize/predict and the training deltas in
+// their own share kernel over the pipeline's components (Extractor,
+// Normalizer, Model), merge the deltas, and hand each classified batch back
+// through AbsorbBatch, which applies the same effects section.
 //
 // A Pipeline supports one processing goroutine. The read accessors
 // (Processed, Summary, BoWSizeCurve, PredictedDistribution, LogOffset,
@@ -118,14 +116,7 @@ type Pipeline struct {
 func NewPipeline(opts Options) *Pipeline {
 	bowCfg := feature.DefaultBoWConfig()
 	bowCfg.Frozen = !opts.AdaptiveBoW
-	cacheEntries := opts.FeatureCacheEntries
-	switch {
-	case cacheEntries == 0:
-		cacheEntries = defaultFeatureCacheEntries
-	case cacheEntries < 0:
-		cacheEntries = 0
-	}
-	ext := feature.NewExtractor(feature.Config{Preprocess: opts.Preprocess, BoW: bowCfg, CacheEntries: cacheEntries})
+	ext := feature.NewExtractor(feature.Config{Preprocess: opts.Preprocess, BoW: bowCfg, CacheEntries: defaultFeatureCacheEntries})
 	k := opts.Scheme.NumClasses()
 	users := userstate.New(opts.Users)
 	p := &Pipeline{
@@ -135,7 +126,7 @@ func NewPipeline(opts Options) *Pipeline {
 		normalizer: norm.NewNormalizer(opts.Normalization, feature.NumFeatures),
 		model:      newModel(opts),
 		evaluator:  eval.NewPrequential(k, opts.SampleStep),
-		alerter:    newAlerterWith(opts.AlertThreshold, users),
+		alerter:    newAlerter(opts.AlertThreshold, users),
 		users:      users,
 		sampler:    NewBoostedSampler(DefaultSamplerConfig(opts.Seed)),
 		predCounts: make([]int64, k),

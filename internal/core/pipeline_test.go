@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"redhanded/internal/norm"
@@ -12,6 +13,29 @@ func smallDataset(seed uint64, n, a, h int) []twitterdata.Tweet {
 	return twitterdata.GenerateAggression(twitterdata.AggressionConfig{
 		Seed: seed, Days: 10, NormalCount: n, AbusiveCount: a, HatefulCount: h,
 	})
+}
+
+func TestParseOptionsRoundTrip(t *testing.T) {
+	for _, k := range []ModelKind{ModelHT, ModelARF, ModelSLR} {
+		for _, in := range []string{k.String(), strings.ToLower(k.String())} {
+			if got, err := ParseModelKind(in); err != nil || got != k {
+				t.Errorf("ParseModelKind(%q) = %v, %v; want %v", in, got, err, k)
+			}
+		}
+	}
+	for in, want := range map[string]ClassScheme{"2": TwoClass, "3": ThreeClass, TwoClass.String(): TwoClass, ThreeClass.String(): ThreeClass} {
+		if got, err := ParseScheme(in); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseModelKind("xgb"); err == nil {
+		t.Error("ParseModelKind accepted xgb")
+	}
+	for _, bad := range []string{"4", "", "c=", "three"} {
+		if _, err := ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme accepted %q", bad)
+		}
+	}
 }
 
 func TestClassSchemes(t *testing.T) {

@@ -1,20 +1,13 @@
 package core
 
-import (
-	"time"
-
-	"redhanded/internal/twitterdata"
-	"redhanded/internal/userstate"
-)
+import "redhanded/internal/userstate"
 
 // Session-level detection is the paper's stated future work (§VI): forms
 // of behavior like cyberbullying and trolling involve *repetitive* hostile
 // actions, so they are detected over a group of tweets from the same user
-// rather than a single tweet. The windowing itself now lives in the
-// sharded internal/userstate store (which every Pipeline owns); this file
-// keeps the original SessionTracker API as a thin adapter over a
-// standalone store for callers that drive session detection outside a
-// pipeline.
+// rather than a single tweet. The windowing lives in the sharded
+// internal/userstate store every Pipeline owns (Options.Users.Session);
+// verdicts arrive on Result.Session and at the VerdictSinks.
 
 // SessionConfig tunes the session windows.
 type SessionConfig = userstate.SessionConfig
@@ -30,54 +23,3 @@ type EscalationVerdict = userstate.EscalationVerdict
 // DefaultSessionConfig returns 1-hour windows flagging >= 60% aggressive
 // with at least 3 tweets.
 func DefaultSessionConfig() SessionConfig { return userstate.DefaultSessionConfig() }
-
-// SessionTracker aggregates per-tweet predictions into per-user session
-// verdicts. It is safe for concurrent use.
-//
-// SessionTracker is a compatibility adapter over a userstate.Store: the
-// store amortizes idle-record retirement into Observe (24h event-time
-// TTL), so calling Prune is optional rather than load-bearing.
-type SessionTracker struct {
-	store *userstate.Store
-}
-
-// NewSessionTracker creates a tracker backed by its own user-state store.
-func NewSessionTracker(cfg SessionConfig) *SessionTracker {
-	return &SessionTracker{store: userstate.New(userstate.Config{
-		Session: cfg,
-		// Sessions only: the escalation detector stays out of the legacy
-		// adapter's verdict stream.
-		Escalation: userstate.EscalationConfig{Threshold: -1},
-	})}
-}
-
-// Observe folds one classified tweet into its author's window and returns
-// a verdict when the window crosses the threshold (nil otherwise).
-func (st *SessionTracker) Observe(tw *twitterdata.Tweet, predictedAggressive bool, confidence float64) *SessionVerdict {
-	at := tw.PostedAt()
-	if at.IsZero() {
-		return nil
-	}
-	out := st.store.Observe(userstate.Observation{
-		UserID:     tw.User.IDStr,
-		ScreenName: tw.User.ScreenName,
-		At:         at,
-		Aggressive: predictedAggressive,
-		Confidence: confidence,
-	})
-	return out.Session
-}
-
-// Verdicts returns the number of session verdicts emitted.
-func (st *SessionTracker) Verdicts() int64 { return st.store.SessionVerdicts() }
-
-// ActiveUsers returns how many users currently have a tracked record.
-func (st *SessionTracker) ActiveUsers() int { return st.store.Len() }
-
-// Prune drops users whose windows ended before the cutoff. The store
-// already retires idle users incrementally inside Observe; Prune remains
-// for callers that want an explicit retirement point.
-func (st *SessionTracker) Prune(cutoff time.Time) int { return st.store.Prune(cutoff) }
-
-// Store exposes the backing user-state store (snapshots, checkpoints).
-func (st *SessionTracker) Store() *userstate.Store { return st.store }

@@ -13,7 +13,6 @@ import (
 
 	"redhanded/internal/core"
 	"redhanded/internal/metrics"
-	"redhanded/internal/ml"
 	"redhanded/internal/norm"
 	"redhanded/internal/obs"
 	"redhanded/internal/stream"
@@ -67,13 +66,6 @@ type ClusterConfig struct {
 	// TasksPerExecutor is the parallel partition count per node (8 cores
 	// per node in the paper's testbed).
 	TasksPerExecutor int
-	// DisableDelta forces the full model/vocab re-broadcast every batch
-	// (the v1 wire behavior); rhdriver -no-delta sets it for a before/after
-	// broadcast-bytes measurement.
-	DisableDelta bool
-	// DisablePipeline turns off the batch k+1 data presend (debugging aid;
-	// results are identical either way).
-	DisablePipeline bool
 	// MaxConnAttempts bounds consecutive failed (re)connect attempts per
 	// executor before the run abandons it (default 5).
 	MaxConnAttempts int
@@ -95,6 +87,12 @@ type ClusterConfig struct {
 	// share compute (a subset of the RTT — the difference is wire and
 	// queueing cost), and merge the delta decode + merge + absorb.
 	Tracer *obs.Tracer
+
+	// fullBroadcast sends every node the complete model and vocabulary each
+	// batch — what a fresh or resynced session receives — so in-package
+	// tests have an always-full reference for the delta protocol's byte
+	// counts and results.
+	fullBroadcast bool
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -253,7 +251,6 @@ type shareResult struct {
 // clusterRun is the state of one RunCluster invocation.
 type clusterRun struct {
 	p     *core.Pipeline
-	model stream.RemoteTrainable
 	kind  string
 	cfg   ClusterConfig
 	nodes []*execNode
@@ -282,9 +279,10 @@ type clusterRun struct {
 	reconnects     atomic.Int64
 }
 
-// RunCluster executes the pipeline across the executor nodes. The
-// pipeline's model must implement stream.RemoteTrainable — every kind in
-// the stream codec registry (HT, SLR, ARF) qualifies. The run survives
+// RunCluster executes the pipeline across the executor nodes: each batch is
+// split into one share per healthy node, every share is computed remotely
+// by computeShare against the broadcast state, and the decoded results go
+// through the same mergeBatch as the local engine. The run survives
 // executor failures as long as at least one node stays reachable; each
 // failed share is reassigned to a survivor and produces results identical
 // to the ones the dead node would have returned.
@@ -293,16 +291,12 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 	if len(cfg.Executors) == 0 {
 		return Stats{}, fmt.Errorf("engine: cluster needs at least one executor")
 	}
-	model, ok := p.Model().(stream.RemoteTrainable)
-	if !ok {
-		return Stats{}, fmt.Errorf("engine: model %T does not support remote training", p.Model())
-	}
-	kind, err := stream.ModelKindOf(model)
+	kind, err := stream.ModelKindOf(p.Model())
 	if err != nil {
 		return Stats{}, err
 	}
 
-	r := &clusterRun{p: p, model: model, kind: kind, cfg: cfg, stop: make(chan struct{})}
+	r := &clusterRun{p: p, kind: kind, cfg: cfg, stop: make(chan struct{})}
 	for i, addr := range cfg.Executors {
 		r.nodes = append(r.nodes, &execNode{id: i, addr: addr, bcSeq: -1})
 	}
@@ -350,14 +344,7 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 	go func() {
 		defer close(batches)
 		for {
-			b := make([]twitterdata.Tweet, 0, cfg.BatchSize)
-			for len(b) < cfg.BatchSize {
-				t, ok := src.Next()
-				if !ok {
-					break
-				}
-				b = append(b, t)
-			}
+			b := nextBatch(src, nil, cfg.BatchSize)
 			if len(b) == 0 {
 				return
 			}
@@ -413,10 +400,7 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 		seq++
 		// Grab batch k+1 if the source already has it, so its tweets can be
 		// pre-sent while batch k's round trip is in flight.
-		var ahead []twitterdata.Tweet
-		if !cfg.DisablePipeline {
-			ahead = next(false)
-		}
+		ahead := next(false)
 		batchStart := time.Now()
 		if err := r.runBatch(seq, cur, ahead); err != nil {
 			return finish(err)
@@ -491,25 +475,19 @@ func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error
 	// Validate every response before mutating driver state, so a corrupt
 	// payload can be treated as a node failure and its share re-run on a
 	// survivor without having half-applied the batch.
-	type decodedShare struct {
-		lo         int
-		stats      *norm.FeatureStats
-		accs       []ml.Accumulator
-		classified []classifiedRec
-	}
-	decoded := make([]decodedShare, len(shares))
+	decoded := make([]shareOutput, 0, len(shares))
 	for i, sp := range shares {
 		if sp.lo >= sp.hi {
 			continue
 		}
 		for redo := 0; ; redo++ {
 			res := results[i]
-			d := decodedShare{lo: sp.lo, classified: res.resp.Classified}
+			d := shareOutput{lo: sp.lo, classified: res.resp.Classified}
 			d.stats = norm.NewFeatureStats(r.p.Normalizer().Stats.Dim())
 			derr := d.stats.UnmarshalBinary(res.resp.StatsBlob)
 			if derr == nil {
 				for _, blob := range res.resp.DeltaBlobs {
-					acc, aerr := r.model.AccumulatorFromState(blob)
+					acc, aerr := r.p.Model().AccumulatorFromState(blob)
 					if aerr != nil {
 						derr = aerr
 						break
@@ -518,7 +496,7 @@ func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error
 				}
 			}
 			if derr == nil {
-				decoded[i] = d
+				decoded = append(decoded, d)
 				break
 			}
 			// Corrupt response: fail the node and re-run the share. The
@@ -547,23 +525,7 @@ func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error
 	}
 	sp.Add(obs.StageExecutorCompute, time.Duration(execNanos))
 
-	// Merge deltas and statistics in share order — deterministic no matter
-	// which node served which share.
-	var accs []ml.Accumulator
-	outcomes := make([]core.Outcome, len(batch))
-	for i, sp := range shares {
-		if sp.lo >= sp.hi {
-			continue
-		}
-		d := decoded[i]
-		r.p.Normalizer().Stats.Merge(d.stats)
-		accs = append(accs, d.accs...)
-		for _, c := range d.classified {
-			outcomes[d.lo+c.Idx] = core.Outcome{Label: c.Label, Pred: c.Pred, Conf: c.Conf}
-		}
-	}
-	r.model.ApplyAccumulators(accs)
-	r.p.AbsorbBatch(batch, outcomes)
+	mergeBatch(r.p, batch, decoded)
 	return nil
 }
 
@@ -578,7 +540,8 @@ func (r *clusterRun) makeBroadcast(seq int64) (*broadcast, error) {
 		normMode:   int(r.p.Normalizer().Mode),
 		scheme:     int(r.p.Options().Scheme),
 	}
-	counter, countable := r.model.(interface{ TrainCount() int64 })
+	model := r.p.Model()
+	counter, countable := model.(interface{ TrainCount() int64 })
 	if countable && r.bcModel != nil && counter.TrainCount() == r.bcModelCount {
 		// Nothing trained since the last broadcast (steady-state unlabeled
 		// traffic): the previous encoding is still exact.
@@ -587,7 +550,7 @@ func (r *clusterRun) makeBroadcast(seq int64) (*broadcast, error) {
 		bc.parts = r.bcModel.parts
 		bc.partHashes = r.bcModel.partHashes
 		bc.modelHash = r.bcModel.modelHash
-	} else if pm, ok := r.model.(stream.PartitionedModel); ok {
+	} else if pm, ok := model.(stream.PartitionedModel); ok {
 		header, parts, err := pm.MarshalParts()
 		if err != nil {
 			return nil, fmt.Errorf("engine: broadcast model: %w", err)
@@ -595,7 +558,7 @@ func (r *clusterRun) makeBroadcast(seq int64) (*broadcast, error) {
 		bc.header, bc.parts = header, parts
 		bc.modelHash, bc.partHashes = stream.HashModelParts(header, parts)
 	} else {
-		modelBlob, err := r.model.MarshalBinary()
+		modelBlob, err := model.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("engine: broadcast model: %w", err)
 		}
@@ -631,7 +594,7 @@ func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 		NormMode:     bc.normMode,
 		Scheme:       bc.scheme,
 	}
-	full := r.cfg.DisableDelta
+	full := r.cfg.fullBroadcast
 	if full || n.modelHash != bc.modelHash {
 		switch {
 		case bc.parts == nil:

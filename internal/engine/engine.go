@@ -1,10 +1,13 @@
 // Package engine provides the execution substrates the paper evaluates in
-// §V-E: a sequential single-threaded engine (the MOA execution model), a
-// Spark-Streaming-style micro-batch engine with parallel tasks over
-// partitioned data (SparkSingle with one worker, SparkLocal with many), and
-// a distributed cluster engine where executors run on separate TCP
-// endpoints and the driver broadcasts the global model each micro-batch
-// (SparkCluster).
+// §V-E. RunSequential is the MOA execution model: one tweet at a time
+// through Pipeline.Process. The two batch engines share one computation
+// (share.go): computeShare runs a share of a micro-batch in two parallel
+// phases — extract and accumulate normalizer statistics, then normalize,
+// predict with the batch-start model and accumulate training deltas — and
+// mergeBatch folds the shares into the pipeline. RunMicroBatch makes the
+// whole batch one share on local goroutines (SparkSingle with one worker,
+// SparkLocal with many); RunCluster splits it across executors on separate
+// TCP endpoints, broadcasting the global state each batch (SparkCluster).
 package engine
 
 import (
@@ -86,30 +89,6 @@ func (m *MixedSource) Next() (twitterdata.Tweet, bool) {
 	return m.unlabeled.Next(), true
 }
 
-// LimitSource caps another source at n tweets.
-type LimitSource struct {
-	src  Source
-	n    int64
-	done int64
-}
-
-// NewLimitSource wraps src, yielding at most n tweets.
-func NewLimitSource(src Source, n int64) *LimitSource {
-	return &LimitSource{src: src, n: n}
-}
-
-// Next implements Source.
-func (l *LimitSource) Next() (twitterdata.Tweet, bool) {
-	if l.done >= l.n {
-		return twitterdata.Tweet{}, false
-	}
-	t, ok := l.src.Next()
-	if ok {
-		l.done++
-	}
-	return t, ok
-}
-
 // ReaderSource streams tweets from a JSONL reader, skipping malformed
 // lines (counted in Malformed).
 type ReaderSource struct {
@@ -135,17 +114,6 @@ func (s *ReaderSource) Next() (twitterdata.Tweet, bool) {
 		s.Malformed++
 	}
 }
-
-// unlabeledAdapter lets *twitterdata.UnlabeledSource (endless) act as a
-// Source.
-type unlabeledAdapter struct{ src *twitterdata.UnlabeledSource }
-
-// NewUnlabeledAdapter wraps the endless generator source.
-func NewUnlabeledAdapter(src *twitterdata.UnlabeledSource) Source {
-	return unlabeledAdapter{src: src}
-}
-
-func (u unlabeledAdapter) Next() (twitterdata.Tweet, bool) { return u.src.Next(), true }
 
 // Stats summarises one engine run.
 type Stats struct {

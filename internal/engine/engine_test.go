@@ -37,19 +37,14 @@ func TestSliceSource(t *testing.T) {
 	}
 }
 
-func TestLimitSource(t *testing.T) {
-	src := NewLimitSource(NewUnlabeledAdapter(twitterdata.NewUnlabeledSource(2, 10)), 25)
-	count := 0
-	for {
-		_, ok := src.Next()
-		if !ok {
-			break
-		}
-		count++
+// unlabeledTweets draws n tweets from the endless unlabeled generator.
+func unlabeledTweets(seed uint64, n int) []twitterdata.Tweet {
+	src := twitterdata.NewUnlabeledSource(seed, 10)
+	out := make([]twitterdata.Tweet, n)
+	for i := range out {
+		out[i] = src.Next()
 	}
-	if count != 25 {
-		t.Fatalf("limit source yielded %d, want 25", count)
-	}
+	return out
 }
 
 func TestMixedSourceInterleavesAll(t *testing.T) {
@@ -187,9 +182,9 @@ func TestMicroBatchSLR(t *testing.T) {
 	}
 }
 
-func TestMicroBatchARFWithoutBroadcast(t *testing.T) {
-	// ARF does not implement RemoteTrainable; broadcast emulation must be
-	// skipped silently and training must still work in-process.
+func TestMicroBatchARF(t *testing.T) {
+	// The forest takes the per-batch broadcast round trip like every other
+	// model and trains through its per-member accumulators.
 	data := testDataset(10, 3000, 1500, 300)
 	opts := testOptions()
 	opts.Model = core.ModelARF

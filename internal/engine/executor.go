@@ -10,7 +10,6 @@ import (
 
 	"redhanded/internal/core"
 	"redhanded/internal/feature"
-	"redhanded/internal/ml"
 	"redhanded/internal/norm"
 	"redhanded/internal/stream"
 )
@@ -202,7 +201,7 @@ type execSession struct {
 	dec *gob.Decoder
 
 	modelKind string
-	model     stream.RemoteTrainable
+	model     stream.Model
 	modelHash uint64
 	// snap caches the compiled classify snapshot across shares. Patched
 	// broadcasts (PatchParts) keep unpatched member-tree pointers, so the
@@ -448,122 +447,29 @@ func (s *execSession) processData(msg *wireMsg) bool {
 	return err == nil
 }
 
-// runShare executes one share: parallel feature extraction plus local
-// statistics accumulation, then normalization against the broadcast global
-// statistics merged with the share's own delta, prediction with the
-// broadcast model, and training-delta accumulation. The outcome depends
-// only on the broadcast state and the share's tweets — never on which node
-// runs it — which is what makes failover reassignment exact.
+// runShare computes one share against the session's broadcast state and
+// encodes the result for the wire; the authoritative merge happens at the
+// driver.
 func (s *execSession) runShare(msg *wireMsg) batchResponse {
 	resp := batchResponse{Seq: msg.Seq, Lo: msg.Lo, Hi: msg.Hi}
-	model := s.model
-	compilable, ok := model.(stream.Compilable)
-	if !ok {
-		resp.Err = fmt.Sprintf("engine: model kind %q cannot be compiled", s.modelKind)
-		return resp
-	}
-	scheme := core.ClassScheme(s.scheme)
-	stats := s.stats.Clone()
 	s.e.vocabSize.Store(int64(s.extractor.BoW().Size()))
-
-	tweets := msg.Tweets
-	parts := msg.Tasks
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(tweets) {
-		parts = len(tweets)
-	}
-
-	// Phase 1 (parallel): extract raw features into pooled vectors,
-	// accumulate local stats. The vectors are released after phase 2.
-	raws := make([]*feature.Vec, len(tweets))
-	labels := make([]int, len(tweets))
-	statsDeltas := make([]*norm.FeatureStats, parts)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, s.e.workers)
-	runTasks := func(fn func(part int)) {
-		for part := 0; part < parts; part++ {
-			part := part
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				fn(part)
-			}()
-		}
-		wg.Wait()
-	}
-	runTasks(func(part int) {
-		delta := norm.NewFeatureStats(feature.NumFeatures)
-		for idx := part; idx < len(tweets); idx += parts {
-			tw := &tweets[idx]
-			raws[idx] = feature.GetVec()
-			s.extractor.ExtractInto(raws[idx][:], tw)
-			delta.Observe(raws[idx][:])
-			labels[idx] = ml.Unlabeled
-			if tw.IsLabeled() {
-				labels[idx] = scheme.LabelIndex(tw.Label)
-			}
-		}
-		statsDeltas[part] = delta
-	})
-
-	// The executor normalizes against the broadcast global statistics plus
-	// its own share's delta; the authoritative merge happens at the driver.
-	localDelta := norm.NewFeatureStats(feature.NumFeatures)
-	for _, d := range statsDeltas {
-		localDelta.Merge(d)
-	}
-	stats.Merge(localDelta)
-	snapshot := &norm.Normalizer{Mode: norm.Mode(s.normMode), Stats: stats}
-
-	// Phase 2 (parallel): normalize, predict, accumulate training deltas.
-	// Prediction goes through the compiled form of the broadcast model —
-	// immutable, so the parallel tasks share it without coordination.
-	s.snap = compilable.CompileSnapshot(s.snap)
-	csnap := s.snap
-	results := make([]partitionResult, parts)
-	runTasks(func(part int) {
-		res := partitionResult{part: part, acc: model.NewAccumulator()}
-		votes := make(ml.Prediction, csnap.NumClasses())
-		scratch := make([]float64, csnap.ScratchLen())
-		for idx := part; idx < len(tweets); idx += parts {
-			x := snapshot.Normalize(raws[idx][:], nil)
-			csnap.PredictInto(votes, scratch, x)
-			label := labels[idx]
-			if label >= 0 {
-				res.acc.Observe(ml.Instance{
-					X: x, Label: label, Weight: 1,
-					ID: tweets[idx].IDStr, Day: tweets[idx].Day,
-				})
-			}
-			res.classified = append(res.classified, classifiedRec{
-				Idx: idx, Label: label, Pred: votes.ArgMax(), Conf: votes.Confidence(),
-			})
-		}
-		results[part] = res
-	})
-
-	for _, v := range raws {
-		feature.PutVec(v)
-	}
-
-	for _, res := range results {
-		blob, err := res.acc.(stream.StatefulAccumulator).State()
+	var out shareOutput
+	out, s.snap = computeShare(s.extractor, s.stats, norm.Mode(s.normMode), core.ClassScheme(s.scheme),
+		s.model, s.snap, msg.Tweets, msg.Tasks, s.e.workers)
+	for _, acc := range out.accs {
+		blob, err := acc.(stream.StatefulAccumulator).State()
 		if err != nil {
 			resp.Err = err.Error()
 			return resp
 		}
 		resp.DeltaBlobs = append(resp.DeltaBlobs, blob)
-		resp.Classified = append(resp.Classified, res.classified...)
 	}
-	statsBlob, err := localDelta.MarshalBinary()
+	statsBlob, err := out.stats.MarshalBinary()
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
 	resp.StatsBlob = statsBlob
+	resp.Classified = out.classified
 	return resp
 }

@@ -11,7 +11,6 @@ import (
 	"redhanded/internal/core"
 	"redhanded/internal/norm"
 	"redhanded/internal/stream"
-	"redhanded/internal/twitterdata"
 )
 
 // fastReconnect keeps fault tests snappy: failed executors are abandoned
@@ -378,10 +377,10 @@ func TestClusterDeltaMatchesFull(t *testing.T) {
 	addrs := startCluster(t, 3, 2)
 	data := testDataset(35, 4000, 2000, 400)
 
-	run := func(disableDelta bool) (Stats, *core.Pipeline) {
+	run := func(full bool) (Stats, *core.Pipeline) {
 		p := core.NewPipeline(testOptions())
 		stats, err := RunCluster(p, NewSliceSource(data), ClusterConfig{
-			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, DisableDelta: disableDelta,
+			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -410,17 +409,17 @@ func TestClusterSteadyStateBroadcastShrinks(t *testing.T) {
 	addrs := startCluster(t, 2, 2)
 	// Warm the model so its blob has realistic size.
 	warm := testDataset(36, 3000, 1500, 300)
-	measure := func(disableDelta bool) (perBatch int64) {
+	measure := func(full bool) (perBatch int64) {
 		p := core.NewPipeline(testOptions())
 		if _, err := RunCluster(p, NewSliceSource(warm), ClusterConfig{
-			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, DisableDelta: disableDelta,
+			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full,
 		}); err != nil {
 			t.Fatal(err)
 		}
 		// Steady state: unlabeled traffic only.
-		src := NewLimitSource(NewUnlabeledAdapter(twitterdata.NewUnlabeledSource(37, 10)), 5000)
+		src := NewSliceSource(unlabeledTweets(37, 5000))
 		stats, err := RunCluster(p, src, ClusterConfig{
-			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, DisableDelta: disableDelta,
+			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -449,17 +448,17 @@ func TestClusterARFPerMemberElision(t *testing.T) {
 	const ensemble = 5
 	addrs := startCluster(t, 2, 2)
 	warm := testDataset(43, 2000, 1000, 200)
-	measure := func(disableDelta bool) (perBatch int64) {
+	measure := func(full bool) (perBatch int64) {
 		opts := testOptions()
 		opts.Model = core.ModelARF
 		opts.ARF.EnsembleSize = ensemble
 		p := core.NewPipeline(opts)
-		cfg := ClusterConfig{Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, DisableDelta: disableDelta}
+		cfg := ClusterConfig{Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full}
 		if _, err := RunCluster(p, NewSliceSource(warm), cfg); err != nil {
 			t.Fatal(err)
 		}
 		// Steady state: unlabeled traffic only, so no member tree changes.
-		src := NewLimitSource(NewUnlabeledAdapter(twitterdata.NewUnlabeledSource(44, 10)), 10000)
+		src := NewSliceSource(unlabeledTweets(44, 10000))
 		stats, err := RunCluster(p, src, cfg)
 		if err != nil {
 			t.Fatal(err)

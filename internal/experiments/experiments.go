@@ -44,14 +44,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// QuickConfig is a reduced scale for smoke runs and benchmarks.
-func QuickConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Scale = 0.1
-	cfg.TweetCounts = []int64{20000, 40000}
-	return cfg
-}
-
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.Scale <= 0 {

@@ -8,7 +8,6 @@ import (
 
 	"redhanded/internal/text"
 	"redhanded/internal/text/lexicon"
-	"redhanded/internal/text/stem"
 )
 
 // BoWConfig tunes the adaptive bag-of-words.
@@ -31,11 +30,6 @@ type BoWConfig struct {
 	// Frozen disables adaptation: the BoW stays at the seed list. This is
 	// the paper's "fixed bag-of-words" baseline (ad=OFF in the figures).
 	Frozen bool
-	// Stem applies Porter stemming to tokens (and the seed list) so that
-	// inflected forms of aggressive vocabulary consolidate onto one stem
-	// and cross the admission threshold sooner. Off by default to match
-	// the paper's word-level BoW.
-	Stem bool
 }
 
 // DefaultBoWConfig returns the settings used by the experiments.
@@ -96,7 +90,7 @@ func (t *wordTable) begin() {
 	t.seq++
 }
 
-// bump counts one canonicalized token of the current tweet: once per tweet
+// bump counts one lowered token of the current tweet: once per tweet
 // however often it occurs (per-tweet presence), and not at all when it is
 // shorter than two bytes.
 func (t *wordTable) bump(tok []byte) {
@@ -201,9 +195,6 @@ type AdaptiveBoW struct {
 // pointer once per tweet and probe.
 type bowSnapshot struct {
 	slots []tableSlot // open-addressed, linear probing, power-of-two length
-	// stem mirrors the BoW's canonicalization config at snapshot time, so
-	// fast-path readers never touch the (lock-guarded) cfg.
-	stem bool
 	// version is a monotone publication counter. It travels with the
 	// snapshot pointer so readers observe (membership, version) as one
 	// consistent pair; the extraction cache keys cached vectors by it so a
@@ -215,7 +206,7 @@ type bowSnapshot struct {
 // change. Callers hold the write lock (or are constructing the BoW).
 func (b *AdaptiveBoW) rebuildSnapshot() {
 	b.snapVersion++
-	b.snap.Store(&bowSnapshot{slots: buildFusedTable(b.words), stem: b.cfg.Stem, version: b.snapVersion})
+	b.snap.Store(&bowSnapshot{slots: buildFusedTable(b.words), version: b.snapVersion})
 }
 
 // SnapshotVersion returns the publication counter of the current
@@ -240,21 +231,12 @@ func NewAdaptiveBoW(cfg BoWConfig) *AdaptiveBoW {
 		normal:     newWordTable(),
 	}
 	for _, w := range lexicon.SwearWords() {
-		w = b.canon(w)
+		w = strings.ToLower(w)
 		b.words[w] = true
 		b.seed[w] = true
 	}
 	b.rebuildSnapshot()
 	return b
-}
-
-// canon maps a token to its lookup key (lower case, optionally stemmed).
-func (b *AdaptiveBoW) canon(tok string) string {
-	tok = strings.ToLower(tok)
-	if b.cfg.Stem {
-		tok = stem.Stem(tok)
-	}
-	return tok
 }
 
 // Size returns the current number of words in the BoW (Fig. 10's y-axis).
@@ -323,7 +305,7 @@ func (b *AdaptiveBoW) AppendWords(words []string) {
 func (b *AdaptiveBoW) Contains(token string) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.words[b.canon(token)]
+	return b.words[strings.ToLower(token)]
 }
 
 // Score counts how many tokens are BoW members (the feature value).
@@ -332,7 +314,7 @@ func (b *AdaptiveBoW) Score(tokens []string) float64 {
 	defer b.mu.RUnlock()
 	n := 0.0
 	for _, tok := range tokens {
-		if b.words[b.canon(tok)] {
+		if b.words[strings.ToLower(tok)] {
 			n++
 		}
 	}
@@ -348,7 +330,7 @@ func (b *AdaptiveBoW) Learn(tokens []string, aggressive bool) {
 	}
 	lower := make([]string, 0, len(tokens))
 	for _, tok := range tokens {
-		lower = append(lower, b.canon(tok))
+		lower = append(lower, strings.ToLower(tok))
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -361,7 +343,7 @@ func (b *AdaptiveBoW) Learn(tokens []string, aggressive bool) {
 }
 
 // learnScanned is Learn fed straight from a scanned tweet: the scanner's
-// lowered words are the canonical tokens of an unstemmed BoW.
+// lowered words are the BoW's lookup keys.
 func (b *AdaptiveBoW) learnScanned(ts *text.Scratch, aggressive bool) {
 	if b.cfg.Frozen {
 		return

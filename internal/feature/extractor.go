@@ -209,23 +209,19 @@ func (e *Extractor) wordsPerSentence(raw string, tokenCount int) float64 {
 // Learn updates the adaptive bag-of-words with a labeled tweet. Aggressive
 // covers the abusive and hateful labels, per §IV-B. The production
 // configuration feeds the BoW the scanner's lowered words; only the
-// Preprocess=OFF ablation and the stemming BoW, whose tokens the scanner
-// does not produce, go through the allocating Clean+Tokenize path.
+// Preprocess=OFF ablation, whose raw tokens the scanner does not produce,
+// goes through the allocating Tokenize path.
 func (e *Extractor) Learn(tw *twitterdata.Tweet) {
 	if !tw.IsLabeled() {
 		return
 	}
 	aggressive := tw.Label == twitterdata.LabelAbusive || tw.Label == twitterdata.LabelHateful
-	if e.cfg.Preprocess && !e.cfg.BoW.Stem {
+	if e.cfg.Preprocess {
 		sc := extractPool.Get().(*extractScratch)
 		sc.ts.Scan(tw.Text)
 		e.bow.learnScanned(&sc.ts, aggressive)
 		extractPool.Put(sc)
 		return
 	}
-	body := tw.Text
-	if e.cfg.Preprocess {
-		body = text.Clean(tw.Text, e.cleanOpts)
-	}
-	e.bow.Learn(text.Tokenize(body), aggressive)
+	e.bow.Learn(text.Tokenize(tw.Text), aggressive)
 }

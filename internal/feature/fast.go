@@ -6,7 +6,6 @@ import (
 	"redhanded/internal/text"
 	"redhanded/internal/text/pos"
 	"redhanded/internal/text/sentiment"
-	"redhanded/internal/text/stem"
 	"redhanded/internal/twitterdata"
 )
 
@@ -90,7 +89,7 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 	// Token-level features in one loop. One probe of the fused table per
 	// token answers the POS, sentiment, swear and BoW questions at once; a
 	// token is probed again only under another key: without its
-	// apostrophes or de-elongated for sentiment, stemmed for a stemming BoW.
+	// apostrophes or de-elongated for sentiment.
 	var adjectives, adverbs, verbs int
 	swears := 0
 	bowScore := 0.0
@@ -118,11 +117,6 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 
 		if info&infoSwear != 0 {
 			swears++
-		}
-		if snap.stem {
-			// Stemming allocates; it is off in every default config.
-			//redvet:ignore noalloc the stemmer is string-based and opt-in; the default BoW path stays allocation-free
-			info = snap.lookup([]byte(stem.Stem(string(lower))))
 		}
 		if info&infoBoW != 0 {
 			bowScore++

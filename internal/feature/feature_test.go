@@ -234,39 +234,6 @@ func TestBoWScore(t *testing.T) {
 	}
 }
 
-func TestBoWStemmingConsolidatesInflections(t *testing.T) {
-	cfg := DefaultBoWConfig()
-	cfg.Stem = true
-	cfg.UpdateEvery = 100
-	b := NewAdaptiveBoW(cfg)
-	// Inflected forms of one coined word, spread across aggressive tweets.
-	for i := 0; i < 300; i++ {
-		b.Learn([]string{"zorping", "you", "fool"}, true)
-		b.Learn([]string{"zorped", "idiot"}, true)
-		b.Learn([]string{"nice", "day"}, false)
-		b.Learn([]string{"good", "coffee"}, false)
-	}
-	// Any inflection must now hit via the shared stem.
-	for _, form := range []string{"zorp", "zorping", "zorped", "zorps"} {
-		if !b.Contains(form) {
-			t.Errorf("stemmed BoW misses inflection %q", form)
-		}
-	}
-	// Seeds match their inflections too ("fuckers" -> stem of "fucker").
-	if !b.Contains("fuckers") {
-		t.Errorf("stemmed BoW misses inflected seed")
-	}
-	// Without stemming the unseen inflection does not match.
-	plain := NewAdaptiveBoW(DefaultBoWConfig())
-	for i := 0; i < 300; i++ {
-		plain.Learn([]string{"zorping"}, true)
-		plain.Learn([]string{"day"}, false)
-	}
-	if plain.Contains("zorps") {
-		t.Errorf("plain BoW unexpectedly matches unseen inflection")
-	}
-}
-
 func TestBoWSerializationRoundTrip(t *testing.T) {
 	cfg := DefaultBoWConfig()
 	cfg.UpdateEvery = 100

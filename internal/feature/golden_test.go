@@ -51,27 +51,6 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestGoldenEquivalenceStemmed covers the (allocating) stemmed BoW
-// configuration of the fast path.
-func TestGoldenEquivalenceStemmed(t *testing.T) {
-	bowCfg := DefaultBoWConfig()
-	bowCfg.Stem = true
-	e := NewExtractor(Config{Preprocess: true, BoW: bowCfg})
-	g := twitterdata.NewGenerator(3, 5)
-	fast := make([]float64, NumFeatures)
-	slow := make([]float64, NumFeatures)
-	for i := 0; i < 3000; i++ {
-		tw := g.Tweet(i%3, i%5)
-		tw.Label = []string{twitterdata.LabelNormal, twitterdata.LabelAbusive, twitterdata.LabelHateful}[i%3]
-		e.extractLegacyInto(slow, &tw)
-		e.ExtractInto(fast, &tw)
-		if diff := vectorDiff(slow, fast); diff != "" {
-			t.Fatalf("tweet %d (%q): %s", i, tw.Text, diff)
-		}
-		e.Learn(&tw)
-	}
-}
-
 // vectorDiff reports the first mismatching feature, or "" when the vectors
 // are bit-identical.
 func vectorDiff(want, got []float64) string {

@@ -295,40 +295,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Unregister removes one series; the family disappears with its last
-// series. It returns whether the series existed. Use it when a component
-// that registered per-instance series (e.g. per-shard gauges) is torn
-// down and not replaced like-for-like.
-func (r *Registry) Unregister(name string, labels Labels) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		return false
-	}
-	key := labels.render()
-	if _, ok := f.series[key]; !ok {
-		return false
-	}
-	delete(f.series, key)
-	for i, k := range f.order {
-		if k == key {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
-	if len(f.series) == 0 {
-		delete(r.families, name)
-		for i, n := range r.order {
-			if n == name {
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				break
-			}
-		}
-	}
-	return true
-}
-
 func (s *series) write(w io.Writer, name string) error {
 	switch {
 	case s.c != nil:

@@ -104,34 +104,6 @@ func TestExpositionFormat(t *testing.T) {
 	}
 }
 
-func TestUnregister(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("g", "help", Labels{"shard": "0"}).Set(1)
-	r.Gauge("g", "help", Labels{"shard": "1"}).Set(2)
-	if !r.Unregister("g", Labels{"shard": "0"}) {
-		t.Fatal("existing series should unregister")
-	}
-	if r.Unregister("g", Labels{"shard": "0"}) {
-		t.Fatal("second unregister should report missing")
-	}
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), `shard="0"`) || !strings.Contains(b.String(), `shard="1"`) {
-		t.Fatalf("exposition after unregister:\n%s", b.String())
-	}
-	// Removing the last series removes the family entirely.
-	r.Unregister("g", Labels{"shard": "1"})
-	b.Reset()
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "# TYPE g") {
-		t.Fatalf("family should be gone:\n%s", b.String())
-	}
-}
-
 func TestGaugeFuncMayTouchRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("self", "reads the registry", nil, func() float64 {

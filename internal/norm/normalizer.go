@@ -1,6 +1,9 @@
 package norm
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Mode selects the normalization scheme applied to feature vectors.
 type Mode int
@@ -34,6 +37,22 @@ func (m Mode) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseMode parses the -norm flag values — none, minmax, robust, zscore —
+// and the names String returns.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "none":
+		return None, nil
+	case "minmax":
+		return MinMax, nil
+	case "robust", "minmax-no-outliers":
+		return MinMaxRobust, nil
+	case "zscore", "z-score":
+		return ZScore, nil
+	}
+	return 0, fmt.Errorf("norm: unknown normalization %q (want none, minmax, robust, zscore)", s)
 }
 
 // FeatureStats maintains the per-feature streaming statistics needed by all

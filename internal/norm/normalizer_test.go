@@ -156,6 +156,20 @@ func TestModeString(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", m, m.String(), want)
 		}
+		// ParseMode accepts every name String gives a real mode.
+		if got, err := ParseMode(want); m != Mode(99) && (err != nil || got != m) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", want, got, err, m)
+		}
+	}
+	for in, want := range map[string]Mode{"robust": MinMaxRobust, "zscore": ZScore} {
+		if got, err := ParseMode(in); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"l2", "", "unknown"} {
+		if _, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode accepted %q", bad)
+		}
 	}
 }
 

@@ -477,15 +477,6 @@ func (s *Server) Shards() int { return len(s.shards) }
 // goroutine owns mutation).
 func (s *Server) Pipeline(i int) *core.Pipeline { return s.shards[i].p }
 
-// QueueDepths returns the live depth of every shard queue.
-func (s *Server) QueueDepths() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = len(sh.queue)
-	}
-	return out
-}
-
 // Drain stops accepting work, closes the shard queues, and waits (up to
 // ctx) for the shards to finish what is already queued; only then do the
 // SSE streams end, so every alert those tweets raise is written first.
@@ -524,40 +515,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain: %w", ctx.Err())
 	}
-}
-
-// UnregisterMetrics removes the per-shard series this server registered
-// (queue depth, processing histogram, processed counter) from its
-// registry. Call it when discarding a drained server that is not replaced
-// by one with the same shard count — re-registration takes matching
-// series over, but a smaller replacement would otherwise leave the extra
-// shards' series reporting a dead server forever.
-func (s *Server) UnregisterMetrics() {
-	for _, sh := range s.shards {
-		labels := metrics.Labels{"shard": fmt.Sprint(sh.id)}
-		s.opts.Registry.Unregister("redhanded_shard_queue_depth", labels)
-		s.opts.Registry.Unregister("redhanded_shard_process_seconds", labels)
-		s.opts.Registry.Unregister("redhanded_shard_drain_batch", labels)
-		s.opts.Registry.Unregister("redhanded_shard_processed_total", labels)
-		s.opts.Registry.Unregister("redhanded_userstate_active_users", labels)
-		s.opts.Registry.Unregister("redhanded_snapshot_rebuilds", labels)
-		s.opts.Registry.Unregister("redhanded_snapshot_trees_rebuilt", labels)
-		s.opts.Registry.Unregister("redhanded_snapshot_age", labels)
-		if s.opts.Log != nil {
-			s.opts.Registry.Unregister("redhanded_ingestlog_replay_lag", labels)
-		}
-		if sh.p.Extractor().CacheStats().Capacity > 0 {
-			s.opts.Registry.Unregister("redhanded_featcache_hits", labels)
-			s.opts.Registry.Unregister("redhanded_featcache_misses", labels)
-			s.opts.Registry.Unregister("redhanded_featcache_evictions", labels)
-			s.opts.Registry.Unregister("redhanded_featcache_entries", labels)
-		}
-	}
-	s.opts.Registry.Unregister("redhanded_sse_flush_events", nil)
-	s.opts.Registry.Unregister("redhanded_ingress_decodes_total", nil)
-	s.opts.Registry.Unregister("redhanded_ingress_decode_errors_total", nil)
-	s.opts.Registry.Unregister("redhanded_ingress_arena_chunks", nil)
-	s.opts.Registry.Unregister("redhanded_ingress_interned_bytes", nil)
 }
 
 // Uptime returns time since the server was built.

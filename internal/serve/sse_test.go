@@ -391,7 +391,7 @@ func TestAlertEgressZeroAlloc(t *testing.T) {
 		t.Skip("the race runtime instruments allocations")
 	}
 	hub := newAlertHub(8, metrics.NewRegistry())
-	alerter := core.NewAlerter(0.5)
+	alerter := core.NewPipeline(core.DefaultOptions()).Alerter()
 	alerter.Subscribe(hub)
 	ch := hub.subscribe()
 	tw := makeTweet("1", "42", "you are a worthless idiot and i hate you", "")

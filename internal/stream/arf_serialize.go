@@ -512,7 +512,7 @@ func (f *AdaptiveRandomForest) AccumulatorFromState(data []byte) (ml.Accumulator
 func (f *AdaptiveRandomForest) Kind() string { return KindARF }
 
 func init() {
-	RegisterCodec(Codec{Kind: KindARF, New: func() RemoteTrainable { return new(AdaptiveRandomForest) }})
+	RegisterCodec(Codec{Kind: KindARF, New: func() Model { return new(AdaptiveRandomForest) }})
 }
 
 // Interface conformance checks.

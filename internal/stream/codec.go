@@ -10,9 +10,20 @@ import (
 // boundary — cluster broadcast, accumulator deltas shipped back to the
 // driver, core checkpoints — registers a Codec here, keyed by a stable wire
 // tag. The transport, checkpoint, and serving layers operate purely on the
-// registry: adding a new model kind means implementing RemoteTrainable
-// (plus, optionally, PartitionedModel) and calling RegisterCodec from an
-// init — no switch in any other layer grows a new branch.
+// registry: adding a new model kind means implementing Model (plus,
+// optionally, PartitionedModel) and calling RegisterCodec from an init — no
+// switch in any other layer grows a new branch.
+
+// Model is what every engine needs of a streaming classifier: it crosses
+// process boundaries (RemoteTrainable — broadcast, accumulator deltas,
+// checkpoints) and its prediction function flattens into an immutable
+// Compiled snapshot (Compilable — the only form the classify step reads).
+// Every registered kind is both, so the pipeline, the engines and the codec
+// registry all speak this one type and none of them asserts at run time.
+type Model interface {
+	RemoteTrainable
+	Compilable
+}
 
 // Codec describes how one model kind crosses process boundaries.
 type Codec struct {
@@ -21,7 +32,7 @@ type Codec struct {
 	Kind string
 	// New returns an empty model of this kind, ready for UnmarshalBinary
 	// (or UnmarshalParts when the model is partitioned).
-	New func() RemoteTrainable
+	New func() Model
 }
 
 var (
@@ -82,10 +93,9 @@ func ModelKindOf(m RemoteTrainable) (string, error) {
 	return kind, nil
 }
 
-// DecodeModel reconstructs a remote-trainable model of the given kind from
-// its serialized state (executor side of the cluster protocol, and the
-// checkpoint restore path).
-func DecodeModel(kind string, data []byte) (RemoteTrainable, error) {
+// DecodeModel reconstructs a model of the given kind from its serialized
+// state (the executor side of the cluster protocol).
+func DecodeModel(kind string, data []byte) (Model, error) {
 	c, ok := lookupCodec(kind)
 	if !ok {
 		return nil, fmt.Errorf("stream: unknown model kind %q", kind)
@@ -120,7 +130,7 @@ type PartitionedModel interface {
 
 // DecodeModelParts reconstructs a partitioned model of the given kind from
 // a header and its complete part set.
-func DecodeModelParts(kind string, header []byte, parts [][]byte) (RemoteTrainable, error) {
+func DecodeModelParts(kind string, header []byte, parts [][]byte) (Model, error) {
 	c, ok := lookupCodec(kind)
 	if !ok {
 		return nil, fmt.Errorf("stream: unknown model kind %q", kind)
@@ -133,7 +143,7 @@ func DecodeModelParts(kind string, header []byte, parts [][]byte) (RemoteTrainab
 	if err := pm.UnmarshalParts(header, parts); err != nil {
 		return nil, err
 	}
-	return pm, nil
+	return m, nil
 }
 
 // Hash64 is the registry's stable content hash (FNV-64a) over a serialized

@@ -74,6 +74,3 @@ func (d *DDM) State() DriftState { return d.state }
 
 // Drifts returns the number of drifts detected.
 func (d *DDM) Drifts() int { return d.drifts }
-
-// ErrorRate returns the current running error estimate.
-func (d *DDM) ErrorRate() float64 { return d.p }

@@ -312,8 +312,8 @@ func (t *HoeffdingTree) Kind() string { return KindHT }
 func (s *SLR) Kind() string { return KindSLR }
 
 func init() {
-	RegisterCodec(Codec{Kind: KindHT, New: func() RemoteTrainable { return new(HoeffdingTree) }})
-	RegisterCodec(Codec{Kind: KindSLR, New: func() RemoteTrainable { return new(SLR) }})
+	RegisterCodec(Codec{Kind: KindHT, New: func() Model { return new(HoeffdingTree) }})
+	RegisterCodec(Codec{Kind: KindSLR, New: func() Model { return new(SLR) }})
 }
 
 // Interface conformance checks.

@@ -580,8 +580,7 @@ func (s *Store) observeLocked(sh *shard, o Observation) Outcome {
 	return out
 }
 
-// judgeSession applies the session-window threshold (the legacy
-// SessionTracker semantics, verbatim).
+// judgeSession applies the session-window threshold.
 func (s *Store) judgeSession(r *record, at int64) *SessionVerdict {
 	win := r.window()
 	if len(win) < s.cfg.Session.MinTweets {
@@ -886,28 +885,6 @@ func (s *Store) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Prune drops users last seen before the cutoff. The amortized TTL sweep
-// makes calling it optional; it remains for operators who want an
-// explicit retirement point (and for the legacy SessionTracker API).
-func (s *Store) Prune(cutoff time.Time) int {
-	c := nanos(cutoff)
-	removed := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		// Walk backwards so swap-remove never skips an element.
-		for i := len(sh.ring) - 1; i >= 0; i-- {
-			if r := sh.ring[i]; r.lastSeen < c {
-				s.remove(sh, r)
-				s.evictionsTTL.Add(1)
-				evictionsTTLTotal.Inc()
-				removed++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return removed
 }
 
 // SessionVerdicts returns the total session verdicts emitted.

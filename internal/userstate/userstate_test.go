@@ -58,6 +58,46 @@ func TestSessionWindowEvictionAndCooldown(t *testing.T) {
 	}
 }
 
+// TestSessionNoVerdict: streams that must stay below the verdict bar.
+func TestSessionNoVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cfg       SessionConfig
+		n         int
+		user      func(i int) string
+		aggr      func(i int) bool
+		wantUsers int
+	}{
+		{
+			// Alternating normal-first: the window share never reaches 0.6.
+			name: "share below threshold",
+			cfg:  SessionConfig{Window: time.Hour, MinTweets: 3, AggressiveShare: 0.6},
+			n:    10, user: func(int) string { return "mixed" }, aggr: func(i int) bool { return i%2 == 1 },
+			wantUsers: 1,
+		},
+		{
+			// One aggressive tweet each: windows are per user, so nobody
+			// crosses MinTweets.
+			name: "users do not aggregate",
+			cfg:  SessionConfig{Window: time.Hour, MinTweets: 3, AggressiveShare: 0.9},
+			n:    3, user: func(i int) string { return fmt.Sprintf("user%d", i) }, aggr: func(int) bool { return true },
+			wantUsers: 3,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Session: tc.cfg})
+			for i := 0; i < tc.n; i++ {
+				if out := s.Observe(obs(tc.user(i), base.Add(time.Duration(i)*time.Minute), tc.aggr(i), 0.8)); out.Session != nil {
+					t.Fatalf("verdict at tweet %d: %+v", i, out.Session)
+				}
+			}
+			if s.Len() != tc.wantUsers {
+				t.Fatalf("tracking %d users, want %d", s.Len(), tc.wantUsers)
+			}
+		})
+	}
+}
+
 func TestOffenseSuspension(t *testing.T) {
 	s := New(Config{})
 	var out Outcome
@@ -220,8 +260,7 @@ func TestCapEvictionKeepsHotUsers(t *testing.T) {
 func TestTTLSweepAmortized(t *testing.T) {
 	s := New(Config{Shards: 1, TTL: time.Hour, SweepPerObserve: 4})
 	// 50 users at t0, then one active user advancing the clock far past
-	// the TTL: the sweep inside Observe must retire the idle records
-	// without any Prune call.
+	// the TTL: the sweep inside Observe must retire the idle records.
 	for i := 0; i < 50; i++ {
 		s.Observe(obs(fmt.Sprintf("idle%d", i), base, false, 0.1))
 	}
@@ -233,19 +272,6 @@ func TestTTLSweepAmortized(t *testing.T) {
 	}
 	if _, ttlEv := s.Evictions(); ttlEv != 50 {
 		t.Fatalf("ttl evictions = %d, want 50", ttlEv)
-	}
-}
-
-func TestPrune(t *testing.T) {
-	s := New(Config{})
-	s.Observe(obs("old", base, false, 0.1))
-	s.Observe(obs("new", base.Add(3*time.Hour), false, 0.1))
-	removed := s.Prune(base.Add(time.Hour))
-	if removed != 1 || s.Len() != 1 {
-		t.Fatalf("prune removed %d, active %d", removed, s.Len())
-	}
-	if _, ok := s.Lookup("new"); !ok {
-		t.Fatalf("prune removed the wrong record")
 	}
 }
 

@@ -104,12 +104,11 @@ func NewPipeline(opts Options) *Pipeline { return core.NewPipeline(opts) }
 // Per-user state: every Pipeline owns a sharded, memory-bounded,
 // checkpointable userstate.Store that unifies session windows, offense
 // histories, and escalation scoring. Session-level detection (the
-// paper's future-work windowing extension) reads from it.
+// paper's future-work windowing extension) is configured through
+// Options.Users.Session and reported on Result.Session.
 type (
-	// SessionConfig tunes per-user sliding windows.
+	// SessionConfig tunes per-user sliding windows (Options.Users.Session).
 	SessionConfig = core.SessionConfig
-	// SessionTracker flags users with repetitive hostile activity.
-	SessionTracker = core.SessionTracker
 	// SessionVerdict is one flagged user window.
 	SessionVerdict = core.SessionVerdict
 	// EscalationVerdict flags a user trending toward aggression across
@@ -128,12 +127,6 @@ type (
 	// (Pipeline.SubscribeVerdicts).
 	VerdictSink = core.VerdictSink
 )
-
-// NewSessionTracker aggregates per-tweet predictions into per-user
-// session verdicts.
-func NewSessionTracker(cfg SessionConfig) *SessionTracker {
-	return core.NewSessionTracker(cfg)
-}
 
 // DefaultSessionConfig returns 1-hour windows flagging >= 60% aggressive.
 func DefaultSessionConfig() SessionConfig { return core.DefaultSessionConfig() }
