@@ -38,6 +38,7 @@ var noallocGates = map[string]struct {
 		funcs: []string{
 			"redhanded/internal/feature.(*Extractor).ExtractInto",
 			"redhanded/internal/feature.(*Extractor).extractFast",
+			"redhanded/internal/feature.(*Extractor).scan",
 			"redhanded/internal/feature.(*bowSnapshot).lookup",
 			"redhanded/internal/feature.(*extractScratch).sentimentStep",
 			"redhanded/internal/feature.hashWord",
@@ -55,7 +56,10 @@ var noallocGates = map[string]struct {
 		funcs: []string{
 			"redhanded/internal/text.(*Scratch).Reset",
 			"redhanded/internal/text.(*Scratch).Scan",
+			"redhanded/internal/text.(*Scratch).ScanRaw",
+			"redhanded/internal/text.(*Scratch).endSentence",
 			"redhanded/internal/text.(*Scratch).field",
+			"redhanded/internal/text.(*Scratch).fieldRaw",
 			"redhanded/internal/text.fieldEnd",
 			"redhanded/internal/text.spaceLen",
 		},

@@ -147,8 +147,7 @@ type Options struct {
 // content-addressed extraction cache, which memoizes text-feature vectors
 // for duplicate tweet texts (retweets/copypasta): large enough to cover the
 // working set of recent viral texts per shard, small enough (~8k × 160B ≈
-// 1.3MB) to be negligible next to the userstate store. The cache needs
-// Preprocess; the legacy extraction path never consults it.
+// 1.3MB) to be negligible next to the userstate store.
 const defaultFeatureCacheEntries = 8192
 
 // DefaultOptions returns the configuration of the paper's main experiments.

@@ -235,42 +235,3 @@ func TestPrequentialCustomMetric(t *testing.T) {
 		t.Fatalf("accuracy curve wrong: %+v", curve)
 	}
 }
-
-func TestWindowedRate(t *testing.T) {
-	w := NewWindowedRate(4)
-	if w.Rate() != 0 {
-		t.Fatalf("empty rate = %v", w.Rate())
-	}
-	w.Add(true)
-	w.Add(false)
-	if r := w.Rate(); r != 0.5 {
-		t.Fatalf("rate = %v, want 0.5", r)
-	}
-	w.Add(true)
-	w.Add(true)
-	if r := w.Rate(); r != 0.75 {
-		t.Fatalf("rate = %v, want 0.75", r)
-	}
-	// Window slides: the initial true is evicted.
-	w.Add(false)
-	w.Add(false)
-	if r := w.Rate(); r != 0.5 {
-		t.Fatalf("slid rate = %v, want 0.5", r)
-	}
-}
-
-func TestWindowedRateAlwaysInRange(t *testing.T) {
-	f := func(bits []bool) bool {
-		w := NewWindowedRate(8)
-		for _, b := range bits {
-			w.Add(b)
-			if r := w.Rate(); r < 0 || r > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

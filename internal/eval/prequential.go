@@ -51,50 +51,3 @@ func (p *Prequential) Curve() []Point { return append([]Point(nil), p.curve...) 
 
 // Summary returns the cumulative headline metrics.
 func (p *Prequential) Summary() Report { return p.matrix.Summary() }
-
-// WindowedRate tracks a boolean rate (e.g. per-class share or alert rate)
-// over a sliding window, used for the evaluation step's statistics on
-// unlabeled-instance predictions.
-type WindowedRate struct {
-	size   int
-	buf    []bool
-	next   int
-	filled bool
-	count  int
-}
-
-// NewWindowedRate creates a sliding window of the given size (>= 1).
-func NewWindowedRate(size int) *WindowedRate {
-	if size < 1 {
-		size = 1
-	}
-	return &WindowedRate{size: size, buf: make([]bool, size)}
-}
-
-// Add pushes one observation.
-func (w *WindowedRate) Add(v bool) {
-	if w.buf[w.next] && (w.filled || w.next < w.count) {
-		w.count--
-	}
-	w.buf[w.next] = v
-	if v {
-		w.count++
-	}
-	w.next++
-	if w.next == w.size {
-		w.next = 0
-		w.filled = true
-	}
-}
-
-// Rate returns the fraction of true observations in the window.
-func (w *WindowedRate) Rate() float64 {
-	n := w.size
-	if !w.filled {
-		n = w.next
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(w.count) / float64(n)
-}

@@ -51,6 +51,12 @@ func toggleName(model core.ModelKind, opts core.Options) string {
 }
 
 func runFig6(cfg Config, w io.Writer) error {
+	return runCurves(cfg, w, "Fig. 6: effect of preprocessing on HT", fig6Variants(cfg))
+}
+
+// fig6Variants are Fig. 6's curves: HT with preprocessing OFF and ON, on
+// the 3- and the 2-class problem.
+func fig6Variants(cfg Config) []variant {
 	var variants []variant
 	for _, scheme := range []core.ClassScheme{core.ThreeClass, core.TwoClass} {
 		for _, pre := range []bool{false, true} {
@@ -59,7 +65,7 @@ func runFig6(cfg Config, w io.Writer) error {
 			variants = append(variants, variant{toggleName(core.ModelHT, opts), opts})
 		}
 	}
-	return runCurves(cfg, w, "Fig. 6: effect of preprocessing on HT", variants)
+	return variants
 }
 
 func runFig7(cfg Config, w io.Writer) error {

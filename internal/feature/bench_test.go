@@ -26,6 +26,7 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
+// BenchmarkExtractNoPreprocess times the p=OFF extraction (ScanRaw).
 func BenchmarkExtractNoPreprocess(b *testing.B) {
 	tweets := benchTweets(2000)
 	e := NewExtractor(Config{Preprocess: false, BoW: DefaultBoWConfig()})
@@ -63,19 +64,6 @@ func BenchmarkFeaturePathScanCorpus(b *testing.B) {
 	}
 }
 
-// BenchmarkFeaturePathLegacy measures the multi-pass reference
-// implementation the fast path is proven equivalent to.
-func BenchmarkFeaturePathLegacy(b *testing.B) {
-	tweets := benchTweets(2000)
-	e := NewExtractor(DefaultConfig())
-	dst := make([]float64, NumFeatures)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.extractLegacyInto(dst, &tweets[i%len(tweets)])
-	}
-}
-
 // BenchmarkFeaturePathFastParallel exercises the scratch and vector pools
 // under contention, the serving-shard shape.
 func BenchmarkFeaturePathFastParallel(b *testing.B) {
@@ -94,43 +82,60 @@ func BenchmarkFeaturePathFastParallel(b *testing.B) {
 }
 
 // TestExtractIntoZeroAlloc pins the tentpole property end to end: a warm
-// extractor computes a full feature vector with zero heap allocations.
+// extractor computes a full feature vector with zero heap allocations,
+// under either tokenization spec.
 func TestExtractIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates in sync.Pool")
 	}
 	tweets := benchTweets(64)
-	e := NewExtractor(DefaultConfig())
-	dst := make([]float64, NumFeatures)
+	for _, preprocess := range []bool{true, false} {
+		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
+		dst := make([]float64, NumFeatures)
+		for i := range tweets {
+			e.ExtractInto(dst, &tweets[i]) // warm pools and arenas
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			e.ExtractInto(dst, &tweets[i%len(tweets)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("p=%v: ExtractInto allocates %.1f times per tweet, want 0", preprocess, allocs)
+		}
+	}
+}
+
+// TestLearnKnownWordsZeroAlloc: once the rolling tables hold a tweet's
+// words, learning it again allocates nothing under p=OFF (a new word costs
+// its counter and key).
+func TestLearnKnownWordsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates in sync.Pool")
+	}
+	e := NewExtractor(Config{Preprocess: false, BoW: BoWConfig{UpdateEvery: 1 << 30}})
+	tweets := benchTweets(64)
 	for i := range tweets {
-		e.ExtractInto(dst, &tweets[i]) // warm pools and arenas
+		tweets[i].Label = twitterdata.LabelAbusive
+		e.Learn(&tweets[i]) // every word becomes known
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		e.ExtractInto(dst, &tweets[i%len(tweets)])
+		e.Learn(&tweets[i%len(tweets)])
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("ExtractInto allocates %.1f times per tweet, want 0", allocs)
+		t.Errorf("Learn of known words allocates %.1f times per tweet, want 0", allocs)
 	}
 }
 
 func BenchmarkBoWLearn(b *testing.B) {
 	bow := NewAdaptiveBoW(DefaultBoWConfig())
-	tokens := []string{"you", "are", "a", "zorp", "idiot", "and", "fool"}
+	var ts text.Scratch
+	ts.ScanRaw("you are a zorp idiot and fool")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bow.Learn(tokens, i%2 == 0)
-	}
-}
-
-func BenchmarkBoWScore(b *testing.B) {
-	bow := NewAdaptiveBoW(DefaultBoWConfig())
-	tokens := []string{"you", "fucking", "idiot", "look", "at", "this", "shit"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bow.Score(tokens)
+		bow.learnScanned(&ts, i%2 == 0)
 	}
 }

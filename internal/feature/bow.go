@@ -308,42 +308,9 @@ func (b *AdaptiveBoW) Contains(token string) bool {
 	return b.words[strings.ToLower(token)]
 }
 
-// Score counts how many tokens are BoW members (the feature value).
-func (b *AdaptiveBoW) Score(tokens []string) float64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	n := 0.0
-	for _, tok := range tokens {
-		if b.words[strings.ToLower(tok)] {
-			n++
-		}
-	}
-	return n
-}
-
-// Learn folds one labeled tweet's tokens into the rolling statistics and
-// periodically runs the enhancement round. Tokens should be the cleaned,
-// tokenized tweet text; aggressive marks abusive-or-hateful labels.
-func (b *AdaptiveBoW) Learn(tokens []string, aggressive bool) {
-	if b.cfg.Frozen {
-		return
-	}
-	lower := make([]string, 0, len(tokens))
-	for _, tok := range tokens {
-		lower = append(lower, strings.ToLower(tok))
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t := b.side(aggressive)
-	t.begin()
-	for _, tok := range lower {
-		t.bump([]byte(tok))
-	}
-	b.learned()
-}
-
-// learnScanned is Learn fed straight from a scanned tweet: the scanner's
-// lowered words are the BoW's lookup keys.
+// learnScanned folds one labeled tweet's scanned words, their lowered forms
+// being the BoW's lookup keys, into the rolling statistics and periodically
+// runs the enhancement round; aggressive marks abusive-or-hateful labels.
 func (b *AdaptiveBoW) learnScanned(ts *text.Scratch, aggressive bool) {
 	if b.cfg.Frozen {
 		return

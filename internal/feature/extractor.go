@@ -1,17 +1,12 @@
 package feature
 
-import (
-	"redhanded/internal/text"
-	"redhanded/internal/text/lexicon"
-	"redhanded/internal/text/pos"
-	"redhanded/internal/text/sentiment"
-	"redhanded/internal/twitterdata"
-)
+import "redhanded/internal/twitterdata"
 
 // Config selects the extraction options the paper's experiments toggle.
 type Config struct {
-	// Preprocess applies the cleaning step before token-based features
-	// (p=ON/OFF in the figures).
+	// Preprocess selects the scanner's tokenization spec (p=ON/OFF in the
+	// figures): the cleaning step — entity fields dropped, words reduced to
+	// their letters — or the raw fields (see package text).
 	Preprocess bool
 	// BoW configures the adaptive bag-of-words; set BoW.Frozen for the
 	// fixed-BoW baseline (ad=OFF).
@@ -30,14 +25,8 @@ func DefaultConfig() Config {
 // Extractor turns tweets into fixed-length feature vectors. Extraction is
 // safe for concurrent use; Learn serializes internally.
 type Extractor struct {
-	cfg       Config
-	cleanOpts text.CleanOptions
-	// sentOpts strips tweet entities but keeps punctuation, so sentence
-	// boundaries survive while URL dots stop creating fake ones.
-	sentOpts  text.CleanOptions
-	tagger    *pos.Tagger
-	sentiment *sentiment.Analyzer
-	bow       *AdaptiveBoW
+	cfg Config
+	bow *AdaptiveBoW
 	// cache memoizes text-derived feature slots per (text, BoW version);
 	// nil when Config.CacheEntries <= 0.
 	cache *extractCache
@@ -46,24 +35,10 @@ type Extractor struct {
 // NewExtractor creates an extractor with the given options.
 func NewExtractor(cfg Config) *Extractor {
 	var cache *extractCache
-	if cfg.CacheEntries > 0 && cfg.Preprocess {
+	if cfg.CacheEntries > 0 {
 		cache = newExtractCache(cfg.CacheEntries)
 	}
-	return &Extractor{
-		cache:     cache,
-		cfg:       cfg,
-		cleanOpts: text.DefaultCleanOptions(),
-		sentOpts: text.CleanOptions{
-			RemoveURLs:          true,
-			RemoveMentions:      true,
-			RemoveHashtags:      true,
-			RemoveAbbreviations: true,
-			CondenseWhitespace:  true,
-		},
-		tagger:    pos.New(),
-		sentiment: sentiment.New(),
-		bow:       NewAdaptiveBoW(cfg.BoW),
-	}
+	return &Extractor{cache: cache, cfg: cfg, bow: NewAdaptiveBoW(cfg.BoW)}
 }
 
 // BoW exposes the adaptive bag-of-words (for Fig. 10 and the pipeline's
@@ -72,7 +47,7 @@ func (e *Extractor) BoW() *AdaptiveBoW { return e.bow }
 
 // Extract computes the feature vector for one tweet, allocating the
 // result. Hot paths use ExtractInto with a pooled vector (see pool.go);
-// both run the same single-pass fast path.
+// both run the same single-pass extraction.
 func (e *Extractor) Extract(tw *twitterdata.Tweet) []float64 {
 	return e.ExtractInto(make([]float64, NumFeatures), tw)
 }
@@ -115,7 +90,7 @@ func (e *Extractor) fillProfile(x []float64, tw *twitterdata.Tweet) {
 // this is deliberately not part of the zero-alloc lookup gate; callers pair
 // it with LookupCached, paying admission cost only on misses.
 func (e *Extractor) ExtractAndCache(dst []float64, tw *twitterdata.Tweet) []float64 {
-	if e.cache == nil || !e.cfg.Preprocess {
+	if e.cache == nil {
 		return e.ExtractInto(dst, tw)
 	}
 	if len(dst) != NumFeatures {
@@ -147,81 +122,16 @@ func (e *Extractor) CacheStats() CacheStats {
 	return e.cache.stats()
 }
 
-// extractLegacyInto is the original multi-pass implementation: Clean +
-// Tokenize + per-feature passes, each allocating intermediate strings and
-// slices. It stays byte-for-byte intact for two reasons: it serves the
-// Preprocess=OFF configuration (whose raw-text tokenization the fast path
-// does not model), and it is the reference the golden and fuzz equivalence
-// tests compare the fast path against.
-func (e *Extractor) extractLegacyInto(x []float64, tw *twitterdata.Tweet) {
-	// Profile and network features come from the user payload.
-	x[AccountAge] = tw.AccountAgeDays()
-	x[CntPosts] = float64(tw.User.StatusesCount)
-	x[CntLists] = float64(tw.User.ListedCount)
-	x[CntFollowers] = float64(tw.User.FollowersCount)
-	x[CntFriends] = float64(tw.User.FriendsCount)
-
-	// Basic text features are counted on the raw text (preprocessing
-	// removes exactly the tokens they count).
-	raw := tw.Text
-	x[NumHashtags] = float64(text.CountTokenKind(raw, text.IsHashtagToken))
-	x[NumURLs] = float64(text.CountTokenKind(raw, text.IsURLToken))
-	x[NumUpperCases] = float64(text.CountUpperWords(raw))
-
-	// Remaining text features operate on the (optionally) cleaned text.
-	body := raw
-	if e.cfg.Preprocess {
-		body = text.Clean(raw, e.cleanOpts)
-	}
-	tokens := text.Tokenize(body)
-	x[MeanWordLength] = text.MeanWordLength(tokens)
-	x[WordsPerSentence] = e.wordsPerSentence(raw, len(tokens))
-
-	counts := e.tagger.Count(tokens)
-	x[CntAdjectives] = float64(counts.Adjectives)
-	x[CntAdverbs] = float64(counts.Adverbs)
-	x[CntVerbs] = float64(counts.Verbs)
-
-	score := e.sentiment.Analyze(body)
-	x[SentimentScorePos] = float64(score.Positive)
-	x[SentimentScoreNeg] = float64(score.Negative)
-
-	x[CntSwearWords] = float64(lexicon.CountSwears(tokens))
-	x[BoWScore] = e.bow.Score(tokens)
-}
-
-// wordsPerSentence computes the mean sentence length. With preprocessing
-// on, sentence boundaries come from entity-stripped text (URL dots would
-// otherwise fabricate boundaries) and word counts from the fully cleaned
-// tokens; with preprocessing off, the raw text is used for both — one of
-// the noise sources that makes p=OFF less stable in Fig. 6.
-func (e *Extractor) wordsPerSentence(raw string, tokenCount int) float64 {
-	if !e.cfg.Preprocess {
-		return text.WordsPerSentence(raw)
-	}
-	sentences := text.SplitSentences(text.Clean(raw, e.sentOpts))
-	if len(sentences) == 0 {
-		return 0
-	}
-	return float64(tokenCount) / float64(len(sentences))
-}
-
 // Learn updates the adaptive bag-of-words with a labeled tweet. Aggressive
-// covers the abusive and hateful labels, per §IV-B. The production
-// configuration feeds the BoW the scanner's lowered words; only the
-// Preprocess=OFF ablation, whose raw tokens the scanner does not produce,
-// goes through the allocating Tokenize path.
+// covers the abusive and hateful labels, per §IV-B. The BoW learns the
+// scanned words' lowered forms, the keys extraction looks it up by.
 func (e *Extractor) Learn(tw *twitterdata.Tweet) {
 	if !tw.IsLabeled() {
 		return
 	}
 	aggressive := tw.Label == twitterdata.LabelAbusive || tw.Label == twitterdata.LabelHateful
-	if e.cfg.Preprocess {
-		sc := extractPool.Get().(*extractScratch)
-		sc.ts.Scan(tw.Text)
-		e.bow.learnScanned(&sc.ts, aggressive)
-		extractPool.Put(sc)
-		return
-	}
-	e.bow.Learn(text.Tokenize(tw.Text), aggressive)
+	sc := extractPool.Get().(*extractScratch)
+	e.scan(&sc.ts, tw.Text)
+	e.bow.learnScanned(&sc.ts, aggressive)
+	extractPool.Put(sc)
 }

@@ -9,14 +9,16 @@ import (
 	"redhanded/internal/twitterdata"
 )
 
-// The single-pass extraction fast path. One text.Scratch scan replaces the
-// legacy pipeline's Clean + Tokenize + per-feature passes; all token-level
-// features (POS counts, sentiment, swear count, BoW score) are then
-// computed in a single loop over the scanned words, using byte-slice views
-// into the scratch arenas — no per-tweet strings, slices, or maps.
+// The single-pass extraction. One text.Scratch scan, under the spec
+// Config.Preprocess selects, yields the words and the raw-text counts; all
+// word-level features (POS counts, sentiment, swear count, BoW score) are
+// then computed in a single loop over the scanned words, using byte-slice
+// views into the scratch arenas — no per-tweet strings, slices, or maps.
 //
-// Equivalence with extractLegacyInto is enforced by TestGoldenEquivalence
-// (the full generator corpus) and FuzzExtractEquivalence (arbitrary text).
+// Both specs are pinned to the multi-pass extractor this loop replaced:
+// TestGoldenEquivalence and FuzzExtractEquivalence compare against its copy
+// in reference_test.go, and TestPreprocessOffGolden against the vectors it
+// produced (testdata/preprocess_off.golden).
 
 // extractScratch bundles the reusable per-extraction state. Extract is
 // safe for concurrent use because scratches are pooled, never shared.
@@ -29,11 +31,8 @@ type extractScratch struct {
 var extractPool = sync.Pool{New: func() any { return new(extractScratch) }}
 
 // ExtractInto computes the feature vector for one tweet into dst
-// (allocating only when dst is mis-sized) and returns it. With
-// preprocessing enabled — the production configuration — it runs the
-// single-pass fast path; the Preprocess=OFF ablation falls back to the
-// legacy multi-pass implementation, whose raw-text tokenization the
-// scanner intentionally does not model.
+// (allocating only when dst is mis-sized), under the tokenization spec
+// Config.Preprocess selects, and returns it.
 //
 //redvet:noalloc gate=FeaturePathFast
 func (e *Extractor) ExtractInto(dst []float64, tw *twitterdata.Tweet) []float64 {
@@ -41,14 +40,22 @@ func (e *Extractor) ExtractInto(dst []float64, tw *twitterdata.Tweet) []float64 
 		//redvet:ignore noalloc resize fallback for mis-sized callers; steady-state callers pass a right-sized reused vector and never reach this
 		dst = make([]float64, NumFeatures)
 	}
-	if !e.cfg.Preprocess {
-		e.extractLegacyInto(dst, tw)
-		return dst
-	}
 	sc := extractPool.Get().(*extractScratch)
 	e.extractFast(dst, tw, sc, e.bow.lookupSnapshot())
 	extractPool.Put(sc)
 	return dst
+}
+
+// scan tokenizes s under the spec Config.Preprocess selects: Scan cleans
+// (p=ON), ScanRaw keeps every raw field (p=OFF).
+//
+//redvet:noalloc gate=FeaturePathFast
+func (e *Extractor) scan(ts *text.Scratch, s string) {
+	if e.cfg.Preprocess {
+		ts.Scan(s)
+	} else {
+		ts.ScanRaw(s)
+	}
 }
 
 // extractFast runs the single-pass extraction against one BoW membership
@@ -59,14 +66,10 @@ func (e *Extractor) ExtractInto(dst []float64, tw *twitterdata.Tweet) []float64 
 //redvet:noalloc gate=FeaturePathFast
 func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractScratch, snap *bowSnapshot) {
 	ts := &sc.ts
-	ts.Scan(tw.Text)
+	e.scan(ts, tw.Text)
 
 	// Profile and network features come from the user payload.
-	x[AccountAge] = tw.AccountAgeDays()
-	x[CntPosts] = float64(tw.User.StatusesCount)
-	x[CntLists] = float64(tw.User.ListedCount)
-	x[CntFollowers] = float64(tw.User.FollowersCount)
-	x[CntFriends] = float64(tw.User.FriendsCount)
+	e.fillProfile(x, tw)
 
 	// Basic text features were counted on the raw text during the scan.
 	st := &ts.Stats
@@ -74,34 +77,41 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 	x[NumURLs] = float64(st.URLs)
 	x[NumUpperCases] = float64(st.UpperWords)
 
-	nw := ts.Words()
-	if nw == 0 {
-		x[MeanWordLength] = 0
-	} else {
-		x[MeanWordLength] = float64(st.LetterSum) / float64(nw)
-	}
-	if st.Sentences == 0 {
-		x[WordsPerSentence] = 0
-	} else {
-		x[WordsPerSentence] = float64(nw) / float64(st.Sentences)
-	}
-
-	// Token-level features in one loop. One probe of the fused table per
-	// token answers the POS, sentiment, swear and BoW questions at once; a
-	// token is probed again only under another key: without its
+	// Word-level features in one loop. One probe of the fused table per
+	// word answers the POS, sentiment, swear and BoW questions at once; a
+	// word is probed again only under another key: its letters-trimmed key
+	// when that differs from the token (raw spec only), without its
 	// apostrophes or de-elongated for sentiment.
 	var adjectives, adverbs, verbs int
 	swears := 0
 	bowScore := 0.0
 	sc.step.Reset()
 	afterTo, afterDeterminer := false, false
+	nw := ts.Words()
+	tokens := nw // less the raw fields without a token
 	for i := 0; i < nw; i++ {
-		lower := ts.Lower(i)
+		lower, key := ts.Lower(i), ts.Key(i)
+		if len(lower) == 0 {
+			// A raw field without a letter or digit is no token; only the
+			// sentiment step sees it, as a possible emoticon (":)").
+			tokens--
+			sc.sentimentStep(snap, i, key, 0)
+			continue
+		}
 		info := snap.lookup(lower)
+		if info&infoSwear != 0 {
+			swears++
+		}
+		if info&infoBoW != 0 {
+			bowScore++
+		}
+		if len(key) != len(lower) {
+			info = snap.lookup(key)
+		}
 
 		tag, closed := info.tag()
 		if !closed {
-			tag = pos.TagOpenLower(lower, afterTo, afterDeterminer)
+			tag = pos.TagOpenLower(key, afterTo, afterDeterminer)
 		}
 		switch tag {
 		case pos.Adjective:
@@ -111,24 +121,26 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 		case pos.Verb:
 			verbs++
 		}
-		afterTo, afterDeterminer = string(lower) == "to", tag == pos.Determiner
+		afterTo, afterDeterminer = string(key) == "to", tag == pos.Determiner
 
-		sc.sentimentStep(snap, i, lower, info)
-
-		if info&infoSwear != 0 {
-			swears++
-		}
-		if info&infoBoW != 0 {
-			bowScore++
-		}
+		sc.sentimentStep(snap, i, key, info)
 	}
 
+	if tokens == 0 {
+		x[MeanWordLength] = 0
+	} else {
+		x[MeanWordLength] = float64(st.LetterSum) / float64(tokens)
+	}
+	if st.Sentences == 0 {
+		x[WordsPerSentence] = 0
+	} else {
+		x[WordsPerSentence] = float64(st.SentenceWords) / float64(st.Sentences)
+	}
 	x[CntAdjectives] = float64(adjectives)
 	x[CntAdverbs] = float64(adverbs)
 	x[CntVerbs] = float64(verbs)
 
-	// Preprocessed text has no '!' left, so no exclamation emphasis.
-	score := sc.step.Finish(0)
+	score := sc.step.Finish(st.Exclaims)
 	x[SentimentScorePos] = float64(score.Positive)
 	x[SentimentScoreNeg] = float64(score.Negative)
 
@@ -136,24 +148,27 @@ func (e *Extractor) extractFast(x []float64, tw *twitterdata.Tweet, sc *extractS
 	x[BoWScore] = bowScore
 }
 
-// sentimentStep folds word i of the scanned text, whose lowered form and
-// table entry the caller already holds, into the sentiment stepper.
+// sentimentStep folds word i of the scanned text, whose key and table
+// entry the caller already holds, into the sentiment stepper.
 //
 //redvet:noalloc gate=FeaturePathFast
-func (sc *extractScratch) sentimentStep(snap *bowSnapshot, i int, lower []byte, info wordInfo) {
-	if info&infoEmoticon != 0 {
-		//redvet:ignore noalloc a map lookup keyed by string(bytes) does not materialize the string; only tokens that lower to an emoticon get here
-		if v, ok := letterEmoticons[string(sc.ts.Clean(i))]; ok {
+func (sc *extractScratch) sentimentStep(snap *bowSnapshot, i int, key []byte, info wordInfo) {
+	if info&infoEmoticon != 0 || len(key) == 0 {
+		//redvet:ignore noalloc a map lookup keyed by string(bytes) does not materialize the string; only words keyed like an emoticon, or without a letter, get here
+		if v, ok := emoticons[string(sc.ts.Clean(i))]; ok {
 			sc.step.Score(v)
 			return
 		}
+		if len(key) == 0 {
+			return // nothing for the lexicon to score
+		}
 	}
 	// Sentiment keys on the apostrophe-free word ("don't" -> "dont").
-	word := lower
+	word := key
 	letters, uppers, elongated, apostrophe := sc.ts.WordInfo(i)
 	if apostrophe {
 		sc.alt = sc.alt[:0]
-		for _, c := range lower {
+		for _, c := range key {
 			if c != '\'' {
 				sc.alt = append(sc.alt, c)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"redhanded/internal/text"
 	"redhanded/internal/text/lexicon"
 	"redhanded/internal/twitterdata"
 )
@@ -22,6 +23,14 @@ func tweetWith(textBody string) *twitterdata.Tweet {
 			ListedCount:    5,
 		},
 	}
+}
+
+// learn folds one labeled text into b the way Extractor.Learn does under
+// p=OFF: the raw scan's lowered tokens.
+func learn(b *AdaptiveBoW, s string, aggressive bool) {
+	var ts text.Scratch
+	ts.ScanRaw(s)
+	b.learnScanned(&ts, aggressive)
 }
 
 func TestSchemaNames(t *testing.T) {
@@ -158,8 +167,8 @@ func TestBoWLearnsAggressiveVocabulary(t *testing.T) {
 	b := NewAdaptiveBoW(cfg)
 	// "zorp" appears in most aggressive tweets, never in normal ones.
 	for i := 0; i < 300; i++ {
-		b.Learn([]string{"you", "zorp", "idiot"}, true)
-		b.Learn([]string{"have", "a", "day"}, false)
+		learn(b, "you zorp idiot", true)
+		learn(b, "have a day", false)
 	}
 	if !b.Contains("zorp") {
 		t.Fatalf("frequent aggressive word not added (size=%d, adds=%d)", b.Size(), b.Additions())
@@ -175,17 +184,17 @@ func TestBoWEvictsWordsGoneNormal(t *testing.T) {
 	cfg.Decay = 0.9
 	b := NewAdaptiveBoW(cfg)
 	for i := 0; i < 300; i++ {
-		b.Learn([]string{"zorp", "loser"}, true)
-		b.Learn([]string{"nice", "day"}, false)
+		learn(b, "zorp loser", true)
+		learn(b, "nice day", false)
 	}
 	if !b.Contains("zorp") {
 		t.Skip("precondition failed: word never learned")
 	}
 	// The word flips: now popular in normal tweets, absent from aggressive.
 	for i := 0; i < 1000; i++ {
-		b.Learn([]string{"zorp", "nice"}, false)
+		learn(b, "zorp nice", false)
 		if i%5 == 0 {
-			b.Learn([]string{"loser"}, true)
+			learn(b, "loser", true)
 		}
 	}
 	if b.Contains("zorp") {
@@ -199,8 +208,8 @@ func TestBoWSeedsArePermanent(t *testing.T) {
 	b := NewAdaptiveBoW(cfg)
 	// Seed word appears heavily in normal tweets.
 	for i := 0; i < 500; i++ {
-		b.Learn([]string{"fuck", "yeah"}, false)
-		b.Learn([]string{"idiot"}, true)
+		learn(b, "fuck yeah", false)
+		learn(b, "idiot", true)
 	}
 	if !b.Contains("fuck") {
 		t.Fatalf("seed word was evicted")
@@ -216,8 +225,8 @@ func TestBoWFrozen(t *testing.T) {
 	cfg.UpdateEvery = 10
 	b := NewAdaptiveBoW(cfg)
 	for i := 0; i < 200; i++ {
-		b.Learn([]string{"zorp"}, true)
-		b.Learn([]string{"day"}, false)
+		learn(b, "zorp", true)
+		learn(b, "day", false)
 	}
 	if b.Size() != lexicon.SeedSwearCount {
 		t.Fatalf("frozen BoW changed size: %d", b.Size())
@@ -225,12 +234,14 @@ func TestBoWFrozen(t *testing.T) {
 }
 
 func TestBoWScore(t *testing.T) {
-	b := NewAdaptiveBoW(DefaultBoWConfig())
-	if s := b.Score([]string{"FUCK", "this", "shit"}); s != 2 {
-		t.Fatalf("score = %v, want 2 (case-insensitive seeds)", s)
-	}
-	if s := b.Score(nil); s != 0 {
-		t.Fatalf("empty score = %v", s)
+	for _, preprocess := range []bool{true, false} {
+		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
+		if s := e.Extract(tweetWith("FUCK this shit"))[BoWScore]; s != 2 {
+			t.Fatalf("p=%v: score = %v, want 2 (case-insensitive seeds)", preprocess, s)
+		}
+		if s := e.Extract(tweetWith(""))[BoWScore]; s != 0 {
+			t.Fatalf("p=%v: empty score = %v", preprocess, s)
+		}
 	}
 }
 
@@ -239,8 +250,8 @@ func TestBoWSerializationRoundTrip(t *testing.T) {
 	cfg.UpdateEvery = 100
 	a := NewAdaptiveBoW(cfg)
 	for i := 0; i < 400; i++ {
-		a.Learn([]string{"zorp", "idiot", "you"}, true)
-		a.Learn([]string{"nice", "day", "today"}, false)
+		learn(a, "zorp idiot you", true)
+		learn(a, "nice day today", false)
 	}
 	blob, err := a.MarshalBinary()
 	if err != nil {
@@ -255,10 +266,10 @@ func TestBoWSerializationRoundTrip(t *testing.T) {
 	}
 	// Both must evolve identically from here.
 	for i := 0; i < 400; i++ {
-		a.Learn([]string{"blick", "loser"}, true)
-		b.Learn([]string{"blick", "loser"}, true)
-		a.Learn([]string{"coffee"}, false)
-		b.Learn([]string{"coffee"}, false)
+		learn(a, "blick loser", true)
+		learn(b, "blick loser", true)
+		learn(a, "coffee", false)
+		learn(b, "coffee", false)
 	}
 	if a.Size() != b.Size() || a.Contains("blick") != b.Contains("blick") {
 		t.Fatalf("BoW diverged after restore")

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"strings"
+	"unicode"
 
 	"redhanded/internal/text/lexicon"
 	"redhanded/internal/text/pos"
@@ -25,7 +26,7 @@ import (
 //	bits 8-11  sentiment term strength + 6   (0: not a term)
 //	bit  12    seed swear word
 //	bit  13    adaptive-BoW member
-//	bit  14    lowered form of a letters-only emoticon (confirm on the cased token)
+//	bit  14    an emoticon's key, lowered and letters-trimmed (confirm on the cased word)
 //
 // The zero value is a table miss: an open-class word no list knows.
 type wordInfo uint32
@@ -70,11 +71,11 @@ type tableSlot struct {
 	info wordInfo
 }
 
-// letterEmoticons are the cased spellings an infoEmoticon bit stands for,
-// and staticSlots the pre-hashed entries every table starts from.
+// emoticons are the cased spellings an infoEmoticon bit stands for, and
+// staticSlots the pre-hashed entries every table starts from.
 var (
-	letterEmoticons = sentiment.LetterEmoticons()
-	staticSlots     = buildStaticSlots()
+	emoticons   = sentiment.Emoticons()
+	staticSlots = buildStaticSlots()
 )
 
 func buildStaticSlots() []tableSlot {
@@ -96,8 +97,12 @@ func buildStaticSlots() []tableSlot {
 	for _, w := range lexicon.SwearWords() {
 		infos[w] |= infoSwear
 	}
-	for raw := range letterEmoticons {
-		infos[strings.ToLower(raw)] |= infoEmoticon
+	for e := range emoticons {
+		// A key without letters (":)") is empty, and the extractor tries
+		// every such word as an emoticon anyway.
+		if key := strings.ToLower(strings.TrimFunc(e, isNotLetter)); key != "" {
+			infos[key] |= infoEmoticon
+		}
 	}
 	slots := make([]tableSlot, 0, len(infos))
 	for w, info := range infos {
@@ -105,6 +110,8 @@ func buildStaticSlots() []tableSlot {
 	}
 	return slots
 }
+
+func isNotLetter(r rune) bool { return !unicode.IsLetter(r) }
 
 // hashWord is FNV-1a 32-bit over the token bytes.
 //

@@ -23,9 +23,12 @@ func sourceWords(learned []string) []string {
 	for w := range sentiment.Words() {
 		set[w] = true
 	}
-	for e := range sentiment.LetterEmoticons() {
+	for e := range emoticons {
 		set[e] = true
 		set[strings.ToLower(e)] = true
+		if key := strings.ToLower(strip(e)); key != "" {
+			set[key] = true
+		}
 	}
 	for _, w := range lexicon.SwearWords() {
 		set[w] = true
@@ -71,20 +74,31 @@ func randomNonMembers(n int, member map[string]bool) []string {
 
 // TestFusedTableMatchesLegacyLists is the table's exhaustive contract: for
 // every key of every source list, its upper-cased, apostrophe-inserted and
-// elongated variants, and 10k non-members, one fused lookup gives exactly
-// the tag, swear and BoW answers of the map-based legacy functions in each
-// left context, and texts built around the word extract to the legacy
-// vector (which pins the sentiment step in boosted, negated and plain
-// positions).
+// elongated variants, every suffix of the tagger at the lengths either side
+// of its minimum, and 10k non-members, one fused lookup gives exactly the
+// tag, swear and BoW answers of the reference's map-based functions in
+// each left context, and texts built around the word extract to the
+// reference vector under both specs (which pins the sentiment step in
+// boosted, negated and plain positions).
 func TestFusedTableMatchesLegacyLists(t *testing.T) {
 	// Learned words overlay static keys of every kind and add bare ones.
 	learned := []string{"zorp", "quorith", "so", "not", "good", "the", "running", "xd"}
-	e := NewExtractor(DefaultConfig())
-	e.BoW().AppendWords(learned)
+	var extractors []*Extractor
+	for _, preprocess := range []bool{true, false} {
+		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
+		e.BoW().AppendWords(learned)
+		extractors = append(extractors, e)
+	}
+	e := extractors[0]
 	snap := e.bow.lookupSnapshot()
-	tagger := pos.New()
 
 	keys := sourceWords(learned)
+	for _, s := range append(adjSuffixes, append(verbSuffixes, append(nounSuffixes, "ly")...)...) {
+		for _, stem := range []string{"", "z", "zq", "zqx", "zqxl"} {
+			keys = append(keys, stem+s)
+		}
+	}
+	keys = append(keys, "government", "hopelessness", "zqly", "zly", "ly", "y", "z", "économiste", "zqé")
 	member := map[string]bool{}
 	for _, w := range keys {
 		member[w] = true
@@ -98,20 +112,20 @@ func TestFusedTableMatchesLegacyLists(t *testing.T) {
 	checkWord := func(w string) {
 		t.Helper()
 		info := snap.lookup([]byte(w))
-		if got, want := info&infoSwear != 0, lexicon.IsSwear(w); got != want {
+		if got, want := info&infoSwear != 0, isSwear(w); got != want {
 			t.Errorf("%q: swear = %v, legacy %v", w, got, want)
 		}
 		if got, want := info&infoBoW != 0, e.BoW().Contains(w); got != want {
 			t.Errorf("%q: BoW = %v, legacy %v", w, got, want)
 		}
-		if got, want := info.sentiment().Strength, sentiment.TermStrength(w); got != want {
+		if got, want := info.sentiment().Strength, sentimentWords[w].Strength; got != want {
 			t.Errorf("%q: term strength = %d, legacy %d", w, got, want)
 		}
-		if strings.ContainsAny(w, "@$!013") {
-			return // leet seed spellings never reach the tagger as one token
+		if strings.ContainsAny(w, "@$!013") || strip(w) != w {
+			return // leet seed spellings and punctuated emoticons never reach the tagger as one key
 		}
 		for _, prev := range []string{"to", "the"} {
-			want := tagger.TagTokens([]string{prev, w})[1]
+			want := tagTokens([]string{prev, w})[1]
 			got, closed := info.tag()
 			if !closed {
 				got = pos.TagOpenLower([]byte(w), prev == "to", prev == "the")
@@ -126,10 +140,12 @@ func TestFusedTableMatchesLegacyLists(t *testing.T) {
 		t.Helper()
 		for _, text := range []string{w, "to " + w + " the " + w, "not " + w, "very so " + w + " bad", w + " " + w + " good"} {
 			tw := twitterdata.Tweet{Text: text}
-			e.extractLegacyInto(slow, &tw)
-			e.ExtractInto(fast, &tw)
-			if diff := vectorDiff(slow, fast); diff != "" {
-				t.Errorf("text %q: %s", text, diff)
+			for _, e := range extractors {
+				e.extractLegacyInto(slow, &tw)
+				e.ExtractInto(fast, &tw)
+				if diff := vectorDiff(slow, fast); diff != "" {
+					t.Errorf("p=%v, text %q: %s", e.cfg.Preprocess, text, diff)
+				}
 			}
 		}
 	}
@@ -157,9 +173,17 @@ func TestFusedTableMatchesLegacyLists(t *testing.T) {
 }
 
 // TestFusedTablePacking pins the packed layout: every value the word lists
-// hold today survives the trip through a table entry.
+// hold today survives the trip through a table entry, and every emoticon's
+// key (letters-trimmed, lowered: "xd" for "xD", "d" for ":D") carries the
+// emoticon bit that makes the extractor try the word as an emoticon.
 func TestFusedTablePacking(t *testing.T) {
 	snap := NewAdaptiveBoW(DefaultBoWConfig()).lookupSnapshot()
+	for e := range emoticons {
+		key := strings.ToLower(strip(e))
+		if key != "" && snap.lookup([]byte(key))&infoEmoticon == 0 {
+			t.Errorf("emoticon %q: key %q lacks the emoticon bit", e, key)
+		}
+	}
 	for w, want := range sentiment.Words() {
 		if got := snap.lookup([]byte(w)).sentiment(); got != want {
 			t.Errorf("%q: sentiment %+v unpacks as %+v", w, want, got)

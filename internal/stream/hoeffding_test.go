@@ -175,3 +175,31 @@ func TestHTNumNodesConsistency(t *testing.T) {
 		t.Fatalf("leaf count %d != splits+1 (%d)", ht.NumLeaves(), ht.splitCount+1)
 	}
 }
+
+// TestHTBeatsBaselines: on the same test-then-train stream the tree beats
+// the trivial predictors — the majority class so far, and the previous
+// label (no-change).
+func TestHTBeatsBaselines(t *testing.T) {
+	data := gaussianStream(8000, 2, 4, 4, 41)
+	htAcc := prequentialAccuracy(defaultHT(2, 4), data)
+	var counts [2]int
+	majority, noChange, last := 0, 0, 0
+	for _, in := range data {
+		predicted := 0
+		if counts[1] > counts[0] {
+			predicted = 1
+		}
+		if predicted == in.Label {
+			majority++
+		}
+		if last == in.Label {
+			noChange++
+		}
+		counts[in.Label]++
+		last = in.Label
+	}
+	majAcc, ncAcc := float64(majority)/float64(len(data)), float64(noChange)/float64(len(data))
+	if htAcc <= majAcc || htAcc <= ncAcc {
+		t.Fatalf("HT (%v) does not beat baselines (majority %v, no-change %v)", htAcc, majAcc, ncAcc)
+	}
+}

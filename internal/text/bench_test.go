@@ -5,37 +5,8 @@ import "testing"
 const benchTweet = "RT @somebody: OMG this is SOOO bad, check http://t.co/abc123 " +
 	"the 2nd game of the season was a total mess!! #fail #sports 100%"
 
-func BenchmarkClean(b *testing.B) {
-	opts := DefaultCleanOptions()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Clean(benchTweet, opts)
-	}
-}
-
-func BenchmarkTokenize(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Tokenize(benchTweet)
-	}
-}
-
-func BenchmarkSplitSentences(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		SplitSentences(benchTweet)
-	}
-}
-
-func BenchmarkCountUpperWords(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		CountUpperWords(benchTweet)
-	}
-}
-
-// BenchmarkFeaturePathScan measures the single-pass scanner against the
-// sum of the legacy passes it replaces (Clean + Tokenize + counts).
+// BenchmarkFeaturePathScan measures the single-pass scanner under the
+// preprocessing spec, the production path.
 func BenchmarkFeaturePathScan(b *testing.B) {
 	var sc Scratch
 	b.ReportAllocs()
@@ -44,16 +15,12 @@ func BenchmarkFeaturePathScan(b *testing.B) {
 	}
 }
 
-// BenchmarkFeaturePathScanLegacy is the equivalent legacy work: the same
-// token stream and counts produced by the multi-pass implementation.
-func BenchmarkFeaturePathScanLegacy(b *testing.B) {
-	opts := DefaultCleanOptions()
+// BenchmarkFeaturePathScanRaw measures the scanner under the raw spec
+// (p=OFF).
+func BenchmarkFeaturePathScanRaw(b *testing.B) {
+	var sc Scratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		toks := Tokenize(Clean(benchTweet, opts))
-		_ = toks
-		CountTokenKind(benchTweet, IsHashtagToken)
-		CountTokenKind(benchTweet, IsURLToken)
-		CountUpperWords(benchTweet)
+		sc.ScanRaw(benchTweet)
 	}
 }

@@ -1,3 +1,29 @@
+// Package text is the tweet tokenization substrate of the detection
+// pipeline: one single-pass, allocation-free scanner with a tokenization
+// spec per setting of the paper's preprocessing toggle (p=ON/OFF, Fig. 6).
+// The word lists live in the subpackages pos, sentiment and lexicon.
+//
+// A Scratch owns reusable byte arenas and a word table. Both specs walk the
+// raw text once, split it into fields exactly like strings.Fields, and
+// count '#' and '@' fields, URL fields and shouted words (at least two
+// letters, all uppercase, neither an entity nor RT) the same way. They
+// differ in what a word is:
+//
+//   - Scan, the paper's preprocessing (p=ON), drops URL, mention, hashtag
+//     and abbreviation (RT, DM, ...) fields; a word is what is left of a
+//     field's letters and apostrophes, apostrophes trimmed at both ends.
+//     Sentences are the chunks of the entity-stripped text between '.',
+//     '!' and '?' that hold a letter.
+//   - ScanRaw (p=OFF) keeps every field as a word. Its token is the field
+//     trimmed of runes that are neither letter nor digit, lowered rune by
+//     rune as strings.ToLower lowers; its key, what the tagger and the
+//     sentiment lexicon see, is the token trimmed to its letters ("2day"
+//     keys as "day"). Sentences split the raw text at '.', '!', '?' and
+//     newlines, so "a.b" is two tokens in two sentences.
+//
+// The feature package pins both specs to its multi-pass test reference
+// (reference_test.go: FuzzTokenizeFast, FuzzTokenizeRaw) and to
+// testdata/preprocess_off.golden.
 package text
 
 import (
@@ -6,69 +32,58 @@ import (
 	"unicode/utf8"
 )
 
-// This file is the single-pass, (near-)zero-allocation fast path over the
-// preprocessing substrate. A Scratch owns reusable byte arenas and a token
-// table; Scan walks the raw tweet text once, splitting fields exactly like
-// strings.Fields, classifying each field (URL / mention / hashtag /
-// abbreviation / word), writing the cleaned and lowercased forms of every
-// surviving word into the arenas, and accumulating the whole-tweet counts
-// the feature extractor needs (hashtags, URLs, shouted words, sentence
-// boundaries of the entity-stripped text, letter totals).
-//
-// The semantics are pinned to the legacy pipeline with DefaultCleanOptions:
-//
-//	words   == Tokenize(Clean(s, DefaultCleanOptions()))
-//	Lower(i) == strings.ToLower(words[i])
-//	Hashtags == CountTokenKind(s, IsHashtagToken)
-//	URLs     == CountTokenKind(s, IsURLToken)
-//	UpperWords == CountUpperWords(s)
-//	Sentences  == len(SplitSentences(Clean(s, sentence options)))
-//
-// where "sentence options" strips entities but keeps punctuation (the
-// extractor's sentOpts). FuzzTokenizeFast and the feature-package golden
-// test enforce these equalities against the legacy implementations.
-
-// ScanStats are the whole-tweet counts gathered during one Scan pass.
+// ScanStats are the whole-tweet counts gathered during one scan.
 type ScanStats struct {
-	Hashtags   int // '#'-prefixed tokens (len > 1)
-	Mentions   int // '@'-prefixed tokens (len > 1)
-	URLs       int // http://, https://, www., t.co/ tokens
-	UpperWords int // shouted words per CountUpperWords semantics
-	// Sentences counts sentences of the entity-stripped text: chunks
-	// between '.', '!', '?' that contain at least one letter.
+	Hashtags   int // '#'-prefixed fields (len > 1)
+	Mentions   int // '@'-prefixed fields (len > 1)
+	URLs       int // http://, https://, www., t.co/ fields
+	UpperWords int // shouted words
+	// Sentences counts the sentences of the spec: chunks that hold at
+	// least one letter.
 	Sentences int
-	// LetterSum is the total letter-rune count over the word tokens
-	// (the numerator of MeanWordLength).
+	// SentenceWords is the numerator of the mean sentence length: every
+	// word under Scan, the tokens inside counted sentences under ScanRaw.
+	SentenceWords int
+	// LetterSum is the total letter-rune count over the words (the
+	// numerator of the mean word length).
 	LetterSum int
+	// Exclaims counts the text's '!' under ScanRaw (sentiment emphasis);
+	// Scan leaves it 0, since cleaning removes every '!'.
+	Exclaims int
 }
 
-// word is one cleaned token: spans into the Scratch arenas plus per-token
+// word is one word of a scan: spans into the Scratch arenas plus per-word
 // statistics gathered during the scan.
 type word struct {
 	cleanOff, cleanEnd int32 // span in Scratch.clean (case preserved)
 	lowerOff, lowerEnd int32 // span in Scratch.lower
 	letters, uppers    int32 // letter runes / uppercase letter runes
 	elongated          bool  // a rune repeated >= 3 times in a row
-	apos               bool  // an apostrophe inside the token ("don't")
+	apos               bool  // an apostrophe inside the key ("don't")
 }
 
+// span is a key's byte range in Scratch.lower.
+type span struct{ off, end int32 }
+
 // Scratch is the reusable state of the single-pass scanner. The zero value
-// is ready to use; Scan resets it. A Scratch must not be shared between
-// goroutines — pool one per worker (the feature extractor keeps a
+// is ready to use; Scan and ScanRaw reset it. A Scratch must not be shared
+// between goroutines — pool one per worker (the feature extractor keeps a
 // sync.Pool of them).
 type Scratch struct {
 	Stats ScanStats
 
-	clean []byte // arena of cleaned, case-preserved token bytes
-	lower []byte // arena of cleaned, lowercased token bytes
+	clean []byte // arena of case-preserved word bytes
+	lower []byte // arena of lowercased word bytes
 	words []word
+	keys  []span // ScanRaw only: each word's letters-trimmed key
 
 	sentHasLetter bool
+	sentWords     int // ScanRaw only: tokens of the open sentence
 }
 
 // maxRetainedArena and maxRetainedWords bound the buffer capacities a
 // Scratch keeps between scans, so one pathological multi-kilobyte tweet
-// does not pin its arenas or token table in the pool forever.
+// does not pin its arenas or word table in the pool forever.
 const (
 	maxRetainedArena = 64 << 10
 	maxRetainedWords = 4 << 10
@@ -79,7 +94,7 @@ const (
 //redvet:noalloc gate=FeaturePathScan
 func (s *Scratch) Reset() {
 	s.Stats = ScanStats{}
-	s.sentHasLetter = false
+	s.sentHasLetter, s.sentWords = false, 0
 	if cap(s.clean) > maxRetainedArena {
 		s.clean = nil
 	}
@@ -89,31 +104,49 @@ func (s *Scratch) Reset() {
 	if cap(s.words) > maxRetainedWords {
 		s.words = nil
 	}
+	if cap(s.keys) > maxRetainedWords {
+		s.keys = nil
+	}
 	s.clean = s.clean[:0]
 	s.lower = s.lower[:0]
 	s.words = s.words[:0]
+	s.keys = s.keys[:0]
 }
 
-// Words returns the number of word tokens produced by the last Scan.
+// Words returns the number of words produced by the last scan: cleaned
+// words under Scan, fields under ScanRaw.
 func (s *Scratch) Words() int { return len(s.words) }
 
-// Clean returns word i's cleaned, case-preserved bytes. The slice aliases
-// the scratch arena: it is valid until the next Scan or Reset and must not
-// be mutated.
+// Clean returns word i's case-preserved bytes: the cleaned word under Scan,
+// the whole field under ScanRaw. The slice aliases the scratch arena: it is
+// valid until the next scan or Reset and must not be mutated.
 func (s *Scratch) Clean(i int) []byte {
 	w := &s.words[i]
 	return s.clean[w.cleanOff:w.cleanEnd]
 }
 
-// Lower returns word i's cleaned, lowercased bytes (same aliasing rules as
-// Clean).
+// Lower returns word i's lowercased word (Scan) or token (ScanRaw; empty
+// when the field holds no letter or digit), with Clean's aliasing rules.
+// It keys the bag-of-words and the swear list.
 func (s *Scratch) Lower(i int) []byte {
 	w := &s.words[i]
 	return s.lower[w.lowerOff:w.lowerEnd]
 }
 
+// Key returns the form of word i the tagger and the sentiment lexicon key
+// on: Lower(i) under Scan, the token trimmed to its letters under ScanRaw
+// (empty when it holds no letter). Same aliasing rules as Clean.
+func (s *Scratch) Key(i int) []byte {
+	if i < len(s.keys) {
+		k := s.keys[i]
+		return s.lower[k.off:k.end]
+	}
+	return s.Lower(i)
+}
+
 // WordInfo returns word i's letter count, uppercase-letter count, whether
-// it carries an elongation ("sooo"), and whether it holds an apostrophe.
+// it carries an elongation ("sooo"; under ScanRaw a run of any rune, so
+// "bad..." too), and whether its key holds an apostrophe.
 func (s *Scratch) WordInfo(i int) (letters, uppers int, elongated, apostrophe bool) {
 	w := &s.words[i]
 	return int(w.letters), int(w.uppers), w.elongated, w.apos
@@ -171,7 +204,8 @@ func fieldEnd(src string, i int) int {
 	return i
 }
 
-// Scan processes one tweet text. Any previous scan state is discarded.
+// Scan processes one tweet text under the preprocessing spec (p=ON). Any
+// previous scan state is discarded.
 //
 //redvet:noalloc gate=FeaturePathScan
 func (s *Scratch) Scan(src string) {
@@ -183,20 +217,21 @@ func (s *Scratch) Scan(src string) {
 			i = s.field(src, i)
 		}
 	}
-	// Final sentence flush (SplitSentences flushes the trailing chunk).
+	// Final sentence flush: the trailing chunk counts like any other.
 	if s.sentHasLetter {
 		s.Stats.Sentences++
 		s.sentHasLetter = false
 	}
+	s.Stats.SentenceWords = len(s.words)
 }
 
-// field processes the whitespace-delimited token of the raw text that
-// starts at src[start] and returns the offset just past it.
+// field processes, under Scan, the whitespace-delimited field of the raw
+// text that starts at src[start] and returns the offset just past it.
 //
 //redvet:noalloc gate=FeaturePathScan
 func (s *Scratch) field(src string, start int) int {
-	// Entity classification mirrors IsMentionToken / IsHashtagToken /
-	// IsURLToken; the three are mutually exclusive by first byte. The URL
+	// Entity fields: '@' or '#' and at least one more byte, or a URL
+	// prefix; the three are mutually exclusive by first byte. The URL
 	// prefixes hold no whitespace, so matching them on the rest of the text
 	// is matching them on the field.
 	switch c := src[start]; {
@@ -217,7 +252,7 @@ func (s *Scratch) field(src string, start int) int {
 	}
 
 	// One pass over the field finds its end and gathers everything on the
-	// way: trimPunct bounds, letter statistics, the cleaned + lowered bytes
+	// way: letter-or-digit bounds, letter statistics, the cleaned + lowered bytes
 	// (letters and apostrophes survive cleaning), the elongation run over
 	// the cleaned runes, and the sentence events of the entity-stripped text
 	// ('.', '!', '?' flush a sentence; letters mark the current one
@@ -292,8 +327,8 @@ scan:
 		i += sz
 	}
 
-	// Finalize the word token: trim apostrophes at both ends (cleanToken's
-	// strings.Trim(.., "'")). Apostrophes are single bytes in both arenas
+	// Finalize the word token: trim apostrophes at both ends, as cleaning
+	// does. Apostrophes are single bytes in both arenas
 	// and occupy the same rune positions, so the trim counts transfer. An
 	// apostrophe breaks a letter run and three in a row are a run of their
 	// own, but only inside the trimmed token — rare enough to rescan.
@@ -314,8 +349,8 @@ scan:
 	isWord := len(clean)-cOff > la+ta // else the field cleans away entirely
 	if lastAlEnd >= 0 {
 		trimmed := src[firstAl:lastAlEnd]
-		// Shouted-word count (CountUpperWords): trimmed token present, not
-		// "RT", at least two letters, every letter uppercase. All letters
+		// Shouted-word count: trimmed token present, not "RT", at least two
+		// letters, every letter uppercase. All letters
 		// are alphanumeric, so field-wide letter counts equal trimmed-range
 		// counts.
 		if letters >= 2 && uppers == letters && !isFoldRT(trimmed) {
@@ -346,9 +381,160 @@ scan:
 	return i
 }
 
-// isURLField mirrors IsURLToken on a non-empty field without lowercasing
-// the whole token: the prefixes are ASCII, and no non-ASCII rune lowercases
-// into them.
+// ScanRaw processes one tweet text under the raw spec (p=OFF): every field
+// is a word. Any previous scan state is discarded.
+//
+//redvet:noalloc gate=FeaturePathScan
+func (s *Scratch) ScanRaw(src string) {
+	s.Reset()
+	for i := 0; i < len(src); {
+		if sz := spaceLen(src, i); sz > 0 {
+			if src[i] == '\n' {
+				s.endSentence()
+			}
+			i += sz
+		} else {
+			i = s.fieldRaw(src, i)
+		}
+	}
+	s.endSentence()
+}
+
+// endSentence closes the raw-spec sentence open at a terminator, a newline
+// or the end of the text; it counts only when it holds a letter.
+//
+//redvet:noalloc gate=FeaturePathScan
+func (s *Scratch) endSentence() {
+	if s.sentHasLetter {
+		s.Stats.Sentences++
+		s.Stats.SentenceWords += s.sentWords
+	}
+	s.sentHasLetter, s.sentWords = false, 0
+}
+
+// fieldRaw processes, under ScanRaw, the field that starts at src[start]
+// and returns the offset just past it: the field goes whole to the clean
+// arena, its token lowered to the lower arena with the key's span in it.
+// A terminator inside the field ends both a sentence and a sub-token.
+//
+//redvet:noalloc gate=FeaturePathScan
+func (s *Scratch) fieldRaw(src string, start int) int {
+	lower := s.lower
+	tokOff, tokEnd := -1, -1 // token span in lower: letter-or-digit bounds
+	keyOff, keyEnd := -1, -1 // key span in lower: letter bounds
+	aposAt := -1             // first apostrophe after the key's first letter
+	var letters, uppers int32
+	prev, run := rune(-1), 0 // current run of equal runes
+	elongated, subToken := false, false
+	i := start
+	for i < len(src) {
+		r, sz, k := rune(src[i]), 1, byteClass[src[i]]
+		if r >= utf8.RuneSelf {
+			r, sz = utf8.DecodeRuneInString(src[i:])
+			k = runeClass(r)
+		}
+		if k&bSpace != 0 {
+			break
+		}
+		if k&(bLetter|bDigit) != 0 && tokOff < 0 {
+			tokOff = len(lower)
+		}
+		if k&bLetter != 0 && keyOff < 0 {
+			keyOff = len(lower)
+		}
+		if k&bApos != 0 && keyOff >= 0 && aposAt < 0 {
+			aposAt = len(lower)
+		}
+		if tokOff >= 0 {
+			lower = utf8.AppendRune(lower, unicode.ToLower(r))
+		}
+		switch {
+		case k&bLetter != 0:
+			tokEnd, keyEnd, subToken = len(lower), len(lower), true
+			letters++
+			if k&bUpper != 0 {
+				uppers++
+			}
+			s.sentHasLetter = true
+		case k&bDigit != 0:
+			tokEnd, subToken = len(lower), true
+		case k&bTerm != 0:
+			if r == '!' {
+				s.Stats.Exclaims++
+			}
+			if subToken {
+				s.sentWords++
+			}
+			subToken = false
+			s.endSentence()
+		}
+		if r != prev {
+			prev, run = r, 1
+		} else if run++; run >= 3 {
+			elongated = true
+		}
+		i += sz
+	}
+	if subToken {
+		s.sentWords++
+	}
+
+	f := src[start:i]
+	isEntity := true
+	switch {
+	case len(f) > 1 && f[0] == '@':
+		s.Stats.Mentions++
+	case len(f) > 1 && f[0] == '#':
+		s.Stats.Hashtags++
+	case isURLField(f):
+		s.Stats.URLs++
+	default:
+		isEntity = false
+	}
+	if tokOff < 0 { // no letter or digit: a word with an empty token
+		tokOff, tokEnd = len(lower), len(lower)
+	}
+	if keyOff < 0 {
+		keyOff, keyEnd = tokOff, tokOff
+	}
+	tok := lower[tokOff:tokEnd]
+	if !isEntity && letters >= 2 && uppers == letters && string(tok) != "rt" {
+		s.Stats.UpperWords++
+	}
+
+	cOff := len(s.clean)
+	s.clean = append(s.clean, f...)
+	s.lower = lower[:tokEnd] // drop what trails the token
+	s.words = append(s.words, word{})
+	w := &s.words[len(s.words)-1]
+	w.cleanOff, w.cleanEnd = int32(cOff), int32(len(s.clean))
+	w.lowerOff, w.lowerEnd = int32(tokOff), int32(tokEnd)
+	w.letters, w.uppers = letters, uppers
+	w.elongated, w.apos = elongated, aposAt >= 0 && aposAt < keyEnd
+	s.keys = append(s.keys, span{int32(keyOff), int32(keyEnd)})
+	s.Stats.LetterSum += int(letters)
+	return i
+}
+
+// runeClass is byteClass for a rune at or above utf8.RuneSelf: space,
+// uppercase or other letter, or digit per the unicode tables, else 0.
+func runeClass(r rune) uint8 {
+	switch {
+	case unicode.IsSpace(r):
+		return bSpace
+	case unicode.IsLetter(r) && unicode.IsUpper(r):
+		return bUpper
+	case unicode.IsLetter(r):
+		return bLower
+	case unicode.IsDigit(r):
+		return bDigit
+	}
+	return 0
+}
+
+// isURLField reports whether the non-empty field starts with a URL prefix
+// in any case, without lowercasing the whole field: the prefixes are ASCII,
+// and no non-ASCII rune lowercases into them.
 func isURLField(f string) bool {
 	switch f[0] | 0x20 {
 	case 'h':
@@ -415,7 +601,8 @@ func isAbbrevField(t string) bool {
 	return false
 }
 
-// hasElongationBytes is HasElongation over a byte slice.
+// hasElongationBytes reports whether b holds a rune repeated three or more
+// times in a row ("sooo").
 func hasElongationBytes(b []byte) bool {
 	run, prev := 0, rune(-1)
 	for i := 0; i < len(b); {

@@ -35,6 +35,32 @@ func TestScanBasics(t *testing.T) {
 	}
 }
 
+// TestScanRawBasics walks the raw spec over the same tweet: every field is
+// a word, entities included; tokens trim punctuation and keys trim digits;
+// sentences split the raw text, URL dots included.
+func TestScanRawBasics(t *testing.T) {
+	var sc Scratch
+	sc.ScanRaw("RT @user: STOP 2day!! see http://t.co/x #fail. It's sooo bad :)")
+	if st := sc.Stats; st.Hashtags != 1 || st.URLs != 1 || st.Mentions != 1 || st.UpperWords != 1 || st.Exclaims != 2 {
+		t.Errorf("stats = %+v, want 1 hashtag, URL, mention and shouted word, 2 exclaims", st)
+	}
+	tokens := "rt user stop 2day see http://t.co/x fail it's sooo bad "
+	keys := "rt user stop day see http://t.co/x fail it's sooo bad "
+	if got := strings.Join(collect(sc.Words(), sc.Lower), " "); got != tokens {
+		t.Errorf("tokens = %q, want %q", got, tokens)
+	}
+	if got := strings.Join(collect(sc.Words(), sc.Key), " "); got != keys {
+		t.Errorf("keys = %q, want %q", got, keys)
+	}
+	if got := string(sc.Clean(10)); got != ":)" {
+		t.Errorf("last field = %q, want the emoticon", got)
+	}
+	// "RT user STOP 2day", " see http://t", "co/x #fail", " It's sooo bad :)"
+	if st := sc.Stats; st.Sentences != 4 || st.SentenceWords != 11 {
+		t.Errorf("%d sentences of %d tokens, want 4 of 11", st.Sentences, st.SentenceWords)
+	}
+}
+
 func TestScanSentencesSkipEntityDots(t *testing.T) {
 	var sc Scratch
 	// URL dots must not fabricate sentence boundaries; abbreviation and
@@ -52,18 +78,25 @@ func TestScanReuseIsClean(t *testing.T) {
 	if sc.Words() != 1 || string(sc.Clean(0)) != "x" || sc.Stats.Sentences != 1 {
 		t.Errorf("reused scratch leaked state: words=%d stats=%+v", sc.Words(), sc.Stats)
 	}
+	sc.ScanRaw("a1 b2! c3")
+	sc.Scan("x")
+	if sc.Words() != 1 || string(sc.Key(0)) != "x" || sc.Stats.Exclaims != 0 {
+		t.Errorf("Scan after ScanRaw leaked state: words=%d key=%q stats=%+v", sc.Words(), sc.Key(0), sc.Stats)
+	}
 }
 
 // TestScanZeroAlloc pins the tentpole property: a warmed scratch processes
-// a tweet without allocating.
+// a tweet without allocating, under either spec.
 func TestScanZeroAlloc(t *testing.T) {
 	var sc Scratch
-	sc.Scan(benchTweet) // warm the arenas
-	allocs := testing.AllocsPerRun(100, func() {
-		sc.Scan(benchTweet)
-	})
-	if allocs != 0 {
-		t.Errorf("Scan allocates %.1f times per tweet, want 0", allocs)
+	for name, scan := range map[string]func(string){"Scan": sc.Scan, "ScanRaw": sc.ScanRaw} {
+		scan(benchTweet) // warm the arenas
+		allocs := testing.AllocsPerRun(100, func() {
+			scan(benchTweet)
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f times per tweet, want 0", name, allocs)
+		}
 	}
 }
 

@@ -7,18 +7,6 @@ import (
 	"unicode/utf8"
 )
 
-// sentenceOpts mirrors the extractor's sentence-boundary cleaning: strip
-// tweet entities, keep punctuation so sentence terminators survive.
-func sentenceOpts() CleanOptions {
-	return CleanOptions{
-		RemoveURLs:          true,
-		RemoveMentions:      true,
-		RemoveHashtags:      true,
-		RemoveAbbreviations: true,
-		CondenseWhitespace:  true,
-	}
-}
-
 // nastyInputs is the shared seed corpus: emoji, RTL scripts, lone
 // surrogates and other invalid UTF-8, huge elongations, case oddities the
 // ASCII fast paths must not mishandle, and tweet-entity edge shapes.
@@ -65,97 +53,86 @@ func nastyInputs() []string {
 	}
 }
 
-// FuzzClean asserts the legacy cleaner never panics and always returns
-// valid UTF-8, under every option profile the pipeline uses.
+// FuzzClean asserts the scanner never panics and emits well-formed words
+// under both specs: Scan's are non-empty, valid UTF-8, letters and inner
+// apostrophes only, and lower rune by rune into Lower; ScanRaw's tokens
+// and keys are valid UTF-8, the token bounded by letters or digits and the
+// key, a part of it, by letters.
 func FuzzClean(f *testing.F) {
 	for _, s := range nastyInputs() {
 		f.Add(s)
 	}
+	isLetter := func(r rune) bool { return unicode.IsLetter(r) }
 	f.Fuzz(func(t *testing.T, s string) {
-		for _, opts := range []CleanOptions{
-			DefaultCleanOptions(),
-			sentenceOpts(),
-			{},
-			{RemoveNumbers: true, RemovePunctuation: true},
-		} {
-			out := Clean(s, opts)
-			if !utf8.ValidString(out) {
-				t.Fatalf("Clean(%q, %+v) produced invalid UTF-8: %q", s, opts, out)
+		var sc Scratch
+		sc.Scan(s)
+		for i := 0; i < sc.Words(); i++ {
+			w := string(sc.Clean(i))
+			inner := strings.Trim(w, "'")
+			if w == "" || inner != w || !utf8.ValidString(w) ||
+				strings.IndexFunc(w, func(r rune) bool { return r != '\'' && !isLetter(r) }) >= 0 {
+				t.Fatalf("Scan(%q): word %d = %q", s, i, w)
+			}
+			if lower := string(sc.Lower(i)); lower != strings.ToLower(w) || string(sc.Key(i)) != lower {
+				t.Fatalf("Scan(%q): word %d = %q lowers to %q, keys as %q", s, i, w, lower, sc.Key(i))
 			}
 		}
-		for _, sent := range SplitSentences(s) {
-			if !utf8.ValidString(sent) {
-				t.Fatalf("SplitSentences(%q) produced invalid UTF-8", s)
+		sc.ScanRaw(s)
+		for i := 0; i < sc.Words(); i++ {
+			tok, key := string(sc.Lower(i)), string(sc.Key(i))
+			if !utf8.ValidString(tok) || !strings.Contains(tok, key) ||
+				strings.TrimFunc(tok, func(r rune) bool { return !isLetter(r) && !unicode.IsDigit(r) }) != tok ||
+				strings.TrimFunc(key, func(r rune) bool { return !isLetter(r) }) != key {
+				t.Fatalf("ScanRaw(%q): word %d token %q, key %q", s, i, tok, key)
 			}
 		}
 	})
 }
 
-// FuzzTokenizeFast is the scanner's equivalence oracle: on arbitrary input
-// the single-pass Scan must reproduce the legacy Clean+Tokenize token
-// stream, the legacy raw-text counts, and the legacy sentence count — and
-// never panic or emit invalid UTF-8.
+// FuzzTokenizeFast asserts the two specs agree on what both take from the
+// raw text — entity, URL and shouted-word counts — and that each scan's
+// statistics add up: one raw word per field, the letter sum over the words,
+// Scan's sentence length over all its words and its exclamation count 0, a
+// reused scratch no different from a fresh one. Equivalence with the
+// multi-pass pipeline is the feature package's FuzzTokenizeFast and
+// FuzzTokenizeRaw, against its reference copy.
 func FuzzTokenizeFast(f *testing.F) {
 	for _, s := range nastyInputs() {
 		f.Add(s)
 	}
-	var cleanOpts = DefaultCleanOptions()
+	letterSum := func(sc *Scratch) int {
+		n := 0
+		for i := 0; i < sc.Words(); i++ {
+			letters, _, _, _ := sc.WordInfo(i)
+			n += letters
+		}
+		return n
+	}
 	f.Fuzz(func(t *testing.T, s string) {
-		var sc Scratch
-		sc.Scan(s)
-
-		want := Tokenize(Clean(s, cleanOpts))
-		if got := sc.Words(); got != len(want) {
-			t.Fatalf("Scan(%q): %d words, legacy %d (%q)", s, got, len(want), want)
+		var on, off Scratch
+		on.Scan(s)
+		off.ScanRaw(s)
+		a, b := on.Stats, off.Stats
+		if a.Hashtags != b.Hashtags || a.Mentions != b.Mentions || a.URLs != b.URLs || a.UpperWords != b.UpperWords {
+			t.Fatalf("%q: raw-text counts differ between specs: %+v vs %+v", s, a, b)
 		}
-		letterSum := 0
-		for i, w := range want {
-			gotClean := string(sc.Clean(i))
-			if gotClean != w {
-				t.Fatalf("Scan(%q): word %d = %q, legacy %q", s, i, gotClean, w)
-			}
-			if !utf8.ValidString(gotClean) {
-				t.Fatalf("Scan(%q): word %d invalid UTF-8", s, i)
-			}
-			gotLower := string(sc.Lower(i))
-			if wantLower := strings.ToLower(w); gotLower != wantLower {
-				t.Fatalf("Scan(%q): lower %d = %q, legacy %q", s, i, gotLower, wantLower)
-			}
-			letters, _, elongated, apostrophe := sc.WordInfo(i)
-			if apostrophe != strings.Contains(w, "'") {
-				t.Fatalf("Scan(%q): word %d apostrophe = %v, token %q", s, i, apostrophe, w)
-			}
-			wantLetters := 0
-			for _, r := range w {
-				if unicode.IsLetter(r) {
-					wantLetters++
-				}
-			}
-			if letters != wantLetters {
-				t.Fatalf("Scan(%q): word %d letters = %d, legacy %d", s, i, letters, wantLetters)
-			}
-			if elongated != HasElongation(w) {
-				t.Fatalf("Scan(%q): word %d elongated = %v, legacy %v", s, i, elongated, HasElongation(w))
-			}
-			letterSum += wantLetters
+		if off.Words() != len(strings.Fields(s)) || on.Words() > off.Words() {
+			t.Fatalf("%q: %d words, %d raw words, %d fields", s, on.Words(), off.Words(), len(strings.Fields(s)))
 		}
-		if sc.Stats.LetterSum != letterSum {
-			t.Fatalf("Scan(%q): letter sum %d, legacy %d", s, sc.Stats.LetterSum, letterSum)
+		if a.LetterSum != letterSum(&on) || b.LetterSum != letterSum(&off) || a.LetterSum > b.LetterSum {
+			t.Fatalf("%q: letter sums %d and %d do not add up", s, a.LetterSum, b.LetterSum)
 		}
-		if got, want := sc.Stats.Hashtags, CountTokenKind(s, IsHashtagToken); got != want {
-			t.Fatalf("Scan(%q): hashtags %d, legacy %d", s, got, want)
+		if a.SentenceWords != on.Words() || a.Exclaims != 0 || b.Exclaims != strings.Count(s, "!") {
+			t.Fatalf("%q: Scan %+v, ScanRaw %+v", s, a, b)
 		}
-		if got, want := sc.Stats.URLs, CountTokenKind(s, IsURLToken); got != want {
-			t.Fatalf("Scan(%q): urls %d, legacy %d", s, got, want)
+		off.Scan(s) // reuse the raw scan's buffers
+		if off.Stats != a || off.Words() != on.Words() {
+			t.Fatalf("%q: Scan after ScanRaw %+v, fresh %+v", s, off.Stats, a)
 		}
-		if got, want := sc.Stats.Mentions, CountTokenKind(s, IsMentionToken); got != want {
-			t.Fatalf("Scan(%q): mentions %d, legacy %d", s, got, want)
-		}
-		if got, want := sc.Stats.UpperWords, CountUpperWords(s); got != want {
-			t.Fatalf("Scan(%q): upper words %d, legacy %d", s, got, want)
-		}
-		if got, want := sc.Stats.Sentences, len(SplitSentences(Clean(s, sentenceOpts()))); got != want {
-			t.Fatalf("Scan(%q): sentences %d, legacy %d", s, got, want)
+		for i := 0; i < on.Words(); i++ {
+			if string(off.Key(i)) != string(on.Lower(i)) {
+				t.Fatalf("%q: key %d after ScanRaw = %q, want %q", s, i, off.Key(i), on.Lower(i))
+			}
 		}
 	})
 }

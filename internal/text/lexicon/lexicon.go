@@ -63,10 +63,7 @@ var leetRules = []struct{ from, to string }{
 	{"u", "v"},
 }
 
-var (
-	seedList []string
-	seedSet  map[string]bool
-)
+var seedList []string
 
 func init() {
 	seen := map[string]bool{}
@@ -100,10 +97,6 @@ outer:
 		list = list[:SeedSwearCount]
 	}
 	seedList = list
-	seedSet = make(map[string]bool, len(list))
-	for _, w := range list {
-		seedSet[w] = true
-	}
 }
 
 // SwearWords returns a copy of the 347-entry seed swear-word list.
@@ -111,20 +104,4 @@ func SwearWords() []string {
 	cp := make([]string, len(seedList))
 	copy(cp, seedList)
 	return cp
-}
-
-// IsSwear reports whether the lower-cased token is in the seed list.
-func IsSwear(token string) bool {
-	return seedSet[strings.ToLower(token)]
-}
-
-// CountSwears counts tokens present in the seed swear list.
-func CountSwears(tokens []string) int {
-	n := 0
-	for _, t := range tokens {
-		if IsSwear(t) {
-			n++
-		}
-	}
-	return n
 }

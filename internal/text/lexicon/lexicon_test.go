@@ -19,33 +19,6 @@ func TestSeedNoDuplicates(t *testing.T) {
 	}
 }
 
-func TestIsSwear(t *testing.T) {
-	cases := []struct {
-		w    string
-		want bool
-	}{
-		{"fuck", true},
-		{"FUCK", true}, // case-insensitive
-		{"bitch", true},
-		{"hello", false},
-		{"", false},
-	}
-	for _, c := range cases {
-		if got := IsSwear(c.w); got != c.want {
-			t.Errorf("IsSwear(%q) = %v, want %v", c.w, got, c.want)
-		}
-	}
-}
-
-func TestCountSwears(t *testing.T) {
-	n := CountSwears([]string{"you", "fucking", "idiot", "shit"})
-	// "fucking" and "shit" are seeds; "idiot" is insult vocabulary but not
-	// in the curse list (mirrors noswearing.com scope).
-	if n < 2 {
-		t.Fatalf("CountSwears = %d, want >= 2", n)
-	}
-}
-
 func TestSwearWordsReturnsCopy(t *testing.T) {
 	a := SwearWords()
 	a[0] = "changed"

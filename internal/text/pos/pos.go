@@ -7,10 +7,7 @@
 // context (preceding determiner or "to") disambiguates nouns from verbs.
 package pos
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // Tag is a coarse part-of-speech category.
 type Tag int
@@ -75,51 +72,8 @@ var commonAdjectives = wordSet("good bad great small large big little old new yo
 
 var commonAdverbs = wordSet("very really quite too so just only now then here there always never often sometimes usually rarely seldom already still yet soon today tomorrow yesterday maybe perhaps probably definitely certainly absolutely totally completely utterly extremely incredibly honestly seriously literally actually finally suddenly quickly slowly badly well almost nearly hardly barely again once twice everywhere nowhere somewhere anymore together apart away back forward instead otherwise anyway even ever not")
 
-// Tagger assigns coarse POS tags to token sequences. The zero value is
-// ready to use.
-type Tagger struct{}
-
-// New returns a ready Tagger.
-func New() *Tagger { return &Tagger{} }
-
-// TagTokens tags each token in sequence. Tokens are expected to be words
-// (no URLs/mentions); case is ignored.
-func (tg *Tagger) TagTokens(tokens []string) []Tag {
-	tags := make([]Tag, len(tokens))
-	for i, tok := range tokens {
-		tags[i] = tg.tagOne(strings.ToLower(strip(tok)), i, tokens, tags)
-	}
-	return tags
-}
-
-// Counts summarises a tag sequence.
-type Counts struct {
-	Nouns, Verbs, Adjectives, Adverbs int
-	Total                             int
-}
-
-// Count tags the tokens and tallies the open-class categories the feature
-// extractor consumes.
-func (tg *Tagger) Count(tokens []string) Counts {
-	var c Counts
-	for _, t := range tg.TagTokens(tokens) {
-		c.Total++
-		switch t {
-		case Noun:
-			c.Nouns++
-		case Verb:
-			c.Verbs++
-		case Adjective:
-			c.Adjectives++
-		case Adverb:
-			c.Adverbs++
-		}
-	}
-	return c
-}
-
-// closedClasses lists the closed-class word sets in tagOne's priority
-// order: a word in several sets takes the tag of the first.
+// closedClasses lists the closed-class word sets in priority order: a word
+// in several sets takes the tag of the first.
 var closedClasses = []struct {
 	words map[string]bool
 	tag   Tag
@@ -130,8 +84,8 @@ var closedClasses = []struct {
 }
 
 // ClosedClass returns every word the lexicon tags without looking at
-// suffixes or context, with the tag tagOne gives it. The feature package
-// folds it into its fused per-token lookup table.
+// suffixes or context, with its tag. The feature package folds it into its
+// fused per-token lookup table.
 func ClosedClass() map[string]Tag {
 	out := make(map[string]Tag)
 	for i := len(closedClasses) - 1; i >= 0; i-- {
@@ -160,10 +114,10 @@ type suffixRule struct {
 	class  uint8 // 1: adjective, 2: verb, 4: noun
 }
 
-// TagOpenLower is the allocation-free tail of tagOne: it tags one cleaned,
-// lowercased word that is in no closed-class set, given whether the previous
-// word is "to" and whether the previous word was tagged Determiner. The
-// feature package's equivalence tests pin it to tagOne.
+// TagOpenLower tags one lowercased word that is in no closed-class set,
+// given whether the previous word is "to" and whether the previous word was
+// tagged Determiner. The feature package's reference tests pin it to the
+// word-by-word tagger it replaced.
 //
 //redvet:noalloc gate=FeaturePathFast
 func TagOpenLower(w []byte, afterTo, afterDeterminer bool) Tag {
@@ -191,42 +145,6 @@ func TagOpenLower(w []byte, afterTo, afterDeterminer bool) Tag {
 	return Noun
 }
 
-func (tg *Tagger) tagOne(w string, i int, tokens []string, tags []Tag) Tag {
-	if w == "" {
-		return Other
-	}
-	for _, c := range closedClasses {
-		if c.words[w] {
-			return c.tag
-		}
-	}
-	// Context: "to <word>" is an infinitive verb; "<det> <word>" leans noun
-	// unless suffix says adjective.
-	if i > 0 {
-		prev := strings.ToLower(strip(tokens[i-1]))
-		if prev == "to" && !suffixAdjective(w) && !suffixNoun(w) {
-			return Verb
-		}
-	}
-	switch {
-	case strings.HasSuffix(w, "ly") && len(w) > 3:
-		return Adverb
-	case suffixAdjective(w):
-		return Adjective
-	case suffixVerb(w):
-		// "<det> Xing" reads as a noun ("the running"), keep it simple: a
-		// preceding determiner makes any open-class word a noun.
-		if i > 0 && tags[i-1] == Determiner {
-			return Noun
-		}
-		return Verb
-	case suffixNoun(w):
-		return Noun
-	default:
-		return Noun
-	}
-}
-
 // The open-class suffix lists; a suffix counts only on a word at least two
 // bytes longer than itself.
 var (
@@ -234,25 +152,6 @@ var (
 	verbSuffixes = []string{"ing", "ed", "ize", "ise", "ify", "ate"}
 	nounSuffixes = []string{"tion", "sion", "ness", "ment", "ity", "ship", "hood", "ism", "ist", "er", "or", "ology"}
 )
-
-func suffixAdjective(w string) bool { return hasListedSuffix(w, adjSuffixes) }
-func suffixVerb(w string) bool      { return hasListedSuffix(w, verbSuffixes) }
-func suffixNoun(w string) bool      { return hasListedSuffix(w, nounSuffixes) }
-
-func hasListedSuffix(w string, list []string) bool {
-	for _, s := range list {
-		if strings.HasSuffix(w, s) && len(w) > len(s)+1 {
-			return true
-		}
-	}
-	return false
-}
-
-func strip(tok string) string {
-	return strings.TrimFunc(tok, func(r rune) bool {
-		return !unicode.IsLetter(r)
-	})
-}
 
 func wordSet(words string) map[string]bool {
 	set := map[string]bool{}

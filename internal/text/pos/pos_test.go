@@ -3,11 +3,31 @@ package pos
 import (
 	"strings"
 	"testing"
+	"unicode"
 )
+
+// tagAll tags a token sequence the way the feature extractor does: each
+// token keyed by its lowered letters, a closed-class word by its set, any
+// other by TagOpenLower in the context of the previous token.
+func tagAll(tokens []string) []Tag {
+	closed := ClosedClass()
+	tags := make([]Tag, len(tokens))
+	afterTo, afterDeterminer := false, false
+	for i, tok := range tokens {
+		key := strings.ToLower(strings.TrimFunc(tok, func(r rune) bool { return !unicode.IsLetter(r) }))
+		tag, ok := closed[key]
+		if !ok {
+			tag = TagOpenLower([]byte(key), afterTo, afterDeterminer)
+		}
+		tags[i] = tag
+		afterTo, afterDeterminer = key == "to", tag == Determiner
+	}
+	return tags
+}
 
 func tagOf(t *testing.T, sentence []string, i int) Tag {
 	t.Helper()
-	return New().TagTokens(sentence)[i]
+	return tagAll(sentence)[i]
 }
 
 func TestClosedClassWords(t *testing.T) {
@@ -72,17 +92,17 @@ func TestCaseInsensitive(t *testing.T) {
 }
 
 func TestCount(t *testing.T) {
-	c := New().Count([]string{"the", "ugly", "dog", "runs", "quickly"})
-	if c.Adjectives != 1 || c.Adverbs != 1 || c.Verbs != 1 || c.Nouns != 1 {
-		t.Fatalf("Count = %+v, want 1 each of ADJ/ADV/VERB/NOUN", c)
+	counts := map[Tag]int{}
+	for _, tag := range tagAll([]string{"the", "ugly", "dog", "runs", "quickly"}) {
+		counts[tag]++
 	}
-	if c.Total != 5 {
-		t.Fatalf("Total = %d, want 5", c.Total)
+	if counts[Adjective] != 1 || counts[Adverb] != 1 || counts[Verb] != 1 || counts[Noun] != 1 || counts[Determiner] != 1 {
+		t.Fatalf("tags = %v, want 1 each of DET/ADJ/NOUN/VERB/ADV", counts)
 	}
 }
 
 func TestEmptyAndGarbage(t *testing.T) {
-	tags := New().TagTokens([]string{"", "123", "..."})
+	tags := tagAll([]string{"", "123", "..."})
 	for i, tag := range tags {
 		if tag != Other {
 			t.Errorf("token %d tagged %v, want Other", i, tag)
@@ -96,21 +116,15 @@ func TestTagString(t *testing.T) {
 	}
 }
 
-// TestTagOpenLowerMatchesTagTokens pins the last-byte-indexed suffix rules to the
-// three suffix lists of the reference tagger: every suffix, at the lengths
-// either side of its minimum, under each left context, plus words that
-// match suffixes of several classes.
+// TestTagOpenLowerMatchesTagTokens pins the last-byte-indexed suffix rules to
+// the tags the reference tagger's TagTokens gave on ca89b3d: every suffix, at
+// the lengths either side of its minimum, under each left context, plus words
+// that match suffixes of several classes. Each tag string holds one letter
+// per context — none, "to", "the", "zq" — with N noun, V verb, J adjective,
+// R adverb; "----" marks a closed-class word.
 func TestTagOpenLowerMatchesTagTokens(t *testing.T) {
-	tg := New()
-	suffixes := strings.Fields("ful ous ive able ible ish less ic al ant ent est ing ed ize ise ify ate " +
-		"tion sion ness ment ity ship hood ism ist er or ology ly")
-	var words []string
-	for _, s := range suffixes {
-		for _, stem := range []string{"", "z", "zq", "zqx", "zqxl"} {
-			words = append(words, stem+s)
-		}
-	}
-	words = append(words, "government", "hopelessness", "zqly", "zly", "ly", "y", "z", "économiste", "zqé")
+	letter := map[byte]Tag{'N': Noun, 'V': Verb, 'J': Adjective, 'R': Adverb}
+	contexts := []string{"", "to", "the", "zq"}
 	closed := ClosedClass()
 	for _, c := range closedClasses {
 		for w := range c.words {
@@ -119,25 +133,54 @@ func TestTagOpenLowerMatchesTagTokens(t *testing.T) {
 			}
 		}
 	}
-	for _, w := range words {
-		if _, ok := closed[w]; ok {
-			continue
+	check := func(w, want string) {
+		t.Helper()
+		if _, ok := closed[w]; ok != (want == "----") {
+			t.Errorf("%q: closed-class %v, want tags %q", w, ok, want)
+			return
 		}
-		for _, prev := range []string{"", "to", "the", "zq"} {
-			tokens := []string{w}
-			if prev != "" {
-				tokens = []string{prev, w}
-			}
-			tags := tg.TagTokens(tokens)
-			want := tags[len(tags)-1]
-			if got := TagOpenLower([]byte(w), prev == "to", prev == "the"); got != want {
-				t.Errorf("TagOpenLower(%q) after %q = %v, TagTokens %v", w, prev, got, want)
+		if want == "----" {
+			return
+		}
+		for i, prev := range contexts {
+			if got := TagOpenLower([]byte(w), prev == "to", prev == "the"); got != letter[want[i]] {
+				t.Errorf("TagOpenLower(%q) after %q = %v, TagTokens %v", w, prev, got, letter[want[i]])
 			}
 		}
 	}
-	for w, want := range closed {
-		if got := tg.TagTokens([]string{"to", w})[1]; got != want {
-			t.Errorf("ClosedClass()[%q] = %v, TagTokens %v", w, want, got)
+	stems := []string{"", "z", "zq", "zqx", "zqxl"}
+	for _, c := range []struct{ suffix, tags string }{
+		{"ful", "NVNN NVNN JJJJ JJJJ JJJJ"}, {"ous", "NVNN NVNN JJJJ JJJJ JJJJ"},
+		{"ive", "NVNN NVNN JJJJ JJJJ JJJJ"}, {"able", "---- NVNN JJJJ JJJJ JJJJ"},
+		{"ible", "NVNN NVNN JJJJ JJJJ JJJJ"}, {"ish", "NVNN NVNN JJJJ JJJJ JJJJ"},
+		{"less", "NVNN NVNN JJJJ JJJJ JJJJ"}, {"ic", "NVNN NVNN JJJJ JJJJ JJJJ"},
+		{"al", "NVNN NVNN JJJJ JJJJ JJJJ"}, {"ant", "NVNN NVNN JJJJ JJJJ JJJJ"},
+		{"ent", "NVNN NVNN JJJJ JJJJ JJJJ"}, {"est", "NVNN NVNN JJJJ JJJJ JJJJ"},
+		{"ing", "NVNN NVNN VVNV VVNV VVNV"}, {"ed", "NVNN NVNN VVNV VVNV VVNV"},
+		{"ize", "NVNN NVNN VVNV VVNV VVNV"}, {"ise", "NVNN NVNN VVNV VVNV VVNV"},
+		{"ify", "NVNN NVNN VVNV VVNV VVNV"}, {"ate", "NVNN NVNN VVNV VVNV VVNV"},
+		{"tion", "NVNN NVNN NNNN NNNN NNNN"}, {"sion", "NVNN NVNN NNNN NNNN NNNN"},
+		{"ness", "NVNN NVNN NNNN NNNN NNNN"}, {"ment", "NVNN JJJJ JJJJ JJJJ JJJJ"},
+		{"ity", "NVNN NVNN NNNN NNNN NNNN"}, {"ship", "NVNN NVNN NNNN NNNN NNNN"},
+		{"hood", "NVNN NVNN NNNN NNNN NNNN"}, {"ism", "NVNN NVNN NNNN NNNN NNNN"},
+		{"ist", "NVNN NVNN NNNN NNNN NNNN"}, {"er", "NVNN NVNN NNNN NNNN NNNN"},
+		{"or", "---- NVNN NNNN NNNN NNNN"}, {"ology", "NVNN NVNN NNNN NNNN NNNN"},
+		{"ly", "NVNN NVNN RVRR RVRR RVRR"},
+	} {
+		for i, tags := range strings.Fields(c.tags) {
+			check(stems[i]+c.suffix, tags)
+		}
+	}
+	for _, c := range []struct{ word, tags string }{
+		{"government", "JJJJ"}, {"hopelessness", "NNNN"}, {"zqly", "RVRR"}, {"zly", "NVNN"},
+		{"ly", "NVNN"}, {"y", "NVNN"}, {"z", "NVNN"}, {"économiste", "NVNN"}, {"zqé", "NVNN"},
+	} {
+		check(c.word, c.tags)
+	}
+	// Words in several closed-class sets take the tag of the first.
+	for w, want := range map[string]Tag{"again": Preposition, "yet": Conjunction, "mean": Adjective, "open": Adjective, "so": Conjunction} {
+		if got := closed[w]; got != want {
+			t.Errorf("ClosedClass()[%q] = %v, TagTokens %v", w, got, want)
 		}
 	}
 }

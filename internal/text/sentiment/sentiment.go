@@ -1,31 +1,21 @@
-// Package sentiment implements a SentiStrength-style lexicon sentiment
-// analyzer. Like the tool the paper uses, it reports two scores per text:
+// Package sentiment implements SentiStrength-style lexicon sentiment
+// scoring. Like the tool the paper uses, it reports two scores per text:
 // a positive strength in [1, 5] and a negative strength in [-5, -1]
 // (1 / -1 mean "no sentiment"). Scoring follows the SentiStrength recipe:
 // each term carries a base strength, preceding booster words strengthen or
 // weaken it, preceding negators flip it, and emphasis markers (elongated
-// words, exclamation marks, shouting) add intensity.
+// words, exclamation marks, shouting) add intensity. The package holds the
+// word lists and the Stepper that folds resolved words into a Score; the
+// text scanner tokenizes and the feature extractor resolves each word.
 package sentiment
 
-import (
-	"strings"
-	"unicode"
-)
-
-// Score is the result of analyzing one text.
+// Score is the result of scoring one text.
 type Score struct {
 	// Positive is the maximum positive strength found, in [1, 5].
 	Positive int
 	// Negative is the maximum negative strength found, in [-5, -1].
 	Negative int
 }
-
-// Analyzer scores texts against the built-in lexicon. The zero value is
-// ready to use; Analyzer is safe for concurrent use.
-type Analyzer struct{}
-
-// New returns a ready Analyzer.
-func New() *Analyzer { return &Analyzer{} }
 
 // negators flip the polarity of the following sentiment term.
 var negators = map[string]bool{
@@ -103,172 +93,14 @@ var lexicon = map[string]int{
 }
 
 // emoticons carry their own strengths, like SentiStrength's emoticon
-// list. They are matched as whole whitespace-delimited tokens before
-// normalization strips their punctuation.
+// list. They are matched, case preserved, against whole
+// whitespace-delimited fields before anything strips their punctuation.
 var emoticons = map[string]int{
 	":)": 3, ":-)": 3, ":D": 4, ":-D": 4, "=)": 3, ":]": 3, "^_^": 3,
 	";)": 2, ";-)": 2, "<3": 4, ":*": 3, ":p": 2, ":P": 2, "xD": 4,
 	":(": -3, ":-(": -3, ":'(": -4, ";(": -3, "=(": -3, ":[": -3,
 	":/": -2, ":-/": -2, ":|": -2, "-_-": -2, "D:": -4, "</3": -4,
 	">:(": -4, "T_T": -4,
-}
-
-// Analyze scores one text. Texts with no sentiment terms score {1, -1}.
-func (a *Analyzer) Analyze(text string) Score {
-	maxPos, maxNeg := 1, -1
-	exclaims := strings.Count(text, "!")
-
-	tokens := strings.Fields(text)
-	boost := 0
-	negate := false
-	for _, raw := range tokens {
-		if v, ok := emoticons[raw]; ok {
-			if v > maxPos {
-				maxPos = v
-			}
-			if v < maxNeg {
-				maxNeg = v
-			}
-			boost, negate = 0, false
-			continue
-		}
-		shout := isShout(raw)
-		w := normalizeToken(raw)
-		if w == "" {
-			continue
-		}
-		elongated := hasElongation(raw)
-		if negators[w] {
-			negate = true
-			continue
-		}
-		if b, ok := boosters[w]; ok {
-			boost += b
-			continue
-		}
-		strength, ok := lexicon[w]
-		if !ok {
-			// Try de-elongated form ("coooool" -> "cool").
-			if elongated {
-				strength, ok = lexicon[squeeze(w)]
-			}
-			if !ok {
-				boost, negate = 0, false
-				continue
-			}
-		}
-		// Apply modifiers: boosters add magnitude, emphasis adds magnitude,
-		// negation flips and dampens (SentiStrength flips the polarity and
-		// reduces the strength by one).
-		mag := abs(strength) + boost
-		if elongated {
-			mag++
-		}
-		if shout {
-			mag++
-		}
-		mag = clamp(mag, 1, 5)
-		sign := sign(strength)
-		if negate {
-			sign = -sign
-			mag = clamp(mag-1, 1, 5)
-		}
-		v := sign * mag
-		if v > 0 && v > maxPos {
-			maxPos = v
-		}
-		if v < 0 && v < maxNeg {
-			maxNeg = v
-		}
-		boost, negate = 0, false
-	}
-
-	// Exclamation marks intensify the dominant polarity.
-	if exclaims > 0 {
-		bump := 1
-		if exclaims >= 3 {
-			bump = 2
-		}
-		if -maxNeg >= maxPos && maxNeg < -1 {
-			maxNeg = clamp(maxNeg-bump, -5, -1)
-		} else if maxPos > 1 {
-			maxPos = clamp(maxPos+bump, 1, 5)
-		}
-	}
-	return Score{Positive: maxPos, Negative: maxNeg}
-}
-
-// HasTerm reports whether the lower-cased word is in the sentiment lexicon.
-func HasTerm(w string) bool {
-	_, ok := lexicon[strings.ToLower(w)]
-	return ok
-}
-
-// TermStrength returns the base strength of a lexicon term (0 if absent).
-func TermStrength(w string) int { return lexicon[strings.ToLower(w)] }
-
-// PositiveTerms returns all lexicon terms with positive strength.
-func PositiveTerms() []string { return termsBy(func(v int) bool { return v > 0 }) }
-
-// NegativeTerms returns all lexicon terms with negative strength.
-func NegativeTerms() []string { return termsBy(func(v int) bool { return v < 0 }) }
-
-func termsBy(keep func(int) bool) []string {
-	var out []string
-	for w, v := range lexicon {
-		if keep(v) {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-func normalizeToken(tok string) string {
-	t := strings.TrimFunc(tok, func(r rune) bool { return !unicode.IsLetter(r) })
-	t = strings.ToLower(t)
-	return strings.ReplaceAll(t, "'", "")
-}
-
-func isShout(tok string) bool {
-	letters, uppers := 0, 0
-	for _, r := range tok {
-		if unicode.IsLetter(r) {
-			letters++
-			if unicode.IsUpper(r) {
-				uppers++
-			}
-		}
-	}
-	return letters >= 2 && uppers == letters
-}
-
-func hasElongation(tok string) bool {
-	run, prev := 0, rune(-1)
-	for _, r := range tok {
-		if r == prev {
-			run++
-			if run >= 3 {
-				return true
-			}
-		} else {
-			prev, run = r, 1
-		}
-	}
-	return false
-}
-
-// squeeze collapses letter runs longer than two ("sooooo" -> "soo" -> try
-// both the squeezed and fully collapsed form).
-func squeeze(w string) string {
-	var b strings.Builder
-	var prev rune = -1
-	for _, r := range w {
-		if r != prev {
-			b.WriteRune(r)
-		}
-		prev = r
-	}
-	return b.String()
 }
 
 func abs(v int) int {

@@ -1,14 +1,25 @@
-package sentiment
+package sentiment_test
 
 import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"redhanded/internal/feature"
+	"redhanded/internal/text/sentiment"
+	"redhanded/internal/twitterdata"
 )
 
-func analyze(t *testing.T, s string) Score {
+// rawExtractor scores under p=OFF, where the sentiment step sees every raw
+// field of the text: emoticons, punctuation and '!' included.
+var rawExtractor = feature.NewExtractor(feature.Config{BoW: feature.DefaultBoWConfig()})
+
+// analyze scores one text through the lexicon and the Stepper, as the
+// feature extractor resolves its words.
+func analyze(t *testing.T, s string) sentiment.Score {
 	t.Helper()
-	return New().Analyze(s)
+	x := rawExtractor.Extract(&twitterdata.Tweet{Text: s})
+	return sentiment.Score{Positive: int(x[feature.SentimentScorePos]), Negative: int(x[feature.SentimentScoreNeg])}
 }
 
 func TestNeutralText(t *testing.T) {
@@ -134,64 +145,105 @@ func TestEmoticons(t *testing.T) {
 	}
 }
 
-func TestLexicalHelpers(t *testing.T) {
-	if !HasTerm("hate") || HasTerm("xyzzy") {
-		t.Fatalf("HasTerm misbehaves")
-	}
-	if TermStrength("hate") >= 0 {
-		t.Fatalf("TermStrength(hate) = %d, want negative", TermStrength("hate"))
-	}
-	if len(PositiveTerms()) == 0 || len(NegativeTerms()) == 0 {
-		t.Fatalf("term exports empty")
-	}
-	for _, w := range PositiveTerms() {
-		if TermStrength(w) <= 0 {
-			t.Fatalf("positive term %q has strength %d", w, TermStrength(w))
-		}
-	}
-}
-
-// TestStepperMatchesAnalyze feeds the stepper what the feature package's
-// fused table would resolve for each token and requires Analyze's score.
+// TestStepperMatchesAnalyze feeds the stepper each field of a text the way
+// the extractor resolves it under p=OFF and requires the score Analyze gave
+// on ca89b3d; the p=OFF extractor must give the same.
 func TestStepperMatchesAnalyze(t *testing.T) {
-	words := Words()
-	for _, text := range []string{
-		"not very good", "so damn bad", "barely fucking awful", "never ever good",
-		"xD this is great", "I HATE you", "coooool story", "daaamn", "sooo good",
-		"really not bad at all", "good xD not bad", "hardly lovely",
+	words, emoticons := sentiment.Words(), sentiment.Emoticons()
+	for _, c := range []struct {
+		text string
+		want sentiment.Score
+	}{
+		{"not very good", sentiment.Score{Positive: 1, Negative: -3}},
+		{"so damn bad", sentiment.Score{Positive: 1, Negative: -5}},
+		{"barely fucking awful", sentiment.Score{Positive: 4, Negative: -1}},
+		{"never ever good", sentiment.Score{Positive: 3, Negative: -1}},
+		{"xD this is great", sentiment.Score{Positive: 4, Negative: -1}},
+		{"I HATE you", sentiment.Score{Positive: 1, Negative: -5}},
+		{"coooool story", sentiment.Score{Positive: 1, Negative: -1}},
+		{"daaamn", sentiment.Score{Positive: 1, Negative: -4}},
+		{"sooo good", sentiment.Score{Positive: 3, Negative: -1}},
+		{"really not bad at all", sentiment.Score{Positive: 3, Negative: -1}},
+		{"good xD not bad", sentiment.Score{Positive: 4, Negative: -1}},
+		{"hardly lovely", sentiment.Score{Positive: 1, Negative: -2}},
 	} {
-		var st Stepper
+		var st sentiment.Stepper
 		st.Reset()
-		for _, raw := range strings.Fields(text) {
-			if v, ok := LetterEmoticons()[raw]; ok {
+		for _, raw := range strings.Fields(c.text) {
+			if v, ok := emoticons[raw]; ok {
 				st.Score(v)
 				continue
 			}
-			w := normalizeToken(raw)
-			long := hasElongation(raw)
+			w := strings.ReplaceAll(strings.ToLower(strings.TrimFunc(raw, notLetter)), "'", "")
+			long := elongated(raw)
 			word := words[w]
-			if long && word == (Word{}) {
-				word.Strength = words[string(Squeeze(nil, []byte(w)))].Strength
+			if long && word == (sentiment.Word{}) {
+				word.Strength = words[string(sentiment.Squeeze(nil, []byte(w)))].Strength
 			}
-			st.Step(word, isShout(raw), long)
+			st.Step(word, shouted(raw), long)
 		}
-		if got, want := st.Finish(0), New().Analyze(text); got != want {
-			t.Errorf("stepper(%q) = %+v, Analyze %+v", text, got, want)
+		if got := st.Finish(strings.Count(c.text, "!")); got != c.want {
+			t.Errorf("stepper(%q) = %+v, Analyze %+v", c.text, got, c.want)
+		}
+		if got := analyze(t, c.text); got != c.want {
+			t.Errorf("p=OFF extract(%q) = %+v, Analyze %+v", c.text, got, c.want)
 		}
 	}
 }
 
-// TestLetterEmoticons: exactly the emoticons text cleaning leaves intact
-// (letters only) are offered to the fast path.
-func TestLetterEmoticons(t *testing.T) {
-	got := LetterEmoticons()
-	for e, v := range emoticons {
-		letters := normalizeToken(e) != "" && !strings.ContainsFunc(e, func(r rune) bool { return !unicode.IsLetter(r) })
-		if gv, ok := got[e]; ok != letters || (ok && gv != v) {
-			t.Errorf("emoticon %q: offered=%v strength=%d, letters-only=%v strength=%d", e, ok, gv, letters, v)
+func notLetter(r rune) bool { return !unicode.IsLetter(r) }
+
+// shouted reports whether s has at least two letters, all uppercase.
+func shouted(s string) bool {
+	letters, uppers := 0, 0
+	for _, r := range s {
+		if unicode.IsLetter(r) {
+			letters++
+			if unicode.IsUpper(r) {
+				uppers++
+			}
 		}
 	}
-	if got["xD"] != 4 {
-		t.Errorf(`LetterEmoticons()["xD"] = %d, want 4`, got["xD"])
+	return letters >= 2 && uppers == letters
+}
+
+// elongated reports whether s holds a rune repeated three times in a row.
+func elongated(s string) bool {
+	run, prev := 0, rune(-1)
+	for _, r := range s {
+		if r == prev {
+			run++
+		} else {
+			prev, run = r, 1
+		}
+		if run >= 3 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLetterEmoticons: under p=OFF every emoticon scores its strength; under
+// p=ON exactly the emoticons text cleaning leaves intact (letters only) do,
+// and the rest score neutral.
+func TestLetterEmoticons(t *testing.T) {
+	cleaned := feature.NewExtractor(feature.Config{Preprocess: true, BoW: feature.DefaultBoWConfig()})
+	for e, v := range sentiment.Emoticons() {
+		want := sentiment.Score{Positive: max(1, v), Negative: min(-1, v)}
+		if got := analyze(t, e); got != want {
+			t.Errorf("p=OFF emoticon %q scored %+v, want %+v", e, got, want)
+		}
+		x := cleaned.Extract(&twitterdata.Tweet{Text: e})
+		got := sentiment.Score{Positive: int(x[feature.SentimentScorePos]), Negative: int(x[feature.SentimentScoreNeg])}
+		if !strings.ContainsFunc(e, notLetter) {
+			if got != want {
+				t.Errorf("p=ON letter emoticon %q scored %+v, want %+v", e, got, want)
+			}
+		} else if neutral := (sentiment.Score{Positive: 1, Negative: -1}); got != neutral {
+			t.Errorf("p=ON emoticon %q survived cleaning: scored %+v, want %+v", e, got, neutral)
+		}
+	}
+	if got := analyze(t, "xD"); got.Positive != 4 {
+		t.Errorf(`"xD" scored %+v, want Positive 4`, got)
 	}
 }

@@ -1,8 +1,7 @@
 package sentiment
 
 import (
-	"strings"
-	"unicode"
+	"maps"
 	"unicode/utf8"
 )
 
@@ -36,24 +35,15 @@ func Words() map[string]Word {
 	return out
 }
 
-// LetterEmoticons returns the emoticons made of letters only ("xD") with
-// their strengths. They are the only ones that survive text cleaning, so
-// the only ones the fast path can meet.
-func LetterEmoticons() map[string]int {
-	out := make(map[string]int)
-	for e, v := range emoticons {
-		if strings.IndexFunc(e, func(r rune) bool { return !unicode.IsLetter(r) }) < 0 {
-			out[e] = v
-		}
-	}
-	return out
-}
+// Emoticons returns the emoticons ("xD", ":)", "<3", ...) with their
+// strengths. An emoticon matches a whole field, case preserved, and its
+// strength scores in place of the field's word.
+func Emoticons() map[string]int { return maps.Clone(emoticons) }
 
-// Stepper is the allocation-free fast path of the analyzer: instead of
-// re-tokenizing a text and probing the word lists, the caller resolves each
-// token to its Word (or emoticon strength) and the stepper carries the
-// booster/negator state between tokens. It mirrors Analyze exactly — the
-// feature package's golden and fuzz tests pin the two paths together.
+// Stepper scores one text without allocating: the caller resolves each
+// word to its Word (or emoticon strength) and the stepper carries the
+// booster/negator state between words. The feature package's reference
+// tests pin it to the word-by-word analyzer it replaced.
 //
 // A Stepper is not safe for concurrent use. Reset it before each text.
 type Stepper struct {
@@ -70,11 +60,11 @@ func (st *Stepper) Reset() {
 	st.boost, st.negate = 0, false
 }
 
-// Step folds one word token into the running score. A word on several
-// lists acts as Analyze's probe order has it: negator, then booster, then
-// term. shout is isShout of the raw token (at least two letters, all
-// uppercase) and long its hasElongation; for a long word that is on no
-// list the caller passes the Strength of its Squeeze form instead.
+// Step folds one word into the running score. A word on several lists
+// acts as the first of negator, booster, term. shout means the word has at
+// least two letters, all uppercase, and long that it holds a rune repeated
+// three times in a row; for a long word that is on no list the caller
+// passes the Strength of its Squeeze form instead.
 //
 //redvet:noalloc gate=FeaturePathFast
 func (st *Stepper) Step(w Word, shout, long bool) {
@@ -119,8 +109,8 @@ func (st *Stepper) Score(v int) {
 }
 
 // Finish applies the exclamation-mark emphasis (the count of '!' in the
-// text) and returns the score. A preprocessed text has no '!' left, so the
-// extractor's fast path passes 0.
+// text) and returns the score. A preprocessed text has no '!' left, so
+// under p=ON the extractor passes 0.
 func (st *Stepper) Finish(exclaims int) Score {
 	maxPos, maxNeg := st.maxPos, st.maxNeg
 	if exclaims > 0 {
@@ -137,8 +127,8 @@ func (st *Stepper) Finish(exclaims int) Score {
 	return Score{Positive: maxPos, Negative: maxNeg}
 }
 
-// Squeeze is squeeze over bytes, appending the de-elongated form of w
-// ("coooool" -> "col") to dst.
+// Squeeze appends the de-elongated form of w, every run of a rune
+// collapsed to one ("coooool" -> "col"), to dst.
 //
 //redvet:noalloc gate=FeaturePathFast
 func Squeeze(dst, w []byte) []byte {

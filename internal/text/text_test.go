@@ -7,70 +7,113 @@ import (
 	"unicode"
 )
 
+// The scanner case by case: Scan is the paper's preprocessing (p=ON),
+// ScanRaw keeps the raw fields (p=OFF).
+
+// scanWords returns Scan's cleaned words.
+func scanWords(s string) []string {
+	var sc Scratch
+	sc.Scan(s)
+	return collect(sc.Words(), sc.Clean)
+}
+
+// rawTokens returns ScanRaw's lowered tokens, one per field ("" for a field
+// without a letter or digit).
+func rawTokens(s string) []string {
+	var sc Scratch
+	sc.ScanRaw(s)
+	return collect(sc.Words(), sc.Lower)
+}
+
+func collect(n int, at func(int) []byte) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = string(at(i))
+	}
+	return out
+}
+
+// bothSpecs returns the stats of Scan and of ScanRaw over s.
+func bothSpecs(s string) [2]ScanStats {
+	var on, off Scratch
+	on.Scan(s)
+	off.ScanRaw(s)
+	return [2]ScanStats{on.Stats, off.Stats}
+}
+
 func TestCleanRemovesTweetContent(t *testing.T) {
 	in := "RT @user1: Check this out http://t.co/abc #winning 100%!!!"
-	got := Clean(in, DefaultCleanOptions())
+	got := strings.Join(scanWords(in), " ")
 	for _, banned := range []string{"@", "#", "http", "RT", "100", "%", "!"} {
 		if strings.Contains(got, banned) {
-			t.Errorf("Clean left %q in %q", banned, got)
+			t.Errorf("Scan left %q in %q", banned, got)
 		}
 	}
 	if !strings.Contains(got, "Check this out") {
-		t.Errorf("Clean dropped real content: %q", got)
+		t.Errorf("Scan dropped real content: %q", got)
 	}
 }
 
 func TestCleanKeepsCase(t *testing.T) {
-	got := Clean("STOP that NOW", DefaultCleanOptions())
-	if got != "STOP that NOW" {
-		t.Fatalf("Clean altered case: %q", got)
+	if got := strings.Join(scanWords("STOP that NOW"), " "); got != "STOP that NOW" {
+		t.Fatalf("Scan altered case: %q", got)
 	}
 }
 
+// TestCleanSelectiveOptions: what cleaning removes, the raw spec keeps as
+// tokens — mentions, hashtags, URLs, numbers — and its fields keep their
+// punctuation.
 func TestCleanSelectiveOptions(t *testing.T) {
 	in := "@you see #tag at http://x.co 42 ok!"
-	onlyURLs := Clean(in, CleanOptions{RemoveURLs: true, CondenseWhitespace: true})
-	if strings.Contains(onlyURLs, "http") {
-		t.Errorf("URL not removed: %q", onlyURLs)
+	if got := strings.Join(scanWords(in), " "); got != "see at ok" {
+		t.Errorf("Scan words = %q, want %q", got, "see at ok")
 	}
-	if !strings.Contains(onlyURLs, "#tag") || !strings.Contains(onlyURLs, "@you") {
-		t.Errorf("mention/hashtag should remain: %q", onlyURLs)
+	want := []string{"you", "see", "tag", "at", "http://x.co", "42", "ok"}
+	if got := rawTokens(in); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("ScanRaw tokens = %q, want %q", got, want)
 	}
-	if !strings.Contains(onlyURLs, "42") || !strings.Contains(onlyURLs, "!") {
-		t.Errorf("numbers/punct should remain: %q", onlyURLs)
+	var sc Scratch
+	sc.ScanRaw(in)
+	if got := string(sc.Clean(6)); got != "ok!" {
+		t.Errorf("ScanRaw field 6 = %q, want %q", got, "ok!")
 	}
 }
 
 func TestCleanEmptyAndWhitespace(t *testing.T) {
-	if got := Clean("", DefaultCleanOptions()); got != "" {
-		t.Fatalf("Clean(\"\") = %q", got)
+	for _, in := range []string{"", "   \t \n "} {
+		if got := scanWords(in); len(got) != 0 {
+			t.Fatalf("Scan(%q) = %q", in, got)
+		}
+		if got := rawTokens(in); len(got) != 0 {
+			t.Fatalf("ScanRaw(%q) = %q", in, got)
+		}
 	}
-	if got := Clean("   \t \n ", DefaultCleanOptions()); got != "" {
-		t.Fatalf("Clean(whitespace) = %q", got)
-	}
-	if got := Clean("a    b\t\tc", DefaultCleanOptions()); got != "a b c" {
+	if got := strings.Join(scanWords("a    b\t\tc"), " "); got != "a b c" {
 		t.Fatalf("whitespace not condensed: %q", got)
 	}
 }
 
 func TestCleanKeepsContractions(t *testing.T) {
-	got := Clean("don't stop", DefaultCleanOptions())
-	if got != "don't stop" {
+	if got := strings.Join(scanWords("don't stop"), " "); got != "don't stop" {
 		t.Fatalf("contraction mangled: %q", got)
+	}
+	var sc Scratch
+	sc.ScanRaw("'don't' stop")
+	if _, _, _, apostrophe := sc.WordInfo(0); string(sc.Key(0)) != "don't" || !apostrophe {
+		t.Fatalf("raw key = %q (apostrophe %v), want \"don't\" with one", sc.Key(0), apostrophe)
 	}
 }
 
 func TestCleanNeverAddsContent(t *testing.T) {
 	f := func(s string) bool {
-		out := Clean(s, DefaultCleanOptions())
-		// Every letter in the output must exist in the input (cleaning only
+		// Every letter of a word must exist in the input (cleaning only
 		// removes content).
 		inLetters := map[rune]int{}
 		for _, r := range s {
 			inLetters[r]++
 		}
-		for _, r := range out {
-			if r == ' ' || r == '\'' {
+		for _, r := range strings.Join(scanWords(s), "") {
+			if r == '\'' {
 				continue
 			}
 			if inLetters[r] == 0 {
@@ -86,25 +129,18 @@ func TestCleanNeverAddsContent(t *testing.T) {
 }
 
 func TestTokenize(t *testing.T) {
-	toks := Tokenize("Hello, world! (really)")
-	want := []string{"Hello", "world", "really"}
-	if len(toks) != len(want) {
-		t.Fatalf("Tokenize = %v, want %v", toks, want)
+	want := []string{"hello", "world", "really"}
+	if got := rawTokens("Hello, world! (really)"); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("ScanRaw tokens = %q, want %q", got, want)
 	}
-	for i := range want {
-		if toks[i] != want[i] {
-			t.Fatalf("Tokenize = %v, want %v", toks, want)
-		}
-	}
-	if got := Tokenize("... !!! ---"); len(got) != 0 {
-		t.Fatalf("pure punctuation should tokenize to nothing, got %v", got)
+	if got := rawTokens("... !!! ---"); strings.Join(got, "") != "" {
+		t.Fatalf("pure punctuation should yield no token, got %q", got)
 	}
 }
 
 func TestLowerTokens(t *testing.T) {
-	toks := LowerTokens("HeLLo WORLD")
-	if toks[0] != "hello" || toks[1] != "world" {
-		t.Fatalf("LowerTokens = %v", toks)
+	if got := rawTokens("HeLLo WORLD"); got[0] != "hello" || got[1] != "world" {
+		t.Fatalf("ScanRaw tokens = %q", got)
 	}
 }
 
@@ -121,8 +157,9 @@ func TestSplitSentences(t *testing.T) {
 		{"!!!", 0},
 	}
 	for _, c := range cases {
-		if got := SplitSentences(c.in); len(got) != c.want {
-			t.Errorf("SplitSentences(%q) = %v (len %d), want %d", c.in, got, len(got), c.want)
+		var sc Scratch
+		if sc.ScanRaw(c.in); sc.Stats.Sentences != c.want {
+			t.Errorf("ScanRaw(%q): %d sentences, want %d", c.in, sc.Stats.Sentences, c.want)
 		}
 	}
 }
@@ -140,68 +177,83 @@ func TestIsUpperWord(t *testing.T) {
 		{"", false},
 	}
 	for _, c := range cases {
-		if got := IsUpperWord(c.in); got != c.want {
-			t.Errorf("IsUpperWord(%q) = %v, want %v", c.in, got, c.want)
+		for spec, st := range bothSpecs(c.in) {
+			if got := st.UpperWords == 1; got != c.want {
+				t.Errorf("spec %d: %q shouted = %v, want %v", spec, c.in, got, c.want)
+			}
 		}
 	}
 }
 
 func TestCountUpperWords(t *testing.T) {
-	n := CountUpperWords("RT STOP THAT @NOW #WOW http://X.CO ok")
-	if n != 2 {
-		t.Fatalf("CountUpperWords = %d, want 2 (STOP, THAT)", n)
+	for spec, st := range bothSpecs("RT STOP THAT @NOW #WOW http://X.CO ok") {
+		if st.UpperWords != 2 {
+			t.Fatalf("spec %d: %d upper words, want 2 (STOP, THAT)", spec, st.UpperWords)
+		}
 	}
 }
 
 func TestCountTokenKind(t *testing.T) {
-	s := "see @a and @b at http://x.co #yes #no #maybe"
-	if n := CountTokenKind(s, IsMentionToken); n != 2 {
-		t.Errorf("mentions = %d, want 2", n)
-	}
-	if n := CountTokenKind(s, IsHashtagToken); n != 3 {
-		t.Errorf("hashtags = %d, want 3", n)
-	}
-	if n := CountTokenKind(s, IsURLToken); n != 1 {
-		t.Errorf("urls = %d, want 1", n)
+	for spec, st := range bothSpecs("see @a and @b at http://x.co #yes #no #maybe") {
+		if st.Mentions != 2 || st.Hashtags != 3 || st.URLs != 1 {
+			t.Errorf("spec %d: mentions/hashtags/urls = %d/%d/%d, want 2/3/1", spec, st.Mentions, st.Hashtags, st.URLs)
+		}
 	}
 }
 
 func TestMeanWordLength(t *testing.T) {
-	if got := MeanWordLength([]string{"ab", "abcd"}); got != 3 {
-		t.Fatalf("MeanWordLength = %v, want 3", got)
+	var sc Scratch
+	if sc.ScanRaw("ab abcd"); sc.Words() != 2 || sc.Stats.LetterSum != 6 {
+		t.Fatalf("ScanRaw: %d words, %d letters; want 2 words of 6 letters (mean 3)", sc.Words(), sc.Stats.LetterSum)
 	}
-	if got := MeanWordLength(nil); got != 0 {
-		t.Fatalf("MeanWordLength(nil) = %v, want 0", got)
+	if sc.ScanRaw(""); sc.Words() != 0 || sc.Stats.LetterSum != 0 {
+		t.Fatalf("empty text: %d words, %d letters", sc.Words(), sc.Stats.LetterSum)
 	}
 }
 
 func TestWordsPerSentence(t *testing.T) {
-	if got := WordsPerSentence("one two three. four five."); got != 2.5 {
-		t.Fatalf("WordsPerSentence = %v, want 2.5", got)
+	var sc Scratch
+	sc.ScanRaw("one two three. four five.")
+	if st := sc.Stats; st.SentenceWords != 5 || st.Sentences != 2 {
+		t.Fatalf("ScanRaw: %d words in %d sentences, want 5 in 2 (2.5 each)", st.SentenceWords, st.Sentences)
 	}
-	if got := WordsPerSentence(""); got != 0 {
-		t.Fatalf("WordsPerSentence(\"\") = %v, want 0", got)
+	if sc.ScanRaw(""); sc.Stats.Sentences != 0 {
+		t.Fatalf("empty text: %d sentences", sc.Stats.Sentences)
 	}
 }
 
 func TestHasElongation(t *testing.T) {
-	if !HasElongation("sooo") {
-		t.Fatalf("sooo should be elongated")
+	cases := []struct {
+		in        string
+		raw, want bool
+	}{
+		{"sooo", false, true},
+		{"soo", false, false},
+		{"bad...", false, false}, // cleaning drops the dots
+		{"bad...", true, true},   // the raw spec counts runs of any rune
 	}
-	if HasElongation("soo") {
-		t.Fatalf("soo should not be elongated")
+	for _, c := range cases {
+		var sc Scratch
+		if c.raw {
+			sc.ScanRaw(c.in)
+		} else {
+			sc.Scan(c.in)
+		}
+		if _, _, elongated, _ := sc.WordInfo(0); elongated != c.want {
+			t.Errorf("%q (raw %v): elongated = %v, want %v", c.in, c.raw, elongated, c.want)
+		}
 	}
 }
 
 func TestTokenizePropertyNoPunctAtEdges(t *testing.T) {
+	alnum := func(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 	f := func(s string) bool {
-		for _, tok := range Tokenize(s) {
-			runes := []rune(tok)
-			first, last := runes[0], runes[len(runes)-1]
-			if !unicode.IsLetter(first) && !unicode.IsDigit(first) {
-				return false
+		for _, tok := range rawTokens(s) {
+			if tok == "" {
+				continue
 			}
-			if !unicode.IsLetter(last) && !unicode.IsDigit(last) {
+			runes := []rune(tok)
+			if !alnum(runes[0]) || !alnum(runes[len(runes)-1]) {
 				return false
 			}
 		}

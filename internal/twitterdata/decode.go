@@ -1,12 +1,13 @@
 package twitterdata
 
-// Hand-rolled streaming NDJSON tweet decoder: the one decoder the serve
-// ingress and WAL replay use. DecodeInto is a single-pass parser that is
-// byte-for-byte equivalent to json.Unmarshal on the Tweet schema (proven
-// by the fuzz test in decode_fuzz_test.go, with encoding/json as the
-// oracle) while allocating nothing on the steady-state path: decoded
-// string fields are carved out of a pooled 64KB arena chunk, so one Decoder
-// amortizes one chunk allocation across ~64KB of interned tweet text.
+// Hand-rolled streaming NDJSON tweet decoder: the one decoder production
+// uses (serve ingress, WAL replay, the JSONL Reader). DecodeInto is a
+// single-pass parser that is byte-for-byte equivalent to json.Unmarshal on
+// the Tweet schema (proven by the fuzz test in decode_fuzz_test.go, with
+// encoding/json as the oracle) while allocating nothing on the
+// steady-state path: decoded string fields are carved out of a 64KB arena
+// chunk, so one Decoder amortizes one chunk allocation across ~64KB of
+// interned tweet text.
 //
 // Arena discipline: DecodeInto marks the arena high-water position on
 // entry; a failed decode rewinds automatically, and callers that reject an

@@ -7,13 +7,21 @@ import (
 	"redhanded/internal/text/lexicon"
 )
 
+// seedSwears is the lexicon's seed list as a set.
+var seedSwears = func() map[string]bool {
+	set := make(map[string]bool)
+	for _, w := range lexicon.SwearWords() {
+		set[w] = true
+	}
+	return set
+}()
+
 // countSwears tallies lexicon swear words in a tweet text (lowercased,
 // rough tokenization — plenty for a distribution-shift assertion).
 func countSwears(text string) int {
 	n := 0
 	for _, w := range strings.Fields(strings.ToLower(text)) {
-		w = strings.Trim(w, ".,!?#@:")
-		if lexicon.IsSwear(w) {
+		if seedSwears[strings.Trim(w, ".,!?#@:")] {
 			n++
 		}
 	}

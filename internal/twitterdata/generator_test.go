@@ -189,18 +189,6 @@ func TestSlangForDayDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestDayOf(t *testing.T) {
-	g := NewGenerator(11, 5)
-	tw := g.Tweet(0, 3)
-	if d := DayOf(&tw, g.base); d != 3 {
-		t.Fatalf("DayOf = %d, want 3", d)
-	}
-	bad := Tweet{CreatedAt: "garbage"}
-	if d := DayOf(&bad, g.base); d != 0 {
-		t.Fatalf("malformed timestamp DayOf = %d, want 0", d)
-	}
-}
-
 func TestClampF(t *testing.T) {
 	if clampF(5, 0, 10) != 5 || clampF(-1, 0, 10) != 0 || clampF(11, 0, 10) != 10 {
 		t.Fatalf("clampF wrong")

@@ -2,9 +2,7 @@ package twitterdata
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"time"
 )
 
 // Labels for the two related-behavior datasets of §V-F.
@@ -188,19 +186,4 @@ func (g *Generator) offensiveTweet(class, day int) Tweet {
 	}
 	base.Text = b.String()
 	return base
-}
-
-// DayOf computes the 0-based day index of a tweet relative to the
-// generator's base date (used to split the dataset into training days for
-// the batch-vs-streaming comparison).
-func DayOf(t *Tweet, base time.Time) int {
-	posted := t.PostedAt()
-	if posted.IsZero() {
-		return 0
-	}
-	d := int(math.Floor(posted.Sub(base).Hours() / 24))
-	if d < 0 {
-		return 0
-	}
-	return d
 }

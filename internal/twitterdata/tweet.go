@@ -192,9 +192,13 @@ func (w *Writer) Write(t Tweet) error { return w.enc.Encode(t) }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader streams tweets from JSON Lines input, skipping blank lines.
+// Reader streams tweets from JSON Lines input, skipping blank lines. It
+// decodes with a Decoder of its own, never pooled: returned strings live in
+// that decoder's arena, which only appends, so they stay valid however many
+// tweets are read after them.
 type Reader struct {
-	sc *bufio.Scanner
+	sc  *bufio.Scanner
+	dec Decoder
 }
 
 // NewReader wraps an io.Reader producing JSONL tweets.
@@ -212,7 +216,11 @@ func (r *Reader) Read() (Tweet, error) {
 		if len(line) == 0 {
 			continue
 		}
-		return Unmarshal(line)
+		var t Tweet
+		if err := r.dec.DecodeInto(&t, line); err != nil {
+			return Tweet{}, fmt.Errorf("twitterdata: malformed tweet JSON: %w", err)
+		}
+		return t, nil
 	}
 	if err := r.sc.Err(); err != nil {
 		return Tweet{}, err
