@@ -125,6 +125,16 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/feature.fnv64aString",
 		},
 	},
+	"NormalizeFold": {
+		measuredBy: "internal/norm.TestNormalizeFoldZeroAlloc",
+		funcs: []string{
+			"redhanded/internal/norm.(*FeatureStats).Observe",
+			"redhanded/internal/norm.(*Normalizer).Normalize",
+			"redhanded/internal/norm.(*P2Quantile).Add",
+			"redhanded/internal/norm.(*RangeStat).Add",
+			"redhanded/internal/norm.(*Welford).Add",
+		},
+	},
 	"SegmentRead": {
 		measuredBy: "internal/ingestlog.TestSegmentReadZeroAlloc",
 		funcs: []string{

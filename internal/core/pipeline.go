@@ -16,6 +16,11 @@ import (
 )
 
 // Result reports what the pipeline did with one tweet.
+//
+// Instance.X and Prediction alias storage the pipeline owns and reuses: they
+// are valid until the pipeline's next Process, ProcessBatch or ProcessAll
+// call, like the slice bufio.Scanner.Bytes returns. A caller that keeps
+// either past that point copies it.
 type Result struct {
 	Instance   ml.Instance
 	Prediction ml.Prediction
@@ -95,12 +100,16 @@ type Pipeline struct {
 	snapRebuilds atomic.Int64 // snapshot publications that re-flattened something
 	snapTrees    atomic.Int64 // member trees re-flattened across all rebuilds
 
-	// classifyScratch backs the zero-alloc PredictInto calls; batchRaws and
-	// batchXs are per-run working storage. Only the processing goroutine
-	// touches them.
+	// classifyScratch backs the zero-alloc PredictInto calls; batchRaws is
+	// per-run working storage; xArena and voteArena hold every Result's
+	// normalized vector and votes, one stride per entry of the current
+	// ProcessBatch call, and grow but never shrink. oneHot is AbsorbBatch's
+	// prediction for the sampler. Only the processing goroutine touches them.
 	classifyScratch []float64
 	batchRaws       []*feature.Vec
-	batchXs         [][]float64
+	xArena          []float64
+	voteArena       []float64
+	oneHot          ml.Prediction
 
 	// activeSpan is the span of the tweet currently inside its effects
 	// section (guarded by mu; nil between tweets). Verdict sinks run
@@ -137,6 +146,7 @@ func NewPipeline(opts Options) *Pipeline {
 	p.snapRebuilds.Add(1)
 	p.snapTrees.Add(int64(snap.Rebuilt()))
 	p.classifyScratch = make([]float64, snap.ScratchLen())
+	p.oneHot = make(ml.Prediction, p.classes.Len())
 	return p
 }
 
@@ -377,7 +387,10 @@ func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
 // predict, then for labeled tweets evaluate prequentially and train, and
 // for all tweets user-state fold, alerting and sampling — appending one
 // Result per entry to results (pass results[:0] to reuse backing storage)
-// and returning the extended slice.
+// and returning the extended slice. Each Result's Instance.X and Prediction
+// point into two pipeline-owned arenas of len(entries) strides, valid until
+// the next Process, ProcessBatch or ProcessAll call (see Result); no model
+// or accumulator retains X, so the batch allocates neither.
 //
 // The batch is processed as a sequence of runs, a run being zero or more
 // unlabeled entries followed by at most one labeled entry, each in four
@@ -401,6 +414,14 @@ func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
 // (plus record and train when labeled), observe, verdict, and compile for
 // the entry that paid for a snapshot rebuild.
 func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result {
+	k := p.snapshot.Load().NumClasses()
+	if need := len(entries) * feature.NumFeatures; len(p.xArena) < need {
+		p.xArena = make([]float64, need)
+	}
+	if need := len(entries) * k; len(p.voteArena) < need {
+		p.voteArena = make([]float64, need)
+	}
+	xs, votes := p.xArena, p.voteArena
 	for len(entries) > 0 {
 		n, label := 0, ml.Unlabeled
 		for n < len(entries) && label == ml.Unlabeled {
@@ -423,12 +444,11 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 			raws = append(raws, raw)
 		}
 
-		xs := p.batchXs[:0]
 		p.mu.Lock()
-		for k, e := range run {
+		for j, e := range run {
 			e.Span.BeginStage(obs.StageExtract)
-			p.normalizer.Observe(raws[k][:])
-			xs = append(xs, p.normalizer.Normalize(raws[k][:], nil))
+			p.normalizer.Observe(raws[j][:])
+			p.normalizer.Normalize(raws[j][:], stride(xs, j, feature.NumFeatures))
 			e.Span.EndStage()
 		}
 		snap := p.refreshSnapshotLocked(run[0].Span)
@@ -438,27 +458,27 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 		}
 		p.batchRaws = raws[:0]
 
-		for k, e := range run {
-			in := ml.Instance{X: xs[k], Label: ml.Unlabeled, Weight: 1, ID: e.Tweet.IDStr, Day: e.Tweet.Day}
-			if k == n-1 {
+		for j, e := range run {
+			x, v := stride(xs, j, feature.NumFeatures), ml.Prediction(stride(votes, j, k))
+			in := ml.Instance{X: x, Label: ml.Unlabeled, Weight: 1, ID: e.Tweet.IDStr, Day: e.Tweet.Day}
+			if j == n-1 {
 				in.Label = label
 			}
 			e.Span.BeginStage(obs.StageClassify)
-			votes := make(ml.Prediction, snap.NumClasses())
-			snap.PredictInto(votes, p.classifyScratch, xs[k])
+			snap.PredictInto(v, p.classifyScratch, x)
 			e.Span.EndStage()
 			results = append(results, Result{
 				Instance:   in,
-				Prediction: votes,
-				Predicted:  votes.ArgMax(),
-				Confidence: votes.Confidence(),
+				Prediction: v,
+				Predicted:  v.ArgMax(),
+				Confidence: v.Confidence(),
 			})
 		}
-		p.batchXs = xs[:0]
+		xs, votes = xs[n*feature.NumFeatures:], votes[n*k:]
 
 		p.mu.Lock()
-		for k, e := range run {
-			res := &results[base+k]
+		for j, e := range run {
+			res := &results[base+j]
 			if res.Instance.IsLabeled() {
 				e.Span.BeginStage(obs.StageClassify)
 				p.model.Train(res.Instance)
@@ -474,6 +494,10 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 	}
 	return results
 }
+
+// stride returns element i of a flat arena of width-w elements, capped so
+// that an append cannot spill into element i+1.
+func stride(arena []float64, i, w int) []float64 { return arena[i*w:][:w:w] }
 
 // absorb applies everything a classified tweet does to the pipeline apart
 // from training the model: prequential record + adaptive-BoW learning
@@ -551,11 +575,12 @@ func (p *Pipeline) AbsorbBatch(tweets []twitterdata.Tweet, outcomes []Outcome) {
 		res := Result{Instance: ml.Instance{Label: o.Label}, Predicted: o.Pred, Confidence: o.Conf}
 		if o.Label < 0 {
 			// Tasks ship the winning class, not the votes; the sampler
-			// sees a one-hot prediction.
-			res.Prediction = make(ml.Prediction, p.classes.Len())
-			if o.Pred >= 0 && o.Pred < len(res.Prediction) {
-				res.Prediction[o.Pred] = 1
+			// reads only the ArgMax of a one-hot prediction.
+			clear(p.oneHot)
+			if o.Pred >= 0 && o.Pred < len(p.oneHot) {
+				p.oneHot[o.Pred] = 1
 			}
+			res.Prediction = p.oneHot
 		}
 		p.absorb(&tweets[i], &res, nil)
 	}

@@ -44,13 +44,14 @@ type shareOutput struct {
 // Phase 1 extracts every tweet's raw features into pooled vectors, resolves
 // its label, and accumulates one statistics delta per partition; the deltas
 // are folded, in partition order, into the share's local delta. Phase 2
-// normalizes against base plus that local delta, predicts with the compiled
-// snapshot of model (chained from prev, so only what changed since the
-// previous share is re-flattened), and accumulates the labeled instances
-// into one training accumulator per partition. Neither base nor model is
-// modified, and the output depends only on the arguments — never on which
-// node or how many workers ran it — which is what makes failover
-// reassignment exact and the engines interchangeable.
+// normalizes (into one vector per partition) against base plus that local
+// delta, predicts with the compiled snapshot of model (chained from prev,
+// so only what changed since the previous share is re-flattened), and
+// accumulates the labeled instances into one training accumulator per
+// partition. Neither base nor model is modified, and the output depends
+// only on the arguments — never on which node or how many workers ran it —
+// which is what makes failover reassignment exact and the engines
+// interchangeable.
 func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode norm.Mode, scheme core.ClassScheme,
 	model stream.Model, prev *stream.Compiled, tweets []twitterdata.Tweet, parts, workers int) (shareOutput, *stream.Compiled) {
 	parts = min(max(parts, 1), len(tweets))
@@ -86,8 +87,9 @@ func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode no
 		acc := model.NewAccumulator()
 		votes := make(ml.Prediction, snap.NumClasses())
 		scratch := make([]float64, snap.ScratchLen())
+		x := make([]float64, base.Dim()) // accumulators do not retain X
 		for idx := part; idx < len(tweets); idx += parts {
-			x := normalizer.Normalize(raws[idx][:], nil)
+			x = normalizer.Normalize(raws[idx][:], x)
 			snap.PredictInto(votes, scratch, x)
 			if labels[idx] >= 0 {
 				acc.Observe(ml.Instance{

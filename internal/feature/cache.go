@@ -21,12 +21,24 @@ package feature
 //   - fnv64a collisions cannot alias: each entry stores its own copy of
 //     the text and a hit requires exact string equality.
 //
+// Admission happens on a text's second sighting. Each shard keeps a
+// doorkeeper: a direct-mapped array of text hashes, twice its slot count,
+// indexed by hash bits that shard and set selection do not use. A miss whose
+// hash is absent there only records it — one atomic load and one store, no
+// lock, no text copy, no entry — so unique traffic pays nothing to admit
+// texts that never return. A miss whose hash is present admits. A second
+// sighting is what predicts a third: Terizi et al. find aggressive content
+// re-shared disproportionately. Doorkeeper races are benign: a lost or
+// overwritten hash only delays an admission, and a hit still requires the
+// exact text.
+//
 // Concurrency: reads are lock-free — slots are atomic.Pointer values and
 // entries are immutable after publication (except the CLOCK reference
 // bit). Inserts take a per-shard mutex, re-check for duplicates, and evict
 // with per-set CLOCK second-chance, mirroring the userstate idiom.
 
 import (
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,6 +66,9 @@ type cacheShard struct {
 	slots []atomic.Pointer[cacheEntry] // sets × cacheWays
 	hands []uint8                      // per-set CLOCK hand, guarded by mu
 	mask  uint64                       // sets - 1
+
+	door      []atomic.Uint64 // doorkeeper: hashes sighted once, 2 × len(slots)
+	doorShift uint            // skips the set-index bits
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -95,6 +110,8 @@ func newExtractCache(entries int) *extractCache {
 		sh.slots = make([]atomic.Pointer[cacheEntry], sets*cacheWays)
 		sh.hands = make([]uint8, sets)
 		sh.mask = uint64(sets - 1)
+		sh.door = make([]atomic.Uint64, 2*len(sh.slots))
+		sh.doorShift = uint(bits.Len64(sh.mask))
 	}
 	return c
 }
@@ -121,13 +138,18 @@ func (c *extractCache) lookup(dst []float64, txt string, version uint64) bool {
 	return false
 }
 
-// insert publishes a freshly extracted vector for (txt, version). The text
-// is cloned so the cache never pins a decoder arena chunk. Victim choice:
-// an empty slot, else a stale-version slot, else per-set CLOCK
+// insert publishes a freshly extracted vector for (txt, version) if the
+// doorkeeper has sighted txt before, and otherwise only records its hash.
+// The text is cloned so the cache never pins a decoder arena chunk. Victim
+// choice: an empty slot, else a stale-version slot, else per-set CLOCK
 // second-chance.
 func (c *extractCache) insert(txt string, version uint64, src []float64) {
 	h := fnv64aString(txt)
 	sh := &c.shards[(h>>48)&c.mask]
+	if seen := &sh.door[(h>>sh.doorShift)&uint64(len(sh.door)-1)]; seen.Load() != h {
+		seen.Store(h)
+		return
+	}
 	set := h & sh.mask
 	base := set * cacheWays
 

@@ -102,3 +102,62 @@ func TestCacheConcurrentReadsVsRepublication(t *testing.T) {
 		t.Fatalf("final cached score %v, want %d", x[BoWScore], rounds)
 	}
 }
+
+// TestCacheConcurrentFirstSightings has four goroutines sight the same
+// fresh texts at once, so doorkeeper loads and stores race with each other
+// and with admissions. Every vector must still equal a fresh extraction, the
+// counters must account for every call, and a lost doorkeeper race may only
+// delay an admission: afterwards, two more sightings make any text resident.
+func TestCacheConcurrentFirstSightings(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheEntries = 4096
+	ex := NewExtractor(cfg)
+	ref := NewExtractor(DefaultConfig())
+
+	tweets := make([]twitterdata.Tweet, 256)
+	want := make([][]float64, len(tweets))
+	for i := range tweets {
+		tweets[i] = twitterdata.Tweet{Text: fmt.Sprintf("concurrent sighting %c%c of a fresh text", 'a'+i/26, 'a'+i%26)}
+		want[i] = ref.Extract(&tweets[i])
+	}
+
+	const workers, rounds = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vec := make([]float64, NumFeatures)
+			for r := 0; r < rounds; r++ {
+				for i := range tweets {
+					ex.ExtractCachedInto(vec, &tweets[i])
+					if d := vectorDiff(want[i], vec); d != "" {
+						errs <- fmt.Sprintf("text %d: %s", i, d)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	st := ex.CacheStats()
+	if calls := int64(workers * rounds * len(tweets)); st.Hits+st.Misses != calls {
+		t.Fatalf("%d hits + %d misses, want %d calls", st.Hits, st.Misses, calls)
+	}
+	if st.Hits == 0 || st.Entries > st.Capacity {
+		t.Fatalf("stats after concurrent sightings: %+v", st)
+	}
+	x := make([]float64, NumFeatures)
+	for i := range tweets {
+		ex.ExtractCachedInto(x, &tweets[i])
+		ex.ExtractCachedInto(x, &tweets[i])
+		if !ex.LookupCached(x, &tweets[i]) {
+			t.Fatalf("text %d is not resident after two sequential sightings", i)
+		}
+	}
+}

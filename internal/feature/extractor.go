@@ -84,11 +84,12 @@ func (e *Extractor) fillProfile(x []float64, tw *twitterdata.Tweet) {
 	x[CntFriends] = float64(tw.User.FriendsCount)
 }
 
-// ExtractAndCache extracts freshly (exactly like ExtractInto) and admits
-// the resulting vector into the cache under the snapshot version it was
-// computed against. Admission clones the text and allocates an entry, so
-// this is deliberately not part of the zero-alloc lookup gate; callers pair
-// it with LookupCached, paying admission cost only on misses.
+// ExtractAndCache extracts freshly (exactly like ExtractInto) and offers
+// the resulting vector to the cache under the snapshot version it was
+// computed against. A text's first sighting only records its hash; the
+// second admits it, which clones the text and allocates an entry, so this
+// is deliberately not part of the zero-alloc lookup gate. Callers pair it
+// with LookupCached, paying admission cost only on repeated misses.
 func (e *Extractor) ExtractAndCache(dst []float64, tw *twitterdata.Tweet) []float64 {
 	if e.cache == nil {
 		return e.ExtractInto(dst, tw)
@@ -105,7 +106,7 @@ func (e *Extractor) ExtractAndCache(dst []float64, tw *twitterdata.Tweet) []floa
 }
 
 // ExtractCachedInto is the composed cache-aware extraction: hit or
-// extract-and-admit.
+// extract-and-offer (see ExtractAndCache).
 func (e *Extractor) ExtractCachedInto(dst []float64, tw *twitterdata.Tweet) []float64 {
 	if e.LookupCached(dst, tw) {
 		return dst

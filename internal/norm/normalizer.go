@@ -56,11 +56,13 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // FeatureStats maintains the per-feature streaming statistics needed by all
-// normalization modes. It is mergeable across parallel tasks.
+// normalization modes. It is mergeable across parallel tasks. Each slice
+// holds its estimators by value, so one Observe is one pass over four
+// contiguous arrays.
 type FeatureStats struct {
 	Welford []Welford
 	Range   []RangeStat
-	Q1, Q3  []*P2Quantile
+	Q1, Q3  []P2Quantile
 }
 
 // NewFeatureStats allocates statistics for dim features.
@@ -68,12 +70,12 @@ func NewFeatureStats(dim int) *FeatureStats {
 	fs := &FeatureStats{
 		Welford: make([]Welford, dim),
 		Range:   make([]RangeStat, dim),
-		Q1:      make([]*P2Quantile, dim),
-		Q3:      make([]*P2Quantile, dim),
+		Q1:      make([]P2Quantile, dim),
+		Q3:      make([]P2Quantile, dim),
 	}
 	for i := 0; i < dim; i++ {
-		fs.Q1[i] = NewP2Quantile(0.25)
-		fs.Q3[i] = NewP2Quantile(0.75)
+		fs.Q1[i] = *NewP2Quantile(0.25)
+		fs.Q3[i] = *NewP2Quantile(0.75)
 	}
 	return fs
 }
@@ -91,18 +93,21 @@ func (fs *FeatureStats) Count() int64 {
 
 // Observe folds one feature vector into the statistics. Vectors of the
 // wrong dimension are ignored.
+//
+//redvet:noalloc gate=NormalizeFold
 func (fs *FeatureStats) Observe(x []float64) {
 	if len(x) != fs.Dim() {
 		return
 	}
+	w, r, q1, q3 := fs.Welford[:len(x)], fs.Range[:len(x)], fs.Q1[:len(x)], fs.Q3[:len(x)]
 	for i, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
-		fs.Welford[i].Add(v)
-		fs.Range[i].Add(v)
-		fs.Q1[i].Add(v)
-		fs.Q3[i].Add(v)
+		w[i].Add(v)
+		r[i].Add(v)
+		q1[i].Add(v)
+		q3[i].Add(v)
 	}
 }
 
@@ -114,8 +119,8 @@ func (fs *FeatureStats) Merge(other *FeatureStats) {
 	for i := range fs.Welford {
 		fs.Welford[i].Merge(other.Welford[i])
 		fs.Range[i].Merge(other.Range[i])
-		fs.Q1[i].Merge(other.Q1[i])
-		fs.Q3[i].Merge(other.Q3[i])
+		fs.Q1[i].Merge(&other.Q1[i])
+		fs.Q3[i].Merge(&other.Q3[i])
 	}
 }
 
@@ -145,44 +150,66 @@ func (n *Normalizer) Observe(x []float64) { n.Stats.Observe(x) }
 
 // Normalize writes the normalized vector into dst (allocating when dst is
 // nil or mis-sized) and returns it. With Mode None the input values are
-// copied unchanged.
+// copied unchanged; otherwise NaN and ±Inf normalize to 0.
+//
+//redvet:noalloc gate=NormalizeFold
 func (n *Normalizer) Normalize(x []float64, dst []float64) []float64 {
 	if len(dst) != len(x) {
-		dst = make([]float64, len(x))
+		dst = make([]float64, len(x)) //redvet:ignore noalloc resize fallback for mis-sized callers; the pipeline and the engines pass a right-sized vector
 	}
-	if n.Mode == None || n.Stats.Count() == 0 {
+	fs := n.Stats
+	if n.Mode == None || fs.Count() == 0 {
 		copy(dst, x)
 		return dst
 	}
-	for i, v := range x {
-		dst[i] = n.normalizeOne(i, v)
-	}
-	return dst
-}
-
-func (n *Normalizer) normalizeOne(i int, v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
+	dst = dst[:len(x)] // proves len(dst) == len(x) to the bounds-check pass
 	switch n.Mode {
 	case MinMax:
-		lo, hi := n.Stats.Range[i].Min, n.Stats.Range[i].Max
-		return scaleClamped(v, lo, hi)
-	case MinMaxRobust:
-		q1, q3 := n.Stats.Q1[i].Value(), n.Stats.Q3[i].Value()
-		iqr := q3 - q1
-		lo := math.Max(n.Stats.Range[i].Min, q1-1.5*iqr)
-		hi := math.Min(n.Stats.Range[i].Max, q3+1.5*iqr)
-		return scaleClamped(v, lo, hi)
-	case ZScore:
-		std := n.Stats.Welford[i].Std()
-		if std == 0 {
-			return 0
+		r := fs.Range[:len(x)]
+		for i, v := range x {
+			dst[i] = 0
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				dst[i] = scaleClamped(v, r[i].Min, r[i].Max)
+			}
 		}
-		return (v - n.Stats.Welford[i].Mean) / std
+	case MinMaxRobust:
+		r, q1s, q3s := fs.Range[:len(x)], fs.Q1[:len(x)], fs.Q3[:len(x)]
+		for i, v := range x {
+			dst[i] = 0
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			// The middle marker is the estimate once an estimator holds five
+			// observations; before, Value interpolates its buffer.
+			q1, q3 := q1s[i].Heights[2], q3s[i].Heights[2]
+			if q1s[i].Count < 5 {
+				q1 = q1s[i].Value()
+			}
+			if q3s[i].Count < 5 {
+				q3 = q3s[i].Value()
+			}
+			iqr := q3 - q1
+			lo := math.Max(r[i].Min, q1-1.5*iqr)
+			hi := math.Min(r[i].Max, q3+1.5*iqr)
+			dst[i] = scaleClamped(v, lo, hi)
+		}
+	case ZScore:
+		w := fs.Welford[:len(x)]
+		for i, v := range x {
+			dst[i] = 0
+			if std := w[i].Std(); std != 0 && !math.IsNaN(v) && !math.IsInf(v, 0) {
+				dst[i] = (v - w[i].Mean) / std
+			}
+		}
 	default:
-		return v
+		for i, v := range x {
+			dst[i] = 0
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				dst[i] = v
+			}
+		}
 	}
+	return dst
 }
 
 func scaleClamped(v, lo, hi float64) float64 {

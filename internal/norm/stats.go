@@ -16,6 +16,8 @@ type Welford struct {
 }
 
 // Add folds one observation into the statistics.
+//
+//redvet:noalloc gate=NormalizeFold
 func (w *Welford) Add(x float64) {
 	w.N++
 	delta := x - w.Mean
@@ -60,6 +62,8 @@ type RangeStat struct {
 }
 
 // Add folds one observation into the range.
+//
+//redvet:noalloc gate=NormalizeFold
 func (m *RangeStat) Add(x float64) {
 	if m.N == 0 {
 		m.Min, m.Max = x, x
@@ -112,6 +116,8 @@ func NewP2Quantile(p float64) *P2Quantile {
 }
 
 // Add folds one observation into the estimate.
+//
+//redvet:noalloc gate=NormalizeFold
 func (q *P2Quantile) Add(x float64) {
 	q.Count++
 	if q.Count <= 5 {
@@ -128,7 +134,8 @@ func (q *P2Quantile) Add(x float64) {
 		return
 	}
 
-	// Find the cell containing x and clamp extreme markers.
+	// Find the cell k, Heights[k] <= x < Heights[k+1], and clamp extreme
+	// markers. Only a NaN falls through every case.
 	var k int
 	switch {
 	case x < q.Heights[0]:
@@ -137,20 +144,26 @@ func (q *P2Quantile) Add(x float64) {
 	case x >= q.Heights[4]:
 		q.Heights[4] = x
 		k = 3
+	case x < q.Heights[1]:
+		k = 0
+	case x < q.Heights[2]:
+		k = 1
+	case x < q.Heights[3]:
+		k = 2
+	case x < q.Heights[4]:
+		k = 3
 	default:
-		for k = 0; k < 4; k++ {
-			if x < q.Heights[k+1] {
-				break
-			}
-		}
+		k = 4
 	}
 
 	for i := k + 1; i < 5; i++ {
 		q.Pos[i]++
 	}
-	for i := 0; i < 5; i++ {
-		q.Desired[i] += q.Incr[i]
-	}
+	// Incr[0] is 0: the minimum's desired position never moves.
+	q.Desired[1] += q.Incr[1]
+	q.Desired[2] += q.Incr[2]
+	q.Desired[3] += q.Incr[3]
+	q.Desired[4] += q.Incr[4]
 
 	// Adjust interior markers towards their desired positions.
 	for i := 1; i <= 3; i++ {
@@ -172,10 +185,10 @@ func (q *P2Quantile) Add(x float64) {
 }
 
 func (q *P2Quantile) parabolic(i int, d float64) float64 {
-	h := q.Heights
-	n := q.Pos
-	return h[i] + d/(n[i+1]-n[i-1])*((n[i]-n[i-1]+d)*(h[i+1]-h[i])/(n[i+1]-n[i])+
-		(n[i+1]-n[i]-d)*(h[i]-h[i-1])/(n[i]-n[i-1]))
+	h0, h1, h2 := q.Heights[i-1], q.Heights[i], q.Heights[i+1]
+	n0, n1, n2 := q.Pos[i-1], q.Pos[i], q.Pos[i+1]
+	return h1 + d/(n2-n0)*((n1-n0+d)*(h2-h1)/(n2-n1)+
+		(n2-n1-d)*(h1-h0)/(n1-n0))
 }
 
 func (q *P2Quantile) linear(i int, d float64) float64 {
