@@ -112,8 +112,12 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/twitterdata.(*Decoder).stringField",
 			"redhanded/internal/twitterdata.(*Decoder).unquote",
 			"redhanded/internal/twitterdata.(*Decoder).unquoteSlow",
+			"redhanded/internal/twitterdata.(*Decoder).tweetMember",
+			"redhanded/internal/twitterdata.(*Decoder).userMember",
+			"redhanded/internal/twitterdata.foldedField",
 			"redhanded/internal/twitterdata.foldsToASCII",
 			"redhanded/internal/twitterdata.keyMatches",
+			"redhanded/internal/twitterdata.scanString",
 		},
 	},
 	"FeatCacheLookup": {
@@ -122,7 +126,12 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/feature.(*Extractor).LookupCached",
 			"redhanded/internal/feature.(*Extractor).fillProfile",
 			"redhanded/internal/feature.(*extractCache).lookup",
-			"redhanded/internal/feature.fnv64aString",
+			"redhanded/internal/feature.textHash",
+			"redhanded/internal/twitterdata.(*Tweet).AccountAgeDays",
+			"redhanded/internal/twitterdata.civilDays",
+			"redhanded/internal/twitterdata.daysIn",
+			"redhanded/internal/twitterdata.num2",
+			"redhanded/internal/twitterdata.parseUnix",
 		},
 	},
 	"NormalizeFold": {

@@ -9,7 +9,8 @@ import (
 // NoAlloc proves that //redvet:noalloc regions contain no allocating
 // constructs: make/new, escaping composite literals, string
 // concatenation and conversion (a string(bytes) that is only compared with
-// == or != is free), closures, goroutine spawns, interface
+// == or !=, or switched on against constant cases, is free), closures,
+// goroutine spawns, interface
 // boxing of non-pointer values, and append calls whose growth is not
 // reassigned into the appended slice (the amortized-reuse idiom the hot
 // paths rely on is `s.buf = append(s.buf, ...)` and stays legal).
@@ -72,6 +73,13 @@ func checkRegionNoAlloc(pass *Pass, region Region) {
 						sanctioned[call] = true
 					}
 				}
+			}
+		case *ast.SwitchStmt:
+			// switch string(b) { case "x", "y": } compares in place too,
+			// provided every case is a constant.
+			if call, ok := ast.Unparen(n.Tag).(*ast.CallExpr); ok && len(call.Args) == 1 &&
+				isByteSlice(info.TypeOf(call.Args[0])) && constantCases(info, n.Body) {
+				sanctioned[call] = true
 			}
 		case *ast.CallExpr:
 			checkCallNoAlloc(pass, info, n, sanctioned)
@@ -150,6 +158,20 @@ func checkCallNoAlloc(pass *Pass, info *types.Info, call *ast.CallExpr, sanction
 		}
 		pass.Reportf(arg.Pos(), "passing %s to interface parameter boxes it on the heap", at)
 	}
+}
+
+// constantCases reports whether every case expression of a switch body is
+// a constant: only then does the compiler switch on a []byte-to-string
+// conversion without materializing it.
+func constantCases(info *types.Info, body *ast.BlockStmt) bool {
+	for _, stmt := range body.List {
+		for _, e := range stmt.(*ast.CaseClause).List {
+			if tv, ok := info.Types[e]; !ok || tv.Value == nil {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sanctionedAppends collects builtin append calls of the amortized-reuse

@@ -34,6 +34,10 @@ func violations(b *buf, s string, x int) int {
 	_ = bs
 	str := string(b.data) // want "conversion to string allocates"
 	_ = str
+	switch string(b.data) { // want "conversion to string allocates"
+	case s: // a non-constant case needs the string
+		x++
+	}
 	f := func() {} // want "closure literal allocates"
 	_ = f
 	go work() // want "go statement allocates"
@@ -51,6 +55,10 @@ func clean(b *buf, s string) int {
 	sink(&b.n)                    // pointers fit the interface word, no box
 	if string(b.data) == s || string(b.data) != "lit" {
 		b.n++ // a conversion that is only compared is never materialized
+	}
+	switch string(b.data) {
+	case "a", "bc":
+		b.n++ // nor is one switched on against constant cases
 	}
 	return len(b.data)
 }

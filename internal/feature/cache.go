@@ -5,7 +5,7 @@ package feature
 // and Terizi et al. show aggressive content is retweeted disproportionately
 // — yet extraction cost is paid per tweet, not per distinct text. The cache
 // memoizes the text-derived feature slots (indices profileFeatureCount..
-// NumFeatures-1) keyed by (fnv64a(text), BoW snapshot version), so a
+// NumFeatures-1) keyed by (textHash(text), BoW snapshot version), so a
 // duplicate tweet skips the whole scan/tag/sentiment/BoW pass.
 //
 // Correctness invariant (DESIGN.md invariant 9): a cache hit is
@@ -18,7 +18,7 @@ package feature
 //     keyed by the snapshot's publication version; republication makes
 //     every older entry unreachable (lazy invalidation — stale entries are
 //     preferred eviction victims).
-//   - fnv64a collisions cannot alias: each entry stores its own copy of
+//   - hash collisions cannot alias: each entry stores its own copy of
 //     the text and a hit requires exact string equality.
 //
 // Admission happens on a text's second sighting. Each shard keeps a
@@ -81,17 +81,42 @@ type extractCache struct {
 	mask   uint64 // len(shards) - 1
 }
 
-// fnv64aString is FNV-1a 64-bit over the text bytes. Shard selection uses
-// the high bits, set selection the low bits, so the two indices stay
-// independent.
+// textHash is the cache key's hash of a text: eight bytes per
+// multiply-rotate step, the last 1-7 bytes folded into one word, the
+// length mixed in, and murmur3's fmix64 finalizer so that every output bit
+// depends on every input bit. Shard selection uses bits 48 and up, set
+// selection the low bits and the doorkeeper the bits just above those, so
+// the three indices stay independent. It has no per-process seed, unlike
+// hash/maphash: eviction order and the hit counters are the same on every
+// run. Each step is a bijection of the running state for a fixed word, so
+// two texts of one length that differ only in their last word never
+// collide.
 //
 //redvet:noalloc gate=FeatCacheLookup
-func fnv64aString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+func textHash(s string) uint64 {
+	const (
+		k1 = 0x9e3779b97f4a7c15
+		k2 = 0xc2b2ae3d27d4eb4f
+	)
+	h := uint64(len(s)) * k1
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		h = bits.RotateLeft64(h^w*k2, 31) * k1
 	}
+	if i < len(s) {
+		var w uint64
+		for j := len(s) - 1; j >= i; j-- {
+			w = w<<8 | uint64(s[j])
+		}
+		h = bits.RotateLeft64(h^w*k2, 31) * k1
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 
@@ -121,7 +146,7 @@ func newExtractCache(entries int) *extractCache {
 //
 //redvet:noalloc gate=FeatCacheLookup
 func (c *extractCache) lookup(dst []float64, txt string, version uint64) bool {
-	h := fnv64aString(txt)
+	h := textHash(txt)
 	sh := &c.shards[(h>>48)&c.mask]
 	base := (h & sh.mask) * cacheWays
 	for i := uint64(0); i < cacheWays; i++ {
@@ -129,7 +154,11 @@ func (c *extractCache) lookup(dst []float64, txt string, version uint64) bool {
 		if e == nil || e.hash != h || e.version != version || e.text != txt {
 			continue
 		}
-		e.ref.Store(true)
+		if !e.ref.Load() {
+			// Store only on a change: a locked write on every hit
+			// would bounce the entry's cache line between readers.
+			e.ref.Store(true)
+		}
 		copy(dst[profileFeatureCount:], e.vec[profileFeatureCount:])
 		sh.hits.Add(1)
 		return true
@@ -144,7 +173,7 @@ func (c *extractCache) lookup(dst []float64, txt string, version uint64) bool {
 // choice: an empty slot, else a stale-version slot, else per-set CLOCK
 // second-chance.
 func (c *extractCache) insert(txt string, version uint64, src []float64) {
-	h := fnv64aString(txt)
+	h := textHash(txt)
 	sh := &c.shards[(h>>48)&c.mask]
 	if seen := &sh.door[(h>>sh.doorShift)&uint64(len(sh.door)-1)]; seen.Load() != h {
 		seen.Store(h)

@@ -2,6 +2,8 @@ package feature
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"testing"
 
 	"redhanded/internal/twitterdata"
@@ -289,5 +291,74 @@ func TestCacheAdmitsOnSecondSighting(t *testing.T) {
 	}
 	if vectorDiff(want, x) != "" {
 		t.Fatalf("hit %v, admitted %v", x, want)
+	}
+}
+
+// TestTextHashSpread checks the cache key hash over 65 536 distinct
+// generator texts: the shard index (bits 48-50), the set index (the low
+// bits) and each bit they read are balanced; texts that differ only in
+// their last 1-7 bytes never collide; one flipped byte flips half the
+// output bits.
+func TestTextHashSpread(t *testing.T) {
+	const n = 1 << 16
+	g := twitterdata.NewGenerator(5, 1)
+	seen := make(map[string]bool, n)
+	texts := make([]string, 0, n)
+	for i := 0; len(texts) < n; i++ {
+		if i == 8*n {
+			t.Fatalf("only %d distinct texts in %d tweets", len(texts), i)
+		}
+		if txt := g.Tweet(i%3, 0).Text; !seen[txt] {
+			seen[txt] = true
+			texts = append(texts, txt)
+		}
+	}
+	var shards [defaultCacheShards]int
+	var ones [64]int
+	for _, s := range texts {
+		h := textHash(s)
+		shards[h>>48&(defaultCacheShards-1)]++
+		for b := range ones {
+			ones[b] += int(h >> b & 1)
+		}
+	}
+	for i, c := range shards {
+		if share := float64(c) / n; math.Abs(share-0.125) > 0.015 {
+			t.Errorf("shard %d holds %.2f%% of the texts, want 12.5 ± 1.5%%", i, 100*share)
+		}
+	}
+	for _, b := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 48, 49, 50} {
+		if share := float64(ones[b]) / n; math.Abs(share-0.5) > 0.02 {
+			t.Errorf("bit %d is set for %.2f%% of the texts, want 50 ± 2%%", b, 100*share)
+		}
+	}
+
+	byHash := make(map[uint64]string)
+	for i, s := range texts[:1024] {
+		for k := 1; k <= 7 && k <= len(s); k++ {
+			for v := uint64(0); v < 32; v++ {
+				b := []byte(s)
+				r := (v + uint64(i)<<5) * 0x9e3779b97f4a7c15
+				for j := len(b) - k; j < len(b); j++ {
+					b[j] = byte(r)
+					r >>= 8
+				}
+				h := textHash(string(b))
+				if prev, ok := byHash[h]; ok && prev != string(b) {
+					t.Fatalf("%q and %q collide", prev, b)
+				}
+				byHash[h] = string(b)
+			}
+		}
+	}
+
+	flipped := 0
+	for i, s := range texts[:4096] {
+		b := []byte(s)
+		b[i%len(b)] ^= byte(1 + i%255)
+		flipped += bits.OnesCount64(textHash(s) ^ textHash(string(b)))
+	}
+	if mean := float64(flipped) / 4096; math.Abs(mean-32) > 4 {
+		t.Errorf("one flipped byte flips %.1f output bits on average, want 32 ± 4", mean)
 	}
 }

@@ -17,8 +17,10 @@ package twitterdata
 // the decoder simply moves on to a fresh chunk when the current one fills.
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unicode"
@@ -95,7 +97,8 @@ type Decoder struct {
 	mark    int    // arena off at DecodeInto entry
 	markGen uint64 // arena gen at DecodeInto entry
 
-	scratch []byte // reused unescape buffer, grows to steady state
+	scratch  []byte // reused unescape buffer, grows to steady state
+	interned int64  // bytes interned by the current DecodeInto call
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
@@ -164,6 +167,11 @@ func (d *Decoder) DecodeInto(dst *Tweet, line []byte) error {
 		}
 	}
 	d.data = nil
+	// One atomic add per decode, counted whether or not it succeeded.
+	if d.interned != 0 {
+		internedBytes.Add(d.interned)
+		d.interned = 0
+	}
 	if err != nil {
 		*dst = Tweet{}
 		d.Discard()
@@ -195,7 +203,7 @@ func (d *Decoder) intern(b []byte) string {
 	start := d.off
 	copy(d.chunk[start:], b)
 	d.off += len(b)
-	internedBytes.Add(int64(len(b)))
+	d.interned += int64(len(b))
 	return unsafe.String(&d.chunk[start], len(b))
 }
 
@@ -239,25 +247,7 @@ func (d *Decoder) decodeTweet(dst *Tweet) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case keyMatches(key, "id_str"):
-			err = d.stringField(&dst.IDStr)
-		case keyMatches(key, "text"):
-			err = d.stringField(&dst.Text)
-		case keyMatches(key, "created_at"):
-			err = d.stringField(&dst.CreatedAt)
-		case keyMatches(key, "user"):
-			// Duplicate user objects merge rather than reset:
-			// json.Unmarshal decodes into the existing struct value.
-			err = d.decodeUser(&dst.User)
-		case keyMatches(key, "label"):
-			err = d.stringField(&dst.Label)
-		case keyMatches(key, "day"):
-			err = d.intField(&dst.Day)
-		default:
-			err = d.skipValue(2)
-		}
-		if err != nil {
+		if err = d.tweetMember(dst, key); err != nil {
 			return err
 		}
 		more, err := d.objectNext()
@@ -294,25 +284,7 @@ func (d *Decoder) decodeUser(dst *User) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case keyMatches(key, "id_str"):
-			err = d.stringField(&dst.IDStr)
-		case keyMatches(key, "screen_name"):
-			err = d.stringField(&dst.ScreenName)
-		case keyMatches(key, "created_at"):
-			err = d.stringField(&dst.CreatedAt)
-		case keyMatches(key, "followers_count"):
-			err = d.intField(&dst.FollowersCount)
-		case keyMatches(key, "friends_count"):
-			err = d.intField(&dst.FriendsCount)
-		case keyMatches(key, "statuses_count"):
-			err = d.intField(&dst.StatusesCount)
-		case keyMatches(key, "listed_count"):
-			err = d.intField(&dst.ListedCount)
-		default:
-			err = d.skipValue(3)
-		}
-		if err != nil {
+		if err = d.userMember(dst, key); err != nil {
 			return err
 		}
 		more, err := d.objectNext()
@@ -323,6 +295,81 @@ func (d *Decoder) decodeUser(dst *User) error {
 			return nil
 		}
 	}
+}
+
+// Field names in declaration order, as encoding/json matches them.
+var (
+	tweetFields = []string{"id_str", "text", "created_at", "user", "label", "day"}
+	userFields  = []string{"id_str", "screen_name", "created_at", "followers_count", "friends_count", "statuses_count", "listed_count"}
+)
+
+// tweetMember decodes the value of the tweet member named key. One switch on
+// the exact spelling picks the field; a key that misses it is matched again
+// under encoding/json's case folding, so "TEXT" still lands in Text. The
+// names are distinct under folding, so both ways pick the same field.
+//
+//redvet:noalloc gate=IngressDecode
+func (d *Decoder) tweetMember(dst *Tweet, key []byte) error {
+	switch string(key) {
+	case "id_str":
+		return d.stringField(&dst.IDStr)
+	case "text":
+		return d.stringField(&dst.Text)
+	case "created_at":
+		return d.stringField(&dst.CreatedAt)
+	case "user":
+		// Duplicate user objects merge rather than reset:
+		// json.Unmarshal decodes into the existing struct value.
+		return d.decodeUser(&dst.User)
+	case "label":
+		return d.stringField(&dst.Label)
+	case "day":
+		return d.intField(&dst.Day)
+	}
+	if name := foldedField(key, tweetFields); name != nil {
+		return d.tweetMember(dst, name)
+	}
+	return d.skipValue(2)
+}
+
+// userMember is tweetMember for the members of a user object.
+//
+//redvet:noalloc gate=IngressDecode
+func (d *Decoder) userMember(dst *User, key []byte) error {
+	switch string(key) {
+	case "id_str":
+		return d.stringField(&dst.IDStr)
+	case "screen_name":
+		return d.stringField(&dst.ScreenName)
+	case "created_at":
+		return d.stringField(&dst.CreatedAt)
+	case "followers_count":
+		return d.intField(&dst.FollowersCount)
+	case "friends_count":
+		return d.intField(&dst.FriendsCount)
+	case "statuses_count":
+		return d.intField(&dst.StatusesCount)
+	case "listed_count":
+		return d.intField(&dst.ListedCount)
+	}
+	if name := foldedField(key, userFields); name != nil {
+		return d.userMember(dst, name)
+	}
+	return d.skipValue(3)
+}
+
+// foldedField returns the name among names that key matches under
+// encoding/json's case folding, as bytes the exact-key switch accepts, or
+// nil when it matches none.
+//
+//redvet:noalloc gate=IngressDecode
+func foldedField(key []byte, names []string) []byte {
+	for _, name := range names {
+		if keyMatches(key, name) {
+			return unsafe.Slice(unsafe.StringData(name), len(name))
+		}
+	}
+	return nil
 }
 
 // readKey consumes a quoted object key plus the following colon and
@@ -469,41 +516,58 @@ func (d *Decoder) intField(dst *int) error {
 func (d *Decoder) unquote() ([]byte, error) {
 	data := d.data
 	start := d.pos + 1
-	clean := true
-	for i := start; i < len(data); i++ {
-		c := data[i]
-		if c == '"' {
-			if clean {
-				d.pos = i + 1
-				return data[start:i], nil
-			}
-			break
-		}
-		if c == '\\' {
-			return d.unquoteSlow(start)
-		}
-		if c < 0x20 {
-			return nil, errDecodeSyntax
-		}
-		if c >= utf8.RuneSelf {
-			clean = false
-		}
-	}
-	if clean {
+	i, high := scanString(data, start)
+	switch {
+	case i >= len(data):
 		return nil, errDecodeEnd
+	case data[i] == '\\':
+		return d.unquoteSlow(start)
+	case data[i] < 0x20:
+		return nil, errDecodeSyntax
 	}
 	// High bytes but no escapes: the span is returnable as-is when it is
 	// valid UTF-8; otherwise rewrite with replacement runes.
-	for i := start; i < len(data); i++ {
-		if data[i] == '"' {
-			if utf8.Valid(data[start:i]) {
-				d.pos = i + 1
-				return data[start:i], nil
-			}
+	if high && !utf8.Valid(data[start:i]) {
+		return d.unquoteSlow(start)
+	}
+	d.pos = i + 1
+	return data[start:i], nil
+}
+
+const (
+	lsb = 0x0101010101010101 // the low bit of every byte of a word
+	msb = 0x8080808080808080 // the high bit of every byte of a word
+)
+
+// scanString returns the index of the first '"', '\\' or control byte at or
+// after i (len(data) when there is none) and whether a byte >= 0x80 comes
+// before it. It reads one little-endian word per step. The zero-byte test
+// (x-lsb) &^ x & msb flags every zero byte of x; borrows can add false
+// flags, but only above a true one. So the lowest flag of the three tests
+// below marks the first stop byte. The words are ORed into acc, whose high
+// bits then show any byte >= 0x80.
+//
+//redvet:noalloc gate=IngressDecode
+func scanString(data []byte, i int) (int, bool) {
+	var acc uint64
+	for ; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		q, b := w^(lsb*'"'), w^(lsb*'\\')
+		if stop := ((q-lsb)&^q | (b-lsb)&^b | (w-lsb*0x20)&^w) & msb; stop != 0 {
+			n := bits.TrailingZeros64(stop) / 8
+			acc |= w & (1<<(8*n) - 1) // only the bytes before the stop
+			return i + n, acc&msb != 0
+		}
+		acc |= w
+	}
+	for ; i < len(data); i++ {
+		c := data[i]
+		if c == '"' || c == '\\' || c < 0x20 {
 			break
 		}
+		acc |= uint64(c)
 	}
-	return d.unquoteSlow(start)
+	return i, acc&msb != 0
 }
 
 // unquoteSlow rewrites a quoted string into the scratch buffer, handling
@@ -762,13 +826,16 @@ func (d *Decoder) skipValue(depth int) error {
 func (d *Decoder) skipString() error {
 	data := d.data
 	i := d.pos + 1
-	for i < len(data) {
-		c := data[i]
-		switch {
-		case c == '"':
+	for {
+		i, _ = scanString(data, i)
+		if i >= len(data) {
+			return errDecodeEnd
+		}
+		switch data[i] {
+		case '"':
 			d.pos = i + 1
 			return nil
-		case c == '\\':
+		case '\\':
 			i++
 			if i >= len(data) {
 				return errDecodeEnd
@@ -784,13 +851,10 @@ func (d *Decoder) skipString() error {
 			default:
 				return errDecodeSyntax
 			}
-		case c < 0x20:
+		default: // a control byte
 			return errDecodeSyntax
-		default:
-			i++
 		}
 	}
-	return errDecodeEnd
 }
 
 // skipNumber validates a JSON number literal (the scanner grammar:

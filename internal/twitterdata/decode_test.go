@@ -39,7 +39,7 @@ func checkEquivalence(t *testing.T, line []byte) {
 
 // decodeCases is the table shared by the unit test and the fuzz seed
 // corpus: every equivalence class the decoder special-cases.
-var decodeCases = []string{
+var decodeCases = append([]string{
 	// Plain tweets.
 	`{"id_str":"1","text":"hello world","created_at":"Mon Jan 02 15:04:05 +0000 2006","user":{"id_str":"u1","screen_name":"alice","created_at":"Mon Jan 02 15:04:05 +0000 2005","followers_count":10,"friends_count":20,"statuses_count":30,"listed_count":2},"label":"normal","day":3}`,
 	`{}`,
@@ -133,6 +133,31 @@ var decodeCases = []string{
 	`{}{}`,
 	// Whitespace-only separators.
 	"{ \"text\" \n:\t \"ws\" \r}",
+	// Every field under a case-folded spelling: the exact-key switch misses,
+	// the fold match must still land each value where encoding/json does.
+	`{"ID_STR":"1","Text":"t","CREATED_AT":"c","User":{"Id_Str":"u","ſcreen_name":"s","Created_At":"c","FOLLOWERS_COUNT":1,"Friends_Count":2,"ſtatuses_count":3,"liſted_count":4},"LABEL":"l","Day":5}`,
+	`{"iD_sTR":"1","tEXT":"t","created_AT":"c","uSER":{"ID_STR":"u","SCREEN_NAME":"s","CREATED_AT":"c","followers_COUNT":1,"FRIENDS_COUNT":2,"STATUSES_COUNT":3,"LISTED_COUNT":4},"Label":"l","DAY":5}`,
+	`{"ſ":1,"id_ſtr ":"near miss","User":{"screen_namé":"near miss"}}`,
+}, wordBoundaryCases()...)
+
+// wordBoundaryCases places each byte class the word-at-a-time string scan
+// tells apart at every offset of the first two eight-byte words of a text
+// value and of an unknown field's string, and ends plain strings on either
+// side of a word boundary, closed and unterminated.
+func wordBoundaryCases() []string {
+	inserts := []string{`\"`, `\\`, "\x1f", "\x7f", "\x80", "\xff", "\U0001F600"}
+	var out []string
+	for _, ins := range inserts {
+		for off := 0; off < 16; off++ {
+			body := strings.Repeat("a", off) + ins + strings.Repeat("z", 16-off)
+			out = append(out, `{"text":"`+body+`"}`, `{"extra":"`+body+`","text":"t"}`)
+		}
+	}
+	for _, n := range []int{7, 8, 9, 15, 16, 17} {
+		body := strings.Repeat("x", n)
+		out = append(out, `{"text":"`+body+`"}`, `{"text":"`+body, `{"extra":"`+body+`"}`, `{"extra":"`+body)
+	}
+	return out
 }
 
 func TestDecodeIntoEquivalence(t *testing.T) {
@@ -228,6 +253,46 @@ func TestDecodeStringsSurviveChunkTurnover(t *testing.T) {
 	for i, s := range kept {
 		if s != text {
 			t.Fatalf("kept string %d corrupted after chunk turnover", i)
+		}
+	}
+}
+
+// TestDecodeStatsPerCall pins what one DecodeInto adds to the counters: a
+// good line one decode and its interned bytes, a malformed line one error
+// and the bytes it interned before failing, and a Discarded line the same
+// as a kept one (Discard rewinds the arena, not the counters).
+func TestDecodeStatsPerCall(t *testing.T) {
+	d := GetDecoder()
+	defer PutDecoder(d)
+	var tw Tweet
+	if err := d.DecodeInto(&tw, []byte(`{"text":"prime the arena"}`)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		line    string
+		discard bool
+		want    DecodeStats
+	}{
+		{`{"id_str":"12","text":"hello","user":{"screen_name":"bob"}}`, false, DecodeStats{Decodes: 1, InternedBytes: 10}},
+		{`{"text":"abc","broken`, false, DecodeStats{Errors: 1, InternedBytes: 3}},
+		{`{"text":"discard me"}`, true, DecodeStats{Decodes: 1, InternedBytes: 10}},
+	} {
+		before := ReadDecodeStats()
+		if err := d.DecodeInto(&tw, []byte(tc.line)); (err != nil) != (tc.want.Errors != 0) {
+			t.Fatalf("%s: DecodeInto err = %v", tc.line, err)
+		}
+		if tc.discard {
+			d.Discard()
+		}
+		after := ReadDecodeStats()
+		got := DecodeStats{
+			Decodes:       after.Decodes - before.Decodes,
+			Errors:        after.Errors - before.Errors,
+			ArenaChunks:   after.ArenaChunks - before.ArenaChunks,
+			InternedBytes: after.InternedBytes - before.InternedBytes,
+		}
+		if got != tc.want {
+			t.Errorf("%s: counter deltas %+v, want %+v", tc.line, got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package twitterdata
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -34,8 +35,18 @@ func FuzzParseTime(f *testing.F) {
 		"Mon Jun 01 12:00:00.5 +0000 202",
 		"",
 		"2020-06-01T12:00:00Z",
+		"Thu Feb 29 00:00:00 +0000 1900", // not a leap year
+		"Tue Feb 29 00:00:00 +0000 2000", // a leap year
 	} {
 		f.Add(s)
+	}
+	for _, day := range []string{"Sun", "Mon", "Tue", "Wed", "Thu", "Fri", "Sat"} {
+		f.Add(day + " Jun 01 12:00:00 +0000 2020")
+	}
+	for _, month := range []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"} {
+		for _, day := range []string{"01", "28", "29", "30", "31"} {
+			f.Add("Mon " + month + " " + day + " 12:00:00 +0000 2021")
+		}
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		want, wantErr := time.Parse(TimeLayout, s)
@@ -48,6 +59,51 @@ func FuzzParseTime(f *testing.F) {
 		}
 		if !got.Equal(want) || got.String() != want.String() {
 			t.Fatalf("parseTime(%q) = %v, time.Parse = %v", s, got, want)
+		}
+	})
+}
+
+// refAccountAgeDays is AccountAgeDays spelled with time.Parse alone.
+func refAccountAgeDays(posted, created string) float64 {
+	p, err := time.Parse(TimeLayout, posted)
+	if err != nil {
+		p = time.Time{}
+	}
+	c, err := time.Parse(TimeLayout, created)
+	if err != nil || p.IsZero() || c.After(p) {
+		return 0
+	}
+	return p.Sub(c).Hours() / 24
+}
+
+// FuzzAccountAgeDays pins AccountAgeDays, whose fast path compares Unix
+// seconds without building a time.Time in any zone, to the same rule
+// computed with time.Parse: the same float64, bit for bit.
+func FuzzAccountAgeDays(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"Thu Jun 01 18:11:18 +0000 2017", "Mon Jan 02 15:04:05 +0000 2012"},
+		{"Mon Jan 01 00:00:00 +0000 0001", "Sat Jan 01 00:00:00 +0000 0000"}, // posted.IsZero()
+		{"Mon Jan 01 01:00:00 +0100 0001", "Sat Jan 01 00:00:00 +0000 0000"}, // the same instant
+		{"Mon Jan 02 15:04:05 +0000 2012", "Thu Jun 01 18:11:18 +0000 2017"}, // created after posted
+		{"Wed Jan 02 15:04:05 -2359 2006", "Wed Jan 02 15:04:05 +2359 2006"},
+		{"Wed Jan 02 15:04:05 +2359 2006", "Wed Jan 02 15:04:05 -2359 2006"},
+		{"Thu Mar 01 00:00:00 +0000 1900", "Thu Feb 29 00:00:00 +0000 1900"},
+		{"Wed Mar 01 00:00:00 +0000 2000", "Tue Feb 29 00:00:00 +0000 2000"},
+		{"Sun Mar 01 00:00:00 +0000 2020", "Sat Feb 29 00:00:00 +0000 2020"},
+		{"Mon Mar 01 00:00:00 +0000 2021", "Sun Feb 29 00:00:00 +0000 2021"},
+		{"Fri Dec 31 23:59:59 +0000 9999", "Sat Jan 01 00:00:00 +0000 0000"}, // Sub saturates
+		{"thu Jun 01 18:11:18 +0000 2017", "Mon Jan 02 15:04:05 +0000 2012"}, // fallback path
+		{"Thu Jun 01 18:11:18 +0000 2017", "mon Jan 02 15:04:05 +0000 2012"},
+		{"Thu Jun 01 18:11:18 +0000", "Mon Jan 02 15:04:05 +0000 2012"},
+		{"Thu Jun 01 18:11:18 +0000 2017", "not a timestamp"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, posted, created string) {
+		tw := Tweet{CreatedAt: posted, User: User{CreatedAt: created}}
+		got, want := tw.AccountAgeDays(), refAccountAgeDays(posted, created)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AccountAgeDays(%q, %q) = %v, time.Parse reference = %v", posted, created, got, want)
 		}
 	})
 }

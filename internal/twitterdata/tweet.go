@@ -74,8 +74,21 @@ func (t *Tweet) PostedAt() time.Time {
 }
 
 // AccountAgeDays returns the age of the posting account in days at posting
-// time (0 when either timestamp is malformed or inconsistent).
+// time (0 when either timestamp is malformed or inconsistent). When both
+// strings take parseUnix's fast path it compares their instants directly:
+// Sub ignores locations, so no zone is looked up and the result is the
+// same float, bit for bit (FuzzAccountAgeDays).
+//
+//redvet:noalloc gate=FeatCacheLookup
 func (t *Tweet) AccountAgeDays() float64 {
+	ps, _, pok := parseUnix(t.CreatedAt)
+	cs, _, cok := parseUnix(t.User.CreatedAt)
+	if pok && cok {
+		if ps == zeroUnix || cs > ps {
+			return 0
+		}
+		return time.Unix(ps, 0).Sub(time.Unix(cs, 0)).Hours() / 24
+	}
 	posted := t.PostedAt()
 	created, err := parseTime(t.User.CreatedAt)
 	if err != nil || posted.IsZero() || created.After(posted) {
@@ -84,54 +97,134 @@ func (t *Tweet) AccountAgeDays() float64 {
 	return posted.Sub(created).Hours() / 24
 }
 
-// parseTime is time.Parse(TimeLayout, s) with a fixed-offset fast path:
-// the pipeline parses three timestamps per tweet, and the reflective
-// layout walk was 4.5% of extraction. The fast path takes only strings
-// spelled exactly as time.Format(TimeLayout) spells them — fixed width,
-// canonical names, all digits in place, in-range fields — and returns what
-// time.Parse returns for them; anything else (one-digit hours, odd
-// capitalisation, out-of-range values, a malformed string) goes to
-// time.Parse, which stays the judge of what is accepted. FuzzParseTime
-// pins the two together.
+// zeroUnix is the zero time.Time (January 1, year 1, UTC) in Unix seconds.
+const zeroUnix = -62135596800
+
+// parseTime is time.Parse(TimeLayout, s): parseUnix reads the instant, and
+// the zone is the one time.Parse picks for it. Anything parseUnix refuses
+// goes to time.Parse, which stays the judge of what is accepted.
+// FuzzParseTime pins the two together.
 func parseTime(s string) (time.Time, error) {
-	const (
-		days   = "SunMonTueWedThuFriSat"
-		months = "JanFebMarAprMayJunJulAugSepOctNovDec"
-	)
+	sec, offset, ok := parseUnix(s)
+	if !ok {
+		return time.Parse(TimeLayout, s)
+	}
+	// time.Parse reports the time in Local when Local is at that offset at
+	// that instant, else in a fabricated zone (cached for whole hours).
+	t := time.Unix(sec, 0)
+	if zoneOffset(t) == offset {
+		return t, nil
+	}
+	return t.In(time.FixedZone("", offset)), nil
+}
+
+// parseUnix reads a timestamp spelled exactly as time.Format(TimeLayout)
+// spells it — fixed width, canonical names, all digits in place, in-range
+// fields — and returns its instant in Unix seconds and its zone offset in
+// seconds east of UTC, computed arithmetically (no time.Date, no zone
+// lookup). ok is false for anything else (one-digit hours, odd
+// capitalisation, out-of-range values, a malformed string); time.Parse may
+// still accept those.
+//
+//redvet:noalloc gate=FeatCacheLookup
+func parseUnix(s string) (sec int64, offset int, ok bool) {
 	// Layout offsets:  0123456789012345678901234567890
 	//                  Mon Jan 02 15:04:05 -0700 2006
 	if len(s) != len(TimeLayout) || s[3] != ' ' || s[7] != ' ' || s[10] != ' ' ||
 		s[13] != ':' || s[16] != ':' || s[19] != ' ' || s[25] != ' ' ||
-		(s[20] != '+' && s[20] != '-') || strings.Index(days, s[0:3])%3 != 0 {
-		return time.Parse(TimeLayout, s)
+		(s[20] != '+' && s[20] != '-') {
+		return 0, 0, false
 	}
-	month := strings.Index(months, s[4:7])
-	day, hour, minute, sec := num2(s[8:]), num2(s[11:]), num2(s[14:]), num2(s[17:])
+	switch s[0:3] {
+	case "Sun", "Mon", "Tue", "Wed", "Thu", "Fri", "Sat":
+	default:
+		return 0, 0, false
+	}
+	var month int
+	switch s[4:7] {
+	case "Jan":
+		month = 1
+	case "Feb":
+		month = 2
+	case "Mar":
+		month = 3
+	case "Apr":
+		month = 4
+	case "May":
+		month = 5
+	case "Jun":
+		month = 6
+	case "Jul":
+		month = 7
+	case "Aug":
+		month = 8
+	case "Sep":
+		month = 9
+	case "Oct":
+		month = 10
+	case "Nov":
+		month = 11
+	case "Dec":
+		month = 12
+	default:
+		return 0, 0, false
+	}
+	day, hour, minute, second := num2(s[8:]), num2(s[11:]), num2(s[14:]), num2(s[17:])
 	zh, zm, century, yy := num2(s[21:]), num2(s[23:]), num2(s[26:]), num2(s[28:])
-	if month%3 != 0 || day < 1 || hour|minute|sec|zh|zm|century|yy < 0 ||
-		hour > 23 || minute > 59 || sec > 59 || zh > 23 || zm > 59 {
-		return time.Parse(TimeLayout, s)
+	if day < 1 || hour|minute|second|zh|zm|century|yy < 0 ||
+		hour > 23 || minute > 59 || second > 59 || zh > 23 || zm > 59 {
+		return 0, 0, false
 	}
 	year := century*100 + yy
-	offset := (zh*60 + zm) * 60
+	if day > daysIn(month, year) {
+		return 0, 0, false
+	}
+	offset = (zh*60 + zm) * 60
 	if s[20] == '-' {
 		offset = -offset
 	}
-	utc := time.Date(year, time.Month(month/3+1), day, hour, minute, sec, 0, time.UTC)
-	if utc.Day() != day { // day beyond the month's end: Date normalized it
-		return time.Parse(TimeLayout, s)
+	sec = civilDays(year, month, day)*86400 + int64(hour*3600+minute*60+second-offset)
+	return sec, offset, true
+}
+
+// daysIn returns the length of month in year under the proleptic Gregorian
+// calendar time uses.
+//
+//redvet:noalloc gate=FeatCacheLookup
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
 	}
-	utc = utc.Add(-time.Duration(offset) * time.Second)
-	// time.Parse reports the time in Local when Local is at that offset at
-	// that instant, else in a fabricated zone (cached for whole hours).
-	if local := utc.In(time.Local); zoneOffset(local) == offset {
-		return local, nil
+	return 31
+}
+
+// civilDays returns the days from 1970-01-01 to the given proleptic
+// Gregorian date (Hinnant's days_from_civil), for years 0 through 9999.
+//
+//redvet:noalloc gate=FeatCacheLookup
+func civilDays(year, month, day int) int64 {
+	// Count years from March, so the leap day ends a year, and from 400
+	// years before year 0, so every quotient below is a floor.
+	y := year + 400
+	if month <= 2 {
+		y--
 	}
-	return utc.In(time.FixedZone("", offset)), nil
+	era, yoe := y/400, y%400
+	doy := (153*((month+9)%12)+2)/5 + day - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return int64(era-1)*146097 + int64(doe) - 719468
 }
 
 // num2 reads two ASCII digits, returning a negative number if either byte
 // is not a digit.
+//
+//redvet:noalloc gate=FeatCacheLookup
 func num2(s string) int {
 	a, b := int(s[0])-'0', int(s[1])-'0'
 	if a < 0 || a > 9 || b < 0 || b > 9 {
