@@ -68,6 +68,8 @@ var noallocGates = map[string]struct {
 		measuredBy: "internal/userstate.TestObserveResidentUserZeroAlloc",
 		funcs: []string{
 			"redhanded/internal/userstate.(*Store).Observe",
+			"redhanded/internal/userstate.(*Store).ObserveAlert",
+			"redhanded/internal/userstate.(*Store).observe",
 			"redhanded/internal/userstate.(*Store).observeLocked",
 			"redhanded/internal/userstate.(*record).slide",
 		},

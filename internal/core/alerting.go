@@ -53,7 +53,7 @@ type Alerter struct {
 	mu        sync.Mutex
 	threshold float64
 	// sinks is copy-on-write: Subscribe installs a fresh slice and never
-	// writes to a published one, so Consider iterates the slice it read
+	// writes to a published one, so raise iterates the slice it read
 	// under mu without cloning it per alert.
 	sinks []AlertSink
 	users *userstate.Store
@@ -76,12 +76,52 @@ func (a *Alerter) Subscribe(s AlertSink) {
 	a.sinks = append(a.sinks[:len(a.sinks):len(a.sinks)], s)
 }
 
-// Consider raises an alert when confidence clears the threshold; it
-// returns whether an alert was raised.
+// Consider raises an alert when confidence clears the threshold, recording
+// the offense with an offense-only observation; it returns whether an
+// alert was raised. It is the alerting step on its own, for a tweet whose
+// full observation the caller made: the pipeline instead decides the alert
+// before observing (arm) and folds the tweet and its offense in one
+// ObserveAlert.
 func (a *Alerter) Consider(tw *twitterdata.Tweet, predicted string, confidence float64) bool {
-	if confidence < a.threshold {
+	suspendAfter, ok := a.arm(confidence)
+	if !ok {
 		return false
 	}
+	out := a.users.Observe(userstate.Observation{
+		UserID:       tw.User.IDStr,
+		ScreenName:   tw.User.ScreenName,
+		At:           tw.PostedAt(),
+		Aggressive:   true,
+		Confidence:   confidence,
+		Offense:      true,
+		SuspendAfter: suspendAfter,
+		OffenseOnly:  true,
+	})
+	a.raise(tw, predicted, confidence, out)
+	return true
+}
+
+// arm reports whether a prediction of this confidence raises an alert
+// (a NaN confidence does: it is not below the threshold) and, when it
+// does, the repeated-offense bar the alert's offense is judged against.
+func (a *Alerter) arm(confidence float64) (suspendAfter int, ok bool) {
+	if confidence < a.threshold {
+		return 0, false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.SuspendAfter, true
+}
+
+// raise counts one alert and fans it out to the sinks, carrying the
+// author's offense history as out reports it after the alert's offense
+// (zero values for a tweet without a user ID).
+func (a *Alerter) raise(tw *twitterdata.Tweet, predicted string, confidence float64, out userstate.Outcome) {
+	a.mu.Lock()
+	a.raised++
+	alertsRaisedTotal.Inc()
+	sinks := a.sinks
+	a.mu.Unlock()
 	alert := Alert{
 		TweetID:    tw.IDStr,
 		UserID:     tw.User.IDStr,
@@ -89,33 +129,12 @@ func (a *Alerter) Consider(tw *twitterdata.Tweet, predicted string, confidence f
 		Label:      predicted,
 		Confidence: confidence,
 		Text:       tw.Text,
-	}
-	a.mu.Lock()
-	a.raised++
-	alertsRaisedTotal.Inc()
-	suspendAfter := a.SuspendAfter
-	sinks := a.sinks
-	a.mu.Unlock()
-	if alert.UserID != "" {
-		// Offense-only: the session window and behavioral aggregates are
-		// fed by the pipeline's own Observe for the same tweet.
-		out := a.users.Observe(userstate.Observation{
-			UserID:       alert.UserID,
-			ScreenName:   alert.ScreenName,
-			At:           tw.PostedAt(),
-			Aggressive:   true,
-			Confidence:   confidence,
-			Offense:      true,
-			SuspendAfter: suspendAfter,
-			OffenseOnly:  true,
-		})
-		alert.Offenses = out.Offenses
-		alert.Suspended = out.Suspended
+		Offenses:   out.Offenses,
+		Suspended:  out.Suspended,
 	}
 	for _, s := range sinks {
 		s.HandleAlert(alert)
 	}
-	return true
 }
 
 // Raised returns the total number of alerts raised.

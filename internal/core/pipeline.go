@@ -262,22 +262,35 @@ func (p *Pipeline) SubscribeVerdicts(s VerdictSink) {
 	p.verdicts = append(p.verdicts, s)
 }
 
-// observeUser folds one prediction into the user-state store, attaches
-// any verdicts to the result, and fans them out to the verdict sinks.
-// Called with p.mu held. The span (nil when tracing is off) separates the
-// store fold (StageObserve) from the sink fan-out (StageVerdict).
-func (p *Pipeline) observeUser(tw *twitterdata.Tweet, aggressive bool, confidence float64, sp *obs.Span) (*SessionVerdict, *EscalationVerdict) {
+// observeUser decides whether a tweet predicted as class pred raises an
+// alert, folds the prediction — and the alert's offense, when it does —
+// into the user-state store in one call, and fans the verdicts out to the
+// verdict sinks. Any non-normal class is aggressive behavior. Called with
+// p.mu held. The span (nil when tracing is off) separates the store fold
+// (StageObserve) from the sink fan-out (StageVerdict).
+func (p *Pipeline) observeUser(tw *twitterdata.Tweet, pred int, confidence float64, sp *obs.Span) (out userstate.Outcome, alert bool) {
+	aggressive := pred > 0
+	suspendAfter := 0
+	if aggressive {
+		suspendAfter, alert = p.alerter.arm(confidence)
+	}
 	if tw.User.IDStr == "" {
-		return nil, nil
+		return out, alert
 	}
 	sp.BeginStage(obs.StageObserve)
-	out := p.users.Observe(userstate.Observation{
-		UserID:     tw.User.IDStr,
-		ScreenName: tw.User.ScreenName,
-		At:         tw.PostedAt(),
-		Aggressive: aggressive,
-		Confidence: confidence,
-	})
+	o := userstate.Observation{
+		UserID:       tw.User.IDStr,
+		ScreenName:   tw.User.ScreenName,
+		At:           tw.PostedAt(),
+		Aggressive:   aggressive,
+		Confidence:   confidence,
+		SuspendAfter: suspendAfter,
+	}
+	if alert {
+		out = p.users.ObserveAlert(o)
+	} else {
+		out = p.users.Observe(o)
+	}
 	sp.BeginStage(obs.StageVerdict)
 	for _, s := range p.verdicts {
 		if out.Session != nil {
@@ -287,7 +300,7 @@ func (p *Pipeline) observeUser(tw *twitterdata.Tweet, aggressive bool, confidenc
 			s.HandleEscalation(*out.Escalation)
 		}
 	}
-	return out.Session, out.Escalation
+	return out, alert
 }
 
 // Sampler exposes the boosted sampling component.
@@ -396,7 +409,9 @@ func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
 // unlabeled entries followed by at most one labeled entry, each in four
 // phases: (A) extract every raw vector outside the lock — only a labeled
 // entry's Learn mutates the extractor, and it is last, so each extraction
-// sees exactly the state one-at-a-time processing would; (B) one critical
+// sees exactly the state one-at-a-time processing would, and a labeled
+// entry that misses the cache keeps its scan for that Learn, which then
+// does not scan the text again; (B) one critical
 // section folds the normalizer statistics in entry order and refreshes
 // the snapshot; (C) classify every entry lock-free against that snapshot
 // — the model cannot move before the run's last effect; (D) one critical
@@ -410,8 +425,9 @@ func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
 // Each span's stage is closed after the entry's share of a phase, so
 // stage durations never absorb other entries' time; inter-phase gaps
 // appear only in the span total. A tweet's stages are the same alone and
-// mid-batch: cache, extract (on a miss, plus the normalizer fold), classify
-// (plus record and train when labeled), observe, verdict, and compile for
+// mid-batch: cache, extract (on a miss, a labeled entry's scan included,
+// plus the normalizer fold), classify (plus record, train and learn when
+// labeled), observe (an alert's offense included), verdict, and compile for
 // the entry that paid for a snapshot rebuild.
 func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result {
 	k := p.snapshot.Load().NumClasses()
@@ -433,12 +449,17 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 		base := len(results)
 
 		raws := p.batchRaws[:0]
-		for _, e := range run {
+		var scan *feature.Scan // the labeled entry's, kept for phase D's Learn
+		for j, e := range run {
 			raw := feature.GetVec()
 			e.Span.BeginStage(obs.StageCache)
 			if !p.extractor.LookupCached(raw[:], e.Tweet) {
 				e.Span.BeginStage(obs.StageExtract)
-				p.extractor.ExtractAndCache(raw[:], e.Tweet)
+				if j == n-1 && label != ml.Unlabeled {
+					scan = p.extractor.ExtractAndKeepScan(raw, e.Tweet)
+				} else {
+					p.extractor.ExtractAndCache(raw[:], e.Tweet)
+				}
 			}
 			e.Span.EndStage()
 			raws = append(raws, raw)
@@ -483,7 +504,7 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 				e.Span.BeginStage(obs.StageClassify)
 				p.model.Train(res.Instance)
 			}
-			p.absorb(e.Tweet, res, e.Span)
+			p.absorb(e.Tweet, res, e.Span, scan) // only the labeled last entry reads scan
 			if e.Logged {
 				p.logOffset = e.Offset
 			}
@@ -501,15 +522,16 @@ func stride(arena []float64, i, w int) []float64 { return arena[i*w:][:w:w] }
 
 // absorb applies everything a classified tweet does to the pipeline apart
 // from training the model: prequential record + adaptive-BoW learning
-// (labeled) or distribution counts + sampling (unlabeled), then the
-// user-state fold, verdict fan-out, alerting, and bookkeeping. Called
-// with p.mu held; leaves the verdict stage open.
-func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span) {
+// (labeled; from scan when extraction kept it, else by scanning the text)
+// or distribution counts + sampling (unlabeled), then the user-state fold,
+// verdict fan-out, alerting, and bookkeeping. Called with p.mu held;
+// leaves the verdict stage open.
+func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span, scan *feature.Scan) {
 	p.activeSpan = sp
 	pred := res.Predicted
 	if res.Instance.IsLabeled() {
 		p.evaluator.Record(res.Instance.Label, pred)
-		p.extractor.Learn(tw)
+		p.extractor.LearnScan(tw, scan)
 		res.Tested = true
 	} else {
 		if pred >= 0 && pred < len(p.predCounts) {
@@ -518,10 +540,12 @@ func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span) {
 		p.sampler.Offer(tw, res.Prediction)
 	}
 
-	res.Session, res.Escalation = p.observeUser(tw, pred > 0, res.Confidence, sp)
+	out, alert := p.observeUser(tw, pred, res.Confidence, sp)
+	res.Session, res.Escalation = out.Session, out.Escalation
 	sp.BeginStage(obs.StageVerdict) // no-op unless observeUser skipped (no user ID)
-	if pred > 0 {                   // any non-normal class is aggressive behavior
-		res.Alerted = p.alerter.Consider(tw, p.classes.Name(pred), res.Confidence)
+	if alert {
+		p.alerter.raise(tw, p.classes.Name(pred), res.Confidence, out)
+		res.Alerted = true
 	}
 
 	p.processed++
@@ -582,7 +606,7 @@ func (p *Pipeline) AbsorbBatch(tweets []twitterdata.Tweet, outcomes []Outcome) {
 			}
 			res.Prediction = p.oneHot
 		}
-		p.absorb(&tweets[i], &res, nil)
+		p.absorb(&tweets[i], &res, nil, nil)
 	}
 	// The engine merged model deltas (ApplyAccumulators) before calling
 	// AbsorbBatch; re-publish so the snapshot catches up with the merge.

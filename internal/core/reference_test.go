@@ -5,14 +5,17 @@ import (
 	"redhanded/internal/feature"
 	"redhanded/internal/ml"
 	"redhanded/internal/twitterdata"
+	"redhanded/internal/userstate"
 )
 
 // referenceProcess is the naive per-tweet path the equivalence tests
 // compare ProcessBatch against: extract → Observe → Normalize → *live*
 // model.Predict → effects, one tweet at a time, all under the pipeline
-// mutex, sharing no control flow with the core. It never reads or
-// refreshes the compiled snapshot. TestFastPathMatchesLockedGolden pins it
-// to the parent commit's locked path.
+// mutex, sharing no control flow with the core: Learn scans the text
+// again, and an alert folds its offense in a second user-state call. It
+// never reads or refreshes the compiled snapshot.
+// TestFastPathMatchesLockedGolden pins it to the parent commit's locked
+// path.
 func referenceProcess(p *Pipeline, tw *twitterdata.Tweet, offset int64, logged bool) Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -40,7 +43,25 @@ func referenceProcess(p *Pipeline, tw *twitterdata.Tweet, offset int64, logged b
 		}
 		p.sampler.Offer(tw, votes)
 	}
-	res.Session, res.Escalation = p.observeUser(tw, res.Predicted > 0, res.Confidence, nil)
+	if tw.User.IDStr != "" {
+		out := p.users.Observe(userstate.Observation{
+			UserID:     tw.User.IDStr,
+			ScreenName: tw.User.ScreenName,
+			At:         tw.PostedAt(),
+			Aggressive: res.Predicted > 0,
+			Confidence: res.Confidence,
+		})
+		for _, s := range p.verdicts {
+			if out.Session != nil {
+				s.HandleSession(*out.Session)
+			}
+			if out.Escalation != nil {
+				s.HandleEscalation(*out.Escalation)
+			}
+		}
+		res.Session, res.Escalation = out.Session, out.Escalation
+	}
+	// The alert's offense is a second, offense-only observation.
 	if res.Predicted > 0 {
 		res.Alerted = p.alerter.Consider(tw, p.classes.Name(res.Predicted), res.Confidence)
 	}

@@ -127,7 +127,11 @@ func (t *wordTable) decay(factor float64) {
 	}
 }
 
-// prune drops the lowest-count words until the table fits maxVocab.
+// prune drops the lowest-count words until the table fits maxVocab. Decayed
+// counts tie often (every word first seen in the same round holds the same
+// value), so ties keep the words that sort first: the survivors depend on
+// the counts alone, not on map iteration order, and a restored checkpoint
+// prunes as the uninterrupted run does.
 func (t *wordTable) prune(maxVocab int) {
 	if len(t.counts) <= maxVocab {
 		return
@@ -140,7 +144,12 @@ func (t *wordTable) prune(maxVocab int) {
 	for w, c := range t.counts {
 		all = append(all, wc{w, c.n})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].c > all[j].c })
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].c != all[j].c {
+			return all[i].c > all[j].c
+		}
+		return all[i].w < all[j].w
+	})
 	for _, e := range all[maxVocab:] {
 		delete(t.counts, e.w)
 	}
@@ -306,6 +315,14 @@ func (b *AdaptiveBoW) Contains(token string) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.words[strings.ToLower(token)]
+}
+
+// learns reports whether learning adapts the vocabulary: false for the
+// fixed-BoW baseline, which Learn then skips before scanning.
+func (b *AdaptiveBoW) learns() bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return !b.cfg.Frozen
 }
 
 // learnScanned folds one labeled tweet's scanned words, their lowered forms

@@ -91,18 +91,41 @@ func (e *Extractor) fillProfile(x []float64, tw *twitterdata.Tweet) {
 // is deliberately not part of the zero-alloc lookup gate. Callers pair it
 // with LookupCached, paying admission cost only on repeated misses.
 func (e *Extractor) ExtractAndCache(dst []float64, tw *twitterdata.Tweet) []float64 {
-	if e.cache == nil {
-		return e.ExtractInto(dst, tw)
-	}
 	if len(dst) != NumFeatures {
 		dst = make([]float64, NumFeatures)
 	}
-	snap := e.bow.lookupSnapshot()
 	sc := extractPool.Get().(*extractScratch)
-	e.extractFast(dst, tw, sc, snap)
+	e.extractAndCache(dst, tw, sc)
 	extractPool.Put(sc)
-	e.cache.insert(tw.Text, snap.version, dst)
 	return dst
+}
+
+// extractAndCache extracts into dst, NumFeatures long, with sc's scanner
+// and offers the vector to the cache; sc holds the tweet's scan afterwards.
+func (e *Extractor) extractAndCache(dst []float64, tw *twitterdata.Tweet, sc *extractScratch) {
+	snap := e.bow.lookupSnapshot()
+	e.extractFast(dst, tw, sc, snap)
+	if e.cache != nil {
+		e.cache.insert(tw.Text, snap.version, dst)
+	}
+}
+
+// Scan is a tweet's tokenization kept from its extraction, so that the
+// BoW learns a labeled tweet without scanning its text a second time. It
+// holds a pooled scratch, which LearnScan returns to the pool.
+type Scan extractScratch
+
+// ExtractAndKeepScan is ExtractAndCache for a tweet about to be learned: it
+// extracts into dst and returns the scan for LearnScan, or nil when the
+// BoW is frozen and learning reads nothing.
+func (e *Extractor) ExtractAndKeepScan(dst *Vec, tw *twitterdata.Tweet) *Scan {
+	sc := extractPool.Get().(*extractScratch)
+	e.extractAndCache(dst[:], tw, sc)
+	if !e.bow.learns() {
+		extractPool.Put(sc)
+		return nil
+	}
+	return (*Scan)(sc)
 }
 
 // ExtractCachedInto is the composed cache-aware extraction: hit or
@@ -126,13 +149,24 @@ func (e *Extractor) CacheStats() CacheStats {
 // Learn updates the adaptive bag-of-words with a labeled tweet. Aggressive
 // covers the abusive and hateful labels, per §IV-B. The BoW learns the
 // scanned words' lowered forms, the keys extraction looks it up by.
-func (e *Extractor) Learn(tw *twitterdata.Tweet) {
-	if !tw.IsLabeled() {
-		return
+func (e *Extractor) Learn(tw *twitterdata.Tweet) { e.LearnScan(tw, nil) }
+
+// LearnScan is Learn reading the words from sc, the scan
+// ExtractAndKeepScan kept for the same tweet, and releases sc. A nil sc
+// scans the text, unless the tweet is unlabeled or the BoW frozen. The
+// scan is a pure function of the text and the spec, so both ways learn the
+// same words.
+func (e *Extractor) LearnScan(tw *twitterdata.Tweet, sc *Scan) {
+	if sc == nil {
+		if !tw.IsLabeled() || !e.bow.learns() {
+			return
+		}
+		sc = (*Scan)(extractPool.Get().(*extractScratch))
+		e.scan(&sc.ts, tw.Text)
 	}
-	aggressive := tw.Label == twitterdata.LabelAbusive || tw.Label == twitterdata.LabelHateful
-	sc := extractPool.Get().(*extractScratch)
-	e.scan(&sc.ts, tw.Text)
-	e.bow.learnScanned(&sc.ts, aggressive)
-	extractPool.Put(sc)
+	if tw.IsLabeled() {
+		aggressive := tw.Label == twitterdata.LabelAbusive || tw.Label == twitterdata.LabelHateful
+		e.bow.learnScanned(&sc.ts, aggressive)
+	}
+	extractPool.Put((*extractScratch)(sc))
 }

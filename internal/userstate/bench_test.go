@@ -67,7 +67,8 @@ func BenchmarkUserstateObserveHot(b *testing.B) {
 
 // TestObserveResidentUserZeroAlloc is the UserstateObserveHot gate:
 // folding an observation into a user who already has a record — session
-// window slide, running counts, EWMA — allocates nothing as long as no
+// window slide, running counts, EWMA, and for the aggressive third an
+// alert's offense through ObserveAlert — allocates nothing as long as no
 // verdict fires. Each user posts every 16 minutes, so windows stay a few
 // entries long and their storage stops growing during the warm-up.
 func TestObserveResidentUserZeroAlloc(t *testing.T) {
@@ -79,12 +80,19 @@ func TestObserveResidentUserZeroAlloc(t *testing.T) {
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	i := 0
 	observe := func() {
-		out := s.Observe(Observation{
-			UserID:     ids[i%len(ids)],
-			At:         start.Add(time.Duration(i) * time.Minute),
-			Aggressive: i%3 == 0,
-			Confidence: 0.8,
-		})
+		o := Observation{
+			UserID:       ids[i%len(ids)],
+			At:           start.Add(time.Duration(i) * time.Minute),
+			Aggressive:   i%3 == 0,
+			Confidence:   0.8,
+			SuspendAfter: 5,
+		}
+		var out Outcome
+		if o.Aggressive {
+			out = s.ObserveAlert(o)
+		} else {
+			out = s.Observe(o)
+		}
 		if out.Session != nil || out.Escalation != nil {
 			t.Fatalf("observation %d drew a verdict; the gate measures the verdict-free fold", i)
 		}

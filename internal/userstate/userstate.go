@@ -258,8 +258,9 @@ type Observation struct {
 	Offense      bool
 	SuspendAfter int
 	// OffenseOnly records the offense without touching the session window
-	// or the behavioral aggregates — the legacy Alerter path, which runs
-	// beside a full Observe for the same tweet.
+	// or the behavioral aggregates — Alerter.Consider's second observation
+	// of a tweet already observed in full. ObserveAlert folds both halves in
+	// one call.
 	OffenseOnly bool
 }
 
@@ -479,6 +480,29 @@ func fromNanos(n int64) time.Time {
 //
 //redvet:noalloc gate=UserstateObserveHot
 func (s *Store) Observe(o Observation) Outcome {
+	return s.observe(o, false)
+}
+
+// ObserveAlert folds a tweet that raised an alert: the tweet as a full
+// observation (whatever o.Offense and o.OffenseOnly say), then the alert's
+// offense against o.SuspendAfter, under one lock and one record lookup.
+// State and Outcome are exactly those of Observe(o) followed by an
+// offense-only Observe of the same tweet: the session and escalation
+// verdicts are judged before the offense (an EscalationVerdict's Offenses
+// excludes this alert), and Offenses, Suspended and NewlySuspended are read
+// after it.
+//
+//redvet:noalloc gate=UserstateObserveHot
+func (s *Store) ObserveAlert(o Observation) Outcome {
+	o.Offense, o.OffenseOnly = false, false
+	return s.observe(o, true)
+}
+
+// observe takes o's shard stripe, recording the wait, and folds o, then
+// the alert's offense when alert is set.
+//
+//redvet:noalloc gate=UserstateObserveHot
+func (s *Store) observe(o Observation, alert bool) Outcome {
 	if o.UserID == "" {
 		return Outcome{}
 	}
@@ -492,13 +516,13 @@ func (s *Store) Observe(o Observation) Outcome {
 		//redvet:ignore hotpathhygiene see t0 above: the pair times the blocked acquire for redhanded_userstate_lock_wait_seconds
 		lockWait.Observe(time.Since(t0).Seconds())
 	}
-	out := s.observeLocked(sh, o)
+	out := s.observeLocked(sh, o, alert)
 	sh.mu.Unlock()
 	return out
 }
 
 //redvet:noalloc gate=UserstateObserveHot
-func (s *Store) observeLocked(sh *shard, o Observation) Outcome {
+func (s *Store) observeLocked(sh *shard, o Observation, alert bool) Outcome {
 	at := nanos(o.At)
 	hasTime := at != 0
 	if at > sh.maxTime {
@@ -553,13 +577,7 @@ func (s *Store) observeLocked(sh *shard, o Observation) Outcome {
 
 	// Offense history.
 	if o.Offense {
-		r.offenses++
-		if !r.suspended && o.SuspendAfter > 0 && r.offenses >= o.SuspendAfter {
-			r.suspended = true
-			out.NewlySuspended = true
-			s.suspensions.Add(1)
-			suspensionsTotal.Inc()
-		}
+		out.NewlySuspended = s.offend(r, o.SuspendAfter)
 	}
 
 	if !o.OffenseOnly && hasTime {
@@ -573,11 +591,32 @@ func (s *Store) observeLocked(sh *shard, o Observation) Outcome {
 		}
 	}
 
+	sweeps := s.cfg.SweepPerObserve
+	if alert {
+		// What the separate offense-only Observe did: the offense after the
+		// judges, and that call's own sweep slots.
+		out.NewlySuspended = s.offend(r, o.SuspendAfter)
+		sweeps *= 2
+	}
+
 	out.Offenses = r.offenses
 	out.Suspended = r.suspended
 
-	s.sweep(sh, r)
+	s.sweep(sh, r, sweeps)
 	return out
+}
+
+// offend advances r's offense history by one, reporting whether the count
+// just reached suspendAfter and flipped the suspension recommendation.
+func (s *Store) offend(r *record, suspendAfter int) bool {
+	r.offenses++
+	if r.suspended || suspendAfter <= 0 || r.offenses < suspendAfter {
+		return false
+	}
+	r.suspended = true
+	s.suspensions.Add(1)
+	suspensionsTotal.Inc()
+	return true
 }
 
 // judgeSession applies the session-window threshold.
@@ -740,17 +779,17 @@ func (s *Store) evictClock(sh *shard) {
 }
 
 // sweep amortizes TTL retirement into Observe: examine a few ring slots
-// at the hand, evicting records idle past the TTL (event time). The
-// record just observed is never a candidate (its lastSeen is current),
-// and neither are suspended records — the repeated-offense
+// (slots of them) at the hand, evicting records idle past the TTL (event
+// time). The record just observed is never a candidate (its lastSeen is
+// current), and neither are suspended records — the repeated-offense
 // recommendation must not silently expire; only cap pressure can
 // reclaim it.
-func (s *Store) sweep(sh *shard, current *record) {
+func (s *Store) sweep(sh *shard, current *record, slots int) {
 	if s.ttl <= 0 || sh.maxTime <= s.ttl {
 		return
 	}
 	cutoff := sh.maxTime - s.ttl
-	for k := 0; k < s.cfg.SweepPerObserve && len(sh.ring) > 1; k++ {
+	for k := 0; k < slots && len(sh.ring) > 1; k++ {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
