@@ -20,11 +20,12 @@ import (
 )
 
 // The cluster driver distributes micro-batch shares across executor nodes
-// over TCP, mirroring the paper's 3-node SparkCluster deployment, with the
-// resilience the happy-path v1 engine lacked:
+// over TCP, mirroring the paper's 3-node SparkCluster deployment:
 //
-//   - failover: per-node health tracking with reconnect-and-backoff; when a
-//     node dies mid-batch its share is reassigned to survivors, so a batch
+//   - failover: per-node health tracking with reconnect-and-backoff. A share
+//     is done when its response decodes; when its node dies, times out or
+//     answers with a payload that does not decode, processShare — the one
+//     place a share is retried — moves it to a survivor, so a batch
 //     completes as long as one executor lives;
 //   - delta broadcasts: the model ships only when its hash changed (and a
 //     partitioned model like the ARF ships only the member trees whose
@@ -72,20 +73,16 @@ type ClusterConfig struct {
 	// ReconnectBackoff is the initial reconnect delay, doubling per attempt
 	// up to 1s (default 50ms).
 	ReconnectBackoff time.Duration
-	// AllDownWait is how long a batch waits for any executor to come back
-	// when every node is down, before failing the run (default 5s).
+	// AllDownWait is how long a batch start or a failing-over share waits
+	// for any executor to come back when every node is down, before failing
+	// the run (default 5s).
 	AllDownWait time.Duration
-	// ShareTimeout bounds one share's round trip. A wedged-but-connected
-	// executor (stopped process, half-open connection) never produces a
-	// transport error, so the timeout is what converts it into a failover
-	// (default 2m — generous, since a share normally completes in
-	// milliseconds).
-	ShareTimeout time.Duration
 	// Tracer, when non-nil, records one span per micro-batch: queue covers
-	// broadcast serialization and the healthy-node wait, executor_rtt the
-	// share dispatch wall time, executor_compute the executor-reported
-	// share compute (a subset of the RTT — the difference is wire and
-	// queueing cost), and merge the delta decode + merge + absorb.
+	// broadcast serialization and the healthy-node wait; executor_rtt the
+	// shares' wall time until every response has been decoded and checked;
+	// executor_compute the executor-reported share compute (a subset of the
+	// RTT — the difference is wire, queueing and decode cost); and merge the
+	// statistics and accumulator merge plus AbsorbBatch.
 	Tracer *obs.Tracer
 
 	// fullBroadcast sends every node the complete model and vocabulary each
@@ -111,11 +108,14 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.AllDownWait <= 0 {
 		c.AllDownWait = 5 * time.Second
 	}
-	if c.ShareTimeout <= 0 {
-		c.ShareTimeout = 2 * time.Minute
-	}
 	return c
 }
+
+// shareTimeout bounds one share's round trip and every frame write. A
+// wedged-but-connected executor (stopped process, half-open connection)
+// never produces a transport error, so the timeout is what converts it into
+// a failover. It is generous: a share normally completes in milliseconds.
+const shareTimeout = 2 * time.Minute
 
 // execNode is the driver's view of one executor: connection, health, and
 // the broadcast versions the node is known to hold. Version bookkeeping is
@@ -240,14 +240,6 @@ type broadcast struct {
 	scheme     int
 }
 
-// shareResult is one share's response plus the node that produced it (for
-// merge-time failover when the payload turns out to be undecodable).
-type shareResult struct {
-	resp batchResponse
-	node *execNode
-	gen  int
-}
-
 // clusterRun is the state of one RunCluster invocation.
 type clusterRun struct {
 	p     *core.Pipeline
@@ -256,13 +248,6 @@ type clusterRun struct {
 	nodes []*execNode
 	vocab vocabState
 	stop  chan struct{}
-
-	// curTraceID is the in-flight batch span's trace ID, stamped onto data
-	// frames so executor responses can be attributed to the batch that sent
-	// them. runBatch is sequential per run, so a plain field suffices for
-	// sendShare; presend ships the *next* batch's tweets before that
-	// batch's span exists and deliberately carries 0.
-	curTraceID uint64
 
 	// Serialization cache: in the cluster driver every model mutation
 	// flows through ApplyAccumulators, which advances the model's train
@@ -315,13 +300,7 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 		}(i, n)
 	}
 	connWG.Wait()
-	anyUp := false
-	for _, n := range r.nodes {
-		if n.isUp() {
-			anyUp = true
-		}
-	}
-	if !anyUp {
+	if len(r.upNodes(nil)) == 0 {
 		for _, err := range errs {
 			if err != nil {
 				return Stats{}, fmt.Errorf("engine: no executor reachable: %w", err)
@@ -334,12 +313,10 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 		}
 	}
 
-	start := time.Now()
-	var stats Stats
-	var lat latencyTracker
-	driftDone := captureDrift(p)
-
+	m := startRun(p)
 	// Prefetch: the source is read one batch ahead of the batch in flight.
+	// The channel closes after the last batch, so a receive yields nil once
+	// the source is exhausted.
 	batches := make(chan []twitterdata.Tweet, 1)
 	go func() {
 		defer close(batches)
@@ -358,68 +335,41 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 			}
 		}
 	}()
-	done := false
-	next := func(block bool) []twitterdata.Tweet {
-		if done {
-			return nil
-		}
-		if block {
-			b, ok := <-batches
-			if !ok {
-				done = true
-			}
-			return b
-		}
-		select {
-		case b, ok := <-batches:
-			if !ok {
-				done = true
-			}
-			return b
-		default:
-			return nil
-		}
-	}
-
-	finish := func(err error) (Stats, error) {
-		stats.Duration = time.Since(start)
-		lat.fill(&stats)
-		stats.BroadcastBytes = r.broadcastBytes.Load()
-		stats.DataBytes = r.dataBytes.Load()
-		stats.Failovers = r.failovers.Load()
-		stats.Resyncs = r.resyncs.Load()
-		stats.Reconnects = r.reconnects.Load()
-		driftDone(&stats)
-		captureUsers(p, &stats)
-		return stats, err
-	}
 
 	var seq int64
-	cur := next(true)
-	for cur != nil {
+	for cur := <-batches; cur != nil; {
 		seq++
-		// Grab batch k+1 if the source already has it, so its tweets can be
+		// Take batch k+1 if the source already has it, so its tweets can be
 		// pre-sent while batch k's round trip is in flight.
-		ahead := next(false)
-		batchStart := time.Now()
-		if err := r.runBatch(seq, cur, ahead); err != nil {
-			return finish(err)
+		var ahead []twitterdata.Tweet
+		select {
+		case ahead = <-batches:
+		default:
 		}
-		lat.add(time.Since(batchStart))
-		stats.Processed += int64(len(cur))
-		tweetsProcessedTotal.Add(int64(len(cur)))
-		stats.Batches++
+		batchStart := time.Now()
+		if err = r.runBatch(seq, cur, ahead); err != nil {
+			break
+		}
+		m.batch(len(cur), batchStart)
 		if ahead == nil {
-			ahead = next(true)
+			ahead = <-batches
 		}
 		cur = ahead
 	}
-	return finish(nil)
+	stats := m.finish()
+	stats.BroadcastBytes = r.broadcastBytes.Load()
+	stats.DataBytes = r.dataBytes.Load()
+	stats.Failovers = r.failovers.Load()
+	stats.Resyncs = r.resyncs.Load()
+	stats.Reconnects = r.reconnects.Load()
+	return stats, err
 }
 
-// runBatch executes one micro-batch: broadcast, dispatch shares across the
-// healthy nodes (failing over as nodes die), pre-send the next batch's
-// tweets, then validate and merge the results in share order.
+// runBatch executes one micro-batch: broadcast, run one share per healthy
+// node to a decoded output (processShare fails each over on its own),
+// pre-send the next batch's tweets, then merge the shares in share order.
+// Decoding reads the global model and nothing mutates it before the merge,
+// which waits for every share — so a batch is applied whole or not at all.
 func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error {
 	// The batch span: queue covers broadcast serialization plus the
 	// healthy-node wait (everything before dispatch), then executor_rtt,
@@ -427,105 +377,55 @@ func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error
 	// a failed batch still records its partial breakdown.
 	sp := r.cfg.Tracer.Begin(0)
 	defer sp.Finish()
+	var traceID uint64
 	if sp != nil {
 		sp.SetID("batch-" + strconv.FormatInt(seq, 10))
-		r.curTraceID = sp.TraceID()
+		traceID = sp.TraceID()
 	}
 	bc, err := r.makeBroadcast(seq)
 	if err != nil {
 		return err
 	}
-	healthy, err := r.waitHealthy()
+	healthy, err := r.awaitHealthy(nil)
 	if err != nil {
 		return err
 	}
 	shares := splitSpans(len(batch), len(healthy))
 	sp.BeginStage(obs.StageExecutorRTT)
 
-	results := make([]shareResult, len(shares))
+	outs := make([]shareOutput, len(shares))
+	execNanos := make([]int64, len(shares))
 	errs := make([]error, len(shares))
 	var wg sync.WaitGroup
-	for i, sp := range shares {
-		if sp.lo >= sp.hi {
-			continue
-		}
+	for i, s := range shares {
 		wg.Add(1)
-		go func(i int, sp span, pref *execNode) {
+		go func(i int, s span, pref *execNode) {
 			defer wg.Done()
-			results[i], errs[i] = r.processShare(seq, bc, sp, batch, pref)
-		}(i, sp, healthy[i%len(healthy)])
+			outs[i], execNanos[i], errs[i] = r.processShare(bc, s, batch, traceID, pref)
+		}(i, s, healthy[i])
 	}
-	var presendWG sync.WaitGroup
 	if len(ahead) > 0 {
-		presendWG.Add(1)
+		wg.Add(1)
 		go func() {
-			defer presendWG.Done()
+			defer wg.Done()
 			r.presend(seq+1, ahead)
 		}()
 	}
 	wg.Wait()
-	presendWG.Wait()
 	sp.BeginStage(obs.StageMerge)
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-
-	// Validate every response before mutating driver state, so a corrupt
-	// payload can be treated as a node failure and its share re-run on a
-	// survivor without having half-applied the batch.
-	decoded := make([]shareOutput, 0, len(shares))
-	for i, sp := range shares {
-		if sp.lo >= sp.hi {
-			continue
-		}
-		for redo := 0; ; redo++ {
-			res := results[i]
-			d := shareOutput{lo: sp.lo, classified: res.resp.Classified}
-			d.stats = norm.NewFeatureStats(r.p.Normalizer().Stats.Dim())
-			derr := d.stats.UnmarshalBinary(res.resp.StatsBlob)
-			if derr == nil {
-				for _, blob := range res.resp.DeltaBlobs {
-					acc, aerr := r.p.Model().AccumulatorFromState(blob)
-					if aerr != nil {
-						derr = aerr
-						break
-					}
-					d.accs = append(d.accs, acc)
-				}
-			}
-			if derr == nil {
-				decoded = append(decoded, d)
-				break
-			}
-			// Corrupt response: fail the node and re-run the share. The
-			// retry is bounded so a faulty-but-reachable node that keeps
-			// reconnecting and re-corrupting cannot hang the run.
-			if redo >= 2*len(r.nodes)+2 {
-				return fmt.Errorf("engine: share [%d,%d) of batch %d kept returning corrupt deltas: %w", sp.lo, sp.hi, seq, derr)
-			}
-			r.markDown(res.node, res.gen, fmt.Errorf("engine: executor %s returned corrupt delta: %w", res.node.addr, derr))
-			r.failovers.Add(1)
-			clusterFailovers.Inc()
-			rerun, rerr := r.processShare(seq, bc, sp, batch, nil)
-			if rerr != nil {
-				return rerr
-			}
-			results[i] = rerun
-		}
+	// The serving nodes' compute time, summed across shares. An executor
+	// that reports 0 leaves the stage absent from the breakdown.
+	var nanos int64
+	for _, n := range execNanos {
+		nanos += n
 	}
-
-	// Attribute the executor-reported compute time (summed across shares;
-	// failover re-runs contribute the serving node's final numbers). Old
-	// executors report 0, leaving the stage absent from the breakdown.
-	var execNanos int64
-	for i := range results {
-		execNanos += results[i].resp.ExecNanos
-	}
-	sp.Add(obs.StageExecutorCompute, time.Duration(execNanos))
-
-	mergeBatch(r.p, batch, decoded)
+	sp.Add(obs.StageExecutorCompute, time.Duration(nanos))
+	mergeBatch(r.p, batch, outs)
 	return nil
 }
 
@@ -629,103 +529,70 @@ func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 	return msg
 }
 
-// processShare runs one share to completion, failing over across nodes as
-// they die. It returns an error only when no executor can serve the share.
-func (r *clusterRun) processShare(seq int64, bc *broadcast, sp span, batch []twitterdata.Tweet, pref *execNode) (shareResult, error) {
+// processShare runs one share until its response decodes and returns the
+// decoded output with the executor-reported compute time. Whatever ends an
+// exchange without one — a dead or wedged node, an error or corrupt payload
+// in the response — has already marked the node down, and the share moves
+// to another node. It fails only when no executor can serve the share.
+func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64, node *execNode) (shareOutput, int64, error) {
 	tried := make(map[*execNode]bool)
-	node := pref
-	// The AllDownWait grace clock starts when the share first finds no
-	// healthy node, not at share start — a long failover dance among live
-	// nodes must not eat the window a final all-down event is owed.
-	var allDownSince time.Time
 	var lastErr error
-	moved := false
 	for hops := 0; hops <= 4*len(r.nodes)+4; hops++ {
-		if node == nil || !node.isUp() || tried[node] {
-			// Pick a healthy node, waiting (without burning hops) while
-			// every node is down but a reconnect is still possible.
-			for {
-				node = r.pickNode(tried)
-				if node != nil {
-					break
-				}
-				if allDownSince.IsZero() {
-					allDownSince = time.Now()
-				}
-				if r.allAbandoned() || time.Since(allDownSince) > r.cfg.AllDownWait {
-					if lastErr == nil {
-						lastErr = errors.New("all executors are down")
-					}
-					return shareResult{}, fmt.Errorf("engine: share [%d,%d) of batch %d unservable: %w", sp.lo, sp.hi, seq, lastErr)
-				}
-				// Every candidate failed this pass; allow revived nodes
-				// back in and wait for a reconnect.
-				for k := range tried {
-					delete(tried, k)
-				}
-				time.Sleep(15 * time.Millisecond)
+		if tried[node] || !node.isUp() {
+			up, err := r.awaitHealthy(tried)
+			if err != nil {
+				return shareOutput{}, 0, fmt.Errorf("engine: share [%d,%d) of batch %d unservable: %w", s.lo, s.hi, bc.seq, errors.Join(lastErr, err))
 			}
-			allDownSince = time.Time{}
-			if moved {
+			node = up[0]
+			if lastErr != nil {
 				r.failovers.Add(1)
 				clusterFailovers.Inc()
 			}
 		}
-		res, err := r.exchange(node, seq, bc, sp, batch)
+		out, nanos, err := r.exchange(node, bc, s, batch, traceID)
 		if err == nil {
-			return res, nil
+			return out, nanos, nil
 		}
 		lastErr = err
 		tried[node] = true
-		node = nil
-		moved = true
 	}
-	return shareResult{}, fmt.Errorf("engine: share [%d,%d) of batch %d failed on every executor: %w", sp.lo, sp.hi, seq, lastErr)
+	return shareOutput{}, 0, fmt.Errorf("engine: share [%d,%d) of batch %d failed on every executor: %w", s.lo, s.hi, bc.seq, lastErr)
 }
 
-// exchange performs one share round trip against one node, handling the
-// NeedResync handshake by resending the full broadcast once.
-func (r *clusterRun) exchange(n *execNode, seq int64, bc *broadcast, sp span, batch []twitterdata.Tweet) (shareResult, error) {
-	key := respKey{seq: seq, lo: sp.lo, hi: sp.hi}
+// exchange performs one share round trip against one node and decodes the
+// response, handling the NeedResync handshake by resending the full
+// broadcast. Any failure marks the node down before it is returned.
+func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64) (shareOutput, int64, error) {
+	key := respKey{seq: bc.seq, lo: s.lo, hi: s.hi}
 	for resync := 0; ; resync++ {
 		ch, gen, err := n.register(key)
 		if err != nil {
-			return shareResult{}, err
+			return shareOutput{}, 0, err
 		}
-		start := time.Now()
-		if err := r.sendShare(n, gen, seq, bc, sp, batch, resync > 0); err != nil {
+		fail := func(err error) (shareOutput, int64, error) {
 			n.unregister(key)
 			r.markDown(n, gen, err)
-			return shareResult{}, err
+			return shareOutput{}, 0, err
+		}
+		start := time.Now()
+		if err := r.sendShare(n, gen, bc, s, batch, traceID, resync > 0); err != nil {
+			return fail(err)
 		}
 		var rep shareReply
-		timeout := time.NewTimer(r.cfg.ShareTimeout)
+		timeout := time.NewTimer(shareTimeout)
 		select {
 		case rep = <-ch:
 			timeout.Stop()
 		case <-timeout.C:
 			// A wedged-but-connected executor never errors the transport;
 			// time it out so the share can fail over to a live node.
-			err := fmt.Errorf("engine: executor %s did not answer share [%d,%d) within %v", n.addr, sp.lo, sp.hi, r.cfg.ShareTimeout)
-			n.unregister(key)
-			r.markDown(n, gen, err)
-			return shareResult{}, err
+			return fail(fmt.Errorf("engine: executor %s did not answer share [%d,%d) within %v", n.addr, s.lo, s.hi, shareTimeout))
 		}
 		if rep.err != nil {
-			return shareResult{}, rep.err
+			return fail(rep.err)
 		}
 		clusterShareRTT.Observe(time.Since(start).Seconds())
-		if rep.resp.Err != "" {
-			err := fmt.Errorf("engine: executor %s: %s", n.addr, rep.resp.Err)
-			r.markDown(n, gen, err)
-			return shareResult{}, err
-		}
-		if rep.resp.NeedResync {
-			if resync >= 2 {
-				err := fmt.Errorf("engine: executor %s cannot resync", n.addr)
-				r.markDown(n, gen, err)
-				return shareResult{}, err
-			}
+		if rep.resp.NeedResync && resync < 2 {
 			r.resyncs.Add(1)
 			clusterResyncs.Inc()
 			n.mu.Lock()
@@ -733,67 +600,101 @@ func (r *clusterRun) exchange(n *execNode, seq int64, bc *broadcast, sp span, ba
 			n.mu.Unlock()
 			continue
 		}
-		return shareResult{resp: rep.resp, node: n, gen: gen}, nil
+		out, err := r.decodeShare(n, s, &rep.resp)
+		if err != nil {
+			return fail(err)
+		}
+		return out, rep.resp.ExecNanos, nil
 	}
+}
+
+// decodeShare checks one share response and decodes its statistics delta
+// and training accumulators. Decoding only reads the global model.
+func (r *clusterRun) decodeShare(n *execNode, s span, resp *batchResponse) (shareOutput, error) {
+	switch {
+	case resp.Err != "":
+		return shareOutput{}, fmt.Errorf("engine: executor %s: %s", n.addr, resp.Err)
+	case resp.NeedResync:
+		return shareOutput{}, fmt.Errorf("engine: executor %s cannot resync", n.addr)
+	}
+	out := shareOutput{lo: s.lo, classified: resp.Classified, stats: norm.NewFeatureStats(r.p.Normalizer().Stats.Dim())}
+	if err := out.stats.UnmarshalBinary(resp.StatsBlob); err != nil {
+		return shareOutput{}, fmt.Errorf("engine: executor %s returned corrupt statistics: %w", n.addr, err)
+	}
+	for _, blob := range resp.DeltaBlobs {
+		acc, err := r.p.Model().AccumulatorFromState(blob)
+		if err != nil {
+			return shareOutput{}, fmt.Errorf("engine: executor %s returned corrupt delta: %w", n.addr, err)
+		}
+		out.accs = append(out.accs, acc)
+	}
+	return out, nil
 }
 
 // sendShare ships the broadcast (once per node per batch) and the share's
 // data frame. forceData resends the tweets even if a presend delivered
 // them (the executor consumed the previous copy when it answered
 // NeedResync).
-func (r *clusterRun) sendShare(n *execNode, gen int, seq int64, bc *broadcast, sp span, batch []twitterdata.Tweet, forceData bool) error {
+func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64, forceData bool) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.up || n.gen != gen {
 		return fmt.Errorf("engine: executor %s went down", n.addr)
 	}
-	if n.bcSeq != seq {
+	if n.bcSeq != bc.seq {
 		// Entering a new batch: presend records for finished batches are
 		// dead weight — prune them so the map stays bounded on long runs.
 		for key := range n.presends {
-			if key.seq < seq {
+			if key.seq < bc.seq {
 				delete(n.presends, key)
 			}
 		}
 		msg := r.broadcastFor(n, bc)
-		pre := n.conn.out.Load()
-		if err := r.encodeWithDeadline(n, &msg); err != nil {
+		sent, err := n.send(&msg)
+		if err != nil {
 			return fmt.Errorf("engine: broadcast to executor %s: %w", n.addr, err)
 		}
-		sent := n.conn.out.Load() - pre
 		r.broadcastBytes.Add(sent)
 		clusterBroadcastBytes.Add(sent)
-		n.bcSeq = seq
+		n.bcSeq = bc.seq
 		n.modelHash = bc.modelHash
 		n.modelParts = bc.partHashes
 		n.vocabVersion = bc.vocabVer
 		n.vocabLen = len(bc.vocabLog)
 	}
-	if forceData || !n.presends[respKey{seq: seq, lo: sp.lo, hi: sp.hi}] {
-		data := wireMsg{Kind: msgData, Seq: seq, Lo: sp.lo, Hi: sp.hi,
-			Tasks: r.cfg.TasksPerExecutor, Tweets: batch[sp.lo:sp.hi],
-			TraceID: r.curTraceID}
-		pre := n.conn.out.Load()
-		if err := r.encodeWithDeadline(n, &data); err != nil {
-			return fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
-		}
-		sent := n.conn.out.Load() - pre
-		r.dataBytes.Add(sent)
-		clusterDataBytes.Add(sent)
+	if forceData || !n.presends[respKey{seq: bc.seq, lo: s.lo, hi: s.hi}] {
+		return r.sendData(n, bc.seq, s, batch, traceID)
 	}
 	return nil
 }
 
-// encodeWithDeadline sends one frame with a write deadline. Sends happen
-// under the node mutex, which markDown also needs before it can close the
-// connection — so an unbounded write to a peer that stopped reading would
-// deadlock the node forever. The deadline converts it into a send error
-// the caller turns into a failover. Callers hold n.mu.
-func (r *clusterRun) encodeWithDeadline(n *execNode, msg *wireMsg) error {
-	_ = n.conn.SetWriteDeadline(time.Now().Add(r.cfg.ShareTimeout))
+// sendData ships one share's tweets to n as a data frame stamped with the
+// batch span's trace ID (0 when tracing is off, and for a presend, which
+// runs before its batch's span exists), and counts the frame's bytes.
+// Callers hold n.mu.
+func (r *clusterRun) sendData(n *execNode, seq int64, s span, batch []twitterdata.Tweet, traceID uint64) error {
+	sent, err := n.send(&wireMsg{Kind: msgData, Seq: seq, Lo: s.lo, Hi: s.hi,
+		Tasks: r.cfg.TasksPerExecutor, Tweets: batch[s.lo:s.hi], TraceID: traceID})
+	if err != nil {
+		return fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
+	}
+	r.dataBytes.Add(sent)
+	clusterDataBytes.Add(sent)
+	return nil
+}
+
+// send writes one frame with a write deadline and returns its size on the
+// wire. Sends happen under the node mutex, which markDown also needs
+// before it can close the connection — so an unbounded write to a peer
+// that stopped reading would deadlock the node forever. The deadline
+// converts it into a send error the caller turns into a failover. Callers
+// hold n.mu.
+func (n *execNode) send(msg *wireMsg) (int64, error) {
+	pre := n.conn.out.Load()
+	_ = n.conn.SetWriteDeadline(time.Now().Add(shareTimeout))
 	err := n.enc.Encode(msg)
 	_ = n.conn.SetWriteDeadline(time.Time{})
-	return err
+	return n.conn.out.Load() - pre, err
 }
 
 // presend ships batch seq's tweet shares to the currently-healthy nodes
@@ -801,18 +702,14 @@ func (r *clusterRun) encodeWithDeadline(n *execNode, msg *wireMsg) error {
 // until the broadcast arrives; if the node assignment shifts before then
 // (failover), the stale copies are superseded by their share bounds.
 func (r *clusterRun) presend(seq int64, batch []twitterdata.Tweet) {
-	healthy := r.healthyNodes()
+	healthy := r.upNodes(nil)
 	if len(healthy) == 0 {
 		return
 	}
-	shares := splitSpans(len(batch), len(healthy))
 	var wg sync.WaitGroup
-	for i, sp := range shares {
-		if sp.lo >= sp.hi {
-			continue
-		}
+	for i, s := range splitSpans(len(batch), len(healthy)) {
 		wg.Add(1)
-		go func(sp span, n *execNode) {
+		go func(s span, n *execNode) {
 			defer wg.Done()
 			n.mu.Lock()
 			if !n.up {
@@ -820,21 +717,15 @@ func (r *clusterRun) presend(seq int64, batch []twitterdata.Tweet) {
 				return
 			}
 			gen := n.gen
-			data := wireMsg{Kind: msgData, Seq: seq, Lo: sp.lo, Hi: sp.hi,
-				Tasks: r.cfg.TasksPerExecutor, Tweets: batch[sp.lo:sp.hi]}
-			pre := n.conn.out.Load()
-			err := r.encodeWithDeadline(n, &data)
+			err := r.sendData(n, seq, s, batch, 0)
 			if err == nil {
-				sent := n.conn.out.Load() - pre
-				r.dataBytes.Add(sent)
-				clusterDataBytes.Add(sent)
-				n.presends[respKey{seq: seq, lo: sp.lo, hi: sp.hi}] = true
+				n.presends[respKey{seq: seq, lo: s.lo, hi: s.hi}] = true
 			}
 			n.mu.Unlock()
 			if err != nil {
-				r.markDown(n, gen, fmt.Errorf("engine: presend to executor %s: %w", n.addr, err))
+				r.markDown(n, gen, err)
 			}
-		}(sp, healthy[i%len(healthy)])
+		}(s, healthy[i])
 	}
 	wg.Wait()
 }
@@ -1007,23 +898,15 @@ func (n *execNode) abandonedNow() bool {
 	return n.abandoned
 }
 
-func (r *clusterRun) healthyNodes() []*execNode {
-	var out []*execNode
+// upNodes returns the nodes that are up and not in skip, in node order.
+func (r *clusterRun) upNodes(skip map[*execNode]bool) []*execNode {
+	var up []*execNode
 	for _, n := range r.nodes {
-		if n.isUp() {
-			out = append(out, n)
+		if !skip[n] && n.isUp() {
+			up = append(up, n)
 		}
 	}
-	return out
-}
-
-func (r *clusterRun) pickNode(tried map[*execNode]bool) *execNode {
-	for _, n := range r.nodes {
-		if !tried[n] && n.isUp() {
-			return n
-		}
-	}
-	return nil
+	return up
 }
 
 func (r *clusterRun) allAbandoned() bool {
@@ -1035,13 +918,16 @@ func (r *clusterRun) allAbandoned() bool {
 	return true
 }
 
-// waitHealthy blocks until at least one node is up, failing after
-// AllDownWait (or immediately once every node is abandoned).
-func (r *clusterRun) waitHealthy() ([]*execNode, error) {
+// awaitHealthy is the one wait for a node: a batch start calls it with no
+// skip set, a failing-over share with the nodes it has tried. It returns
+// upNodes(skip), polling every 15 ms while that is empty — clearing skip
+// each time, so a tried node that has reconnected is eligible again — and
+// fails once every node is abandoned or none came up within AllDownWait.
+func (r *clusterRun) awaitHealthy(skip map[*execNode]bool) ([]*execNode, error) {
 	deadline := time.Now().Add(r.cfg.AllDownWait)
 	for {
-		if h := r.healthyNodes(); len(h) > 0 {
-			return h, nil
+		if up := r.upNodes(skip); len(up) > 0 {
+			return up, nil
 		}
 		if r.allAbandoned() {
 			return nil, fmt.Errorf("engine: every executor is gone (abandoned after %d attempts each)", r.cfg.MaxConnAttempts)
@@ -1049,6 +935,7 @@ func (r *clusterRun) waitHealthy() ([]*execNode, error) {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("engine: every executor is down and none reconnected within %v", r.cfg.AllDownWait)
 		}
+		clear(skip)
 		time.Sleep(15 * time.Millisecond)
 	}
 }

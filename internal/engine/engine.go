@@ -165,27 +165,58 @@ func (s Stats) Throughput() float64 {
 	return float64(s.Processed) / s.Duration.Seconds()
 }
 
-// latencyTracker accumulates per-batch latencies.
-type latencyTracker struct {
-	total time.Duration
-	max   time.Duration
-	n     int
+// runMeter measures one engine run: the counts as its batches finish, then
+// the fields every engine fills when the run ends. The model's drift
+// counters are read at the start, so every engine reports the drift
+// activity of its own run, even on a pipeline that has already lived
+// through earlier runs.
+type runMeter struct {
+	stats      Stats
+	p          *core.Pipeline
+	start      time.Time
+	batchTotal time.Duration
+	drift      stream.DriftReporter // nil for models without drift detectors
+	driftStart stream.DriftStats
 }
 
-func (l *latencyTracker) add(d time.Duration) {
-	l.total += d
-	if d > l.max {
-		l.max = d
+func startRun(p *core.Pipeline) runMeter {
+	m := runMeter{p: p, start: time.Now()}
+	if dr, ok := p.Model().(stream.DriftReporter); ok {
+		m.drift, m.driftStart = dr, dr.DriftStats()
 	}
-	l.n++
+	return m
 }
 
-func (l *latencyTracker) fill(s *Stats) {
-	if l.n == 0 {
-		return
+// batch counts one finished micro-batch of n tweets that began at start.
+func (m *runMeter) batch(n int, start time.Time) {
+	d := time.Since(start)
+	m.batchTotal += d
+	m.stats.MaxBatchLatency = max(m.stats.MaxBatchLatency, d)
+	m.stats.Processed += int64(n)
+	m.stats.Batches++
+	tweetsProcessedTotal.Add(int64(n))
+}
+
+// finish returns the run's Stats with the end-of-run fields filled: wall
+// time, mean batch latency, drift since the start and the user store's
+// cardinality and evictions.
+func (m *runMeter) finish() Stats {
+	s := m.stats
+	s.Duration = time.Since(m.start)
+	if s.Batches > 0 {
+		s.MeanBatchLatency = m.batchTotal / time.Duration(s.Batches)
 	}
-	s.MeanBatchLatency = l.total / time.Duration(l.n)
-	s.MaxBatchLatency = l.max
+	if m.drift != nil {
+		now := m.drift.DriftStats()
+		s.Warnings = now.Warnings - m.driftStart.Warnings
+		s.Drifts = now.Drifts - m.driftStart.Drifts
+		s.TreeReplacements = now.TreeReplacements - m.driftStart.TreeReplacements
+	}
+	users := m.p.Users()
+	s.ActiveUsers = int64(users.Len())
+	capEv, ttlEv := users.Evictions()
+	s.UserEvictions = capEv + ttlEv
+	return s
 }
 
 // RateLimitedSource throttles another source to a fixed arrival rate in
@@ -218,40 +249,11 @@ func (r *RateLimitedSource) Next() (twitterdata.Tweet, bool) {
 	return r.src.Next()
 }
 
-// captureUsers fills a Stats with the pipeline store's user cardinality
-// and eviction counts at the end of a run.
-func captureUsers(p *core.Pipeline, s *Stats) {
-	users := p.Users()
-	s.ActiveUsers = int64(users.Len())
-	capEv, ttlEv := users.Evictions()
-	s.UserEvictions = capEv + ttlEv
-}
-
-// captureDrift snapshots the pipeline model's drift telemetry and returns
-// a closure that fills a Stats with the counters accumulated since the
-// snapshot — so every engine reports the drift activity of its own run,
-// even on a pipeline that has already lived through earlier runs.
-func captureDrift(p *core.Pipeline) func(*Stats) {
-	dr, ok := p.Model().(stream.DriftReporter)
-	if !ok {
-		return func(*Stats) {}
-	}
-	before := dr.DriftStats()
-	return func(s *Stats) {
-		after := dr.DriftStats()
-		s.Warnings = after.Warnings - before.Warnings
-		s.Drifts = after.Drifts - before.Drifts
-		s.TreeReplacements = after.TreeReplacements - before.TreeReplacements
-	}
-}
-
 // RunSequential executes the pipeline one tweet at a time on the calling
 // goroutine — the MOA execution model (single-threaded ML engine without
 // parallelized processing).
 func RunSequential(p *core.Pipeline, src Source) Stats {
-	start := time.Now()
-	driftDone := captureDrift(p)
-	var n int64
+	m := startRun(p)
 	// One Tweet for the whole run: Process's argument escapes, so a
 	// per-iteration variable would be a heap allocation per tweet, and
 	// nothing retains the pointer past the call.
@@ -262,11 +264,8 @@ func RunSequential(p *core.Pipeline, src Source) Stats {
 			break
 		}
 		p.Process(&t)
-		n++
+		m.stats.Processed++
 		tweetsProcessedTotal.Inc()
 	}
-	stats := Stats{Processed: n, Duration: time.Since(start)}
-	driftDone(&stats)
-	captureUsers(p, &stats)
-	return stats
+	return m.finish()
 }

@@ -40,7 +40,7 @@ type Executor struct {
 
 	// corruptDeltas is a fault-injection hook used by the driver's
 	// failover tests: when set, returned delta blobs are flipped so the
-	// driver's merge-time validation path is exercised.
+	// driver's decode check fails the share over.
 	corruptDeltas atomic.Bool
 	// shareHook, when set (under mu), runs at the start of every share —
 	// fault tests use it to crash the executor at a precise point.
@@ -247,8 +247,14 @@ func (e *Executor) serveConn(conn net.Conn) {
 			return // polite end-of-run
 		case msgBroadcast:
 			s.applyBroadcast(&msg)
-			if !s.drainParked() {
-				return
+			// Parked frames go back through handleData: this batch's run
+			// now, later batches' park again, abandoned ones drop.
+			parked := s.parked
+			s.parked = nil
+			for i := range parked {
+				if !s.handleData(&parked[i]) {
+					return
+				}
 			}
 		case msgData:
 			if !s.handleData(&msg) {
@@ -378,25 +384,6 @@ func (s *execSession) handleData(msg *wireMsg) bool {
 	default:
 		return true // stale share from an abandoned batch; driver moved on
 	}
-}
-
-// drainParked processes parked data frames whose batch broadcast just
-// arrived and drops ones the driver has abandoned.
-func (s *execSession) drainParked() bool {
-	keep := s.parked[:0]
-	for i := range s.parked {
-		msg := s.parked[i]
-		switch {
-		case msg.Seq == s.seq:
-			if !s.processData(&msg) {
-				return false
-			}
-		case msg.Seq > s.seq:
-			keep = append(keep, msg)
-		}
-	}
-	s.parked = keep
-	return true
 }
 
 // processData runs one share against the current broadcast state and sends

@@ -85,67 +85,79 @@ func TestClusterSurvivesExecutorKill(t *testing.T) {
 }
 
 // TestClusterFailoverMatchesSequential is the end-to-end equivalence
-// proof: a 3-executor cluster run that loses a node mid-stream produces
-// exactly the sequential engine's confusion matrix. The configuration is
-// chosen so every step is bit-exact: batch size 1 with one task makes the
-// cluster's batch semantics collapse to test-then-train per tweet; SLR's
+// proof: a 3-executor cluster run whose first node fails produces exactly
+// the sequential engine's confusion matrix. The configuration is chosen so
+// every step is bit-exact: batch size 1 with one task makes the cluster's
+// batch semantics collapse to test-then-train per tweet; SLR's
 // single-accumulator apply equals its sequential SGD step; and min-max
 // normalization merges ranges exactly. Failover cannot perturb any of it
-// because a share's outcome depends only on the broadcast state.
+// because a share's outcome depends only on the broadcast state. With batch
+// size 1 every share lands on the first healthy node, so the faulty node
+// is the one serving: killed mid-share, it sends every later tweet through
+// failover; returning corrupt deltas, it fails each share it serves over
+// on decode, reconnects, and is picked again.
 func TestClusterFailoverMatchesSequential(t *testing.T) {
 	opts := testOptions()
 	opts.Model = core.ModelSLR
 	opts.Normalization = norm.MinMax
+	// Each corrupt share costs a reconnect; at this size that is a few dozen.
 	data := testDataset(32, 700, 350, 70)
+	for _, tc := range []struct {
+		name  string
+		fault func(*Executor)
+	}{
+		{"kill", func(ex *Executor) { crashOnShare(ex, 100) }},
+		{"corrupt", func(ex *Executor) { ex.corruptDeltas.Store(true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := core.NewPipeline(opts)
+			RunSequential(seq, NewSliceSource(data))
 
-	seq := core.NewPipeline(opts)
-	RunSequential(seq, NewSliceSource(data))
-
-	exs := make([]*Executor, 3)
-	addrs := make([]string, 3)
-	for i := range exs {
-		ex, err := StartExecutor("127.0.0.1:0", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ex.Close()
-		exs[i] = ex
-		addrs[i] = ex.Addr()
-	}
-	clustered := core.NewPipeline(opts)
-	// With batch size 1 every share lands on the first healthy node, so
-	// crashing it mid-share forces all later tweets through failover.
-	crashOnShare(exs[0], 100)
-	stats, err := RunCluster(clustered, NewSliceSource(data), fastReconnect(ClusterConfig{
-		Executors: addrs, BatchSize: 1, TasksPerExecutor: 1,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Processed != int64(len(data)) {
-		t.Fatalf("processed %d, want %d", stats.Processed, len(data))
-	}
-	if stats.Failovers == 0 {
-		t.Fatal("kill did not exercise failover")
-	}
-
-	mSeq, mCl := seq.Evaluator().Matrix(), clustered.Evaluator().Matrix()
-	if mSeq.Total() != mCl.Total() {
-		t.Fatalf("instances differ: sequential %d, cluster %d", mSeq.Total(), mCl.Total())
-	}
-	for i := 0; i < mSeq.NumClasses(); i++ {
-		for j := 0; j < mSeq.NumClasses(); j++ {
-			if mSeq.Count(i, j) != mCl.Count(i, j) {
-				t.Errorf("confusion[%d][%d]: sequential %d, cluster-with-failover %d",
-					i, j, mSeq.Count(i, j), mCl.Count(i, j))
+			exs := make([]*Executor, 3)
+			addrs := make([]string, 3)
+			for i := range exs {
+				ex, err := StartExecutor("127.0.0.1:0", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ex.Close()
+				exs[i] = ex
+				addrs[i] = ex.Addr()
 			}
-		}
-	}
-	if got, want := clustered.Summary(), seq.Summary(); got != want {
-		t.Errorf("prequential report differs:\ncluster    %+v\nsequential %+v", got, want)
-	}
-	if got, want := clustered.Extractor().BoW().Size(), seq.Extractor().BoW().Size(); got != want {
-		t.Errorf("BoW size differs: cluster %d, sequential %d", got, want)
+			clustered := core.NewPipeline(opts)
+			tc.fault(exs[0])
+			stats, err := RunCluster(clustered, NewSliceSource(data), fastReconnect(ClusterConfig{
+				Executors: addrs, BatchSize: 1, TasksPerExecutor: 1,
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Processed != int64(len(data)) {
+				t.Fatalf("processed %d, want %d", stats.Processed, len(data))
+			}
+			if stats.Failovers == 0 {
+				t.Fatal("fault did not exercise failover")
+			}
+
+			mSeq, mCl := seq.Evaluator().Matrix(), clustered.Evaluator().Matrix()
+			if mSeq.Total() != mCl.Total() {
+				t.Fatalf("instances differ: sequential %d, cluster %d", mSeq.Total(), mCl.Total())
+			}
+			for i := 0; i < mSeq.NumClasses(); i++ {
+				for j := 0; j < mSeq.NumClasses(); j++ {
+					if mSeq.Count(i, j) != mCl.Count(i, j) {
+						t.Errorf("confusion[%d][%d]: sequential %d, cluster-with-failover %d",
+							i, j, mSeq.Count(i, j), mCl.Count(i, j))
+					}
+				}
+			}
+			if got, want := clustered.Summary(), seq.Summary(); got != want {
+				t.Errorf("prequential report differs:\ncluster    %+v\nsequential %+v", got, want)
+			}
+			if got, want := clustered.Extractor().BoW().Size(), seq.Extractor().BoW().Size(); got != want {
+				t.Errorf("BoW size differs: cluster %d, sequential %d", got, want)
+			}
+		})
 	}
 }
 
@@ -224,9 +236,10 @@ func TestClusterARFMatchesSequential(t *testing.T) {
 }
 
 // TestClusterCorruptARFDeltaFailsOver injects corrupt ARF delta blobs on
-// one executor: the driver must reject them at merge time (the forest
-// delta decode validates shape and per-member tree versions), fail the
-// share over to the healthy node, and finish with uncorrupted results.
+// one executor: the driver must reject them when the share's response
+// decodes (the forest delta decode validates shape and per-member tree
+// versions), fail the share over to the healthy node, and finish with
+// uncorrupted results.
 func TestClusterCorruptARFDeltaFailsOver(t *testing.T) {
 	good, err := StartExecutor("127.0.0.1:0", 2)
 	if err != nil {
@@ -263,8 +276,9 @@ func TestClusterCorruptARFDeltaFailsOver(t *testing.T) {
 }
 
 // TestClusterCorruptDeltaFailsOver injects corrupt delta blobs on one
-// executor: the driver must detect them at merge time, fail the share over
-// to the healthy node, and finish with uncorrupted results.
+// executor: the driver must detect them when the share's response decodes,
+// fail the share over to the healthy node, and finish with uncorrupted
+// results.
 func TestClusterCorruptDeltaFailsOver(t *testing.T) {
 	good, err := StartExecutor("127.0.0.1:0", 2)
 	if err != nil {
@@ -641,7 +655,7 @@ func TestVocabStateDiff(t *testing.T) {
 	}
 }
 
-// TestClusterAllCorruptFailsRun bounds the merge-time retry: when every
+// TestClusterAllCorruptFailsRun bounds the share's failover: when every
 // executor persistently returns corrupt deltas, the run must error out
 // instead of cycling markDown/reconnect forever.
 func TestClusterAllCorruptFailsRun(t *testing.T) {

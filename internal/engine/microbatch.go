@@ -56,11 +56,7 @@ func SparkLocalConfig(cores int) MicroBatchConfig {
 // snapshot compile is necessarily a full one.)
 func RunMicroBatch(p *core.Pipeline, src Source, cfg MicroBatchConfig) (Stats, error) {
 	cfg = cfg.withDefaults()
-	start := time.Now()
-	var stats Stats
-	var lat latencyTracker
-	driftDone := captureDrift(p)
-
+	m := startRun(p)
 	model := p.Model()
 	var batch []twitterdata.Tweet
 	var snap *stream.Compiled
@@ -72,26 +68,19 @@ func RunMicroBatch(p *core.Pipeline, src Source, cfg MicroBatchConfig) (Stats, e
 		batchStart := time.Now()
 		blob, err := model.MarshalBinary()
 		if err != nil {
-			return stats, fmt.Errorf("engine: broadcast marshal: %w", err)
+			return m.finish(), fmt.Errorf("engine: broadcast marshal: %w", err)
 		}
 		if err := model.UnmarshalBinary(blob); err != nil {
-			return stats, fmt.Errorf("engine: broadcast unmarshal: %w", err)
+			return m.finish(), fmt.Errorf("engine: broadcast unmarshal: %w", err)
 		}
 		var share shareOutput
 		share, snap = computeShare(p.Extractor(), p.Normalizer().Stats, p.Normalizer().Mode, p.Options().Scheme,
 			model, snap, batch, cfg.Partitions, cfg.Workers)
 		mergeBatch(p, batch, []shareOutput{share})
-		lat.add(time.Since(batchStart))
-		stats.Processed += int64(len(batch))
-		tweetsProcessedTotal.Add(int64(len(batch)))
-		stats.Batches++
+		m.batch(len(batch), batchStart)
 		if len(batch) < cfg.BatchSize {
 			break
 		}
 	}
-	stats.Duration = time.Since(start)
-	lat.fill(&stats)
-	driftDone(&stats)
-	captureUsers(p, &stats)
-	return stats, nil
+	return m.finish(), nil
 }

@@ -9,25 +9,21 @@ import (
 
 // The cluster wire protocol (v3). Each driver→executor connection carries a
 // gob stream of wireMsg frames; the executor answers data frames (and the
-// hello) with batchResponse frames. Compared to the v1 protocol — one
-// monolithic request per batch re-broadcasting the full model, normalizer
-// statistics, and BoW vocabulary every time — v2 split a batch into:
+// hello) with batchResponse frames. A session carries four frame kinds:
 //
 //	hello      one per connection: protocol + model-kind negotiation (the
 //	           kind set comes from the stream codec registry, so a driver
 //	           running a model this executor build cannot decode fails
 //	           fast at connect)
-//	broadcast  one per (node, batch): stats always; model state only when
-//	           its hash changed; vocabulary as an append-only diff against
-//	           the version the node acknowledged (the adaptive BoW mostly
-//	           grows, Fig. 10, so the steady-state diff is empty)
+//	broadcast  one per (node, batch): stats always; the model only when its
+//	           hash changed — a stream.PartitionedModel (the ARF) as a
+//	           header plus only the parts whose own hash moved, such as a
+//	           drift-replaced or freshly grown member; the vocabulary as an
+//	           append-only diff against the version the node acknowledged
+//	           (the adaptive BoW mostly grows, Fig. 10, so the steady-state
+//	           diff is empty)
 //	data       one per share: the tweets plus the share's [lo,hi) bounds
 //	shutdown   polite end-of-run so executors drop the session cleanly
-//
-// and v3 adds per-part model elision: a stream.PartitionedModel (the ARF)
-// broadcasts as a header plus per-member parts, each hashed independently,
-// so a batch in which only a drift-replaced or freshly grown member changed
-// ships that member alone instead of the whole forest.
 //
 // Splitting broadcast from data is what enables pipelining: the driver
 // encodes and ships batch k+1's tweets while batch k's round trip is still
@@ -140,23 +136,14 @@ type respKey struct {
 // span is one contiguous share of a batch.
 type span struct{ lo, hi int }
 
-// splitSpans divides n items contiguously across k shares (the last shares
-// may be empty when k does not divide n).
+// splitSpans divides n items contiguously into at most k non-empty shares
+// of equal length, the last one possibly shorter.
 func splitSpans(n, k int) []span {
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	per := (n + k - 1) / k
-	out := make([]span, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*per, i*per+per
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		out[i] = span{lo, hi}
+	var out []span
+	for lo := 0; lo < n; lo += per {
+		out = append(out, span{lo, min(lo+per, n)})
 	}
 	return out
 }

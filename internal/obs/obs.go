@@ -42,9 +42,10 @@ type Stage uint8
 
 // The span stages, in pipeline order. The serving path uses Queue through
 // Emit; the cluster driver uses ExecutorRTT/ExecutorCompute/Merge for its
-// per-batch spans (ExecutorCompute is the executor-reported share compute
-// time, a subset of the ExecutorRTT wall time — the difference is wire
-// and queueing cost).
+// per-batch spans. ExecutorRTT runs from dispatch until every share's
+// response has been decoded and checked; ExecutorCompute is the
+// executor-reported share compute time, a subset of it — the difference is
+// wire, queueing and decode cost.
 const (
 	StageQueue           Stage = iota // shard queue wait (ingest → shard loop)
 	StageCache                        // extraction-cache lookup
@@ -53,9 +54,9 @@ const (
 	StageObserve                      // userstate Observe fold
 	StageVerdict                      // session/escalation fan-out + alerting
 	StageEmit                         // SSE hub publish (subset-free: excluded from Verdict)
-	StageExecutorRTT                  // cluster: share round trips, wall time
+	StageExecutorRTT                  // cluster: share round trips through response decode, wall time
 	StageExecutorCompute              // cluster: executor-reported share compute (⊆ RTT)
-	StageMerge                        // cluster: delta decode + merge + absorb
+	StageMerge                        // cluster: statistics + accumulator merge, AbsorbBatch
 	StageCompile                      // compiled-snapshot rebuild after a model mutation
 	NumStages
 )

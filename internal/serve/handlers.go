@@ -56,15 +56,13 @@ type ShardStats struct {
 	// without drift detectors.
 	Drift *stream.DriftStats `json:"drift,omitempty"`
 	// Snapshot carries the shard's compiled-snapshot telemetry (rebuild
-	// counters, staleness age); absent when the lock-free classify path
-	// is off.
+	// counters, staleness age).
 	Snapshot *core.SnapshotStats `json:"snapshot,omitempty"`
 	// IngestLog describes the shard's write-ahead log partition; absent
 	// when the server runs without a log.
 	IngestLog *ShardLogStats `json:"ingest_log,omitempty"`
 	// FeatCache carries the shard's content-addressed extraction-cache
-	// counters (hits/misses/evictions/occupancy); absent when the cache is
-	// disabled.
+	// counters (hits/misses/evictions/occupancy).
 	FeatCache *feature.CacheStats `json:"feature_cache,omitempty"`
 }
 
@@ -109,13 +107,12 @@ type Stats struct {
 	Warnings         int64 `json:"drift_warnings,omitempty"`
 	Drifts           int64 `json:"drifts,omitempty"`
 	TreeReplacements int64 `json:"tree_replacements,omitempty"`
-	// Aggregate compiled-snapshot telemetry across shards (zero when the
-	// lock-free classify path is off).
+	// Aggregate compiled-snapshot telemetry across shards.
 	SnapshotRebuilds     int64 `json:"snapshot_rebuilds,omitempty"`
 	SnapshotTreesRebuilt int64 `json:"snapshot_trees_rebuilt,omitempty"`
-	// Aggregate extraction-cache counters across shards (zero when the
-	// cache is disabled). Clients compute the server-side hit ratio as
-	// Hits/(Hits+Misses) over a pre/post delta.
+	// Aggregate extraction-cache counters across shards. Clients compute
+	// the server-side hit ratio as Hits/(Hits+Misses) over a pre/post
+	// delta.
 	FeatCacheHits      int64 `json:"featcache_hits,omitempty"`
 	FeatCacheMisses    int64 `json:"featcache_misses,omitempty"`
 	FeatCacheEvictions int64 `json:"featcache_evictions,omitempty"`
@@ -383,17 +380,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Report:          sh.p.Summary(),
 			Drift:           drift,
 		}
-		if snap := sh.p.SnapshotStats(); snap.Enabled {
-			st.SnapshotRebuilds += snap.Rebuilds
-			st.SnapshotTreesRebuilt += snap.TreesRebuilt
-			entry.Snapshot = &snap
-		}
-		if cs := sh.p.Extractor().CacheStats(); cs.Capacity > 0 {
-			st.FeatCacheHits += cs.Hits
-			st.FeatCacheMisses += cs.Misses
-			st.FeatCacheEvictions += cs.Evictions
-			entry.FeatCache = &cs
-		}
+		snap := sh.p.SnapshotStats()
+		st.SnapshotRebuilds += snap.Rebuilds
+		st.SnapshotTreesRebuilt += snap.TreesRebuilt
+		entry.Snapshot = &snap
+		cs := sh.p.Extractor().CacheStats()
+		st.FeatCacheHits += cs.Hits
+		st.FeatCacheMisses += cs.Misses
+		st.FeatCacheEvictions += cs.Evictions
+		entry.FeatCache = &cs
 		if logStats != nil {
 			ps := logStats[sh.id]
 			applied := sh.p.LogOffset()

@@ -25,7 +25,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -376,16 +375,15 @@ func newServer(opts Options, start bool) *Server {
 				"Records appended to the shard's log partition but not yet applied by its pipeline.",
 				labels, func() float64 { return float64(l.AppendedOffset(part) - p.LogOffset()) })
 		}
-		if ext := sh.p.Extractor(); ext.CacheStats().Capacity > 0 {
-			reg.GaugeFunc("redhanded_featcache_hits", "Extraction-cache hits per shard.",
-				labels, func() float64 { return float64(ext.CacheStats().Hits) })
-			reg.GaugeFunc("redhanded_featcache_misses", "Extraction-cache misses per shard.",
-				labels, func() float64 { return float64(ext.CacheStats().Misses) })
-			reg.GaugeFunc("redhanded_featcache_evictions", "Extraction-cache CLOCK evictions per shard.",
-				labels, func() float64 { return float64(ext.CacheStats().Evictions) })
-			reg.GaugeFunc("redhanded_featcache_entries", "Live extraction-cache entries per shard.",
-				labels, func() float64 { return float64(ext.CacheStats().Entries) })
-		}
+		ext := sh.p.Extractor()
+		reg.GaugeFunc("redhanded_featcache_hits", "Extraction-cache hits per shard.",
+			labels, func() float64 { return float64(ext.CacheStats().Hits) })
+		reg.GaugeFunc("redhanded_featcache_misses", "Extraction-cache misses per shard.",
+			labels, func() float64 { return float64(ext.CacheStats().Misses) })
+		reg.GaugeFunc("redhanded_featcache_evictions", "Extraction-cache CLOCK evictions per shard.",
+			labels, func() float64 { return float64(ext.CacheStats().Evictions) })
+		reg.GaugeFunc("redhanded_featcache_entries", "Live extraction-cache entries per shard.",
+			labels, func() float64 { return float64(ext.CacheStats().Entries) })
 		s.shards = append(s.shards, sh)
 	}
 	// Ingress decoder telemetry is package-wide (the decoder pool is shared
@@ -414,11 +412,11 @@ var drainBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // ShardFor returns the shard index a user's tweets are routed to. The
 // mapping is a pure function of (userID, shards), so it is stable across
-// restarts and identical on every node running the same shard count.
+// restarts and identical on every node running the same shard count. It is
+// the write-ahead log's partition function, so shard i processes exactly
+// the tweets log partition i holds.
 func ShardFor(userID string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(userID))
-	return int(h.Sum32() % uint32(shards))
+	return ingestlog.PartitionFor(userID, shards)
 }
 
 func (s *Server) shardOf(tw *twitterdata.Tweet) *shard {
