@@ -11,11 +11,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
 	"redhanded/internal/core"
+	"redhanded/internal/engine"
 	"redhanded/internal/norm"
 	"redhanded/internal/twitterdata"
 )
@@ -74,26 +74,11 @@ func main() {
 	}
 
 	reader := twitterdata.NewReader(r)
-	var processed, malformed int64
-	// One Tweet for the whole run: Process's argument escapes, so a
-	// per-iteration variable would be a heap allocation per tweet.
-	var tw twitterdata.Tweet
-	for {
-		tw, err = reader.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			malformed++
-			continue
-		}
-		p.Process(&tw)
-		processed++
-	}
+	stats := engine.RunSequential(p, reader)
 
 	rep := p.Summary()
 	fmt.Printf("\nprocessed %d tweets (%d labeled, %d malformed lines skipped)\n",
-		processed, rep.Instances, malformed)
+		stats.Processed, rep.Instances, reader.Malformed())
 	fmt.Printf("alerts raised: %d; users flagged for suspension: %d\n",
 		p.Alerter().Raised(), len(p.Alerter().SuspendedUsers()))
 	fmt.Printf("BoW size: %d words\n", p.Extractor().BoW().Size())
@@ -101,6 +86,9 @@ func main() {
 		fmt.Printf("prequential evaluation: accuracy=%.4f precision=%.4f recall=%.4f F1=%.4f\n",
 			rep.Accuracy, rep.Precision, rep.Recall, rep.F1)
 		fmt.Println(p.Evaluator().Matrix().String())
+	}
+	if err := reader.Err(); err != nil {
+		log.Fatal(err)
 	}
 }
 

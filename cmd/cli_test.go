@@ -4,8 +4,15 @@
 package cmd_test
 
 import (
+	"bufio"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +148,92 @@ func TestBinariesRejectBadOptions(t *testing.T) {
 				t.Errorf("%s %s %s exited zero:\n%s", tool.name, bad[0], bad[1], out)
 			} else if !strings.Contains(string(out), bad[1]) && !strings.Contains(string(out), bad[0]) {
 				t.Errorf("%s %s %s failed without naming the option:\n%s", tool.name, bad[0], bad[1], out)
+			}
+		}
+	}
+}
+
+// startExecutor runs rhexecutor on a free loopback port until the test
+// ends and returns the address it listens on.
+func startExecutor(t *testing.T, bin string) string {
+	t.Helper()
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	listening := regexp.MustCompile(`msg="executor listening" executor=(\S+)`)
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		if m := listening.FindStringSubmatch(sc.Text()); m != nil {
+			go io.Copy(io.Discard, stderr) // the executor must never block on its log
+			return m[1]
+		}
+	}
+	t.Fatalf("rhexecutor exited before listening: %v", sc.Err())
+	return ""
+}
+
+// TestCommandsFailOnUnreadableInput: a line over the JSONL reader's 4 MiB
+// cap, and an input that cannot be read at all (a directory), each end
+// aggrostream and rhdriver non-zero with an error naming the line, well
+// inside a 10 s deadline. A command that took the read error for one more
+// malformed line and read again would spin until the deadline kills it.
+func TestCommandsFailOnUnreadableInput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI test is slow")
+	}
+	dir := t.TempDir()
+	datagen := buildTool(t, dir, "datagen")
+	aggrostream := buildTool(t, dir, "aggrostream")
+	rhdriver := buildTool(t, dir, "rhdriver")
+	addr := startExecutor(t, buildTool(t, dir, "rhexecutor"))
+
+	clean := filepath.Join(dir, "tweets.jsonl")
+	if out, err := exec.Command(datagen, "-dataset", "aggression", "-scale", "0.01",
+		"-out", clean).CombinedOutput(); err != nil {
+		t.Fatalf("datagen: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	half := len(lines) / 2
+	overCap := filepath.Join(dir, "overcap.jsonl")
+	err = os.WriteFile(overCap, []byte(strings.Join(lines[:half], "")+
+		strings.Repeat("x", 5<<20)+"\n"+strings.Join(lines[half:], "")), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, in := range []struct{ path, line string }{
+		{overCap, fmt.Sprintf("line %d:", half+1)},
+		{dir, "line 1:"},
+	} {
+		for _, args := range [][]string{
+			{aggrostream, "-in", in.path},
+			{rhdriver, "-executors", addr, "-batch", "100", "-tasks", "1", "-in", in.path},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			out, err := exec.CommandContext(ctx, args[0], args[1:]...).CombinedOutput()
+			hung := errors.Is(ctx.Err(), context.DeadlineExceeded)
+			cancel()
+			name := filepath.Base(args[0]) + " -in " + filepath.Base(in.path)
+			switch {
+			case hung:
+				t.Errorf("%s: still running at the 10 s deadline", name)
+			case err == nil:
+				t.Errorf("%s exited zero:\n%s", name, out)
+			case !strings.Contains(string(out), in.line):
+				t.Errorf("%s failed without naming %q:\n%.2000s", name, in.line, out)
 			}
 		}
 	}

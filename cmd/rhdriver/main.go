@@ -77,7 +77,8 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	var src engine.Source = engine.NewReaderSource(twitterdata.NewReader(r))
+	reader := twitterdata.NewReader(r)
+	var src engine.Source = reader
 	if *rate > 0 {
 		src = engine.NewRateLimitedSource(src, *rate)
 	}
@@ -119,8 +120,8 @@ func main() {
 	}
 
 	rep := p.Summary()
-	fmt.Printf("processed %d tweets in %.2fs (%.0f tweets/s) over %d batches\n",
-		stats.Processed, stats.Duration.Seconds(), stats.Throughput(), stats.Batches)
+	fmt.Printf("processed %d tweets in %.2fs (%.0f tweets/s) over %d batches, %d malformed lines skipped\n",
+		stats.Processed, stats.Duration.Seconds(), stats.Throughput(), stats.Batches, reader.Malformed())
 	fmt.Printf("batch latency: mean %s, max %s\n", stats.MeanBatchLatency, stats.MaxBatchLatency)
 	fmt.Printf("broadcast: %.1f KB total (%.2f KB/batch), data: %.1f KB\n",
 		float64(stats.BroadcastBytes)/1024, float64(stats.BroadcastBytes)/1024/float64(max(stats.Batches, 1)),
@@ -147,5 +148,8 @@ func main() {
 			fmt.Printf("  %-16s p50=%-10s p95=%-10s p99=%s\n",
 				st.Stage, obs.DurString(st.P50Nanos), obs.DurString(st.P95Nanos), obs.DurString(st.P99Nanos))
 		}
+	}
+	if err := reader.Err(); err != nil {
+		fatal("reading input failed", "path", *in, "err", err)
 	}
 }

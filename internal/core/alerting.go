@@ -76,31 +76,6 @@ func (a *Alerter) Subscribe(s AlertSink) {
 	a.sinks = append(a.sinks[:len(a.sinks):len(a.sinks)], s)
 }
 
-// Consider raises an alert when confidence clears the threshold, recording
-// the offense with an offense-only observation; it returns whether an
-// alert was raised. It is the alerting step on its own, for a tweet whose
-// full observation the caller made: the pipeline instead decides the alert
-// before observing (arm) and folds the tweet and its offense in one
-// ObserveAlert.
-func (a *Alerter) Consider(tw *twitterdata.Tweet, predicted string, confidence float64) bool {
-	suspendAfter, ok := a.arm(confidence)
-	if !ok {
-		return false
-	}
-	out := a.users.Observe(userstate.Observation{
-		UserID:       tw.User.IDStr,
-		ScreenName:   tw.User.ScreenName,
-		At:           tw.PostedAt(),
-		Aggressive:   true,
-		Confidence:   confidence,
-		Offense:      true,
-		SuspendAfter: suspendAfter,
-		OffenseOnly:  true,
-	})
-	a.raise(tw, predicted, confidence, out)
-	return true
-}
-
 // arm reports whether a prediction of this confidence raises an alert
 // (a NaN confidence does: it is not below the threshold) and, when it
 // does, the repeated-offense bar the alert's offense is judged against.

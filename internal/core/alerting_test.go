@@ -5,6 +5,7 @@ import (
 
 	"redhanded/internal/ml"
 	"redhanded/internal/twitterdata"
+	"redhanded/internal/userstate"
 )
 
 func mkTweet(id, userID string) *twitterdata.Tweet {
@@ -63,6 +64,31 @@ func TestAlerterSuspension(t *testing.T) {
 	}
 	if a.Suspended("innocent") {
 		t.Fatalf("innocent user suspended")
+	}
+}
+
+// TestAlertRaiseZeroAlloc: deciding an alert (arm) and fanning it out to
+// the sinks (raise) allocates nothing. serve's TestAlertEgressZeroAlloc
+// holds the rest of the egress, from the hub to the encoded frame.
+func TestAlertRaiseZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime instruments allocations")
+	}
+	a := testAlerter(0.5)
+	var got Alert
+	a.Subscribe(AlertSinkFunc(func(al Alert) { got = al }))
+	tw := mkTweet("1", "42")
+	raise := func() {
+		if _, ok := a.arm(0.9); !ok {
+			t.Fatal("no alert armed")
+		}
+		a.raise(tw, "hateful", 0.9, userstate.Outcome{Offenses: 1})
+	}
+	if allocs := testing.AllocsPerRun(200, raise); allocs != 0 {
+		t.Fatalf("arm+raise allocates %v objects per alert, want 0", allocs)
+	}
+	if got.TweetID != "1" || got.UserID != "42" || got.Label != "hateful" || got.Offenses != 1 {
+		t.Fatalf("sink got %+v", got)
 	}
 }
 

@@ -11,7 +11,6 @@
 package engine
 
 import (
-	"io"
 	"time"
 
 	"redhanded/internal/core"
@@ -27,7 +26,8 @@ var tweetsProcessedTotal = metrics.Default().Counter(
 	"Tweets processed by the execution engines.", nil)
 
 // Source yields a stream of tweets. Next returns false when the stream is
-// exhausted.
+// exhausted. A source that can fail, like the JSONL *twitterdata.Reader,
+// ends the stream at the fault and reports it through its own Err.
 type Source interface {
 	Next() (twitterdata.Tweet, bool)
 }
@@ -87,32 +87,6 @@ func (m *MixedSource) Next() (twitterdata.Tweet, bool) {
 		}
 	}
 	return m.unlabeled.Next(), true
-}
-
-// ReaderSource streams tweets from a JSONL reader, skipping malformed
-// lines (counted in Malformed).
-type ReaderSource struct {
-	r         *twitterdata.Reader
-	Malformed int64
-}
-
-// NewReaderSource wraps a twitterdata JSONL reader.
-func NewReaderSource(r *twitterdata.Reader) *ReaderSource {
-	return &ReaderSource{r: r}
-}
-
-// Next implements Source.
-func (s *ReaderSource) Next() (twitterdata.Tweet, bool) {
-	for {
-		t, err := s.r.Read()
-		if err == nil {
-			return t, true
-		}
-		if err == io.EOF {
-			return twitterdata.Tweet{}, false
-		}
-		s.Malformed++
-	}
 }
 
 // Stats summarises one engine run.

@@ -83,20 +83,13 @@ func TestReaderSource(t *testing.T) {
 	}
 	// Inject malformed lines between valid ones.
 	payload := "{broken\n" + buf.String() + "{also broken\n"
-	src := NewReaderSource(twitterdata.NewReader(strings.NewReader(payload)))
-	n := 0
-	for {
-		_, ok := src.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != len(data) {
+	src := twitterdata.NewReader(strings.NewReader(payload))
+	stats := RunSequential(core.NewPipeline(testOptions()), src)
+	if n := stats.Processed; n != int64(len(data)) {
 		t.Fatalf("reader source yielded %d, want %d", n, len(data))
 	}
-	if src.Malformed != 2 {
-		t.Fatalf("malformed count = %d, want 2", src.Malformed)
+	if src.Malformed() != 2 || src.Err() != nil {
+		t.Fatalf("malformed count = %d (err %v), want 2", src.Malformed(), src.Err())
 	}
 }
 

@@ -384,26 +384,24 @@ func TestSSEConcurrentPublishersSeqOrder(t *testing.T) {
 	}
 }
 
-// TestAlertEgressZeroAlloc: from Alerter.Consider through the hub to the
-// encoded frame, a steady-state alert allocates nothing.
+// TestAlertEgressZeroAlloc: from the hub's HandleAlert, the sink the
+// alerter fans out to, through to the encoded frame, a steady-state alert
+// allocates nothing. core's TestAlertRaiseZeroAlloc holds the alerter's
+// half of the egress.
 func TestAlertEgressZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments allocations")
 	}
 	hub := newAlertHub(8, metrics.NewRegistry())
-	alerter := core.NewPipeline(core.DefaultOptions()).Alerter()
-	alerter.Subscribe(hub)
 	ch := hub.subscribe()
-	tw := makeTweet("1", "42", "you are a worthless idiot and i hate you", "")
+	alert := testAlert("1")
 	var buf []byte
 	egress := func() {
-		if !alerter.Consider(&tw, "hateful", 0.9) {
-			t.Fatal("no alert raised")
-		}
+		hub.HandleAlert(alert)
 		ev := <-ch
 		buf, _ = drainFrames(buf[:0], &ev, ch)
 	}
-	egress() // first use creates the user's record and grows buf
+	egress() // first use grows buf
 	if allocs := testing.AllocsPerRun(200, egress); allocs != 0 {
 		t.Fatalf("alert egress allocates %v objects per alert, want 0", allocs)
 	}

@@ -285,54 +285,59 @@ func (w *Writer) Write(t Tweet) error { return w.enc.Encode(t) }
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// Reader streams tweets from JSON Lines input, skipping blank lines. It
+// maxLineBytes caps one JSONL line; a longer line ends the stream with
+// bufio.ErrTooLong.
+const maxLineBytes = 4 << 20
+
+// Reader streams tweets from JSON Lines input; it is an engine.Source.
+// Blank lines are skipped, and so are lines that do not decode, which
+// Malformed counts. A read error (I/O, or a line over maxLineBytes) ends
+// the stream: Next returns false from then on and Err reports it. It
 // decodes with a Decoder of its own, never pooled: returned strings live in
 // that decoder's arena, which only appends, so they stay valid however many
 // tweets are read after them.
 type Reader struct {
-	sc  *bufio.Scanner
-	dec Decoder
+	sc        *bufio.Scanner
+	dec       Decoder
+	line      int64 // lines scanned
+	malformed int64
+	err       error
 }
 
 // NewReader wraps an io.Reader producing JSONL tweets.
 func NewReader(r io.Reader) *Reader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	return &Reader{sc: sc}
 }
 
-// Read returns the next tweet, io.EOF at end of stream, or a decode error
-// for malformed lines.
-func (r *Reader) Read() (Tweet, error) {
-	for r.sc.Scan() {
+// Next returns the next tweet that decodes, or false at the end of the
+// input or at the first read error.
+func (r *Reader) Next() (Tweet, bool) {
+	// The scanner's errors are sticky, and after one it may still hand out
+	// the buffered part of the line it failed on: never scan past an error.
+	for r.err == nil && r.sc.Scan() {
+		r.line++
 		line := r.sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var t Tweet
-		if err := r.dec.DecodeInto(&t, line); err != nil {
-			return Tweet{}, fmt.Errorf("twitterdata: malformed tweet JSON: %w", err)
+		if r.dec.DecodeInto(&t, line) != nil {
+			r.malformed++
+			continue
 		}
-		return t, nil
+		return t, true
 	}
-	if err := r.sc.Err(); err != nil {
-		return Tweet{}, err
+	if err := r.sc.Err(); err != nil && r.err == nil {
+		r.err = fmt.Errorf("twitterdata: line %d: %w", r.line+1, err)
 	}
-	return Tweet{}, io.EOF
+	return Tweet{}, false
 }
 
-// ReadAll drains the stream, returning all tweets and the first error
-// encountered (io.EOF is not an error).
-func (r *Reader) ReadAll() ([]Tweet, error) {
-	var out []Tweet
-	for {
-		t, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-}
+// Err returns the read error that ended the stream, naming the line it
+// occurred on, or nil after a clean end of input.
+func (r *Reader) Err() error { return r.err }
+
+// Malformed returns how many non-blank lines did not decode as a tweet.
+func (r *Reader) Malformed() int64 { return r.malformed }

@@ -2,7 +2,6 @@ package twitterdata
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,11 +112,7 @@ func TestWriterReaderStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
-	got, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readAll(t, NewReader(&buf))
 	if len(got) != 2 || got[0].IDStr != "123456" || got[1].IDStr != "999" {
 		t.Fatalf("stream round trip failed: %+v", got)
 	}
@@ -128,23 +123,22 @@ func TestReaderSkipsBlankLines(t *testing.T) {
 	data, _ := tw0.Marshal()
 	input := "\n" + string(data) + "\n\n"
 	r := NewReader(strings.NewReader(input))
-	got, err := r.ReadAll()
-	if err != nil || len(got) != 1 {
-		t.Fatalf("blank-line handling failed: %v %v", got, err)
+	if got := readAll(t, r); len(got) != 1 || r.Malformed() != 0 {
+		t.Fatalf("blank-line handling failed: %v, %d malformed", got, r.Malformed())
 	}
 }
 
 func TestReaderMalformedLine(t *testing.T) {
 	r := NewReader(strings.NewReader("{bad\n"))
-	if _, err := r.Read(); err == nil || err == io.EOF {
-		t.Fatalf("malformed line not reported: %v", err)
+	if _, ok := r.Next(); ok || r.Malformed() != 1 || r.Err() != nil {
+		t.Fatalf("malformed line not counted: ok=%v, %d malformed, err %v", ok, r.Malformed(), r.Err())
 	}
 }
 
 func TestReaderEOF(t *testing.T) {
 	r := NewReader(strings.NewReader(""))
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("empty stream error = %v, want EOF", err)
+	if _, ok := r.Next(); ok || r.Err() != nil || r.Malformed() != 0 {
+		t.Fatalf("empty stream: ok=%v, err %v, %d malformed", ok, r.Err(), r.Malformed())
 	}
 }
 

@@ -258,9 +258,11 @@ type Observation struct {
 	Offense      bool
 	SuspendAfter int
 	// OffenseOnly records the offense without touching the session window
-	// or the behavioral aggregates — Alerter.Consider's second observation
-	// of a tweet already observed in full. ObserveAlert folds both halves in
-	// one call.
+	// or the behavioral aggregates: a second observation of a tweet already
+	// observed in full. No production path sets it (ObserveAlert folds both
+	// halves in one call); it is the reference half that
+	// FuzzObserveAlertMatchesPair and core's reference pipeline compare
+	// ObserveAlert against.
 	OffenseOnly bool
 }
 
