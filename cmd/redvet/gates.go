@@ -42,6 +42,8 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/feature.(*bowSnapshot).lookup",
 			"redhanded/internal/feature.(*extractScratch).sentimentStep",
 			"redhanded/internal/feature.hashWord",
+			"redhanded/internal/feature.keyWords",
+			"redhanded/internal/feature.shortWord",
 			"redhanded/internal/feature.(wordInfo).sentiment",
 			"redhanded/internal/feature.(wordInfo).tag",
 			"redhanded/internal/text/pos.TagOpenLower",
@@ -61,7 +63,10 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/text.(*Scratch).field",
 			"redhanded/internal/text.(*Scratch).fieldRaw",
 			"redhanded/internal/text.fieldEnd",
+			"redhanded/internal/text.letterRun",
+			"redhanded/internal/text.load64",
 			"redhanded/internal/text.spaceLen",
+			"redhanded/internal/text.zeroBytes",
 		},
 	},
 	"UserstateObserveHot": {
@@ -125,6 +130,7 @@ var noallocGates = map[string]struct {
 	"FeatCacheLookup": {
 		measuredBy: "internal/feature.TestCacheHitZeroAlloc",
 		funcs: []string{
+			"redhanded/internal/feature.(*Extractor).Lookup",
 			"redhanded/internal/feature.(*Extractor).LookupCached",
 			"redhanded/internal/feature.(*Extractor).fillProfile",
 			"redhanded/internal/feature.(*extractCache).lookup",

@@ -453,12 +453,12 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 		for j, e := range run {
 			raw := feature.GetVec()
 			e.Span.BeginStage(obs.StageCache)
-			if !p.extractor.LookupCached(raw[:], e.Tweet) {
+			if key, hit := p.extractor.Lookup(raw[:], e.Tweet); !hit {
 				e.Span.BeginStage(obs.StageExtract)
 				if j == n-1 && label != ml.Unlabeled {
-					scan = p.extractor.ExtractAndKeepScan(raw, e.Tweet)
+					scan = p.extractor.ExtractAndKeepScan(raw, e.Tweet, key)
 				} else {
-					p.extractor.ExtractAndCache(raw[:], e.Tweet)
+					p.extractor.ExtractAndCache(raw[:], e.Tweet, key)
 				}
 			}
 			e.Span.EndStage()

@@ -21,8 +21,8 @@ func referenceProcess(p *Pipeline, tw *twitterdata.Tweet, offset int64, logged b
 	defer p.mu.Unlock()
 
 	raw := make([]float64, feature.NumFeatures)
-	if !p.extractor.LookupCached(raw, tw) {
-		p.extractor.ExtractAndCache(raw, tw)
+	if key, hit := p.extractor.Lookup(raw, tw); !hit {
+		p.extractor.ExtractAndCache(raw, tw, key)
 	}
 	p.normalizer.Observe(raw)
 	in := ml.Instance{X: p.normalizer.Normalize(raw, nil), Label: ml.Unlabeled, Weight: 1, ID: tw.IDStr, Day: tw.Day}

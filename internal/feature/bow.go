@@ -204,6 +204,7 @@ type AdaptiveBoW struct {
 // pointer once per tweet and probe.
 type bowSnapshot struct {
 	slots []tableSlot // open-addressed, linear probing, power-of-two length
+	keys  []string    // slot i's whole key, read by lookup only past 16 bytes
 	// version is a monotone publication counter. It travels with the
 	// snapshot pointer so readers observe (membership, version) as one
 	// consistent pair; the extraction cache keys cached vectors by it so a
@@ -215,7 +216,7 @@ type bowSnapshot struct {
 // change. Callers hold the write lock (or are constructing the BoW).
 func (b *AdaptiveBoW) rebuildSnapshot() {
 	b.snapVersion++
-	b.snap.Store(&bowSnapshot{slots: buildFusedTable(b.words), version: b.snapVersion})
+	b.snap.Store(buildFusedTable(b.words, b.snapVersion))
 }
 
 // SnapshotVersion returns the publication counter of the current

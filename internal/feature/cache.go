@@ -142,11 +142,11 @@ func newExtractCache(entries int) *extractCache {
 }
 
 // lookup copies the cached text-feature slots into dst on a hit for the
-// exact (text, version) pair. Lock-free: one pointer load per way.
+// exact (text, version) pair; h is textHash(txt). Lock-free: one pointer
+// load per way.
 //
 //redvet:noalloc gate=FeatCacheLookup
-func (c *extractCache) lookup(dst []float64, txt string, version uint64) bool {
-	h := textHash(txt)
+func (c *extractCache) lookup(dst []float64, txt string, h, version uint64) bool {
 	sh := &c.shards[(h>>48)&c.mask]
 	base := (h & sh.mask) * cacheWays
 	for i := uint64(0); i < cacheWays; i++ {
@@ -168,12 +168,11 @@ func (c *extractCache) lookup(dst []float64, txt string, version uint64) bool {
 }
 
 // insert publishes a freshly extracted vector for (txt, version) if the
-// doorkeeper has sighted txt before, and otherwise only records its hash.
-// The text is cloned so the cache never pins a decoder arena chunk. Victim
-// choice: an empty slot, else a stale-version slot, else per-set CLOCK
-// second-chance.
-func (c *extractCache) insert(txt string, version uint64, src []float64) {
-	h := textHash(txt)
+// doorkeeper has sighted txt before, and otherwise only records its hash h,
+// textHash(txt) as the lookup that missed computed it. The text is cloned
+// so the cache never pins a decoder arena chunk. Victim choice: an empty
+// slot, else a stale-version slot, else per-set CLOCK second-chance.
+func (c *extractCache) insert(txt string, h, version uint64, src []float64) {
 	sh := &c.shards[(h>>48)&c.mask]
 	if seen := &sh.door[(h>>sh.doorShift)&uint64(len(sh.door)-1)]; seen.Load() != h {
 		seen.Store(h)

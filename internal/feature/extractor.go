@@ -52,24 +52,38 @@ func (e *Extractor) Extract(tw *twitterdata.Tweet) []float64 {
 	return e.ExtractInto(make([]float64, NumFeatures), tw)
 }
 
-// LookupCached serves dst from the extraction cache when the exact
-// (text, BoW snapshot version) pair is resident: cached text-feature slots
-// are copied in and the per-user profile slots recomputed, so the result
-// is bit-for-bit what ExtractInto would produce. Returns false (leaving
-// dst untouched) when the cache is disabled, dst is mis-sized, or the
-// entry is absent/stale. Lock-free.
+// TextKey is a tweet text's extraction-cache hash. Lookup returns it, so
+// that the extraction after a miss offers its vector under it without
+// hashing the text a second time.
+type TextKey uint64
+
+// Lookup serves dst from the extraction cache when the exact (text, BoW
+// snapshot version) pair is resident: cached text-feature slots are copied
+// in and the per-user profile slots recomputed, so the result is
+// bit-for-bit what ExtractInto would produce. It reports a miss (leaving
+// dst untouched) when the cache is disabled, dst is mis-sized, or the entry
+// is absent/stale, and returns the text's key for ExtractAndCache or
+// ExtractAndKeepScan. Lock-free.
+//
+//redvet:noalloc gate=FeatCacheLookup
+func (e *Extractor) Lookup(dst []float64, tw *twitterdata.Tweet) (TextKey, bool) {
+	if e.cache == nil {
+		return 0, false
+	}
+	h := textHash(tw.Text)
+	if len(dst) != NumFeatures || !e.cache.lookup(dst, tw.Text, h, e.bow.lookupSnapshot().version) {
+		return TextKey(h), false
+	}
+	e.fillProfile(dst, tw)
+	return TextKey(h), true
+}
+
+// LookupCached is Lookup for a caller that extracts nothing on a miss.
 //
 //redvet:noalloc gate=FeatCacheLookup
 func (e *Extractor) LookupCached(dst []float64, tw *twitterdata.Tweet) bool {
-	if e.cache == nil || len(dst) != NumFeatures {
-		return false
-	}
-	snap := e.bow.lookupSnapshot()
-	if !e.cache.lookup(dst, tw.Text, snap.version) {
-		return false
-	}
-	e.fillProfile(dst, tw)
-	return true
+	_, hit := e.Lookup(dst, tw)
+	return hit
 }
 
 // fillProfile recomputes the per-user profile slots a cache hit cannot
@@ -85,28 +99,29 @@ func (e *Extractor) fillProfile(x []float64, tw *twitterdata.Tweet) {
 }
 
 // ExtractAndCache extracts freshly (exactly like ExtractInto) and offers
-// the resulting vector to the cache under the snapshot version it was
-// computed against. A text's first sighting only records its hash; the
-// second admits it, which clones the text and allocates an entry, so this
-// is deliberately not part of the zero-alloc lookup gate. Callers pair it
-// with LookupCached, paying admission cost only on repeated misses.
-func (e *Extractor) ExtractAndCache(dst []float64, tw *twitterdata.Tweet) []float64 {
+// the resulting vector to the cache, under key, the text's key from the
+// Lookup that missed, and the snapshot version it was computed against. A
+// text's first sighting only records its hash; the second admits it, which
+// clones the text and allocates an entry, so this is deliberately not part
+// of the zero-alloc lookup gate. Callers pair it with Lookup, paying
+// admission cost only on repeated misses.
+func (e *Extractor) ExtractAndCache(dst []float64, tw *twitterdata.Tweet, key TextKey) []float64 {
 	if len(dst) != NumFeatures {
 		dst = make([]float64, NumFeatures)
 	}
 	sc := extractPool.Get().(*extractScratch)
-	e.extractAndCache(dst, tw, sc)
+	e.extractAndCache(dst, tw, key, sc)
 	extractPool.Put(sc)
 	return dst
 }
 
 // extractAndCache extracts into dst, NumFeatures long, with sc's scanner
 // and offers the vector to the cache; sc holds the tweet's scan afterwards.
-func (e *Extractor) extractAndCache(dst []float64, tw *twitterdata.Tweet, sc *extractScratch) {
+func (e *Extractor) extractAndCache(dst []float64, tw *twitterdata.Tweet, key TextKey, sc *extractScratch) {
 	snap := e.bow.lookupSnapshot()
 	e.extractFast(dst, tw, sc, snap)
 	if e.cache != nil {
-		e.cache.insert(tw.Text, snap.version, dst)
+		e.cache.insert(tw.Text, uint64(key), snap.version, dst)
 	}
 }
 
@@ -118,9 +133,9 @@ type Scan extractScratch
 // ExtractAndKeepScan is ExtractAndCache for a tweet about to be learned: it
 // extracts into dst and returns the scan for LearnScan, or nil when the
 // BoW is frozen and learning reads nothing.
-func (e *Extractor) ExtractAndKeepScan(dst *Vec, tw *twitterdata.Tweet) *Scan {
+func (e *Extractor) ExtractAndKeepScan(dst *Vec, tw *twitterdata.Tweet, key TextKey) *Scan {
 	sc := extractPool.Get().(*extractScratch)
-	e.extractAndCache(dst[:], tw, sc)
+	e.extractAndCache(dst[:], tw, key, sc)
 	if !e.bow.learns() {
 		extractPool.Put(sc)
 		return nil
@@ -131,10 +146,11 @@ func (e *Extractor) ExtractAndKeepScan(dst *Vec, tw *twitterdata.Tweet) *Scan {
 // ExtractCachedInto is the composed cache-aware extraction: hit or
 // extract-and-offer (see ExtractAndCache).
 func (e *Extractor) ExtractCachedInto(dst []float64, tw *twitterdata.Tweet) []float64 {
-	if e.LookupCached(dst, tw) {
+	key, hit := e.Lookup(dst, tw)
+	if hit {
 		return dst
 	}
-	return e.ExtractAndCache(dst, tw)
+	return e.ExtractAndCache(dst, tw, key)
 }
 
 // CacheStats returns the extraction-cache counters (zero value when the

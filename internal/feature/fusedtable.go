@@ -1,6 +1,8 @@
 package feature
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"strings"
 	"unicode"
 
@@ -64,21 +66,32 @@ func (v wordInfo) sentiment() sentiment.Word {
 	return w
 }
 
-// tableSlot is one open-addressed slot; an empty key marks a free slot.
+// tableSlot is one open-addressed slot, 32 bytes, so two share a cache
+// line: the key's length and first 16 bytes (as keyWords loads them) sit
+// next to its hash, and a probe compares them there. Only a key longer than
+// 16 bytes is compared in full, against bowSnapshot.keys. Length 0 marks a
+// free slot.
 type tableSlot struct {
+	lo, hi uint64
+	hash   uint32
+	n      uint32
+	info   wordInfo
+}
+
+// staticEntry is one key of the word lists with its packed value.
+type staticEntry struct {
 	key  string
-	hash uint32
 	info wordInfo
 }
 
 // emoticons are the cased spellings an infoEmoticon bit stands for, and
-// staticSlots the pre-hashed entries every table starts from.
+// staticEntries the entries every table starts from.
 var (
-	emoticons   = sentiment.Emoticons()
-	staticSlots = buildStaticSlots()
+	emoticons     = sentiment.Emoticons()
+	staticEntries = buildStaticEntries()
 )
 
-func buildStaticSlots() []tableSlot {
+func buildStaticEntries() []staticEntry {
 	infos := make(map[string]wordInfo)
 	for w, t := range pos.ClosedClass() {
 		infos[w] |= wordInfo(t) + 1
@@ -104,68 +117,106 @@ func buildStaticSlots() []tableSlot {
 			infos[key] |= infoEmoticon
 		}
 	}
-	slots := make([]tableSlot, 0, len(infos))
+	entries := make([]staticEntry, 0, len(infos))
 	for w, info := range infos {
-		slots = append(slots, tableSlot{key: w, hash: hashWord([]byte(w)), info: info})
+		entries = append(entries, staticEntry{w, info})
 	}
-	return slots
+	return entries
 }
 
 func isNotLetter(r rune) bool { return !unicode.IsLetter(r) }
 
-// hashWord is FNV-1a 32-bit over the token bytes.
+// keyWords returns w's first 16 bytes as two little-endian words, zero past
+// len(w).
 //
 //redvet:noalloc gate=FeaturePathFast
-func hashWord(w []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range w {
-		h ^= uint32(c)
-		h *= 16777619
+func keyWords(w []byte) (lo, hi uint64) {
+	switch {
+	case len(w) >= 16:
+		return binary.LittleEndian.Uint64(w), binary.LittleEndian.Uint64(w[8:])
+	case len(w) >= 8:
+		return binary.LittleEndian.Uint64(w), shortWord(w[8:])
 	}
-	return h
+	return shortWord(w), 0
+}
+
+// shortWord loads b, at most seven bytes, into one little-endian word with
+// two overlapping loads: bytes both loads cover land on the same bits.
+//
+//redvet:noalloc gate=FeaturePathFast
+func shortWord(b []byte) uint64 {
+	switch n := len(b); {
+	case n >= 4:
+		return uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint32(b[n-4:]))<<(8*(n-4))
+	case n >= 2:
+		return uint64(binary.LittleEndian.Uint16(b)) | uint64(binary.LittleEndian.Uint16(b[n-2:]))<<(8*(n-2))
+	case n == 1:
+		return uint64(b[0])
+	}
+	return 0
+}
+
+// hashWord mixes a key's first 16 bytes, as keyWords loads them, and its
+// length: one multiply per word, a rotate to bring lo's high bytes down,
+// and a final multiply folded to 32 bits.
+//
+//redvet:noalloc gate=FeaturePathFast
+func hashWord(lo, hi uint64, n int) uint32 {
+	const (
+		k1 = 0x9e3779b97f4a7c15
+		k2 = 0xc2b2ae3d27d4eb4f
+	)
+	h := (bits.RotateLeft64(lo*k1, 31) ^ hi*k2 ^ uint64(n)) * k1
+	return uint32(h ^ h>>32)
 }
 
 // buildFusedTable builds the table for one BoW membership: the static
 // entries with infoBoW overlaid on (or a bare infoBoW entry added for) every
 // vocabulary word, at a load of at most one half.
-func buildFusedTable(bow map[string]bool) []tableSlot {
+func buildFusedTable(bow map[string]bool, version uint64) *bowSnapshot {
 	size := 1
-	for size < 2*(len(staticSlots)+len(bow)) {
+	for size < 2*(len(staticEntries)+len(bow)) {
 		size <<= 1
 	}
-	slots := make([]tableSlot, size)
-	insert := func(e tableSlot) {
-		i := int(e.hash) & (size - 1)
-		for slots[i].key != "" && slots[i].key != e.key {
+	s := &bowSnapshot{slots: make([]tableSlot, size), keys: make([]string, size), version: version}
+	insert := func(key string, info wordInfo) {
+		if key == "" {
+			return // length 0 marks a free slot: the empty key always misses
+		}
+		lo, hi := keyWords([]byte(key))
+		h := hashWord(lo, hi, len(key))
+		i := int(h) & (size - 1)
+		for s.keys[i] != "" && s.keys[i] != key {
 			i = (i + 1) & (size - 1)
 		}
-		slots[i] = tableSlot{key: e.key, hash: e.hash, info: slots[i].info | e.info}
+		s.keys[i] = key
+		s.slots[i] = tableSlot{lo: lo, hi: hi, hash: h, n: uint32(len(key)), info: s.slots[i].info | info}
 	}
-	for _, e := range staticSlots {
-		insert(e)
+	for _, e := range staticEntries {
+		insert(e.key, e.info)
 	}
 	for w := range bow {
-		if w != "" {
-			insert(tableSlot{key: w, hash: hashWord([]byte(w)), info: infoBoW})
-		}
+		insert(w, infoBoW)
 	}
-	return slots
+	return s
 }
 
 // lookup returns what the table knows about the lowered token w (the zero
-// wordInfo on a miss). The probe compares the stored hash before the key
-// bytes, so a miss normally touches one slot and no key.
+// wordInfo on a miss). A probe reads the slot alone: hash, length and first
+// 16 bytes; only a key longer than that is compared in full.
 //
 //redvet:noalloc gate=FeaturePathFast
 func (s *bowSnapshot) lookup(w []byte) wordInfo {
-	h := hashWord(w)
+	lo, hi := keyWords(w)
+	h := hashWord(lo, hi, len(w))
 	mask := uint32(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		e := &s.slots[i]
-		if e.key == "" {
+		if e.n == 0 {
 			return 0
 		}
-		if e.hash == h && e.key == string(w) {
+		if e.hash == h && e.lo == lo && e.hi == hi && e.n == uint32(len(w)) &&
+			(len(w) <= 16 || s.keys[i] == string(w)) {
 			return e.info
 		}
 	}

@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"strings"
@@ -272,4 +273,47 @@ func TestExtractRacingTableRepublication(t *testing.T) {
 	if got := e.BoW().SnapshotVersion(); got != uint64(versions) {
 		t.Errorf("concurrent run published %d versions, reference %d", got, versions)
 	}
+}
+
+// FuzzFusedTableLookup: a table built from the static lists plus a random
+// BoW answers every probe as a map from key to packed value does — for the
+// BoW words, the probes, and each one's prefixes at the slot's word
+// boundaries (0, 7, 8, 9, 15, 16, 17 bytes) and its extensions, which share
+// their first 16 bytes with it. keyWords must load those bytes exactly.
+func FuzzFusedTableLookup(f *testing.F) {
+	long := "abcdefghijklmnopqrstuvwxyz0123456789"
+	f.Add("zorp quorith", "zorp idiot xd so")
+	f.Add(long[:16]+" "+long[:17]+" "+long, long[:15]+" "+long[:16]+"x "+long[:32]+" "+long[:16]+"\x00")
+	f.Add("ab\x00 \x00 é ab\xff"+long[:9], "ab ab\x00\x00 "+long[:7]+" "+long[:8]+" fucking fuckingfuckingfucking")
+	f.Fuzz(func(t *testing.T, bowWords, probes string) {
+		bow := map[string]bool{}
+		want := map[string]wordInfo{}
+		for _, e := range staticEntries {
+			want[e.key] = e.info
+		}
+		for _, w := range strings.Split(bowWords, " ") {
+			if w != "" {
+				bow[w] = true
+				want[w] |= infoBoW
+			}
+		}
+		snap := buildFusedTable(bow, 1)
+		check := func(key string) {
+			var first [16]byte
+			copy(first[:], key)
+			if lo, hi := keyWords([]byte(key)); lo != binary.LittleEndian.Uint64(first[:]) || hi != binary.LittleEndian.Uint64(first[8:]) {
+				t.Fatalf("keyWords(%q) = %#x, %#x, want its first 16 bytes", key, lo, hi)
+			}
+			if got := snap.lookup([]byte(key)); got != want[key] {
+				t.Fatalf("lookup(%q) = %#x, want %#x", key, got, want[key])
+			}
+		}
+		for _, w := range append(strings.Split(probes, " "), strings.Split(bowWords, " ")...) {
+			for _, n := range []int{0, 7, 8, 9, 15, 16, 17, len(w)} {
+				check(w[:min(n, len(w))])
+			}
+			check(w + "s")
+			check(w + "\x00")
+		}
+	})
 }

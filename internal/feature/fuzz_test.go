@@ -13,7 +13,7 @@ import (
 // fuzzSeeds is the seed corpus of the equivalence fuzzers: the scanner's
 // ASCII fast-path boundary, invalid UTF-8, case oddities and tweet-entity
 // shapes around words the fused table knows, and the raw spec's traps.
-var fuzzSeeds = []string{
+var fuzzSeeds = append([]string{
 	"",
 	"RT @somebody: OMG this is SOOO bad, check http://t.co/abc123 the 2nd game!! #fail",
 	"you are a fucking IDIOT and I hate you!!!",
@@ -44,6 +44,53 @@ var fuzzSeeds = []string{
 	"#tag.with.dots @user.name www.a.b!c @ # @\x80 #\xff www. WWW.\x80 t.co/ T.CO/x hTTp://",
 	"nel\u0085split nbsp\u00a0split @\u00a0x #\u0085y http://\u00a0z lone\x80cont \xff\xffinvalid\xc2",
 	strings.Repeat("aB'9.", 14<<10),
+}, wordStepSeeds()...)
+
+// wordStepSeeds are the word-at-a-time scanner's boundaries: letter runs of
+// 1-17 bytes at field offsets 0-15 in mixed case, elongations across an
+// 8-byte boundary (carried over a digit, or not), each kind of byte right
+// after a run, a non-ASCII letter right before one, fields ending 0-7 bytes before the text does, and long URL,
+// mention and hashtag fields. It is a copy of the text package's.
+func wordStepSeeds() []string {
+	run := func(n, seed int) string { // n letters, every third one uppercase
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = 'a' + byte((7*j+seed)%26)
+			if (j+seed)%3 == 0 {
+				b[j] -= 'a' - 'A'
+			}
+		}
+		return string(b)
+	}
+	var out, fields []string
+	flush := func() {
+		out, fields = append(out, strings.Join(fields, " ")), nil
+	}
+	for n := 1; n <= 17; n++ {
+		for off := 0; off < 16; off++ {
+			fields = append(fields, "0123456789'.!?-_"[:off]+run(n, off))
+		}
+		flush()
+	}
+	for p := 4; p <= 10; p++ {
+		for r := 2; r <= 4; r++ {
+			fields = append(fields, run(p, p)+strings.Repeat("o", r)+"k", run(p, r)+strings.Repeat("O", r)+"O1OO")
+		}
+	}
+	flush()
+	for _, c := range []string{"'", "7", ".", "!", "?", "\x7f", "\x80", "\xff", "é", "ſ", "\u212a"} {
+		for n := 1; n <= 9; n++ {
+			fields = append(fields, run(n, n)+c+run(3, n))
+		}
+		flush()
+	}
+	// A non-ASCII letter whose low seven bits spell the letters after it.
+	out = append(out, "éii"+run(8, 0)+" ÁAA"+run(8, 3))
+	for k := 0; k < 8; k++ {
+		out = append(out, "Sooo LOUDLY shoutedd"+strings.Repeat(" ", k), "Sooo LOUDLY shoutedd"+strings.Repeat(".", k))
+	}
+	long := run(40, 1)
+	return append(out, "https://t.co/"+long+" @"+long+" #"+long+" www."+long+"\u0085x @"+long[:20]+"\xffé"+long+" #"+long)
 }
 
 // fuzzTweet wraps text in a tweet with a fixed profile.

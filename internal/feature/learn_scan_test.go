@@ -45,7 +45,8 @@ func TestLearnScanMatchesLearn(t *testing.T) {
 			var got, want Vec
 			for n := 1; n <= 10000; n++ {
 				tw := &tweets[(n-1)%len(tweets)]
-				sc := kept.ExtractAndKeepScan(&got, tw)
+				key, _ := kept.Lookup(got[:], tw)
+				sc := kept.ExtractAndKeepScan(&got, tw, key)
 				if sc == nil {
 					t.Fatalf("tweet %d: an adaptive BoW kept no scan", n)
 				}
@@ -77,7 +78,8 @@ func TestLearnScanMatchesLearn(t *testing.T) {
 
 			cfg.BoW.Frozen = true
 			frozen := NewExtractor(cfg)
-			if sc := frozen.ExtractAndKeepScan(&got, &tweets[0]); sc != nil {
+			key, _ := frozen.Lookup(got[:], &tweets[0])
+			if sc := frozen.ExtractAndKeepScan(&got, &tweets[0], key); sc != nil {
 				t.Fatalf("a frozen BoW kept a scan")
 			}
 		})

@@ -30,13 +30,14 @@ import (
 // monotone epoch counter bumped on each mutation, and an ARF snapshot
 // reuses the flattened form of any member tree whose (pointer, epoch)
 // pair is unchanged since the previous snapshot. Within a changed tree,
-// a train step that does not split changes one leaf: the tree records
-// the leaves touched since its latest compile, and compileTree shares
-// that compile's node array and every untouched leaf chunk, re-freezing
-// only the touched leaves — O(touched leaves), not O(tree). Published
+// a train step that does not split changes one leaf, a delta merge that
+// does not split the leaves it merged: the tree records the leaves
+// touched since its latest compile, and compileTree shares that
+// compile's node array and every untouched leaf chunk, re-freezing only
+// the touched leaves — O(touched leaves), not O(tree). Published
 // snapshots are never written, so the sharing needs no coordination
 // with readers. Anything that changes the node layout (a split, a
-// delta merge, a restore) drops the tree's latest-compile reference,
+// restore) drops the tree's latest-compile reference,
 // and a prev that is not the latest compile (a second consumer holding
 // its own prev) is refused: both take one full flatten.
 

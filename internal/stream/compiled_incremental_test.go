@@ -121,12 +121,19 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 			snap = chained.CompileSnapshot(snap)
 			requireSnapshotsAgree(t, tag, snap, fresh.CompileSnapshot(nil), chained, probes)
 		}
+		mergesSplit, mergesKept := 0, 0
 		for i, in := range data {
 			in := in
 			switch {
-			case i%300 == 150:
-				// A micro-batch merge: many leaves move and some may split.
-				batch := data[i : i+40]
+			case i%300 == 75 || i%300 == 150:
+				// A micro-batch merge: several leaves move; a large batch
+				// often splits some, a small one seldom does. A merge that
+				// splits nothing keeps the incremental compile.
+				batch := data[i : i+10]
+				if i%300 == 150 {
+					batch = data[i : i+120]
+				}
+				prev, splits := snap, chained.splitCount
 				step("merge/"+itoa(i), func(t *HoeffdingTree) {
 					acc := t.NewAccumulator()
 					for _, b := range batch {
@@ -134,6 +141,15 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 					}
 					t.ApplyAccumulators([]ml.Accumulator{acc})
 				})
+				split := chained.splitCount != splits
+				if split == sharesNodes(prev.trees[0], snap.trees[0]) {
+					t.Fatalf("merge at %d (split=%v) took the wrong compile path", i, split)
+				}
+				if split {
+					mergesSplit++
+				} else {
+					mergesKept++
+				}
 			case i%300 == 299:
 				step("restore/"+itoa(i), func(tr *HoeffdingTree) {
 					blob, err := tr.MarshalBinary()
@@ -147,6 +163,9 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 			default:
 				step("train/"+itoa(i), func(t *HoeffdingTree) { t.Train(in) })
 			}
+		}
+		if mergesSplit == 0 || mergesKept == 0 {
+			t.Fatalf("%d merges split and %d did not: both paths must run", mergesSplit, mergesKept)
 		}
 	})
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"testing"
 
 	"redhanded/internal/ml"
@@ -136,5 +137,41 @@ func TestARFDistributedTrainsAndPredicts(t *testing.T) {
 	}
 	if arf.TrainCount() != int64(len(train)) {
 		t.Fatalf("ARF distributed count = %d, want %d", arf.TrainCount(), len(train))
+	}
+}
+
+// TestHTMergeSplitsInLeafOrder: twin trees fed one accumulator round that
+// splits several leaves number the new leaves alike and serialize to the
+// same bytes. The round's leaves split in ascending leaf id; in map
+// iteration order, which varies run to run, the twins almost never agree.
+func TestHTMergeSplitsInLeafOrder(t *testing.T) {
+	cfg := HTConfig{NumClasses: 3, NumFeatures: 6, GracePeriod: 50}
+	warm := gaussianStream(3000, 3, 6, 1.5, 31)
+	round := gaussianStream(6000, 3, 6, 1.5, 32)
+	twins := [2]*HoeffdingTree{NewHoeffdingTree(cfg), NewHoeffdingTree(cfg)}
+	for _, tree := range twins {
+		for _, in := range warm {
+			tree.Train(in)
+		}
+	}
+	leaves, splits := twins[0].NumLeaves(), twins[0].splitCount
+	var blobs [2][]byte
+	for i, tree := range twins {
+		acc := tree.NewAccumulator()
+		for _, in := range round {
+			acc.Observe(in)
+		}
+		tree.ApplyAccumulators([]ml.Accumulator{acc})
+		blob, err := tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[i] = blob
+	}
+	if n := twins[0].splitCount - splits; n < 2 {
+		t.Fatalf("the round split %d of %d leaves, want at least 2", n, leaves)
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatalf("twin trees serialize differently after one round that split %d of %d leaves", twins[0].splitCount-splits, leaves)
 	}
 }

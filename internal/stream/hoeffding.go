@@ -118,8 +118,9 @@ type HoeffdingTree struct {
 	// compiled is the tree's latest compile while the node layout it was
 	// flattened from still stands (nil otherwise), and touched lists the
 	// leaves whose statistics changed since it was built, each once. The
-	// tree owns both: training appends, compileTree consumes and resets,
-	// and every layout change (split, delta merge, restore) drops them.
+	// tree owns both: training and delta merges append, compileTree
+	// consumes and resets, and every layout change (split, restore) drops
+	// them.
 	compiled *compiledTree
 	touched  []*htNode
 }
@@ -282,11 +283,17 @@ func (t *HoeffdingTree) dropCompiled() {
 	t.touched = t.touched[:0]
 }
 
-func (t *HoeffdingTree) updateLeaf(leaf *htNode, x []float64, label int, w float64) {
+// touch marks leaf's statistics as changed since the latest compile, so
+// the next compileTree re-freezes it.
+func (t *HoeffdingTree) touch(leaf *htNode) {
 	if t.compiled != nil && !leaf.dirty {
 		leaf.dirty = true
 		t.touched = append(t.touched, leaf)
 	}
+}
+
+func (t *HoeffdingTree) updateLeaf(leaf *htNode, x []float64, label int, w float64) {
+	t.touch(leaf)
 	s := leaf.stats
 	// Naive-Bayes-adaptive bookkeeping: score both predictors on this
 	// instance before learning from it.

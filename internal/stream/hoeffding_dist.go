@@ -1,6 +1,11 @@
 package stream
 
-import "redhanded/internal/ml"
+import (
+	"maps"
+	"slices"
+
+	"redhanded/internal/ml"
+)
 
 // htLeafDelta is the task-local sufficient-statistics delta for one leaf:
 // exactly the statistics a leaf maintains, accumulated separately so the
@@ -62,10 +67,13 @@ func (a *htAccumulator) Observe(in ml.Instance) {
 func (a *htAccumulator) Count() int64 { return a.count }
 
 // ApplyAccumulators implements ml.DistributedClassifier: first merge every
-// delta into its leaf, then attempt splits on the touched leaves. Deltas
-// for leaves that no longer exist (stale accumulators) are dropped.
+// delta into its leaf, then attempt splits on the merged leaves in
+// ascending leaf id, so twin trees fed one round number the new leaves
+// alike. Deltas for leaves that no longer exist (stale accumulators) are
+// dropped. A merged leaf is marked touched like a trained one, so a round
+// that splits nothing keeps the incremental compile.
 func (t *HoeffdingTree) ApplyAccumulators(accs []ml.Accumulator) {
-	touched := make(map[int64]*htNode)
+	merged := make(map[int64]*htNode)
 	mutated := false
 	for _, raw := range accs {
 		acc, ok := raw.(*htAccumulator)
@@ -94,14 +102,13 @@ func (t *HoeffdingTree) ApplyAccumulators(accs []ml.Accumulator) {
 				}
 				s.observers[f].merge(obs)
 			}
-			touched[id] = leaf
+			t.touch(leaf)
+			merged[id] = leaf
 		}
 		t.trainCount += acc.count
 	}
-	for id, leaf := range touched {
-		if _, still := t.leaves[id]; !still {
-			continue // split by an earlier attempt in this merge round
-		}
+	for _, id := range slices.Sorted(maps.Keys(merged)) {
+		leaf := merged[id]
 		s := leaf.stats
 		if s.weightSeen-s.weightAtLastEval >= float64(t.cfg.GracePeriod) {
 			s.weightAtLastEval = s.weightSeen
@@ -110,6 +117,5 @@ func (t *HoeffdingTree) ApplyAccumulators(accs []ml.Accumulator) {
 	}
 	if mutated {
 		t.epoch++
-		t.dropCompiled()
 	}
 }

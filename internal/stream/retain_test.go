@@ -51,14 +51,14 @@ func TestModelsDoNotRetainX(t *testing.T) {
 				poisoned.Train(aliased(in))
 				poison()
 			}
-			// One instance per accumulator round: a round that touches
-			// several leaves attempts their splits in map order, which would
-			// make even two clean twins serialize differently.
-			for _, in := range data[half:] {
+			// Accumulator rounds of 100 instances touch several leaves each.
+			for start := half; start < len(data); start += 100 {
 				ca, pa := clean.NewAccumulator(), poisoned.NewAccumulator()
-				ca.Observe(in)
-				pa.Observe(aliased(in))
-				poison()
+				for _, in := range data[start:min(start+100, len(data))] {
+					ca.Observe(in)
+					pa.Observe(aliased(in))
+					poison()
+				}
 				clean.ApplyAccumulators([]ml.Accumulator{ca})
 				poisoned.ApplyAccumulators([]ml.Accumulator{pa})
 			}

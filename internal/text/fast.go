@@ -28,6 +28,8 @@ package text
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"unicode"
 	"unicode/utf8"
 )
@@ -165,6 +167,41 @@ const (
 	bLetter = bUpper | bLower
 )
 
+const (
+	lsb = 0x0101010101010101 // the low bit of every byte of a word
+	msb = 0x8080808080808080 // the high bit of every byte of a word
+)
+
+// load64 returns src[i:i+8] as one little-endian word. The shifts and ORs
+// compile to a single load, as in the feature package's textHash.
+//
+//redvet:noalloc gate=FeaturePathScan
+func load64(src string, i int) uint64 {
+	s := src[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// letterRun returns how many bytes of w, from its lowest, are ASCII
+// letters. |0x20 lowers a letter, and only a letter lowers into a-z; two
+// additions then set a byte's high bit at >= 'a' and at > 'z'. A byte >=
+// 0x80 stops the run on its own; its additions may carry into the bytes
+// above it, never into those below, so the lowest stop is exact.
+//
+//redvet:noalloc gate=FeaturePathScan
+func letterRun(w uint64) int {
+	l := w | lsb*0x20
+	letter := (l + lsb*(0x80-'a')) &^ (l + lsb*(0x80-'z'-1))
+	return bits.TrailingZeros64((^letter|w)&msb) >> 3
+}
+
+// zeroBytes flags the zero bytes of x, exactly: the high bit of each.
+//
+//redvet:noalloc gate=FeaturePathScan
+func zeroBytes(x uint64) uint64 {
+	return ^((x&^msb + lsb*0x7f) | x) & msb
+}
+
 var byteClass = func() (t [256]uint8) {
 	for _, c := range "\t\n\v\f\r " {
 		t[c] = bSpace
@@ -194,10 +231,26 @@ func spaceLen(src string, i int) int {
 }
 
 // fieldEnd returns the offset of the first whitespace rune at or after i.
+// It skips eight bytes per step up to the first byte <= ' ' or >= 0x80,
+// which the rune loop then judges.
 //
 //redvet:noalloc gate=FeaturePathScan
 func fieldEnd(src string, i int) int {
-	for i < len(src) && spaceLen(src, i) == 0 {
+	for i < len(src) {
+		if i+8 <= len(src) {
+			w := load64(src, i)
+			// A byte < 0x80 reaches the high bit when 0x5f is added iff it
+			// is > ' '; a byte >= 0x80 stops on its own and carries only up.
+			stop := (^(w + lsb*0x5f) | w) & msb
+			if stop == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(stop) >> 3
+		}
+		if spaceLen(src, i) != 0 {
+			break
+		}
 		_, sz := utf8.DecodeRuneInString(src[i:])
 		i += sz
 	}
@@ -258,6 +311,13 @@ func (s *Scratch) field(src string, start int) int {
 	// ('.', '!', '?' flush a sentence; letters mark the current one
 	// non-empty). Arenas and sentence state live in locals and are committed
 	// at the end, so an abbreviation token leaves no trace.
+	//
+	// A run of ASCII letters with eight bytes left in the text is taken a
+	// word at a time: up to eight letters per step, appended as the word and
+	// as the word |0x20, counted with OnesCount64 (an uppercase letter has
+	// bit 5 clear). Its bytes equal to the byte before them carry the
+	// elongation run across steps. The byte loop below takes every other
+	// byte, and letters in the text's last seven.
 	clean, lower := s.clean, s.lower
 	cOff, lOff := len(clean), len(lower)
 	sentences, sentHasLetter := s.Stats.Sentences, s.sentHasLetter
@@ -271,6 +331,33 @@ scan:
 		c := src[i]
 		if c < utf8.RuneSelf {
 			switch k := byteClass[c]; {
+			case k&bLetter != 0 && i+8 <= len(src):
+				w := load64(src, i)
+				n := letterRun(w) // >= 1: src[i] is a letter
+				keep := uint64(1)<<(8*n) - 1
+				nc, nl := len(clean), len(lower)
+				clean = binary.LittleEndian.AppendUint64(clean, w)[:nc+n]
+				lower = binary.LittleEndian.AppendUint64(lower, w|lsb*0x20)[:nl+n]
+				letters += int32(n)
+				uppers += int32(bits.OnesCount64(^w & keep & (lsb * 0x20)))
+				firstAl, lastAlEnd = min(firstAl, i), i+n
+				sentHasLetter = true
+				var p uint64 // the cleaned rune before the run, if an ASCII letter
+				if uint32(prev) < utf8.RuneSelf {
+					p = uint64(prev)
+				}
+				eq := zeroBytes(w^(w<<8|p)) & keep // bytes equal to the one before
+				if eq&(eq<<8) != 0 || eq&0x80 != 0 && run >= 2 {
+					elongated = true // a third equal byte in a row
+				}
+				if fresh := ^eq & keep & msb; fresh == 0 {
+					run += n
+				} else {
+					run = n + 1 - bits.Len64(fresh)>>3 // the last fresh byte starts the run
+				}
+				prev = rune(src[i+n-1])
+				i += n
+				continue
 			case k&bLetter != 0:
 				firstAl, lastAlEnd = min(firstAl, i), i+1
 				clean = append(clean, c)

@@ -11,7 +11,7 @@ import (
 // surrogates and other invalid UTF-8, huge elongations, case oddities the
 // ASCII fast paths must not mishandle, and tweet-entity edge shapes.
 func nastyInputs() []string {
-	return []string{
+	return append([]string{
 		"",
 		" ",
 		"RT @user: OMG this is SOOO bad!! check http://t.co/x #fail",
@@ -50,7 +50,54 @@ func nastyInputs() []string {
 		"@ # @\x80 #\xff www. WWW.\x80 t.co/ T.CO/x hTTp://",
 		"it's ''' 'a' a''' '''a a'''b x'''' ''''x",
 		strings.Repeat("aB'9.", 14<<10),
+	}, wordStepSeeds()...)
+}
+
+// wordStepSeeds are the word-at-a-time scanner's boundaries: letter runs of
+// 1-17 bytes at field offsets 0-15 in mixed case, elongations across an
+// 8-byte boundary (carried over a digit, or not), each kind of byte right
+// after a run, a non-ASCII letter right before one, fields ending 0-7 bytes before the text does, and long URL,
+// mention and hashtag fields. The feature package's fuzz seeds carry a copy.
+func wordStepSeeds() []string {
+	run := func(n, seed int) string { // n letters, every third one uppercase
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = 'a' + byte((7*j+seed)%26)
+			if (j+seed)%3 == 0 {
+				b[j] -= 'a' - 'A'
+			}
+		}
+		return string(b)
 	}
+	var out, fields []string
+	flush := func() {
+		out, fields = append(out, strings.Join(fields, " ")), nil
+	}
+	for n := 1; n <= 17; n++ {
+		for off := 0; off < 16; off++ {
+			fields = append(fields, "0123456789'.!?-_"[:off]+run(n, off))
+		}
+		flush()
+	}
+	for p := 4; p <= 10; p++ {
+		for r := 2; r <= 4; r++ {
+			fields = append(fields, run(p, p)+strings.Repeat("o", r)+"k", run(p, r)+strings.Repeat("O", r)+"O1OO")
+		}
+	}
+	flush()
+	for _, c := range []string{"'", "7", ".", "!", "?", "\x7f", "\x80", "\xff", "é", "ſ", "\u212a"} {
+		for n := 1; n <= 9; n++ {
+			fields = append(fields, run(n, n)+c+run(3, n))
+		}
+		flush()
+	}
+	// A non-ASCII letter whose low seven bits spell the letters after it.
+	out = append(out, "éii"+run(8, 0)+" ÁAA"+run(8, 3))
+	for k := 0; k < 8; k++ {
+		out = append(out, "Sooo LOUDLY shoutedd"+strings.Repeat(" ", k), "Sooo LOUDLY shoutedd"+strings.Repeat(".", k))
+	}
+	long := run(40, 1)
+	return append(out, "https://t.co/"+long+" @"+long+" #"+long+" www."+long+"\u0085x @"+long[:20]+"\xffé"+long+" #"+long)
 }
 
 // FuzzClean asserts the scanner never panics and emits well-formed words
