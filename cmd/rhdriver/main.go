@@ -126,8 +126,7 @@ func main() {
 	fmt.Printf("broadcast: %.1f KB total (%.2f KB/batch), data: %.1f KB\n",
 		float64(stats.BroadcastBytes)/1024, float64(stats.BroadcastBytes)/1024/float64(max(stats.Batches, 1)),
 		float64(stats.DataBytes)/1024)
-	fmt.Printf("resilience: %d failovers, %d resyncs, %d reconnects\n",
-		stats.Failovers, stats.Resyncs, stats.Reconnects)
+	fmt.Printf("resilience: %d failovers, %d reconnects\n", stats.Failovers, stats.Reconnects)
 	if opts.Model == core.ModelARF {
 		fmt.Printf("drift: %d warnings, %d drifts, %d tree replacements\n",
 			stats.Warnings, stats.Drifts, stats.TreeReplacements)

@@ -3,13 +3,14 @@
 // streaming the synthetic aggression dataset; one node is taken down
 // mid-run, the driver fails its work over to the survivors, and a
 // replacement is brought up on the same address for the driver to
-// reconnect and resync (full model + vocabulary handshake). Run real
+// reconnect to and send the full model and vocabulary. Run real
 // nodes with cmd/rhexecutor and point cmd/rhdriver at them for the same
 // behavior across machines.
 //
 // Pass -model arf to distribute the paper's best model, the Adaptive
-// Random Forest: member trees broadcast with per-member hash elision and
-// the drift/warning/replacement counters appear in the final report.
+// Random Forest: the forest broadcasts like any model, whole when its
+// hash moved, and the drift/warning/replacement counters appear in the
+// final report.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 	// Mid-run, node 1 leaves the cluster (drained shutdown — in-flight
 	// work finishes, later batches fail over to the survivors), and a
 	// replacement comes up on the same address for the driver's reconnect
-	// loop to find and resync from scratch. The swap is published through
+	// loop to find and send the full state. The swap is published through
 	// a channel so the final report reads it race-free.
 	swapped := make(chan *redhanded.Executor, 1)
 	go func() {
@@ -95,10 +96,9 @@ func main() {
 	rep := p.Summary()
 	fmt.Printf("\nprocessed %d tweets in %.2fs (%.0f tweets/s) over %d batches\n",
 		stats.Processed, stats.Duration.Seconds(), stats.Throughput(), stats.Batches)
-	fmt.Printf("broadcast %0.1f KB (delta protocol), data %.1f KB\n",
+	fmt.Printf("broadcast %0.1f KB (keyed broadcasts), data %.1f KB\n",
 		float64(stats.BroadcastBytes)/1024, float64(stats.DataBytes)/1024)
-	fmt.Printf("resilience: %d failovers, %d resyncs, %d reconnects\n",
-		stats.Failovers, stats.Resyncs, stats.Reconnects)
+	fmt.Printf("resilience: %d failovers, %d reconnects\n", stats.Failovers, stats.Reconnects)
 	if opts.Model == redhanded.ModelARF {
 		fmt.Printf("drift: %d warnings, %d drifts, %d tree replacements\n",
 			stats.Warnings, stats.Drifts, stats.TreeReplacements)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,10 +26,9 @@ import (
 //     answers with a payload that does not decode, processShare — the one
 //     place a share is retried — moves it to a survivor, so a batch
 //     completes as long as one executor lives;
-//   - delta broadcasts: the model ships only when its hash changed (and a
-//     partitioned model like the ARF ships only the member trees whose
-//     per-part hash moved), while the BoW vocabulary ships as an
-//     append-only diff with a version handshake — so an unchanged
+//   - keyed broadcasts: the model and the BoW vocabulary each ship whole
+//     exactly when their key (model hash, vocabulary version) differs from
+//     the one the node's session acknowledged — so an unchanged
 //     model/vocab costs a few bytes per batch;
 //   - pipelining: batch k+1's source read and tweet encode overlap batch
 //     k's round trip, while broadcasts stay strictly ordered behind the
@@ -47,9 +45,6 @@ var (
 	clusterFailovers = metrics.Default().Counter(
 		"redhanded_cluster_failovers_total",
 		"Batch shares reassigned because an executor failed mid-batch.", nil)
-	clusterResyncs = metrics.Default().Counter(
-		"redhanded_cluster_resyncs_total",
-		"Full re-broadcasts triggered by an executor's NeedResync answer.", nil)
 	clusterReconnects = metrics.Default().Counter(
 		"redhanded_cluster_reconnects_total",
 		"Successful executor reconnects after a mid-run failure.", nil)
@@ -86,9 +81,9 @@ type ClusterConfig struct {
 	Tracer *obs.Tracer
 
 	// fullBroadcast sends every node the complete model and vocabulary each
-	// batch — what a fresh or resynced session receives — so in-package
-	// tests have an always-full reference for the delta protocol's byte
-	// counts and results.
+	// batch — what a fresh session receives — so in-package tests have an
+	// always-full reference for the elided broadcasts' byte counts and
+	// results.
 	fullBroadcast bool
 }
 
@@ -118,9 +113,8 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 const shareTimeout = 2 * time.Minute
 
 // execNode is the driver's view of one executor: connection, health, and
-// the broadcast versions the node is known to hold. Version bookkeeping is
-// reset on every (re)connect, which is what forces the full resync for a
-// fresh session.
+// the broadcast keys the node's session holds. The keys are reset on every
+// (re)connect, so a fresh session receives the full state.
 type execNode struct {
 	id   int
 	addr string
@@ -134,11 +128,9 @@ type execNode struct {
 	abandoned bool
 	reviving  bool
 
-	// Broadcast state held by the node's current session.
+	// Broadcast keys held by the node's current session.
 	modelHash    uint64
-	modelParts   []uint64 // per-part hashes (partitioned models only)
 	vocabVersion uint64
-	vocabLen     int
 	bcSeq        int64
 
 	presends map[respKey]bool
@@ -176,65 +168,16 @@ func (n *execNode) unregister(key respKey) {
 	n.mu.Unlock()
 }
 
-// vocabState tracks the driver-side vocabulary as an append-only log plus
-// the version counter of the diff protocol. The adaptive BoW mostly grows
-// (Fig. 10); when it does evict words, the log is rebuilt and the epoch
-// advances, so nodes synced before the rebuild fall back to a full
-// broadcast while nodes synced after keep receiving diffs.
-type vocabState struct {
-	version uint64
-	epoch   uint64
-	log     []string
-	known   map[string]bool
-}
-
-// refresh folds the BoW's current word set into the log. Added words are
-// appended in sorted order so the wire payload is deterministic.
-func (v *vocabState) refresh(words []string) {
-	if v.known == nil {
-		v.known = make(map[string]bool)
-	}
-	var added []string
-	set := make(map[string]bool, len(words))
-	for _, w := range words {
-		set[w] = true
-		if !v.known[w] {
-			added = append(added, w)
-		}
-	}
-	removed := len(set) != len(v.known)+len(added)
-	if !removed && len(added) == 0 {
-		return
-	}
-	v.version++
-	if removed {
-		v.epoch = v.version
-		v.log = make([]string, 0, len(set))
-		for w := range set {
-			v.log = append(v.log, w)
-		}
-		sort.Strings(v.log)
-	} else {
-		sort.Strings(added)
-		v.log = append(v.log, added...)
-	}
-	v.known = set
-}
-
-// broadcast is one batch's shared broadcast payload, computed once and
-// specialized per node into a delta by broadcastFor. Monolithic models
-// fill modelBlob; partitioned models fill header/parts/partHashes instead.
+// broadcast is one batch's shared broadcast payload, computed once; each
+// node's frame carries the model blob and the vocabulary words only when
+// the node's session holds a different key (broadcastFor).
 type broadcast struct {
 	seq        int64
 	modelBlob  []byte
-	header     []byte
-	parts      [][]byte
-	partHashes []uint64
 	modelHash  uint64
 	statsBlob  []byte
 	vocabVer   uint64
-	vocabEpoch uint64
-	vocabLog   []string
+	vocabWords []string
 	preprocess bool
 	normMode   int
 	scheme     int
@@ -246,7 +189,6 @@ type clusterRun struct {
 	kind  string
 	cfg   ClusterConfig
 	nodes []*execNode
-	vocab vocabState
 	stop  chan struct{}
 
 	// Serialization cache: in the cluster driver every model mutation
@@ -254,13 +196,13 @@ type clusterRun struct {
 	// count for each labeled observation — so an unchanged train count
 	// proves the model bytes are unchanged and the previous batch's
 	// encoding (an ARF forest is tens of KB of gob work) can be reused.
+	// The vocabulary words are reused while the BoW's version holds.
 	bcModelCount int64
-	bcModel      *broadcast
+	last         *broadcast
 
 	broadcastBytes atomic.Int64
 	dataBytes      atomic.Int64
 	failovers      atomic.Int64
-	resyncs        atomic.Int64
 	reconnects     atomic.Int64
 }
 
@@ -360,7 +302,6 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 	stats.BroadcastBytes = r.broadcastBytes.Load()
 	stats.DataBytes = r.dataBytes.Load()
 	stats.Failovers = r.failovers.Load()
-	stats.Resyncs = r.resyncs.Load()
 	stats.Reconnects = r.reconnects.Load()
 	return stats, err
 }
@@ -429,60 +370,51 @@ func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error
 	return nil
 }
 
-// makeBroadcast serializes the batch's global state once and refreshes the
-// vocabulary log. Partitioned models serialize as a header plus per-part
-// blobs with independent content hashes, so broadcastFor can elide the
-// parts a node already holds.
+// makeBroadcast serializes the batch's global state once: the model under
+// its content hash, the statistics, and the vocabulary under the BoW's
+// snapshot version, which moves only when the word set does.
 func (r *clusterRun) makeBroadcast(seq int64) (*broadcast, error) {
+	bow := r.p.Extractor().BoW()
 	bc := &broadcast{
 		seq:        seq,
+		vocabVer:   bow.SnapshotVersion(),
 		preprocess: r.p.Options().Preprocess,
 		normMode:   int(r.p.Normalizer().Mode),
 		scheme:     int(r.p.Options().Scheme),
 	}
 	model := r.p.Model()
 	counter, countable := model.(interface{ TrainCount() int64 })
-	if countable && r.bcModel != nil && counter.TrainCount() == r.bcModelCount {
+	if countable && r.last != nil && counter.TrainCount() == r.bcModelCount {
 		// Nothing trained since the last broadcast (steady-state unlabeled
 		// traffic): the previous encoding is still exact.
-		bc.modelBlob = r.bcModel.modelBlob
-		bc.header = r.bcModel.header
-		bc.parts = r.bcModel.parts
-		bc.partHashes = r.bcModel.partHashes
-		bc.modelHash = r.bcModel.modelHash
-	} else if pm, ok := model.(stream.PartitionedModel); ok {
-		header, parts, err := pm.MarshalParts()
-		if err != nil {
-			return nil, fmt.Errorf("engine: broadcast model: %w", err)
-		}
-		bc.header, bc.parts = header, parts
-		bc.modelHash, bc.partHashes = stream.HashModelParts(header, parts)
+		bc.modelBlob, bc.modelHash = r.last.modelBlob, r.last.modelHash
 	} else {
 		modelBlob, err := model.MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("engine: broadcast model: %w", err)
 		}
-		bc.modelBlob = modelBlob
-		bc.modelHash = stream.Hash64(modelBlob)
+		bc.modelBlob, bc.modelHash = modelBlob, stream.Hash64(modelBlob)
 	}
 	if countable {
 		r.bcModelCount = counter.TrainCount()
-		r.bcModel = bc
+	}
+	if r.last != nil && r.last.vocabVer == bc.vocabVer {
+		bc.vocabWords = r.last.vocabWords
+	} else {
+		bc.vocabWords = bow.Words()
 	}
 	statsBlob, err := r.p.Normalizer().Stats.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("engine: broadcast stats: %w", err)
 	}
 	bc.statsBlob = statsBlob
-	r.vocab.refresh(r.p.Extractor().BoW().Words())
-	bc.vocabVer = r.vocab.version
-	bc.vocabEpoch = r.vocab.epoch
-	bc.vocabLog = r.vocab.log
+	r.last = bc
 	return bc, nil
 }
 
-// broadcastFor specializes the batch broadcast into the delta this node
-// needs, given the versions its session holds. Callers hold n.mu.
+// broadcastFor builds n's broadcast frame: the model blob and the
+// vocabulary words ride along only when the key n's session holds differs
+// from the batch's. Callers hold n.mu.
 func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 	msg := wireMsg{
 		Kind:         msgBroadcast,
@@ -494,37 +426,11 @@ func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 		NormMode:     bc.normMode,
 		Scheme:       bc.scheme,
 	}
-	full := r.cfg.fullBroadcast
-	if full || n.modelHash != bc.modelHash {
-		switch {
-		case bc.parts == nil:
-			msg.ModelBlob = bc.modelBlob
-		case !full && len(n.modelParts) == len(bc.partHashes):
-			// The session holds a part set of the right shape: ship the
-			// header plus only the parts whose content hash moved (for the
-			// ARF, the drift-replaced or freshly grown member trees).
-			msg.ModelHeader = bc.header
-			for i, ph := range bc.partHashes {
-				if n.modelParts[i] != ph {
-					msg.ModelPartIdx = append(msg.ModelPartIdx, i)
-					msg.ModelParts = append(msg.ModelParts, bc.parts[i])
-				}
-			}
-		default:
-			msg.ModelHeader = bc.header
-			msg.ModelParts = bc.parts
-			msg.ModelFull = true
-		}
+	if r.cfg.fullBroadcast || n.modelHash != bc.modelHash {
+		msg.ModelBlob = bc.modelBlob
 	}
-	switch {
-	case !full && n.vocabVersion == bc.vocabVer:
-		msg.VocabBase = bc.vocabVer // up to date: no words on the wire
-	case !full && n.vocabVersion > 0 && n.vocabVersion >= bc.vocabEpoch && n.vocabLen <= len(bc.vocabLog):
-		msg.VocabBase = n.vocabVersion
-		msg.VocabWords = bc.vocabLog[n.vocabLen:]
-	default:
-		msg.VocabBase = 0 // full replacement
-		msg.VocabWords = bc.vocabLog
+	if r.cfg.fullBroadcast || n.vocabVersion != bc.vocabVer {
+		msg.VocabWords = bc.vocabWords
 	}
 	return msg
 }
@@ -560,62 +466,48 @@ func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Twe
 }
 
 // exchange performs one share round trip against one node and decodes the
-// response, handling the NeedResync handshake by resending the full
-// broadcast. Any failure marks the node down before it is returned.
+// response. Any failure marks the node down before it is returned.
 func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64) (shareOutput, int64, error) {
 	key := respKey{seq: bc.seq, lo: s.lo, hi: s.hi}
-	for resync := 0; ; resync++ {
-		ch, gen, err := n.register(key)
-		if err != nil {
-			return shareOutput{}, 0, err
-		}
-		fail := func(err error) (shareOutput, int64, error) {
-			n.unregister(key)
-			r.markDown(n, gen, err)
-			return shareOutput{}, 0, err
-		}
-		start := time.Now()
-		if err := r.sendShare(n, gen, bc, s, batch, traceID, resync > 0); err != nil {
-			return fail(err)
-		}
-		var rep shareReply
-		timeout := time.NewTimer(shareTimeout)
-		select {
-		case rep = <-ch:
-			timeout.Stop()
-		case <-timeout.C:
-			// A wedged-but-connected executor never errors the transport;
-			// time it out so the share can fail over to a live node.
-			return fail(fmt.Errorf("engine: executor %s did not answer share [%d,%d) within %v", n.addr, s.lo, s.hi, shareTimeout))
-		}
-		if rep.err != nil {
-			return fail(rep.err)
-		}
-		clusterShareRTT.Observe(time.Since(start).Seconds())
-		if rep.resp.NeedResync && resync < 2 {
-			r.resyncs.Add(1)
-			clusterResyncs.Inc()
-			n.mu.Lock()
-			n.modelHash, n.modelParts, n.vocabVersion, n.vocabLen, n.bcSeq = 0, nil, 0, 0, -1
-			n.mu.Unlock()
-			continue
-		}
-		out, err := r.decodeShare(n, s, &rep.resp)
-		if err != nil {
-			return fail(err)
-		}
-		return out, rep.resp.ExecNanos, nil
+	ch, gen, err := n.register(key)
+	if err != nil {
+		return shareOutput{}, 0, err
 	}
+	fail := func(err error) (shareOutput, int64, error) {
+		n.unregister(key)
+		r.markDown(n, gen, err)
+		return shareOutput{}, 0, err
+	}
+	start := time.Now()
+	if err := r.sendShare(n, gen, bc, s, batch, traceID); err != nil {
+		return fail(err)
+	}
+	var rep shareReply
+	timeout := time.NewTimer(shareTimeout)
+	select {
+	case rep = <-ch:
+		timeout.Stop()
+	case <-timeout.C:
+		// A wedged-but-connected executor never errors the transport;
+		// time it out so the share can fail over to a live node.
+		return fail(fmt.Errorf("engine: executor %s did not answer share [%d,%d) within %v", n.addr, s.lo, s.hi, shareTimeout))
+	}
+	if rep.err != nil {
+		return fail(rep.err)
+	}
+	clusterShareRTT.Observe(time.Since(start).Seconds())
+	out, err := r.decodeShare(n, s, &rep.resp)
+	if err != nil {
+		return fail(err)
+	}
+	return out, rep.resp.ExecNanos, nil
 }
 
 // decodeShare checks one share response and decodes its statistics delta
 // and training accumulators. Decoding only reads the global model.
 func (r *clusterRun) decodeShare(n *execNode, s span, resp *batchResponse) (shareOutput, error) {
-	switch {
-	case resp.Err != "":
+	if resp.Err != "" {
 		return shareOutput{}, fmt.Errorf("engine: executor %s: %s", n.addr, resp.Err)
-	case resp.NeedResync:
-		return shareOutput{}, fmt.Errorf("engine: executor %s cannot resync", n.addr)
 	}
 	out := shareOutput{lo: s.lo, classified: resp.Classified, stats: norm.NewFeatureStats(r.p.Normalizer().Stats.Dim())}
 	if err := out.stats.UnmarshalBinary(resp.StatsBlob); err != nil {
@@ -623,6 +515,9 @@ func (r *clusterRun) decodeShare(n *execNode, s span, resp *batchResponse) (shar
 	}
 	for _, blob := range resp.DeltaBlobs {
 		acc, err := r.p.Model().AccumulatorFromState(blob)
+		if err == nil && (acc.Count() < 0 || acc.Count() > int64(s.hi-s.lo)) {
+			err = fmt.Errorf("delta counts %d instances in a %d-tweet share", acc.Count(), s.hi-s.lo)
+		}
 		if err != nil {
 			return shareOutput{}, fmt.Errorf("engine: executor %s returned corrupt delta: %w", n.addr, err)
 		}
@@ -631,11 +526,9 @@ func (r *clusterRun) decodeShare(n *execNode, s span, resp *batchResponse) (shar
 	return out, nil
 }
 
-// sendShare ships the broadcast (once per node per batch) and the share's
-// data frame. forceData resends the tweets even if a presend delivered
-// them (the executor consumed the previous copy when it answered
-// NeedResync).
-func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64, forceData bool) error {
+// sendShare ships the broadcast (once per node per batch) and, unless a
+// presend delivered them, the share's tweets.
+func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.up || n.gen != gen {
@@ -656,13 +549,9 @@ func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batc
 		}
 		r.broadcastBytes.Add(sent)
 		clusterBroadcastBytes.Add(sent)
-		n.bcSeq = bc.seq
-		n.modelHash = bc.modelHash
-		n.modelParts = bc.partHashes
-		n.vocabVersion = bc.vocabVer
-		n.vocabLen = len(bc.vocabLog)
+		n.bcSeq, n.modelHash, n.vocabVersion = bc.seq, bc.modelHash, bc.vocabVer
 	}
-	if forceData || !n.presends[respKey{seq: bc.seq, lo: s.lo, hi: s.hi}] {
+	if !n.presends[respKey{seq: bc.seq, lo: s.lo, hi: s.hi}] {
 		return r.sendData(n, bc.seq, s, batch, traceID)
 	}
 	return nil
@@ -731,8 +620,8 @@ func (r *clusterRun) presend(seq int64, batch []twitterdata.Tweet) {
 }
 
 // connect dials a node, runs the hello handshake, and starts its receive
-// loop. The node's broadcast bookkeeping is reset so the next batch sends
-// the full state.
+// loop. The node's broadcast keys are reset so the next batch sends the
+// full state.
 func (r *clusterRun) connect(n *execNode) error {
 	raw, err := net.DialTimeout("tcp", n.addr, 3*time.Second)
 	if err != nil {
@@ -777,7 +666,7 @@ func (r *clusterRun) connect(n *execNode) error {
 	n.gen++
 	gen := n.gen
 	n.up = true
-	n.modelHash, n.modelParts, n.vocabVersion, n.vocabLen, n.bcSeq = 0, nil, 0, 0, -1
+	n.modelHash, n.vocabVersion, n.bcSeq = 0, 0, -1
 	n.presends = make(map[respKey]bool)
 	n.pending = make(map[respKey]chan shareReply)
 	n.mu.Unlock()

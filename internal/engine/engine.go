@@ -104,16 +104,15 @@ type Stats struct {
 	MaxBatchLatency  time.Duration
 
 	// Cluster-engine wire accounting (zero for local engines).
-	// BroadcastBytes counts model/stats/vocab frames; with delta broadcasts
-	// an unchanged model and vocabulary cost a few bytes per batch instead
-	// of a full re-broadcast. DataBytes counts tweet shares.
+	// BroadcastBytes counts model/stats/vocab frames; an unchanged model and
+	// vocabulary cost a few bytes per batch instead of a full re-broadcast.
+	// DataBytes counts tweet shares.
 	BroadcastBytes int64
 	DataBytes      int64
-	// Failovers counts shares reassigned after an executor died mid-batch;
-	// Resyncs counts NeedResync full re-broadcasts; Reconnects counts
-	// executors that came back after a mid-run failure.
+	// Failovers counts shares reassigned after an executor failed
+	// mid-batch; Reconnects counts executors that came back after a
+	// mid-run failure.
 	Failovers  int64
-	Resyncs    int64
 	Reconnects int64
 
 	// Drift telemetry for this run (models with drift detectors, e.g. the

@@ -17,9 +17,9 @@ import (
 // Executor is one cluster node: it listens on a TCP address and serves
 // batch shares with a local worker pool. The paper's cluster nodes have 8
 // cores each. Each connection is an independent session holding the last
-// broadcast state (decoded model keyed by hash, normalizer statistics,
-// vocabulary version), so an unchanged model or vocabulary costs the driver
-// a few bytes instead of a full re-broadcast.
+// broadcast state (decoded model keyed by its hash, normalizer statistics,
+// vocabulary keyed by its version), so an unchanged model or vocabulary
+// costs the driver a few bytes instead of a full re-broadcast.
 type Executor struct {
 	ln      net.Listener
 	workers int
@@ -117,8 +117,8 @@ func (e *Executor) Err() error {
 }
 
 // LastVocabSize reports the BoW vocabulary size observed by the most
-// recently served share — the executor-side view of the broadcast
-// handshake (a reconnected executor shows the full resynced vocabulary).
+// recently served share — the executor-side view of the vocabulary
+// broadcast (a reconnected executor shows the driver's full vocabulary).
 func (e *Executor) LastVocabSize() int { return int(e.vocabSize.Load()) }
 
 // ActiveConns returns the number of live driver connections.
@@ -190,11 +190,11 @@ func (e *Executor) serve() {
 }
 
 // execSession is the per-connection protocol state: the negotiated model
-// kind, the cached decoded model and its hash, the current normalizer
-// statistics, the persistent extractor whose BoW tracks the broadcast
-// vocabulary version, and data frames parked for batches whose broadcast
-// has not arrived yet (the driver pre-sends batch k+1's tweets while batch
-// k is still in flight).
+// kind, the decoded model and its hash, the current normalizer statistics,
+// the persistent extractor whose BoW holds the broadcast vocabulary
+// version, and data frames parked for batches whose broadcast has not
+// arrived yet (the driver pre-sends batch k+1's tweets while batch k is
+// still in flight).
 type execSession struct {
 	e   *Executor
 	enc *gob.Encoder
@@ -203,10 +203,9 @@ type execSession struct {
 	modelKind string
 	model     stream.Model
 	modelHash uint64
-	// snap caches the compiled classify snapshot across shares. Patched
-	// broadcasts (PatchParts) keep unpatched member-tree pointers, so the
-	// recompile after a patch re-flattens only the members the driver
-	// actually shipped; full restores recompile everything.
+	// snap caches the compiled classify snapshot across shares: reused
+	// whole while broadcasts elide the model, flattened afresh after a
+	// broadcast ships a new one.
 	snap *stream.Compiled
 
 	stats    *norm.FeatureStats
@@ -217,11 +216,11 @@ type execSession struct {
 	preprocess   bool
 	vocabVersion uint64
 
-	seq        int64
-	bcOK       bool
-	needResync bool
-	bcErr      string
-	parked     []wireMsg
+	seq int64
+	// bcErr is why the current broadcast cannot serve shares ("" once it
+	// installed); a data frame answers it as the share's Err.
+	bcErr  string
+	parked []wireMsg
 }
 
 func (e *Executor) serveConn(conn net.Conn) {
@@ -232,7 +231,8 @@ func (e *Executor) serveConn(conn net.Conn) {
 		e.mu.Unlock()
 		e.loops.Done()
 	}()
-	s := &execSession{e: e, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	s := &execSession{e: e, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn),
+		bcErr: "engine: data frame before any broadcast"}
 	for {
 		var msg wireMsg
 		if err := s.dec.Decode(&msg); err != nil {
@@ -246,7 +246,10 @@ func (e *Executor) serveConn(conn net.Conn) {
 		case msgShutdown:
 			return // polite end-of-run
 		case msgBroadcast:
-			s.applyBroadcast(&msg)
+			s.seq, s.bcErr = msg.Seq, ""
+			if err := s.applyBroadcast(&msg); err != nil {
+				s.bcErr = err.Error()
+			}
 			// Parked frames go back through handleData: this batch's run
 			// now, later batches' park again, abandoned ones drop.
 			parked := s.parked
@@ -290,56 +293,26 @@ func (s *execSession) hello(msg *wireMsg) bool {
 	return resp.Err == ""
 }
 
-// applyBroadcast installs one batch's broadcast state. Model and vocabulary
-// arrive as deltas against what this session already holds; a reference to
-// state the session does not hold flags NeedResync, which the driver
-// answers with a full re-broadcast.
-func (s *execSession) applyBroadcast(msg *wireMsg) {
-	s.seq = msg.Seq
-	s.bcOK, s.needResync, s.bcErr = false, false, ""
+// applyBroadcast installs one batch's broadcast state. The model and the
+// vocabulary each arrive whole or elided; an elided one must be the one
+// this session holds, by key. A broadcast the session cannot install fails
+// the batch's shares, so the driver fails them over and reconnects.
+func (s *execSession) applyBroadcast(msg *wireMsg) error {
 	s.normMode, s.scheme = msg.NormMode, msg.Scheme
-
 	switch {
 	case len(msg.ModelBlob) > 0:
-		// Monolithic kinds: a full model blob replaces the session's copy.
 		m, err := stream.DecodeModel(s.modelKind, msg.ModelBlob)
 		if err != nil {
-			s.bcErr = err.Error()
-			return
+			return err
 		}
 		s.model, s.modelHash = m, msg.ModelHash
-	case len(msg.ModelHeader) > 0 && msg.ModelFull:
-		// Partitioned kinds, full restore: header plus the complete part set.
-		m, err := stream.DecodeModelParts(s.modelKind, msg.ModelHeader, msg.ModelParts)
-		if err != nil {
-			s.bcErr = err.Error()
-			return
-		}
-		s.model, s.modelHash = m, msg.ModelHash
-	case len(msg.ModelHeader) > 0:
-		// Partitioned kinds, patch: only the changed parts, applied onto the
-		// model this session already holds. A session that cannot apply the
-		// patch (fresh connection, or a base the driver did not expect)
-		// resyncs instead of serving shares against a wrong ensemble.
-		pm, ok := s.model.(stream.PartitionedModel)
-		if !ok {
-			s.needResync = true
-			return
-		}
-		if err := pm.PatchParts(msg.ModelHeader, msg.ModelPartIdx, msg.ModelParts); err != nil {
-			s.needResync = true
-			return
-		}
-		s.modelHash = msg.ModelHash
 	case s.model == nil || s.modelHash != msg.ModelHash:
-		s.needResync = true
-		return
+		return fmt.Errorf("engine: broadcast elides model %016x, session holds %016x", msg.ModelHash, s.modelHash)
 	}
 
 	stats := norm.NewFeatureStats(feature.NumFeatures)
 	if err := stats.UnmarshalBinary(msg.StatsBlob); err != nil {
-		s.bcErr = err.Error()
-		return
+		return err
 	}
 	s.stats = stats
 
@@ -350,18 +323,16 @@ func (s *execSession) applyBroadcast(msg *wireMsg) {
 		s.preprocess = msg.Preprocess
 		s.vocabVersion = 0
 	}
+	// The vocabulary always holds the seed lexicon, so shipped words are
+	// never an empty list.
 	switch {
-	case msg.VocabBase == 0:
+	case len(msg.VocabWords) > 0:
 		s.extractor.BoW().SetWords(msg.VocabWords)
 		s.vocabVersion = msg.VocabVersion
-	case msg.VocabBase == s.vocabVersion:
-		s.extractor.BoW().AppendWords(msg.VocabWords)
-		s.vocabVersion = msg.VocabVersion
-	default:
-		s.needResync = true
-		return
+	case s.vocabVersion != msg.VocabVersion:
+		return fmt.Errorf("engine: broadcast elides vocabulary version %d, session holds %d", msg.VocabVersion, s.vocabVersion)
 	}
-	s.bcOK = true
+	return nil
 }
 
 // handleData processes, parks, or drops one data frame depending on how
@@ -393,13 +364,8 @@ func (s *execSession) processData(msg *wireMsg) bool {
 	resp := batchResponse{Seq: msg.Seq, Lo: msg.Lo, Hi: msg.Hi, TraceID: msg.TraceID}
 	busy := false
 	switch {
-	case s.needResync:
-		resp.NeedResync = true
-	case !s.bcOK:
+	case s.bcErr != "":
 		resp.Err = s.bcErr
-		if resp.Err == "" {
-			resp.Err = "engine: data frame before any broadcast"
-		}
 	default:
 		e := s.e
 		e.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"redhanded/internal/core"
 	"redhanded/internal/norm"
 	"redhanded/internal/stream"
+	"redhanded/internal/twitterdata"
 )
 
 // fastReconnect keeps fault tests snappy: failed executors are abandoned
@@ -312,7 +313,7 @@ func TestClusterCorruptDeltaFailsOver(t *testing.T) {
 }
 
 // TestClusterReconnectResyncsVocab replaces an executor mid-run with a
-// fresh process on the same address: the driver must reconnect and resync
+// fresh process on the same address: the driver must reconnect and send
 // the full state, including the adaptively-grown vocabulary the new
 // session has never seen.
 func TestClusterReconnectResyncsVocab(t *testing.T) {
@@ -334,7 +335,7 @@ func TestClusterReconnectResyncsVocab(t *testing.T) {
 		waitHandled(t, exB, 2)
 		exB.Close()
 		// Rebind the same address: the driver's reconnect loop finds the
-		// replacement and resyncs it from scratch.
+		// replacement and sends it the full state.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			var err error
@@ -372,28 +373,30 @@ func TestClusterReconnectResyncsVocab(t *testing.T) {
 		t.Fatal("driver never reconnected to the replacement executor")
 	}
 	if exB2 == nil || exB2.Handled() == 0 {
-		t.Fatal("replacement executor served no shares after resync")
+		t.Fatal("replacement executor served no shares after reconnecting")
 	}
 	seedSize := len(core.NewPipeline(testOptions()).Extractor().BoW().Words())
 	if got := exB2.LastVocabSize(); got <= seedSize {
-		t.Fatalf("replacement executor vocab = %d words, want > %d (resync did not deliver the grown vocabulary)", got, seedSize)
+		t.Fatalf("replacement executor vocab = %d words, want > %d (reconnect did not deliver the grown vocabulary)", got, seedSize)
 	}
 	if got, want := exB2.LastVocabSize(), p.Extractor().BoW().Size(); got > want {
 		t.Fatalf("replacement executor vocab = %d words, driver has %d", got, want)
 	}
 }
 
-// TestClusterDeltaMatchesFull proves the delta-broadcast protocol changes
-// only wire cost, never results: the same stream through delta and
-// full-re-broadcast clusters yields identical prequential reports, with
-// the delta run sending a fraction of the broadcast bytes.
+// TestClusterDeltaMatchesFull proves eliding broadcast state by key
+// changes only wire cost, never results: the same labeled/unlabeled mix
+// through eliding and full-re-broadcast clusters yields identical
+// prequential reports, with the eliding run sending fewer broadcast bytes
+// (the vocabulary moves only every UpdateEvery labeled tweets).
 func TestClusterDeltaMatchesFull(t *testing.T) {
 	addrs := startCluster(t, 3, 2)
-	data := testDataset(35, 4000, 2000, 400)
+	labeled := testDataset(35, 2000, 1000, 200)
 
 	run := func(full bool) (Stats, *core.Pipeline) {
 		p := core.NewPipeline(testOptions())
-		stats, err := RunCluster(p, NewSliceSource(data), ClusterConfig{
+		src := NewMixedSource(labeled, twitterdata.NewUnlabeledSource(135, 10), 16000)
+		stats, err := RunCluster(p, src, ClusterConfig{
 			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full,
 		})
 		if err != nil {
@@ -405,84 +408,106 @@ func TestClusterDeltaMatchesFull(t *testing.T) {
 	deltaStats, deltaP := run(false)
 
 	if got, want := deltaP.Summary(), fullP.Summary(); got != want {
-		t.Errorf("delta broadcasts changed results:\ndelta %+v\nfull  %+v", got, want)
+		t.Errorf("elided broadcasts changed results:\nelided %+v\nfull   %+v", got, want)
 	}
 	if !reflect.DeepEqual(deltaP.Evaluator().Matrix(), fullP.Evaluator().Matrix()) {
-		t.Error("delta broadcasts changed the confusion matrix")
+		t.Error("elided broadcasts changed the confusion matrix")
 	}
 	if deltaStats.BroadcastBytes >= fullStats.BroadcastBytes {
-		t.Errorf("delta broadcast bytes %d not below full %d", deltaStats.BroadcastBytes, fullStats.BroadcastBytes)
+		t.Errorf("eliding broadcast bytes %d not below full %d", deltaStats.BroadcastBytes, fullStats.BroadcastBytes)
 	}
 }
 
 // TestClusterSteadyStateBroadcastShrinks runs an unlabeled-only stream
 // (model and vocabulary never change after the first batch) and checks the
-// steady-state broadcast cost per batch collapses versus the full
-// re-broadcast protocol.
+// steady-state broadcast cost per batch collapses versus re-sending the
+// full state: every batch after the first elides the model and the
+// vocabulary by key. The ARF's forest is elided whole, like the tree.
 func TestClusterSteadyStateBroadcastShrinks(t *testing.T) {
 	addrs := startCluster(t, 2, 2)
-	// Warm the model so its blob has realistic size.
-	warm := testDataset(36, 3000, 1500, 300)
-	measure := func(full bool) (perBatch int64) {
-		p := core.NewPipeline(testOptions())
-		if _, err := RunCluster(p, NewSliceSource(warm), ClusterConfig{
-			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// Steady state: unlabeled traffic only.
-		src := NewSliceSource(unlabeledTweets(37, 5000))
-		stats, err := RunCluster(p, src, ClusterConfig{
-			Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full,
+	for _, tc := range []struct {
+		name      string
+		model     core.ModelKind
+		unlabeled int
+		// shrink is the factor the per-batch average must drop by. The first
+		// steady batch still ships the full state to the fresh connections,
+		// so the average carries one full payload over unlabeled/500
+		// batches; bench/'s engine.cluster_broadcast_bytes_per_batch
+		// amortizes over more.
+		shrink int64
+	}{
+		{"HT", core.ModelHT, 5000, 2},
+		{"ARF", core.ModelARF, 10000, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			measure := func(full bool) (perBatch int64) {
+				opts := testOptions()
+				opts.Model = tc.model
+				opts.ARF.EnsembleSize = 5
+				p := core.NewPipeline(opts)
+				cfg := ClusterConfig{Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full}
+				// Warm the model so its blob has realistic size.
+				if _, err := RunCluster(p, NewSliceSource(testDataset(36, 3000, 1500, 300)), cfg); err != nil {
+					t.Fatal(err)
+				}
+				stats, err := RunCluster(p, NewSliceSource(unlabeledTweets(37, tc.unlabeled)), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return stats.BroadcastBytes / int64(stats.Batches)
+			}
+			full, elided := measure(true), measure(false)
+			if elided*tc.shrink > full {
+				t.Errorf("steady-state broadcast bytes/batch: elided %d, full %d — expected at least %dx shrink", elided, full, tc.shrink)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.BroadcastBytes / int64(stats.Batches)
-	}
-	full := measure(true)
-	delta := measure(false)
-	// The first steady batch still broadcasts the full state to the fresh
-	// connections, so the average includes one full payload over 10
-	// batches; require a 2x shrink here and leave the steady-state figure
-	// to bench/'s engine.cluster_broadcast_bytes_per_batch, which
-	// amortizes over more batches.
-	if delta*2 > full {
-		t.Errorf("steady-state broadcast bytes/batch: delta %d, full %d — expected at least 2x shrink", delta, full)
 	}
 }
 
-// TestClusterARFPerMemberElision checks the acceptance target of the
-// partitioned broadcast: with no drift events and an unchanged forest
-// (steady unlabeled traffic), the delta protocol's broadcast cost per
-// batch collapses to at most 1/EnsembleSize of the full-forest broadcast —
-// the whole point of hashing members individually instead of shipping ten
-// trees because one might have changed.
-func TestClusterARFPerMemberElision(t *testing.T) {
-	const ensemble = 5
-	addrs := startCluster(t, 2, 2)
-	warm := testDataset(43, 2000, 1000, 200)
-	measure := func(full bool) (perBatch int64) {
-		opts := testOptions()
-		opts.Model = core.ModelARF
-		opts.ARF.EnsembleSize = ensemble
-		p := core.NewPipeline(opts)
-		cfg := ClusterConfig{Executors: addrs, BatchSize: 500, TasksPerExecutor: 2, fullBroadcast: full}
-		if _, err := RunCluster(p, NewSliceSource(warm), cfg); err != nil {
-			t.Fatal(err)
-		}
-		// Steady state: unlabeled traffic only, so no member tree changes.
-		src := NewSliceSource(unlabeledTweets(44, 10000))
-		stats, err := RunCluster(p, src, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.BroadcastBytes / int64(stats.Batches)
+// dialSession opens a hand-driven SLR session with ex and checks the hello
+// ack.
+func dialSession(t *testing.T, ex *Executor) (*gob.Encoder, *gob.Decoder) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ex.Addr())
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := measure(true)
-	delta := measure(false)
-	if delta*ensemble > full {
-		t.Errorf("steady-state ARF broadcast bytes/batch: delta %d, full %d — want <= 1/%d", delta, full, ensemble)
+	t.Cleanup(func() { conn.Close() })
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	if err := enc.Encode(&wireMsg{Kind: msgHello, Seq: -1, Proto: clusterProtoVersion, ModelKind: "SLR"}); err != nil {
+		t.Fatal(err)
+	}
+	var ack batchResponse
+	if err := dec.Decode(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Err != "" {
+		t.Fatalf("hello rejected: %s", ack.Err)
+	}
+	return enc, dec
+}
+
+// fullBroadcastFrame returns the broadcast a fresh session of an SLR
+// pipeline receives: the model and the whole vocabulary under their keys.
+func fullBroadcastFrame(t *testing.T) wireMsg {
+	t.Helper()
+	opts := testOptions()
+	opts.Model = core.ModelSLR
+	p := core.NewPipeline(opts)
+	modelBlob, err := p.Model().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsBlob, err := p.Normalizer().Stats.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bow := p.Extractor().BoW()
+	return wireMsg{
+		Kind: msgBroadcast, Seq: 1,
+		ModelHash: stream.Hash64(modelBlob), ModelBlob: modelBlob, StatsBlob: statsBlob,
+		VocabVersion: bow.SnapshotVersion(), VocabWords: bow.Words(),
+		Preprocess: true, NormMode: int(p.Normalizer().Mode), Scheme: int(p.Options().Scheme),
 	}
 }
 
@@ -494,47 +519,12 @@ func TestExecutorCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", ex.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-
-	if err := enc.Encode(&wireMsg{Kind: msgHello, Seq: -1, Proto: clusterProtoVersion, ModelKind: "SLR"}); err != nil {
-		t.Fatal(err)
-	}
-	var ack batchResponse
-	if err := dec.Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err != "" {
-		t.Fatalf("hello rejected: %s", ack.Err)
-	}
-
-	p := core.NewPipeline(func() core.Options {
-		o := testOptions()
-		o.Model = core.ModelSLR
-		return o
-	}())
-	modelBlob, err := p.Model().(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	statsBlob, err := p.Normalizer().Stats.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := testDataset(38, 400, 200, 40)
-	bcast := wireMsg{
-		Kind: msgBroadcast, Seq: 1,
-		ModelHash: stream.Hash64(modelBlob), ModelBlob: modelBlob, StatsBlob: statsBlob,
-		VocabBase: 0, VocabVersion: 1, VocabWords: p.Extractor().BoW().Words(),
-		Preprocess: true, NormMode: int(p.Normalizer().Mode), Scheme: int(p.Options().Scheme),
-	}
+	enc, dec := dialSession(t, ex)
+	bcast := fullBroadcastFrame(t)
 	if err := enc.Encode(&bcast); err != nil {
 		t.Fatal(err)
 	}
+	data := testDataset(38, 400, 200, 40)
 	share := wireMsg{Kind: msgData, Seq: 1, Lo: 0, Hi: len(data), Tasks: 2, Tweets: data}
 	if err := enc.Encode(&share); err != nil {
 		t.Fatal(err)
@@ -549,7 +539,7 @@ func TestExecutorCloseDrains(t *testing.T) {
 	if err := dec.Decode(&resp); err != nil {
 		t.Fatalf("in-flight share response lost during Close: %v", err)
 	}
-	if resp.Err != "" || resp.NeedResync {
+	if resp.Err != "" {
 		t.Fatalf("share failed: %+v", resp)
 	}
 	if len(resp.Classified) != len(data) {
@@ -560,6 +550,62 @@ func TestExecutorCloseDrains(t *testing.T) {
 	}
 	if ex.ActiveConns() != 0 {
 		t.Fatalf("connections survived Close: %d", ex.ActiveConns())
+	}
+}
+
+// TestExecutorRejectsElidedStateItLacks drives the broadcast rule by hand:
+// a broadcast that elides a model or vocabulary the session does not hold
+// answers the batch's share with an Err, never with results computed
+// against the wrong state. Once the state has shipped whole, eliding it is
+// exactly what keeps the steady state cheap.
+func TestExecutorRejectsElidedStateItLacks(t *testing.T) {
+	ex, err := StartExecutor("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	full := fullBroadcastFrame(t)
+	data := testDataset(39, 40, 20, 4)
+	for _, tc := range []struct {
+		name  string
+		elide func(*wireMsg)
+	}{
+		{"model", func(m *wireMsg) { m.ModelBlob = nil }},
+		{"vocabulary", func(m *wireMsg) { m.VocabWords = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc, dec := dialSession(t, ex)
+			share := func(bc wireMsg) batchResponse {
+				t.Helper()
+				if err := enc.Encode(&bc); err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Encode(&wireMsg{Kind: msgData, Seq: bc.Seq, Lo: 0, Hi: len(data), Tasks: 1, Tweets: data}); err != nil {
+					t.Fatal(err)
+				}
+				var resp batchResponse
+				if err := dec.Decode(&resp); err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			elided := func(seq int64) wireMsg {
+				bc := full
+				bc.Seq = seq
+				tc.elide(&bc)
+				return bc
+			}
+			if resp := share(elided(1)); resp.Err == "" || len(resp.Classified) != 0 {
+				t.Fatalf("fresh session served a broadcast eliding its %s: %+v", tc.name, resp)
+			}
+			whole := full
+			whole.Seq = 2
+			for _, bc := range []wireMsg{whole, elided(3)} {
+				if resp := share(bc); resp.Err != "" || len(resp.Classified) != len(data) {
+					t.Fatalf("batch %d: share failed: err %q, %d of %d classified", bc.Seq, resp.Err, len(resp.Classified), len(data))
+				}
+			}
+		})
 	}
 }
 
@@ -614,44 +660,6 @@ func TestExecutorErrSurfacesAcceptFailure(t *testing.T) {
 	}
 	if err := ex.Close(); err == nil {
 		t.Fatal("Close should return the accept-loop error")
-	}
-}
-
-// TestVocabStateDiff unit-tests the driver-side vocabulary log: appends
-// produce diffs, removals force an epoch rebuild, and per-node version
-// bookkeeping selects between diff and full broadcast.
-func TestVocabStateDiff(t *testing.T) {
-	var v vocabState
-	v.refresh([]string{"b", "a"})
-	if v.version != 1 || len(v.log) != 2 {
-		t.Fatalf("initial refresh: version=%d log=%v", v.version, v.log)
-	}
-	if v.log[0] != "a" || v.log[1] != "b" {
-		t.Fatalf("log not sorted: %v", v.log)
-	}
-
-	// Pure growth: append-only log, epoch unchanged.
-	v.refresh([]string{"a", "b", "c"})
-	if v.version != 2 || v.epoch != 0 {
-		t.Fatalf("append refresh: version=%d epoch=%d", v.version, v.epoch)
-	}
-	if len(v.log) != 3 || v.log[2] != "c" {
-		t.Fatalf("log after append: %v", v.log)
-	}
-
-	// No change: version stable.
-	v.refresh([]string{"c", "a", "b"})
-	if v.version != 2 {
-		t.Fatalf("no-op refresh bumped version to %d", v.version)
-	}
-
-	// Removal: epoch advances and the log is rebuilt.
-	v.refresh([]string{"a", "c", "d"})
-	if v.version != 3 || v.epoch != 3 {
-		t.Fatalf("removal refresh: version=%d epoch=%d", v.version, v.epoch)
-	}
-	if len(v.log) != 3 || v.log[0] != "a" || v.log[1] != "c" || v.log[2] != "d" {
-		t.Fatalf("rebuilt log: %v", v.log)
 	}
 }
 

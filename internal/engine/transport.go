@@ -7,7 +7,7 @@ import (
 	"redhanded/internal/twitterdata"
 )
 
-// The cluster wire protocol (v3). Each driver→executor connection carries a
+// The cluster wire protocol (v4). Each driver→executor connection carries a
 // gob stream of wireMsg frames; the executor answers data frames (and the
 // hello) with batchResponse frames. A session carries four frame kinds:
 //
@@ -15,13 +15,10 @@ import (
 //	           kind set comes from the stream codec registry, so a driver
 //	           running a model this executor build cannot decode fails
 //	           fast at connect)
-//	broadcast  one per (node, batch): stats always; the model only when its
-//	           hash changed — a stream.PartitionedModel (the ARF) as a
-//	           header plus only the parts whose own hash moved, such as a
-//	           drift-replaced or freshly grown member; the vocabulary as an
-//	           append-only diff against the version the node acknowledged
-//	           (the adaptive BoW mostly grows, Fig. 10, so the steady-state
-//	           diff is empty)
+//	broadcast  one per (node, batch): the statistics always; the model and
+//	           the vocabulary under their keys (ModelHash, VocabVersion),
+//	           each shipped whole exactly when its key differs from the one
+//	           the session acknowledged
 //	data       one per share: the tweets plus the share's [lo,hi) bounds
 //	shutdown   polite end-of-run so executors drop the session cleanly
 //
@@ -29,14 +26,14 @@ import (
 // encodes and ships batch k+1's tweets while batch k's round trip is still
 // in flight, and sends k+1's broadcast only after k's deltas are merged —
 // preserving the test-then-train ordering the driver-side merge requires.
-// The version handshake (ModelHash, VocabBase→VocabVersion) lets a
-// reconnecting executor resync from scratch: the driver resets its per-node
-// bookkeeping on every (re)connect, and an executor that receives a delta
-// it has no base for answers NeedResync instead of guessing.
+// Sessions are per connection and the driver resets a node's keys on every
+// (re)connect, so a fresh session receives everything. A broadcast that
+// elides state the session does not hold fails that batch's shares with an
+// Err, which the driver handles like any failed share: fail over, reconnect.
 
 // clusterProtoVersion is negotiated in the hello exchange; mismatched
 // driver/executor builds fail fast instead of mis-decoding frames.
-const clusterProtoVersion = 3
+const clusterProtoVersion = 4
 
 // Message kinds carried in wireMsg.Kind.
 const (
@@ -59,22 +56,11 @@ type wireMsg struct {
 	ModelKind string
 
 	// Broadcast fields.
-	ModelHash uint64 // stream.Hash64 of the serialized global model
-	ModelBlob []byte // monolithic kinds; omitted when the executor already holds ModelHash
-
-	// Partitioned kinds (stream.PartitionedModel) broadcast a header plus
-	// per-part blobs instead of ModelBlob. ModelFull marks a complete part
-	// set (fresh restore); otherwise ModelParts carries only the parts at
-	// ModelPartIdx, patched onto the model the session already holds.
-	ModelHeader  []byte
-	ModelPartIdx []int
-	ModelParts   [][]byte
-	ModelFull    bool
-
-	StatsBlob    []byte // normalizer statistics (always full; they change every batch)
-	VocabBase    uint64 // vocab version the words extend (0 = full replacement)
-	VocabVersion uint64 // vocab version after applying this message
-	VocabWords   []string
+	ModelHash    uint64   // stream.Hash64 of the serialized global model
+	ModelBlob    []byte   // omitted when the session already holds ModelHash
+	StatsBlob    []byte   // normalizer statistics (always full; they change every batch)
+	VocabVersion uint64   // the driver BoW's snapshot version
+	VocabWords   []string // the whole vocabulary; omitted when the session holds VocabVersion
 	Preprocess   bool
 	NormMode     int
 	Scheme       int
@@ -89,9 +75,7 @@ type wireMsg struct {
 
 	// TraceID carries the driver's batch-span trace context (0 when driver
 	// tracing is off, and on pre-sent frames, which ship before their batch
-	// span exists). gob elides zero fields and ignores unknown ones, so the
-	// field is compatible in both directions with executors that predate it
-	// — the protocol version stays 3.
+	// span exists).
 	TraceID uint64
 }
 
@@ -106,11 +90,6 @@ type batchResponse struct {
 	// Hello-ack fields.
 	Proto int
 
-	// NeedResync reports that the executor cannot apply the broadcast it
-	// was sent (unknown model hash or vocabulary base); the driver answers
-	// by resending the full state.
-	NeedResync bool
-
 	// Share results.
 	DeltaBlobs [][]byte
 	StatsBlob  []byte
@@ -121,8 +100,7 @@ type batchResponse struct {
 	// spent computing the share (extraction through delta encode). The
 	// driver attributes ExecNanos to the batch span's executor_compute
 	// stage — the share round trip's wall time minus this is wire and
-	// queueing cost. Old executors leave both zero (gob omits them), which
-	// the driver treats as "no attribution available".
+	// queueing cost. Zero means no attribution is available.
 	TraceID   uint64
 	ExecNanos int64
 }

@@ -295,22 +295,6 @@ func (b *AdaptiveBoW) SetWords(words []string) {
 	b.rebuildSnapshot()
 }
 
-// AppendWords adds broadcast words without touching existing membership —
-// the executor side of the cluster's vocabulary diff protocol, where the
-// driver ships only the words appended since the version the executor
-// already holds. Appending an empty diff is free.
-func (b *AdaptiveBoW) AppendWords(words []string) {
-	if len(words) == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, w := range words {
-		b.words[w] = true
-	}
-	b.rebuildSnapshot()
-}
-
 // Contains reports membership of the lower-cased token.
 func (b *AdaptiveBoW) Contains(token string) bool {
 	b.mu.RLock()

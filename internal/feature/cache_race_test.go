@@ -80,9 +80,9 @@ func TestCacheConcurrentReadsVsRepublication(t *testing.T) {
 		}(r)
 	}
 
-	// Writer: one republication per appended word, interleaved with reads.
+	// Writer: one republication per added word, interleaved with reads.
 	for i := 0; i < rounds; i++ {
-		ex.BoW().AppendWords(words[i : i+1])
+		ex.BoW().SetWords(append(ex.BoW().Words(), words[i]))
 	}
 	close(done)
 	wg.Wait()

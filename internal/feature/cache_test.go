@@ -76,7 +76,7 @@ func TestCacheInvalidationOnRepublication(t *testing.T) {
 	}
 
 	v := ex.BoW().SnapshotVersion()
-	ex.BoW().AppendWords([]string{"blargword"})
+	ex.BoW().SetWords(append(ex.BoW().Words(), "blargword"))
 	if got := ex.BoW().SnapshotVersion(); got != v+1 {
 		t.Fatalf("snapshot version did not bump: %d -> %d", v, got)
 	}

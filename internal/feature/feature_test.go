@@ -304,28 +304,3 @@ func TestExtractorLearnUpdatesBoW(t *testing.T) {
 		t.Fatalf("unlabeled tweets changed the BoW")
 	}
 }
-
-// TestBoWAppendWords covers the executor side of the cluster vocabulary
-// diff protocol: appends extend membership without touching existing
-// words, empty diffs are no-ops, and the lock-free snapshot follows.
-func TestBoWAppendWords(t *testing.T) {
-	b := NewAdaptiveBoW(BoWConfig{Frozen: true})
-	b.SetWords([]string{"alpha", "beta"})
-	b.AppendWords(nil) // empty diff: free
-	if b.Size() != 2 {
-		t.Fatalf("size after empty append = %d, want 2", b.Size())
-	}
-	b.AppendWords([]string{"gamma", "delta"})
-	if b.Size() != 4 {
-		t.Fatalf("size after append = %d, want 4", b.Size())
-	}
-	for _, w := range []string{"alpha", "beta", "gamma", "delta"} {
-		if !b.Contains(w) {
-			t.Errorf("BoW lost %q", w)
-		}
-		// The fast-path snapshot must see appended words too.
-		if b.lookupSnapshot().lookup([]byte(w))&infoBoW == 0 {
-			t.Errorf("snapshot missing %q after append", w)
-		}
-	}
-}

@@ -87,7 +87,7 @@ func TestFusedTableMatchesLegacyLists(t *testing.T) {
 	var extractors []*Extractor
 	for _, preprocess := range []bool{true, false} {
 		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
-		e.BoW().AppendWords(learned)
+		e.BoW().SetWords(append(e.BoW().Words(), learned...))
 		extractors = append(extractors, e)
 	}
 	e := extractors[0]

@@ -8,19 +8,14 @@ import (
 	"redhanded/internal/ml"
 )
 
-// ARF wire formats. Three encodings share the DTOs in this file:
+// ARF wire formats. Two encodings share the DTOs in this file:
 //
 //   - the full encoding (MarshalBinary/UnmarshalBinary) captures everything
 //     a restart needs — member trees, background trees, ADWIN/DDM detector
 //     state, the structural RNG state, and the generation counters — so a
-//     checkpointed forest resumes bit-for-bit;
-//   - the parts encoding (MarshalParts/UnmarshalParts/PatchParts) is the
-//     broadcast format: a small header (config, train count, per-member
-//     vote weights and generations) plus one part per ensemble slot
-//     (foreground + background tree). Executors never run drift detection,
-//     so detector and RNG state stay off the wire, and the driver's
-//     per-part hash elision ships only the members that actually changed —
-//     in steady state, none;
+//     checkpointed forest resumes bit-for-bit. It is also the broadcast
+//     format: executors decode it like any other kind and simply never run
+//     the detectors it carries;
 //   - the delta encoding (State/AccumulatorFromState) ships one Hoeffding
 //     delta per member tree (plus active background trees) with the
 //     generation snapshot that lets the driver drop deltas built against a
@@ -151,7 +146,7 @@ func (f *AdaptiveRandomForest) restoreDetector(st detectorState) memberDetector 
 	}
 }
 
-// --- full encoding (checkpoint / broadcast-emulation round trip) ---
+// --- full encoding (checkpoint and broadcast) ---
 
 // arfMemberState is the full-fidelity gob DTO of one ensemble slot.
 type arfMemberState struct {
@@ -215,7 +210,9 @@ func (f *AdaptiveRandomForest) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores the forest state in place.
+// UnmarshalBinary restores the forest state in place. Every member tree
+// must share the forest's class and feature counts; a malformed encoding
+// is an error and leaves the forest untouched.
 func (f *AdaptiveRandomForest) UnmarshalBinary(data []byte) error {
 	var st arfState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -224,6 +221,35 @@ func (f *AdaptiveRandomForest) UnmarshalBinary(data []byte) error {
 	if st.Cfg.NumClasses < 2 || len(st.Members) == 0 {
 		return fmt.Errorf("stream: ARF encoding has no usable ensemble")
 	}
+	decodeTree := func(blob []byte) (*HoeffdingTree, error) {
+		t := new(HoeffdingTree)
+		if err := t.UnmarshalBinary(blob); err != nil {
+			return nil, err
+		}
+		if t.cfg.NumClasses != st.Cfg.NumClasses || t.cfg.NumFeatures != st.Cfg.NumFeatures {
+			return nil, fmt.Errorf("stream: ARF member tree has %d classes and %d features, forest %d and %d",
+				t.cfg.NumClasses, t.cfg.NumFeatures, st.Cfg.NumClasses, st.Cfg.NumFeatures)
+		}
+		return t, nil
+	}
+	members := make([]*arfMember, 0, len(st.Members))
+	for _, ms := range st.Members {
+		m := &arfMember{
+			gen: ms.Gen, bgGen: ms.BgGen,
+			seen: ms.Seen, correct: ms.Correct,
+			warnings: ms.Warnings, drifts: ms.Drifts, replacements: ms.Replacements,
+		}
+		var err error
+		if m.tree, err = decodeTree(ms.Tree); err != nil {
+			return fmt.Errorf("stream: decode ARF member tree: %w", err)
+		}
+		if len(ms.Background) > 0 {
+			if m.background, err = decodeTree(ms.Background); err != nil {
+				return fmt.Errorf("stream: decode ARF background tree: %w", err)
+			}
+		}
+		members = append(members, m)
+	}
 	f.cfg = st.Cfg
 	f.rng = ml.NewRNG(st.Cfg.Seed)
 	f.rng.SetState(st.RngState)
@@ -231,193 +257,11 @@ func (f *AdaptiveRandomForest) UnmarshalBinary(data []byte) error {
 	f.nextGen = st.NextGen
 	f.drifts = st.Drifts
 	f.warnings = st.Warnings
-	f.members = nil
-	for _, ms := range st.Members {
-		m := &arfMember{
-			gen: ms.Gen, bgGen: ms.BgGen,
-			seen: ms.Seen, correct: ms.Correct,
-			warnings: ms.Warnings, drifts: ms.Drifts, replacements: ms.Replacements,
-			tree: new(HoeffdingTree),
-		}
-		if err := m.tree.UnmarshalBinary(ms.Tree); err != nil {
-			return fmt.Errorf("stream: decode ARF member tree: %w", err)
-		}
-		if len(ms.Background) > 0 {
-			m.background = new(HoeffdingTree)
-			if err := m.background.UnmarshalBinary(ms.Background); err != nil {
-				return fmt.Errorf("stream: decode ARF background tree: %w", err)
-			}
-		}
-		m.detector = f.restoreDetector(ms.Detector)
-		f.members = append(f.members, m)
+	for i, m := range members {
+		m.detector = f.restoreDetector(st.Members[i].Detector)
 	}
+	f.members = members
 	f.epoch++ // the whole ensemble was rebuilt: invalidate compiled snapshots
-	return nil
-}
-
-// --- parts encoding (per-member broadcast elision) ---
-
-// arfMemberHeader is the always-shipped per-member broadcast metadata.
-type arfMemberHeader struct {
-	Gen     uint64
-	BgGen   uint64
-	Seen    float64
-	Correct float64
-}
-
-// arfPartsHeader is the broadcast header.
-type arfPartsHeader struct {
-	Cfg        ARFConfig
-	TrainCount int64
-	NextGen    uint64
-	Members    []arfMemberHeader
-}
-
-// arfMemberPart is one broadcast part: the member's foreground tree and,
-// when active, its background tree.
-type arfMemberPart struct {
-	Tree       []byte
-	Background []byte
-}
-
-// MarshalParts implements PartitionedModel.
-func (f *AdaptiveRandomForest) MarshalParts() ([]byte, [][]byte, error) {
-	hdr := arfPartsHeader{Cfg: f.cfg, TrainCount: f.trainCount, NextGen: f.nextGen}
-	parts := make([][]byte, 0, len(f.members))
-	for _, m := range f.members {
-		hdr.Members = append(hdr.Members, arfMemberHeader{
-			Gen: m.gen, BgGen: m.bgGen, Seen: m.seen, Correct: m.correct,
-		})
-		tree, err := m.tree.MarshalBinary()
-		if err != nil {
-			return nil, nil, fmt.Errorf("stream: encode ARF part: %w", err)
-		}
-		part := arfMemberPart{Tree: tree}
-		if m.background != nil {
-			if part.Background, err = m.background.MarshalBinary(); err != nil {
-				return nil, nil, fmt.Errorf("stream: encode ARF part: %w", err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(part); err != nil {
-			return nil, nil, fmt.Errorf("stream: encode ARF part: %w", err)
-		}
-		parts = append(parts, buf.Bytes())
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(hdr); err != nil {
-		return nil, nil, fmt.Errorf("stream: encode ARF header: %w", err)
-	}
-	return buf.Bytes(), parts, nil
-}
-
-// decodeMemberPart decodes one part blob into the member's trees.
-func (m *arfMember) decodePart(blob []byte) error {
-	var part arfMemberPart
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&part); err != nil {
-		return fmt.Errorf("stream: decode ARF part: %w", err)
-	}
-	m.tree = new(HoeffdingTree)
-	if err := m.tree.UnmarshalBinary(part.Tree); err != nil {
-		return fmt.Errorf("stream: decode ARF part tree: %w", err)
-	}
-	m.background = nil
-	if len(part.Background) > 0 {
-		m.background = new(HoeffdingTree)
-		if err := m.background.UnmarshalBinary(part.Background); err != nil {
-			return fmt.Errorf("stream: decode ARF part background: %w", err)
-		}
-	}
-	return nil
-}
-
-func decodePartsHeader(header []byte) (arfPartsHeader, error) {
-	var hdr arfPartsHeader
-	if err := gob.NewDecoder(bytes.NewReader(header)).Decode(&hdr); err != nil {
-		return hdr, fmt.Errorf("stream: decode ARF header: %w", err)
-	}
-	if hdr.Cfg.NumClasses < 2 || len(hdr.Members) == 0 {
-		return hdr, fmt.Errorf("stream: ARF header has no usable ensemble")
-	}
-	return hdr, nil
-}
-
-// applyHeader installs the header's forest-level and per-member metadata.
-func (f *AdaptiveRandomForest) applyHeader(hdr arfPartsHeader) {
-	f.cfg = hdr.Cfg
-	f.trainCount = hdr.TrainCount
-	f.nextGen = hdr.NextGen
-	for i, mh := range hdr.Members {
-		m := f.members[i]
-		m.gen, m.bgGen = mh.Gen, mh.BgGen
-		m.seen, m.correct = mh.Seen, mh.Correct
-	}
-}
-
-// UnmarshalParts implements PartitionedModel: a full restore from the
-// complete part set. Detectors and the structural RNG come up fresh —
-// replicas restored this way only predict and accumulate; drift handling
-// stays at the driver.
-func (f *AdaptiveRandomForest) UnmarshalParts(header []byte, parts [][]byte) error {
-	hdr, err := decodePartsHeader(header)
-	if err != nil {
-		return err
-	}
-	if len(parts) != len(hdr.Members) {
-		return fmt.Errorf("stream: ARF broadcast has %d parts for %d members", len(parts), len(hdr.Members))
-	}
-	f.cfg = hdr.Cfg
-	f.rng = ml.NewRNG(hdr.Cfg.Seed)
-	f.members = make([]*arfMember, len(parts))
-	for i := range parts {
-		m := &arfMember{detector: f.newDetector()}
-		if err := m.decodePart(parts[i]); err != nil {
-			return err
-		}
-		f.members[i] = m
-	}
-	f.applyHeader(hdr)
-	f.epoch++
-	return nil
-}
-
-// PatchParts implements PartitionedModel: it patches the given member
-// slots and refreshes the header metadata on an already-restored forest.
-// A patch that references a member generation this forest does not hold
-// (and does not carry the part for it) fails, so the session can answer
-// NeedResync instead of serving shares against a wrong ensemble.
-func (f *AdaptiveRandomForest) PatchParts(header []byte, idx []int, parts [][]byte) error {
-	hdr, err := decodePartsHeader(header)
-	if err != nil {
-		return err
-	}
-	if len(hdr.Members) != len(f.members) {
-		return fmt.Errorf("stream: ARF patch has %d members, forest has %d", len(hdr.Members), len(f.members))
-	}
-	if len(idx) != len(parts) {
-		return fmt.Errorf("stream: ARF patch has %d indexes for %d parts", len(idx), len(parts))
-	}
-	patched := make(map[int]bool, len(idx))
-	for k, i := range idx {
-		if i < 0 || i >= len(f.members) {
-			return fmt.Errorf("stream: ARF patch part index %d out of range", i)
-		}
-		if err := f.members[i].decodePart(parts[k]); err != nil {
-			return err
-		}
-		patched[i] = true
-	}
-	for i, mh := range hdr.Members {
-		m := f.members[i]
-		if !patched[i] && (mh.Gen != m.gen || mh.BgGen != m.bgGen) {
-			return fmt.Errorf("stream: ARF patch skips member %d whose trees changed", i)
-		}
-	}
-	f.applyHeader(hdr)
-	// Unpatched member trees keep their pointers, so a compiled snapshot
-	// built against the pre-patch forest re-flattens only the patched
-	// slots on the next CompileSnapshot.
-	f.epoch++
 	return nil
 }
 
@@ -481,6 +325,14 @@ func (f *AdaptiveRandomForest) AccumulatorFromState(data []byte) (ml.Accumulator
 		len(st.Seen) != n || len(st.Trees) != n || len(st.BgTrees) != n {
 		return nil, fmt.Errorf("stream: ARF delta shape does not match a %d-member forest", n)
 	}
+	// Every member scores every observed instance, so each member's seen
+	// count is the delta's count and its errors lie within it.
+	for i := range st.Seen {
+		if st.Count < 0 || st.Seen[i] != float64(st.Count) || !(st.Errors[i] >= 0 && st.Errors[i] <= st.Seen[i]) {
+			return nil, fmt.Errorf("stream: ARF delta member %d scored %v instances with %v errors, delta counts %d",
+				i, st.Seen[i], st.Errors[i], st.Count)
+		}
+	}
 	acc := &arfAccumulator{
 		forest: f,
 		count:  st.Count,
@@ -518,6 +370,5 @@ func init() {
 // Interface conformance checks.
 var (
 	_ RemoteTrainable     = (*AdaptiveRandomForest)(nil)
-	_ PartitionedModel    = (*AdaptiveRandomForest)(nil)
 	_ StatefulAccumulator = (*arfAccumulator)(nil)
 )

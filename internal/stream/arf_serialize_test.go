@@ -87,65 +87,6 @@ func TestARFSerializationRoundTripDDM(t *testing.T) {
 	samePredictions(t, arf, r, gaussianStream(300, 2, 4, 4, 51), "DDM continuation")
 }
 
-func TestARFPartsPatchEquivalence(t *testing.T) {
-	arf := trainedARF(t, 3000, 24)
-	h1, p1, err := arf.MarshalParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica, err := DecodeModelParts(KindARF, h1, p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := gaussianStream(400, 2, 4, 4, 52)
-	samePredictions(t, arf, replica, test, "parts restore")
-
-	// Train on: members change; ship only the parts whose hash moved (the
-	// driver's elision rule) and the replica must predict identically.
-	for _, in := range gaussianStream(2000, 2, 4, 4, 25) {
-		arf.Train(in)
-	}
-	h2, p2, err := arf.MarshalParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var idx []int
-	var changed [][]byte
-	for i := range p2 {
-		if Hash64(p2[i]) != Hash64(p1[i]) {
-			idx = append(idx, i)
-			changed = append(changed, p2[i])
-		}
-	}
-	if err := replica.(PartitionedModel).PatchParts(h2, idx, changed); err != nil {
-		t.Fatal(err)
-	}
-	samePredictions(t, arf, replica, test, "parts patch")
-}
-
-func TestARFPartsPatchRejectsMissingMember(t *testing.T) {
-	arf := trainedARF(t, 2000, 26)
-	h1, p1, err := arf.MarshalParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica, err := DecodeModelParts(KindARF, h1, p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force a tree replacement so a member's generation moves, then send a
-	// patch that skips that member: the replica must refuse (NeedResync
-	// territory) instead of serving predictions with a stale tree.
-	arf.replaceTree(arf.members[2])
-	h2, _, err := arf.MarshalParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replica.(PartitionedModel).PatchParts(h2, nil, nil); err == nil {
-		t.Fatal("patch skipping a replaced member was accepted")
-	}
-}
-
 func TestARFRemoteAccumulatorRoundTrip(t *testing.T) {
 	global := trainedARF(t, 3000, 27)
 	// Give one member a background tree so the delta covers it too.
@@ -191,9 +132,6 @@ func TestARFDeltaGarbageRejected(t *testing.T) {
 	}
 	if err := arf.UnmarshalBinary([]byte("garbage")); err == nil {
 		t.Fatal("garbage ARF model accepted")
-	}
-	if _, err := DecodeModelParts(KindARF, []byte("garbage"), nil); err == nil {
-		t.Fatal("garbage ARF header accepted")
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // boundary — cluster broadcast, accumulator deltas shipped back to the
 // driver, core checkpoints — registers a Codec here, keyed by a stable wire
 // tag. The transport, checkpoint, and serving layers operate purely on the
-// registry: adding a new model kind means implementing Model (plus,
-// optionally, PartitionedModel) and calling RegisterCodec from an init — no
-// switch in any other layer grows a new branch.
+// registry: adding a new model kind means implementing Model and calling
+// RegisterCodec from an init — no switch in any other layer grows a new
+// branch.
 
 // Model is what every engine needs of a streaming classifier: it crosses
 // process boundaries (RemoteTrainable — broadcast, accumulator deltas,
@@ -30,8 +30,7 @@ type Codec struct {
 	// Kind is the stable wire tag negotiated in the cluster hello and
 	// written into checkpoints.
 	Kind string
-	// New returns an empty model of this kind, ready for UnmarshalBinary
-	// (or UnmarshalParts when the model is partitioned).
+	// New returns an empty model of this kind, ready for UnmarshalBinary.
 	New func() Model
 }
 
@@ -107,48 +106,9 @@ func DecodeModel(kind string, data []byte) (Model, error) {
 	return m, nil
 }
 
-// PartitionedModel is a RemoteTrainable whose broadcast state splits into
-// independently-versioned parts (the Adaptive Random Forest's member
-// slots). The driver hashes each part and ships only the parts whose hash
-// a node does not already hold, so a steady-state broadcast costs the
-// header plus the changed parts instead of the whole model.
-type PartitionedModel interface {
-	RemoteTrainable
-	// MarshalParts serializes the broadcast state: a header (configuration
-	// and per-part metadata, always shipped when anything changed) plus one
-	// blob per part.
-	MarshalParts() (header []byte, parts [][]byte, err error)
-	// UnmarshalParts restores a model from a header and the complete part
-	// set, replacing the receiver's state.
-	UnmarshalParts(header []byte, parts [][]byte) error
-	// PatchParts applies a delta onto an already-restored model: the header
-	// plus the parts at the given indexes. It must fail (so the session can
-	// answer NeedResync) when the patch references state the receiver does
-	// not hold.
-	PatchParts(header []byte, idx []int, parts [][]byte) error
-}
-
-// DecodeModelParts reconstructs a partitioned model of the given kind from
-// a header and its complete part set.
-func DecodeModelParts(kind string, header []byte, parts [][]byte) (Model, error) {
-	c, ok := lookupCodec(kind)
-	if !ok {
-		return nil, fmt.Errorf("stream: unknown model kind %q", kind)
-	}
-	m := c.New()
-	pm, ok := m.(PartitionedModel)
-	if !ok {
-		return nil, fmt.Errorf("stream: model kind %q is not partitioned", kind)
-	}
-	if err := pm.UnmarshalParts(header, parts); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Hash64 is the registry's stable content hash (FNV-64a) over a serialized
-// blob. The cluster protocol's version handshake elides any payload whose
-// hash the peer already holds.
+// blob: the key of a broadcast model, which the cluster driver ships only
+// when it differs from the key the executor's session holds.
 func Hash64(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -156,17 +116,4 @@ func Hash64(b []byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// HashModelParts hashes a partitioned model's broadcast state: one hash
-// per part (the per-part elision keys) and a whole-model hash mixing the
-// header with every part hash (the elide-everything key).
-func HashModelParts(header []byte, parts [][]byte) (whole uint64, partHashes []uint64) {
-	partHashes = make([]uint64, len(parts))
-	whole = Hash64(header)
-	for i, p := range parts {
-		partHashes[i] = Hash64(p)
-		whole = (whole ^ partHashes[i]) * 1099511628211
-	}
-	return whole, partHashes
 }

@@ -119,18 +119,27 @@ func (t *HoeffdingTree) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores the tree state in place.
+// UnmarshalBinary restores the tree state in place. The encoding is
+// checked against its own configuration first — class and feature counts,
+// leaf payload shapes, split features, split count — so a malformed blob
+// is an error and leaves the tree untouched, and an accepted one always
+// compiles and predicts.
 func (t *HoeffdingTree) UnmarshalBinary(data []byte) error {
 	var st htState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("stream: decode hoeffding tree: %w", err)
 	}
-	t.cfg = st.Cfg
-	t.nextID = st.NextID
-	t.trainCount = st.TrainCount
-	t.splitCount = st.SplitCount
-	t.leaves = make(map[int64]*htNode)
-	pos := 0
+	k, nf := st.Cfg.NumClasses, st.Cfg.NumFeatures
+	if err := checkDims(k, nf); err != nil {
+		return err
+	}
+	for _, f := range st.Cfg.FeatureSubset {
+		if f < 0 || f >= nf {
+			return fmt.Errorf("stream: tree feature subset holds %d of %d features", f, nf)
+		}
+	}
+	leaves := make(map[int64]*htNode)
+	pos, splits := 0, int64(0)
 	var build func() (*htNode, error)
 	build = func() (*htNode, error) {
 		if pos >= len(st.Nodes) {
@@ -140,22 +149,25 @@ func (t *HoeffdingTree) UnmarshalBinary(data []byte) error {
 		pos++
 		n := &htNode{id: ns.ID, depth: ns.Depth}
 		if ns.Leaf {
-			s := newLeafStats(st.Cfg.NumClasses, st.Cfg.NumFeatures)
-			s.classCounts = ns.ClassCounts
-			s.weightSeen = ns.WeightSeen
-			s.weightAtLastEval = ns.WeightAtLastEval
-			s.mcCorrect = ns.MCCorrect
-			s.nbCorrect = ns.NBCorrect
-			for k, i := range ns.ObsIdx {
-				if i >= 0 && i < len(s.observers) {
-					o := ns.Obs[k]
-					s.observers[i] = &gaussianObserver{PerClass: o.PerClass, Range: o.Range}
-				}
+			obs, err := decodeLeaf(ns.ClassCounts, ns.ObsIdx, ns.Obs, k, nf)
+			if err != nil {
+				return nil, err
 			}
-			n.stats = s
-			t.leaves[n.id] = n
+			n.stats = &leafStats{
+				classCounts:      ns.ClassCounts,
+				observers:        obs,
+				weightSeen:       ns.WeightSeen,
+				weightAtLastEval: ns.WeightAtLastEval,
+				mcCorrect:        ns.MCCorrect,
+				nbCorrect:        ns.NBCorrect,
+			}
+			leaves[n.id] = n
 			return n, nil
 		}
+		if ns.Feature < 0 || ns.Feature >= nf {
+			return nil, fmt.Errorf("stream: tree splits on feature %d of %d", ns.Feature, nf)
+		}
+		splits++
 		n.feature = ns.Feature
 		n.threshold = ns.Threshold
 		var err error
@@ -174,10 +186,50 @@ func (t *HoeffdingTree) UnmarshalBinary(data []byte) error {
 	if pos != len(st.Nodes) {
 		return fmt.Errorf("stream: trailing nodes in tree encoding")
 	}
+	if splits != st.SplitCount {
+		return fmt.Errorf("stream: tree encoding has %d splits, claims %d", splits, st.SplitCount)
+	}
+	t.cfg = st.Cfg
+	t.nextID = st.NextID
+	t.trainCount = st.TrainCount
+	t.splitCount = st.SplitCount
+	t.leaves = leaves
 	t.root = root
 	t.epoch++ // the whole tree was rebuilt: invalidate compiled snapshots
 	t.dropCompiled()
 	return nil
+}
+
+// maxDim bounds the class and feature counts a decoded model or delta
+// sizes its slices by (feature.NumFeatures is 17), so a corrupt
+// count cannot demand an arbitrarily large allocation per leaf.
+const maxDim = 1 << 10
+
+// checkDims validates a decoded model's class and feature counts.
+func checkDims(numClasses, numFeatures int) error {
+	if numClasses < 2 || numClasses > maxDim || numFeatures < 1 || numFeatures > maxDim {
+		return fmt.Errorf("stream: encoding has %d classes and %d features", numClasses, numFeatures)
+	}
+	return nil
+}
+
+// decodeLeaf checks one encoded leaf payload — a tree leaf or a leaf
+// delta — against the receiving tree's class and feature counts and
+// returns its sparse observers indexed by feature.
+func decodeLeaf(counts []float64, idx []int, obs []ObserverState, numClasses, numFeatures int) ([]*gaussianObserver, error) {
+	if len(counts) != numClasses || len(idx) != len(obs) {
+		return nil, fmt.Errorf("stream: leaf has %d class counts and %d indexes for %d observers (%d classes)",
+			len(counts), len(idx), len(obs), numClasses)
+	}
+	out := make([]*gaussianObserver, numFeatures)
+	for k, f := range idx {
+		if f < 0 || f >= numFeatures || len(obs[k].PerClass) != numClasses {
+			return nil, fmt.Errorf("stream: leaf observer for feature %d has %d classes (want %d classes, %d features)",
+				f, len(obs[k].PerClass), numClasses, numFeatures)
+		}
+		out[f] = &gaussianObserver{PerClass: obs[k].PerClass, Range: obs[k].Range}
+	}
+	return out, nil
 }
 
 // htDeltaState is the gob DTO of an accumulator delta.
@@ -218,7 +270,7 @@ func (a *htAccumulator) State() ([]byte, error) {
 
 // AccumulatorFromState implements RemoteTrainable: it rebinds a remote
 // delta to this tree, rejecting deltas built against a different tree
-// structure.
+// structure or shaped for different class or feature counts.
 func (t *HoeffdingTree) AccumulatorFromState(data []byte) (ml.Accumulator, error) {
 	var st htDeltaState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -227,15 +279,15 @@ func (t *HoeffdingTree) AccumulatorFromState(data []byte) (ml.Accumulator, error
 	if st.Version != t.Version() {
 		return nil, fmt.Errorf("stream: HT delta version %d does not match tree version %d", st.Version, t.Version())
 	}
+	if len(st.LeafIDs) != len(st.Deltas) {
+		return nil, fmt.Errorf("stream: HT delta has %d leaf ids for %d leaf deltas", len(st.LeafIDs), len(st.Deltas))
+	}
 	acc := &htAccumulator{tree: t, deltas: make(map[int64]*htLeafDelta), count: st.Count}
 	for i, id := range st.LeafIDs {
 		d := st.Deltas[i]
-		obs := make([]*gaussianObserver, t.cfg.NumFeatures)
-		for k, j := range d.ObsIdx {
-			if j >= 0 && j < len(obs) {
-				o := d.Obs[k]
-				obs[j] = &gaussianObserver{PerClass: o.PerClass, Range: o.Range}
-			}
+		obs, err := decodeLeaf(d.ClassCounts, d.ObsIdx, d.Obs, t.cfg.NumClasses, t.cfg.NumFeatures)
+		if err != nil {
+			return nil, fmt.Errorf("stream: HT delta leaf %d: %w", id, err)
 		}
 		acc.deltas[id] = &htLeafDelta{classCounts: d.ClassCounts, observers: obs, weight: d.Weight}
 	}
@@ -267,10 +319,29 @@ func (s *SLR) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("stream: decode SLR: %w", err)
 	}
+	if err := checkDims(st.Cfg.NumClasses, st.Cfg.NumFeatures); err != nil {
+		return err
+	}
+	if err := checkWeights(st.W, st.Cfg.NumClasses, st.Cfg.NumFeatures+1); err != nil {
+		return err
+	}
 	s.cfg = st.Cfg
 	s.w = st.W
 	s.trainCount = st.TrainCount
 	s.epoch++ // weights replaced: invalidate compiled snapshots
+	return nil
+}
+
+// checkWeights validates an SLR weight matrix's shape.
+func checkWeights(w [][]float64, rows, cols int) error {
+	if len(w) != rows {
+		return fmt.Errorf("stream: SLR weights have %d rows, want %d", len(w), rows)
+	}
+	for _, row := range w {
+		if len(row) != cols {
+			return fmt.Errorf("stream: SLR weight row has %d entries, want %d", len(row), cols)
+		}
+	}
 	return nil
 }
 
@@ -294,6 +365,9 @@ func (s *SLR) AccumulatorFromState(data []byte) (ml.Accumulator, error) {
 	var st slrDeltaState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return nil, fmt.Errorf("stream: decode SLR delta: %w", err)
+	}
+	if err := checkWeights(st.W, len(s.w), len(s.w[0])); err != nil {
+		return nil, err
 	}
 	return &slrAccumulator{cfg: s.cfg, w: st.W, count: st.Count}, nil
 }

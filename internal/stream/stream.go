@@ -10,14 +10,15 @@
 // parallel: tasks accumulate local sufficient-statistic deltas against a
 // frozen view of the global model and the driver merges the deltas.
 //
-// Every learner also registers a wire codec (see codec.go), making all
-// three kinds — HT, SLR, and ARF — first-class citizens of the
-// distributed runtime: they broadcast across the cluster engine, ship
-// accumulator deltas back to the driver, and round-trip through core
-// checkpoints. The ARF additionally implements PartitionedModel, so its
-// member trees broadcast with per-member hash elision, and DriftReporter,
-// which surfaces its per-member ADWIN warning/drift/replacement counters
-// through engine stats, the metrics registry, and the serving API.
+// Every learner also registers a wire codec (see codec.go), so all three
+// kinds — HT, SLR, and ARF — run on the distributed runtime the same way:
+// one MarshalBinary encoding is the broadcast and the checkpoint, and
+// StatefulAccumulator deltas ship back to the driver. Decoders check every
+// encoding's shape against the model it must fit, so a malformed blob is
+// an error, never a panic or a model that cannot predict. The ARF is also
+// a DriftReporter, which surfaces its per-member ADWIN
+// warning/drift/replacement counters through engine stats, the metrics
+// registry, and the serving API.
 package stream
 
 import "math"
