@@ -133,7 +133,7 @@ func TestClusterRejectsUnknownKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(ack.Err, "XGB") {
-		t.Fatalf("unregistered model kind accepted: %+v", ack)
+		t.Fatalf("unknown model kind accepted: %+v", ack)
 	}
 }
 

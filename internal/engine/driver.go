@@ -30,9 +30,11 @@ import (
 //     exactly when their key (model hash, vocabulary version) differs from
 //     the one the node's session acknowledged — so an unchanged
 //     model/vocab costs a few bytes per batch;
-//   - pipelining: batch k+1's source read and tweet encode overlap batch
-//     k's round trip, while broadcasts stay strictly ordered behind the
-//     merge so test-then-train semantics hold.
+//   - one wire order: each share is the node's broadcast for the batch
+//     (once per node per batch), then the share's data frame, then its
+//     response; batch k+1 starts only after batch k merged, so
+//     test-then-train semantics hold. The only overlap is the source read,
+//     which runs one batch ahead.
 
 // Cluster hot-path instrumentation on the default metrics registry.
 var (
@@ -133,8 +135,7 @@ type execNode struct {
 	vocabVersion uint64
 	bcSeq        int64
 
-	presends map[respKey]bool
-	pending  map[respKey]chan shareReply
+	pending map[respKey]chan shareReply
 }
 
 type shareReply struct {
@@ -257,8 +258,6 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 
 	m := startRun(p)
 	// Prefetch: the source is read one batch ahead of the batch in flight.
-	// The channel closes after the last batch, so a receive yields nil once
-	// the source is exhausted.
 	batches := make(chan []twitterdata.Tweet, 1)
 	go func() {
 		defer close(batches)
@@ -279,24 +278,13 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 	}()
 
 	var seq int64
-	for cur := <-batches; cur != nil; {
+	for batch := range batches {
 		seq++
-		// Take batch k+1 if the source already has it, so its tweets can be
-		// pre-sent while batch k's round trip is in flight.
-		var ahead []twitterdata.Tweet
-		select {
-		case ahead = <-batches:
-		default:
-		}
 		batchStart := time.Now()
-		if err = r.runBatch(seq, cur, ahead); err != nil {
+		if err = r.runBatch(seq, batch); err != nil {
 			break
 		}
-		m.batch(len(cur), batchStart)
-		if ahead == nil {
-			ahead = <-batches
-		}
-		cur = ahead
+		m.batch(len(batch), batchStart)
 	}
 	stats := m.finish()
 	stats.BroadcastBytes = r.broadcastBytes.Load()
@@ -307,21 +295,19 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 }
 
 // runBatch executes one micro-batch: broadcast, run one share per healthy
-// node to a decoded output (processShare fails each over on its own),
-// pre-send the next batch's tweets, then merge the shares in share order.
-// Decoding reads the global model and nothing mutates it before the merge,
-// which waits for every share — so a batch is applied whole or not at all.
-func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error {
+// node to a decoded output (processShare fails each over on its own), then
+// merge the shares in share order. Decoding reads the global model and
+// nothing mutates it before the merge, which waits for every share — so a
+// batch is applied whole or not at all.
+func (r *clusterRun) runBatch(seq int64, batch []twitterdata.Tweet) error {
 	// The batch span: queue covers broadcast serialization plus the
 	// healthy-node wait (everything before dispatch), then executor_rtt,
 	// executor_compute (executor-reported), and merge. Finish is deferred so
 	// a failed batch still records its partial breakdown.
 	sp := r.cfg.Tracer.Begin(0)
 	defer sp.Finish()
-	var traceID uint64
 	if sp != nil {
 		sp.SetID("batch-" + strconv.FormatInt(seq, 10))
-		traceID = sp.TraceID()
 	}
 	bc, err := r.makeBroadcast(seq)
 	if err != nil {
@@ -342,15 +328,8 @@ func (r *clusterRun) runBatch(seq int64, batch, ahead []twitterdata.Tweet) error
 		wg.Add(1)
 		go func(i int, s span, pref *execNode) {
 			defer wg.Done()
-			outs[i], execNanos[i], errs[i] = r.processShare(bc, s, batch, traceID, pref)
+			outs[i], execNanos[i], errs[i] = r.processShare(bc, s, batch, pref)
 		}(i, s, healthy[i])
-	}
-	if len(ahead) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.presend(seq+1, ahead)
-		}()
 	}
 	wg.Wait()
 	sp.BeginStage(obs.StageMerge)
@@ -440,7 +419,7 @@ func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 // exchange without one — a dead or wedged node, an error or corrupt payload
 // in the response — has already marked the node down, and the share moves
 // to another node. It fails only when no executor can serve the share.
-func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64, node *execNode) (shareOutput, int64, error) {
+func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Tweet, node *execNode) (shareOutput, int64, error) {
 	tried := make(map[*execNode]bool)
 	var lastErr error
 	for hops := 0; hops <= 4*len(r.nodes)+4; hops++ {
@@ -455,7 +434,7 @@ func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Twe
 				clusterFailovers.Inc()
 			}
 		}
-		out, nanos, err := r.exchange(node, bc, s, batch, traceID)
+		out, nanos, err := r.exchange(node, bc, s, batch)
 		if err == nil {
 			return out, nanos, nil
 		}
@@ -467,7 +446,7 @@ func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Twe
 
 // exchange performs one share round trip against one node and decodes the
 // response. Any failure marks the node down before it is returned.
-func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64) (shareOutput, int64, error) {
+func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet) (shareOutput, int64, error) {
 	key := respKey{seq: bc.seq, lo: s.lo, hi: s.hi}
 	ch, gen, err := n.register(key)
 	if err != nil {
@@ -479,7 +458,7 @@ func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitte
 		return shareOutput{}, 0, err
 	}
 	start := time.Now()
-	if err := r.sendShare(n, gen, bc, s, batch, traceID); err != nil {
+	if err := r.sendShare(n, gen, bc, s, batch); err != nil {
 		return fail(err)
 	}
 	var rep shareReply
@@ -526,22 +505,16 @@ func (r *clusterRun) decodeShare(n *execNode, s span, resp *batchResponse) (shar
 	return out, nil
 }
 
-// sendShare ships the broadcast (once per node per batch) and, unless a
-// presend delivered them, the share's tweets.
-func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batch []twitterdata.Tweet, traceID uint64) error {
+// sendShare ships the broadcast when n's session does not hold this
+// batch's yet (once per node per batch), then the share's data frame, and
+// counts each frame's bytes.
+func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batch []twitterdata.Tweet) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.up || n.gen != gen {
 		return fmt.Errorf("engine: executor %s went down", n.addr)
 	}
 	if n.bcSeq != bc.seq {
-		// Entering a new batch: presend records for finished batches are
-		// dead weight — prune them so the map stays bounded on long runs.
-		for key := range n.presends {
-			if key.seq < bc.seq {
-				delete(n.presends, key)
-			}
-		}
 		msg := r.broadcastFor(n, bc)
 		sent, err := n.send(&msg)
 		if err != nil {
@@ -551,19 +524,8 @@ func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batc
 		clusterBroadcastBytes.Add(sent)
 		n.bcSeq, n.modelHash, n.vocabVersion = bc.seq, bc.modelHash, bc.vocabVer
 	}
-	if !n.presends[respKey{seq: bc.seq, lo: s.lo, hi: s.hi}] {
-		return r.sendData(n, bc.seq, s, batch, traceID)
-	}
-	return nil
-}
-
-// sendData ships one share's tweets to n as a data frame stamped with the
-// batch span's trace ID (0 when tracing is off, and for a presend, which
-// runs before its batch's span exists), and counts the frame's bytes.
-// Callers hold n.mu.
-func (r *clusterRun) sendData(n *execNode, seq int64, s span, batch []twitterdata.Tweet, traceID uint64) error {
-	sent, err := n.send(&wireMsg{Kind: msgData, Seq: seq, Lo: s.lo, Hi: s.hi,
-		Tasks: r.cfg.TasksPerExecutor, Tweets: batch[s.lo:s.hi], TraceID: traceID})
+	sent, err := n.send(&wireMsg{Kind: msgData, Seq: bc.seq, Lo: s.lo, Hi: s.hi,
+		Tasks: r.cfg.TasksPerExecutor, Tweets: batch[s.lo:s.hi]})
 	if err != nil {
 		return fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
 	}
@@ -584,39 +546,6 @@ func (n *execNode) send(msg *wireMsg) (int64, error) {
 	err := n.enc.Encode(msg)
 	_ = n.conn.SetWriteDeadline(time.Time{})
 	return n.conn.out.Load() - pre, err
-}
-
-// presend ships batch seq's tweet shares to the currently-healthy nodes
-// while the previous batch is still in flight. The executor parks them
-// until the broadcast arrives; if the node assignment shifts before then
-// (failover), the stale copies are superseded by their share bounds.
-func (r *clusterRun) presend(seq int64, batch []twitterdata.Tweet) {
-	healthy := r.upNodes(nil)
-	if len(healthy) == 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for i, s := range splitSpans(len(batch), len(healthy)) {
-		wg.Add(1)
-		go func(s span, n *execNode) {
-			defer wg.Done()
-			n.mu.Lock()
-			if !n.up {
-				n.mu.Unlock()
-				return
-			}
-			gen := n.gen
-			err := r.sendData(n, seq, s, batch, 0)
-			if err == nil {
-				n.presends[respKey{seq: seq, lo: s.lo, hi: s.hi}] = true
-			}
-			n.mu.Unlock()
-			if err != nil {
-				r.markDown(n, gen, err)
-			}
-		}(s, healthy[i])
-	}
-	wg.Wait()
 }
 
 // connect dials a node, runs the hello handshake, and starts its receive
@@ -667,7 +596,6 @@ func (r *clusterRun) connect(n *execNode) error {
 	gen := n.gen
 	n.up = true
 	n.modelHash, n.vocabVersion, n.bcSeq = 0, 0, -1
-	n.presends = make(map[respKey]bool)
 	n.pending = make(map[respKey]chan shareReply)
 	n.mu.Unlock()
 	go r.recvLoop(n, gen, dec)
@@ -675,8 +603,8 @@ func (r *clusterRun) connect(n *execNode) error {
 }
 
 // recvLoop decodes responses for one connection generation and routes them
-// to the waiting share exchanges. Responses for shares nobody is waiting on
-// (stale presends processed after a reassignment) are dropped.
+// to the waiting share exchanges. A response nobody is waiting on is
+// dropped.
 func (r *clusterRun) recvLoop(n *execNode, gen int, dec *gob.Decoder) {
 	for {
 		var resp batchResponse
@@ -714,7 +642,6 @@ func (r *clusterRun) markDown(n *execNode, gen int, err error) {
 	conn := n.conn
 	pend := n.pending
 	n.pending = nil
-	n.presends = nil
 	n.mu.Unlock()
 	conn.Close()
 	for _, ch := range pend {

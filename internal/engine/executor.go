@@ -191,10 +191,9 @@ func (e *Executor) serve() {
 
 // execSession is the per-connection protocol state: the negotiated model
 // kind, the decoded model and its hash, the current normalizer statistics,
-// the persistent extractor whose BoW holds the broadcast vocabulary
-// version, and data frames parked for batches whose broadcast has not
-// arrived yet (the driver pre-sends batch k+1's tweets while batch k is
-// still in flight).
+// and the persistent extractor whose BoW holds the broadcast vocabulary
+// version. A share's data frame follows its batch's broadcast, so every
+// data frame belongs to the current broadcast's batch.
 type execSession struct {
 	e   *Executor
 	enc *gob.Encoder
@@ -219,8 +218,7 @@ type execSession struct {
 	seq int64
 	// bcErr is why the current broadcast cannot serve shares ("" once it
 	// installed); a data frame answers it as the share's Err.
-	bcErr  string
-	parked []wireMsg
+	bcErr string
 }
 
 func (e *Executor) serveConn(conn net.Conn) {
@@ -250,17 +248,10 @@ func (e *Executor) serveConn(conn net.Conn) {
 			if err := s.applyBroadcast(&msg); err != nil {
 				s.bcErr = err.Error()
 			}
-			// Parked frames go back through handleData: this batch's run
-			// now, later batches' park again, abandoned ones drop.
-			parked := s.parked
-			s.parked = nil
-			for i := range parked {
-				if !s.handleData(&parked[i]) {
-					return
-				}
-			}
 		case msgData:
-			if !s.handleData(&msg) {
+			// A frame for another batch than the current broadcast's breaks
+			// the wire order: end the session, and the driver fails over.
+			if msg.Seq != s.seq || !s.processData(&msg) {
 				return
 			}
 		default:
@@ -271,12 +262,12 @@ func (e *Executor) serveConn(conn net.Conn) {
 
 // hello negotiates the protocol version and model kind for the session.
 func (s *execSession) hello(msg *wireMsg) bool {
-	resp := batchResponse{Seq: msg.Seq, Proto: clusterProtoVersion}
+	resp := batchResponse{Seq: msg.Seq}
 	switch {
 	case msg.Proto != clusterProtoVersion:
 		resp.Err = fmt.Sprintf("engine: driver speaks cluster protocol v%d, executor v%d", msg.Proto, clusterProtoVersion)
 	case !stream.KnownKind(msg.ModelKind):
-		resp.Err = fmt.Sprintf("engine: executor cannot host model kind %q (registered: %v)",
+		resp.Err = fmt.Sprintf("engine: executor cannot host model kind %q (known: %v)",
 			msg.ModelKind, stream.KnownKinds())
 	default:
 		s.modelKind = msg.ModelKind
@@ -335,33 +326,11 @@ func (s *execSession) applyBroadcast(msg *wireMsg) error {
 	return nil
 }
 
-// handleData processes, parks, or drops one data frame depending on how
-// its sequence number relates to the current broadcast.
-func (s *execSession) handleData(msg *wireMsg) bool {
-	switch {
-	case msg.Seq == s.seq:
-		return s.processData(msg)
-	case msg.Seq > s.seq:
-		// Pre-sent share for a future batch; dedupe by share bounds so a
-		// re-sent share replaces its stale twin.
-		for i := range s.parked {
-			if s.parked[i].Seq == msg.Seq && s.parked[i].Lo == msg.Lo && s.parked[i].Hi == msg.Hi {
-				s.parked[i] = *msg
-				return true
-			}
-		}
-		s.parked = append(s.parked, *msg)
-		return true
-	default:
-		return true // stale share from an abandoned batch; driver moved on
-	}
-}
-
 // processData runs one share against the current broadcast state and sends
 // the response. The inflight window spans through the response encode so
 // Close's drain guarantees the driver sees the result.
 func (s *execSession) processData(msg *wireMsg) bool {
-	resp := batchResponse{Seq: msg.Seq, Lo: msg.Lo, Hi: msg.Hi, TraceID: msg.TraceID}
+	resp := batchResponse{Seq: msg.Seq, Lo: msg.Lo, Hi: msg.Hi}
 	busy := false
 	switch {
 	case s.bcErr != "":
@@ -383,7 +352,6 @@ func (s *execSession) processData(msg *wireMsg) bool {
 		}
 		start := time.Now()
 		resp = s.runShare(msg)
-		resp.TraceID = msg.TraceID
 		resp.ExecNanos = int64(time.Since(start))
 		if e.corruptDeltas.Load() {
 			for _, blob := range resp.DeltaBlobs {

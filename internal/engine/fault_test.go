@@ -466,7 +466,7 @@ func TestClusterSteadyStateBroadcastShrinks(t *testing.T) {
 
 // dialSession opens a hand-driven SLR session with ex and checks the hello
 // ack.
-func dialSession(t *testing.T, ex *Executor) (*gob.Encoder, *gob.Decoder) {
+func dialSession(t *testing.T, ex *Executor) (net.Conn, *gob.Encoder, *gob.Decoder) {
 	t.Helper()
 	conn, err := net.Dial("tcp", ex.Addr())
 	if err != nil {
@@ -484,7 +484,7 @@ func dialSession(t *testing.T, ex *Executor) (*gob.Encoder, *gob.Decoder) {
 	if ack.Err != "" {
 		t.Fatalf("hello rejected: %s", ack.Err)
 	}
-	return enc, dec
+	return conn, enc, dec
 }
 
 // fullBroadcastFrame returns the broadcast a fresh session of an SLR
@@ -519,7 +519,7 @@ func TestExecutorCloseDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, dec := dialSession(t, ex)
+	_, enc, dec := dialSession(t, ex)
 	bcast := fullBroadcastFrame(t)
 	if err := enc.Encode(&bcast); err != nil {
 		t.Fatal(err)
@@ -574,7 +574,7 @@ func TestExecutorRejectsElidedStateItLacks(t *testing.T) {
 		{"vocabulary", func(m *wireMsg) { m.VocabWords = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			enc, dec := dialSession(t, ex)
+			_, enc, dec := dialSession(t, ex)
 			share := func(bc wireMsg) batchResponse {
 				t.Helper()
 				if err := enc.Encode(&bc); err != nil {
@@ -606,6 +606,37 @@ func TestExecutorRejectsElidedStateItLacks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExecutorEndsSessionOnFrameForAnotherBatch drives the wire order by
+// hand: a share's data frame follows its batch's broadcast, so a data frame
+// for any other batch is a protocol violation that ends the session (the
+// driver then fails the share over like any dead connection) instead of
+// waiting on a broadcast that never comes.
+func TestExecutorEndsSessionOnFrameForAnotherBatch(t *testing.T) {
+	ex, err := StartExecutor("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	conn, enc, dec := dialSession(t, ex)
+	bcast := fullBroadcastFrame(t) // seq 1
+	if err := enc.Encode(&bcast); err != nil {
+		t.Fatal(err)
+	}
+	data := testDataset(41, 40, 20, 4)
+	if err := enc.Encode(&wireMsg{Kind: msgData, Seq: 2, Lo: 0, Hi: len(data), Tasks: 1, Tweets: data}); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp batchResponse
+	err = dec.Decode(&resp)
+	if err == nil {
+		t.Fatalf("executor answered a data frame for batch 2 after broadcast 1: %+v", resp)
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("executor kept the session open after a data frame for another batch: %v", err)
 	}
 }
 

@@ -66,8 +66,8 @@ func TestClusterTraceAttributesExecutorRTT(t *testing.T) {
 	}
 }
 
-// A cluster run with tracing disabled carries TraceID 0 on the wire and
-// records nothing — the nil-tracer fast path through the driver.
+// A cluster run with tracing disabled completes with a nil tracer, whose
+// span methods are no-ops — the nil-tracer fast path through the driver.
 func TestClusterTraceDisabled(t *testing.T) {
 	addrs := startCluster(t, 2, 2)
 	data := testDataset(22, 600, 300, 60)

@@ -7,14 +7,13 @@ import (
 	"redhanded/internal/twitterdata"
 )
 
-// The cluster wire protocol (v4). Each driver→executor connection carries a
+// The cluster wire protocol (v5). Each driver→executor connection carries a
 // gob stream of wireMsg frames; the executor answers data frames (and the
 // hello) with batchResponse frames. A session carries four frame kinds:
 //
-//	hello      one per connection: protocol + model-kind negotiation (the
-//	           kind set comes from the stream codec registry, so a driver
-//	           running a model this executor build cannot decode fails
-//	           fast at connect)
+//	hello      one per connection: protocol + model-kind negotiation (a
+//	           driver running a model this executor build cannot decode
+//	           fails fast at connect)
 //	broadcast  one per (node, batch): the statistics always; the model and
 //	           the vocabulary under their keys (ModelHash, VocabVersion),
 //	           each shipped whole exactly when its key differs from the one
@@ -22,10 +21,12 @@ import (
 //	data       one per share: the tweets plus the share's [lo,hi) bounds
 //	shutdown   polite end-of-run so executors drop the session cleanly
 //
-// Splitting broadcast from data is what enables pipelining: the driver
-// encodes and ships batch k+1's tweets while batch k's round trip is still
-// in flight, and sends k+1's broadcast only after k's deltas are merged —
-// preserving the test-then-train ordering the driver-side merge requires.
+// One order: a share is the node's broadcast for its batch (sent before the
+// node's first share of the batch), then the share's data frame, then its
+// response. The next batch's broadcast follows the merge of this one, which
+// preserves the test-then-train ordering. A data frame for any batch but the
+// current broadcast's breaks that order and ends the session. Broadcast and
+// data stay separate kinds so the driver counts their bytes apart.
 // Sessions are per connection and the driver resets a node's keys on every
 // (re)connect, so a fresh session receives everything. A broadcast that
 // elides state the session does not hold fails that batch's shares with an
@@ -33,7 +34,7 @@ import (
 
 // clusterProtoVersion is negotiated in the hello exchange; mismatched
 // driver/executor builds fail fast instead of mis-decoding frames.
-const clusterProtoVersion = 4
+const clusterProtoVersion = 5
 
 // Message kinds carried in wireMsg.Kind.
 const (
@@ -66,17 +67,11 @@ type wireMsg struct {
 	Scheme       int
 
 	// Data fields. Lo/Hi are the share's offsets within the driver's batch;
-	// they key the response back to the share even after failover reassigns
-	// it, and distinguish fresh shares from stale pre-sent ones whose
-	// boundaries changed when the healthy-node set did.
+	// they key the response back to the share, also when failover moved it
+	// onto a node serving another share of the batch.
 	Lo, Hi int
 	Tasks  int
 	Tweets []twitterdata.Tweet
-
-	// TraceID carries the driver's batch-span trace context (0 when driver
-	// tracing is off, and on pre-sent frames, which ship before their batch
-	// span exists).
-	TraceID uint64
 }
 
 // batchResponse is the executor→driver frame: the hello ack (Seq < 0) or
@@ -87,21 +82,17 @@ type batchResponse struct {
 	Seq    int64
 	Lo, Hi int
 
-	// Hello-ack fields.
-	Proto int
-
 	// Share results.
 	DeltaBlobs [][]byte
 	StatsBlob  []byte
 	Classified []classifiedRec
 	Err        string
 
-	// Trace echo: the data frame's TraceID and the executor-side wall time
-	// spent computing the share (extraction through delta encode). The
-	// driver attributes ExecNanos to the batch span's executor_compute
-	// stage — the share round trip's wall time minus this is wire and
-	// queueing cost. Zero means no attribution is available.
-	TraceID   uint64
+	// ExecNanos is the executor-side wall time spent computing the share
+	// (extraction through delta encode). The driver attributes it to the
+	// batch span's executor_compute stage — the share round trip's wall
+	// time minus this is wire and queueing cost. Zero means no attribution
+	// is available.
 	ExecNanos int64
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,7 +11,9 @@ import (
 
 // Shard producers finishing spans while snapshot/slow readers poll — the
 // exact contention profile of /v1/trace scrapes against a loaded server.
-// Run with -race; the word-encoded rings must stay warning-free.
+// Run with -race; the word-encoded rings must stay warning-free. Span i of
+// shard s is "s<s>-<i>" with i+1 ns in the merge stage, so an entry mixing
+// two spans' words fails wholeSpan.
 func TestConcurrentProducersAndReaders(t *testing.T) {
 	const shards = 4
 	tr := New(Config{
@@ -30,7 +33,8 @@ func TestConcurrentProducersAndReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				sp := tr.Begin(shard)
-				sp.SetID("race-tweet")
+				sp.SetID(fmt.Sprintf("s%d-%d", shard, i))
+				sp.Add(StageMerge, time.Duration(i+1))
 				sp.BeginStage(StageQueue)
 				sp.BeginStage(StageExtract)
 				sp.BeginStage(StageClassify)
@@ -52,13 +56,13 @@ func TestConcurrentProducersAndReaders(t *testing.T) {
 				}
 				sum := tr.Snapshot(16)
 				for _, e := range sum.Recent {
-					if e.ID != "race-tweet" {
+					if !wholeSpan(e) {
 						t.Errorf("torn entry surfaced: %+v", e)
 						return
 					}
 				}
 				for _, e := range tr.SlowTraces().Traces {
-					if e.ID != "race-tweet" {
+					if !wholeSpan(e) {
 						t.Errorf("torn slow entry surfaced: %+v", e)
 						return
 					}
@@ -79,4 +83,19 @@ func TestConcurrentProducersAndReaders(t *testing.T) {
 	if tr.SlowSpans() == 0 {
 		t.Fatal("1ns budget should have captured slow spans")
 	}
+}
+
+// wholeSpan reports whether a trace's ID, shard and merge-stage nanos all
+// name the same span of TestConcurrentProducersAndReaders.
+func wholeSpan(tr Trace) bool {
+	var shard, i int
+	if _, err := fmt.Sscanf(tr.ID, "s%d-%d", &shard, &i); err != nil || shard != tr.Shard {
+		return false
+	}
+	for _, st := range tr.Stages {
+		if st.Stage == StageMerge.String() {
+			return st.Nanos == int64(i+1)
+		}
+	}
+	return false
 }

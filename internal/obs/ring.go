@@ -85,14 +85,16 @@ func decodeEntry(w *[entryWords]uint64) Entry {
 }
 
 // ring is a single-producer, multi-reader trace ring. The producer (the
-// shard goroutine) writes entry words then publishes by advancing head;
-// readers copy a window and discard any entry the producer lapped during
-// the copy (its index has fallen out of [head-size, head)).
+// shard goroutine) claims the next index, writes its entry words, then
+// publishes it by advancing head; readers copy a window of published
+// entries and discard any whose slot a later claim reached before the copy
+// ended (entry idx shares its slot with entry idx+size).
 type ring struct {
-	mask uint64
-	size uint64
-	head atomic.Uint64
-	buf  []atomic.Uint64
+	mask  uint64
+	size  uint64
+	claim atomic.Uint64 // entries whose write has begun
+	head  atomic.Uint64 // entries whose write has ended
+	buf   []atomic.Uint64
 }
 
 func newRing(size int) *ring {
@@ -105,6 +107,7 @@ func newRing(size int) *ring {
 //redvet:noalloc gate=SpanLifecycle
 func (r *ring) append(w *[entryWords]uint64) {
 	h := r.head.Load()
+	r.claim.Store(h + 1) // before the first word lands in entry h-size's slot
 	off := (h & r.mask) * uint64(entryWords)
 	for i := 0; i < entryWords; i++ {
 		r.buf[off+uint64(i)].Store(w[i])
@@ -138,11 +141,13 @@ func (r *ring) snapshot(max int) []Entry {
 		}
 		copies = append(copies, c)
 	}
-	// Anything the producer overwrote while we copied is torn: drop it.
-	h2 := r.head.Load()
+	// An entry whose slot the producer had claimed by the end of the copy
+	// may be torn: drop it. An idle ring's claim equals its head, so it
+	// keeps every entry.
+	c := r.claim.Load()
 	out := make([]Entry, 0, len(copies))
 	for i := range copies {
-		if h2 >= r.size && copies[i].idx < h2-r.size {
+		if copies[i].idx+r.size < c {
 			continue
 		}
 		out = append(out, decodeEntry(&copies[i].w))

@@ -64,6 +64,52 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// A snapshot racing the producer returns only whole entries. Every word of
+// entry v holds v, so an entry mixing two writes shows unequal words. The
+// producer overwrites entry idx-size's slot while it writes entry idx, so a
+// snapshot must drop the oldest entry it copied once that write has begun.
+func TestRingSnapshotNeverTorn(t *testing.T) {
+	r := newRing(4)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var w [entryWords]uint64
+		for v := uint64(1); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range w {
+				w[i] = v
+			}
+			r.append(&w)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	var entries, torn int
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+		for _, e := range r.snapshot(0) {
+			entries++
+			v := e.TraceID
+			whole := uint64(e.StartUnixNano) == v && uint64(e.TotalNanos) == v && e.Shard == int(v&0xff)
+			for _, d := range e.Stages {
+				whole = whole && uint64(d) == v
+			}
+			if !whole {
+				torn++
+			}
+		}
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d snapshot entries were torn", torn, entries)
+	}
+}
+
 func TestSlowRingWraparoundKeepsNewest(t *testing.T) {
 	r := newSlowRing(4)
 	for i := 1; i <= 11; i++ {

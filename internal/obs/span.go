@@ -34,16 +34,6 @@ type Span struct {
 	open     bool
 }
 
-// TraceID returns the span's process-unique ID (0 for a nil span). The
-// cluster driver carries it on data frames so executor responses can be
-// attributed to the batch span that sent them.
-func (sp *Span) TraceID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.traceID
-}
-
 // SetID records the tweet (or batch) identifier carried into ring entries,
 // truncated to the fixed entry slot.
 //

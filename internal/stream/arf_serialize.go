@@ -363,10 +363,6 @@ func (f *AdaptiveRandomForest) AccumulatorFromState(data []byte) (ml.Accumulator
 // Kind implements RemoteTrainable.
 func (f *AdaptiveRandomForest) Kind() string { return KindARF }
 
-func init() {
-	RegisterCodec(Codec{Kind: KindARF, New: func() Model { return new(AdaptiveRandomForest) }})
-}
-
 // Interface conformance checks.
 var (
 	_ RemoteTrainable     = (*AdaptiveRandomForest)(nil)

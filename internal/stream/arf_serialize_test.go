@@ -138,7 +138,7 @@ func TestARFDeltaGarbageRejected(t *testing.T) {
 func TestCodecRegistry(t *testing.T) {
 	for _, kind := range []string{KindHT, KindSLR, KindARF} {
 		if !KnownKind(kind) {
-			t.Fatalf("kind %s not registered", kind)
+			t.Fatalf("kind %s not known", kind)
 		}
 	}
 	if KnownKind("XGB") {
@@ -146,7 +146,7 @@ func TestCodecRegistry(t *testing.T) {
 	}
 	kinds := KnownKinds()
 	if len(kinds) < 3 {
-		t.Fatalf("registry lists %v", kinds)
+		t.Fatalf("KnownKinds lists %v", kinds)
 	}
 	for _, m := range []RemoteTrainable{
 		NewHoeffdingTree(HTConfig{NumClasses: 2, NumFeatures: 2}),

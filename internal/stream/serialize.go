@@ -14,7 +14,7 @@ import (
 // the serialized global model stays under 1 MB) and ship the local
 // sufficient-statistic deltas back for merging. This file holds the
 // Hoeffding-tree and SLR encodings; the ARF encoding lives in
-// arf_serialize.go, and the kind registry the transport layers consume is
+// arf_serialize.go, and the kind switch the transport layers go through is
 // in codec.go.
 
 // RemoteTrainable is a streaming model that can cross process boundaries:
@@ -22,7 +22,7 @@ import (
 // and reconstitutes accumulator deltas produced remotely.
 type RemoteTrainable interface {
 	ml.DistributedClassifier
-	// Kind returns the model's stable wire tag (see RegisterCodec).
+	// Kind returns the model's stable wire tag (see codec.go).
 	Kind() string
 	MarshalBinary() ([]byte, error)
 	UnmarshalBinary(data []byte) error
@@ -384,11 +384,6 @@ func (t *HoeffdingTree) Kind() string { return KindHT }
 
 // Kind implements RemoteTrainable.
 func (s *SLR) Kind() string { return KindSLR }
-
-func init() {
-	RegisterCodec(Codec{Kind: KindHT, New: func() Model { return new(HoeffdingTree) }})
-	RegisterCodec(Codec{Kind: KindSLR, New: func() Model { return new(SLR) }})
-}
 
 // Interface conformance checks.
 var (

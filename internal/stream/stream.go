@@ -10,7 +10,7 @@
 // parallel: tasks accumulate local sufficient-statistic deltas against a
 // frozen view of the global model and the driver merges the deltas.
 //
-// Every learner also registers a wire codec (see codec.go), so all three
+// Every learner also has a wire codec (see codec.go), so all three
 // kinds — HT, SLR, and ARF — run on the distributed runtime the same way:
 // one MarshalBinary encoding is the broadcast and the checkpoint, and
 // StatefulAccumulator deltas ship back to the driver. Decoders check every
