@@ -19,7 +19,3 @@ type SessionVerdict = userstate.SessionVerdict
 // EscalationVerdict flags a user trending toward aggression across
 // sessions (see userstate.EscalationConfig for the scoring model).
 type EscalationVerdict = userstate.EscalationVerdict
-
-// DefaultSessionConfig returns 1-hour windows flagging >= 60% aggressive
-// with at least 3 tweets.
-func DefaultSessionConfig() SessionConfig { return userstate.DefaultSessionConfig() }

@@ -21,11 +21,15 @@ import (
 // The cluster driver distributes micro-batch shares across executor nodes
 // over TCP, mirroring the paper's 3-node SparkCluster deployment:
 //
-//   - failover: per-node health tracking with reconnect-and-backoff. A share
-//     is done when its response decodes; when its node dies, times out or
-//     answers with a payload that does not decode, processShare — the one
-//     place a share is retried — moves it to a survivor, so a batch
-//     completes as long as one executor lives;
+//   - request/response: a node carries one share exchange at a time — the
+//     share is sent, then its response is read on the same connection
+//     under the share timeout;
+//   - failover: a share is done when its response answers that share and
+//     decodes; when its node dies, times out, answers another share or
+//     returns a payload that does not decode, processShare — the one place
+//     a share is retried — moves it to a survivor, so a batch completes as
+//     long as one executor lives. One supervisor goroutine per node redials
+//     it with backoff;
 //   - keyed broadcasts: the model and the BoW vocabulary each ship whole
 //     exactly when their key (model hash, vocabulary version) differs from
 //     the one the node's session acknowledged — so an unchanged
@@ -46,7 +50,7 @@ var (
 		"Bytes of tweet data frames sent to executors.", nil)
 	clusterFailovers = metrics.Default().Counter(
 		"redhanded_cluster_failovers_total",
-		"Batch shares reassigned because an executor failed mid-batch.", nil)
+		"Batch shares moved to another executor after an exchange on their node failed.", nil)
 	clusterReconnects = metrics.Default().Counter(
 		"redhanded_cluster_reconnects_total",
 		"Successful executor reconnects after a mid-run failure.", nil)
@@ -108,7 +112,7 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
-// shareTimeout bounds one share's round trip and every frame write. A
+// shareTimeout bounds the wait for a share's response and every write. A
 // wedged-but-connected executor (stopped process, half-open connection)
 // never produces a transport error, so the timeout is what converts it into
 // a failover. It is generous: a share normally completes in milliseconds.
@@ -118,55 +122,34 @@ const shareTimeout = 2 * time.Minute
 // the broadcast keys the node's session holds. The keys are reset on every
 // (re)connect, so a fresh session receives the full state.
 type execNode struct {
-	id   int
 	addr string
 
+	// xmu is held for a whole share exchange, send through response decode,
+	// so the connection carries one share at a time.
+	xmu sync.Mutex
+	// down wakes the node's supervisor (one slot: a wake-up is never lost
+	// and never doubled).
+	down chan struct{}
+
+	// mu guards health and the broadcast keys; it is never held across a
+	// response read, so isUp does not wait on a busy node's round trip.
 	mu        sync.Mutex
 	conn      *countingConn
 	enc       *gob.Encoder
 	dec       *gob.Decoder
-	gen       int // connection generation; stale recvLoops no-op
 	up        bool
 	abandoned bool
-	reviving  bool
 
 	// Broadcast keys held by the node's current session.
 	modelHash    uint64
 	vocabVersion uint64
 	bcSeq        int64
-
-	pending map[respKey]chan shareReply
-}
-
-type shareReply struct {
-	resp batchResponse
-	err  error
 }
 
 func (n *execNode) isUp() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.up
-}
-
-// register adds a pending reply slot for one share exchange.
-func (n *execNode) register(key respKey) (chan shareReply, int, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.up {
-		return nil, 0, fmt.Errorf("engine: executor %s is down", n.addr)
-	}
-	ch := make(chan shareReply, 1)
-	n.pending[key] = ch
-	return ch, n.gen, nil
-}
-
-func (n *execNode) unregister(key respKey) {
-	n.mu.Lock()
-	if n.pending != nil {
-		delete(n.pending, key)
-	}
-	n.mu.Unlock()
 }
 
 // broadcast is one batch's shared broadcast payload, computed once; each
@@ -191,6 +174,7 @@ type clusterRun struct {
 	cfg   ClusterConfig
 	nodes []*execNode
 	stop  chan struct{}
+	loops sync.WaitGroup // the nodes' supervisors; shutdown waits for them
 
 	// Serialization cache: in the cluster driver every model mutation
 	// flows through ApplyAccumulators, which advances the model's train
@@ -225,13 +209,16 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 	}
 
 	r := &clusterRun{p: p, kind: kind, cfg: cfg, stop: make(chan struct{})}
-	for i, addr := range cfg.Executors {
-		r.nodes = append(r.nodes, &execNode{id: i, addr: addr, bcSeq: -1})
+	for _, addr := range cfg.Executors {
+		n := &execNode{addr: addr, bcSeq: -1, down: make(chan struct{}, 1)}
+		r.nodes = append(r.nodes, n)
+		r.loops.Add(1)
+		go r.supervise(n)
 	}
 	defer r.shutdown()
 
-	// Initial connect, in parallel. A node that fails its first dial goes
-	// through the normal revive path; the run starts as long as any node
+	// Initial connect, in parallel. A node that fails its first dial is
+	// handed to its supervisor; the run starts as long as any node
 	// answered, and fails fast when none did.
 	var connWG sync.WaitGroup
 	errs := make([]error, len(r.nodes))
@@ -239,7 +226,9 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 		connWG.Add(1)
 		go func(i int, n *execNode) {
 			defer connWG.Done()
-			errs[i] = r.connect(n)
+			if errs[i] = r.connect(n); errs[i] != nil && !n.abandonedNow() {
+				n.wake()
+			}
 		}(i, n)
 	}
 	connWG.Wait()
@@ -248,11 +237,6 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 			if err != nil {
 				return Stats{}, fmt.Errorf("engine: no executor reachable: %w", err)
 			}
-		}
-	}
-	for i, n := range r.nodes {
-		if errs[i] != nil {
-			go r.revive(n)
 		}
 	}
 
@@ -416,9 +400,10 @@ func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 
 // processShare runs one share until its response decodes and returns the
 // decoded output with the executor-reported compute time. Whatever ends an
-// exchange without one — a dead or wedged node, an error or corrupt payload
-// in the response — has already marked the node down, and the share moves
-// to another node. It fails only when no executor can serve the share.
+// exchange without one — a dead or wedged node, a response to another
+// share, an error or corrupt payload in the response — has already marked
+// the node down, and the share moves to another node. It fails only when
+// no executor can serve the share.
 func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Tweet, node *execNode) (shareOutput, int64, error) {
 	tried := make(map[*execNode]bool)
 	var lastErr error
@@ -444,47 +429,42 @@ func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Twe
 	return shareOutput{}, 0, fmt.Errorf("engine: share [%d,%d) of batch %d failed on every executor: %w", s.lo, s.hi, bc.seq, lastErr)
 }
 
-// exchange performs one share round trip against one node and decodes the
-// response. Any failure marks the node down before it is returned.
+// exchange performs one share round trip against one node — the share is
+// sent, then its response is read inline under the share timeout — and
+// decodes the response. xmu keeps one exchange on the connection at a time.
+// Any failure marks the node down before it is returned.
 func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet) (shareOutput, int64, error) {
-	key := respKey{seq: bc.seq, lo: s.lo, hi: s.hi}
-	ch, gen, err := n.register(key)
-	if err != nil {
-		return shareOutput{}, 0, err
-	}
-	fail := func(err error) (shareOutput, int64, error) {
-		n.unregister(key)
-		r.markDown(n, gen, err)
-		return shareOutput{}, 0, err
-	}
+	n.xmu.Lock()
+	defer n.xmu.Unlock()
 	start := time.Now()
-	if err := r.sendShare(n, gen, bc, s, batch); err != nil {
-		return fail(err)
+	conn, dec, err := r.sendShare(n, bc, s, batch)
+	var resp batchResponse
+	if err == nil {
+		_ = conn.SetReadDeadline(time.Now().Add(shareTimeout))
+		if err = dec.Decode(&resp); err != nil {
+			err = fmt.Errorf("engine: receive share [%d,%d) from executor %s: %w", s.lo, s.hi, n.addr, err)
+		}
 	}
-	var rep shareReply
-	timeout := time.NewTimer(shareTimeout)
-	select {
-	case rep = <-ch:
-		timeout.Stop()
-	case <-timeout.C:
-		// A wedged-but-connected executor never errors the transport;
-		// time it out so the share can fail over to a live node.
-		return fail(fmt.Errorf("engine: executor %s did not answer share [%d,%d) within %v", n.addr, s.lo, s.hi, shareTimeout))
+	var out shareOutput
+	if err == nil {
+		clusterShareRTT.Observe(time.Since(start).Seconds())
+		out, err = r.decodeShare(n, bc.seq, s, &resp)
 	}
-	if rep.err != nil {
-		return fail(rep.err)
-	}
-	clusterShareRTT.Observe(time.Since(start).Seconds())
-	out, err := r.decodeShare(n, s, &rep.resp)
 	if err != nil {
-		return fail(err)
+		n.markDown(conn)
+		return shareOutput{}, 0, err
 	}
-	return out, rep.resp.ExecNanos, nil
+	return out, resp.ExecNanos, nil
 }
 
-// decodeShare checks one share response and decodes its statistics delta
-// and training accumulators. Decoding only reads the global model.
-func (r *clusterRun) decodeShare(n *execNode, s span, resp *batchResponse) (shareOutput, error) {
+// decodeShare checks that a response answers share s of batch seq and
+// decodes its statistics delta and training accumulators. Decoding only
+// reads the global model.
+func (r *clusterRun) decodeShare(n *execNode, seq int64, s span, resp *batchResponse) (shareOutput, error) {
+	if resp.Seq != seq || resp.Lo != s.lo || resp.Hi != s.hi {
+		return shareOutput{}, fmt.Errorf("engine: executor %s answered share [%d,%d) of batch %d with [%d,%d) of batch %d",
+			n.addr, s.lo, s.hi, seq, resp.Lo, resp.Hi, resp.Seq)
+	}
 	if resp.Err != "" {
 		return shareOutput{}, fmt.Errorf("engine: executor %s: %s", n.addr, resp.Err)
 	}
@@ -507,18 +487,19 @@ func (r *clusterRun) decodeShare(n *execNode, s span, resp *batchResponse) (shar
 
 // sendShare ships the broadcast when n's session does not hold this
 // batch's yet (once per node per batch), then the share's data frame, and
-// counts each frame's bytes.
-func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batch []twitterdata.Tweet) error {
+// counts each frame's bytes. It returns the connection the frames went out
+// on (nil when n is down) and its decoder, for the response.
+func (r *clusterRun) sendShare(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet) (*countingConn, *gob.Decoder, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.up || n.gen != gen {
-		return fmt.Errorf("engine: executor %s went down", n.addr)
+	if !n.up {
+		return nil, nil, fmt.Errorf("engine: executor %s is down", n.addr)
 	}
 	if n.bcSeq != bc.seq {
 		msg := r.broadcastFor(n, bc)
 		sent, err := n.send(&msg)
 		if err != nil {
-			return fmt.Errorf("engine: broadcast to executor %s: %w", n.addr, err)
+			return n.conn, nil, fmt.Errorf("engine: broadcast to executor %s: %w", n.addr, err)
 		}
 		r.broadcastBytes.Add(sent)
 		clusterBroadcastBytes.Add(sent)
@@ -527,19 +508,18 @@ func (r *clusterRun) sendShare(n *execNode, gen int, bc *broadcast, s span, batc
 	sent, err := n.send(&wireMsg{Kind: msgData, Seq: bc.seq, Lo: s.lo, Hi: s.hi,
 		Tasks: r.cfg.TasksPerExecutor, Tweets: batch[s.lo:s.hi]})
 	if err != nil {
-		return fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
+		return n.conn, nil, fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
 	}
 	r.dataBytes.Add(sent)
 	clusterDataBytes.Add(sent)
-	return nil
+	return n.conn, n.dec, nil
 }
 
 // send writes one frame with a write deadline and returns its size on the
-// wire. Sends happen under the node mutex, which markDown also needs
-// before it can close the connection — so an unbounded write to a peer
-// that stopped reading would deadlock the node forever. The deadline
-// converts it into a send error the caller turns into a failover. Callers
-// hold n.mu.
+// wire. Sends happen under the node mutex, which isUp and shutdown also
+// need — so an unbounded write to a peer that stopped reading would wedge
+// the node forever. The deadline converts it into a send error the caller
+// turns into a failover. Callers hold n.mu.
 func (n *execNode) send(msg *wireMsg) (int64, error) {
 	pre := n.conn.out.Load()
 	_ = n.conn.SetWriteDeadline(time.Now().Add(shareTimeout))
@@ -548,9 +528,8 @@ func (n *execNode) send(msg *wireMsg) (int64, error) {
 	return n.conn.out.Load() - pre, err
 }
 
-// connect dials a node, runs the hello handshake, and starts its receive
-// loop. The node's broadcast keys are reset so the next batch sends the
-// full state.
+// connect dials a node and runs the hello handshake. The node's broadcast
+// keys are reset so the next batch sends the full state.
 func (r *clusterRun) connect(n *execNode) error {
 	raw, err := net.DialTimeout("tcp", n.addr, 3*time.Second)
 	if err != nil {
@@ -592,120 +571,70 @@ func (r *clusterRun) connect(n *execNode) error {
 	default:
 	}
 	n.conn, n.enc, n.dec = conn, enc, dec
-	n.gen++
-	gen := n.gen
 	n.up = true
 	n.modelHash, n.vocabVersion, n.bcSeq = 0, 0, -1
-	n.pending = make(map[respKey]chan shareReply)
 	n.mu.Unlock()
-	go r.recvLoop(n, gen, dec)
 	return nil
 }
 
-// recvLoop decodes responses for one connection generation and routes them
-// to the waiting share exchanges. A response nobody is waiting on is
-// dropped.
-func (r *clusterRun) recvLoop(n *execNode, gen int, dec *gob.Decoder) {
-	for {
-		var resp batchResponse
-		if err := dec.Decode(&resp); err != nil {
-			r.markDown(n, gen, fmt.Errorf("engine: receive from executor %s: %w", n.addr, err))
-			return
-		}
-		key := respKey{seq: resp.Seq, lo: resp.Lo, hi: resp.Hi}
-		n.mu.Lock()
-		if n.gen != gen {
-			n.mu.Unlock()
-			return
-		}
-		ch := n.pending[key]
-		if ch != nil {
-			delete(n.pending, key)
-		}
-		n.mu.Unlock()
-		if ch != nil {
-			ch <- shareReply{resp: resp}
-		}
-	}
-}
-
-// markDown transitions a node to unhealthy exactly once per connection
-// generation: it closes the connection, fails the pending exchanges so
-// their shares fail over, and starts the reconnect loop.
-func (r *clusterRun) markDown(n *execNode, gen int, err error) {
+// markDown takes n out of service once per connection: the first failed
+// exchange on conn closes it and wakes the node's supervisor; a call for a
+// connection that is already down or replaced does nothing.
+func (n *execNode) markDown(conn *countingConn) {
 	n.mu.Lock()
-	if !n.up || n.gen != gen {
+	if !n.up || n.conn != conn {
 		n.mu.Unlock()
 		return
 	}
 	n.up = false
-	conn := n.conn
-	pend := n.pending
-	n.pending = nil
 	n.mu.Unlock()
 	conn.Close()
-	for _, ch := range pend {
-		ch <- shareReply{err: err}
-	}
-	select {
-	case <-r.stop:
-		return
-	default:
-	}
-	go r.revive(n)
+	n.wake()
 }
 
-// revive reconnects a downed node with exponential backoff, abandoning it
-// after MaxConnAttempts consecutive failures.
-func (r *clusterRun) revive(n *execNode) {
-	n.mu.Lock()
-	if n.reviving || n.abandoned || n.up {
-		n.mu.Unlock()
-		return
+// wake signals n's supervisor that the node is down.
+func (n *execNode) wake() {
+	select {
+	case n.down <- struct{}{}:
+	default:
 	}
-	n.reviving = true
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		n.reviving = false
-		// A markDown between our connect succeeding and this flag clearing
-		// saw reviving=true and declined to spawn; if the node went down
-		// again in that window, pick the baton back up ourselves so it is
-		// neither retried-by-nobody nor abandoned-by-nobody.
-		respawn := !n.up && !n.abandoned
-		n.mu.Unlock()
-		if !respawn {
-			return
-		}
-		select {
-		case <-r.stop:
-		default:
-			go r.revive(n)
-		}
-	}()
-	backoff := r.cfg.ReconnectBackoff
-	for attempt := 1; attempt <= r.cfg.MaxConnAttempts; attempt++ {
+}
+
+// supervise is n's one reconnect loop, running until the run ends: each
+// wake-up redials the node with exponential backoff, and MaxConnAttempts
+// consecutive failures or a hello rejection abandon it for the run.
+func (r *clusterRun) supervise(n *execNode) {
+	defer r.loops.Done()
+	for {
 		select {
 		case <-r.stop:
 			return
-		case <-time.After(backoff):
+		case <-n.down:
 		}
-		if backoff < time.Second {
-			backoff *= 2
-		}
-		err := r.connect(n)
-		if err == nil {
-			r.reconnects.Add(1)
-			clusterReconnects.Inc()
-			return
-		}
-		if n.abandonedNow() { // hello rejection: retrying cannot help
-			return
+		backoff := r.cfg.ReconnectBackoff
+		for attempt := 1; ; attempt++ {
+			select {
+			case <-r.stop:
+				return
+			case <-time.After(backoff):
+			}
+			if backoff < time.Second {
+				backoff *= 2
+			}
+			if r.connect(n) == nil {
+				r.reconnects.Add(1)
+				clusterReconnects.Inc()
+				break
+			}
+			// A hello rejection (connect sets abandoned) never heals.
+			if attempt == r.cfg.MaxConnAttempts || n.abandonedNow() {
+				n.mu.Lock()
+				n.abandoned = true
+				n.mu.Unlock()
+				return
+			}
 		}
 	}
-	n.mu.Lock()
-	n.abandoned = true
-	n.mu.Unlock()
 }
 
 func (n *execNode) abandonedNow() bool {
@@ -757,7 +686,8 @@ func (r *clusterRun) awaitHealthy(skip map[*execNode]bool) ([]*execNode, error) 
 }
 
 // shutdown ends the run: reconnect loops stop, up nodes get the polite
-// shutdown frame, and every connection is closed.
+// shutdown frame, every connection is closed, and the supervisors have
+// returned.
 func (r *clusterRun) shutdown() {
 	close(r.stop)
 	bye := wireMsg{Kind: msgShutdown}
@@ -775,4 +705,5 @@ func (r *clusterRun) shutdown() {
 		n.up = false
 		n.mu.Unlock()
 	}
+	r.loops.Wait()
 }

@@ -109,9 +109,11 @@ type Stats struct {
 	// DataBytes counts tweet shares.
 	BroadcastBytes int64
 	DataBytes      int64
-	// Failovers counts shares reassigned after an executor failed
-	// mid-batch; Reconnects counts executors that came back after a
-	// mid-run failure.
+	// Failovers counts shares moved to another executor after an exchange
+	// on their node failed — including the first share sent to a node that
+	// died between batches, since a death is found by the exchange that
+	// meets it. Reconnects counts executors that came back after a mid-run
+	// failure.
 	Failovers  int64
 	Reconnects int64
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/gob"
+	"fmt"
 	"net"
 	"reflect"
 	"sync/atomic"
@@ -23,16 +24,17 @@ func fastReconnect(cfg ClusterConfig) ClusterConfig {
 	return cfg
 }
 
-// waitHandled polls until the executor served at least n shares.
-func waitHandled(t *testing.T, ex *Executor, n int64) {
-	t.Helper()
+// waitHandled polls until the executor served at least n shares, for at
+// most 10 s.
+func waitHandled(ex *Executor, n int64) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for ex.Handled() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("executor stuck at %d shares, want >= %d", ex.Handled(), n)
+			return fmt.Errorf("executor stuck at %d shares, want >= %d", ex.Handled(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return nil
 }
 
 // crashOnShare arms an executor to die abruptly (no drain) at the start of
@@ -313,9 +315,10 @@ func TestClusterCorruptDeltaFailsOver(t *testing.T) {
 }
 
 // TestClusterReconnectResyncsVocab replaces an executor mid-run with a
-// fresh process on the same address: the driver must reconnect and send
-// the full state, including the adaptively-grown vocabulary the new
-// session has never seen.
+// fresh process on the same address, then replaces the replacement: the
+// driver must reconnect both times — the second to a node that went down
+// again after a reconnect — and send each new session the full state,
+// including the adaptively-grown vocabulary it has never seen.
 func TestClusterReconnectResyncsVocab(t *testing.T) {
 	exA, err := StartExecutor("127.0.0.1:0", 2)
 	if err != nil {
@@ -328,26 +331,33 @@ func TestClusterReconnectResyncsVocab(t *testing.T) {
 	}
 	addrB := exB.Addr()
 
-	var exB2 *Executor
-	swapped := make(chan struct{})
-	go func() {
-		defer close(swapped)
-		waitHandled(t, exB, 2)
-		exB.Close()
-		// Rebind the same address: the driver's reconnect loop finds the
-		// replacement and sends it the full state.
+	// replace closes ex once it has served two shares and rebinds its
+	// address: the driver's reconnect loop finds the replacement.
+	replace := func(ex *Executor) *Executor {
+		if err := waitHandled(ex, 2); err != nil {
+			t.Error(err)
+			return nil
+		}
+		ex.Close()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			var err error
-			exB2, err = StartExecutor(addrB, 2)
+			next, err := StartExecutor(addrB, 2)
 			if err == nil {
-				return
+				return next
 			}
 			if time.Now().After(deadline) {
 				t.Errorf("could not rebind %s: %v", addrB, err)
-				return
+				return nil
 			}
 			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	var exB2, exB3 *Executor
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		if exB2 = replace(exB); exB2 != nil {
+			exB3 = replace(exB2)
 		}
 	}()
 
@@ -360,8 +370,10 @@ func TestClusterReconnectResyncsVocab(t *testing.T) {
 	cfg.MaxConnAttempts = 10
 	stats, err := RunCluster(p, NewSliceSource(data), cfg)
 	<-swapped
-	if exB2 != nil {
-		defer exB2.Close()
+	for _, ex := range []*Executor{exB2, exB3} {
+		if ex != nil {
+			defer ex.Close()
+		}
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -369,18 +381,98 @@ func TestClusterReconnectResyncsVocab(t *testing.T) {
 	if stats.Processed != int64(len(data)) {
 		t.Fatalf("processed %d, want %d", stats.Processed, len(data))
 	}
-	if stats.Reconnects == 0 {
-		t.Fatal("driver never reconnected to the replacement executor")
+	if stats.Reconnects < 2 {
+		t.Fatalf("driver reconnected %d times, want >= 2 (one per replacement)", stats.Reconnects)
 	}
-	if exB2 == nil || exB2.Handled() == 0 {
-		t.Fatal("replacement executor served no shares after reconnecting")
+	if exB3 == nil || exB3.Handled() == 0 {
+		t.Fatal("second replacement executor served no shares after reconnecting")
 	}
 	seedSize := len(core.NewPipeline(testOptions()).Extractor().BoW().Words())
-	if got := exB2.LastVocabSize(); got <= seedSize {
-		t.Fatalf("replacement executor vocab = %d words, want > %d (reconnect did not deliver the grown vocabulary)", got, seedSize)
+	if got := exB3.LastVocabSize(); got <= seedSize {
+		t.Fatalf("second replacement executor vocab = %d words, want > %d (reconnect did not deliver the grown vocabulary)", got, seedSize)
 	}
-	if got, want := exB2.LastVocabSize(), p.Extractor().BoW().Size(); got > want {
-		t.Fatalf("replacement executor vocab = %d words, driver has %d", got, want)
+	if got, want := exB3.LastVocabSize(), p.Extractor().BoW().Size(); got > want {
+		t.Fatalf("second replacement executor vocab = %d words, driver has %d", got, want)
+	}
+}
+
+// misaddressingExecutor speaks the wire protocol by hand: it acks the
+// hello, ignores broadcasts and answers every data frame as if it were the
+// share one tweet further on (Lo+1). It returns the listen address.
+func misaddressingExecutor(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+				for {
+					var msg wireMsg
+					if dec.Decode(&msg) != nil {
+						return
+					}
+					resp := batchResponse{Seq: msg.Seq}
+					switch msg.Kind {
+					case msgHello:
+					case msgBroadcast:
+						continue
+					case msgData:
+						resp.Lo, resp.Hi = msg.Lo+1, msg.Hi
+					default:
+						return
+					}
+					if enc.Encode(&resp) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClusterMisaddressedResponseFailsOver runs a node whose responses name
+// another share than the one sent: each such exchange must fail and its
+// share fail over to the real executor at once, instead of waiting out the
+// share timeout for an answer that never comes.
+func TestClusterMisaddressedResponseFailsOver(t *testing.T) {
+	addrs := []string{misaddressingExecutor(t), startCluster(t, 1, 2)[0]}
+	data := testDataset(43, 1200, 600, 120)
+	p := core.NewPipeline(testOptions())
+	type result struct {
+		stats Stats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := RunCluster(p, NewSliceSource(data), fastReconnect(ClusterConfig{
+			Executors: addrs, BatchSize: 300, TasksPerExecutor: 2,
+		}))
+		done <- result{stats, err}
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still going after 10s: a misaddressed response left its share waiting")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.stats.Processed != int64(len(data)) {
+		t.Fatalf("processed %d, want %d", res.stats.Processed, len(data))
+	}
+	if res.stats.Failovers == 0 {
+		t.Fatal("misaddressed responses never failed a share over")
 	}
 }
 
@@ -531,7 +623,9 @@ func TestExecutorCloseDrains(t *testing.T) {
 	}
 	// Close once the share is in flight; drain semantics guarantee its
 	// response is flushed before the connection goes away.
-	waitHandled(t, ex, 1)
+	if err := waitHandled(ex, 1); err != nil {
+		t.Fatal(err)
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- ex.Close() }()
 

@@ -66,9 +66,9 @@ type wireMsg struct {
 	NormMode     int
 	Scheme       int
 
-	// Data fields. Lo/Hi are the share's offsets within the driver's batch;
-	// they key the response back to the share, also when failover moved it
-	// onto a node serving another share of the batch.
+	// Data fields. Lo/Hi are the share's offsets within the driver's batch.
+	// The response echoes them with Seq, and the driver fails an exchange
+	// whose response names any other share.
 	Lo, Hi int
 	Tasks  int
 	Tweets []twitterdata.Tweet
@@ -94,12 +94,6 @@ type batchResponse struct {
 	// time minus this is wire and queueing cost. Zero means no attribution
 	// is available.
 	ExecNanos int64
-}
-
-// respKey addresses one share exchange on a connection.
-type respKey struct {
-	seq    int64
-	lo, hi int
 }
 
 // span is one contiguous share of a batch.

@@ -39,7 +39,6 @@ import (
 	"redhanded/internal/core"
 	"redhanded/internal/engine"
 	"redhanded/internal/eval"
-	"redhanded/internal/metrics"
 	"redhanded/internal/serve"
 	"redhanded/internal/twitterdata"
 	"redhanded/internal/userstate"
@@ -118,18 +117,10 @@ type (
 	// (Options.Users): shard count, record cap, idle TTL, escalation
 	// scoring.
 	UserStateConfig = userstate.Config
-	// UserStore is the sharded per-user state store (Pipeline.Users).
-	UserStore = userstate.Store
-	// UserSnapshot is one user's state copy (UserStore.Lookup and the
-	// serving layer's GET /v1/users/{id}).
-	UserSnapshot = userstate.Snapshot
 	// VerdictSink consumes session and escalation verdicts
 	// (Pipeline.SubscribeVerdicts).
 	VerdictSink = core.VerdictSink
 )
-
-// DefaultSessionConfig returns 1-hour windows flagging >= 60% aggressive.
-func DefaultSessionConfig() SessionConfig { return core.DefaultSessionConfig() }
 
 // DefaultOptions returns the configuration of the paper's main
 // experiments: Hoeffding Tree, 3-class, preprocessing, minmax-without-
@@ -218,9 +209,6 @@ type (
 	ServerOptions = serve.Options
 	// ServerStats is the GET /v1/stats payload.
 	ServerStats = serve.Stats
-	// MetricsRegistry collects counters, gauges, and histograms with
-	// Prometheus text-format exposition.
-	MetricsRegistry = metrics.Registry
 )
 
 // NewServer builds the sharded serving front end and starts its shard
@@ -230,7 +218,3 @@ func NewServer(opts ServerOptions) *Server { return serve.NewServer(opts) }
 
 // DefaultServerOptions returns the paper-default pipeline behind 4 shards.
 func DefaultServerOptions() ServerOptions { return serve.DefaultServerOptions() }
-
-// DefaultMetrics returns the process-wide metrics registry that the
-// engines and the alerting step instrument.
-func DefaultMetrics() *MetricsRegistry { return metrics.Default() }
