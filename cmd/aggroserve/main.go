@@ -119,7 +119,6 @@ func main() {
 			Partitions: *shards,
 			Fsync:      policy,
 			FsyncEvery: *fsyncEvery,
-			Registry:   metrics.Default(),
 		})
 		if err != nil {
 			fatal("ingest log open failed", "dir", *logDir, "err", err)

@@ -91,8 +91,10 @@ func main() {
 			Registry:   metrics.Default(),
 		})
 	}
+	p := core.NewPipeline(opts)
 	if *debugAddr != "" {
 		obs.RegisterRuntimeGauges(metrics.Default())
+		core.RegisterMetrics(metrics.Default(), p)
 		ln, stopDebug, err := obs.StartDebugServer(*debugAddr, tracer)
 		if err != nil {
 			fatal("debug listener failed", "addr", *debugAddr, "err", err)
@@ -105,7 +107,6 @@ func main() {
 	logger.Info("starting cluster run",
 		"executors", len(execList), "model", opts.Model.String(), "scheme", opts.Scheme.String(),
 		"batch", *batch, "tasks", *tasks, "trace", *trace)
-	p := core.NewPipeline(opts)
 	stats, err := engine.RunCluster(p, src, engine.ClusterConfig{
 		Executors:        execList,
 		BatchSize:        *batch,

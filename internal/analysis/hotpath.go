@@ -20,7 +20,7 @@ var HotPathHygiene = &Analyzer{
 // registryLookupMethods are the metrics.Registry methods that take the
 // registry mutex and hash the metric name — construction-time only.
 var registryLookupMethods = map[string]bool{
-	"Counter": true, "Gauge": true, "GaugeFunc": true, "Histogram": true,
+	"Counter": true, "CounterFunc": true, "GaugeFunc": true, "Histogram": true,
 }
 
 func runHotPathHygiene(pass *Pass) {

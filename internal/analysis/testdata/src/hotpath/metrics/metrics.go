@@ -10,3 +10,5 @@ func (c *Counter) Add(d int64) { c.n += d }
 type Registry struct{}
 
 func (r *Registry) Counter(name string) *Counter { _ = name; return &Counter{} }
+
+func (r *Registry) CounterFunc(name string, fn func() float64) { _, _ = name, fn }

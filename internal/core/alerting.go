@@ -3,17 +3,9 @@ package core
 import (
 	"sync"
 
-	"redhanded/internal/metrics"
 	"redhanded/internal/twitterdata"
 	"redhanded/internal/userstate"
 )
-
-// alertsRaisedTotal counts alerts across every pipeline in the process on
-// the default metrics registry, so a serving deployment sees alert volume
-// on /metrics without per-pipeline wiring.
-var alertsRaisedTotal = metrics.Default().Counter(
-	"redhanded_alerts_raised_total",
-	"Alerts raised by the alerting step across all pipelines.", nil)
 
 // Alert is raised in real time when a tweet is predicted aggressive with
 // sufficient confidence.
@@ -94,7 +86,6 @@ func (a *Alerter) arm(confidence float64) (suspendAfter int, ok bool) {
 func (a *Alerter) raise(tw *twitterdata.Tweet, predicted string, confidence float64, out userstate.Outcome) {
 	a.mu.Lock()
 	a.raised++
-	alertsRaisedTotal.Inc()
 	sinks := a.sinks
 	a.mu.Unlock()
 	alert := Alert{

@@ -1,0 +1,56 @@
+package core
+
+import (
+	"redhanded/internal/metrics"
+	"redhanded/internal/stream"
+)
+
+// RegisterMetrics exposes on reg the counts the pipelines' own components
+// keep — alerts raised, user-state verdicts, suspensions, evictions and
+// lock waits, ARF drift signals — as totals over ps, sampled at scrape
+// time. The components stay the only producers, so /metrics reads what
+// /v1/stats and checkpoints read. Registering again (a replacement server
+// on the same registry) hands every series to the new pipelines.
+func RegisterMetrics(reg *metrics.Registry, ps ...*Pipeline) {
+	sum := func(f func(*Pipeline) int64) func() float64 {
+		return func() float64 {
+			var n int64
+			for _, p := range ps {
+				n += f(p)
+			}
+			return float64(n)
+		}
+	}
+	drift := func(f func(*stream.DriftStats) int64) func() float64 {
+		return sum(func(p *Pipeline) int64 {
+			if st := p.DriftStats(); st != nil {
+				return f(st)
+			}
+			return 0
+		})
+	}
+	reg.CounterFunc("redhanded_alerts_raised_total", "Alerts raised by the alerting step.", nil,
+		sum(func(p *Pipeline) int64 { return p.alerter.Raised() }))
+	reg.CounterFunc("redhanded_userstate_session_verdicts_total", "Session verdicts emitted by the user-state layer.", nil,
+		sum(func(p *Pipeline) int64 { return p.users.SessionVerdicts() }))
+	reg.CounterFunc("redhanded_userstate_escalations_total", "Escalation verdicts emitted by the user-state layer.", nil,
+		sum(func(p *Pipeline) int64 { return p.users.Escalations() }))
+	reg.CounterFunc("redhanded_userstate_suspensions_total", "Users newly recommended for suspension.", nil,
+		sum(func(p *Pipeline) int64 { return p.users.Suspensions() }))
+	const evicted = "User records evicted from the store by reason."
+	reg.CounterFunc("redhanded_userstate_evictions_total", evicted, metrics.Labels{"reason": "cap"},
+		sum(func(p *Pipeline) int64 { n, _ := p.users.Evictions(); return n }))
+	reg.CounterFunc("redhanded_userstate_evictions_total", evicted, metrics.Labels{"reason": "ttl"},
+		sum(func(p *Pipeline) int64 { _, n := p.users.Evictions(); return n }))
+	reg.CounterFunc("redhanded_userstate_lock_waits_total", "Observe calls that found their shard stripe held.", nil,
+		sum(func(p *Pipeline) int64 { n, _ := p.users.LockWaits(); return n }))
+	waited := sum(func(p *Pipeline) int64 { _, d := p.users.LockWaits(); return int64(d) })
+	reg.CounterFunc("redhanded_userstate_lock_wait_seconds_total", "Time Observe calls spent blocked on a held shard stripe.", nil,
+		func() float64 { return waited() / 1e9 })
+	reg.CounterFunc("redhanded_arf_warnings_total", "ARF member warnings (background trees started).", nil,
+		drift(func(st *stream.DriftStats) int64 { return st.Warnings }))
+	reg.CounterFunc("redhanded_arf_drifts_total", "ARF member drift-detector signals.", nil,
+		drift(func(st *stream.DriftStats) int64 { return st.Drifts }))
+	reg.CounterFunc("redhanded_arf_tree_replacements_total", "ARF member trees replaced after a detected drift.", nil,
+		drift(func(st *stream.DriftStats) int64 { return st.TreeReplacements }))
+}

@@ -58,8 +58,9 @@ type Model = stream.Model
 // are a batch of one and a chunker over it. The micro-batch and cluster
 // engines compute extract/normalize/predict and the training deltas in
 // their own share kernel over the pipeline's components (Extractor,
-// Normalizer, Model), merge the deltas, and hand each classified batch back
-// through AbsorbBatch, which applies the same effects section.
+// Normalizer, Model), merge the statistics deltas, and hand each classified
+// batch and its model accumulators back through AbsorbBatch, which applies
+// the accumulators and the same effects section.
 //
 // A Pipeline supports one processing goroutine. The read accessors
 // (Processed, Summary, BoWSizeCurve, PredictedDistribution, LogOffset,
@@ -588,12 +589,14 @@ type Outcome struct {
 	Conf  float64
 }
 
-// AbsorbBatch applies the effects of one micro-batch an engine classified
-// and trained on in parallel. Engines call it after merging the batch's
-// model and normalizer deltas; outcomes[i] corresponds to tweets[i].
-func (p *Pipeline) AbsorbBatch(tweets []twitterdata.Tweet, outcomes []Outcome) {
+// AbsorbBatch applies one micro-batch an engine classified and trained on
+// in parallel, after the engine merged its normalizer deltas: the model
+// accumulators (under the lock, so DriftStats may be read mid-run), then
+// each tweet's effects; outcomes[i] corresponds to tweets[i].
+func (p *Pipeline) AbsorbBatch(accs []ml.Accumulator, tweets []twitterdata.Tweet, outcomes []Outcome) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.model.ApplyAccumulators(accs)
 	for i := range tweets {
 		o := outcomes[i]
 		res := Result{Instance: ml.Instance{Label: o.Label}, Predicted: o.Pred, Confidence: o.Conf}
@@ -608,8 +611,7 @@ func (p *Pipeline) AbsorbBatch(tweets []twitterdata.Tweet, outcomes []Outcome) {
 		}
 		p.absorb(&tweets[i], &res, nil, nil)
 	}
-	// The engine merged model deltas (ApplyAccumulators) before calling
-	// AbsorbBatch; re-publish so the snapshot catches up with the merge.
+	// Re-publish so the snapshot catches up with the merged accumulators.
 	p.refreshSnapshotLocked(nil)
 }
 

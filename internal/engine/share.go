@@ -136,8 +136,9 @@ func runParts(parts, workers int, fn func(part int)) {
 // mergeBatch is the driver step that ends every micro-batch: fold the
 // shares' statistics deltas into the pipeline's normalizer and collect their
 // accumulators, both in share order (deterministic whichever node served
-// which share), apply the accumulators to the global model, and hand the
-// classified batch to the pipeline's effects section.
+// which share), and hand the accumulators and the classified batch to
+// AbsorbBatch, which applies them to the global model and runs the effects
+// section.
 func mergeBatch(p *core.Pipeline, batch []twitterdata.Tweet, shares []shareOutput) {
 	var accs []ml.Accumulator
 	outcomes := make([]core.Outcome, len(batch))
@@ -148,8 +149,7 @@ func mergeBatch(p *core.Pipeline, batch []twitterdata.Tweet, shares []shareOutpu
 			outcomes[s.lo+c.Idx] = core.Outcome{Label: c.Label, Pred: c.Pred, Conf: c.Conf}
 		}
 	}
-	p.Model().ApplyAccumulators(accs)
-	p.AbsorbBatch(batch, outcomes)
+	p.AbsorbBatch(accs, batch, outcomes)
 }
 
 // nextBatch reads up to n tweets from src into buf's storage (a fresh

@@ -41,8 +41,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"redhanded/internal/metrics"
 )
 
 // FsyncPolicy selects when appended records are forced to stable storage.
@@ -112,8 +110,6 @@ type Options struct {
 	// fsync under FsyncInterval before Append sheds load with
 	// ErrBackpressure (default 32 MiB; <0 disables the bound).
 	MaxUnsynced int64
-	// Registry receives the log's metrics (nil skips registration).
-	Registry *metrics.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -165,6 +161,12 @@ type partition struct {
 	bytes    int64          // total bytes across sealed segments + tail
 	unsynced int64          // bytes appended since the last fsync
 	dirty    atomic.Bool    // needs an interval fsync
+
+	// Activity since Open, reported by Stats.
+	appends       int64 // records appended
+	appendedBytes int64 // bytes appended, framing included
+	fsyncs        int64 // successful fsyncs
+	stalls        int64 // appends shed with ErrBackpressure
 }
 
 // Log is the partitioned append log. Append is safe for concurrent use;
@@ -176,11 +178,6 @@ type Log struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 	syncWG    sync.WaitGroup
-
-	appends *metrics.Counter
-	bytes   *metrics.Counter
-	fsyncs  *metrics.Counter
-	stalls  *metrics.Counter
 }
 
 // Open creates or recovers a log directory. Recovery scans each
@@ -214,16 +211,6 @@ func Open(opts Options) (*Log, error) {
 	}
 
 	l := &Log{opts: opts, closed: make(chan struct{})}
-	if reg := opts.Registry; reg != nil {
-		l.appends = reg.Counter("redhanded_ingestlog_appends_total",
-			"Records appended to the ingest log.", nil)
-		l.bytes = reg.Counter("redhanded_ingestlog_bytes_total",
-			"Bytes appended to the ingest log (framing included).", nil)
-		l.fsyncs = reg.Counter("redhanded_ingestlog_fsyncs_total",
-			"fsync calls issued by the ingest log.", nil)
-		l.stalls = reg.Counter("redhanded_ingestlog_append_stalls_total",
-			"Appends shed with backpressure because the unsynced budget was exhausted.", nil)
-	}
 	for i := 0; i < opts.Partitions; i++ {
 		p, err := openPartition(opts, i)
 		if err != nil {
@@ -231,14 +218,6 @@ func Open(opts Options) (*Log, error) {
 			return nil, err
 		}
 		l.parts = append(l.parts, p)
-		if reg := opts.Registry; reg != nil {
-			labels := metrics.Labels{"partition": fmt.Sprint(i)}
-			pp := p
-			reg.GaugeFunc("redhanded_ingestlog_segments", "Segment files per partition.",
-				labels, func() float64 { pp.mu.Lock(); defer pp.mu.Unlock(); return float64(pp.segments) })
-			reg.GaugeFunc("redhanded_ingestlog_partition_bytes", "Bytes on disk per partition.",
-				labels, func() float64 { pp.mu.Lock(); defer pp.mu.Unlock(); return float64(pp.bytes) })
-		}
 	}
 	if opts.Fsync == FsyncInterval {
 		l.syncWG.Add(1)
@@ -340,9 +319,7 @@ func (l *Log) Append(partition int, payload []byte) (int64, error) {
 		return 0, fmt.Errorf("ingestlog: partition %d is closed", partition)
 	}
 	if l.opts.Fsync == FsyncInterval && l.opts.MaxUnsynced > 0 && p.unsynced >= l.opts.MaxUnsynced {
-		if l.stalls != nil {
-			l.stalls.Inc()
-		}
+		p.stalls++
 		return 0, ErrBackpressure
 	}
 	if p.seg.size >= l.opts.SegmentBytes {
@@ -357,22 +334,18 @@ func (l *Log) Append(partition int, payload []byte) (int64, error) {
 	off := p.next
 	p.next++
 	p.bytes += int64(n)
+	p.appends++
+	p.appendedBytes += int64(n)
 	switch l.opts.Fsync {
 	case FsyncAlways:
 		//redvet:ignore lockorder FsyncAlways is the WAL-strict contract: the record is not durable until synced, so the partition stripe stays pinned across the fsync by design
 		if err := p.seg.sync(); err != nil {
 			return 0, fmt.Errorf("ingestlog: partition %d: %w", partition, err)
 		}
-		if l.fsyncs != nil {
-			l.fsyncs.Inc()
-		}
+		p.fsyncs++
 	case FsyncInterval:
 		p.unsynced += int64(n)
 		p.dirty.Store(true)
-	}
-	if l.appends != nil {
-		l.appends.Inc()
-		l.bytes.Add(int64(n))
 	}
 	return off, nil
 }
@@ -420,8 +393,8 @@ func (l *Log) SyncAll() {
 		p.mu.Lock()
 		if p.seg != nil {
 			//redvet:ignore lockorder interval flush must exclude Append while the dirty pages sync or the unsynced budget double-counts; one partition at a time keeps the stall bounded
-			if err := p.seg.sync(); err == nil && l.fsyncs != nil {
-				l.fsyncs.Inc()
+			if err := p.seg.sync(); err == nil {
+				p.fsyncs++
 			}
 			p.unsynced = 0
 		}
@@ -447,19 +420,30 @@ type PartitionStats struct {
 	Appended int64 `json:"appended"`
 	// Unsynced is the byte count ahead of the last fsync (FsyncInterval).
 	Unsynced int64 `json:"unsynced"`
+	// Appends, AppendedBytes (framing included), Fsyncs and Stalls
+	// (appends shed with ErrBackpressure) count activity since Open.
+	Appends       int64 `json:"appends"`
+	AppendedBytes int64 `json:"appended_bytes"`
+	Fsyncs        int64 `json:"fsyncs"`
+	Stalls        int64 `json:"stalls"`
 }
 
-// Stats reports per-partition segment counts, sizes, and offsets.
+// Stats reports per-partition segment counts, sizes, offsets, and the
+// appends, bytes, fsyncs and stalls since Open.
 func (l *Log) Stats() []PartitionStats {
 	out := make([]PartitionStats, len(l.parts))
 	for i, p := range l.parts {
 		p.mu.Lock()
 		out[i] = PartitionStats{
-			Partition: i,
-			Segments:  p.segments,
-			Bytes:     p.bytes,
-			Appended:  p.next - 1,
-			Unsynced:  p.unsynced,
+			Partition:     i,
+			Segments:      p.segments,
+			Bytes:         p.bytes,
+			Appended:      p.next - 1,
+			Unsynced:      p.unsynced,
+			Appends:       p.appends,
+			AppendedBytes: p.appendedBytes,
+			Fsyncs:        p.fsyncs,
+			Stalls:        p.stalls,
 		}
 		p.mu.Unlock()
 	}

@@ -371,3 +371,51 @@ func TestPartitionForMatchesStableHash(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsCountActivity: each partition counts its appends, appended
+// bytes, fsyncs and backpressure stalls, and Stats reports them.
+func TestStatsCountActivity(t *testing.T) {
+	opts := testOptions(t.TempDir())
+	opts.Partitions = 2
+	opts.Fsync = FsyncAlways
+	l, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes [2]int64
+	for i := 0; i < 5; i++ {
+		if _, err := l.Append(i%2, payloadFor(i)); err != nil {
+			t.Fatal(err)
+		}
+		sizes[i%2] += frameSize(len(payloadFor(i)))
+	}
+	for i, ps := range l.Stats() {
+		want := int64(3 - i) // partition 0 took appends 0, 2, 4
+		if ps.Appends != want || ps.AppendedBytes != sizes[i] || ps.Fsyncs != want || ps.Stalls != 0 {
+			t.Errorf("partition %d stats %+v, want %d appends of %d bytes, %d fsyncs", i, ps, want, sizes[i], want)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts = testOptions(t.TempDir())
+	opts.Fsync = FsyncInterval
+	opts.FsyncEvery = time.Hour // never ticks during the test
+	opts.MaxUnsynced = 1
+	l, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Append(0, payloadFor(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(0, payloadFor(1)); err != ErrBackpressure {
+		t.Fatalf("second append past a 1-byte budget: %v, want ErrBackpressure", err)
+	}
+	l.SyncAll()
+	if ps := l.Stats()[0]; ps.Appends != 1 || ps.Stalls != 1 || ps.Fsyncs != 1 {
+		t.Fatalf("interval stats %+v, want 1 append, 1 stall, 1 fsync", ps)
+	}
+}

@@ -1,14 +1,14 @@
 // Package metrics is a small, dependency-free metrics registry for the
-// serving subsystem: atomic counters and gauges, fixed-bucket latency
-// histograms, and Prometheus text-format exposition (format 0.0.4). It
-// exists so the hot paths (engine loops, alerting, HTTP serving) can be
-// observed in production without pulling a client library into the module.
+// serving subsystem: atomic counters, fixed-bucket latency histograms,
+// counters and gauges sampled from their owner at exposition time, and
+// Prometheus text-format exposition (format 0.0.4). It exists so the
+// serving and engine paths can be observed in production without pulling
+// a client library into the module.
 //
 // Collectors are registered on a Registry under a family name plus an
 // optional constant label set. Registration is idempotent: asking for the
 // same (name, labels) series again returns the collector created the first
-// time, so package-level wiring (e.g. the alerting counter shared by every
-// Pipeline) needs no coordination.
+// time, and registering a sampled series again replaces its function.
 package metrics
 
 import (
@@ -62,24 +62,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an atomic value that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket histogram of float64 observations (typically
 // latencies in seconds). Observations are lock-free: each bucket is an
@@ -157,7 +139,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 type series struct {
 	labels string
 	c      *Counter
-	g      *Gauge
 	fn     func() float64
 	h      *Histogram
 }
@@ -185,8 +166,8 @@ func NewRegistry() *Registry {
 
 var defaultRegistry = NewRegistry()
 
-// Default returns the process-wide registry the library's built-in
-// instrumentation (engine throughput, alert counts) registers on.
+// Default returns the process-wide registry: the engine's package-level
+// counters register on it, and the commands serve it.
 func Default() *Registry { return defaultRegistry }
 
 func (r *Registry) family(name, help, typ string) *family {
@@ -223,24 +204,24 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return s.c
 }
 
-// Gauge registers (or returns the existing) gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.family(name, help, "gauge").get(labels.render())
-	if !ok {
-		s.g = &Gauge{}
-	}
-	return s.g
-}
-
 // GaugeFunc registers a gauge whose value is sampled from fn at exposition
 // time (e.g. a live queue depth). Re-registering the same series replaces
 // the function, so a restarted server takes over its series cleanly.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.sampled(name, help, "gauge", labels, fn)
+}
+
+// CounterFunc is GaugeFunc for a count its owner already keeps (alerts a
+// pipeline raised, appends a log partition took): fn is sampled at
+// exposition time and must not decrease while its owner lives.
+func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
+	r.sampled(name, help, "counter", labels, fn)
+}
+
+func (r *Registry) sampled(name, help, typ string, labels Labels, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, _ := r.family(name, help, "gauge").get(labels.render())
+	s, _ := r.family(name, help, typ).get(labels.render())
 	s.fn = fn
 }
 
@@ -263,7 +244,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 }
 
 // WriteText renders the registry in Prometheus text exposition format.
-// Series values (including GaugeFunc callbacks) are read after the
+// Series values (including sampled-series callbacks) are read after the
 // registry lock is released, so a callback may safely touch the registry.
 func (r *Registry) WriteText(w io.Writer) error {
 	type snap struct {
@@ -301,9 +282,6 @@ func (s *series) write(w io.Writer, name string) error {
 		return err
 	case s.fn != nil:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatFloat(s.fn()))
-		return err
-	case s.g != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, s.g.Value())
 		return err
 	case s.h != nil:
 		return s.writeHistogram(w, name)

@@ -17,12 +17,15 @@ func TestCounterGauge(t *testing.T) {
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g := r.Gauge("g", "help", nil)
-	g.Set(10)
-	g.Dec()
-	g.Add(-2)
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
+	depth := 10
+	r.GaugeFunc("g", "help", nil, func() float64 { return float64(depth) })
+	depth -= 3
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ng 7\n") {
+		t.Fatalf("sampled gauge not read at exposition time:\n%s", b.String())
 	}
 }
 
@@ -47,7 +50,49 @@ func TestTypeMismatchPanics(t *testing.T) {
 			t.Fatal("registering m as gauge after counter should panic")
 		}
 	}()
-	r.Gauge("m", "help", nil)
+	r.GaugeFunc("m", "help", nil, func() float64 { return 0 })
+}
+
+func TestCounterFuncRendersCounter(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("appends_total", "Appends.", Labels{"partition": "1"}, func() float64 { return 42 })
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP appends_total Appends.\n",
+		"# TYPE appends_total counter\n",
+		`appends_total{partition="1"} 42` + "\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
+func TestCounterFuncReregistrationReplaces(t *testing.T) {
+	r := NewRegistry()
+	r.CounterFunc("owned_total", "help", nil, func() float64 { return 1 })
+	r.CounterFunc("owned_total", "help", nil, func() float64 { return 2 })
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); strings.Count(out, "\nowned_total ") != 1 || !strings.Contains(out, "\nowned_total 2\n") {
+		t.Fatalf("second registration should replace the first series:\n%s", out)
+	}
+}
+
+func TestCounterFuncOnGaugeFamilyPanics(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("depth", "help", nil, func() float64 { return 0 })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering depth as counter after gauge should panic")
+		}
+	}()
+	r.CounterFunc("depth", "help", nil, func() float64 { return 0 })
 }
 
 func TestHistogramBucketsAndQuantile(t *testing.T) {
@@ -74,7 +119,7 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ingest_total", "Tweets ingested.", nil).Add(7)
-	r.Gauge("depth", "Queue depth.", Labels{"shard": "2"}).Set(3)
+	r.GaugeFunc("depth", "Queue depth.", Labels{"shard": "2"}, func() float64 { return 3 })
 	r.GaugeFunc("live", "Sampled.", nil, func() float64 { return 1.5 })
 	h := r.Histogram("lat_seconds", "Latency.", []float64{0.5}, Labels{"shard": "0"})
 	h.Observe(0.1)

@@ -29,9 +29,10 @@ func (m *memSampler) sample() runtime.MemStats {
 	return m.stat
 }
 
-// RegisterRuntimeGauges registers Go runtime health gauges (goroutines,
-// heap bytes/objects, total GC pause, GC cycles) on reg. Heap figures are
-// sampled at most once per second to bound ReadMemStats cost.
+// RegisterRuntimeGauges registers Go runtime health series on reg: gauges
+// for goroutines and heap bytes/objects, counters for total GC pause and
+// GC cycles. Heap figures are sampled at most once per second to bound
+// ReadMemStats cost.
 func RegisterRuntimeGauges(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -43,9 +44,9 @@ func RegisterRuntimeGauges(reg *metrics.Registry) {
 		func() float64 { s := ms.sample(); return float64(s.HeapAlloc) })
 	reg.GaugeFunc("redhanded_heap_objects", "Number of allocated heap objects.", nil,
 		func() float64 { s := ms.sample(); return float64(s.HeapObjects) })
-	reg.GaugeFunc("redhanded_gc_pause_total_seconds", "Cumulative GC stop-the-world pause time.", nil,
+	reg.CounterFunc("redhanded_gc_pause_total_seconds", "Cumulative GC stop-the-world pause time.", nil,
 		func() float64 { s := ms.sample(); return float64(s.PauseTotalNs) / 1e9 })
-	reg.GaugeFunc("redhanded_gc_cycles_total", "Completed GC cycles.", nil,
+	reg.CounterFunc("redhanded_gc_cycles_total", "Completed GC cycles.", nil,
 		func() float64 { s := ms.sample(); return float64(s.NumGC) })
 }
 

@@ -437,16 +437,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, code, map[string]any{"status": status, "shards": len(s.shards)})
 }
 
-// metricsHandler serves the server's registry, plus the process default
-// registry when they differ (the library's built-in engine and alerting
-// instrumentation lands on the default registry).
+// metricsHandler serves the server's own registry: every series on it
+// describes this server's shards, never another pipeline in the process.
 func (s *Server) metricsHandler() http.Handler {
 	reg := s.opts.Registry
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WriteText(w)
-		if d := metrics.Default(); d != reg {
-			_ = d.WriteText(w)
-		}
 	})
 }

@@ -130,9 +130,10 @@ type shard struct {
 	p          *core.Pipeline
 	queue      chan job
 	drainBatch int
-	process    *metrics.Histogram
 	drainSize  *metrics.Histogram
-	processed  *metrics.Counter
+	// busy is the loop's wall time on drained batches in nanoseconds; over
+	// elapsed time it is the shard's busy fraction.
+	busy atomic.Int64
 
 	// WAL state (log-enabled servers only). ingestMu serializes the
 	// append-then-enqueue pair so log order equals queue order, and the
@@ -190,16 +191,14 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			})
 		}
 		results = s.p.ProcessBatch(entries, results[:0])
-		perTweet := time.Since(start).Seconds() / float64(len(jobs))
 		for i := range jobs {
 			if jobs[i].reply != nil {
 				jobs[i].reply <- results[i]
 			}
 			jobs[i].span.Finish()
-			s.process.Observe(perTweet)
 		}
+		s.busy.Add(int64(time.Since(start)))
 		s.drainSize.Observe(float64(len(jobs)))
-		s.processed.Add(int64(len(jobs)))
 	}
 }
 
@@ -331,6 +330,7 @@ func newServer(opts Options, start bool) *Server {
 		}
 		s.tracer = obs.New(cfg)
 	}
+	pipelines := make([]*core.Pipeline, 0, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
 		labels := metrics.Labels{"shard": fmt.Sprint(i)}
 		sh := &shard{
@@ -338,12 +338,8 @@ func newServer(opts Options, start bool) *Server {
 			p:          core.NewPipeline(opts.Pipeline),
 			queue:      make(chan job, opts.QueueDepth),
 			drainBatch: opts.DrainBatch,
-			process: reg.Histogram("redhanded_shard_process_seconds",
-				"Pipeline processing time per tweet.", nil, labels),
 			drainSize: reg.Histogram("redhanded_shard_drain_batch",
 				"Tweets drained per shard-loop batch.", drainBuckets, labels),
-			processed: reg.Counter("redhanded_shard_processed_total",
-				"Tweets processed by the shard loop since server start.", labels),
 		}
 		if s.tracer != nil {
 			et := &emitTimer{sh: sh, hub: s.hub}
@@ -358,10 +354,14 @@ func newServer(opts Options, start bool) *Server {
 		// the same shard count takes the series over via re-registration.
 		reg.GaugeFunc("redhanded_shard_queue_depth", "Live shard queue depth.",
 			labels, func() float64 { return float64(len(q)) })
+		reg.CounterFunc("redhanded_shard_busy_seconds_total", "Wall time the shard loop spent on drained batches.",
+			labels, func() float64 { return float64(sh.busy.Load()) / 1e9 })
+		p := sh.p
+		reg.CounterFunc("redhanded_shard_processed_total", "Tweets the shard's pipeline has processed (resumed by a restore).",
+			labels, func() float64 { return float64(p.Processed()) })
 		users := sh.p.Users()
 		reg.GaugeFunc("redhanded_userstate_active_users", "Tracked user records per shard.",
 			labels, func() float64 { return float64(users.Len()) })
-		p := sh.p
 		reg.GaugeFunc("redhanded_snapshot_rebuilds", "Compiled-snapshot publications per shard.",
 			labels, func() float64 { return float64(p.SnapshotStats().Rebuilds) })
 		reg.GaugeFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-flattened across snapshot rebuilds per shard.",
@@ -385,12 +385,17 @@ func newServer(opts Options, start bool) *Server {
 		reg.GaugeFunc("redhanded_featcache_entries", "Live extraction-cache entries per shard.",
 			labels, func() float64 { return float64(ext.CacheStats().Entries) })
 		s.shards = append(s.shards, sh)
+		pipelines = append(pipelines, sh.p)
+	}
+	core.RegisterMetrics(reg, pipelines...)
+	if opts.Log != nil {
+		registerLogMetrics(reg, opts.Log)
 	}
 	// Ingress decoder telemetry is package-wide (the decoder pool is shared
 	// by every server in the process), registered without a shard label.
-	reg.GaugeFunc("redhanded_ingress_decodes_total", "Successful fast NDJSON tweet decodes.",
+	reg.CounterFunc("redhanded_ingress_decodes_total", "Successful fast NDJSON tweet decodes.",
 		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().Decodes) })
-	reg.GaugeFunc("redhanded_ingress_decode_errors_total", "Failed fast NDJSON tweet decodes.",
+	reg.CounterFunc("redhanded_ingress_decode_errors_total", "Failed fast NDJSON tweet decodes.",
 		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().Errors) })
 	reg.GaugeFunc("redhanded_ingress_arena_chunks", "Decoder arena chunks allocated since process start.",
 		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().ArenaChunks) })

@@ -329,10 +329,10 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE redhanded_classify_latency_seconds histogram",
 		`redhanded_classify_latency_seconds_bucket{outcome="ok",le="+Inf"} 1`,
 		`redhanded_classify_latency_seconds_count{outcome="ok"} 1`,
-		`redhanded_shard_process_seconds_bucket{shard=`,
+		`redhanded_shard_busy_seconds_total{shard=`,
 		`redhanded_http_requests_total{path="/v1/classify"} 1`,
 		"# TYPE redhanded_sse_flush_events histogram",
-		// The process-default registry rides along: core/engine wiring.
+		// The pipelines' own counts, sampled on the server's registry.
 		"# TYPE redhanded_alerts_raised_total counter",
 	} {
 		if !strings.Contains(out, want) {

@@ -46,19 +46,20 @@ type alertHub struct {
 	seq         int64
 	streamed    *metrics.Counter
 	dropped     *metrics.Counter
-	subGauge    *metrics.Gauge
 	flushEvents *metrics.Histogram
 }
 
 func newAlertHub(buffer int, reg *metrics.Registry) *alertHub {
-	return &alertHub{
+	h := &alertHub{
 		buffer:   buffer,
 		streamed: reg.Counter("redhanded_alerts_streamed_total", "Events delivered to SSE subscribers.", nil),
 		dropped:  reg.Counter("redhanded_alerts_dropped_total", "Events dropped because a subscriber buffer was full.", nil),
-		subGauge: reg.Gauge("redhanded_sse_subscribers", "Live SSE alert subscribers.", nil),
 		flushEvents: reg.Histogram("redhanded_sse_flush_events",
 			"Events a subscriber's writer coalesced into one write and flush.", drainBuckets, nil),
 	}
+	reg.GaugeFunc("redhanded_sse_subscribers", "Live SSE alert subscribers.", nil,
+		func() float64 { return float64(h.Subscribers()) })
+	return h
 }
 
 // publish stamps the event with the next sequence number and fans it out
@@ -104,7 +105,6 @@ func (h *alertHub) subscribe() chan sseEvent {
 	h.mu.Lock()
 	h.subs = append(h.subs, ch)
 	h.mu.Unlock()
-	h.subGauge.Inc()
 	return ch
 }
 
@@ -114,7 +114,6 @@ func (h *alertHub) unsubscribe(ch chan sseEvent) {
 		h.subs = slices.Delete(h.subs, i, i+1)
 	}
 	h.mu.Unlock()
-	h.subGauge.Dec()
 }
 
 // Subscribers returns the live subscriber count.

@@ -4,25 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"redhanded/internal/metrics"
 	"redhanded/internal/ml"
-)
-
-// Drift telemetry on the default metrics registry. The counters fire at
-// whichever process hosts the authoritative forest (the sequential engine,
-// the micro-batch driver, the cluster driver, or a serving shard) — the
-// executor-side replicas never run drift detection, so nothing is counted
-// twice.
-var (
-	arfWarningsTotal = metrics.Default().Counter(
-		"redhanded_arf_warnings_total",
-		"ARF member warnings (background trees started).", nil)
-	arfDriftsTotal = metrics.Default().Counter(
-		"redhanded_arf_drifts_total",
-		"ARF member drift-detector signals.", nil)
-	arfReplacementsTotal = metrics.Default().Counter(
-		"redhanded_arf_tree_replacements_total",
-		"ARF member trees replaced after a detected drift.", nil)
 )
 
 // ARFConfig configures the Adaptive Random Forest. Defaults follow Table I
@@ -342,12 +324,10 @@ func (f *AdaptiveRandomForest) react(m *arfMember, warned, drifted bool) {
 		m.bgGen = f.newGen()
 		f.warnings++
 		m.warnings++
-		arfWarningsTotal.Inc()
 	}
 	if drifted {
 		f.drifts++
 		m.drifts++
-		arfDriftsTotal.Inc()
 		f.replaceTree(m)
 	}
 }
@@ -484,7 +464,6 @@ func (f *AdaptiveRandomForest) replaceTree(m *arfMember) {
 	m.detector = f.newDetector()
 	m.seen, m.correct = 0, 0
 	m.replacements++
-	arfReplacementsTotal.Inc()
 }
 
 // replayDetectors feeds the batch's error rate into the member's detector

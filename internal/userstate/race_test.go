@@ -109,3 +109,36 @@ func TestConcurrentObserveLookupCheckpoint(t *testing.T) {
 		t.Fatalf("final checkpoint lost records: %d vs %d", fresh.Len(), s.Len())
 	}
 }
+
+// TestLockWaitsCountOnlyContendedAcquires: an Observe that finds its
+// stripe free leaves LockWaits at zero; one that has to wait for it is
+// counted once, with the time it blocked.
+func TestLockWaitsCountOnlyContendedAcquires(t *testing.T) {
+	s := New(Config{Shards: 1})
+	at := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	s.Observe(obs("free", at, false, 0.9))
+	if n, waited := s.LockWaits(); n != 0 || waited != 0 {
+		t.Fatalf("uncontended Observe counted a wait: %d, %v", n, waited)
+	}
+	sh := s.shardFor("held")
+	// The observer may not reach the stripe before it is released; hold
+	// it longer each round until one acquire has had to wait.
+	for hold := time.Millisecond; hold < 10*time.Second; hold *= 2 {
+		sh.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			s.Observe(obs("held", at, false, 0.9))
+			close(done)
+		}()
+		time.Sleep(hold)
+		sh.mu.Unlock()
+		<-done
+		if n, waited := s.LockWaits(); n > 0 {
+			if n != 1 || waited <= 0 {
+				t.Fatalf("one blocked acquire recorded as %d waits, %v", n, waited)
+			}
+			return
+		}
+	}
+	t.Fatal("no Observe ever waited on the held stripe")
+}

@@ -33,42 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"redhanded/internal/metrics"
-)
-
-// Package-level instrumentation on the default registry, following the
-// alerting-counter pattern: every store in the process shares the series,
-// so serving deployments see user-state activity on /metrics without
-// per-store wiring.
-var (
-	sessionVerdictsTotal = metrics.Default().Counter(
-		"redhanded_userstate_session_verdicts_total",
-		"Session verdicts emitted by the user-state layer.", nil)
-	escalationsTotal = metrics.Default().Counter(
-		"redhanded_userstate_escalations_total",
-		"Escalation verdicts emitted by the user-state layer.", nil)
-	suspensionsTotal = metrics.Default().Counter(
-		"redhanded_userstate_suspensions_total",
-		"Users newly recommended for suspension.", nil)
-	evictionsCapTotal = metrics.Default().Counter(
-		"redhanded_userstate_evictions_total",
-		"User records evicted from the store by reason.",
-		metrics.Labels{"reason": "cap"})
-	evictionsTTLTotal = metrics.Default().Counter(
-		"redhanded_userstate_evictions_total",
-		"User records evicted from the store by reason.",
-		metrics.Labels{"reason": "ttl"})
-	// lockWait is the shard-lock contention histogram: time Observe spent
-	// waiting to acquire its shard stripe. An acquire that finds the stripe
-	// free is recorded as 0 s (first bucket) without reading the clock;
-	// only an acquire that had to block is timed. The count is therefore
-	// every observation, the sum is time spent blocked, and the share above
-	// the first bucket is the contended share.
-	lockWait = metrics.Default().Histogram(
-		"redhanded_userstate_lock_wait_seconds",
-		"Time Observe waited on its shard lock (contention histogram).",
-		[]float64{1e-7, 5e-7, 1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3, 1e-2}, nil)
 )
 
 // SessionConfig tunes the per-user sliding session window (the paper's
@@ -409,6 +373,11 @@ type Store struct {
 	suspensions  atomic.Int64
 	evictionsCap atomic.Int64
 	evictionsTTL atomic.Int64
+	// lockWaits and lockWaitNanos count the Observe acquires that found
+	// their shard stripe held and the time they spent blocked; a free
+	// stripe touches neither.
+	lockWaits     atomic.Int64
+	lockWaitNanos atomic.Int64
 }
 
 // New builds a store from cfg (zero value = defaults).
@@ -500,8 +469,8 @@ func (s *Store) ObserveAlert(o Observation) Outcome {
 	return s.observe(o, true)
 }
 
-// observe takes o's shard stripe, recording the wait, and folds o, then
-// the alert's offense when alert is set.
+// observe takes o's shard stripe, recording the wait when it was held, and
+// folds o, then the alert's offense when alert is set.
 //
 //redvet:noalloc gate=UserstateObserveHot
 func (s *Store) observe(o Observation, alert bool) Outcome {
@@ -509,14 +478,13 @@ func (s *Store) observe(o Observation, alert bool) Outcome {
 		return Outcome{}
 	}
 	sh := s.shardFor(o.UserID)
-	if sh.mu.TryLock() {
-		lockWait.Observe(0)
-	} else {
+	if !sh.mu.TryLock() {
 		//redvet:ignore hotpathhygiene contended acquires only: the stripe was held, so the wait is real and worth two clock reads
 		t0 := time.Now()
 		sh.mu.Lock()
-		//redvet:ignore hotpathhygiene see t0 above: the pair times the blocked acquire for redhanded_userstate_lock_wait_seconds
-		lockWait.Observe(time.Since(t0).Seconds())
+		//redvet:ignore hotpathhygiene see t0 above: the pair times the blocked acquire for LockWaits
+		s.lockWaitNanos.Add(int64(time.Since(t0)))
+		s.lockWaits.Add(1)
 	}
 	out := s.observeLocked(sh, o, alert)
 	sh.mu.Unlock()
@@ -617,7 +585,6 @@ func (s *Store) offend(r *record, suspendAfter int) bool {
 	}
 	r.suspended = true
 	s.suspensions.Add(1)
-	suspensionsTotal.Inc()
 	return true
 }
 
@@ -645,7 +612,6 @@ func (s *Store) judgeSession(r *record, at int64) *SessionVerdict {
 	r.lastVerdict = at
 	r.sessions++
 	s.verdicts.Add(1)
-	sessionVerdictsTotal.Inc()
 	return &SessionVerdict{
 		UserID:          r.id,
 		ScreenName:      r.screenName,
@@ -700,7 +666,6 @@ func (s *Store) judgeEscalation(r *record, at int64) *EscalationVerdict {
 	r.lastEscalation = at
 	r.escalations++
 	s.escalations.Add(1)
-	escalationsTotal.Inc()
 	return &EscalationVerdict{
 		UserID:      r.id,
 		ScreenName:  r.screenName,
@@ -766,7 +731,6 @@ func (s *Store) evictClock(sh *shard) {
 		}
 		s.remove(sh, r)
 		s.evictionsCap.Add(1)
-		evictionsCapTotal.Inc()
 		return
 	}
 	if fallback == nil {
@@ -777,7 +741,6 @@ func (s *Store) evictClock(sh *shard) {
 	}
 	s.remove(sh, fallback)
 	s.evictionsCap.Add(1)
-	evictionsCapTotal.Inc()
 }
 
 // sweep amortizes TTL retirement into Observe: examine a few ring slots
@@ -799,7 +762,6 @@ func (s *Store) sweep(sh *shard, current *record, slots int) {
 		if r != current && !r.suspended && r.lastSeen < cutoff {
 			s.remove(sh, r)
 			s.evictionsTTL.Add(1)
-			evictionsTTLTotal.Inc()
 			continue // the swapped-in record now sits at the hand
 		}
 		sh.hand++
@@ -940,4 +902,11 @@ func (s *Store) Suspensions() int64 { return s.suspensions.Load() }
 // Evictions returns records evicted by the cap and by the TTL sweep.
 func (s *Store) Evictions() (cap, ttl int64) {
 	return s.evictionsCap.Load(), s.evictionsTTL.Load()
+}
+
+// LockWaits returns how many Observe calls found their shard stripe held
+// and the total time they waited for it. Unlike the verdict counters
+// these are not checkpointed: they describe this process's contention.
+func (s *Store) LockWaits() (n int64, waited time.Duration) {
+	return s.lockWaits.Load(), time.Duration(s.lockWaitNanos.Load())
 }
