@@ -9,7 +9,7 @@
 //	aggroserve -addr :8080 -shards 4 -queue 2048
 //	aggroserve -model slr -classes 2 -checkpoint /var/lib/aggro -restore
 //	aggroserve -log-dir /var/lib/aggro/log -fsync interval -replay
-//	aggroserve -trace -trace-slow-budget 25ms -debug-addr 127.0.0.1:6060
+//	aggroserve -trace -debug-addr 127.0.0.1:6060
 //
 // With -log-dir every accepted tweet is appended to a partitioned
 // write-ahead log before it is enqueued (-fsync selects the durability
@@ -20,9 +20,9 @@
 // With -trace every tweet is stamped with a span at ingest and its per-stage
 // timings (queue wait, feature extraction, classification, user-state
 // observe, verdict fan-out, SSE emit) are served from GET /v1/trace and
-// GET /v1/trace/slow; -debug-addr starts a separate listener with
-// net/http/pprof plus the trace endpoints and registers runtime gauges on
-// /metrics.
+// GET /v1/trace/slow, which keeps the full stage breakdown of spans over
+// 25 ms; -debug-addr starts a separate listener with net/http/pprof plus
+// the trace endpoints and registers runtime gauges on /metrics.
 //
 // On SIGINT/SIGTERM the server stops accepting work, drains every shard
 // queue, and (with -checkpoint) writes one core checkpoint per shard so a
@@ -59,16 +59,13 @@ func main() {
 		threshold  = flag.Float64("alert-threshold", 0.5, "alert confidence threshold")
 		shards     = flag.Int("shards", 4, "pipeline shards (user affinity is hash(userID) % shards)")
 		queue      = flag.Int("queue", 2048, "per-shard queue depth before 429 backpressure")
-		drainBatch = flag.Int("drain-batch", 32, "max queued tweets a shard drains per lock acquisition (1 = per-tweet)")
-		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses")
 		checkpoint = flag.String("checkpoint", "", "checkpoint directory written on graceful shutdown")
 		restore    = flag.Bool("restore", false, "restore shard state from -checkpoint before serving")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max time to drain shard queues on shutdown")
 
-		logDir     = flag.String("log-dir", "", "durable ingest log directory; accepted tweets are write-ahead logged per shard")
-		fsyncMode  = flag.String("fsync", "interval", "ingest log durability: off, interval, always")
-		fsyncEvery = flag.Duration("fsync-interval", 100*time.Millisecond, "fsync cadence under -fsync interval")
-		replay     = flag.Bool("replay", false, "replay unapplied ingest-log records before serving (requires -log-dir)")
+		logDir    = flag.String("log-dir", "", "durable ingest log directory; accepted tweets are write-ahead logged per shard")
+		fsyncMode = flag.String("fsync", "interval", "ingest log durability: off, interval (fsync every 100ms), always")
+		replay    = flag.Bool("replay", false, "replay unapplied ingest-log records before serving (requires -log-dir)")
 
 		maxUsers = flag.Int("max-users", 0, "user-state record cap across all shards, CLOCK-evicted (0 = unbounded)")
 		userTTL  = flag.Duration("user-ttl", 24*time.Hour, "retire user records idle this long (event time; amortized into the hot path)")
@@ -76,8 +73,6 @@ func main() {
 		escMin   = flag.Int("escalation-min-tweets", 8, "minimum observed tweets before a user can escalate")
 
 		trace     = flag.Bool("trace", false, "stamp every tweet with a per-stage span (GET /v1/trace, /v1/trace/slow)")
-		traceSlow = flag.Duration("trace-slow-budget", 25*time.Millisecond, "latency budget; spans over it are captured with full stage breakdown (negative disables)")
-		traceRing = flag.Int("trace-ring", 512, "per-shard trace ring capacity (rounded up to a power of two)")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener with net/http/pprof + trace endpoints; also registers runtime gauges on /metrics")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -118,7 +113,6 @@ func main() {
 			Dir:        *logDir,
 			Partitions: *shards,
 			Fsync:      policy,
-			FsyncEvery: *fsyncEvery,
 		})
 		if err != nil {
 			fatal("ingest log open failed", "dir", *logDir, "err", err)
@@ -133,14 +127,8 @@ func main() {
 		Pipeline:   opts,
 		Shards:     *shards,
 		QueueDepth: *queue,
-		DrainBatch: *drainBatch,
-		RetryAfter: *retryAfter,
 		Log:        ilog,
-		Trace: obs.Config{
-			Enabled:    *trace,
-			RingSize:   *traceRing,
-			SlowBudget: *traceSlow,
-		},
+		Trace:      obs.Config{Enabled: *trace},
 	})
 	if *restore {
 		if *checkpoint == "" {

@@ -153,6 +153,109 @@ func TestBinariesRejectBadOptions(t *testing.T) {
 	}
 }
 
+// definedFlags returns the flag names bin's -h output lists.
+func definedFlags(t *testing.T, bin string) map[string]bool {
+	t.Helper()
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s -h: %v\n%s", filepath.Base(bin), err, out)
+	}
+	flags := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^\s+-([\w-]+)`).FindAllStringSubmatch(string(out), -1) {
+		flags[m[1]] = true
+	}
+	return flags
+}
+
+// TestFlagSurface: the tuning flags that became constants are gone — each
+// ends its command with exit status 2 and the flag package's error, before
+// the command does anything else — and every flag the aggroserve, rhdriver
+// and loadgen command lines of examples/README.md use exists.
+func TestFlagSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI test is slow")
+	}
+	dir := t.TempDir()
+	bins := make(map[string]string)
+	for _, name := range []string{"aggroserve", "rhdriver", "loadgen"} {
+		bins[name] = buildTool(t, dir, name)
+	}
+
+	// Each command's remaining arguments fail fast on their own (-restore
+	// without -checkpoint, no -executors), so a command that still knew the
+	// flag would exit 1 instead of serving.
+	for _, c := range []struct {
+		tool string
+		args []string
+	}{
+		{"aggroserve", []string{"-restore", "-drain-batch", "32"}},
+		{"aggroserve", []string{"-restore", "-retry-after", "1s"}},
+		{"aggroserve", []string{"-restore", "-trace-ring", "512"}},
+		{"aggroserve", []string{"-restore", "-trace-slow-budget", "25ms"}},
+		{"aggroserve", []string{"-restore", "-fsync-interval", "100ms"}},
+		{"rhdriver", []string{"-reconnect-attempts", "5"}},
+		{"rhdriver", []string{"-reconnect-backoff", "50ms"}},
+		{"rhdriver", []string{"-alldown-wait", "5s"}},
+		{"rhdriver", []string{"-trace-slow-budget", "250ms"}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bins[c.tool], c.args...).CombinedOutput()
+		cancel()
+		name := c.tool + " " + strings.Join(c.args, " ")
+		var exit *exec.ExitError
+		switch {
+		case !errors.As(err, &exit) || exit.ExitCode() != 2:
+			t.Errorf("%s: %v, want exit status 2:\n%.1000s", name, err, out)
+		case !strings.Contains(string(out), "flag provided but not defined"):
+			t.Errorf("%s exited 2 without the flag package's error:\n%.1000s", name, out)
+		}
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "examples", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A command line is an indented code line (with its backslash
+	// continuations) or an inline code span; a tool's flags are the -name
+	// words after the tool in it.
+	text := strings.ReplaceAll(string(readme), "\\\n", " ")
+	var lines []string
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "    ") {
+			lines = append(lines, line)
+		}
+	}
+	for _, m := range regexp.MustCompile("`([^`\n]+)`").FindAllStringSubmatch(text, -1) {
+		lines = append(lines, m[1])
+	}
+	toolRE := regexp.MustCompile(`\b(aggroserve|rhdriver|loadgen)\b((?:\s+[^\s|;&]+)*)`)
+	flagRE := regexp.MustCompile(`^-([a-z][\w-]*)`)
+	checked := 0
+	for name, bin := range bins {
+		defined := definedFlags(t, bin)
+		for _, line := range lines {
+			for _, m := range toolRE.FindAllStringSubmatch(line, -1) {
+				if m[1] != name {
+					continue
+				}
+				for _, word := range strings.Fields(m[2]) {
+					f := flagRE.FindStringSubmatch(word)
+					if f == nil {
+						continue
+					}
+					checked++
+					if !defined[f[1]] {
+						t.Errorf("examples/README.md runs %s %s, which %s does not define:\n%s", name, word, name, line)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no aggroserve, rhdriver or loadgen flags in examples/README.md")
+	}
+}
+
 // startExecutor runs rhexecutor on a free loopback port until the test
 // ends and returns the address it listens on.
 func startExecutor(t *testing.T, bin string) string {

@@ -31,6 +31,10 @@ import (
 	"redhanded/internal/twitterdata"
 )
 
+// batchSlowBudget is the batch latency over which a traced batch keeps its
+// full stage breakdown on /v1/trace/slow.
+const batchSlowBudget = 250 * time.Millisecond
+
 func main() {
 	var (
 		in        = flag.String("in", "-", "input JSONL path (- for stdin)")
@@ -40,12 +44,8 @@ func main() {
 		batch     = flag.Int("batch", 3000, "micro-batch size")
 		tasks     = flag.Int("tasks", 8, "parallel tasks per executor")
 		rate      = flag.Float64("rate", 0, "simulated arrival rate in tweets/sec (0 = as fast as possible)")
-		attempts  = flag.Int("reconnect-attempts", 5, "reconnect attempts before abandoning a dead executor")
-		backoff   = flag.Duration("reconnect-backoff", 50*time.Millisecond, "initial reconnect backoff (doubles per attempt)")
-		downWait  = flag.Duration("alldown-wait", 5*time.Second, "how long to wait for a reconnect when every executor is down")
 
 		trace     = flag.Bool("trace", false, "record a per-batch span (queue, executor_rtt, executor_compute, merge)")
-		traceSlow = flag.Duration("trace-slow-budget", 250*time.Millisecond, "batch latency budget; slower batches are captured with full stage breakdown (negative disables)")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener with net/http/pprof, /v1/trace, and runtime gauges on /metrics")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -87,7 +87,7 @@ func main() {
 	if *trace {
 		tracer = obs.New(obs.Config{
 			Enabled:    true,
-			SlowBudget: *traceSlow,
+			SlowBudget: batchSlowBudget,
 			Registry:   metrics.Default(),
 		})
 	}
@@ -111,9 +111,6 @@ func main() {
 		Executors:        execList,
 		BatchSize:        *batch,
 		TasksPerExecutor: *tasks,
-		MaxConnAttempts:  *attempts,
-		ReconnectBackoff: *backoff,
-		AllDownWait:      *downWait,
 		Tracer:           tracer,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -68,16 +69,6 @@ type ClusterConfig struct {
 	// TasksPerExecutor is the parallel partition count per node (8 cores
 	// per node in the paper's testbed).
 	TasksPerExecutor int
-	// MaxConnAttempts bounds consecutive failed (re)connect attempts per
-	// executor before the run abandons it (default 5).
-	MaxConnAttempts int
-	// ReconnectBackoff is the initial reconnect delay, doubling per attempt
-	// up to 1s (default 50ms).
-	ReconnectBackoff time.Duration
-	// AllDownWait is how long a batch start or a failing-over share waits
-	// for any executor to come back when every node is down, before failing
-	// the run (default 5s).
-	AllDownWait time.Duration
 	// Tracer, when non-nil, records one span per micro-batch: queue covers
 	// broadcast serialization and the healthy-node wait; executor_rtt the
 	// shares' wall time until every response has been decoded and checked;
@@ -91,6 +82,32 @@ type ClusterConfig struct {
 	// always-full reference for the elided broadcasts' byte counts and
 	// results.
 	fullBroadcast bool
+	// timing replaces the failure-handling constants below field by field
+	// where non-zero; only in-package tests set it.
+	timing clusterTiming
+}
+
+// The driver's failure handling. A node is abandoned after
+// maxConnAttempts consecutive failed (re)connects; its supervisor redials
+// it after reconnectBackoff, doubling per attempt up to 1s. When every node
+// is down, a batch start or a failing-over share waits allDownWait for one
+// to come back before failing the run. shareTimeout bounds the wait for a
+// share's response and every write: a wedged-but-connected executor
+// (stopped process, half-open connection) never produces a transport
+// error, so the timeout is what converts it into a failover. It is
+// generous: a share normally completes in milliseconds.
+const (
+	maxConnAttempts  = 5
+	reconnectBackoff = 50 * time.Millisecond
+	allDownWait      = 5 * time.Second
+	shareTimeout     = 2 * time.Minute
+)
+
+type clusterTiming struct {
+	maxConnAttempts  int
+	reconnectBackoff time.Duration
+	allDownWait      time.Duration
+	shareTimeout     time.Duration
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -100,23 +117,13 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.TasksPerExecutor <= 0 {
 		c.TasksPerExecutor = 8
 	}
-	if c.MaxConnAttempts <= 0 {
-		c.MaxConnAttempts = 5
-	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 50 * time.Millisecond
-	}
-	if c.AllDownWait <= 0 {
-		c.AllDownWait = 5 * time.Second
-	}
+	t := &c.timing
+	t.maxConnAttempts = cmp.Or(t.maxConnAttempts, maxConnAttempts)
+	t.reconnectBackoff = cmp.Or(t.reconnectBackoff, reconnectBackoff)
+	t.allDownWait = cmp.Or(t.allDownWait, allDownWait)
+	t.shareTimeout = cmp.Or(t.shareTimeout, shareTimeout)
 	return c
 }
-
-// shareTimeout bounds the wait for a share's response and every write. A
-// wedged-but-connected executor (stopped process, half-open connection)
-// never produces a transport error, so the timeout is what converts it into
-// a failover. It is generous: a share normally completes in milliseconds.
-const shareTimeout = 2 * time.Minute
 
 // execNode is the driver's view of one executor: connection, health, and
 // the broadcast keys the node's session holds. The keys are reset on every
@@ -440,7 +447,7 @@ func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitte
 	conn, dec, err := r.sendShare(n, bc, s, batch)
 	var resp batchResponse
 	if err == nil {
-		_ = conn.SetReadDeadline(time.Now().Add(shareTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.timing.shareTimeout))
 		if err = dec.Decode(&resp); err != nil {
 			err = fmt.Errorf("engine: receive share [%d,%d) from executor %s: %w", s.lo, s.hi, n.addr, err)
 		}
@@ -497,7 +504,7 @@ func (r *clusterRun) sendShare(n *execNode, bc *broadcast, s span, batch []twitt
 	}
 	if n.bcSeq != bc.seq {
 		msg := r.broadcastFor(n, bc)
-		sent, err := n.send(&msg)
+		sent, err := n.send(&msg, r.cfg.timing.shareTimeout)
 		if err != nil {
 			return n.conn, nil, fmt.Errorf("engine: broadcast to executor %s: %w", n.addr, err)
 		}
@@ -506,7 +513,7 @@ func (r *clusterRun) sendShare(n *execNode, bc *broadcast, s span, batch []twitt
 		n.bcSeq, n.modelHash, n.vocabVersion = bc.seq, bc.modelHash, bc.vocabVer
 	}
 	sent, err := n.send(&wireMsg{Kind: msgData, Seq: bc.seq, Lo: s.lo, Hi: s.hi,
-		Tasks: r.cfg.TasksPerExecutor, Tweets: batch[s.lo:s.hi]})
+		Tasks: r.cfg.TasksPerExecutor, Tweets: batch[s.lo:s.hi]}, r.cfg.timing.shareTimeout)
 	if err != nil {
 		return n.conn, nil, fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
 	}
@@ -515,14 +522,14 @@ func (r *clusterRun) sendShare(n *execNode, bc *broadcast, s span, batch []twitt
 	return n.conn, n.dec, nil
 }
 
-// send writes one frame with a write deadline and returns its size on the
-// wire. Sends happen under the node mutex, which isUp and shutdown also
-// need — so an unbounded write to a peer that stopped reading would wedge
-// the node forever. The deadline converts it into a send error the caller
-// turns into a failover. Callers hold n.mu.
-func (n *execNode) send(msg *wireMsg) (int64, error) {
+// send writes one frame with a write deadline timeout away and returns its
+// size on the wire. Sends happen under the node mutex, which isUp and
+// shutdown also need — so an unbounded write to a peer that stopped reading
+// would wedge the node forever. The deadline converts it into a send error
+// the caller turns into a failover. Callers hold n.mu.
+func (n *execNode) send(msg *wireMsg, timeout time.Duration) (int64, error) {
 	pre := n.conn.out.Load()
-	_ = n.conn.SetWriteDeadline(time.Now().Add(shareTimeout))
+	_ = n.conn.SetWriteDeadline(time.Now().Add(timeout))
 	err := n.enc.Encode(msg)
 	_ = n.conn.SetWriteDeadline(time.Time{})
 	return n.conn.out.Load() - pre, err
@@ -601,7 +608,7 @@ func (n *execNode) wake() {
 }
 
 // supervise is n's one reconnect loop, running until the run ends: each
-// wake-up redials the node with exponential backoff, and MaxConnAttempts
+// wake-up redials the node with exponential backoff, and maxConnAttempts
 // consecutive failures or a hello rejection abandon it for the run.
 func (r *clusterRun) supervise(n *execNode) {
 	defer r.loops.Done()
@@ -611,7 +618,7 @@ func (r *clusterRun) supervise(n *execNode) {
 			return
 		case <-n.down:
 		}
-		backoff := r.cfg.ReconnectBackoff
+		backoff := r.cfg.timing.reconnectBackoff
 		for attempt := 1; ; attempt++ {
 			select {
 			case <-r.stop:
@@ -627,7 +634,7 @@ func (r *clusterRun) supervise(n *execNode) {
 				break
 			}
 			// A hello rejection (connect sets abandoned) never heals.
-			if attempt == r.cfg.MaxConnAttempts || n.abandonedNow() {
+			if attempt == r.cfg.timing.maxConnAttempts || n.abandonedNow() {
 				n.mu.Lock()
 				n.abandoned = true
 				n.mu.Unlock()
@@ -667,18 +674,18 @@ func (r *clusterRun) allAbandoned() bool {
 // skip set, a failing-over share with the nodes it has tried. It returns
 // upNodes(skip), polling every 15 ms while that is empty — clearing skip
 // each time, so a tried node that has reconnected is eligible again — and
-// fails once every node is abandoned or none came up within AllDownWait.
+// fails once every node is abandoned or none came up within allDownWait.
 func (r *clusterRun) awaitHealthy(skip map[*execNode]bool) ([]*execNode, error) {
-	deadline := time.Now().Add(r.cfg.AllDownWait)
+	deadline := time.Now().Add(r.cfg.timing.allDownWait)
 	for {
 		if up := r.upNodes(skip); len(up) > 0 {
 			return up, nil
 		}
 		if r.allAbandoned() {
-			return nil, fmt.Errorf("engine: every executor is gone (abandoned after %d attempts each)", r.cfg.MaxConnAttempts)
+			return nil, fmt.Errorf("engine: every executor is gone (abandoned after %d attempts each)", r.cfg.timing.maxConnAttempts)
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("engine: every executor is down and none reconnected within %v", r.cfg.AllDownWait)
+			return nil, fmt.Errorf("engine: every executor is down and none reconnected within %v", r.cfg.timing.allDownWait)
 		}
 		clear(skip)
 		time.Sleep(15 * time.Millisecond)

@@ -18,9 +18,9 @@ import (
 // fastReconnect keeps fault tests snappy: failed executors are abandoned
 // after a few quick attempts.
 func fastReconnect(cfg ClusterConfig) ClusterConfig {
-	cfg.MaxConnAttempts = 3
-	cfg.ReconnectBackoff = 10 * time.Millisecond
-	cfg.AllDownWait = 2 * time.Second
+	cfg.timing.maxConnAttempts = 3
+	cfg.timing.reconnectBackoff = 10 * time.Millisecond
+	cfg.timing.allDownWait = 2 * time.Second
 	return cfg
 }
 
@@ -367,7 +367,7 @@ func TestClusterReconnectResyncsVocab(t *testing.T) {
 		Executors: []string{exA.Addr(), addrB}, BatchSize: 400, TasksPerExecutor: 2,
 	})
 	// Give the reconnect loop room for the replacement to bind on slow CI.
-	cfg.MaxConnAttempts = 10
+	cfg.timing.maxConnAttempts = 10
 	stats, err := RunCluster(p, NewSliceSource(data), cfg)
 	<-swapped
 	for _, ex := range []*Executor{exB2, exB3} {
@@ -396,10 +396,10 @@ func TestClusterReconnectResyncsVocab(t *testing.T) {
 	}
 }
 
-// misaddressingExecutor speaks the wire protocol by hand: it acks the
-// hello, ignores broadcasts and answers every data frame as if it were the
-// share one tweet further on (Lo+1). It returns the listen address.
-func misaddressingExecutor(t *testing.T) string {
+// handExecutor listens on a loopback port until the test ends and runs
+// serve on each connection it accepts: an executor whose side of the wire
+// protocol the test writes by hand. It returns the listen address.
+func handExecutor(t *testing.T, serve func(enc *gob.Encoder, dec *gob.Decoder)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -414,39 +414,44 @@ func misaddressingExecutor(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
-				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-				for {
-					var msg wireMsg
-					if dec.Decode(&msg) != nil {
-						return
-					}
-					resp := batchResponse{Seq: msg.Seq}
-					switch msg.Kind {
-					case msgHello:
-					case msgBroadcast:
-						continue
-					case msgData:
-						resp.Lo, resp.Hi = msg.Lo+1, msg.Hi
-					default:
-						return
-					}
-					if enc.Encode(&resp) != nil {
-						return
-					}
-				}
+				serve(gob.NewEncoder(conn), gob.NewDecoder(conn))
 			}()
 		}
 	}()
 	return ln.Addr().String()
 }
 
-// TestClusterMisaddressedResponseFailsOver runs a node whose responses name
-// another share than the one sent: each such exchange must fail and its
-// share fail over to the real executor at once, instead of waiting out the
-// share timeout for an answer that never comes.
-func TestClusterMisaddressedResponseFailsOver(t *testing.T) {
-	addrs := []string{misaddressingExecutor(t), startCluster(t, 1, 2)[0]}
-	data := testDataset(43, 1200, 600, 120)
+// misaddressingExecutor acks the hello, ignores broadcasts and answers
+// every data frame as if it were the share one tweet further on (Lo+1).
+func misaddressingExecutor(t *testing.T) string {
+	return handExecutor(t, func(enc *gob.Encoder, dec *gob.Decoder) {
+		for {
+			var msg wireMsg
+			if dec.Decode(&msg) != nil {
+				return
+			}
+			resp := batchResponse{Seq: msg.Seq}
+			switch msg.Kind {
+			case msgHello:
+			case msgBroadcast:
+				continue
+			case msgData:
+				resp.Lo, resp.Hi = msg.Lo+1, msg.Hi
+			default:
+				return
+			}
+			if enc.Encode(&resp) != nil {
+				return
+			}
+		}
+	})
+}
+
+// failsOverWithin10s runs data through cfg's cluster, whose first node is
+// a faulty hand-written executor, and requires the run to end within 10 s
+// with every tweet processed and at least one share failed over.
+func failsOverWithin10s(t *testing.T, cfg ClusterConfig, data []twitterdata.Tweet) {
+	t.Helper()
 	p := core.NewPipeline(testOptions())
 	type result struct {
 		stats Stats
@@ -454,16 +459,14 @@ func TestClusterMisaddressedResponseFailsOver(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		stats, err := RunCluster(p, NewSliceSource(data), fastReconnect(ClusterConfig{
-			Executors: addrs, BatchSize: 300, TasksPerExecutor: 2,
-		}))
+		stats, err := RunCluster(p, NewSliceSource(data), cfg)
 		done <- result{stats, err}
 	}()
 	var res result
 	select {
 	case res = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("run still going after 10s: a misaddressed response left its share waiting")
+		t.Fatal("run still going after 10s: the faulty node left its share waiting")
 	}
 	if res.err != nil {
 		t.Fatal(res.err)
@@ -472,8 +475,42 @@ func TestClusterMisaddressedResponseFailsOver(t *testing.T) {
 		t.Fatalf("processed %d, want %d", res.stats.Processed, len(data))
 	}
 	if res.stats.Failovers == 0 {
-		t.Fatal("misaddressed responses never failed a share over")
+		t.Fatal("the faulty node never failed a share over")
 	}
+}
+
+// TestClusterMisaddressedResponseFailsOver runs a node whose responses name
+// another share than the one sent: each such exchange must fail and its
+// share fail over to the real executor at once, instead of waiting out the
+// share timeout for an answer that never comes.
+func TestClusterMisaddressedResponseFailsOver(t *testing.T) {
+	addrs := []string{misaddressingExecutor(t), startCluster(t, 1, 2)[0]}
+	failsOverWithin10s(t, fastReconnect(ClusterConfig{
+		Executors: addrs, BatchSize: 300, TasksPerExecutor: 2,
+	}), testDataset(43, 1200, 600, 120))
+}
+
+// wedgedExecutor acks the hello, then reads every frame and never answers
+// one: a connected executor that has stopped working.
+func wedgedExecutor(t *testing.T) string {
+	return handExecutor(t, func(enc *gob.Encoder, dec *gob.Decoder) {
+		var hello wireMsg
+		if dec.Decode(&hello) != nil || enc.Encode(&batchResponse{Seq: hello.Seq}) != nil {
+			return
+		}
+		for dec.Decode(new(wireMsg)) == nil {
+		}
+	})
+}
+
+// TestClusterWedgedExecutorFailsOver runs a node that takes shares and
+// never answers: no transport error ever surfaces, so only the share
+// timeout can fail its shares over to the real executor.
+func TestClusterWedgedExecutorFailsOver(t *testing.T) {
+	addrs := []string{wedgedExecutor(t), startCluster(t, 1, 2)[0]}
+	cfg := fastReconnect(ClusterConfig{Executors: addrs, BatchSize: 480, TasksPerExecutor: 2})
+	cfg.timing.shareTimeout = 500 * time.Millisecond
+	failsOverWithin10s(t, cfg, testDataset(44, 600, 300, 60))
 }
 
 // TestClusterDeltaMatchesFull proves eliding broadcast state by key

@@ -46,7 +46,7 @@ func BenchmarkSpanLifecycleDisabled(b *testing.B) {
 }
 
 func BenchmarkRingSnapshot(b *testing.B) {
-	tr := New(Config{Enabled: true, RingSize: 512, SlowBudget: -1})
+	tr := New(Config{Enabled: true, SlowBudget: -1, ringSize: 512})
 	for i := 0; i < 1024; i++ {
 		sp := tr.Begin(0)
 		sp.SetID("fill")

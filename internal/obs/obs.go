@@ -18,8 +18,9 @@
 //   - ring entries are fixed-size and encoded into a slab of
 //     atomic.Uint64 words, so the single-producer shard goroutine appends
 //     lock-free while /v1/trace readers snapshot concurrently without a
-//     mutex (entries overwritten mid-copy are detected by re-reading the
-//     head and discarded);
+//     mutex (the producer advances a claim word before it overwrites a
+//     slot, and a reader drops every entry copied from a slot the claim
+//     had reached by the end of its copy);
 //   - the slow ring is multi-producer (any shard can capture) and uses a
 //     per-slot sequence word so a torn read is detected and dropped
 //     instead of served.
@@ -29,6 +30,7 @@
 package obs
 
 import (
+	"cmp"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -93,45 +95,43 @@ type Config struct {
 	// Shards is the number of independent single-producer rings (one per
 	// pipeline shard; the cluster driver uses 1). Default 1.
 	Shards int
-	// RingSize is the per-shard ring capacity in entries, rounded up to a
-	// power of two (default 512).
-	RingSize int
 	// SlowBudget is the end-to-end latency above which a span is captured
 	// with its full stage breakdown in the slow ring (default 25ms;
 	// negative disables slow capture).
 	SlowBudget time.Duration
-	// SlowCap is the slow ring capacity (default 64).
-	SlowCap int
-	// Exemplars is the per-shard reservoir size (default 8).
-	Exemplars int
-	// Seed seeds the reservoir RNG; a fixed seed makes exemplar selection
-	// deterministic for a given finish sequence. Default 1.
-	Seed uint64
 	// Registry receives the per-stage latency histograms
 	// (redhanded_trace_stage_seconds{stage=...}) and the span total
 	// histogram. Nil skips histogram registration.
 	Registry *metrics.Registry
+
+	// ringSize, slowCap, exemplars and seed replace the constants below
+	// when non-zero; only in-package tests set them.
+	ringSize, slowCap, exemplars int
+	seed                         uint64
 }
+
+// The tracer's fixed sizes: each shard's ring holds ringEntries entries
+// and its reservoir reservoirSize exemplars, the slow ring holds
+// slowCaptures; reservoirSeed makes exemplar selection deterministic for
+// a given finish sequence.
+const (
+	ringEntries   = 512
+	slowCaptures  = 64
+	reservoirSize = 8
+	reservoirSeed = 1
+)
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.RingSize <= 0 {
-		c.RingSize = 512
-	}
 	if c.SlowBudget == 0 {
 		c.SlowBudget = 25 * time.Millisecond
 	}
-	if c.SlowCap <= 0 {
-		c.SlowCap = 64
-	}
-	if c.Exemplars <= 0 {
-		c.Exemplars = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.ringSize = cmp.Or(c.ringSize, ringEntries)
+	c.slowCap = cmp.Or(c.slowCap, slowCaptures)
+	c.exemplars = cmp.Or(c.exemplars, reservoirSize)
+	c.seed = cmp.Or(c.seed, reservoirSeed)
 	return c
 }
 
@@ -170,13 +170,13 @@ func New(cfg Config) *Tracer {
 	t := &Tracer{
 		cfg:    cfg,
 		epoch:  time.Now(),
-		slow:   newSlowRing(cfg.SlowCap),
+		slow:   newSlowRing(cfg.slowCap),
 		shards: make([]shardState, cfg.Shards),
 	}
 	t.epochUnix = t.epoch.UnixNano()
 	for i := range t.shards {
-		t.shards[i].ring = newRing(cfg.RingSize)
-		t.shards[i].reservoir = newReservoir(cfg.Exemplars, cfg.Seed+uint64(i)*0x9e3779b97f4a7c15)
+		t.shards[i].ring = newRing(cfg.ringSize)
+		t.shards[i].reservoir = newReservoir(cfg.exemplars, cfg.seed+uint64(i)*0x9e3779b97f4a7c15)
 	}
 	if cfg.Registry != nil {
 		for s := Stage(0); s < NumStages; s++ {

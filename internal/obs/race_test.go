@@ -19,10 +19,10 @@ func TestConcurrentProducersAndReaders(t *testing.T) {
 	tr := New(Config{
 		Enabled:    true,
 		Shards:     shards,
-		RingSize:   32, // small ring to force constant wraparound
 		SlowBudget: time.Nanosecond,
-		SlowCap:    8,
 		Registry:   metrics.NewRegistry(),
+		ringSize:   32, // small ring to force constant wraparound
+		slowCap:    8,
 	})
 
 	var wg sync.WaitGroup

@@ -162,10 +162,10 @@ func TestReservoirDeterminism(t *testing.T) {
 }
 
 // Tracer-level determinism: two tracers fed identical span sequences with
-// the same Seed expose identical exemplar trace IDs.
+// the same seed expose identical exemplar trace IDs.
 func TestTracerExemplarDeterminism(t *testing.T) {
 	run := func() []uint64 {
-		tr := New(Config{Enabled: true, Exemplars: 3, Seed: 7, SlowBudget: -1})
+		tr := New(Config{Enabled: true, SlowBudget: -1, exemplars: 3, seed: 7})
 		for i := 0; i < 200; i++ {
 			sp := tr.Begin(0)
 			sp.SetID("d")

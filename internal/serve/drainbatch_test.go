@@ -30,9 +30,9 @@ func TestDrainBatchEquivalence(t *testing.T) {
 		opts := testOptions()
 		opts.Shards = 1
 		opts.QueueDepth = len(tweets) + 8
-		opts.DrainBatch = drain
 		opts.Registry = metrics.NewRegistry()
 		s := newServer(opts, false)
+		s.shards[0].drainBatch = drain
 		for i := range tweets {
 			if _, ok, err := s.offer(job{tweet: tweets[i]}); err != nil || !ok {
 				t.Fatalf("offer tweet %d: ok=%v err=%v", i, ok, err)

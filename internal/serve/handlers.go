@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -152,12 +151,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeBackpressure(w http.ResponseWriter, v any) {
-	// Round up: "Retry-After: 0" would invite an immediate hammer.
-	secs := int(math.Ceil(s.opts.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", "1")
 	s.writeJSON(w, http.StatusTooManyRequests, v)
 }
 
@@ -245,7 +239,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 // malformed lines rewind automatically inside DecodeInto.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var resp IngestResponse
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.opts.MaxBatchBytes))
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	bp := bodyBufPool.Get().(*[]byte)
 	defer bodyBufPool.Put(bp)
 	sc.Buffer(*bp, 4*1024*1024)

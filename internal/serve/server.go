@@ -47,20 +47,6 @@ type Options struct {
 	Shards int
 	// QueueDepth bounds each shard's ingestion queue (default 1024).
 	QueueDepth int
-	// DrainBatch caps how many queued tweets a shard drains per
-	// core.ProcessBatch call (default 32, minimum 1). Batching amortizes
-	// the pipeline's lock acquisitions over runs of queued tweets; it
-	// never waits for a batch to form — the shard loop blocks for the
-	// first job only and takes whatever else is already queued, so an
-	// idle server keeps per-tweet latency.
-	DrainBatch int
-	// RetryAfter is advertised on 429 responses (default 1s).
-	RetryAfter time.Duration
-	// AlertBuffer is the per-subscriber alert buffer; slow SSE consumers
-	// drop alerts beyond it rather than stalling the pipeline (default 256).
-	AlertBuffer int
-	// MaxBatchBytes caps one /v1/ingest request body (default 32 MiB).
-	MaxBatchBytes int64
 	// Registry receives the server's metrics (default metrics.Default()).
 	Registry *metrics.Registry
 	// Trace configures the per-tweet stage tracing layer (internal/obs).
@@ -82,24 +68,26 @@ func DefaultServerOptions() Options {
 	return Options{Pipeline: core.DefaultOptions()}
 }
 
+// The server's fixed tuning. drainBatchMax caps how many queued tweets a
+// shard drains per core.ProcessBatch call: batching amortizes the
+// pipeline's lock acquisitions over runs of queued tweets, and it never
+// waits for a batch to form — the shard loop blocks for the first job only
+// and takes whatever else is already queued, so an idle server keeps
+// per-tweet latency. alertBuffer is each SSE subscriber's buffer: a slow
+// consumer drops alerts beyond it rather than stalling the pipeline.
+// maxIngestBytes caps one /v1/ingest request body.
+const (
+	drainBatchMax  = 32
+	alertBuffer    = 256
+	maxIngestBytes = 32 << 20
+)
+
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
-	}
-	if o.DrainBatch <= 0 {
-		o.DrainBatch = 32
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
-	if o.AlertBuffer <= 0 {
-		o.AlertBuffer = 256
-	}
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 32 << 20
 	}
 	if o.Registry == nil {
 		o.Registry = metrics.Default()
@@ -129,7 +117,7 @@ type shard struct {
 	id         int
 	p          *core.Pipeline
 	queue      chan job
-	drainBatch int
+	drainBatch int // drainBatchMax; in-package tests set others
 	drainSize  *metrics.Histogram
 	// busy is the loop's wall time on drained batches in nanoseconds; over
 	// elapsed time it is the shard's busy fraction.
@@ -152,7 +140,7 @@ type shard struct {
 // waiting, and hand the whole slice to core.ProcessBatch, which
 // amortizes the pipeline's lock acquisitions across the batch. Replies
 // are delivered in queue order after the batch completes; a synchronous
-// classify therefore waits at most one batch (bounded by DrainBatch),
+// classify therefore waits at most one batch (bounded by drainBatchMax),
 // and only when the queue was already backlogged.
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
@@ -309,7 +297,7 @@ func newServer(opts Options, start bool) *Server {
 	reg := opts.Registry
 	s := &Server{
 		opts:      opts,
-		hub:       newAlertHub(opts.AlertBuffer, reg),
+		hub:       newAlertHub(alertBuffer, reg),
 		start:     time.Now(),
 		drained:   make(chan struct{}),
 		accepted:  reg.Counter("redhanded_ingest_accepted_total", "Tweets accepted into a shard queue.", nil),
@@ -337,7 +325,7 @@ func newServer(opts Options, start bool) *Server {
 			id:         i,
 			p:          core.NewPipeline(opts.Pipeline),
 			queue:      make(chan job, opts.QueueDepth),
-			drainBatch: opts.DrainBatch,
+			drainBatch: drainBatchMax,
 			drainSize: reg.Histogram("redhanded_shard_drain_batch",
 				"Tweets drained per shard-loop batch.", drainBuckets, labels),
 		}
@@ -362,9 +350,9 @@ func newServer(opts Options, start bool) *Server {
 		users := sh.p.Users()
 		reg.GaugeFunc("redhanded_userstate_active_users", "Tracked user records per shard.",
 			labels, func() float64 { return float64(users.Len()) })
-		reg.GaugeFunc("redhanded_snapshot_rebuilds", "Compiled-snapshot publications per shard.",
+		reg.CounterFunc("redhanded_snapshot_rebuilds", "Compiled-snapshot publications per shard.",
 			labels, func() float64 { return float64(p.SnapshotStats().Rebuilds) })
-		reg.GaugeFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-flattened across snapshot rebuilds per shard.",
+		reg.CounterFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-flattened across snapshot rebuilds per shard.",
 			labels, func() float64 { return float64(p.SnapshotStats().TreesRebuilt) })
 		reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's published snapshot is behind.",
 			labels, func() float64 { return float64(p.SnapshotStats().Age) })
@@ -376,11 +364,11 @@ func newServer(opts Options, start bool) *Server {
 				labels, func() float64 { return float64(l.AppendedOffset(part) - p.LogOffset()) })
 		}
 		ext := sh.p.Extractor()
-		reg.GaugeFunc("redhanded_featcache_hits", "Extraction-cache hits per shard.",
+		reg.CounterFunc("redhanded_featcache_hits", "Extraction-cache hits per shard.",
 			labels, func() float64 { return float64(ext.CacheStats().Hits) })
-		reg.GaugeFunc("redhanded_featcache_misses", "Extraction-cache misses per shard.",
+		reg.CounterFunc("redhanded_featcache_misses", "Extraction-cache misses per shard.",
 			labels, func() float64 { return float64(ext.CacheStats().Misses) })
-		reg.GaugeFunc("redhanded_featcache_evictions", "Extraction-cache CLOCK evictions per shard.",
+		reg.CounterFunc("redhanded_featcache_evictions", "Extraction-cache CLOCK evictions per shard.",
 			labels, func() float64 { return float64(ext.CacheStats().Evictions) })
 		reg.GaugeFunc("redhanded_featcache_entries", "Live extraction-cache entries per shard.",
 			labels, func() float64 { return float64(ext.CacheStats().Entries) })
@@ -397,9 +385,9 @@ func newServer(opts Options, start bool) *Server {
 		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().Decodes) })
 	reg.CounterFunc("redhanded_ingress_decode_errors_total", "Failed fast NDJSON tweet decodes.",
 		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().Errors) })
-	reg.GaugeFunc("redhanded_ingress_arena_chunks", "Decoder arena chunks allocated since process start.",
+	reg.CounterFunc("redhanded_ingress_arena_chunks", "Decoder arena chunks allocated since process start.",
 		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().ArenaChunks) })
-	reg.GaugeFunc("redhanded_ingress_interned_bytes", "String bytes interned into decoder arenas.",
+	reg.CounterFunc("redhanded_ingress_interned_bytes", "String bytes interned into decoder arenas.",
 		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().InternedBytes) })
 	s.mux = s.routes()
 	if start {
@@ -412,7 +400,7 @@ func newServer(opts Options, start bool) *Server {
 }
 
 // drainBuckets are the shard drain-batch-size histogram buckets: batch
-// sizes are small integers bounded by DrainBatch, not latencies.
+// sizes are small integers bounded by drainBatchMax, not latencies.
 var drainBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // ShardFor returns the shard index a user's tweets are routed to. The

@@ -136,7 +136,6 @@ func TestBackpressure429(t *testing.T) {
 	opts := testOptions()
 	opts.Shards = 1
 	opts.QueueDepth = 2
-	opts.RetryAfter = 3 * time.Second
 	// Shard loops never start: the queue fills and stays full.
 	s := newServer(opts, false)
 	ts := httptest.NewServer(s)
@@ -154,8 +153,8 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", ra)
 	}
 	var ir IngestResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {

@@ -99,8 +99,8 @@ func (h *alertHub) HandleEscalation(v core.EscalationVerdict) {
 }
 
 func (h *alertHub) subscribe() chan sseEvent {
-	// Options.AlertBuffer: how far a writer may fall behind the shards
-	// before its events are dropped.
+	// h.buffer (alertBuffer in a server): how far a writer may fall behind
+	// the shards before its events are dropped.
 	ch := make(chan sseEvent, h.buffer)
 	h.mu.Lock()
 	h.subs = append(h.subs, ch)
@@ -131,7 +131,7 @@ const sseHeartbeat = 15 * time.Second
 // writes while the first event of a batch waits for at most one buffer of
 // encoding. It is a constant because nothing a deployment can observe
 // would tell it to pick another value — how far a subscriber may fall
-// behind is Options.AlertBuffer, and a frame larger than the budget simply
+// behind is alertBuffer, and a frame larger than the budget simply
 // goes out on its own.
 const sseFlushBudget = 32 << 10
 

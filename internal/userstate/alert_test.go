@@ -17,10 +17,10 @@ func alertPairConfig(sweep int) Config {
 		Shards:          2,
 		MaxUsers:        8,
 		TTL:             10 * time.Minute,
-		SweepPerObserve: sweep,
 		RingSize:        8,
 		Session:         SessionConfig{Window: 5 * time.Minute, MinTweets: 3, AggressiveShare: 0.5},
 		Escalation:      EscalationConfig{Threshold: 0.4, MinTweets: 4, MinSpan: 6 * time.Minute, Cooldown: 5 * time.Minute},
+		sweepPerObserve: sweep,
 	}
 }
 
@@ -155,7 +155,7 @@ func alertOps(seed int64, n int) []byte {
 // FuzzObserveAlertMatchesPair is the equivalence proof for ObserveAlert:
 // one call per alerting tweet leaves the store, every outcome and the
 // checkpoint bytes exactly as the full Observe plus offense-only Observe
-// the pipeline used to make, at every SweepPerObserve the fuzzer picks.
+// the pipeline used to make, at every sweepPerObserve the fuzzer picks.
 func FuzzObserveAlertMatchesPair(f *testing.F) {
 	const alert = 0xE3 // aggressive, alerting, confidence 1
 	seeds := [][]byte{

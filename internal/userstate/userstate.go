@@ -28,6 +28,7 @@
 package userstate
 
 import (
+	"cmp"
 	"sort"
 	"strings"
 	"sync"
@@ -132,10 +133,6 @@ type Config struct {
 	// against the newest observation the record's shard has seen
 	// (default 24h; negative disables the sweep).
 	TTL time.Duration
-	// SweepPerObserve is how many CLOCK-ring slots each Observe examines
-	// for expired records (default 2) — the amortized alternative to a
-	// stop-the-world prune.
-	SweepPerObserve int
 	// RingSize is the per-user last-N verdict ring length feeding the
 	// escalation trend check (default 16).
 	RingSize int
@@ -143,7 +140,15 @@ type Config struct {
 	Session SessionConfig
 	// Escalation tunes the cross-session escalation detector.
 	Escalation EscalationConfig
+
+	// sweepPerObserve replaces observeSweep when non-zero; only
+	// in-package tests set it.
+	sweepPerObserve int
 }
+
+// observeSweep is how many CLOCK-ring slots each Observe examines for
+// expired records — the amortized alternative to a stop-the-world prune.
+const observeSweep = 2
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -166,9 +171,7 @@ func (c Config) withDefaults() Config {
 	if c.TTL == 0 {
 		c.TTL = 24 * time.Hour
 	}
-	if c.SweepPerObserve <= 0 {
-		c.SweepPerObserve = 2
-	}
+	c.sweepPerObserve = cmp.Or(c.sweepPerObserve, observeSweep)
 	if c.RingSize <= 0 {
 		c.RingSize = 16
 	}
@@ -561,7 +564,7 @@ func (s *Store) observeLocked(sh *shard, o Observation, alert bool) Outcome {
 		}
 	}
 
-	sweeps := s.cfg.SweepPerObserve
+	sweeps := s.cfg.sweepPerObserve
 	if alert {
 		// What the separate offense-only Observe did: the offense after the
 		// judges, and that call's own sweep slots.

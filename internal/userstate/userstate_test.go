@@ -258,7 +258,7 @@ func TestCapEvictionKeepsHotUsers(t *testing.T) {
 }
 
 func TestTTLSweepAmortized(t *testing.T) {
-	s := New(Config{Shards: 1, TTL: time.Hour, SweepPerObserve: 4})
+	s := New(Config{Shards: 1, TTL: time.Hour, sweepPerObserve: 4})
 	// 50 users at t0, then one active user advancing the clock far past
 	// the TTL: the sweep inside Observe must retire the idle records.
 	for i := 0; i < 50; i++ {
@@ -395,7 +395,7 @@ func TestSuspendedSurviveEvictionPressure(t *testing.T) {
 	// Suspension is the costliest state to forget: suspended records are
 	// skipped by the TTL sweep and passed over by CLOCK eviction while
 	// any other victim exists.
-	s := New(Config{Shards: 1, MaxUsers: 50, TTL: time.Hour, SweepPerObserve: 4})
+	s := New(Config{Shards: 1, MaxUsers: 50, TTL: time.Hour, sweepPerObserve: 4})
 	for i := 0; i < 10; i++ {
 		for k := 0; k < 3; k++ {
 			s.Observe(Observation{
