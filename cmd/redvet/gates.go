@@ -79,6 +79,23 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/userstate.(*record).slide",
 		},
 	},
+	"UserstateObserveChurn": {
+		measuredBy: "internal/userstate.TestObserveChurnZeroAlloc",
+		funcs: []string{
+			"redhanded/internal/userstate.(*Store).evictClock",
+			"redhanded/internal/userstate.(*Store).insert",
+			"redhanded/internal/userstate.(*Store).sweep",
+			"redhanded/internal/userstate.(*index).find",
+			"redhanded/internal/userstate.(*index).insert",
+			"redhanded/internal/userstate.(*index).move",
+			"redhanded/internal/userstate.(*index).remove",
+			"redhanded/internal/userstate.(*index).slotOf",
+			"redhanded/internal/userstate.(*key).is",
+			"redhanded/internal/userstate.(*key).set",
+			"redhanded/internal/userstate.(*stripe).add",
+			"redhanded/internal/userstate.(*stripe).remove",
+		},
+	},
 	"SpanLifecycle": {
 		measuredBy: "internal/obs.TestSpanLifecycleZeroAllocs",
 		funcs: []string{

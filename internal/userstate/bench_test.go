@@ -65,6 +65,34 @@ func BenchmarkUserstateObserveHot(b *testing.B) {
 	})
 }
 
+// BenchmarkUserstateObserveChurn measures the store when every tweet
+// comes from a user it has not seen: one goroutine, a new user and screen
+// name per observation (an ID recurs only after 45 days of event time),
+// the default 24 h TTL, and event time advancing a minute per
+// observation, so the sweep retires one idle record for each one inserted
+// and the store holds about a day of users (1 440).
+func BenchmarkUserstateObserveChurn(b *testing.B) {
+	s := New(Config{Shards: 16})
+	ids := benchIDs(1 << 16)
+	names := make([]string, len(ids))
+	for i := range names {
+		names[i] = fmt.Sprintf("name_%07d", i)
+	}
+	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(ids)
+		s.Observe(Observation{
+			UserID:     ids[k],
+			ScreenName: names[k],
+			At:         time.Unix(0, start+int64(i)*int64(time.Minute)),
+			Aggressive: i%3 == 0,
+			Confidence: 0.8,
+		})
+	}
+}
+
 // TestObserveResidentUserZeroAlloc is the UserstateObserveHot gate:
 // folding an observation into a user who already has a record — session
 // window slide, running counts, EWMA, and for the aggressive third an
@@ -103,6 +131,62 @@ func TestObserveResidentUserZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, observe); allocs != 0 {
 		t.Fatalf("Observe allocates %v per resident-user observation, want 0", allocs)
+	}
+}
+
+// TestObserveChurnZeroAlloc is the UserstateObserveChurn gate: once a
+// store has reached its size, observing a user it has never seen — the
+// index miss, the insert into a reused slab slot, and the eviction that
+// makes room — allocates nothing, for Observe and for ObserveAlert. One
+// store evicts by TTL (event time advances an hour per observation), the
+// other at its MaxUsers cap with the sweep off. Each call is measured on
+// its own, so one allocation per call cannot hide in an average.
+func TestObserveChurnZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		step time.Duration
+	}{
+		{name: "ttl", cfg: Config{Shards: 4}, step: time.Hour},
+		{name: "cap", cfg: Config{Shards: 4, MaxUsers: 64, TTL: -1}, step: time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(tc.cfg)
+			ids := benchIDs(1 << 14)
+			start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+			obs := make([]Observation, len(ids))
+			for k, id := range ids {
+				obs[k] = Observation{
+					UserID:       id,
+					ScreenName:   "name_" + id,
+					At:           start.Add(time.Duration(k) * tc.step),
+					Aggressive:   true,
+					Confidence:   0.8,
+					SuspendAfter: 3,
+				}
+			}
+			i := 0
+			observe := func() { s.Observe(obs[i]); i++ }
+			alert := func() { s.ObserveAlert(obs[i]); i++ }
+			for i < 4096 {
+				observe()
+				alert()
+			}
+			capBefore, ttlBefore := s.Evictions()
+			if allocs := testing.AllocsPerRun(1000, observe); allocs != 0 {
+				t.Errorf("Observe of a new user allocates %v, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(1000, alert); allocs != 0 {
+				t.Errorf("ObserveAlert of a new user allocates %v, want 0", allocs)
+			}
+			capEv, ttlEv := s.Evictions()
+			if evicted := capEv - capBefore + ttlEv - ttlBefore; evicted < 1000 {
+				t.Fatalf("%d evictions over 2002 new users: the gate did not measure churn", evicted)
+			}
+		})
 	}
 }
 

@@ -130,30 +130,31 @@ func (s *Store) MarshalBinary() ([]byte, error) {
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		st := shardState{Hand: sh.hand, MaxTime: sh.maxTime, Records: make([]recordState, 0, len(sh.ring))}
-		for _, r := range sh.ring {
+		for _, e := range sh.ring {
+			r := sh.slab.at(e.rec)
 			rs := recordState{
-				ID:             r.id,
-				ScreenName:     r.screenName,
+				ID:             r.id.String(),
+				ScreenName:     r.screenName.String(),
 				LastVerdict:    r.lastVerdict,
 				LastEscalation: r.lastEscalation,
 				Offenses:       r.offenses,
-				Suspended:      r.suspended,
+				Suspended:      e.flags&flagSuspended != 0,
 				FirstSeen:      r.firstSeen,
-				LastSeen:       r.lastSeen,
+				LastSeen:       e.lastSeen,
 				Tweets:         r.tweets,
 				Aggressive:     r.aggressive,
 				Sessions:       r.sessions,
 				Escalations:    r.escalations,
 				Score:          r.score,
 				Cadence:        r.cadence,
-				RecentPos:      r.recentPos,
-				RecentN:        r.recentN,
-				Ref:            r.ref,
+				RecentPos:      int(r.recentPos),
+				RecentN:        int(r.recentN),
+				Ref:            e.flags&flagRef != 0,
 			}
 			for _, e := range r.window() {
 				rs.Entries = append(rs.Entries, entryState{At: e.at(), Aggressive: e.aggressive(), Confidence: e.confidence})
 			}
-			for _, b := range r.recent {
+			for _, b := range sh.slab.verdicts(e.rec) {
 				rs.Recent = append(rs.Recent, entryState{At: b.at(), Aggressive: b.aggressive(), Confidence: b.confidence})
 			}
 			st.Records = append(st.Records, rs)
@@ -206,8 +207,9 @@ func decodeFrame(fr *frameReader, v any) error {
 
 // UnmarshalBinary restores the full store state, replacing whatever the
 // store currently holds. The blob must have been written under the same
-// shard count; corrupt, truncated, or trailing-garbage blobs are
-// rejected without applying any state.
+// shard count; corrupt, truncated, or trailing-garbage blobs, and shards
+// that hold a user twice or a user another shard owns, are rejected
+// without applying any state.
 func (s *Store) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 || string(data[:4]) != checkpointMagic {
 		return fmt.Errorf("userstate: bad checkpoint magic")
@@ -225,22 +227,14 @@ func (s *Store) UnmarshalBinary(data []byte) error {
 	if err := decodeFrame(fr, &counters); err != nil {
 		return fmt.Errorf("userstate: decode counters: %w", err)
 	}
-	states := make([]shardState, len(s.shards))
-	for i := range states {
-		if err := decodeFrame(fr, &states[i]); err != nil {
+	stripes := make([]stripe, len(s.shards))
+	for i := range stripes {
+		var st shardState
+		if err := decodeFrame(fr, &st); err != nil {
 			return fmt.Errorf("userstate: decode shard %d: %w", i, err)
 		}
-		if st := &states[i]; st.Hand < 0 || st.Hand > len(st.Records) {
-			return fmt.Errorf("userstate: shard %d hand %d out of range", i, st.Hand)
-		}
-		for _, rs := range states[i].Records {
-			if rs.ID == "" {
-				return fmt.Errorf("userstate: shard %d has a record without a user ID", i)
-			}
-			if len(rs.Recent) != s.cfg.RingSize || rs.RecentN > len(rs.Recent) ||
-				rs.RecentPos < 0 || rs.RecentPos >= len(rs.Recent) {
-				return fmt.Errorf("userstate: shard %d record %q has a malformed verdict ring", i, rs.ID)
-			}
+		if err := s.load(&stripes[i], i, &st); err != nil {
+			return err
 		}
 	}
 	if fr.off != len(data) {
@@ -254,47 +248,67 @@ func (s *Store) UnmarshalBinary(data []byte) error {
 	s.evictionsCap.Store(counters.EvictionsCap)
 	s.evictionsTTL.Store(counters.EvictionsTTL)
 	for i, sh := range s.shards {
-		st := states[i]
 		sh.mu.Lock()
-		sh.users = make(map[string]*record, len(st.Records))
-		sh.ring = make([]*record, 0, len(st.Records))
-		sh.hand = st.Hand
-		sh.maxTime = st.MaxTime
-		sh.free = nil
-		for _, rs := range st.Records {
-			r := &record{
-				id:             rs.ID,
-				screenName:     rs.ScreenName,
-				lastVerdict:    rs.LastVerdict,
-				lastEscalation: rs.LastEscalation,
-				offenses:       rs.Offenses,
-				suspended:      rs.Suspended,
-				firstSeen:      rs.FirstSeen,
-				lastSeen:       rs.LastSeen,
-				tweets:         rs.Tweets,
-				aggressive:     rs.Aggressive,
-				sessions:       rs.Sessions,
-				escalations:    rs.Escalations,
-				score:          rs.Score,
-				cadence:        rs.Cadence,
-				recent:         make([]entry, s.cfg.RingSize),
-				recentPos:      rs.RecentPos,
-				recentN:        rs.RecentN,
-				ref:            rs.Ref,
-				ringIdx:        len(sh.ring),
-			}
-			r.entries = make([]entry, len(rs.Entries))
-			for j, e := range rs.Entries {
-				r.entries[j] = newEntry(clampNanos(e.At), e.Aggressive, e.Confidence)
-			}
-			r.recount()
-			for j, b := range rs.Recent {
-				r.recent[j] = newEntry(clampNanos(b.At), b.Aggressive, b.Confidence)
-			}
-			sh.ring = append(sh.ring, r)
-			sh.users[r.id] = r
-		}
+		sh.stripe = stripes[i]
 		sh.mu.Unlock()
+	}
+	return nil
+}
+
+// load builds shard i's stripe from its checkpoint frame, records in
+// CLOCK ring order, rejecting a frame whose state no store could hold.
+func (s *Store) load(dst *stripe, i int, st *shardState) error {
+	if st.Hand < 0 || st.Hand > len(st.Records) {
+		return fmt.Errorf("userstate: shard %d hand %d out of range", i, st.Hand)
+	}
+	*dst = stripe{slab: slab{ringLen: s.cfg.RingSize}, hand: st.Hand, maxTime: st.MaxTime}
+	for _, rs := range st.Records {
+		if rs.ID == "" {
+			return fmt.Errorf("userstate: shard %d has a record without a user ID", i)
+		}
+		h := fnv64a(rs.ID)
+		if owner := int(h & s.mask); owner != i {
+			return fmt.Errorf("userstate: shard %d holds user %q, which belongs to shard %d", i, rs.ID, owner)
+		}
+		if dst.index.find(h, rs.ID, &dst.slab) != noRec {
+			return fmt.Errorf("userstate: shard %d holds user %q twice", i, rs.ID)
+		}
+		if len(rs.Recent) != s.cfg.RingSize || rs.RecentN < 0 || rs.RecentN > len(rs.Recent) ||
+			rs.RecentPos < 0 || rs.RecentPos >= len(rs.Recent) {
+			return fmt.Errorf("userstate: shard %d record %q has a malformed verdict ring", i, rs.ID)
+		}
+		ri := dst.add(h, rs.ID)
+		r := dst.slab.at(ri)
+		r.screenName.set(rs.ScreenName)
+		r.lastVerdict = rs.LastVerdict
+		r.lastEscalation = rs.LastEscalation
+		r.offenses = rs.Offenses
+		r.firstSeen = rs.FirstSeen
+		r.tweets = rs.Tweets
+		r.aggressive = rs.Aggressive
+		r.sessions = rs.Sessions
+		r.escalations = rs.Escalations
+		r.score = rs.Score
+		r.cadence = rs.Cadence
+		r.recentPos = int32(rs.RecentPos)
+		r.recentN = int32(rs.RecentN)
+		r.entries = make([]entry, len(rs.Entries))
+		for j, e := range rs.Entries {
+			r.entries[j] = newEntry(clampNanos(e.At), e.Aggressive, e.Confidence)
+		}
+		r.recount()
+		recent := dst.slab.verdicts(ri)
+		for j, b := range rs.Recent {
+			recent[j] = newEntry(clampNanos(b.At), b.Aggressive, b.Confidence)
+		}
+		e := &dst.ring[r.ringIdx]
+		e.lastSeen = rs.LastSeen
+		if rs.Suspended {
+			e.flags |= flagSuspended
+		}
+		if rs.Ref {
+			e.flags |= flagRef
+		}
 	}
 	return nil
 }

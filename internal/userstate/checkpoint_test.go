@@ -2,6 +2,7 @@ package userstate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -211,6 +212,74 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	// The pristine blob still restores after all the rejected attempts.
 	if err := fresh().UnmarshalBinary(blob); err != nil {
 		t.Fatalf("pristine blob rejected: %v", err)
+	}
+}
+
+// TestCheckpointRejectsImpossibleShards: a shard frame that holds one user
+// twice, or a user whose ID routes to another shard, cannot come from a
+// store. Restoring the first left two ring entries under one index entry
+// (a later eviction of one copy unlinked the other); restoring the second
+// left a record no lookup reaches. Both are rejected before any state is
+// applied, while the same frames without the defect restore.
+func TestCheckpointRejectsImpossibleShards(t *testing.T) {
+	blob := func(shards ...shardState) []byte {
+		var buf bytes.Buffer
+		buf.WriteString(checkpointMagic)
+		var hdr [4]byte
+		binary.BigEndian.PutUint16(hdr[:2], checkpointVersion)
+		binary.BigEndian.PutUint16(hdr[2:], uint16(len(shards)))
+		buf.Write(hdr[:])
+		if err := encodeFrame(&buf, counterState{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range shards {
+			if err := encodeFrame(&buf, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	rec := func(id string) recordState {
+		return recordState{ID: id, Tweets: 1, Recent: make([]entryState, 16)}
+	}
+	var owned [2]string // a user ID each shard of a two-shard store owns
+	for i := 0; owned[0] == "" || owned[1] == ""; i++ {
+		if id := fmt.Sprintf("user%d", i); owned[fnv64a(id)&1] == "" {
+			owned[fnv64a(id)&1] = id
+		}
+	}
+
+	for _, tc := range []struct {
+		name      string
+		shards    int
+		bad, good []shardState
+	}{
+		{
+			name:   "user twice in one shard",
+			shards: 1,
+			bad:    []shardState{{Records: []recordState{rec("a"), rec("a")}}},
+			good:   []shardState{{Records: []recordState{rec("a"), rec("b")}}},
+		},
+		{
+			name:   "user in another shard",
+			shards: 2,
+			bad:    []shardState{{Records: []recordState{rec(owned[1])}}, {}},
+			good:   []shardState{{}, {Records: []recordState{rec(owned[1])}}},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Shards: tc.shards})
+			s.Observe(obs("resident", base, true, 0.9))
+			if err := s.UnmarshalBinary(blob(tc.bad...)); err == nil {
+				t.Fatalf("restored a shard that holds an impossible record (Len %d)", s.Len())
+			}
+			if _, ok := s.Lookup("resident"); !ok || s.Len() != 1 {
+				t.Fatalf("rejected restore changed the store: Len %d", s.Len())
+			}
+			if err := s.UnmarshalBinary(blob(tc.good...)); err != nil {
+				t.Fatalf("the same frames without the defect: %v", err)
+			}
+		})
 	}
 }
 

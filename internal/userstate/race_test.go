@@ -120,7 +120,7 @@ func TestLockWaitsCountOnlyContendedAcquires(t *testing.T) {
 	if n, waited := s.LockWaits(); n != 0 || waited != 0 {
 		t.Fatalf("uncontended Observe counted a wait: %d, %v", n, waited)
 	}
-	sh := s.shardFor("held")
+	sh := s.shardFor(fnv64a("held"))
 	// The observer may not reach the stripe before it is released; hold
 	// it longer each round until one acquire has had to wait.
 	for hold := time.Millisecond; hold < 10*time.Second; hold *= 2 {

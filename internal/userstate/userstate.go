@@ -30,7 +30,6 @@ package userstate
 import (
 	"cmp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -304,18 +303,18 @@ func newEntry(at int64, aggressive bool, confidence float64) entry {
 func (e entry) at() int64        { return e.stamp >> 1 }
 func (e entry) aggressive() bool { return e.stamp&1 != 0 }
 
-// record is one user's state. All times are unix nanos (0 = unset).
-// The CLOCK cache holds up to MaxUsers (default 100k) of these, so the
-// field order is alignment-packed: word-sized fields first, then the two
-// half-word window counters, the byte-wide flags together at the tail.
-// The fieldalign check and the
-// TestRecordSizePinned pin enforce it (two stray interior bools
-// previously cost 8 bytes per record — 0.8 MB at the default cap).
+// record is one user's slab slot. All times are unix nanos (0 = unset).
+// Its newest event time, suspension latch and CLOCK reference bit live in
+// its CLOCK ring entry (stripe.ring[ringIdx]), and its last-N verdict ring
+// beside it in the slab (slab.verdicts). The slab holds up to MaxUsers
+// (default 100k) of these, so the field order is alignment-packed:
+// word-sized fields first, then the half-word ones, the flag at the tail.
+// The fieldalign check and the TestRecordSizePinned pin enforce it.
 //
 //redvet:packed
 type record struct {
-	id         string
-	screenName string
+	id         key
+	screenName key
 
 	// Sliding session window (window.go): entries[head:] in arrival order.
 	entries     []entry
@@ -325,37 +324,29 @@ type record struct {
 	offenses int
 
 	// Behavioral aggregates.
-	firstSeen, lastSeen int64
-	tweets, aggressive  int64
-	score               float64 // EWMA aggression
-	cadence             float64 // EWMA inter-arrival seconds
-	recent              []entry
-	recentPos, recentN  int
-	sessions            int64
-	escalations         int64
-	lastEscalation      int64
+	firstSeen          int64
+	tweets, aggressive int64
+	score              float64 // EWMA aggression
+	cadence            float64 // EWMA inter-arrival seconds
+	sessions           int64
+	escalations        int64
+	lastEscalation     int64
 
-	// CLOCK bookkeeping.
-	ringIdx int
+	hash   uint64 // fnv64a(id): the record's index entry
+	winMin int64  // session window: oldest time in it, kept while disordered
 
-	winMin  int64 // session window: oldest time in it, kept while disordered
-	head    int32 // session window: index of the oldest live entry
-	winAggr int32 // session window: aggressive entries in entries[head:]
+	recentPos, recentN int32 // verdict ring: next slot, slots filled
+	ringIdx            int32 // position in the CLOCK ring
+	head               int32 // session window: index of the oldest live entry
+	winAggr            int32 // session window: aggressive entries in entries[head:]
 
-	suspended  bool // offense history: suspension latch
-	ref        bool // CLOCK reference bit
 	disordered bool // session window: arrival order is not time order
 }
 
-// shard is one lock stripe: a map for lookup plus a CLOCK ring (slice +
-// hand) for eviction order.
+// shard is one lock stripe.
 type shard struct {
-	mu      sync.Mutex
-	users   map[string]*record
-	ring    []*record
-	hand    int
-	maxTime int64 // newest event time observed by this shard
-	free    []*record
+	mu sync.Mutex
+	stripe
 }
 
 // Store is the sharded, bounded, checkpointable user-state store. It is
@@ -404,7 +395,7 @@ func New(cfg Config) *Store {
 		s.perCap = cfg.MaxUsers / cfg.Shards
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{users: make(map[string]*record)}
+		s.shards[i] = &shard{stripe: stripe{slab: slab{ringLen: cfg.RingSize}}}
 	}
 	return s
 }
@@ -412,7 +403,8 @@ func New(cfg Config) *Store {
 // Config returns the resolved configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// fnv64a is the shard hash (inlined to keep Observe allocation-free).
+// fnv64a is the user-ID hash: its low bits choose the shard, and the
+// shard's index takes the home slot from the rest.
 func fnv64a(id string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(id); i++ {
@@ -422,8 +414,18 @@ func fnv64a(id string) uint64 {
 	return h
 }
 
-func (s *Store) shardFor(id string) *shard {
-	return s.shards[fnv64a(id)&s.mask]
+func (s *Store) shardFor(h uint64) *shard {
+	return s.shards[h&s.mask]
+}
+
+// read runs fn under userID's shard lock with the stripe and the slab
+// index of the user's record (noRec for an unknown user).
+func (s *Store) read(userID string, fn func(st *stripe, i int32)) {
+	h := fnv64a(userID)
+	sh := s.shardFor(h)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fn(&sh.stripe, sh.index.find(h, userID, &sh.slab))
 }
 
 // maxNanos bounds stored times to what entry.stamp can carry beside its
@@ -480,7 +482,8 @@ func (s *Store) observe(o Observation, alert bool) Outcome {
 	if o.UserID == "" {
 		return Outcome{}
 	}
-	sh := s.shardFor(o.UserID)
+	h := fnv64a(o.UserID)
+	sh := s.shardFor(h)
 	if !sh.mu.TryLock() {
 		//redvet:ignore hotpathhygiene contended acquires only: the stripe was held, so the wait is real and worth two clock reads
 		t0 := time.Now()
@@ -489,13 +492,13 @@ func (s *Store) observe(o Observation, alert bool) Outcome {
 		s.lockWaitNanos.Add(int64(time.Since(t0)))
 		s.lockWaits.Add(1)
 	}
-	out := s.observeLocked(sh, o, alert)
+	out := s.observeLocked(sh, h, o, alert)
 	sh.mu.Unlock()
 	return out
 }
 
 //redvet:noalloc gate=UserstateObserveHot
-func (s *Store) observeLocked(sh *shard, o Observation, alert bool) Outcome {
+func (s *Store) observeLocked(sh *shard, h uint64, o Observation, alert bool) Outcome {
 	at := nanos(o.At)
 	hasTime := at != 0
 	if at > sh.maxTime {
@@ -505,20 +508,21 @@ func (s *Store) observeLocked(sh *shard, o Observation, alert bool) Outcome {
 		at = sh.maxTime
 	}
 
-	r := sh.users[o.UserID]
-	if r == nil {
-		r = s.insert(sh, o.UserID)
+	i := sh.index.find(h, o.UserID, &sh.slab)
+	if i == noRec {
+		i = s.insert(sh, h, o.UserID)
 	}
-	r.ref = true
-	if o.ScreenName != "" && o.ScreenName != r.screenName {
-		// Clone for the same arena-aliasing reason as insert; the equality
-		// guard keeps the copy off the steady state (a user's screen name
-		// rarely changes between observations).
-		r.screenName = strings.Clone(o.ScreenName)
+	r := sh.slab.at(i)
+	res := &sh.ring[r.ringIdx] // valid until the sweep below
+	res.flags |= flagRef
+	if o.ScreenName != "" && !r.screenName.is(o.ScreenName) {
+		r.screenName.set(o.ScreenName)
 	}
 	if r.firstSeen == 0 || (at != 0 && at < r.firstSeen) {
 		r.firstSeen = at
 	}
+	lastSeen := res.lastSeen
+	recent := sh.slab.verdicts(i)
 
 	var out Outcome
 	if !o.OffenseOnly {
@@ -530,27 +534,27 @@ func (s *Store) observeLocked(sh *shard, o Observation, alert bool) Outcome {
 			x = o.Confidence
 		}
 		r.score += s.cfg.Escalation.Alpha * (x - r.score)
-		if hasTime && r.lastSeen > 0 && at > r.lastSeen {
-			gap := float64(at-r.lastSeen) / float64(time.Second)
+		if hasTime && lastSeen > 0 && at > lastSeen {
+			gap := float64(at-lastSeen) / float64(time.Second)
 			if r.cadence == 0 {
 				r.cadence = gap
 			} else {
 				r.cadence += 0.2 * (gap - r.cadence)
 			}
 		}
-		r.recent[r.recentPos] = newEntry(at, o.Aggressive, o.Confidence)
-		r.recentPos = (r.recentPos + 1) % len(r.recent)
-		if r.recentN < len(r.recent) {
+		recent[r.recentPos] = newEntry(at, o.Aggressive, o.Confidence)
+		r.recentPos = (r.recentPos + 1) % int32(len(recent))
+		if int(r.recentN) < len(recent) {
 			r.recentN++
 		}
 	}
-	if at > r.lastSeen {
-		r.lastSeen = at
+	if at > lastSeen {
+		res.lastSeen = at
 	}
 
 	// Offense history.
 	if o.Offense {
-		out.NewlySuspended = s.offend(r, o.SuspendAfter)
+		out.NewlySuspended = s.offend(res, r, o.SuspendAfter)
 	}
 
 	if !o.OffenseOnly && hasTime {
@@ -559,7 +563,7 @@ func (s *Store) observeLocked(sh *shard, o Observation, alert bool) Outcome {
 		if v := s.judgeSession(r, at); v != nil {
 			out.Session = v
 		}
-		if v := s.judgeEscalation(r, at); v != nil {
+		if v := s.judgeEscalation(r, recent, at); v != nil {
 			out.Escalation = v
 		}
 	}
@@ -568,25 +572,26 @@ func (s *Store) observeLocked(sh *shard, o Observation, alert bool) Outcome {
 	if alert {
 		// What the separate offense-only Observe did: the offense after the
 		// judges, and that call's own sweep slots.
-		out.NewlySuspended = s.offend(r, o.SuspendAfter)
+		out.NewlySuspended = s.offend(res, r, o.SuspendAfter)
 		sweeps *= 2
 	}
 
 	out.Offenses = r.offenses
-	out.Suspended = r.suspended
+	out.Suspended = res.flags&flagSuspended != 0
 
-	s.sweep(sh, r, sweeps)
+	s.sweep(sh, i, sweeps)
 	return out
 }
 
 // offend advances r's offense history by one, reporting whether the count
-// just reached suspendAfter and flipped the suspension recommendation.
-func (s *Store) offend(r *record, suspendAfter int) bool {
+// just reached suspendAfter and flipped the suspension recommendation
+// (res, r's ring entry).
+func (s *Store) offend(res *resident, r *record, suspendAfter int) bool {
 	r.offenses++
-	if r.suspended || suspendAfter <= 0 || r.offenses < suspendAfter {
+	if res.flags&flagSuspended != 0 || suspendAfter <= 0 || r.offenses < suspendAfter {
 		return false
 	}
-	r.suspended = true
+	res.flags |= flagSuspended
 	s.suspensions.Add(1)
 	return true
 }
@@ -615,9 +620,10 @@ func (s *Store) judgeSession(r *record, at int64) *SessionVerdict {
 	r.lastVerdict = at
 	r.sessions++
 	s.verdicts.Add(1)
+	id, screenName := r.names()
 	return &SessionVerdict{
-		UserID:          r.id,
-		ScreenName:      r.screenName,
+		UserID:          id,
+		ScreenName:      screenName,
 		WindowStart:     fromNanos(win[0].at()),
 		WindowEnd:       fromNanos(at),
 		Tweets:          len(win),
@@ -628,8 +634,8 @@ func (s *Store) judgeSession(r *record, at int64) *SessionVerdict {
 
 // judgeEscalation fires when the user's EWMA aggression score holds above
 // the threshold across a span longer than one session window, with the
-// last-N verdict ring confirming the trend is not decaying.
-func (s *Store) judgeEscalation(r *record, at int64) *EscalationVerdict {
+// last-N verdict ring (recent) confirming the trend is not decaying.
+func (s *Store) judgeEscalation(r *record, recent []entry, at int64) *EscalationVerdict {
 	cfg := s.cfg.Escalation
 	if cfg.Threshold < 0 {
 		return nil
@@ -645,14 +651,15 @@ func (s *Store) judgeEscalation(r *record, at int64) *EscalationVerdict {
 	}
 	// Trend check over the ring (oldest->newest): the newer half must be
 	// at least as aggressive as the older half, and aggressive at all.
-	if r.recentN < len(r.recent)/2 {
+	n := int(r.recentN)
+	if n < len(recent)/2 {
 		return nil
 	}
 	older, newer, aggr := 0, 0, 0
-	half := r.recentN / 2
-	for i := 0; i < r.recentN; i++ {
+	half := n / 2
+	for i := 0; i < n; i++ {
 		// Logical index i=0 is the oldest retained slot.
-		b := r.recent[(r.recentPos-r.recentN+i+2*len(r.recent))%len(r.recent)]
+		b := recent[(int(r.recentPos)-n+i+2*len(recent))%len(recent)]
 		if !b.aggressive() {
 			continue
 		}
@@ -669,13 +676,14 @@ func (s *Store) judgeEscalation(r *record, at int64) *EscalationVerdict {
 	r.lastEscalation = at
 	r.escalations++
 	s.escalations.Add(1)
+	id, screenName := r.names()
 	return &EscalationVerdict{
-		UserID:      r.id,
-		ScreenName:  r.screenName,
+		UserID:      id,
+		ScreenName:  screenName,
 		Score:       r.score,
 		Tweets:      r.tweets,
 		Aggressive:  r.aggressive,
-		RecentShare: float64(aggr) / float64(r.recentN),
+		RecentShare: float64(aggr) / float64(n),
 		Sessions:    r.sessions,
 		Offenses:    r.offenses,
 		FirstSeen:   fromNanos(r.firstSeen),
@@ -683,28 +691,15 @@ func (s *Store) judgeEscalation(r *record, at int64) *EscalationVerdict {
 	}
 }
 
-// insert creates a record, CLOCK-evicting one first when the shard is at
-// its cap.
-func (s *Store) insert(sh *shard, id string) *record {
+// insert creates a record for id, whose hash is h, CLOCK-evicting one
+// first when the shard is at its cap.
+//
+//redvet:noalloc gate=UserstateObserveChurn
+func (s *Store) insert(sh *shard, h uint64, id string) int32 {
 	if s.perCap > 0 && len(sh.ring) >= s.perCap {
 		s.evictClock(sh)
 	}
-	var r *record
-	if n := len(sh.free); n > 0 {
-		r = sh.free[n-1]
-		sh.free = sh.free[:n-1]
-	} else {
-		r = &record{recent: make([]entry, s.cfg.RingSize)}
-	}
-	// Clone the ID: observation strings may alias a pooled decode arena
-	// (twitterdata.Decoder) whose chunk a retained record must not pin.
-	// Insert is the once-per-user cold path, so the copy never lands on
-	// the per-tweet steady state.
-	r.id = strings.Clone(id)
-	r.ringIdx = len(sh.ring)
-	sh.ring = append(sh.ring, r)
-	sh.users[r.id] = r
-	return r
+	return sh.add(h, id)
 }
 
 // evictClock runs the CLOCK hand: referenced records get a second chance
@@ -712,47 +707,54 @@ func (s *Store) insert(sh *shard, id string) *record {
 // Suspended records carry the costliest state to forget (the
 // repeated-offense recommendation), so they are passed over while any
 // other victim exists; a ring full of suspended users still evicts one —
-// the memory bound always wins. Bounded by two passes over the ring.
+// the memory bound always wins. Bounded by two passes over the ring, it
+// reads only the ring.
+//
+//redvet:noalloc gate=UserstateObserveChurn
 func (s *Store) evictClock(sh *shard) {
-	var fallback *record // first unreferenced suspended record seen
+	fallback := -1 // ring position of the first unreferenced suspended record
 	for steps := 0; steps < 2*len(sh.ring); steps++ {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
-		r := sh.ring[sh.hand]
-		if r.ref {
-			r.ref = false
+		f := &sh.ring[sh.hand].flags
+		if *f&flagRef != 0 {
+			*f &^= flagRef
 			sh.hand++
 			continue
 		}
-		if r.suspended {
-			if fallback == nil {
-				fallback = r
+		if *f&flagSuspended != 0 {
+			if fallback < 0 {
+				fallback = sh.hand
 			}
 			sh.hand++
 			continue
 		}
-		s.remove(sh, r)
+		sh.remove(sh.hand)
 		s.evictionsCap.Add(1)
 		return
 	}
-	if fallback == nil {
+	if fallback < 0 {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
-		fallback = sh.ring[sh.hand]
+		fallback = sh.hand
 	}
-	s.remove(sh, fallback)
+	sh.remove(fallback)
 	s.evictionsCap.Add(1)
 }
 
 // sweep amortizes TTL retirement into Observe: examine a few ring slots
 // (slots of them) at the hand, evicting records idle past the TTL (event
-// time). The record just observed is never a candidate (its lastSeen is
-// current), and neither are suspended records — the repeated-offense
-// recommendation must not silently expire; only cap pressure can
-// reclaim it.
-func (s *Store) sweep(sh *shard, current *record, slots int) {
+// time). The record just observed (slab slot current, which follows it
+// when a removal moves it) is never a candidate, even when its tweet was
+// late enough that its lastSeen is already past the TTL, and neither are
+// suspended records
+// — the repeated-offense recommendation must not silently expire; only
+// cap pressure can reclaim it. It reads only the ring.
+//
+//redvet:noalloc gate=UserstateObserveChurn
+func (s *Store) sweep(sh *shard, current int32, slots int) {
 	if s.ttl <= 0 || sh.maxTime <= s.ttl {
 		return
 	}
@@ -761,9 +763,10 @@ func (s *Store) sweep(sh *shard, current *record, slots int) {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
-		r := sh.ring[sh.hand]
-		if r != current && !r.suspended && r.lastSeen < cutoff {
-			s.remove(sh, r)
+		if e := sh.ring[sh.hand]; e.rec != current && e.flags&flagSuspended == 0 && e.lastSeen < cutoff {
+			if from, to := sh.remove(sh.hand); from == current {
+				current = to
+			}
 			s.evictionsTTL.Add(1)
 			continue // the swapped-in record now sits at the hand
 		}
@@ -771,65 +774,45 @@ func (s *Store) sweep(sh *shard, current *record, slots int) {
 	}
 }
 
-// remove deletes a record from the map and the CLOCK ring (swap-remove),
-// recycling it through the shard's free list.
-func (s *Store) remove(sh *shard, r *record) {
-	delete(sh.users, r.id)
-	i, last := r.ringIdx, len(sh.ring)-1
-	sh.ring[i] = sh.ring[last]
-	sh.ring[i].ringIdx = i
-	sh.ring[last] = nil
-	sh.ring = sh.ring[:last]
-	if sh.hand > last {
-		sh.hand = 0
-	}
-	// Reset and recycle: keep the entry/ring capacity, drop the contents.
-	*r = record{entries: r.entries[:0], recent: r.recent}
-	for j := range r.recent {
-		r.recent[j] = entry{}
-	}
-	if len(sh.free) < 32 {
-		sh.free = append(sh.free, r)
-	}
-}
-
 // Lookup returns a copy of one user's state. It does not touch the CLOCK
 // reference bit, so reads cannot perturb eviction order.
 func (s *Store) Lookup(userID string) (Snapshot, bool) {
-	if userID == "" {
-		return Snapshot{}, false
+	var sn Snapshot
+	found := false
+	if userID != "" {
+		s.read(userID, func(st *stripe, i int32) {
+			if found = i != noRec; found {
+				sn = st.snapshot(i)
+			}
+		})
 	}
-	sh := s.shardFor(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r := sh.users[userID]
-	if r == nil {
-		return Snapshot{}, false
-	}
-	return snapshotOf(r), true
+	return sn, found
 }
 
-func snapshotOf(r *record) Snapshot {
+// snapshot copies slab slot i's state out of the stripe.
+func (st *stripe) snapshot(i int32) Snapshot {
+	r := st.slab.at(i)
+	res := st.ring[r.ringIdx]
 	sn := Snapshot{
-		UserID:         r.id,
-		ScreenName:     r.screenName,
 		FirstSeen:      fromNanos(r.firstSeen),
-		LastSeen:       fromNanos(r.lastSeen),
+		LastSeen:       fromNanos(res.lastSeen),
 		Tweets:         r.tweets,
 		Aggressive:     r.aggressive,
 		WindowTweets:   len(r.window()),
 		Offenses:       r.offenses,
-		Suspended:      r.suspended,
+		Suspended:      res.flags&flagSuspended != 0,
 		Score:          r.score,
 		CadenceSeconds: r.cadence,
 		Sessions:       r.sessions,
 		Escalations:    r.escalations,
 	}
+	sn.UserID, sn.ScreenName = r.names()
 	if sn.WindowTweets > 0 {
 		sn.WindowAggressiveShare = r.windowShare()
 	}
-	for i := 0; i < r.recentN; i++ {
-		b := r.recent[(r.recentPos-r.recentN+i+2*len(r.recent))%len(r.recent)]
+	recent, n := st.slab.verdicts(i), int(r.recentN)
+	for k := 0; k < n; k++ {
+		b := recent[(int(r.recentPos)-n+k+2*len(recent))%len(recent)]
 		sn.Recent = append(sn.Recent, RecentVerdict{
 			At: fromNanos(b.at()), Aggressive: b.aggressive(), Confidence: b.confidence,
 		})
@@ -839,30 +822,26 @@ func snapshotOf(r *record) Snapshot {
 
 // OffenseCount returns one user's offense count (0 for unknown users).
 func (s *Store) OffenseCount(userID string) int {
-	if userID == "" {
-		return 0
+	n := 0
+	if userID != "" {
+		s.read(userID, func(st *stripe, i int32) {
+			if i != noRec {
+				n = st.slab.at(i).offenses
+			}
+		})
 	}
-	sh := s.shardFor(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if r := sh.users[userID]; r != nil {
-		return r.offenses
-	}
-	return 0
+	return n
 }
 
 // Suspended reports whether the user crossed the repeated-offense bar.
 func (s *Store) Suspended(userID string) bool {
-	if userID == "" {
-		return false
+	suspended := false
+	if userID != "" {
+		s.read(userID, func(st *stripe, i int32) {
+			suspended = i != noRec && st.ring[st.slab.at(i).ringIdx].flags&flagSuspended != 0
+		})
 	}
-	sh := s.shardFor(userID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if r := sh.users[userID]; r != nil {
-		return r.suspended
-	}
-	return false
+	return suspended
 }
 
 // SuspendedUsers returns all users recommended for suspension, sorted so
@@ -871,9 +850,9 @@ func (s *Store) SuspendedUsers() []string {
 	var out []string
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, r := range sh.ring {
-			if r.suspended {
-				out = append(out, r.id)
+		for _, e := range sh.ring {
+			if e.flags&flagSuspended != 0 {
+				out = append(out, sh.slab.at(e.rec).id.String())
 			}
 		}
 		sh.mu.Unlock()
@@ -887,7 +866,7 @@ func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += len(sh.users)
+		n += len(sh.ring)
 		sh.mu.Unlock()
 	}
 	return n

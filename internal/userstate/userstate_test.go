@@ -275,6 +275,27 @@ func TestTTLSweepAmortized(t *testing.T) {
 	}
 }
 
+// TestSweepSparesTheObservedUser: a late tweet can leave its author's
+// lastSeen already past the TTL, but the sweep its Observe runs must not
+// retire that author, even when an eviction ahead of it in the ring moves
+// its record to another slab slot. Here z's sweep retires a and leaves the
+// ring [z b]; the late author's alert then sweeps four slots from z: b
+// goes, the late author's record moves into b's slot, and the sweep
+// reaches it there.
+func TestSweepSparesTheObservedUser(t *testing.T) {
+	s := New(Config{Shards: 1, TTL: time.Hour})
+	s.Observe(obs("a", base, false, 0.5))
+	s.Observe(obs("b", base, false, 0.5))
+	s.Observe(obs("z", base.Add(10*time.Hour), false, 0.5))
+	s.ObserveAlert(obs("late", base.Add(time.Hour), true, 0.9))
+	if _, ok := s.Lookup("late"); !ok {
+		t.Fatalf("the sweep retired the user it was observing (users %d)", s.Len())
+	}
+	if _, ok := s.Lookup("b"); ok || s.Len() != 2 {
+		t.Fatalf("b should have been swept, leaving z and late: %d users", s.Len())
+	}
+}
+
 func TestZeroTimeObservationsTracked(t *testing.T) {
 	s := New(Config{})
 	// Offense histories predate timestamps: zero-time observations must

@@ -68,8 +68,8 @@ func (u *naiveUser) share() (share float64, aggr int, confSum float64) {
 }
 
 // windowFuzzConfig is a one-shard store small enough that four users keep
-// it under cap and TTL pressure: evicted records are recycled through the
-// free list with whatever window array they last held.
+// it under cap and TTL pressure: evicted records' slab slots are reused
+// with whatever window array they last held.
 func windowFuzzConfig() Config {
 	return Config{
 		Shards:   1,
@@ -162,7 +162,7 @@ func runWindowOps(t *testing.T, ops []byte) {
 		}
 
 		// The derived state must match a recount of what the record holds.
-		r := s.shards[0].users[id]
+		r := s.recordOf(id)
 		win := r.window()
 		aggr, oldest := 0, int64(math.MaxInt64)
 		for k, e := range win {
@@ -258,7 +258,7 @@ func TestWindowArrayTracksLiveWindow(t *testing.T) {
 	observe := func(step time.Duration) *record {
 		at = at.Add(step)
 		s.Observe(Observation{UserID: "u", At: at, Confidence: 0.5})
-		return s.shards[0].users["u"]
+		return s.recordOf("u")
 	}
 	var r *record
 	for i := 0; i < 5000; i++ {
@@ -309,4 +309,15 @@ func TestObserveCostIndependentOfWindowLength(t *testing.T) {
 	if ratio := float64(large) / float64(small); ratio > 3 {
 		t.Fatalf("64 observations took %v on a 10000-entry window and %v on a 10-entry one (ratio %.1f), want <= 3", large, small, ratio)
 	}
+}
+
+// recordOf returns the record userID's shard holds for it, or nil.
+func (s *Store) recordOf(userID string) *record {
+	var r *record
+	s.read(userID, func(st *stripe, i int32) {
+		if i != noRec {
+			r = st.slab.at(i)
+		}
+	})
+	return r
 }
