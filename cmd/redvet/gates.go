@@ -33,6 +33,19 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/stream.naiveBayesInto",
 		},
 	},
+	// A non-splitting train step and the freezing of its leaf into the
+	// tree's arena; internal/core.TestLabeledProcessAllocs bounds the
+	// labeled Process around them at the snapshot's 2 allocations.
+	"TrainStep": {
+		measuredBy: "internal/stream.TestTrainStepZeroAlloc",
+		funcs: []string{
+			"redhanded/internal/stream.(*HoeffdingTree).appendNaiveBayes",
+			"redhanded/internal/stream.(*HoeffdingTree).attemptSplit",
+			"redhanded/internal/stream.(*HoeffdingTree).freezeLeaf",
+			"redhanded/internal/stream.(*HoeffdingTree).updateLeaf",
+			"redhanded/internal/stream.(*gaussianObserver).bestSplit",
+		},
+	},
 	"FeaturePathFast": {
 		measuredBy: "internal/feature.TestExtractIntoZeroAlloc",
 		funcs: []string{

@@ -504,3 +504,45 @@ func BenchmarkProcessAllBatchedVsLoop(b *testing.B) {
 		})
 	})
 }
+
+// TestLabeledProcessAllocs holds a labeled Process whose train step does
+// not split to at most 2 allocations, both of them the snapshot it
+// re-publishes: the header (one object) and its table of chunk indices.
+// The train step allocates nothing (stream's TestTrainStepZeroAlloc), and
+// the chunk copy and the re-frozen leaf land in arrays the tree owns. The grace period keeps the tree from
+// ever attempting a split; the stream is warmed like
+// TestProcessAllocsPerTweet's, with 64 labeled tweets cycled.
+func TestLabeledProcessAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	opts := DefaultOptions()
+	opts.HT.GracePeriod = 1 << 30
+	tweets := mixedStream(212, 1500, 700, 150)
+	p := NewPipeline(opts)
+	p.ProcessAll(tweets)
+	latest := tweets[0]
+	for _, tw := range tweets {
+		if tw.PostedAt().After(latest.PostedAt()) {
+			latest = tw
+		}
+	}
+	var cycle []twitterdata.Tweet
+	for _, tw := range tweets {
+		if len(cycle) < 64 && p.labelOf(&tw) >= 0 {
+			tw.CreatedAt = latest.CreatedAt
+			cycle = append(cycle, tw)
+		}
+	}
+	for r := 0; r < 8; r++ {
+		p.ProcessAll(cycle)
+	}
+	i := 0
+	got := testing.AllocsPerRun(4*len(cycle), func() {
+		p.Process(&cycle[i%len(cycle)])
+		i++
+	})
+	if got > 2 {
+		t.Fatalf("a labeled Process allocates %.0f, want <= 2", got)
+	}
+}

@@ -16,8 +16,10 @@ import (
 //   - tree models become one cnode array per tree (split feature,
 //     threshold, child indices) plus one frozen float64 block per leaf
 //     (class counts, or log priors followed by the precomputed
-//     naive-Bayes per-(feature, class) Gaussian records), held in
-//     fixed-size chunks so snapshots can share them;
+//     naive-Bayes per-(feature, class) Gaussian records). Both live in
+//     append-only arrays the tree owns; a leaf table of {off, n} pairs
+//     in fixed-size chunks locates the blocks, so snapshots can share
+//     chunks;
 //   - SLR becomes a single flat weight vector with a per-class stride.
 //
 // The flattening preserves the exact floating-point operation order of
@@ -30,16 +32,26 @@ import (
 // monotone epoch counter bumped on each mutation, and an ARF snapshot
 // reuses the flattened form of any member tree whose (pointer, epoch)
 // pair is unchanged since the previous snapshot. Within a changed tree,
-// a train step that does not split changes one leaf, a delta merge that
-// does not split the leaves it merged: the tree records the leaves
-// touched since its latest compile, and compileTree shares that
-// compile's node array and every untouched leaf chunk, re-freezing only
-// the touched leaves — O(touched leaves), not O(tree). Published
-// snapshots are never written, so the sharing needs no coordination
-// with readers. Anything that changes the node layout (a split, a
-// restore) drops the tree's latest-compile reference,
-// and a prev that is not the latest compile (a second consumer holding
-// its own prev) is refused: both take one full flatten.
+// the tree records the leaves touched and the leaves split since its
+// latest compile, and compileTree builds on that compile: it shares the
+// node array and every untouched leaf chunk, and re-freezes only the
+// touched leaves. A split appends its two new leaves (one in the split
+// leaf's slot, one in a fresh slot) and a copy of the path above them to
+// the node array, so it writes no node a snapshot already reads. A
+// touched leaf's chunk is copied to the end of the tree's chunk array
+// and its block appended to the tree's arena, so a one-tree compile
+// allocates its header (one object) and its table of chunk indices.
+// Published snapshots are never written: a compile keeps the prefixes of
+// the tree's arrays it was built with, later compiles append past them,
+// and the sharing needs no coordination with readers. When the arena
+// outgrows twice its live size plus arenaSlack, the compile moves the
+// live blocks into a fresh arena and the live chunks into a fresh chunk
+// array (compaction), and keeps the node array; chunk copies that
+// outgrow the chunk array move the live chunks alone. A full flatten
+// remains for a restore (which drops the tree's latest-compile
+// reference), a prev that is not the latest compile (a second consumer
+// holding its own prev), and splits whose path copies outgrow the node
+// array (its compaction).
 
 // Compilable is a streaming model whose prediction function can be
 // flattened into an immutable Compiled snapshot.
@@ -65,33 +77,62 @@ type cnode struct {
 	right     int32
 }
 
-// Leaf blocks live in fixed-size chunks: an incremental compile copies
-// the chunk-pointer table and the one chunk holding each touched leaf,
-// and shares every other chunk with the previous snapshot.
+// The leaf table lives in fixed-size chunks: an incremental compile
+// copies the table of chunk indices and the one chunk holding each
+// touched leaf, and shares every other chunk with the previous snapshot.
 const (
 	leafChunkShift = 5
 	leafChunkLen   = 1 << leafChunkShift
 )
 
-// leafChunk holds the frozen blocks of leafChunkLen consecutive leaf
-// slots. A block of exactly numClasses values is a majority-class leaf
-// (its raw class counts). A longer block is a naive-Bayes leaf: the
-// per-class log priors (-Inf for classes the leaf never saw), then the
-// observed-feature count, then per observed feature its index and one
-// (valid, mean, std, log std) record per class.
-type leafChunk [leafChunkLen][]float64
+// arenaSlack is the arena growth, in values, allowed on top of twice its
+// live size before a compile compacts it, and the headroom a fresh arena
+// gets beyond that bound, so the blocks of the next compiles land
+// without growing it. nodeSlack is the room, in nodes, a fresh node
+// array gets for path copies on top of an eighth of the tree's size:
+// path copies scatter a walk over the array, so the tree is laid out
+// afresh in depth-first order once they fill that room. chunkSlack is the
+// room, in chunks, a fresh chunk array gets for chunk copies on top of
+// the leaf table (after a flatten) or of seven times it (after a move).
+// All stay small so that a small tree's arrays do too: page-sized arrays
+// for every member of a forest put all their roots in the same cache
+// sets.
+const (
+	arenaSlack = 64
+	nodeSlack  = 16
+	chunkSlack = 16
+)
 
-// compiledTree is one flattened Hoeffding tree. src/srcEpoch identify
+// leafRef locates one leaf's frozen block in its tree's arena:
+// arena[off : off+n]. A block of exactly numClasses values is a
+// majority-class leaf (its raw class counts). A longer block is a
+// naive-Bayes leaf: the per-class log priors (-Inf for classes the leaf
+// never saw), then the observed-feature count, then per observed feature
+// its index and one (valid, mean, std, log std) record per class.
+type leafRef struct{ off, n uint32 }
+
+// leafChunk locates the blocks of leafChunkLen consecutive leaf slots.
+type leafChunk [leafChunkLen]leafRef
+
+// compiledTree is one flattened Hoeffding tree: the walk starts at
+// nodes[root], and leaf slot s's block is located by
+// chunks[table[s/leafChunkLen]][s%leafChunkLen]. src/srcEpoch identify
 // the live tree it was flattened from — used only as the incremental-
-// rebuild reuse key, never dereferenced at predict time. nodes and the
-// chunks behind leaves may be shared with other compiles of the same
-// tree; nothing reachable from a compiledTree is written after
-// compileTree returns.
+// rebuild reuse key, never dereferenced at predict time. The node, chunk
+// and arena backings are shared with other compiles of the same tree;
+// nothing a compiledTree can read is written after compileTree returns
+// (later compiles append past len(nodes), len(chunks) and len(arena)
+// only). Those arrays also hold the dead copies later compiles left
+// behind, so size is the tree's node count.
 type compiledTree struct {
 	src      *HoeffdingTree
 	srcEpoch uint64
 	nodes    []cnode
-	leaves   []*leafChunk
+	chunks   []leafChunk
+	table    []uint32
+	arena    []float64
+	root     int32
+	size     int32
 }
 
 // Compiled is an immutable, pointer-free snapshot of a model's
@@ -132,7 +173,7 @@ func (c *Compiled) NumTrees() int { return len(c.trees) }
 func (c *Compiled) NumNodes() int {
 	n := 0
 	for _, t := range c.trees {
-		n += len(t.nodes)
+		n += int(t.size)
 	}
 	return n
 }
@@ -196,7 +237,7 @@ func (c *Compiled) PredictInto(dst, scratch, x []float64) {
 //
 //redvet:noalloc gate=CompiledClassify
 func (ct *compiledTree) predictInto(votes, logv, x []float64) {
-	i := int32(0)
+	i := ct.root
 	for {
 		nd := ct.nodes[i]
 		if nd.feature >= 0 {
@@ -207,7 +248,8 @@ func (ct *compiledTree) predictInto(votes, logv, x []float64) {
 			}
 			continue
 		}
-		blk := ct.leaves[nd.left>>leafChunkShift][nd.left&(leafChunkLen-1)]
+		ref := ct.chunks[ct.table[nd.left>>leafChunkShift]][nd.left&(leafChunkLen-1)]
+		blk := ct.arena[ref.off : ref.off+ref.n]
 		if len(blk) == len(votes) {
 			// Majority-class leaf: raw class-count copy.
 			copy(votes, blk)
@@ -297,115 +339,242 @@ func (c *Compiled) predictSLR(dst, x []float64) {
 
 // --- compilation ---
 
-// compileTree returns the compiled form of t's current state. When prev
-// is the tree's latest compile, the node layout is unchanged since (every
-// layout change drops t.compiled) and t.touched lists exactly the leaves
-// whose statistics moved: the result shares prev's node array and leaf
-// chunks and re-freezes only those leaves. Any other prev is refused and
-// the tree is flattened in full.
-func compileTree(t *HoeffdingTree, prev *compiledTree) *compiledTree {
-	ct := &compiledTree{src: t, srcEpoch: t.epoch}
-	if prev == nil || prev != t.compiled {
-		// Full flatten: every leaf gets its slot in depth-first order.
-		ct.nodes = make([]cnode, 0, t.NumNodes())
-		ct.leaves = make([]*leafChunk, 0, (t.NumLeaves()+leafChunkLen-1)>>leafChunkShift)
-		slots := int32(0)
-		ct.addNode(t, t.root, &slots)
+// compileTree fills ct with the compiled form of t's current state. When
+// prev is the tree's latest compile, t.splits and t.touched list exactly
+// what changed since: ct replays the splits onto the tree's node array,
+// shares prev's untouched leaf chunks and re-freezes only the touched
+// leaves, then compacts the arena if it outgrew its bound. Any other
+// prev, or splits whose path copies no longer fit the node array, get a
+// full flatten.
+func compileTree(t *HoeffdingTree, prev, ct *compiledTree) {
+	ct.src, ct.srcEpoch, ct.size = t, t.epoch, int32(t.NumNodes())
+	if prev == nil || prev != t.compiled || !t.replaySplits() {
+		t.flatten(ct)
 	} else {
-		ct.nodes = prev.nodes
-		ct.leaves = append([]*leafChunk(nil), prev.leaves...)
+		// Chunks from index own on are this compile's: it may write them.
+		nc := (t.NumLeaves() + leafChunkLen - 1) >> leafChunkShift
+		ct.table = make([]uint32, nc)
+		copy(ct.table, prev.table)
+		own := uint32(len(t.chunks))
+		if len(t.chunks)+nc > cap(t.chunks) { // room for a copy of every chunk
+			t.moveChunks(ct.table[:len(prev.table)], nc)
+			own = 0
+		}
+		for ci := len(prev.table); ci < nc; ci++ { // a split's fresh slot starts a chunk
+			ct.table[ci] = uint32(len(t.chunks))
+			t.chunks = append(t.chunks, leafChunk{})
+		}
 		for _, leaf := range t.touched {
-			ci := leaf.slot >> leafChunkShift
-			if ct.leaves[ci] == prev.leaves[ci] {
-				chunk := *prev.leaves[ci]
-				ct.leaves[ci] = &chunk
+			if !leaf.isLeaf() {
+				continue // split since it was touched
 			}
-			ct.leaves[ci][leaf.slot&(leafChunkLen-1)] = freezeLeaf(t, leaf.stats)
+			ci, si := leaf.slot>>leafChunkShift, leaf.slot&(leafChunkLen-1)
+			if ct.table[ci] < own {
+				t.chunks = append(t.chunks, t.chunks[ct.table[ci]])
+				ct.table[ci] = uint32(len(t.chunks) - 1)
+			}
+			ref := t.freezeLeaf(leaf.stats)
+			chunk := &t.chunks[ct.table[ci]]
+			t.arenaLive += int(ref.n) - int(chunk[si].n)
+			chunk[si] = ref
 			leaf.dirty = false
 		}
+		if len(t.arena) > 2*t.arenaLive+arenaSlack {
+			t.compactArena(ct)
+		}
 	}
+	ct.nodes, ct.chunks, ct.arena, ct.root = t.nodes, t.chunks, t.arena, t.root.cidx
 	t.touched = t.touched[:0]
+	t.splits = t.splits[:0]
 	t.compiled = ct
-	return ct
+}
+
+// flatten lays the whole tree out in a fresh node array, with room for
+// an eighth as many nodes again plus nodeSlack of path copies, and
+// freezes every leaf into a fresh arena and leaf table.
+func (t *HoeffdingTree) flatten(ct *compiledTree) {
+	n := t.NumNodes()
+	t.nodes = make([]cnode, 0, n+n/8+nodeSlack)
+	t.arena = make([]float64, 0, 2*t.arenaLive+2*arenaSlack)
+	t.arenaLive = 0
+	nc := (t.NumLeaves() + leafChunkLen - 1) >> leafChunkShift
+	ct.table = make([]uint32, nc)
+	for i := range ct.table {
+		ct.table[i] = uint32(i)
+	}
+	t.chunks = make([]leafChunk, nc, 2*nc+chunkSlack)
+	t.addNode(t.root, new(int32))
 }
 
 // addNode appends n (and, for internal nodes, its subtree) to the node
-// array and returns its index. *slots is the next free leaf slot; a leaf
-// takes it, and with it a clean touched mark.
-func (ct *compiledTree) addNode(t *HoeffdingTree, n *htNode, slots *int32) int32 {
-	idx := int32(len(ct.nodes))
-	ct.nodes = append(ct.nodes, cnode{})
+// array in depth-first order and returns its index. *slots is the next
+// free leaf slot; a leaf takes it, and with it a frozen block and a
+// clean touched mark.
+func (t *HoeffdingTree) addNode(n *htNode, slots *int32) int32 {
+	idx := int32(len(t.nodes))
+	n.cidx = idx
+	t.nodes = append(t.nodes, cnode{})
 	if n.isLeaf() {
 		n.slot, n.dirty = *slots, false
 		*slots++
-		if n.slot&(leafChunkLen-1) == 0 {
-			ct.leaves = append(ct.leaves, new(leafChunk))
-		}
-		ct.leaves[n.slot>>leafChunkShift][n.slot&(leafChunkLen-1)] = freezeLeaf(t, n.stats)
-		ct.nodes[idx] = cnode{feature: -1, left: n.slot, right: -1}
+		ref := t.freezeLeaf(n.stats)
+		t.arenaLive += int(ref.n)
+		t.chunks[n.slot>>leafChunkShift][n.slot&(leafChunkLen-1)] = ref
+		t.nodes[idx] = cnode{feature: -1, left: n.slot, right: -1}
 		return idx
 	}
-	ct.nodes[idx].feature = int32(n.feature)
-	ct.nodes[idx].threshold = n.threshold
-	l := ct.addNode(t, n.left, slots)
-	r := ct.addNode(t, n.right, slots)
-	ct.nodes[idx].left = l
-	ct.nodes[idx].right = r
+	l := t.addNode(n.left, slots)
+	r := t.addNode(n.right, slots)
+	t.nodes[idx] = cnode{threshold: n.threshold, feature: int32(n.feature), left: l, right: r}
 	return idx
 }
 
-// freezeLeaf freezes one leaf's prediction into a fresh, exactly sized
-// block (see leafChunk for the layout). The NaiveBayesAdaptive choice
-// (nbCorrect > mcCorrect) is resolved here: it only changes under
-// training, which marks the leaf touched so it is frozen again. A
-// naive-Bayes leaf that has seen no weight votes all-zero, exactly what
-// copying its zero class counts yields, so it freezes as majority-class.
-func freezeLeaf(t *HoeffdingTree, s *leafStats) []float64 {
+// replaySplits applies t.splits, in the order they happened, to the node
+// array by path copying: no node a published snapshot can reach is
+// written. A split leaf's two children are appended, the left in the
+// leaf's slot and the right in the next free slot (the children are on
+// the touched list, so the caller freezes them). Then the leaf, now
+// internal, and each of its ancestors up to the root are appended again
+// in their new form, each pointing at the copy below it. A split of a
+// leaf at depth d appends d+3 nodes. It reports false, changing nothing,
+// when they do not all fit in the node array's capacity: the caller then
+// flattens the tree, which also drops the dead copies.
+func (t *HoeffdingTree) replaySplits() bool {
+	need := 0
+	for _, n := range t.splits {
+		need += n.depth + 3
+	}
+	if len(t.nodes)+need > cap(t.nodes) {
+		return false
+	}
+	free := int32(t.NumLeaves() - len(t.splits)) // the leaf count before the first split
+	for _, n := range t.splits {
+		l, r := int32(len(t.nodes)), int32(len(t.nodes)+1)
+		n.left.slot, n.left.cidx = n.slot, l
+		n.right.slot, n.right.cidx = free, r
+		t.nodes = append(t.nodes, cnode{feature: -1, left: n.slot, right: -1}, cnode{feature: -1, left: free, right: -1})
+		free++
+		nd := cnode{threshold: n.threshold, feature: int32(n.feature), left: l, right: r}
+		for {
+			n.cidx = int32(len(t.nodes))
+			t.nodes = append(t.nodes, nd)
+			p := n.parent
+			if p == nil {
+				break
+			}
+			nd = t.nodes[p.cidx]
+			if p.left == n {
+				nd.left = n.cidx
+			} else {
+				nd.right = n.cidx
+			}
+			n = p
+		}
+	}
+	return true
+}
+
+// moveChunks copies the chunks table names into a fresh chunk array, with
+// room for eight times nc chunks plus chunkSlack, and points table at the
+// copies, which the compile under way owns.
+func (t *HoeffdingTree) moveChunks(table []uint32, nc int) {
+	old := t.chunks
+	t.chunks = make([]leafChunk, len(table), 8*nc+chunkSlack)
+	for i, c := range table {
+		t.chunks[i] = old[c]
+		table[i] = uint32(i)
+	}
+}
+
+// compactArena moves the blocks ct's leaf table points at into a fresh
+// arena, with room for twice their size plus twice arenaSlack, and the
+// chunks into a fresh chunk array to point at the copies. The old arrays
+// stay as they are for the snapshots that hold them.
+func (t *HoeffdingTree) compactArena(ct *compiledTree) {
+	t.moveChunks(ct.table, len(ct.table))
+	old := t.arena
+	t.arena = make([]float64, 0, 2*t.arenaLive+2*arenaSlack)
+	for i := range ct.table {
+		chunk := &t.chunks[i]
+		for j, ref := range chunk {
+			if ref.n > 0 { // slots past the last leaf are empty
+				chunk[j] = leafRef{off: uint32(len(t.arena)), n: ref.n}
+				t.arena = append(t.arena, old[ref.off:ref.off+ref.n]...)
+			}
+		}
+	}
+}
+
+// freezeLeaf appends one leaf's prediction to the arena as a block (see
+// leafRef for the layout) and returns where it went. The
+// NaiveBayesAdaptive choice (nbCorrect > mcCorrect) is resolved here: it
+// only changes under training, which marks the leaf touched so it is
+// frozen again. A naive-Bayes leaf that has seen no weight votes
+// all-zero, exactly what copying its zero class counts yields, so it
+// freezes as majority-class.
+//
+//redvet:noalloc gate=TrainStep
+func (t *HoeffdingTree) freezeLeaf(s *leafStats) leafRef {
+	off := len(t.arena)
 	nb := t.cfg.LeafPrediction == NaiveBayes ||
 		(t.cfg.LeafPrediction == NaiveBayesAdaptive && s.nbCorrect > s.mcCorrect)
-	total := sum(s.classCounts)
-	if !nb || total == 0 {
-		return append([]float64(nil), s.classCounts...)
+	if total := sum(s.classCounts); nb && total > 0 {
+		t.appendNaiveBayes(s, total)
+	} else {
+		t.arena = append(t.arena, s.classCounts...)
 	}
-	k := len(s.classCounts)
+	return leafRef{off: uint32(off), n: uint32(len(t.arena) - off)}
+}
+
+// appendNaiveBayes appends the naive-Bayes block of a leaf that has seen
+// total weight.
+//
+//redvet:noalloc gate=TrainStep
+func (t *HoeffdingTree) appendNaiveBayes(s *leafStats, total float64) {
 	nFeat := 0
 	for _, obs := range s.observers {
 		if obs != nil {
 			nFeat++
 		}
 	}
-	blk := make([]float64, 0, k+1+nFeat*(1+4*k))
 	for _, cnt := range s.classCounts {
 		if cnt == 0 {
-			blk = append(blk, math.Inf(-1))
+			t.arena = append(t.arena, math.Inf(-1))
 		} else {
-			blk = append(blk, math.Log(cnt/total))
+			t.arena = append(t.arena, math.Log(cnt/total))
 		}
 	}
-	blk = append(blk, float64(nFeat))
+	t.arena = append(t.arena, float64(nFeat))
 	for f, obs := range s.observers {
 		if obs == nil {
 			continue
 		}
-		blk = append(blk, float64(f))
-		for c := 0; c < k; c++ {
+		t.arena = append(t.arena, float64(f))
+		for c := range s.classCounts {
 			w := obs.PerClass[c]
 			if w.N < 2 {
-				blk = append(blk, 0, 0, 0, 0)
+				t.arena = append(t.arena, 0, 0, 0, 0)
 				continue
 			}
 			std := w.Std()
 			if std < 1e-9 {
 				std = 1e-9
 			}
-			blk = append(blk, 1, w.Mean, std, math.Log(std))
+			t.arena = append(t.arena, 1, w.Mean, std, math.Log(std))
 		}
 	}
-	return blk
 }
 
 // Epoch implements Compilable.
 func (t *HoeffdingTree) Epoch() uint64 { return t.epoch }
+
+// oneTree is a single tree's snapshot in one allocation: the header, the
+// compiled tree and the one-element tree table.
+type oneTree struct {
+	Compiled
+	tree  compiledTree
+	table [1]*compiledTree
+}
 
 // CompileSnapshot implements Compilable.
 func (t *HoeffdingTree) CompileSnapshot(prev *Compiled) *Compiled {
@@ -416,13 +585,11 @@ func (t *HoeffdingTree) CompileSnapshot(prev *Compiled) *Compiled {
 		}
 		prevTree = prev.trees[0]
 	}
-	return &Compiled{
-		src:        t,
-		epoch:      t.epoch,
-		numClasses: t.cfg.NumClasses,
-		rebuilt:    1,
-		trees:      []*compiledTree{compileTree(t, prevTree)},
-	}
+	c := &oneTree{Compiled: Compiled{src: t, epoch: t.epoch, numClasses: t.cfg.NumClasses, rebuilt: 1}}
+	compileTree(t, prevTree, &c.tree)
+	c.table[0] = &c.tree
+	c.trees = c.table[:]
+	return &c.Compiled
 }
 
 // Epoch implements Compilable.
@@ -484,7 +651,8 @@ func (f *AdaptiveRandomForest) CompileSnapshot(prev *Compiled) *Compiled {
 			c.trees[i] = prevTree
 			continue
 		}
-		c.trees[i] = compileTree(m.tree, prevTree)
+		c.trees[i] = new(compiledTree)
+		compileTree(m.tree, prevTree, c.trees[i])
 		c.rebuilt++
 	}
 	return c

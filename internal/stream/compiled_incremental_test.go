@@ -31,25 +31,92 @@ func requireSnapshotsAgree(t *testing.T, tag string, inc, full *Compiled, live m
 	}
 }
 
-// sharesNodes reports whether next reuses prev's node array — the mark of
-// the incremental path; a full flatten always builds its own.
+// sharesNodes reports whether next was built on prev's node array — the
+// mark of the incremental path, which appends a split's path copies to
+// it; a full flatten builds its own.
 func sharesNodes(prev, next *compiledTree) bool {
 	return &next.nodes[0] == &prev.nodes[0]
 }
 
-// sharedLeafChunks counts the leaf chunks next shares with prev by pointer.
-func sharedLeafChunks(prev, next *compiledTree) int {
-	n := 0
-	for i := range next.leaves {
-		if i < len(prev.leaves) && next.leaves[i] == prev.leaves[i] {
-			n++
+// pathCopies returns the nodes an incremental compile appends for the
+// leaves among these that have split since: two new leaves and a copy of
+// each node on the path from the split one up to the root.
+func pathCopies(leaves ...*htNode) int {
+	n, seen := 0, make(map[*htNode]bool)
+	for _, l := range leaves {
+		if !l.isLeaf() && !seen[l] {
+			seen[l] = true
+			n += l.depth + 3
 		}
 	}
 	return n
 }
 
+// requireNodePath checks how next's node array derives from prev's after
+// the leaves were trained: shared, and extended by exactly the path
+// copies of the leaves that split, or, only when splits no longer fit it,
+// a fresh array of a full flatten (which compacts the arena too).
+func requireNodePath(t *testing.T, tag string, prev, next *compiledTree, leaves ...*htNode) (flattened bool) {
+	t.Helper()
+	want := len(prev.nodes) + pathCopies(leaves...)
+	switch {
+	case sharesNodes(prev, next) && len(next.nodes) == want:
+		return false
+	case !sharesNodes(prev, next) && want > len(prev.nodes) && compacted(next):
+		return true
+	}
+	t.Fatalf("%s: %d nodes shared=%v after %d, want %d appended to a shared array or a full flatten after a split",
+		tag, len(next.nodes), sharesNodes(prev, next), len(prev.nodes), want-len(prev.nodes))
+	return false
+}
+
+// compacted reports whether next, just compiled, moved the live leaf
+// blocks into a fresh arena: only then does its arena hold no dead block.
+// (An incremental compile that re-freezes a leaf leaves its old block
+// dead.)
+func compacted(next *compiledTree) bool {
+	return len(next.arena) == next.src.arenaLive
+}
+
+// chunkOf returns the chunk leaf table entry ci of ct names.
+func chunkOf(ct *compiledTree, ci int) *leafChunk {
+	return &ct.chunks[ct.table[ci]]
+}
+
+// requireSharedChunks checks the incremental compile's sharing contract:
+// next shares every one of prev's leaf chunks except those holding a slot
+// in rewritten, or none at all when it started a fresh chunk array (a
+// compaction, or chunk copies that outgrew the old one).
+func requireSharedChunks(t *testing.T, tag string, prev, next *compiledTree, rewritten map[int32]bool) {
+	t.Helper()
+	all := &next.chunks[0] != &prev.chunks[0]
+	if compacted(next) && !all {
+		t.Fatalf("%s: the arena was compacted but the chunks were not moved", tag)
+	}
+	for ci := range prev.table {
+		if shared := chunkOf(next, ci) == chunkOf(prev, ci); shared == (all || rewritten[int32(ci)]) {
+			t.Fatalf("%s: leaf chunk %d of %d shared=%v (rewritten %v, fresh chunk array %v)", tag, ci, len(prev.table), shared, rewritten, all)
+		}
+	}
+}
+
+// rewrittenChunks returns the chunks a compile must rewrite after leaves
+// were trained: each leaf's own and, for a leaf that split since, that of
+// its right child's fresh slot (its left child took the leaf's slot).
+func rewrittenChunks(leaves ...*htNode) map[int32]bool {
+	out := make(map[int32]bool)
+	for _, l := range leaves {
+		out[l.slot>>leafChunkShift] = true
+		if !l.isLeaf() {
+			out[l.right.slot>>leafChunkShift] = true
+		}
+	}
+	return out
+}
+
 func leafBlock(ct *compiledTree, slot int32) []float64 {
-	return ct.leaves[slot>>leafChunkShift][slot&(leafChunkLen-1)]
+	ref := chunkOf(ct, int(slot>>leafChunkShift))[slot&(leafChunkLen-1)]
+	return ct.arena[ref.off : ref.off+ref.n]
 }
 
 func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
@@ -67,9 +134,10 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 			chained, fresh := NewHoeffdingTree(cfg), NewHoeffdingTree(cfg)
 			data := gaussianStream(2500, 3, 8, 1.5, 7)
 			snap := chained.CompileSnapshot(nil)
-			incremental, full, flips := 0, 0, 0
+			kept, split, flattened, compactions, flips := 0, 0, 0, 0, 0
 			for i, in := range data {
 				splits := chained.splitCount
+				leaf := chained.sortingLeaf(in.X)
 				chained.Train(in)
 				fresh.Train(in)
 				prev := snap
@@ -77,21 +145,22 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 				if snap.Epoch() != chained.Epoch() {
 					t.Fatalf("step %d: snapshot epoch %d, model epoch %d", i, snap.Epoch(), chained.Epoch())
 				}
-				shared := sharedLeafChunks(prev.trees[0], snap.trees[0])
-				if chained.splitCount != splits {
-					full++
-					if shared != 0 || sharesNodes(prev.trees[0], snap.trees[0]) {
-						t.Fatalf("step %d: a split kept parts of the previous layout", i)
-					}
-				} else {
-					incremental++
-					if !sharesNodes(prev.trees[0], snap.trees[0]) {
-						t.Fatalf("step %d: a non-splitting train step re-flattened the node array", i)
-					}
-					if shared != len(snap.trees[0].leaves)-1 {
-						t.Fatalf("step %d: one touched leaf, but %d of %d leaf chunks shared", i, shared, len(snap.trees[0].leaves))
-					}
+				// A split appends its path copies to the node array; every
+				// step shares every chunk the trained leaf (or the two that
+				// replaced it) does not sit in.
+				p, n := prev.trees[0], snap.trees[0]
+				if requireNodePath(t, "step "+itoa(i), p, n, leaf) {
+					flattened++
 				}
+				if chained.splitCount != splits {
+					split++
+				} else {
+					kept++
+				}
+				if compacted(n) {
+					compactions++
+				}
+				requireSharedChunks(t, "step "+itoa(i), p, n, rewrittenChunks(leaf))
 				if chained.splitCount == splits {
 					// Majority-class blocks hold exactly one value per class.
 					slot := chained.sortingLeaf(in.X).slot
@@ -101,8 +170,8 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 				}
 				requireSnapshotsAgree(t, "ht/"+tc.name+"/"+itoa(i), snap, fresh.CompileSnapshot(nil), chained, probes)
 			}
-			if incremental == 0 || full == 0 {
-				t.Fatalf("%d incremental and %d full compiles: both paths must run", incremental, full)
+			if kept == 0 || split == flattened || compactions == flattened {
+				t.Fatalf("%d non-splitting steps, %d splits (%d flattened) and %d compactions: every path must run", kept, split, flattened, compactions)
 			}
 			if tc.leaf == NaiveBayesAdaptive && flips == 0 {
 				t.Fatalf("no leaf flipped between majority-class and naive-Bayes on the incremental path")
@@ -134,6 +203,10 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 					batch = data[i : i+120]
 				}
 				prev, splits := snap, chained.splitCount
+				var merged []*htNode
+				for _, b := range batch {
+					merged = append(merged, chained.sortingLeaf(b.X))
+				}
 				step("merge/"+itoa(i), func(t *HoeffdingTree) {
 					acc := t.NewAccumulator()
 					for _, b := range batch {
@@ -142,9 +215,9 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 					t.ApplyAccumulators([]ml.Accumulator{acc})
 				})
 				split := chained.splitCount != splits
-				if split == sharesNodes(prev.trees[0], snap.trees[0]) {
-					t.Fatalf("merge at %d (split=%v) took the wrong compile path", i, split)
-				}
+				p, n := prev.trees[0], snap.trees[0]
+				requireNodePath(t, "merge/"+itoa(i), p, n, merged...)
+				requireSharedChunks(t, "merge/"+itoa(i), p, n, rewrittenChunks(merged...))
 				if split {
 					mergesSplit++
 				} else {
@@ -166,6 +239,49 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 		}
 		if mergesSplit == 0 || mergesKept == 0 {
 			t.Fatalf("%d merges split and %d did not: both paths must run", mergesSplit, mergesKept)
+		}
+	})
+
+	t.Run("apply-accumulators-splitting-several", func(t *testing.T) {
+		// Rounds large enough to split several leaves at once append every
+		// split's path copies (TestHTMergeSplitsInLeafOrder fixes the order
+		// they split in), or flatten the tree when they do not fit.
+		cfg := HTConfig{NumClasses: 3, NumFeatures: 6, GracePeriod: 50}
+		chained, fresh := NewHoeffdingTree(cfg), NewHoeffdingTree(cfg)
+		snap := chained.CompileSnapshot(nil)
+		for _, in := range gaussianStream(3000, 3, 6, 1.5, 31) {
+			chained.Train(in)
+			fresh.Train(in)
+			snap = chained.CompileSnapshot(snap)
+		}
+		probes := gaussianStream(60, 3, 6, 1.5, 8)
+		several, flattened := 0, 0
+		for r, size := range []int{400, 600, 800, 1200, 1600, 6000} {
+			round := gaussianStream(size, 3, 6, 1.5, uint64(32+r))
+			var merged []*htNode
+			for _, in := range round {
+				merged = append(merged, chained.sortingLeaf(in.X))
+			}
+			prev, splits := snap, chained.splitCount
+			for _, tree := range []*HoeffdingTree{chained, fresh} {
+				acc := tree.NewAccumulator()
+				for _, in := range round {
+					acc.Observe(in)
+				}
+				tree.ApplyAccumulators([]ml.Accumulator{acc})
+			}
+			snap = chained.CompileSnapshot(prev)
+			p, c := prev.trees[0], snap.trees[0]
+			if requireNodePath(t, "round "+itoa(r), p, c, merged...) {
+				flattened++
+			} else if chained.splitCount-splits > 1 {
+				several++
+			}
+			requireSharedChunks(t, "round "+itoa(r), p, c, rewrittenChunks(merged...))
+			requireSnapshotsAgree(t, "round "+itoa(r), snap, fresh.CompileSnapshot(nil), chained, probes)
+		}
+		if several == 0 || flattened == 0 {
+			t.Fatalf("%d rounds appended several splits and %d flattened: both paths must run", several, flattened)
 		}
 	})
 
@@ -219,7 +335,8 @@ func TestIncrementalCompileEqualsFullFlatten(t *testing.T) {
 			case 0, 1: // a runs alone for two steps: refused, then incremental
 				prev := a
 				a = shared.CompileSnapshot(prev)
-				if sharesNodes(prev.trees[0], a.trees[0]) != (i%5 == 1 && shared.splitCount == splits) {
+				incremental := sharesNodes(prev.trees[0], a.trees[0])
+				if incremental != (i%5 == 1) && !(i%5 == 1 && shared.splitCount != splits && compacted(a.trees[0])) {
 					t.Fatalf("step %d: a took the wrong compile path", i)
 				}
 				requireSnapshotsAgree(t, "a/"+itoa(i), a, want, shared, probes)
@@ -293,5 +410,110 @@ func TestIncrementalCompileRacingReaders(t *testing.T) {
 	wg.Wait()
 	if ht.splitCount == 0 {
 		t.Fatalf("tree never split")
+	}
+}
+
+// TestIncrementalCompileReadersHoldAcrossCompaction: readers keep
+// classifying on one snapshot while the trainer compiles past several
+// arena compactions (and splits that append to the node array the held
+// snapshot reads a prefix of). Under -race this proves neither writes
+// memory the held snapshot reaches; the votes prove it still says what
+// it said at publication.
+func TestIncrementalCompileReadersHoldAcrossCompaction(t *testing.T) {
+	data := gaussianStream(6000, 3, 8, 1.5, 47)
+	probes := gaussianStream(16, 3, 8, 1.5, 49)
+	ht := NewHoeffdingTree(HTConfig{NumClasses: 3, NumFeatures: 8, LeafPrediction: NaiveBayesAdaptive, GracePeriod: 50})
+	var held *Compiled
+	for _, in := range data[:2000] {
+		ht.Train(in)
+		held = ht.CompileSnapshot(held)
+	}
+	want := make([]ml.Prediction, len(probes))
+	for i, p := range probes {
+		want[i] = held.Predict(p.X)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make(ml.Prediction, 3)
+			scratch := make([]float64, 6)
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := n % len(probes)
+				held.PredictInto(dst, scratch, probes[p].X)
+				for c := range dst {
+					if math.Float64bits(dst[c]) != math.Float64bits(want[p][c]) {
+						t.Errorf("held snapshot changed: probe %d class %d votes %v, published %v", p, c, dst[c], want[p][c])
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	snap, compactions, splits := held, 0, ht.splitCount
+	for _, in := range data[2000:] {
+		ht.Train(in)
+		snap = ht.CompileSnapshot(snap)
+		if compacted(snap.trees[0]) {
+			compactions++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if compactions < 3 || ht.splitCount == splits {
+		t.Fatalf("%d compactions and %d splits behind the held snapshot, want at least 3 and 1", compactions, ht.splitCount-splits)
+	}
+}
+
+// TestIncrementalCompileArenaBounded holds the arena of a tree trained
+// for a long time without splitting to its compaction bound after every
+// compile: at most twice the values its leaves use plus arenaSlack, with
+// arenaLive equal to what the leaf table points at. For majority-class
+// leaves, whose blocks never change size, the capacity stays within what
+// a compaction gives it too, so the arena never grows between them.
+func TestIncrementalCompileArenaBounded(t *testing.T) {
+	data := gaussianStream(20000, 3, 8, 0.7, 53)
+	for _, mode := range []LeafPrediction{MajorityClass, NaiveBayesAdaptive} {
+		ht := NewHoeffdingTree(HTConfig{NumClasses: 3, NumFeatures: 8, GracePeriod: 20, MaxDepth: 64, LeafPrediction: mode})
+		snap := ht.CompileSnapshot(nil)
+		for i := 0; ht.NumNodes() < 200; i++ {
+			ht.Train(data[i%len(data)])
+			snap = ht.CompileSnapshot(snap)
+		}
+		ht.cfg.GracePeriod = math.MaxInt32
+		compactions := 0
+		for i := range data {
+			ht.Train(data[i])
+			snap = ht.CompileSnapshot(snap)
+			ct := snap.trees[0]
+			if compacted(ct) {
+				compactions++
+			}
+			live := 0
+			for _, leaf := range ht.leaves {
+				live += len(leafBlock(ct, leaf.slot))
+			}
+			if live != ht.arenaLive {
+				t.Fatalf("mode %d step %d: leaves use %d arena values, arenaLive says %d", mode, i, live, ht.arenaLive)
+			}
+			if bound := 2*live + arenaSlack; len(ht.arena) > bound {
+				t.Fatalf("mode %d step %d: arena holds %d values, bound %d", mode, i, len(ht.arena), bound)
+			}
+			if mode == MajorityClass && cap(ht.arena) > 2*live+2*arenaSlack {
+				t.Fatalf("mode %d step %d: arena capacity %d for %d live values", mode, i, cap(ht.arena), live)
+			}
+		}
+		if compactions < 3 {
+			t.Fatalf("mode %d: %d compactions in %d steps, want at least 3", mode, compactions, len(data))
+		}
 	}
 }

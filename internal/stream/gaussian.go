@@ -75,15 +75,16 @@ type candidateSplit struct {
 
 // bestSplit evaluates numCandidates equally spaced thresholds between the
 // observed min and max and returns the threshold with the highest merit
-// under the criterion. preSplit is the leaf's class-count distribution.
-func (g *gaussianObserver) bestSplit(crit Criterion, preSplit []float64, feature, numCandidates int) candidateSplit {
+// under the criterion. preSplit is the leaf's class-count distribution;
+// left and right are caller-owned scratch of the same length.
+//
+//redvet:noalloc gate=TrainStep
+func (g *gaussianObserver) bestSplit(crit Criterion, preSplit []float64, feature, numCandidates int, left, right []float64) candidateSplit {
 	out := candidateSplit{Feature: feature}
 	lo, hi := g.Range.Min, g.Range.Max
 	if g.Range.N == 0 || hi <= lo {
 		return out
 	}
-	left := make([]float64, len(preSplit))
-	right := make([]float64, len(preSplit))
 	for i := 1; i <= numCandidates; i++ {
 		t := lo + (hi-lo)*float64(i)/float64(numCandidates+1)
 		for c := range preSplit {

@@ -66,7 +66,7 @@ func TestGaussianObserverBestSplitSeparatesClasses(t *testing.T) {
 		obs.observe(10+rng.NormFloat64(), 1, 1)
 	}
 	pre := []float64{2000, 2000}
-	cand := obs.bestSplit(InfoGain, pre, 0, 10)
+	cand := obs.bestSplit(InfoGain, pre, 0, 10, make([]float64, 2), make([]float64, 2))
 	if !cand.Valid {
 		t.Fatalf("no candidate found")
 	}
@@ -84,12 +84,12 @@ func TestGaussianObserverBestSplitDegenerate(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		obs.observe(5, i%2, 1)
 	}
-	cand := obs.bestSplit(InfoGain, []float64{50, 50}, 0, 10)
+	cand := obs.bestSplit(InfoGain, []float64{50, 50}, 0, 10, make([]float64, 2), make([]float64, 2))
 	if cand.Valid {
 		t.Fatalf("constant feature produced a split: %+v", cand)
 	}
 	empty := newGaussianObserver(2)
-	if cand := empty.bestSplit(Gini, []float64{0, 0}, 0, 10); cand.Valid {
+	if cand := empty.bestSplit(Gini, []float64{0, 0}, 0, 10, make([]float64, 2), make([]float64, 2)); cand.Valid {
 		t.Fatalf("empty observer produced a split")
 	}
 }

@@ -88,10 +88,13 @@ type htNode struct {
 	threshold float64
 	left      *htNode
 	right     *htNode
+	parent    *htNode
 	stats     *leafStats
 	// Incremental-compile bookkeeping (compiled.go), meaningful only while
-	// the tree holds a latest compile: the leaf's slot in that compile's
-	// leaf table, and whether the leaf already sits in the touched list.
+	// the tree holds a latest compile: the node's index in the tree's node
+	// array, and for a leaf its slot in that compile's leaf table and
+	// whether it already sits in the touched list.
+	cidx  int32
 	slot  int32
 	dirty bool
 }
@@ -115,14 +118,26 @@ type HoeffdingTree struct {
 	// lock-free classify path only ever touches published Compiled
 	// snapshots, never the live tree.
 	epoch uint64
-	// compiled is the tree's latest compile while the node layout it was
-	// flattened from still stands (nil otherwise), and touched lists the
-	// leaves whose statistics changed since it was built, each once. The
-	// tree owns both: training and delta merges append, compileTree
-	// consumes and resets, and every layout change (split, restore) drops
-	// them.
+	// compiled is the tree's latest compile (nil after a restore), touched
+	// lists the leaves whose statistics changed since it was built, each
+	// once, and splits the leaves split since, in order. The tree owns
+	// all three: training and delta merges append, compileTree consumes
+	// and resets, and a restore drops them.
 	compiled *compiledTree
 	touched  []*htNode
+	splits   []*htNode
+	// nodes, chunks and arena hold the flattened nodes, the leaf-table
+	// chunks and the frozen leaf blocks of the compiles since each was last
+	// started afresh, append-only: a compile keeps the prefixes it was
+	// built with, and later compiles append past them. arenaLive counts
+	// the values the latest compile's leaves still use (compiled.go).
+	nodes     []cnode
+	chunks    []leafChunk
+	arena     []float64
+	arenaLive int
+	// scratch is 2*NumClasses of working space for split attempts and
+	// the naive-Bayes-adaptive score, so a train step allocates nothing.
+	scratch []float64
 }
 
 var _ ml.DistributedClassifier = (*HoeffdingTree)(nil)
@@ -137,7 +152,7 @@ func NewHoeffdingTree(cfg HTConfig) *HoeffdingTree {
 	if cfg.NumFeatures < 1 {
 		panic("stream: HoeffdingTree needs >= 1 feature")
 	}
-	t := &HoeffdingTree{cfg: cfg, leaves: make(map[int64]*htNode)}
+	t := &HoeffdingTree{cfg: cfg, leaves: make(map[int64]*htNode), scratch: make([]float64, 2*cfg.NumClasses)}
 	t.root = t.newLeaf(0)
 	return t
 }
@@ -213,11 +228,19 @@ func (t *HoeffdingTree) leafVotes(leaf *htNode, x []float64) ml.Prediction {
 // naiveBayesVotes computes class priors times Gaussian likelihoods in log
 // space, returning normalized votes.
 func (t *HoeffdingTree) naiveBayesVotes(s *leafStats, x []float64) ml.Prediction {
+	votes := make(ml.Prediction, t.cfg.NumClasses)
+	t.naiveBayesVotesInto(votes, make([]float64, t.cfg.NumClasses), s, x)
+	return votes
+}
+
+// naiveBayesVotesInto is naiveBayesVotes into caller-owned votes, with
+// logVotes as working space; both hold NumClasses values.
+func (t *HoeffdingTree) naiveBayesVotesInto(votes, logVotes []float64, s *leafStats, x []float64) {
+	clear(votes)
 	total := sum(s.classCounts)
 	if total == 0 {
-		return make(ml.Prediction, t.cfg.NumClasses)
+		return
 	}
-	logVotes := make([]float64, t.cfg.NumClasses)
 	maxLog := math.Inf(-1)
 	for c := range logVotes {
 		if s.classCounts[c] == 0 {
@@ -245,14 +268,12 @@ func (t *HoeffdingTree) naiveBayesVotes(s *leafStats, x []float64) ml.Prediction
 			maxLog = lv
 		}
 	}
-	votes := make(ml.Prediction, len(logVotes))
 	for c, lv := range logVotes {
 		if math.IsInf(lv, -1) {
 			continue
 		}
 		votes[c] = math.Exp(lv - maxLog)
 	}
-	return votes
 }
 
 // Train implements ml.StreamClassifier: route, update leaf statistics, and
@@ -281,6 +302,7 @@ func (t *HoeffdingTree) Train(in ml.Instance) {
 func (t *HoeffdingTree) dropCompiled() {
 	t.compiled = nil
 	t.touched = t.touched[:0]
+	t.splits = t.splits[:0]
 }
 
 // touch marks leaf's statistics as changed since the latest compile, so
@@ -292,6 +314,10 @@ func (t *HoeffdingTree) touch(leaf *htNode) {
 	}
 }
 
+// updateLeaf folds one instance into leaf's statistics. Past a leaf's
+// first sighting of each feature it allocates nothing.
+//
+//redvet:noalloc gate=TrainStep
 func (t *HoeffdingTree) updateLeaf(leaf *htNode, x []float64, label int, w float64) {
 	t.touch(leaf)
 	s := leaf.stats
@@ -301,7 +327,10 @@ func (t *HoeffdingTree) updateLeaf(leaf *htNode, x []float64, label int, w float
 		if mc := argMax(s.classCounts); mc == label {
 			s.mcCorrect += w
 		}
-		if nb := t.naiveBayesVotes(s, x).ArgMax(); nb == label {
+		k := t.cfg.NumClasses
+		votes := ml.Prediction(t.scratch[:k])
+		t.naiveBayesVotesInto(votes, t.scratch[k:2*k], s, x)
+		if nb := votes.ArgMax(); nb == label {
 			s.nbCorrect += w
 		}
 	}
@@ -309,24 +338,19 @@ func (t *HoeffdingTree) updateLeaf(leaf *htNode, x []float64, label int, w float
 	s.weightSeen += w
 	for f := range x {
 		if s.observers[f] == nil {
+			//redvet:ignore noalloc a leaf's first sighting of a feature; TestTrainStepZeroAlloc pins the step after it at 0
 			s.observers[f] = newGaussianObserver(t.cfg.NumClasses)
 		}
 		s.observers[f].observe(x[f], label, w)
 	}
 }
 
-// splitFeatures returns the feature indices eligible for splitting.
-func (t *HoeffdingTree) splitFeatures() []int {
-	if len(t.cfg.FeatureSubset) > 0 {
-		return t.cfg.FeatureSubset
-	}
-	all := make([]int, t.cfg.NumFeatures)
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
+// attemptSplit splits leaf when the Hoeffding bound separates its best
+// split feature from the runner-up. The features eligible are
+// FeatureSubset, or every feature when it is empty. An attempt that does
+// not split allocates nothing.
+//
+//redvet:noalloc gate=TrainStep
 func (t *HoeffdingTree) attemptSplit(leaf *htNode) {
 	s := leaf.stats
 	if leaf.depth >= t.cfg.MaxDepth {
@@ -335,13 +359,24 @@ func (t *HoeffdingTree) attemptSplit(leaf *htNode) {
 	if isPure(s.classCounts) {
 		return
 	}
+	k := t.cfg.NumClasses
+	left, right := t.scratch[:k], t.scratch[k:2*k]
+	subset := t.cfg.FeatureSubset
+	n := len(subset)
+	if n == 0 {
+		n = t.cfg.NumFeatures
+	}
 	var best, second candidateSplit
-	for _, f := range t.splitFeatures() {
+	for i := 0; i < n; i++ {
+		f := i
+		if len(subset) > 0 {
+			f = subset[i]
+		}
 		obs := s.observers[f]
 		if obs == nil {
 			continue
 		}
-		cand := obs.bestSplit(t.cfg.SplitCriterion, s.classCounts, f, t.cfg.SplitCandidates)
+		cand := obs.bestSplit(t.cfg.SplitCriterion, s.classCounts, f, t.cfg.SplitCandidates, left, right)
 		if !cand.Valid {
 			continue
 		}
@@ -374,6 +409,7 @@ func (t *HoeffdingTree) split(leaf *htNode, cand candidateSplit) {
 	s := leaf.stats
 	left := t.newLeaf(leaf.depth + 1)
 	right := t.newLeaf(leaf.depth + 1)
+	left.parent, right.parent = leaf, leaf
 	if obs := s.observers[cand.Feature]; obs != nil {
 		for c, cnt := range s.classCounts {
 			w := obs.PerClass[c]
@@ -392,7 +428,13 @@ func (t *HoeffdingTree) split(leaf *htNode, cand candidateSplit) {
 	leaf.left = left
 	leaf.right = right
 	t.splitCount++
-	t.dropCompiled()
+	if t.compiled != nil {
+		// The next compile appends the split to the node array and
+		// freezes the two new leaves.
+		t.splits = append(t.splits, leaf)
+		t.touch(left)
+		t.touch(right)
+	}
 }
 
 func isPure(counts []float64) bool {

@@ -70,8 +70,9 @@ func (a *htAccumulator) Count() int64 { return a.count }
 // delta into its leaf, then attempt splits on the merged leaves in
 // ascending leaf id, so twin trees fed one round number the new leaves
 // alike. Deltas for leaves that no longer exist (stale accumulators) are
-// dropped. A merged leaf is marked touched like a trained one, so a round
-// that splits nothing keeps the incremental compile.
+// dropped. A merged leaf is marked touched like a trained one, so the
+// round's compile re-freezes only the merged leaves and those its splits
+// created.
 func (t *HoeffdingTree) ApplyAccumulators(accs []ml.Accumulator) {
 	merged := make(map[int64]*htNode)
 	mutated := false

@@ -203,3 +203,41 @@ func TestHTBeatsBaselines(t *testing.T) {
 		t.Fatalf("HT (%v) does not beat baselines (majority %v, no-change %v)", htAcc, majAcc, ncAcc)
 	}
 }
+
+// TestTrainStepZeroAlloc holds a train step that does not split to zero
+// allocations in every leaf-prediction mode, with a split attempt on
+// every step, and the freezing of a leaf into an arena with room to zero
+// as well. Each mode's tree is grown first, so every leaf has met every
+// feature, then made unable to split: a confidence of 1e-300 widens the
+// Hoeffding bound about thirty-fold.
+func TestTrainStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	data := gaussianStream(4000, 3, 8, 1.0, 61)
+	for _, mode := range []LeafPrediction{MajorityClass, NaiveBayes, NaiveBayesAdaptive} {
+		ht := NewHoeffdingTree(HTConfig{NumClasses: 3, NumFeatures: 8, GracePeriod: 50, LeafPrediction: mode})
+		for _, in := range data {
+			ht.Train(in)
+		}
+		ht.cfg.GracePeriod, ht.cfg.SplitConfidence, ht.cfg.TieThreshold = 1, 1e-300, 1e-300
+		splits, i := ht.splitCount, 0
+		if allocs := testing.AllocsPerRun(400, func() {
+			ht.Train(data[i%len(data)])
+			i++
+		}); allocs != 0 {
+			t.Errorf("mode %d: a non-splitting Train allocates %v, want 0", mode, allocs)
+		}
+		if ht.splitCount != splits || ht.splitCount == 0 {
+			t.Fatalf("mode %d: %d splits before the measurement, %d after: want some, and none during it", mode, splits, ht.splitCount)
+		}
+		s := ht.sortingLeaf(data[0].X).stats
+		ht.arena = make([]float64, 0, 1<<12)
+		if allocs := testing.AllocsPerRun(100, func() {
+			ht.arena = ht.arena[:0]
+			ht.freezeLeaf(s)
+		}); allocs != 0 {
+			t.Errorf("mode %d: freezeLeaf allocates %v with arena room, want 0", mode, allocs)
+		}
+	}
+}

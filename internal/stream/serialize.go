@@ -177,6 +177,7 @@ func (t *HoeffdingTree) UnmarshalBinary(data []byte) error {
 		if n.right, err = build(); err != nil {
 			return nil, err
 		}
+		n.left.parent, n.right.parent = n, n
 		return n, nil
 	}
 	root, err := build()
@@ -195,6 +196,7 @@ func (t *HoeffdingTree) UnmarshalBinary(data []byte) error {
 	t.splitCount = st.SplitCount
 	t.leaves = leaves
 	t.root = root
+	t.scratch = make([]float64, 2*k)
 	t.epoch++ // the whole tree was rebuilt: invalidate compiled snapshots
 	t.dropCompiled()
 	return nil
