@@ -128,7 +128,7 @@ func main() {
 		Shards:     *shards,
 		QueueDepth: *queue,
 		Log:        ilog,
-		Trace:      obs.Config{Enabled: *trace},
+		Trace:      *trace,
 	})
 	if *restore {
 		if *checkpoint == "" {

@@ -86,7 +86,6 @@ func main() {
 	var tracer *obs.Tracer
 	if *trace {
 		tracer = obs.New(obs.Config{
-			Enabled:    true,
 			SlowBudget: batchSlowBudget,
 			Registry:   metrics.Default(),
 		})

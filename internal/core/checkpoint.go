@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"redhanded/internal/feature"
 	"redhanded/internal/norm"
 	"redhanded/internal/stream"
 )
@@ -89,7 +90,9 @@ func (p *Pipeline) Checkpoint(w io.Writer) error {
 
 // Restore loads a checkpoint into the pipeline. The pipeline must have
 // been built with Options compatible with the checkpoint (same model kind
-// and class count).
+// and class count). Every field is checked and every blob decoded before
+// anything is applied, so a Restore that fails leaves the pipeline as it
+// was.
 func (p *Pipeline) Restore(r io.Reader) error {
 	var st checkpointState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -104,19 +107,26 @@ func (p *Pipeline) Restore(r io.Reader) error {
 	if kind != st.ModelKind {
 		return fmt.Errorf("core: checkpoint is for model %s, pipeline uses %s", st.ModelKind, kind)
 	}
-	if st.EvalK != p.evaluator.Matrix().NumClasses() {
-		return fmt.Errorf("core: checkpoint has %d classes, pipeline has %d",
-			st.EvalK, p.evaluator.Matrix().NumClasses())
+	k := p.evaluator.Matrix().NumClasses()
+	if st.EvalK != k {
+		return fmt.Errorf("core: checkpoint has %d classes, pipeline has %d", st.EvalK, k)
 	}
-	if err := p.model.UnmarshalBinary(st.ModelBlob); err != nil {
+	if len(st.EvalCells) != k*k || len(st.PredCounts) != k || st.Processed < 0 || st.LogOffset < 0 {
+		return fmt.Errorf("core: malformed checkpoint (%d confusion cells and %d prediction counts for %d classes, %d processed, log offset %d)",
+			len(st.EvalCells), len(st.PredCounts), k, st.Processed, st.LogOffset-1)
+	}
+	model := newModel(p.opts)
+	if err := model.UnmarshalBinary(st.ModelBlob); err != nil {
 		return fmt.Errorf("core: restore model: %w", err)
 	}
 	stats := norm.NewFeatureStats(p.normalizer.Stats.Dim())
 	if err := stats.UnmarshalBinary(st.StatsBlob); err != nil {
 		return fmt.Errorf("core: restore stats: %w", err)
 	}
-	p.normalizer.Stats = stats
-	if err := p.extractor.BoW().UnmarshalBinary(st.BoWBlob); err != nil {
+	// The BoW (its versions key the extraction cache) and the user store
+	// (metrics hold it) restore in place, each all or nothing: the BoW blob
+	// is tried on a throwaway first, so only the store's step can fail.
+	if err := feature.NewAdaptiveBoW(feature.BoWConfig{}).UnmarshalBinary(st.BoWBlob); err != nil {
 		return fmt.Errorf("core: restore BoW: %w", err)
 	}
 	if len(st.UserStateBlob) > 0 {
@@ -124,18 +134,21 @@ func (p *Pipeline) Restore(r io.Reader) error {
 			return fmt.Errorf("core: restore user state: %w", err)
 		}
 	}
+	if err := p.extractor.BoW().UnmarshalBinary(st.BoWBlob); err != nil {
+		return fmt.Errorf("core: restore BoW: %w", err)
+	}
+	p.model = model
+	p.normalizer.Stats = stats
 	p.processed = st.Processed
 	p.logOffset = st.LogOffset - 1
 	copy(p.predCounts, st.PredCounts)
-	k := st.EvalK
 	p.evaluator.Matrix().Reset()
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			p.evaluator.Matrix().AddN(i, j, st.EvalCells[i*k+j])
 		}
 	}
-	// UnmarshalBinary bumped the model epoch; re-publish so lock-free
-	// classifiers never see the pre-restore snapshot.
-	p.refreshSnapshotLocked(nil)
+	// The restored model shares no tree with the published snapshot.
+	p.publishLocked(p.model.CompileSnapshot(nil))
 	return nil
 }

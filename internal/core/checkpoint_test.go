@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"testing"
 
@@ -122,6 +123,82 @@ func TestRestoreMismatches(t *testing.T) {
 	// Garbage payload.
 	if err := NewPipeline(DefaultOptions()).Restore(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Fatalf("garbage checkpoint accepted")
+	}
+
+	// Counts that do not fit the class count.
+	for name, corrupt := range malformedCounts {
+		if err := NewPipeline(DefaultOptions()).Restore(recoded(t, buf.Bytes(), corrupt)); err == nil {
+			t.Fatalf("checkpoint with %s accepted", name)
+		}
+	}
+}
+
+var malformedCounts = map[string]func(*checkpointState){
+	"a short confusion matrix": func(st *checkpointState) { st.EvalCells = st.EvalCells[:len(st.EvalCells)-1] },
+	"short prediction counts":  func(st *checkpointState) { st.PredCounts = st.PredCounts[:1] },
+	"a negative tweet count":   func(st *checkpointState) { st.Processed = -1 },
+}
+
+// recoded decodes a checkpoint, applies corrupt, and encodes it again.
+func recoded(t *testing.T, blob []byte, corrupt func(*checkpointState)) *bytes.Buffer {
+	t.Helper()
+	var st checkpointState
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	corrupt(&st)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
+// TestFailedRestoreLeavesPipelineUnchanged: a checkpoint whose counts do
+// not fit or whose blob does not decode is refused before anything is
+// applied, so the pipeline goes on exactly as an untouched twin does.
+func TestFailedRestoreLeavesPipelineUnchanged(t *testing.T) {
+	src := NewPipeline(DefaultOptions())
+	src.ProcessAll(smallDataset(47, 300, 150, 30))
+	var buf bytes.Buffer
+	if err := src.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	half := func(b []byte) []byte { return b[:len(b)/2] }
+	cases := map[string]func(*checkpointState){
+		"model":      func(st *checkpointState) { st.ModelBlob = half(st.ModelBlob) },
+		"stats":      func(st *checkpointState) { st.StatsBlob = half(st.StatsBlob) },
+		"BoW":        func(st *checkpointState) { st.BoWBlob = half(st.BoWBlob) },
+		"user state": func(st *checkpointState) { st.UserStateBlob = half(st.UserStateBlob) },
+	}
+	for name, corrupt := range malformedCounts {
+		cases[name] = corrupt
+	}
+	own := smallDataset(48, 200, 100, 20)
+	probe := smallDataset(49, 20, 10, 2)
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, twin := NewPipeline(DefaultOptions()), NewPipeline(DefaultOptions())
+			p.ProcessAll(own)
+			twin.ProcessAll(own)
+			if err := p.Restore(recoded(t, buf.Bytes(), corrupt)); err == nil {
+				t.Fatal("corrupt checkpoint accepted")
+			}
+			if p.Summary() != twin.Summary() || p.Processed() != twin.Processed() {
+				t.Fatalf("failed restore changed the evaluation: %+v, twin %+v", p.Summary(), twin.Summary())
+			}
+			if p.SnapshotStats() != twin.SnapshotStats() {
+				t.Fatalf("failed restore changed the snapshot: %+v, twin %+v", p.SnapshotStats(), twin.SnapshotStats())
+			}
+			if p.Extractor().BoW().Size() != twin.Extractor().BoW().Size() || p.Users().Len() != twin.Users().Len() {
+				t.Fatal("failed restore changed the BoW or the user store")
+			}
+			for i := range probe {
+				tw := probe[i]
+				tw.Label = ""
+				requireSameResult(t, fmt.Sprintf("probe%d", i), p.Process(&tw), twin.Process(&tw))
+			}
+		})
 	}
 }
 
@@ -247,4 +324,41 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 	}
 	p.ProcessAll(parentCkptStream()[parentCkptHead:])
 	requireGolden(t, "restored pipeline", goldenFinal(p), loadGolden(t, parentCkptGolden)[""])
+}
+
+// FuzzRestore holds Restore to its contract: for any bytes and any model
+// kind it restores or returns an error — never a panic — and a pipeline it
+// restored goes on to process labeled and unlabeled tweets. Seeds are
+// checkpoints of a short run of each model kind.
+func FuzzRestore(f *testing.F) {
+	kinds := []ModelKind{ModelHT, ModelARF, ModelSLR}
+	options := func(kind uint8) Options {
+		opts := DefaultOptions()
+		opts.Model = kinds[int(kind)%len(kinds)]
+		opts.ARF.EnsembleSize = 3
+		return opts
+	}
+	tweets := smallDataset(50, 60, 30, 6)
+	for i := range kinds {
+		p := NewPipeline(options(uint8(i)))
+		p.ProcessAll(tweets)
+		var buf bytes.Buffer
+		if err := p.Checkpoint(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), buf.Bytes())
+	}
+	probe := smallDataset(51, 6, 3, 1)
+	for i := range probe {
+		if i%2 == 0 {
+			probe[i].Label = ""
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		p := NewPipeline(options(kind))
+		if err := p.Restore(bytes.NewReader(data)); err != nil {
+			return
+		}
+		p.ProcessAll(probe)
+	})
 }

@@ -112,21 +112,13 @@ type Pipeline struct {
 	voteArena       []float64
 	oneHot          ml.Prediction
 
-	// activeSpan is the span of the tweet currently inside its effects
-	// section (guarded by mu; nil between tweets). Verdict sinks run
-	// synchronously inside that section, so a sink can attribute its cost
-	// to the right span mid-batch, where the shard-level "current span" is
-	// ambiguous.
-	activeSpan *obs.Span
-
 	mu sync.Mutex
 }
 
 // NewPipeline assembles the framework with the given options.
 func NewPipeline(opts Options) *Pipeline {
-	bowCfg := feature.DefaultBoWConfig()
-	bowCfg.Frozen = !opts.AdaptiveBoW
-	ext := feature.NewExtractor(feature.Config{Preprocess: opts.Preprocess, BoW: bowCfg, CacheEntries: defaultFeatureCacheEntries})
+	ext := feature.NewExtractor(feature.Config{Preprocess: opts.Preprocess, BoW: feature.BoWConfig{Frozen: !opts.AdaptiveBoW},
+		CacheEntries: defaultFeatureCacheEntries})
 	k := opts.Scheme.NumClasses()
 	users := userstate.New(opts.Users)
 	p := &Pipeline{
@@ -143,9 +135,7 @@ func NewPipeline(opts Options) *Pipeline {
 		logOffset:  -1,
 	}
 	snap := p.model.CompileSnapshot(nil)
-	p.snapshot.Store(snap)
-	p.snapRebuilds.Add(1)
-	p.snapTrees.Add(int64(snap.Rebuilt()))
+	p.publishLocked(snap)
 	p.classifyScratch = make([]float64, snap.ScratchLen())
 	p.oneHot = make(ml.Prediction, p.classes.Len())
 	return p
@@ -168,13 +158,19 @@ func (p *Pipeline) refreshSnapshotLocked(sp *obs.Span) *stream.Compiled {
 		start = time.Now()
 	}
 	next := p.model.CompileSnapshot(snap)
-	p.snapshot.Store(next)
-	p.snapRebuilds.Add(1)
-	p.snapTrees.Add(int64(next.Rebuilt()))
+	p.publishLocked(next)
 	if sp != nil {
 		sp.AddExclusive(obs.StageCompile, time.Since(start))
 	}
 	return next
+}
+
+// publishLocked makes next the snapshot lock-free classifiers read and
+// counts the publication. Called with p.mu held, or before p is shared.
+func (p *Pipeline) publishLocked(next *stream.Compiled) {
+	p.snapshot.Store(next)
+	p.snapRebuilds.Add(1)
+	p.snapTrees.Add(int64(next.Rebuilt()))
 }
 
 // SnapshotStats is the compiled-snapshot telemetry surfaced on /v1/stats
@@ -221,12 +217,6 @@ func (p *Pipeline) SnapshotStats() SnapshotStats {
 	}
 	return st
 }
-
-// ActiveSpan returns the span of the tweet currently inside its
-// effects section, or nil. Verdict sinks run synchronously on
-// the processing goroutine within that section (which holds p.mu), so a
-// sink may call this to attribute emit cost to the triggering tweet.
-func (p *Pipeline) ActiveSpan() *obs.Span { return p.activeSpan }
 
 // Options returns the pipeline configuration.
 func (p *Pipeline) Options() Options { return p.opts }
@@ -293,13 +283,17 @@ func (p *Pipeline) observeUser(tw *twitterdata.Tweet, pred int, confidence float
 		out = p.users.Observe(o)
 	}
 	sp.BeginStage(obs.StageVerdict)
-	for _, s := range p.verdicts {
-		if out.Session != nil {
-			s.HandleSession(*out.Session)
+	if out.Session != nil || out.Escalation != nil {
+		sp.BeginStage(obs.StageEmit) // the sinks' publish time, apart from the verdict's
+		for _, s := range p.verdicts {
+			if out.Session != nil {
+				s.HandleSession(*out.Session)
+			}
+			if out.Escalation != nil {
+				s.HandleEscalation(*out.Escalation)
+			}
 		}
-		if out.Escalation != nil {
-			s.HandleEscalation(*out.Escalation)
-		}
+		sp.BeginStage(obs.StageVerdict)
 	}
 	return out, alert
 }
@@ -528,7 +522,6 @@ func stride(arena []float64, i, w int) []float64 { return arena[i*w:][:w:w] }
 // verdict fan-out, alerting, and bookkeeping. Called with p.mu held;
 // leaves the verdict stage open.
 func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span, scan *feature.Scan) {
-	p.activeSpan = sp
 	pred := res.Predicted
 	if res.Instance.IsLabeled() {
 		p.evaluator.Record(res.Instance.Label, pred)
@@ -545,7 +538,9 @@ func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span, scan
 	res.Session, res.Escalation = out.Session, out.Escalation
 	sp.BeginStage(obs.StageVerdict) // no-op unless observeUser skipped (no user ID)
 	if alert {
+		sp.BeginStage(obs.StageEmit)
 		p.alerter.raise(tw, p.classes.Name(pred), res.Confidence, out)
+		sp.BeginStage(obs.StageVerdict)
 		res.Alerted = true
 	}
 
@@ -556,7 +551,6 @@ func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span, scan
 			Value:     float64(p.extractor.BoW().Size()),
 		})
 	}
-	p.activeSpan = nil
 }
 
 // processAllBatch is the ProcessAll chunk size: large enough that the

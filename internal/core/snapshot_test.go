@@ -277,7 +277,7 @@ func TestTraceStagesIndependentOfBatching(t *testing.T) {
 		p.ProcessAll(warm)
 		p.Extractor().ExtractCachedInto(make([]float64, feature.NumFeatures), &prime)
 		hitsBefore := p.Extractor().CacheStats().Hits
-		tracer := obs.New(obs.Config{Enabled: true})
+		tracer := obs.New(obs.Config{})
 		out := make([][obs.NumStages]bool, len(tail))
 		for lo := 0; lo < len(tail); lo += batchSize {
 			var entries []BatchEntry

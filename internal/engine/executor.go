@@ -308,9 +308,8 @@ func (s *execSession) applyBroadcast(msg *wireMsg) error {
 	s.stats = stats
 
 	if s.extractor == nil || s.preprocess != msg.Preprocess {
-		bowCfg := feature.DefaultBoWConfig()
-		bowCfg.Frozen = true // adaptation happens at the driver only
-		s.extractor = feature.NewExtractor(feature.Config{Preprocess: msg.Preprocess, BoW: bowCfg})
+		// Adaptation happens at the driver only.
+		s.extractor = feature.NewExtractor(feature.Config{Preprocess: msg.Preprocess, BoW: feature.BoWConfig{Frozen: true}})
 		s.preprocess = msg.Preprocess
 		s.vocabVersion = 0
 	}

@@ -517,7 +517,7 @@ func TestClusterWedgedExecutorFailsOver(t *testing.T) {
 // changes only wire cost, never results: the same labeled/unlabeled mix
 // through eliding and full-re-broadcast clusters yields identical
 // prequential reports, with the eliding run sending fewer broadcast bytes
-// (the vocabulary moves only every UpdateEvery labeled tweets).
+// (the vocabulary moves only every 500 labeled tweets).
 func TestClusterDeltaMatchesFull(t *testing.T) {
 	addrs := startCluster(t, 3, 2)
 	labeled := testDataset(35, 2000, 1000, 200)

@@ -13,10 +13,8 @@ import (
 type MicroBatchConfig struct {
 	// BatchSize is the micro-batch length in tweets (default 1000).
 	BatchSize int
-	// Partitions is how many data partitions each batch is split into
-	// (default = Workers).
-	Partitions int
-	// Workers is the parallel task slots (default 1 — SparkSingle).
+	// Workers is the parallel task slots, and the number of data
+	// partitions each batch is split into (default 1 — SparkSingle).
 	Workers int
 }
 
@@ -27,21 +25,18 @@ func (c MicroBatchConfig) withDefaults() MicroBatchConfig {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.Partitions <= 0 {
-		c.Partitions = c.Workers
-	}
 	return c
 }
 
 // SparkSingleConfig mimics single-threaded Spark execution.
 func SparkSingleConfig() MicroBatchConfig {
-	return MicroBatchConfig{BatchSize: 1000, Partitions: 1, Workers: 1}
+	return MicroBatchConfig{BatchSize: 1000, Workers: 1}
 }
 
 // SparkLocalConfig mimics one multi-threaded Spark worker with the given
 // core count (the paper's machines have 8 cores).
 func SparkLocalConfig(cores int) MicroBatchConfig {
-	return MicroBatchConfig{BatchSize: 1000, Partitions: cores, Workers: cores}
+	return MicroBatchConfig{BatchSize: 1000, Workers: cores}
 }
 
 // RunMicroBatch executes the pipeline with micro-batch parallelism (Fig. 2
@@ -75,7 +70,7 @@ func RunMicroBatch(p *core.Pipeline, src Source, cfg MicroBatchConfig) (Stats, e
 		}
 		var share shareOutput
 		share, snap = computeShare(p.Extractor(), p.Normalizer().Stats, p.Normalizer().Mode, p.Options().Scheme,
-			model, snap, batch, cfg.Partitions, cfg.Workers)
+			model, snap, batch, cfg.Workers, cfg.Workers)
 		mergeBatch(p, batch, []shareOutput{share})
 		m.batch(len(batch), batchStart)
 		if len(batch) < cfg.BatchSize {

@@ -39,7 +39,7 @@ func TestMicroBatchMatchesSingleExecutorCluster(t *testing.T) {
 						opts.Normalization = mode
 						opts.ARF.EnsembleSize = 3
 						local, clustered := core.NewPipeline(opts), core.NewPipeline(opts)
-						lStats, err := RunMicroBatch(local, NewSliceSource(tweets), MicroBatchConfig{BatchSize: b, Partitions: k, Workers: 2})
+						lStats, err := RunMicroBatch(local, NewSliceSource(tweets), MicroBatchConfig{BatchSize: b, Workers: k})
 						if err != nil {
 							t.Fatal(err)
 						}

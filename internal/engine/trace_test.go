@@ -25,7 +25,7 @@ func TestClusterTraceAttributesExecutorRTT(t *testing.T) {
 	ex.shareHook = func() { time.Sleep(delay) }
 	ex.mu.Unlock()
 
-	tracer := obs.New(obs.Config{Enabled: true, SlowBudget: time.Millisecond})
+	tracer := obs.New(obs.Config{SlowBudget: time.Millisecond})
 	data := testDataset(21, 600, 300, 60)
 	p := core.NewPipeline(testOptions())
 	if _, err := RunCluster(p, NewSliceSource(data), ClusterConfig{

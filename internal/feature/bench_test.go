@@ -29,7 +29,7 @@ func BenchmarkExtract(b *testing.B) {
 // BenchmarkExtractNoPreprocess times the p=OFF extraction (ScanRaw).
 func BenchmarkExtractNoPreprocess(b *testing.B) {
 	tweets := benchTweets(2000)
-	e := NewExtractor(Config{Preprocess: false, BoW: DefaultBoWConfig()})
+	e := NewExtractor(Config{Preprocess: false})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,7 +90,7 @@ func TestExtractIntoZeroAlloc(t *testing.T) {
 	}
 	tweets := benchTweets(64)
 	for _, preprocess := range []bool{true, false} {
-		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
+		e := NewExtractor(Config{Preprocess: preprocess})
 		dst := make([]float64, NumFeatures)
 		for i := range tweets {
 			e.ExtractInto(dst, &tweets[i]) // warm pools and arenas
@@ -113,7 +113,7 @@ func TestLearnKnownWordsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates in sync.Pool")
 	}
-	e := NewExtractor(Config{Preprocess: false, BoW: BoWConfig{UpdateEvery: 1 << 30}})
+	e := NewExtractor(Config{Preprocess: false, BoW: BoWConfig{updateEvery: 1 << 30}})
 	tweets := benchTweets(64)
 	for i := range tweets {
 		tweets[i].Label = twitterdata.LabelAbusive
@@ -130,7 +130,7 @@ func TestLearnKnownWordsZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkBoWLearn(b *testing.B) {
-	bow := NewAdaptiveBoW(DefaultBoWConfig())
+	bow := NewAdaptiveBoW(BoWConfig{})
 	var ts text.Scratch
 	ts.ScanRaw("you are a zorp idiot and fool")
 	b.ReportAllocs()

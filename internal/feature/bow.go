@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"cmp"
 	"sort"
 	"strings"
 	"sync"
@@ -12,54 +13,34 @@ import (
 
 // BoWConfig tunes the adaptive bag-of-words.
 type BoWConfig struct {
-	// UpdateEvery is how many labeled tweets pass between enhancement
-	// rounds ("periodically enhanced based on tweet content").
-	UpdateEvery int
-	// MinAggressiveRate is the minimum per-tweet occurrence rate in
-	// aggressive tweets for a word to be considered.
-	MinAggressiveRate float64
-	// MinRatio is how many times more frequent a word must be in
-	// aggressive than in normal tweets to enter the BoW.
-	MinRatio float64
-	// Decay is the multiplicative factor applied to the rolling word
-	// statistics at every enhancement round, so the BoW tracks *current*
-	// vocabulary rather than all history.
-	Decay float64
-	// MaxVocab caps each rolling table's size (memory bound).
-	MaxVocab int
 	// Frozen disables adaptation: the BoW stays at the seed list. This is
 	// the paper's "fixed bag-of-words" baseline (ad=OFF in the figures).
 	Frozen bool
+
+	// updateEvery and decay replace bowUpdateEvery and bowDecay when
+	// non-zero; only in-package tests set them.
+	updateEvery int
+	decay       float64
 }
 
-// DefaultBoWConfig returns the settings used by the experiments.
-func DefaultBoWConfig() BoWConfig {
-	return BoWConfig{
-		UpdateEvery:       500,
-		MinAggressiveRate: 0.005,
-		MinRatio:          3,
-		Decay:             0.996,
-		MaxVocab:          50000,
-	}
-}
+// The adaptive BoW's fixed tuning. Every bowUpdateEvery labeled tweets an
+// enhancement round runs ("periodically enhanced based on tweet content"):
+// a word enters when its per-tweet rate in aggressive tweets is at least
+// bowMinAggressiveRate and bowMinRatio times its rate in normal ones; then
+// both rolling tables decay by bowDecay, so the BoW tracks current
+// vocabulary rather than all history, and are cut to bowMaxVocab words
+// (the memory bound).
+const (
+	bowUpdateEvery       = 500
+	bowMinAggressiveRate = 0.005
+	bowMinRatio          = 3
+	bowDecay             = 0.996
+	bowMaxVocab          = 50000
+)
 
 func (c BoWConfig) withDefaults() BoWConfig {
-	d := DefaultBoWConfig()
-	if c.UpdateEvery == 0 {
-		c.UpdateEvery = d.UpdateEvery
-	}
-	if c.MinAggressiveRate == 0 {
-		c.MinAggressiveRate = d.MinAggressiveRate
-	}
-	if c.MinRatio == 0 {
-		c.MinRatio = d.MinRatio
-	}
-	if c.Decay == 0 {
-		c.Decay = d.Decay
-	}
-	if c.MaxVocab == 0 {
-		c.MaxVocab = d.MaxVocab
-	}
+	c.updateEvery = cmp.Or(c.updateEvery, bowUpdateEvery)
+	c.decay = cmp.Or(c.decay, bowDecay)
 	return c
 }
 
@@ -334,11 +315,11 @@ func (b *AdaptiveBoW) side(aggressive bool) *wordTable {
 	return b.normal
 }
 
-// learned closes one labeled tweet: every UpdateEvery of them run an
+// learned closes one labeled tweet: every updateEvery of them run an
 // enhancement round. Callers hold the write lock.
 func (b *AdaptiveBoW) learned() {
 	b.sinceUpdate++
-	if b.sinceUpdate >= b.cfg.UpdateEvery {
+	if b.sinceUpdate >= b.cfg.updateEvery {
 		b.sinceUpdate = 0
 		b.enhance()
 	}
@@ -356,7 +337,7 @@ func (b *AdaptiveBoW) enhance() {
 		}
 		ra := b.aggressive.rate(w)
 		rn := b.normal.rate(w)
-		if ra >= b.cfg.MinAggressiveRate && ra >= b.cfg.MinRatio*maxf(rn, 1e-6) {
+		if ra >= bowMinAggressiveRate && ra >= bowMinRatio*maxf(rn, 1e-6) {
 			b.words[w] = true
 			b.additions++
 		}
@@ -372,10 +353,10 @@ func (b *AdaptiveBoW) enhance() {
 			b.removals++
 		}
 	}
-	b.aggressive.decay(b.cfg.Decay)
-	b.normal.decay(b.cfg.Decay)
-	b.aggressive.prune(b.cfg.MaxVocab)
-	b.normal.prune(b.cfg.MaxVocab)
+	b.aggressive.decay(b.cfg.decay)
+	b.normal.decay(b.cfg.decay)
+	b.aggressive.prune(bowMaxVocab)
+	b.normal.prune(bowMaxVocab)
 	// A round that moved no word keeps the published snapshot, and with it
 	// every extraction-cache entry keyed by its version.
 	if b.additions != additions || b.removals != removals {

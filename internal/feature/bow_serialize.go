@@ -12,6 +12,8 @@ import (
 // the vocabulary — remote BoWs never adapt — but checkpoints must capture
 // everything.)
 type bowState struct {
+	// Cfg carries Frozen. Blobs written while BoWConfig held the tuning
+	// values still decode: gob skips the fields it no longer has.
 	Cfg         BoWConfig
 	Words       []string
 	AggrCounts  map[string]float64
@@ -56,7 +58,7 @@ func (b *AdaptiveBoW) UnmarshalBinary(data []byte) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.cfg = st.Cfg
+	b.cfg.Frozen = st.Cfg.Frozen
 	b.words = make(map[string]bool, len(st.Words))
 	for _, w := range st.Words {
 		b.words[w] = true

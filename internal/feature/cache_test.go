@@ -189,7 +189,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 func TestNoChangeRoundKeepsSnapshotAndCache(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheEntries = 256
-	cfg.BoW.UpdateEvery = 10
+	cfg.BoW.updateEvery = 10
 	ex := NewExtractor(cfg)
 	learn := func(n int, text, label string) {
 		for i := 0; i < n; i++ {

@@ -19,7 +19,7 @@ type Config struct {
 
 // DefaultConfig enables preprocessing and the adaptive BoW.
 func DefaultConfig() Config {
-	return Config{Preprocess: true, BoW: DefaultBoWConfig()}
+	return Config{Preprocess: true}
 }
 
 // Extractor turns tweets into fixed-length feature vectors. Extraction is

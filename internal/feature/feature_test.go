@@ -120,8 +120,8 @@ func TestExtractSyntactic(t *testing.T) {
 }
 
 func TestPreprocessingChangesTokenFeatures(t *testing.T) {
-	on := NewExtractor(Config{Preprocess: true, BoW: DefaultBoWConfig()})
-	off := NewExtractor(Config{Preprocess: false, BoW: DefaultBoWConfig()})
+	on := NewExtractor(Config{Preprocess: true})
+	off := NewExtractor(Config{Preprocess: false})
 	tw := tweetWith("RT @user fuck http://spam.example 12345 #tag")
 	xOn := on.Extract(tw)
 	xOff := off.Extract(tw)
@@ -155,16 +155,14 @@ func TestExtractEmptyTweet(t *testing.T) {
 }
 
 func TestBoWSeedSize(t *testing.T) {
-	b := NewAdaptiveBoW(DefaultBoWConfig())
+	b := NewAdaptiveBoW(BoWConfig{})
 	if b.Size() != lexicon.SeedSwearCount {
 		t.Fatalf("initial BoW size = %d, want %d", b.Size(), lexicon.SeedSwearCount)
 	}
 }
 
 func TestBoWLearnsAggressiveVocabulary(t *testing.T) {
-	cfg := DefaultBoWConfig()
-	cfg.UpdateEvery = 100
-	b := NewAdaptiveBoW(cfg)
+	b := NewAdaptiveBoW(BoWConfig{updateEvery: 100})
 	// "zorp" appears in most aggressive tweets, never in normal ones.
 	for i := 0; i < 300; i++ {
 		learn(b, "you zorp idiot", true)
@@ -179,10 +177,7 @@ func TestBoWLearnsAggressiveVocabulary(t *testing.T) {
 }
 
 func TestBoWEvictsWordsGoneNormal(t *testing.T) {
-	cfg := DefaultBoWConfig()
-	cfg.UpdateEvery = 100
-	cfg.Decay = 0.9
-	b := NewAdaptiveBoW(cfg)
+	b := NewAdaptiveBoW(BoWConfig{updateEvery: 100, decay: 0.9})
 	for i := 0; i < 300; i++ {
 		learn(b, "zorp loser", true)
 		learn(b, "nice day", false)
@@ -203,9 +198,7 @@ func TestBoWEvictsWordsGoneNormal(t *testing.T) {
 }
 
 func TestBoWSeedsArePermanent(t *testing.T) {
-	cfg := DefaultBoWConfig()
-	cfg.UpdateEvery = 50
-	b := NewAdaptiveBoW(cfg)
+	b := NewAdaptiveBoW(BoWConfig{updateEvery: 50})
 	// Seed word appears heavily in normal tweets.
 	for i := 0; i < 500; i++ {
 		learn(b, "fuck yeah", false)
@@ -220,10 +213,7 @@ func TestBoWSeedsArePermanent(t *testing.T) {
 }
 
 func TestBoWFrozen(t *testing.T) {
-	cfg := DefaultBoWConfig()
-	cfg.Frozen = true
-	cfg.UpdateEvery = 10
-	b := NewAdaptiveBoW(cfg)
+	b := NewAdaptiveBoW(BoWConfig{Frozen: true, updateEvery: 10})
 	for i := 0; i < 200; i++ {
 		learn(b, "zorp", true)
 		learn(b, "day", false)
@@ -235,7 +225,7 @@ func TestBoWFrozen(t *testing.T) {
 
 func TestBoWScore(t *testing.T) {
 	for _, preprocess := range []bool{true, false} {
-		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
+		e := NewExtractor(Config{Preprocess: preprocess})
 		if s := e.Extract(tweetWith("FUCK this shit"))[BoWScore]; s != 2 {
 			t.Fatalf("p=%v: score = %v, want 2 (case-insensitive seeds)", preprocess, s)
 		}
@@ -246,8 +236,8 @@ func TestBoWScore(t *testing.T) {
 }
 
 func TestBoWSerializationRoundTrip(t *testing.T) {
-	cfg := DefaultBoWConfig()
-	cfg.UpdateEvery = 100
+	// The enhancement cadence is not checkpointed: both sides set it.
+	cfg := BoWConfig{updateEvery: 100}
 	a := NewAdaptiveBoW(cfg)
 	for i := 0; i < 400; i++ {
 		learn(a, "zorp idiot you", true)
@@ -257,7 +247,7 @@ func TestBoWSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewAdaptiveBoW(DefaultBoWConfig())
+	b := NewAdaptiveBoW(cfg)
 	if err := b.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +271,7 @@ func TestBoWSerializationRoundTrip(t *testing.T) {
 
 func TestExtractorLearnUpdatesBoW(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BoW.UpdateEvery = 50
+	cfg.BoW.updateEvery = 50
 	e := NewExtractor(cfg)
 	tw := tweetWith("you are a total zork")
 	tw.Label = twitterdata.LabelAbusive

@@ -86,7 +86,7 @@ func TestFusedTableMatchesLegacyLists(t *testing.T) {
 	learned := []string{"zorp", "quorith", "so", "not", "good", "the", "running", "xd"}
 	var extractors []*Extractor
 	for _, preprocess := range []bool{true, false} {
-		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
+		e := NewExtractor(Config{Preprocess: preprocess})
 		e.BoW().SetWords(append(e.BoW().Words(), learned...))
 		extractors = append(extractors, e)
 	}
@@ -178,7 +178,7 @@ func TestFusedTableMatchesLegacyLists(t *testing.T) {
 // key (letters-trimmed, lowered: "xd" for "xD", "d" for ":D") carries the
 // emoticon bit that makes the extractor try the word as an emoticon.
 func TestFusedTablePacking(t *testing.T) {
-	snap := NewAdaptiveBoW(DefaultBoWConfig()).lookupSnapshot()
+	snap := NewAdaptiveBoW(BoWConfig{}).lookupSnapshot()
 	for e := range emoticons {
 		key := strings.ToLower(strip(e))
 		if key != "" && snap.lookup([]byte(key))&infoEmoticon == 0 {
@@ -208,7 +208,7 @@ func TestFusedTablePacking(t *testing.T) {
 // under -race it also proves the publication is properly synchronised.
 func TestExtractRacingTableRepublication(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BoW.UpdateEvery = 50 // many enhancement rounds in a short stream
+	cfg.BoW.updateEvery = 50 // many enhancement rounds in a short stream
 	corpus := twitterdata.GenerateAggression(twitterdata.AggressionConfig{
 		Seed: 5, Days: 2, NormalCount: 1500, AbusiveCount: 1000, HatefulCount: 500,
 	})

@@ -117,7 +117,7 @@ func FuzzExtractEquivalence(f *testing.F) {
 		f.Add(s)
 	}
 	on := NewExtractor(DefaultConfig())
-	off := NewExtractor(Config{Preprocess: false, BoW: DefaultBoWConfig()})
+	off := NewExtractor(Config{Preprocess: false})
 	f.Fuzz(func(t *testing.T, s string) {
 		tw := fuzzTweet(s)
 		for _, e := range []*Extractor{on, off} {

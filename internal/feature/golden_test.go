@@ -43,7 +43,7 @@ func goldenCorpus(t *testing.T) []twitterdata.Tweet {
 func TestGoldenEquivalence(t *testing.T) {
 	tweets := goldenCorpus(t)
 	for _, preprocess := range []bool{true, false} {
-		e := NewExtractor(Config{Preprocess: preprocess, BoW: DefaultBoWConfig()})
+		e := NewExtractor(Config{Preprocess: preprocess})
 		fast := make([]float64, NumFeatures)
 		slow := make([]float64, NumFeatures)
 		for i := range tweets {
@@ -73,7 +73,7 @@ func TestPreprocessOffGolden(t *testing.T) {
 	if got, want := len(tweets), len(sections["vectors"]); got != want {
 		t.Fatalf("corpus has %d tweets, the golden %d vectors", got, want)
 	}
-	e := NewExtractor(Config{Preprocess: false, BoW: DefaultBoWConfig()})
+	e := NewExtractor(Config{Preprocess: false})
 	x := make([]float64, NumFeatures)
 	var bow []string
 	for i := range tweets {

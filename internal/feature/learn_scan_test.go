@@ -40,7 +40,7 @@ func TestLearnScanMatchesLearn(t *testing.T) {
 	})
 	for _, preprocess := range []bool{true, false} {
 		t.Run(fmt.Sprintf("preprocess=%v", preprocess), func(t *testing.T) {
-			cfg := Config{Preprocess: preprocess, BoW: DefaultBoWConfig(), CacheEntries: 1024}
+			cfg := Config{Preprocess: preprocess, CacheEntries: 1024}
 			kept, rescanned := NewExtractor(cfg), NewExtractor(cfg)
 			var got, want Vec
 			for n := 1; n <= 10000; n++ {
@@ -87,7 +87,7 @@ func TestLearnScanMatchesLearn(t *testing.T) {
 }
 
 // TestPruneSurvivorsIndependentOfOrder: once a rolling table outgrows
-// MaxVocab, which words survive depends on the counts alone — not on the
+// bowMaxVocab, which words survive depends on the counts alone — not on the
 // order the words arrived in, nor on whether the table came back from a
 // checkpoint. Half the words below the cut tie, so an order-dependent
 // prune keeps a different half on almost every run.

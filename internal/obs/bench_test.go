@@ -12,7 +12,7 @@ import (
 // This is the overhead tracing adds to a pipeline Process call; it must
 // report 0 allocs/op.
 func BenchmarkSpanLifecycle(b *testing.B) {
-	tr := New(Config{Enabled: true, SlowBudget: -1, Registry: metrics.NewRegistry()})
+	tr := New(Config{SlowBudget: -1, Registry: metrics.NewRegistry()})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,7 +46,7 @@ func BenchmarkSpanLifecycleDisabled(b *testing.B) {
 }
 
 func BenchmarkRingSnapshot(b *testing.B) {
-	tr := New(Config{Enabled: true, SlowBudget: -1, ringSize: 512})
+	tr := New(Config{SlowBudget: -1, ringSize: 512})
 	for i := 0; i < 1024; i++ {
 		sp := tr.Begin(0)
 		sp.SetID("fill")

@@ -55,7 +55,7 @@ const (
 	StageClassify                     // snapshot predict; labeled tweets: also train + prequential record
 	StageObserve                      // userstate Observe fold
 	StageVerdict                      // session/escalation fan-out + alerting
-	StageEmit                         // SSE hub publish (subset-free: excluded from Verdict)
+	StageEmit                         // alert and verdict sinks (SSE hub publish; excluded from Verdict)
 	StageExecutorRTT                  // cluster: share round trips through response decode, wall time
 	StageExecutorCompute              // cluster: executor-reported share compute (⊆ RTT)
 	StageMerge                        // cluster: statistics + accumulator merge, AbsorbBatch
@@ -89,9 +89,6 @@ func (s Stage) String() string {
 
 // Config configures a Tracer.
 type Config struct {
-	// Enabled gates the whole layer; when false New returns nil, which
-	// every method treats as "tracing off".
-	Enabled bool
 	// Shards is the number of independent single-producer rings (one per
 	// pipeline shard; the cluster driver uses 1). Default 1.
 	Shards int
@@ -160,12 +157,9 @@ type Tracer struct {
 	totalHist *metrics.Histogram
 }
 
-// New builds a tracer, or returns nil when cfg.Enabled is false (the
-// universal "tracing off" value).
+// New builds a tracer. Callers that trace nothing hold a nil *Tracer,
+// the universal "tracing off" value.
 func New(cfg Config) *Tracer {
-	if !cfg.Enabled {
-		return nil
-	}
 	cfg = cfg.withDefaults()
 	t := &Tracer{
 		cfg:    cfg,

@@ -39,14 +39,8 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	sp.Finish()
 }
 
-func TestNewDisabledReturnsNil(t *testing.T) {
-	if New(Config{}) != nil {
-		t.Fatal("New with Enabled=false should return nil")
-	}
-}
-
 func TestSpanLifecycleAndStageAccounting(t *testing.T) {
-	tr := New(Config{Enabled: true, Shards: 2, SlowBudget: -1})
+	tr := New(Config{Shards: 2, SlowBudget: -1})
 	sp := tr.Begin(1)
 	if sp == nil {
 		t.Fatal("Begin returned nil on enabled tracer")
@@ -107,7 +101,7 @@ func TestSpanLifecycleAndStageAccounting(t *testing.T) {
 // AddExclusive must keep the breakdown disjoint: time attributed to the
 // nested stage is carved out of the enclosing open stage.
 func TestAddExclusiveKeepsStagesDisjoint(t *testing.T) {
-	tr := New(Config{Enabled: true, SlowBudget: -1})
+	tr := New(Config{SlowBudget: -1})
 	sp := tr.Begin(0)
 	sp.BeginStage(StageVerdict)
 	time.Sleep(2 * time.Millisecond)
@@ -127,7 +121,7 @@ func TestAddExclusiveKeepsStagesDisjoint(t *testing.T) {
 
 func TestSlowCaptureAndHandlers(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := New(Config{Enabled: true, SlowBudget: time.Nanosecond, Registry: reg})
+	tr := New(Config{SlowBudget: time.Nanosecond, Registry: reg})
 	sp := tr.Begin(0)
 	sp.SetID("slowpoke")
 	sp.BeginStage(StageClassify)
@@ -136,7 +130,7 @@ func TestSlowCaptureAndHandlers(t *testing.T) {
 	sp.Finish()
 
 	// A fast-budget tracer never marks spans slow.
-	fast := New(Config{Enabled: true, SlowBudget: -1})
+	fast := New(Config{SlowBudget: -1})
 	fsp := fast.Begin(0)
 	fsp.Finish()
 	if fast.SlowSpans() != 0 {
@@ -188,7 +182,7 @@ func TestSlowCaptureAndHandlers(t *testing.T) {
 }
 
 func TestAbortDoesNotRecord(t *testing.T) {
-	tr := New(Config{Enabled: true})
+	tr := New(Config{})
 	sp := tr.Begin(0)
 	sp.BeginStage(StageQueue)
 	tr.Abort(sp)
@@ -207,7 +201,7 @@ func TestAbortDoesNotRecord(t *testing.T) {
 }
 
 func TestSetIDTruncates(t *testing.T) {
-	tr := New(Config{Enabled: true, SlowBudget: -1})
+	tr := New(Config{SlowBudget: -1})
 	long := "0123456789012345678901234567890123456789-overflow"
 	sp := tr.Begin(0)
 	sp.SetID(long)
@@ -222,7 +216,7 @@ func TestSetIDTruncates(t *testing.T) {
 // lifecycle on the steady state performs zero heap allocations.
 func TestSpanLifecycleZeroAllocs(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := New(Config{Enabled: true, Shards: 1, SlowBudget: -1, Registry: reg})
+	tr := New(Config{Shards: 1, SlowBudget: -1, Registry: reg})
 	// Warm the pool and histogram families.
 	for i := 0; i < 8; i++ {
 		sp := tr.Begin(0)
@@ -261,7 +255,7 @@ func TestStageStringAndBounds(t *testing.T) {
 		t.Fatal("out-of-range stage should stringify to unknown")
 	}
 	// Out-of-range shard clamps to 0 rather than panicking.
-	tr := New(Config{Enabled: true, Shards: 2})
+	tr := New(Config{Shards: 2})
 	sp := tr.Begin(99)
 	sp.Finish()
 	if tr.Spans() != 1 {

@@ -17,7 +17,6 @@ import (
 func TestConcurrentProducersAndReaders(t *testing.T) {
 	const shards = 4
 	tr := New(Config{
-		Enabled:    true,
 		Shards:     shards,
 		SlowBudget: time.Nanosecond,
 		Registry:   metrics.NewRegistry(),

@@ -165,7 +165,7 @@ func TestReservoirDeterminism(t *testing.T) {
 // the same seed expose identical exemplar trace IDs.
 func TestTracerExemplarDeterminism(t *testing.T) {
 	run := func() []uint64 {
-		tr := New(Config{Enabled: true, SlowBudget: -1, exemplars: 3, seed: 7})
+		tr := New(Config{SlowBudget: -1, exemplars: 3, seed: 7})
 		for i := 0; i < 200; i++ {
 			sp := tr.Begin(0)
 			sp.SetID("d")

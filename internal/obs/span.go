@@ -92,8 +92,8 @@ func (sp *Span) Add(s Stage, d time.Duration) {
 
 // AddExclusive attributes d to stage s and excludes it from the currently
 // open stage by advancing that stage's start, keeping the breakdown
-// disjoint. The serve layer uses it to carve SSE emit time out of the
-// verdict fan-out stage it is nested inside.
+// disjoint. The pipeline uses it to carve a snapshot compile out of the
+// stage that paid for it.
 //
 //redvet:noalloc gate=SpanLifecycle
 func (sp *Span) AddExclusive(s Stage, d time.Duration) {

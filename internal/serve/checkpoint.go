@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -28,8 +29,9 @@ func shardFile(i int) string { return fmt.Sprintf("shard-%04d.ckpt", i) }
 // Checkpoint writes every shard's learned state into dir (created if
 // needed). Call it after Drain so no shard is mid-tweet.
 //
-// Every file is written to a temporary name and renamed into place, with
-// the manifest renamed last, so a crash mid-checkpoint never truncates the
+// Every file is written to a temporary name, synced and renamed into
+// place, with the manifest renamed last and the directory synced after
+// it, so a crash or power loss mid-checkpoint never truncates the
 // previous checkpoint's files (the narrow rename window can at worst mix
 // shard generations, not corrupt them).
 func (s *Server) Checkpoint(dir string) error {
@@ -37,20 +39,7 @@ func (s *Server) Checkpoint(dir string) error {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	for _, sh := range s.shards {
-		path := filepath.Join(dir, shardFile(sh.id))
-		f, err := os.Create(path + ".tmp")
-		if err != nil {
-			return fmt.Errorf("serve: checkpoint shard %d: %w", sh.id, err)
-		}
-		err = sh.p.Checkpoint(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(path+".tmp", path)
-		}
-		if err != nil {
-			os.Remove(path + ".tmp")
+		if err := writeSynced(filepath.Join(dir, shardFile(sh.id)), sh.p.Checkpoint); err != nil {
 			return fmt.Errorf("serve: checkpoint shard %d: %w", sh.id, err)
 		}
 	}
@@ -59,18 +48,51 @@ func (s *Server) Checkpoint(dir string) error {
 		Model:   s.opts.Pipeline.Model.String(),
 		Classes: s.opts.Pipeline.Scheme.NumClasses(),
 	}
-	blob, err := json.MarshalIndent(m, "", "  ")
+	err := writeSynced(filepath.Join(dir, manifestName), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
+	if err == nil {
+		err = syncDir(dir)
+	}
 	if err != nil {
 		return fmt.Errorf("serve: checkpoint manifest: %w", err)
 	}
-	mpath := filepath.Join(dir, manifestName)
-	if err := os.WriteFile(mpath+".tmp", blob, 0o644); err != nil {
-		return fmt.Errorf("serve: checkpoint manifest: %w", err)
-	}
-	if err := os.Rename(mpath+".tmp", mpath); err != nil {
-		return fmt.Errorf("serve: checkpoint manifest: %w", err)
-	}
 	return nil
+}
+
+// writeSynced writes path through a temporary file that is synced before
+// it is renamed over path, so the name never points at unwritten data.
+func writeSynced(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		os.Remove(path + ".tmp")
+	}
+	return err
+}
+
+// syncDir makes the renames into dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // read-only: the Sync error is the one that matters
+	return d.Sync()
 }
 
 // Restore loads a checkpoint directory written by Checkpoint into this

@@ -187,7 +187,7 @@ func TestMetricsCatalogue(t *testing.T) {
 
 	opts := testOptions()
 	opts.Shards = 2
-	opts.Trace = obs.Config{Enabled: true}
+	opts.Trace = true
 	l, err := ingestlog.Open(ingestlog.Options{Dir: t.TempDir(), Partitions: opts.Shards, Fsync: ingestlog.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)

@@ -49,11 +49,11 @@ type Options struct {
 	QueueDepth int
 	// Registry receives the server's metrics (default metrics.Default()).
 	Registry *metrics.Registry
-	// Trace configures the per-tweet stage tracing layer (internal/obs).
-	// Trace.Shards is overridden with the server's shard count and
-	// Trace.Registry defaults to the server registry; when Trace.Enabled is
-	// false the tracer is nil and every span operation is a no-op.
-	Trace obs.Config
+	// Trace turns on the per-tweet stage tracing layer (internal/obs): one
+	// ring per shard, stage histograms in Registry, and slow capture of
+	// spans over the tracer's default 25 ms budget. When false the tracer
+	// is nil and every span operation is a no-op.
+	Trace bool
 	// Log, when set, turns ingestion into a write-ahead path: every
 	// accepted tweet is appended to its shard's log partition before it is
 	// enqueued, and Replay restores unapplied records after a crash. The
@@ -61,6 +61,10 @@ type Options struct {
 	// hash); NewServer panics on a mismatch since running with broken
 	// affinity would corrupt replay. The server does not close the log.
 	Log *ingestlog.Log
+
+	// slowBudget replaces the 25 ms slow budget when non-zero (negative
+	// disables slow capture); only in-package tests set it.
+	slowBudget time.Duration
 }
 
 // DefaultServerOptions returns the paper-default pipeline behind 4 shards.
@@ -190,37 +194,6 @@ func (s *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// emitTimer wraps the SSE hub as the shard's alert/verdict sink so the
-// time spent publishing lands in the span's emit stage, carved out of the
-// enclosing verdict stage. Sinks run synchronously inside the pipeline's
-// mutation section, so the triggering tweet's span is the pipeline's
-// ActiveSpan — on the batched drain path the shard-level "current job"
-// is ambiguous, but the pipeline always knows whose effects are being
-// applied. With tracing off the shard subscribes the hub directly and
-// this wrapper is not in the path.
-type emitTimer struct {
-	sh  *shard
-	hub *alertHub
-}
-
-func (e *emitTimer) HandleAlert(a core.Alert) {
-	start := time.Now()
-	e.hub.HandleAlert(a)
-	e.sh.p.ActiveSpan().AddExclusive(obs.StageEmit, time.Since(start))
-}
-
-func (e *emitTimer) HandleSession(v core.SessionVerdict) {
-	start := time.Now()
-	e.hub.HandleSession(v)
-	e.sh.p.ActiveSpan().AddExclusive(obs.StageEmit, time.Since(start))
-}
-
-func (e *emitTimer) HandleEscalation(v core.EscalationVerdict) {
-	start := time.Now()
-	e.hub.HandleEscalation(v)
-	e.sh.p.ActiveSpan().AddExclusive(obs.StageEmit, time.Since(start))
-}
-
 // Server fronts the sharded pipelines over HTTP. It implements
 // http.Handler; pass it to http.Server or httptest directly.
 type Server struct {
@@ -310,13 +283,8 @@ func newServer(opts Options, start bool) *Server {
 			"End-to-end /v1/classify request latency by terminal outcome.",
 			nil, metrics.Labels{"outcome": outcome})
 	}
-	if opts.Trace.Enabled {
-		cfg := opts.Trace
-		cfg.Shards = opts.Shards
-		if cfg.Registry == nil {
-			cfg.Registry = reg
-		}
-		s.tracer = obs.New(cfg)
+	if opts.Trace {
+		s.tracer = obs.New(obs.Config{Shards: opts.Shards, SlowBudget: opts.slowBudget, Registry: reg})
 	}
 	pipelines := make([]*core.Pipeline, 0, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
@@ -329,14 +297,8 @@ func newServer(opts Options, start bool) *Server {
 			drainSize: reg.Histogram("redhanded_shard_drain_batch",
 				"Tweets drained per shard-loop batch.", drainBuckets, labels),
 		}
-		if s.tracer != nil {
-			et := &emitTimer{sh: sh, hub: s.hub}
-			sh.p.Alerter().Subscribe(et)
-			sh.p.SubscribeVerdicts(et)
-		} else {
-			sh.p.Alerter().Subscribe(s.hub)
-			sh.p.SubscribeVerdicts(s.hub)
-		}
+		sh.p.Alerter().Subscribe(s.hub)
+		sh.p.SubscribeVerdicts(s.hub)
 		q := sh.queue
 		// The closure captures only the channel; a replacement server with
 		// the same shard count takes the series over via re-registration.

@@ -17,7 +17,7 @@ import (
 // breakdown — the tentpole acceptance criterion.
 func TestTraceSlowEndpointReturnsFullBreakdown(t *testing.T) {
 	opts := testOptions()
-	opts.Trace = obs.Config{Enabled: true, SlowBudget: time.Nanosecond}
+	opts.Trace, opts.slowBudget = true, time.Nanosecond
 	s := NewServer(opts)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -108,7 +108,7 @@ func TestTraceEndpointsDisabled(t *testing.T) {
 	defer s.Drain(context.Background())
 
 	if s.Tracer() != nil {
-		t.Fatal("tracer should be nil when Trace.Enabled is false")
+		t.Fatal("tracer should be nil when Trace is false")
 	}
 	for _, path := range []string{"/v1/trace", "/v1/trace/slow"} {
 		r, err := http.Get(ts.URL + path)
@@ -134,7 +134,7 @@ func TestTraceEndpointsDisabled(t *testing.T) {
 // without inflating the verdict stage.
 func TestTraceIngestAndEmitAttribution(t *testing.T) {
 	opts := testOptions()
-	opts.Trace = obs.Config{Enabled: true, SlowBudget: -1}
+	opts.Trace, opts.slowBudget = true, -1
 	s := NewServer(opts)
 	ts := httptest.NewServer(s)
 	defer ts.Close()

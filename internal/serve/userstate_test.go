@@ -88,7 +88,6 @@ func TestEscalationAndSessionSSE(t *testing.T) {
 		Escalation: userstate.EscalationConfig{
 			Threshold: 0.3, MinTweets: 6, MinSpan: 20 * time.Minute, Cooldown: 10 * time.Minute,
 		},
-		RingSize: 8,
 	}
 	s := NewServer(opts)
 	defer s.Drain(context.Background())

@@ -13,7 +13,7 @@ func swears(t *testing.T, s string) [2]float64 {
 	t.Helper()
 	var n [2]float64
 	for i, preprocess := range []bool{true, false} {
-		e := feature.NewExtractor(feature.Config{Preprocess: preprocess, BoW: feature.DefaultBoWConfig()})
+		e := feature.NewExtractor(feature.Config{Preprocess: preprocess})
 		n[i] = e.Extract(&twitterdata.Tweet{Text: s})[feature.CntSwearWords]
 	}
 	return n

@@ -12,7 +12,7 @@ import (
 
 // rawExtractor scores under p=OFF, where the sentiment step sees every raw
 // field of the text: emoticons, punctuation and '!' included.
-var rawExtractor = feature.NewExtractor(feature.Config{BoW: feature.DefaultBoWConfig()})
+var rawExtractor = feature.NewExtractor(feature.Config{})
 
 // analyze scores one text through the lexicon and the Stepper, as the
 // feature extractor resolves its words.
@@ -227,7 +227,7 @@ func elongated(s string) bool {
 // p=ON exactly the emoticons text cleaning leaves intact (letters only) do,
 // and the rest score neutral.
 func TestLetterEmoticons(t *testing.T) {
-	cleaned := feature.NewExtractor(feature.Config{Preprocess: true, BoW: feature.DefaultBoWConfig()})
+	cleaned := feature.NewExtractor(feature.Config{Preprocess: true})
 	for e, v := range sentiment.Emoticons() {
 		want := sentiment.Score{Positive: max(1, v), Negative: min(-1, v)}
 		if got := analyze(t, e); got != want {

@@ -14,10 +14,10 @@ import (
 // escalation spans of a few minutes, and a suspension at the third alert.
 func alertPairConfig(sweep int) Config {
 	return Config{
-		Shards:          2,
+		shards:          2,
 		MaxUsers:        8,
 		TTL:             10 * time.Minute,
-		RingSize:        8,
+		ringSize:        8,
 		Session:         SessionConfig{Window: 5 * time.Minute, MinTweets: 3, AggressiveShare: 0.5},
 		Escalation:      EscalationConfig{Threshold: 0.4, MinTweets: 4, MinSpan: 6 * time.Minute, Cooldown: 5 * time.Minute},
 		sweepPerObserve: sweep,

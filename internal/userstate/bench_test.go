@@ -23,7 +23,7 @@ func benchIDs(n int) []string {
 // contended figure; b.RunParallel spreads the users across goroutines so
 // every shard stripe stays busy.
 func BenchmarkUserstateObserve(b *testing.B) {
-	s := New(Config{Shards: 64, MaxUsers: 100_000})
+	s := New(Config{shards: 64, MaxUsers: 100_000})
 	ids := benchIDs(1_000_000)
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	var next atomic.Int64
@@ -46,7 +46,7 @@ func BenchmarkUserstateObserve(b *testing.B) {
 // small working set of users that always hit existing records (session
 // window + EWMA updates, no inserts or evictions).
 func BenchmarkUserstateObserveHot(b *testing.B) {
-	s := New(Config{Shards: 64, MaxUsers: 100_000})
+	s := New(Config{shards: 64, MaxUsers: 100_000})
 	ids := benchIDs(4096)
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	var next atomic.Int64
@@ -72,7 +72,7 @@ func BenchmarkUserstateObserveHot(b *testing.B) {
 // observation, so the sweep retires one idle record for each one inserted
 // and the store holds about a day of users (1 440).
 func BenchmarkUserstateObserveChurn(b *testing.B) {
-	s := New(Config{Shards: 16})
+	s := New(Config{shards: 16})
 	ids := benchIDs(1 << 16)
 	names := make([]string, len(ids))
 	for i := range names {
@@ -103,7 +103,7 @@ func TestObserveResidentUserZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	s := New(Config{Shards: 4})
+	s := New(Config{shards: 4})
 	ids := benchIDs(16)
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	i := 0
@@ -150,8 +150,8 @@ func TestObserveChurnZeroAlloc(t *testing.T) {
 		cfg  Config
 		step time.Duration
 	}{
-		{name: "ttl", cfg: Config{Shards: 4}, step: time.Hour},
-		{name: "cap", cfg: Config{Shards: 4, MaxUsers: 64, TTL: -1}, step: time.Second},
+		{name: "ttl", cfg: Config{shards: 4}, step: time.Hour},
+		{name: "cap", cfg: Config{shards: 4, MaxUsers: 64, TTL: -1}, step: time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(tc.cfg)
@@ -193,7 +193,7 @@ func TestObserveChurnZeroAlloc(t *testing.T) {
 // BenchmarkUserstateLookup measures read-side snapshots against a
 // populated store.
 func BenchmarkUserstateLookup(b *testing.B) {
-	s := New(Config{Shards: 64})
+	s := New(Config{shards: 64})
 	ids := benchIDs(100_000)
 	at := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	for i, id := range ids {
@@ -216,7 +216,7 @@ func BenchmarkUserstateLookup(b *testing.B) {
 // only thing that differs between sizes, so the per-observation cost
 // ratio large/small is the window's scaling law.
 func observeWindowLoop(entries int) func() {
-	s := New(Config{Shards: 1})
+	s := New(Config{shards: 1})
 	gap := int64(s.cfg.Session.Window) / int64(entries)
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC).UnixNano()
 	i := int64(0)

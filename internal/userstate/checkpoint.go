@@ -261,7 +261,7 @@ func (s *Store) load(dst *stripe, i int, st *shardState) error {
 	if st.Hand < 0 || st.Hand > len(st.Records) {
 		return fmt.Errorf("userstate: shard %d hand %d out of range", i, st.Hand)
 	}
-	*dst = stripe{slab: slab{ringLen: s.cfg.RingSize}, hand: st.Hand, maxTime: st.MaxTime}
+	*dst = stripe{slab: slab{ringLen: s.cfg.ringSize}, hand: st.Hand, maxTime: st.MaxTime}
 	for _, rs := range st.Records {
 		if rs.ID == "" {
 			return fmt.Errorf("userstate: shard %d has a record without a user ID", i)
@@ -273,7 +273,7 @@ func (s *Store) load(dst *stripe, i int, st *shardState) error {
 		if dst.index.find(h, rs.ID, &dst.slab) != noRec {
 			return fmt.Errorf("userstate: shard %d holds user %q twice", i, rs.ID)
 		}
-		if len(rs.Recent) != s.cfg.RingSize || rs.RecentN < 0 || rs.RecentN > len(rs.Recent) ||
+		if len(rs.Recent) != s.cfg.ringSize || rs.RecentN < 0 || rs.RecentN > len(rs.Recent) ||
 			rs.RecentPos < 0 || rs.RecentPos >= len(rs.Recent) {
 			return fmt.Errorf("userstate: shard %d record %q has a malformed verdict ring", i, rs.ID)
 		}

@@ -13,10 +13,10 @@ import (
 // the equivalence tests: 4 shards, tight cap, short TTL, escalation on.
 func streamConfig() Config {
 	return Config{
-		Shards:   4,
+		shards:   4,
 		MaxUsers: 400,
 		TTL:      6 * time.Hour,
-		RingSize: 8,
+		ringSize: 8,
 		Session:  SessionConfig{Window: time.Hour, MinTweets: 3, AggressiveShare: 0.5},
 		Escalation: EscalationConfig{
 			Threshold: 0.4, MinTweets: 6, MinSpan: 90 * time.Minute, Cooldown: time.Hour,
@@ -176,7 +176,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("shard mismatch", func(t *testing.T) {
-		other := New(Config{Shards: 8})
+		other := New(Config{shards: 8})
 		if err := other.UnmarshalBinary(blob); err == nil {
 			t.Fatalf("shard-count mismatch accepted")
 		}
@@ -268,7 +268,7 @@ func TestCheckpointRejectsImpossibleShards(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Shards: tc.shards})
+			s := New(Config{shards: tc.shards})
 			s.Observe(obs("resident", base, true, 0.9))
 			if err := s.UnmarshalBinary(blob(tc.bad...)); err == nil {
 				t.Fatalf("restored a shard that holds an impossible record (Len %d)", s.Len())

@@ -20,7 +20,7 @@ func TestBoundedUnderMillionUsers(t *testing.T) {
 	const maxUsers = 100_000
 
 	s := New(Config{
-		Shards:   64,
+		shards:   64,
 		MaxUsers: maxUsers,
 		TTL:      24 * time.Hour,
 	})

@@ -13,7 +13,7 @@ import (
 // every mid-flight checkpoint decoding cleanly into a fresh store.
 func TestConcurrentObserveLookupCheckpoint(t *testing.T) {
 	s := New(Config{
-		Shards:   8,
+		shards:   8,
 		MaxUsers: 2000,
 		Session:  SessionConfig{Window: time.Hour, MinTweets: 3, AggressiveShare: 0.5},
 	})
@@ -81,7 +81,7 @@ func TestConcurrentObserveLookupCheckpoint(t *testing.T) {
 				t.Errorf("checkpoint under load: %v", err)
 				return
 			}
-			fresh := New(s.Config())
+			fresh := New(s.cfg)
 			if err := fresh.UnmarshalBinary(blob); err != nil {
 				t.Errorf("restore of mid-flight checkpoint: %v", err)
 				return
@@ -101,7 +101,7 @@ func TestConcurrentObserveLookupCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := New(s.Config())
+	fresh := New(s.cfg)
 	if err := fresh.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestConcurrentObserveLookupCheckpoint(t *testing.T) {
 // stripe free leaves LockWaits at zero; one that has to wait for it is
 // counted once, with the time it blocked.
 func TestLockWaitsCountOnlyContendedAcquires(t *testing.T) {
-	s := New(Config{Shards: 1})
+	s := New(Config{shards: 1})
 	at := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	s.Observe(obs("free", at, false, 0.9))
 	if n, waited := s.LockWaits(); n != 0 || waited != 0 {

@@ -116,64 +116,61 @@ func (c EscalationConfig) withDefaults(session SessionConfig) EscalationConfig {
 	return c
 }
 
-// Config tunes a Store. The zero value resolves to 16 shards, an
-// unbounded user count, a 24-hour idle TTL, and the default session and
-// escalation parameters.
+// Config tunes a Store. The zero value resolves to an unbounded user
+// count, a 24-hour idle TTL, and the default session and escalation
+// parameters.
 type Config struct {
-	// Shards is the lock-stripe count, rounded up to a power of two
-	// (default 16).
-	Shards int
 	// MaxUsers caps the number of tracked records across all shards
-	// (0 = unbounded). The cap is enforced per shard (MaxUsers/Shards)
-	// with CLOCK eviction on insert; a cap below Shards shrinks the
-	// stripe count so the budget is never exceeded.
+	// (0 = unbounded). The cap is enforced per shard (MaxUsers/stripes)
+	// with CLOCK eviction on insert; a cap below the stripe count shrinks
+	// the stripe count so the budget is never exceeded.
 	MaxUsers int
 	// TTL retires records idle longer than this, measured in event time
 	// against the newest observation the record's shard has seen
 	// (default 24h; negative disables the sweep).
 	TTL time.Duration
-	// RingSize is the per-user last-N verdict ring length feeding the
-	// escalation trend check (default 16).
-	RingSize int
 	// Session tunes the sliding session window.
 	Session SessionConfig
 	// Escalation tunes the cross-session escalation detector.
 	Escalation EscalationConfig
 
-	// sweepPerObserve replaces observeSweep when non-zero; only
-	// in-package tests set it.
-	sweepPerObserve int
+	// shards (rounded up to a power of two), ringSize and sweepPerObserve
+	// replace stripeCount, verdictRing and observeSweep when non-zero; only
+	// in-package tests set them.
+	shards, ringSize, sweepPerObserve int
 }
 
-// observeSweep is how many CLOCK-ring slots each Observe examines for
-// expired records — the amortized alternative to a stop-the-world prune.
-const observeSweep = 2
+// The store's fixed tuning. stripeCount is the lock-stripe count (a power of
+// two, so shard selection is a mask). verdictRing is the per-user last-N
+// verdict ring feeding the escalation trend check. observeSweep is how
+// many CLOCK-ring slots each Observe examines for expired records — the
+// amortized alternative to a stop-the-world prune.
+const (
+	stripeCount  = 16
+	verdictRing  = 16
+	observeSweep = 2
+)
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	// Round up to a power of two so shard selection is a mask.
 	n := 1
-	for n < c.Shards {
+	for n < cmp.Or(c.shards, stripeCount) {
 		n <<= 1
 	}
-	c.Shards = n
+	c.shards = n
 	// A cap below the stripe count cannot be enforced per shard without
 	// overshooting; shrink the stripe count (largest power of two <= cap)
 	// so the sum of per-shard caps never exceeds MaxUsers.
 	if c.MaxUsers > 0 {
-		for c.Shards > 1 && c.MaxUsers < c.Shards {
-			c.Shards >>= 1
+		for c.shards > 1 && c.MaxUsers < c.shards {
+			c.shards >>= 1
 		}
 	}
 	if c.TTL == 0 {
 		c.TTL = 24 * time.Hour
 	}
+	c.ringSize = cmp.Or(c.ringSize, verdictRing)
 	c.sweepPerObserve = cmp.Or(c.sweepPerObserve, observeSweep)
-	if c.RingSize <= 0 {
-		c.RingSize = 16
-	}
 	c.Session = c.Session.withDefaults()
 	c.Escalation = c.Escalation.withDefaults(c.Session)
 	return c
@@ -379,8 +376,8 @@ func New(cfg Config) *Store {
 	cfg = cfg.withDefaults()
 	s := &Store{
 		cfg:     cfg,
-		mask:    uint64(cfg.Shards - 1),
-		shards:  make([]*shard, cfg.Shards),
+		mask:    uint64(cfg.shards - 1),
+		shards:  make([]*shard, cfg.shards),
 		window:  int64(cfg.Session.Window),
 		sessCd:  int64(cfg.Session.Cooldown),
 		minSpan: int64(cfg.Escalation.MinSpan),
@@ -390,18 +387,15 @@ func New(cfg Config) *Store {
 		s.ttl = int64(cfg.TTL)
 	}
 	if cfg.MaxUsers > 0 {
-		// withDefaults guarantees Shards <= MaxUsers, so perCap >= 1 and
-		// perCap*Shards <= MaxUsers: the process-wide cap holds exactly.
-		s.perCap = cfg.MaxUsers / cfg.Shards
+		// withDefaults guarantees shards <= MaxUsers, so perCap >= 1 and
+		// perCap*shards <= MaxUsers: the process-wide cap holds exactly.
+		s.perCap = cfg.MaxUsers / cfg.shards
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{stripe: stripe{slab: slab{ringLen: cfg.RingSize}}}
+		s.shards[i] = &shard{stripe: stripe{slab: slab{ringLen: cfg.ringSize}}}
 	}
 	return s
 }
-
-// Config returns the resolved configuration.
-func (s *Store) Config() Config { return s.cfg }
 
 // fnv64a is the user-ID hash: its low bits choose the shard, and the
 // shard's index takes the home slot from the rest.

@@ -197,7 +197,7 @@ func TestEscalationRequiresSpan(t *testing.T) {
 
 func TestEscalationRequiresNonDecayingTrend(t *testing.T) {
 	s := New(Config{
-		RingSize:   8,
+		ringSize:   8,
 		Escalation: EscalationConfig{Threshold: 0.2, MinTweets: 5, MinSpan: time.Hour},
 	})
 	// Aggressive early, then a clean streak filling the newer half of the
@@ -239,7 +239,7 @@ func TestEscalationDisabled(t *testing.T) {
 }
 
 func TestCapEvictionKeepsHotUsers(t *testing.T) {
-	s := New(Config{Shards: 1, MaxUsers: 100, TTL: -1})
+	s := New(Config{shards: 1, MaxUsers: 100, TTL: -1})
 	// One hot user observed between every batch of cold users: the CLOCK
 	// reference bit must keep them resident.
 	for i := 0; i < 5000; i++ {
@@ -258,7 +258,7 @@ func TestCapEvictionKeepsHotUsers(t *testing.T) {
 }
 
 func TestTTLSweepAmortized(t *testing.T) {
-	s := New(Config{Shards: 1, TTL: time.Hour, sweepPerObserve: 4})
+	s := New(Config{shards: 1, TTL: time.Hour, sweepPerObserve: 4})
 	// 50 users at t0, then one active user advancing the clock far past
 	// the TTL: the sweep inside Observe must retire the idle records.
 	for i := 0; i < 50; i++ {
@@ -283,7 +283,7 @@ func TestTTLSweepAmortized(t *testing.T) {
 // goes, the late author's record moves into b's slot, and the sweep
 // reaches it there.
 func TestSweepSparesTheObservedUser(t *testing.T) {
-	s := New(Config{Shards: 1, TTL: time.Hour})
+	s := New(Config{shards: 1, TTL: time.Hour})
 	s.Observe(obs("a", base, false, 0.5))
 	s.Observe(obs("b", base, false, 0.5))
 	s.Observe(obs("z", base.Add(10*time.Hour), false, 0.5))
@@ -324,7 +324,7 @@ func TestEmptyUserIgnored(t *testing.T) {
 }
 
 func TestSnapshotAggregates(t *testing.T) {
-	s := New(Config{RingSize: 4})
+	s := New(Config{ringSize: 4})
 	at := base
 	for i := 0; i < 6; i++ {
 		at = at.Add(10 * time.Second)
@@ -356,11 +356,11 @@ func TestSnapshotAggregates(t *testing.T) {
 }
 
 func TestShardsRoundedToPowerOfTwo(t *testing.T) {
-	s := New(Config{Shards: 9})
-	if got := s.Config().Shards; got != 16 {
+	s := New(Config{shards: 9})
+	if got := s.cfg.shards; got != 16 {
 		t.Fatalf("shards = %d, want 16", got)
 	}
-	if s.Config().MaxUsers != 0 {
+	if s.cfg.MaxUsers != 0 {
 		t.Fatalf("default MaxUsers should be unbounded")
 	}
 }
@@ -369,7 +369,7 @@ func TestLookupDoesNotPerturbEviction(t *testing.T) {
 	// Two stores fed identically, one with heavy Lookup traffic in
 	// between: eviction decisions must match exactly.
 	mk := func(lookups bool) []string {
-		s := New(Config{Shards: 1, MaxUsers: 20, TTL: -1})
+		s := New(Config{shards: 1, MaxUsers: 20, TTL: -1})
 		for i := 0; i < 500; i++ {
 			s.Observe(obs(fmt.Sprintf("u%d", i%60), base.Add(time.Duration(i)*time.Second), false, 0.1))
 			if lookups {
@@ -400,9 +400,9 @@ func TestLookupDoesNotPerturbEviction(t *testing.T) {
 func TestSmallCapNeverExceeded(t *testing.T) {
 	// A cap below the stripe count shrinks the stripes instead of
 	// overshooting: 10 users means at most 10 records, not one per shard.
-	s := New(Config{Shards: 16, MaxUsers: 10, TTL: -1})
-	if s.Config().Shards > 10 {
-		t.Fatalf("stripes not shrunk: %d shards for a 10-user cap", s.Config().Shards)
+	s := New(Config{shards: 16, MaxUsers: 10, TTL: -1})
+	if s.cfg.shards > 10 {
+		t.Fatalf("stripes not shrunk: %d shards for a 10-user cap", s.cfg.shards)
 	}
 	for i := 0; i < 1000; i++ {
 		s.Observe(obs(fmt.Sprintf("u%d", i), base.Add(time.Duration(i)*time.Second), false, 0.1))
@@ -416,7 +416,7 @@ func TestSuspendedSurviveEvictionPressure(t *testing.T) {
 	// Suspension is the costliest state to forget: suspended records are
 	// skipped by the TTL sweep and passed over by CLOCK eviction while
 	// any other victim exists.
-	s := New(Config{Shards: 1, MaxUsers: 50, TTL: time.Hour, sweepPerObserve: 4})
+	s := New(Config{shards: 1, MaxUsers: 50, TTL: time.Hour, sweepPerObserve: 4})
 	for i := 0; i < 10; i++ {
 		for k := 0; k < 3; k++ {
 			s.Observe(Observation{
@@ -440,7 +440,7 @@ func TestSuspendedSurviveEvictionPressure(t *testing.T) {
 	}
 	// A ring made entirely of suspended users still evicts: the memory
 	// bound always wins.
-	full := New(Config{Shards: 1, MaxUsers: 4, TTL: -1})
+	full := New(Config{shards: 1, MaxUsers: 4, TTL: -1})
 	for i := 0; i < 20; i++ {
 		full.Observe(Observation{
 			UserID: fmt.Sprintf("s%d", i), At: base.Add(time.Duration(i) * time.Second),

@@ -72,7 +72,7 @@ func (u *naiveUser) share() (share float64, aggr int, confSum float64) {
 // with whatever window array they last held.
 func windowFuzzConfig() Config {
 	return Config{
-		Shards:   1,
+		shards:   1,
 		MaxUsers: 3,
 		TTL:      64 * time.Second,
 		Session:  SessionConfig{Window: 16 * time.Second, MinTweets: 3, AggressiveShare: 0.5, Cooldown: 8 * time.Second},
@@ -90,7 +90,7 @@ func runWindowOps(t *testing.T, ops []byte) {
 	}
 	cfg := windowFuzzConfig()
 	s := New(cfg)
-	session := s.Config().Session
+	session := s.cfg.Session
 	oracle := map[string]*naiveUser{}
 	now := base
 	for i := 0; i+4 <= len(ops); i += 4 {
@@ -253,7 +253,7 @@ func FuzzSessionWindowMatchesNaive(f *testing.F) {
 // expires, the window's array is given back rather than held at its
 // high-water mark, and in steady state the array stops growing.
 func TestWindowArrayTracksLiveWindow(t *testing.T) {
-	s := New(Config{Shards: 1})
+	s := New(Config{shards: 1})
 	at := base
 	observe := func(step time.Duration) *record {
 		at = at.Add(step)
