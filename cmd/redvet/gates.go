@@ -122,10 +122,7 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/obs.(*Tracer).Begin",
 			"redhanded/internal/obs.(*Tracer).finish",
 			"redhanded/internal/obs.(*Tracer).now",
-			"redhanded/internal/obs.(*reservoir).next",
-			"redhanded/internal/obs.(*reservoir).offer",
 			"redhanded/internal/obs.(*ring).append",
-			"redhanded/internal/obs.(*slowRing).append",
 			"redhanded/internal/obs.encodeEntry",
 		},
 	},

@@ -137,7 +137,7 @@ func main() {
 			rep.Accuracy, rep.Precision, rep.Recall, rep.F1)
 	}
 	if tracer != nil {
-		sum := tracer.Snapshot(0)
+		sum := tracer.Snapshot()
 		fmt.Printf("trace: %d batch spans (%d slow, budget %s)\n",
 			sum.Spans, sum.SlowSpans, time.Duration(sum.SlowBudgetNanos))
 		for _, st := range sum.Stages {

@@ -7,10 +7,10 @@ import (
 	"redhanded/internal/metrics"
 )
 
-// BenchmarkSpanLifecycle measures the full per-tweet tracing cost: begin,
-// six stage transitions, finish (encode + ring + reservoir + histograms).
-// This is the overhead tracing adds to a pipeline Process call; it must
-// report 0 allocs/op.
+// BenchmarkSpanLifecycle measures the per-tweet tracing cost of a span
+// within budget: begin, six stage transitions, finish (histograms). This is
+// the overhead tracing adds to a pipeline Process call; it must report 0
+// allocs/op.
 func BenchmarkSpanLifecycle(b *testing.B) {
 	tr := New(Config{SlowBudget: -1, Registry: metrics.NewRegistry()})
 	b.ReportAllocs()
@@ -45,17 +45,20 @@ func BenchmarkSpanLifecycleDisabled(b *testing.B) {
 	}
 }
 
-func BenchmarkRingSnapshot(b *testing.B) {
-	tr := New(Config{SlowBudget: -1, ringSize: 512})
-	for i := 0; i < 1024; i++ {
-		sp := tr.Begin(0)
+// BenchmarkSlowTraces measures a /v1/trace/slow read: four full capture
+// rings copied, checked and merged.
+func BenchmarkSlowTraces(b *testing.B) {
+	const shards = 4
+	tr := New(Config{Shards: shards, SlowBudget: time.Nanosecond})
+	for i := 0; i < 2*shards*slowCaptures; i++ {
+		sp := tr.Begin(i % shards)
 		sp.SetID("fill")
 		sp.Finish()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := tr.Snapshot(64); len(got.Recent) == 0 {
-			b.Fatal("empty snapshot")
+		if got := tr.SlowTraces(); len(got.Traces) != shards*slowCaptures {
+			b.Fatalf("SlowTraces holds %d captures, want %d", len(got.Traces), shards*slowCaptures)
 		}
 	}
 }

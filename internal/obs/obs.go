@@ -2,10 +2,9 @@
 // allocation-free tracing substrate that stamps every tweet with a span at
 // ingest, records per-stage timings (queue wait → extract → classify →
 // userstate observe → verdict fan-out → SSE emit, plus the cluster
-// driver's executor round trips) into per-shard lock-free ring buffers,
-// keeps reservoir-sampled exemplars per shard, and captures the full stage
-// breakdown of any span that exceeds a configurable latency budget
-// ("slow verdicts").
+// driver's executor round trips) into per-stage histograms, and captures
+// the full stage breakdown of any span that exceeds a latency budget
+// ("slow verdicts") in its shard's lock-free capture ring.
 //
 // The package exists because the pipeline's hot paths are zero-alloc
 // (feature extraction, userstate Observe, the cluster share loop) and the
@@ -15,15 +14,13 @@
 //
 //   - spans are pooled per shard (sync.Pool), never escaping to the heap
 //     on the steady state;
-//   - ring entries are fixed-size and encoded into a slab of
-//     atomic.Uint64 words, so the single-producer shard goroutine appends
-//     lock-free while /v1/trace readers snapshot concurrently without a
-//     mutex (the producer advances a claim word before it overwrites a
-//     slot, and a reader drops every entry copied from a slot the claim
-//     had reached by the end of its copy);
-//   - the slow ring is multi-producer (any shard can capture) and uses a
-//     per-slot sequence word so a torn read is detected and dropped
-//     instead of served.
+//   - captures are fixed-size entries encoded into a slab of
+//     atomic.Uint64 words. Each shard's spans are finished by that
+//     shard's goroutine alone, so its ring has one producer, which
+//     appends lock-free while /v1/trace/slow readers snapshot
+//     concurrently without a mutex (the producer advances a claim word
+//     before it overwrites a slot, and a reader drops every entry copied
+//     from a slot the claim had reached by the end of its copy).
 //
 // A nil *Tracer is valid and free: every method on a nil tracer or nil
 // span is a no-op, so disabled tracing costs one predictable branch.
@@ -89,11 +86,11 @@ func (s Stage) String() string {
 
 // Config configures a Tracer.
 type Config struct {
-	// Shards is the number of independent single-producer rings (one per
-	// pipeline shard; the cluster driver uses 1). Default 1.
+	// Shards is the number of independent single-producer capture rings
+	// (one per pipeline shard; the cluster driver uses 1). Default 1.
 	Shards int
 	// SlowBudget is the end-to-end latency above which a span is captured
-	// with its full stage breakdown in the slow ring (default 25ms;
+	// with its full stage breakdown in its shard's ring (default 25ms;
 	// negative disables slow capture).
 	SlowBudget time.Duration
 	// Registry receives the per-stage latency histograms
@@ -101,22 +98,13 @@ type Config struct {
 	// histogram. Nil skips histogram registration.
 	Registry *metrics.Registry
 
-	// ringSize, slowCap, exemplars and seed replace the constants below
-	// when non-zero; only in-package tests set them.
-	ringSize, slowCap, exemplars int
-	seed                         uint64
+	// slowCap replaces slowCaptures when non-zero; only in-package tests
+	// set it.
+	slowCap int
 }
 
-// The tracer's fixed sizes: each shard's ring holds ringEntries entries
-// and its reservoir reservoirSize exemplars, the slow ring holds
-// slowCaptures; reservoirSeed makes exemplar selection deterministic for
-// a given finish sequence.
-const (
-	ringEntries   = 512
-	slowCaptures  = 64
-	reservoirSize = 8
-	reservoirSeed = 1
-)
+// slowCaptures is each shard's capture ring size.
+const slowCaptures = 64
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -125,30 +113,25 @@ func (c Config) withDefaults() Config {
 	if c.SlowBudget == 0 {
 		c.SlowBudget = 25 * time.Millisecond
 	}
-	c.ringSize = cmp.Or(c.ringSize, ringEntries)
 	c.slowCap = cmp.Or(c.slowCap, slowCaptures)
-	c.exemplars = cmp.Or(c.exemplars, reservoirSize)
-	c.seed = cmp.Or(c.seed, reservoirSeed)
 	return c
 }
 
-// shardState is one shard's tracing lane: a pooled span slot, a
-// single-producer ring, and a reservoir of exemplar entries.
+// shardState is one shard's tracing lane: a pooled span slot and the
+// single-producer ring of its over-budget captures.
 type shardState struct {
-	pool      sync.Pool // *Span
-	ring      *ring
-	reservoir *reservoir
+	pool sync.Pool // *Span
+	slow *ring
 }
 
-// Tracer owns the per-shard rings, the slow ring, and the stage
-// histograms. A nil *Tracer is valid: Begin returns a nil span and every
-// other method is a no-op.
+// Tracer owns the per-shard capture rings and the stage histograms. A nil
+// *Tracer is valid: Begin returns a nil span and every other method is a
+// no-op.
 type Tracer struct {
 	cfg       Config
 	epoch     time.Time // monotonic base for all span clocks
 	epochUnix int64     // wall nanos at epoch, for entry start timestamps
 	shards    []shardState
-	slow      *slowRing
 	nextID    atomic.Uint64
 	spans     atomic.Int64 // finished spans
 	slowSpans atomic.Int64 // spans over budget
@@ -164,13 +147,11 @@ func New(cfg Config) *Tracer {
 	t := &Tracer{
 		cfg:    cfg,
 		epoch:  time.Now(),
-		slow:   newSlowRing(cfg.slowCap),
 		shards: make([]shardState, cfg.Shards),
 	}
 	t.epochUnix = t.epoch.UnixNano()
 	for i := range t.shards {
-		t.shards[i].ring = newRing(cfg.ringSize)
-		t.shards[i].reservoir = newReservoir(cfg.exemplars, cfg.seed+uint64(i)*0x9e3779b97f4a7c15)
+		t.shards[i].slow = newRing(cfg.slowCap)
 	}
 	if cfg.Registry != nil {
 		for s := Stage(0); s < NumStages; s++ {
@@ -236,9 +217,9 @@ func (t *Tracer) Abort(sp *Span) {
 	t.shards[sp.shard].pool.Put(sp)
 }
 
-// finish records a completed span: ring entry, histograms, reservoir
-// offer, slow capture — then recycles the span. The entry is encoded once
-// into a stack buffer and copied word-wise into each destination.
+// finish records a completed span — histograms, and a capture in its
+// shard's ring when over budget — then recycles the span. Only the
+// shard's own goroutine finishes its spans, so the ring has one producer.
 //
 //redvet:noalloc gate=SpanLifecycle
 func (t *Tracer) finish(sp *Span) {
@@ -251,16 +232,11 @@ func (t *Tracer) finish(sp *Span) {
 	if total < 0 {
 		total = 0
 	}
-	slow := t.cfg.SlowBudget > 0 && total > int64(t.cfg.SlowBudget)
-
-	var w [entryWords]uint64
-	encodeEntry(&w, sp, t.epochUnix, total, slow)
-
 	st := &t.shards[sp.shard]
-	st.ring.append(&w)
-	st.reservoir.offer(&w)
-	if slow {
-		t.slow.append(&w)
+	if t.cfg.SlowBudget > 0 && total > int64(t.cfg.SlowBudget) {
+		var w [entryWords]uint64
+		encodeEntry(&w, sp, t.epochUnix, total)
+		st.slow.append(&w)
 		t.slowSpans.Add(1)
 	}
 	t.spans.Add(1)
@@ -290,14 +266,6 @@ func (t *Tracer) SlowSpans() int64 {
 		return 0
 	}
 	return t.slowSpans.Load()
-}
-
-// Budget returns the configured slow budget (0 for a nil tracer).
-func (t *Tracer) Budget() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.cfg.SlowBudget
 }
 
 // nextPow2 rounds n up to a power of two.

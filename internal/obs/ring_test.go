@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -11,7 +12,7 @@ func testEntry(traceID uint64, id string) *[entryWords]uint64 {
 	sp.SetID(id)
 	sp.dur[StageExtract] = int64(traceID) * 10
 	var w [entryWords]uint64
-	encodeEntry(&w, sp, 0, int64(traceID)*100, traceID%7 == 0)
+	encodeEntry(&w, sp, 0, int64(traceID)*100)
 	return &w
 }
 
@@ -21,9 +22,9 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	sp.dur[StageQueue] = 11
 	sp.dur[StageMerge] = 99
 	var w [entryWords]uint64
-	encodeEntry(&w, sp, 5000, 12345, true)
+	encodeEntry(&w, sp, 5000, 12345)
 	e := decodeEntry(&w)
-	if e.TraceID != 77 || e.Shard != 3 || e.ID != "roundtrip-id" || !e.Slow {
+	if e.TraceID != 77 || e.Shard != 3 || e.ID != "roundtrip-id" {
 		t.Fatalf("decoded = %+v", e)
 	}
 	if e.StartUnixNano != 6000 || e.TotalNanos != 12345 {
@@ -35,17 +36,14 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 }
 
 // A ring holds exactly its capacity of most-recent entries after wrapping,
-// in order, and snapshot honours the max argument.
+// in order.
 func TestRingWraparound(t *testing.T) {
 	r := newRing(8)
 	const total = 37
 	for i := 1; i <= total; i++ {
 		r.append(testEntry(uint64(i), fmt.Sprintf("t-%d", i)))
 	}
-	if r.count() != total {
-		t.Fatalf("count = %d, want %d", r.count(), total)
-	}
-	got := r.snapshot(0)
+	got := r.snapshot()
 	if len(got) != 8 {
 		t.Fatalf("snapshot len = %d, want 8 (ring capacity)", len(got))
 	}
@@ -54,9 +52,6 @@ func TestRingWraparound(t *testing.T) {
 		if e.TraceID != want || e.ID != fmt.Sprintf("t-%d", want) {
 			t.Fatalf("entry %d = %+v, want trace %d", i, e, want)
 		}
-	}
-	if got := r.snapshot(3); len(got) != 3 || got[2].TraceID != total {
-		t.Fatalf("snapshot(3) = %+v, want 3 newest ending at %d", got, total)
 	}
 	// Non-power-of-two sizes round up.
 	if r2 := newRing(5); r2.size != 8 {
@@ -93,7 +88,7 @@ func TestRingSnapshotNeverTorn(t *testing.T) {
 	}()
 	var entries, torn int
 	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
-		for _, e := range r.snapshot(0) {
+		for _, e := range r.snapshot() {
 			entries++
 			v := e.TraceID
 			whole := uint64(e.StartUnixNano) == v && uint64(e.TotalNanos) == v && e.Shard == int(v&0xff)
@@ -110,92 +105,39 @@ func TestRingSnapshotNeverTorn(t *testing.T) {
 	}
 }
 
+// Each shard's capture ring keeps its own newest captures, however busy
+// the other shards are, and SlowTraces merges them oldest first.
 func TestSlowRingWraparoundKeepsNewest(t *testing.T) {
-	r := newSlowRing(4)
-	for i := 1; i <= 11; i++ {
-		r.append(testEntry(uint64(i), fmt.Sprintf("s-%d", i)))
+	tr := New(Config{Shards: 2, SlowBudget: time.Nanosecond, slowCap: 4})
+	var perShard [2][]uint64 // trace IDs finished on each shard, in order
+	for i := 1; i <= 17; i++ {
+		shard := 0
+		if i%3 == 0 {
+			shard = 1
+		}
+		sp := tr.Begin(shard)
+		sp.SetID(fmt.Sprintf("s-%d", i))
+		perShard[shard] = append(perShard[shard], sp.traceID)
+		sp.Finish()
 	}
-	got := r.snapshot()
-	if len(got) != 4 {
-		t.Fatalf("slow snapshot len = %d, want 4", len(got))
+	var want []uint64
+	for _, ids := range perShard {
+		want = append(want, ids[len(ids)-4:]...)
+	}
+	slices.Sort(want)
+	got := tr.SlowTraces().Traces
+	if len(got) != len(want) {
+		t.Fatalf("SlowTraces holds %d captures, want %d", len(got), len(want))
 	}
 	for i, e := range got {
-		if want := uint64(8 + i); e.TraceID != want {
-			t.Fatalf("slow entry %d = trace %d, want %d (oldest-first)", i, e.TraceID, want)
+		wantShard := 0
+		if want[i]%3 == 0 { // trace IDs count from 1 in Begin order, so ID i is span i
+			wantShard = 1
 		}
-	}
-}
-
-// Reservoir sampling must be deterministic for a fixed seed and offer
-// sequence, and different seeds should (for this sequence) disagree.
-func TestReservoirDeterminism(t *testing.T) {
-	sample := func(seed uint64) []uint64 {
-		rv := newReservoir(4, seed)
-		for i := 1; i <= 500; i++ {
-			rv.offer(testEntry(uint64(i), "x"))
+		if e.TraceID != want[i] || e.ID != fmt.Sprintf("s-%d", want[i]) || e.Shard != wantShard {
+			t.Fatalf("capture %d = %+v, want trace %d on shard %d (newest per shard, merged oldest first)",
+				i, e, want[i], wantShard)
 		}
-		var ids []uint64
-		for _, e := range rv.snapshot() {
-			ids = append(ids, e.TraceID)
-		}
-		return ids
-	}
-	a, b := sample(42), sample(42)
-	if len(a) != 4 {
-		t.Fatalf("reservoir kept %d entries, want 4", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
-		}
-	}
-	c := sample(43)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatalf("seeds 42 and 43 selected identical exemplars %v — RNG not seeded", a)
-	}
-}
-
-// Tracer-level determinism: two tracers fed identical span sequences with
-// the same seed expose identical exemplar trace IDs.
-func TestTracerExemplarDeterminism(t *testing.T) {
-	run := func() []uint64 {
-		tr := New(Config{SlowBudget: -1, exemplars: 3, seed: 7})
-		for i := 0; i < 200; i++ {
-			sp := tr.Begin(0)
-			sp.SetID("d")
-			sp.Finish()
-		}
-		var ids []uint64
-		for _, e := range tr.Snapshot(1).Exemplars {
-			ids = append(ids, e.TraceID)
-		}
-		return ids
-	}
-	a, b := run(), run()
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("exemplar counts = %d/%d, want 3", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("exemplar selection diverged: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestReservoirFillPhase(t *testing.T) {
-	rv := newReservoir(8, 1)
-	for i := 1; i <= 5; i++ {
-		rv.offer(testEntry(uint64(i), "f"))
-	}
-	got := rv.snapshot()
-	if len(got) != 5 {
-		t.Fatalf("fill-phase snapshot = %d entries, want all 5", len(got))
 	}
 }
 

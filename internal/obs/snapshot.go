@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"time"
 )
 
@@ -12,14 +14,13 @@ type StageNanos struct {
 	Nanos int64  `json:"nanos"`
 }
 
-// Trace is the JSON form of one recorded span.
+// Trace is the JSON form of one captured over-budget span.
 type Trace struct {
 	TraceID       uint64       `json:"trace_id"`
 	ID            string       `json:"id"` // tweet ID, or "batch-N" for driver spans
 	Shard         int          `json:"shard"`
 	StartUnixNano int64        `json:"start_unix_nano"`
 	TotalNanos    int64        `json:"total_nanos"`
-	Slow          bool         `json:"slow,omitempty"`
 	Stages        []StageNanos `json:"stages"`
 }
 
@@ -30,7 +31,6 @@ func (e Entry) trace() Trace {
 		Shard:         e.Shard,
 		StartUnixNano: e.StartUnixNano,
 		TotalNanos:    e.TotalNanos,
-		Slow:          e.Slow,
 	}
 	for s := Stage(0); s < NumStages; s++ {
 		if d := e.Stages[s]; d > 0 {
@@ -41,8 +41,7 @@ func (e Entry) trace() Trace {
 }
 
 // StageStats summarises one stage's latency distribution (quantiles come
-// from the registry histograms, so they cover every span ever finished,
-// not just the ones still in a ring).
+// from the registry histograms, so they cover every span ever finished).
 type StageStats struct {
 	Stage      string `json:"stage"`
 	Count      int64  `json:"count"`
@@ -52,16 +51,14 @@ type StageStats struct {
 	P99Nanos   int64  `json:"p99_nanos"`
 }
 
-// Summary is the GET /v1/trace payload: aggregate stage statistics plus
-// reservoir exemplars and the most recent traces per shard.
+// Summary is the GET /v1/trace payload: span counts and aggregate stage
+// statistics.
 type Summary struct {
 	Enabled         bool         `json:"enabled"`
 	Spans           int64        `json:"spans"`
 	SlowSpans       int64        `json:"slow_spans"`
 	SlowBudgetNanos int64        `json:"slow_budget_nanos"`
 	Stages          []StageStats `json:"stages,omitempty"`
-	Exemplars       []Trace      `json:"exemplars,omitempty"`
-	Recent          []Trace      `json:"recent,omitempty"`
 }
 
 // SlowReport is the GET /v1/trace/slow payload.
@@ -72,16 +69,12 @@ type SlowReport struct {
 	Traces          []Trace `json:"traces"`
 }
 
-// Snapshot assembles the trace summary: per-stage quantiles from the
-// histograms, every shard's reservoir exemplars, and up to recentPerShard
-// recent entries per shard (0 means 16). Safe to call concurrently with
-// tracing. A nil tracer reports Enabled=false.
-func (t *Tracer) Snapshot(recentPerShard int) Summary {
+// Snapshot assembles the trace summary, with per-stage quantiles from the
+// histograms. Safe to call concurrently with tracing. A nil tracer reports
+// Enabled=false.
+func (t *Tracer) Snapshot() Summary {
 	if t == nil {
 		return Summary{}
-	}
-	if recentPerShard <= 0 {
-		recentPerShard = 16
 	}
 	sum := Summary{
 		Enabled:         true,
@@ -105,19 +98,11 @@ func (t *Tracer) Snapshot(recentPerShard int) Summary {
 			})
 		}
 	}
-	for i := range t.shards {
-		for _, e := range t.shards[i].reservoir.snapshot() {
-			sum.Exemplars = append(sum.Exemplars, e.trace())
-		}
-		for _, e := range t.shards[i].ring.snapshot(recentPerShard) {
-			sum.Recent = append(sum.Recent, e.trace())
-		}
-	}
 	return sum
 }
 
-// SlowTraces returns the captured over-budget spans, oldest first. A nil
-// tracer reports Enabled=false.
+// SlowTraces returns the over-budget spans the shards' rings still hold,
+// merged oldest first by trace ID. A nil tracer reports Enabled=false.
 func (t *Tracer) SlowTraces() SlowReport {
 	if t == nil {
 		return SlowReport{}
@@ -127,7 +112,12 @@ func (t *Tracer) SlowTraces() SlowReport {
 		SlowBudgetNanos: int64(t.cfg.SlowBudget),
 		SlowSpans:       t.slowSpans.Load(),
 	}
-	for _, e := range t.slow.snapshot() {
+	var entries []Entry
+	for i := range t.shards {
+		entries = append(entries, t.shards[i].slow.snapshot()...)
+	}
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.TraceID, b.TraceID) })
+	for _, e := range entries {
 		rep.Traces = append(rep.Traces, e.trace())
 	}
 	return rep
@@ -142,7 +132,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Works on a nil tracer (reports tracing disabled).
 func TraceHandler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, t.Snapshot(0))
+		writeJSON(w, t.Snapshot())
 	})
 }
 

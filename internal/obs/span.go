@@ -34,8 +34,8 @@ type Span struct {
 	open     bool
 }
 
-// SetID records the tweet (or batch) identifier carried into ring entries,
-// truncated to the fixed entry slot.
+// SetID records the tweet (or batch) identifier carried into slow
+// captures, truncated to the fixed entry slot.
 //
 //redvet:noalloc gate=SpanLifecycle
 func (sp *Span) SetID(id string) {
@@ -115,8 +115,8 @@ func (sp *Span) StageDur(s Stage) time.Duration {
 }
 
 // Finish closes the span — including the still-open stage, sharing the
-// final clock read, so callers need no EndStage first — records it (ring
-// entry, histograms, reservoir, slow capture), and returns it to its
+// final clock read, so callers need no EndStage first — records it
+// (histograms, and a capture when over budget), and returns it to its
 // shard's pool. The span must not be used after Finish.
 //
 //redvet:noalloc gate=SpanLifecycle

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+
+	"redhanded/internal/core"
 )
 
 // Sharded checkpointing: each shard's pipeline carries independently
@@ -98,6 +101,8 @@ func syncDir(dir string) error {
 // Restore loads a checkpoint directory written by Checkpoint into this
 // server's shards. The server must have been built with the same shard
 // count and compatible pipeline options; call it before serving traffic.
+// It applies all shards or none: every shard file is first restored into a
+// throwaway pipeline, so a bad file leaves every shard on its old state.
 func (s *Server) Restore(dir string) error {
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -111,14 +116,18 @@ func (s *Server) Restore(dir string) error {
 		return fmt.Errorf("serve: checkpoint has %d shards, server has %d (user affinity would break)",
 			m.Shards, len(s.shards))
 	}
-	for _, sh := range s.shards {
-		f, err := os.Open(filepath.Join(dir, shardFile(sh.id)))
+	blobs := make([][]byte, len(s.shards))
+	for i, sh := range s.shards {
+		blobs[i], err = os.ReadFile(filepath.Join(dir, shardFile(sh.id)))
+		if err == nil {
+			err = core.NewPipeline(s.opts.Pipeline).Restore(bytes.NewReader(blobs[i]))
+		}
 		if err != nil {
 			return fmt.Errorf("serve: restore shard %d: %w", sh.id, err)
 		}
-		err = sh.p.Restore(f)
-		f.Close()
-		if err != nil {
+	}
+	for i, sh := range s.shards {
+		if err := sh.p.Restore(bytes.NewReader(blobs[i])); err != nil {
 			return fmt.Errorf("serve: restore shard %d: %w", sh.id, err)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"redhanded/internal/eval"
 	"redhanded/internal/twitterdata"
 )
 
@@ -68,19 +69,34 @@ func TestRestoreTruncatedShardFile(t *testing.T) {
 	}
 }
 
+// A bad file for the last shard fails Restore before any shard moves: no
+// shard is left on the checkpoint while the others keep their old state.
 func TestRestoreCorruptShardFile(t *testing.T) {
 	dir := t.TempDir()
 	writeCheckpoint(t, dir)
 
-	if err := os.WriteFile(filepath.Join(dir, shardFile(1)),
+	if err := os.WriteFile(filepath.Join(dir, shardFile(3)),
 		bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef}, 128), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s := NewServer(testOptions())
 	defer s.Drain(context.Background())
+	type state struct {
+		processed int64
+		summary   eval.Report
+	}
+	before := make([]state, len(s.shards))
+	for i, sh := range s.shards {
+		before[i] = state{sh.p.Processed(), sh.p.Summary()}
+	}
 	if err := s.Restore(dir); err == nil {
 		t.Fatal("Restore succeeded on a corrupt shard file")
+	}
+	for i, sh := range s.shards {
+		if got := (state{sh.p.Processed(), sh.p.Summary()}); got != before[i] {
+			t.Fatalf("shard %d moved on a failed Restore: %+v, was %+v", i, got, before[i])
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -402,17 +401,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, st)
 }
 
-// handleTrace reports the tracing layer's stage statistics, exemplars,
-// and recent spans. With tracing disabled it answers {"enabled": false}
-// rather than 404, so clients can feature-detect.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	recent := 0
-	if v := r.URL.Query().Get("recent"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			recent = n
-		}
-	}
-	s.writeJSON(w, http.StatusOK, s.tracer.Snapshot(recent))
+// handleTrace reports the tracing layer's span counts and stage
+// statistics. With tracing disabled it answers {"enabled": false} rather
+// than 404, so clients can feature-detect.
+func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.tracer.Snapshot())
 }
 
 // handleTraceSlow reports the full stage breakdown of every captured

@@ -184,10 +184,10 @@ func (s *shard) run(wg *sync.WaitGroup) {
 		}
 		results = s.p.ProcessBatch(entries, results[:0])
 		for i := range jobs {
+			jobs[i].span.Finish() // before the reply: a reply implies a recorded span
 			if jobs[i].reply != nil {
 				jobs[i].reply <- results[i]
 			}
-			jobs[i].span.Finish()
 		}
 		s.busy.Add(int64(time.Since(start)))
 		s.drainSize.Observe(float64(len(jobs)))

@@ -36,26 +36,18 @@ func TestTraceSlowEndpointReturnsFullBreakdown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("classify status = %d", resp.StatusCode)
 	}
-	waitProcessed(t, s, 1)
 
-	// The span finishes on the shard goroutine just after the reply is
-	// delivered; poll briefly for it to land in the slow ring.
+	// The shard finishes a span before it replies, so the capture is
+	// already in the ring.
+	r, err := http.Get(ts.URL + "/v1/trace/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var slow obs.SlowReport
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r, err := http.Get(ts.URL + "/v1/trace/slow")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(r.Body).Decode(&slow)
-		r.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(slow.Traces) > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	err = json.NewDecoder(r.Body).Decode(&slow)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !slow.Enabled || slow.SlowBudgetNanos != 1 {
 		t.Fatalf("slow report header = %+v", slow)
@@ -67,8 +59,8 @@ func TestTraceSlowEndpointReturnsFullBreakdown(t *testing.T) {
 	if tr.ID != "900100" {
 		t.Fatalf("slow trace ID = %q, want the tweet ID", tr.ID)
 	}
-	if !tr.Slow || tr.TotalNanos <= 0 {
-		t.Fatalf("slow trace not marked slow: %+v", tr)
+	if tr.TotalNanos <= 0 {
+		t.Fatalf("slow trace has no total: %+v", tr)
 	}
 	stages := map[string]int64{}
 	for _, st := range tr.Stages {
@@ -81,7 +73,7 @@ func TestTraceSlowEndpointReturnsFullBreakdown(t *testing.T) {
 	}
 
 	// The summary endpoint reports the same span in aggregate form.
-	r, err := http.Get(ts.URL + "/v1/trace")
+	r, err = http.Get(ts.URL + "/v1/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +86,8 @@ func TestTraceSlowEndpointReturnsFullBreakdown(t *testing.T) {
 	if !sum.Enabled || sum.Spans < 1 || sum.SlowSpans < 1 {
 		t.Fatalf("trace summary = %+v", sum)
 	}
-	if len(sum.Stages) == 0 || len(sum.Recent) == 0 {
-		t.Fatalf("trace summary missing stage stats or recent spans: %+v", sum)
+	if len(sum.Stages) == 0 {
+		t.Fatalf("trace summary missing stage stats: %+v", sum)
 	}
 }
 
@@ -134,7 +126,7 @@ func TestTraceEndpointsDisabled(t *testing.T) {
 // without inflating the verdict stage.
 func TestTraceIngestAndEmitAttribution(t *testing.T) {
 	opts := testOptions()
-	opts.Trace, opts.slowBudget = true, -1
+	opts.Trace, opts.slowBudget = true, time.Nanosecond
 	s := NewServer(opts)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -164,8 +156,23 @@ func TestTraceIngestAndEmitAttribution(t *testing.T) {
 	if got := s.Tracer().Spans(); got < 40 {
 		t.Fatalf("Spans = %d, want 40", got)
 	}
-	sum := s.Tracer().Snapshot(8)
-	if len(sum.Recent) == 0 {
-		t.Fatal("no recent spans after ingest")
+	// One user, so one shard, whose ring holds all 40 captures.
+	caps := s.Tracer().SlowTraces().Traces
+	if len(caps) != 40 {
+		t.Fatalf("captured %d spans after ingest, want 40", len(caps))
+	}
+	emitted := 0
+	for _, c := range caps {
+		if c.Shard != caps[0].Shard {
+			t.Fatalf("captures on shards %d and %d for one user", caps[0].Shard, c.Shard)
+		}
+		for _, st := range c.Stages {
+			if st.Stage == obs.StageEmit.String() && st.Nanos > 0 {
+				emitted++
+			}
+		}
+	}
+	if emitted == 0 {
+		t.Fatal("no capture attributes time to the emit stage")
 	}
 }
