@@ -103,6 +103,10 @@ func main() {
 		fatal("bad -norm", "err", err)
 	}
 
+	if *trace && *shards > obs.MaxShards {
+		fatal("bad -shards: too many shards to trace", "shards", *shards, "max", obs.MaxShards)
+	}
+
 	var ilog *ingestlog.Log
 	if *logDir != "" {
 		policy, err := ingestlog.ParseFsyncPolicy(*fsyncMode)

@@ -126,6 +126,7 @@ func TestRhdriverAgainstRhexecutors(t *testing.T) {
 // -classes and -norm share one parser each, so a value none of them knows
 // ends every one of them non-zero, naming the value, before it touches the
 // network or its input. (rhdriver has no -norm; the flag package rejects it.)
+// aggroserve also refuses to trace more shards than obs.MaxShards.
 func TestBinariesRejectBadOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test is slow")
@@ -134,13 +135,14 @@ func TestBinariesRejectBadOptions(t *testing.T) {
 	for _, tool := range []struct {
 		name string
 		args []string
+		bad  [][2]string // beyond the shared three
 	}{
-		{"aggroserve", []string{"-addr", "127.0.0.1:0"}},
-		{"aggrostream", nil},
-		{"rhdriver", []string{"-executors", "127.0.0.1:1"}},
+		{"aggroserve", []string{"-addr", "127.0.0.1:0", "-trace"}, [][2]string{{"-shards", "300"}}},
+		{"aggrostream", nil, nil},
+		{"rhdriver", []string{"-executors", "127.0.0.1:1"}, nil},
 	} {
 		bin := buildTool(t, dir, tool.name)
-		for _, bad := range [][2]string{{"-classes", "4"}, {"-model", "xgb"}, {"-norm", "l2"}} {
+		for _, bad := range append([][2]string{{"-classes", "4"}, {"-model", "xgb"}, {"-norm", "l2"}}, tool.bad...) {
 			cmd := exec.Command(bin, append(tool.args, bad[0], bad[1])...)
 			cmd.Stdin = strings.NewReader("")
 			out, err := cmd.CombinedOutput()

@@ -227,7 +227,7 @@ func classifyP99(sum *obs.Summary) int64 {
 	return 0
 }
 
-// printSnapshotDelta reports what the run itself cost the lock-free
+// printSnapshotDelta reports what the run itself cost the compiled
 // classify path: compiled-snapshot rebuilds triggered during the load and
 // the movement of the server-side classify p99. Printed only when the
 // server traces (matching the stage table) and publishes snapshot

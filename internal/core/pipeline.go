@@ -94,20 +94,21 @@ type Pipeline struct {
 
 	// snapshot is the RCU-published compiled form of the model: an
 	// immutable, pointer-free flattening (see stream.Compiled) that the
-	// classify step reads without taking mu. It is re-published under mu
-	// whenever the model's epoch moves, so at every predict the snapshot
-	// is bit-for-bit the live model.
+	// classify step predicts from and SnapshotStats reads without taking
+	// mu. It is re-published under mu at the end of every entry that moved
+	// the model's epoch, so at every predict the snapshot is bit-for-bit
+	// the live model.
 	snapshot     atomic.Pointer[stream.Compiled]
 	snapRebuilds atomic.Int64 // snapshot publications that re-flattened something
 	snapTrees    atomic.Int64 // member trees re-flattened across all rebuilds
 
-	// classifyScratch backs the zero-alloc PredictInto calls; batchRaws is
-	// per-run working storage; xArena and voteArena hold every Result's
+	// classifyScratch backs the zero-alloc PredictInto calls; raw is the
+	// entry's raw feature vector; xArena and voteArena hold every Result's
 	// normalized vector and votes, one stride per entry of the current
 	// ProcessBatch call, and grow but never shrink. oneHot is AbsorbBatch's
 	// prediction for the sampler. Only the processing goroutine touches them.
 	classifyScratch []float64
-	batchRaws       []*feature.Vec
+	raw             feature.Vec
 	xArena          []float64
 	voteArena       []float64
 	oneHot          ml.Prediction
@@ -144,29 +145,28 @@ func NewPipeline(opts Options) *Pipeline {
 // refreshSnapshotLocked re-publishes the compiled snapshot if the model
 // mutated since the last publication, reusing every unchanged member
 // tree and, inside a trained tree that did not split, every untouched
-// leaf (see stream.CompileSnapshot). Called with p.mu held; returns the
-// current snapshot. The compile cost is attributed to sp's StageCompile
-// so a tweet that happened to pay for a rebuild shows it in its trace
-// instead of an inflated classify stage.
-func (p *Pipeline) refreshSnapshotLocked(sp *obs.Span) *stream.Compiled {
+// leaf (see stream.CompileSnapshot). Called with p.mu held. The compile
+// cost is attributed to sp's StageCompile so a tweet that happened to pay
+// for a rebuild shows it in its trace instead of an inflated classify
+// stage.
+func (p *Pipeline) refreshSnapshotLocked(sp *obs.Span) {
 	snap := p.snapshot.Load()
 	if snap.Epoch() == p.model.Epoch() {
-		return snap
+		return
 	}
 	var start time.Time
 	if sp != nil {
 		start = time.Now()
 	}
-	next := p.model.CompileSnapshot(snap)
-	p.publishLocked(next)
+	p.publishLocked(p.model.CompileSnapshot(snap))
 	if sp != nil {
 		sp.AddExclusive(obs.StageCompile, time.Since(start))
 	}
-	return next
 }
 
-// publishLocked makes next the snapshot lock-free classifiers read and
-// counts the publication. Called with p.mu held, or before p is shared.
+// publishLocked makes next the snapshot the classify step predicts from
+// and lock-free readers (SnapshotStats) load, and counts the publication.
+// Called with p.mu held, or before p is shared.
 func (p *Pipeline) publishLocked(next *stream.Compiled) {
 	p.snapshot.Store(next)
 	p.snapRebuilds.Add(1)
@@ -183,8 +183,9 @@ type SnapshotStats struct {
 	Epoch uint64 `json:"epoch"`
 	// ModelEpoch is the live model's current epoch; Age = ModelEpoch -
 	// Epoch is the number of model mutations the snapshot is behind
-	// (0 = fresh; the pipeline re-publishes before every classify and at
-	// the end of every effects section, so a nonzero age is transient).
+	// (0 = fresh; the pipeline re-publishes at the end of every entry and
+	// every AbsorbBatch, so a reader never sees a nonzero age between
+	// calls).
 	ModelEpoch uint64 `json:"model_epoch"`
 	Age        uint64 `json:"age"`
 	// Rebuilds counts snapshot publications; TreesRebuilt sums the member
@@ -370,9 +371,8 @@ type BatchEntry struct {
 }
 
 // labelOf resolves a tweet to the class index its instance will carry
-// (ml.Unlabeled for unlabeled tweets and unknown label strings). It is
-// the run-splitting predicate of ProcessBatch: an entry trains the model
-// iff labelOf >= 0, exactly mirroring Instance.IsLabeled.
+// (ml.Unlabeled for unlabeled tweets and unknown label strings): an entry
+// trains the model iff labelOf >= 0, exactly mirroring Instance.IsLabeled.
 func (p *Pipeline) labelOf(tw *twitterdata.Tweet) int {
 	if tw.IsLabeled() {
 		return p.opts.Scheme.LabelIndex(tw.Label)
@@ -400,30 +400,19 @@ func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
 // the next Process, ProcessBatch or ProcessAll call (see Result); no model
 // or accumulator retains X, so the batch allocates neither.
 //
-// The batch is processed as a sequence of runs, a run being zero or more
-// unlabeled entries followed by at most one labeled entry, each in four
-// phases: (A) extract every raw vector outside the lock — only a labeled
-// entry's Learn mutates the extractor, and it is last, so each extraction
-// sees exactly the state one-at-a-time processing would, and a labeled
-// entry that misses the cache keeps its scan for that Learn, which then
-// does not scan the text again; (B) one critical
-// section folds the normalizer statistics in entry order and refreshes
-// the snapshot; (C) classify every entry lock-free against that snapshot
-// — the model cannot move before the run's last effect; (D) one critical
-// section applies the effects in entry order, the labeled entry's train
-// last, and re-publishes the snapshot so a mutation is visible to
-// lock-free readers within the same call (the staleness bound). Every
-// observable effect — verdicts, normalizer folds, sampler offers, alert
-// decisions, log offsets — therefore happens in exactly the order
-// one-at-a-time calls produce, whatever the batch boundaries.
+// The batch is one critical section that takes the entries one at a time,
+// in order, each exactly as the reference does: look up or extract (a
+// labeled entry that misses the cache keeps its scan for the BoW's learn),
+// fold and scale, predict from the published snapshot, train when labeled,
+// apply the effects, record the log offset, and re-publish the snapshot if
+// the model moved. Readers of the pipeline therefore see it only between
+// batches, and the snapshot is current at every predict.
 //
-// Each span's stage is closed after the entry's share of a phase, so
-// stage durations never absorb other entries' time; inter-phase gaps
-// appear only in the span total. A tweet's stages are the same alone and
-// mid-batch: cache, extract (on a miss, a labeled entry's scan included,
-// plus the normalizer fold), classify (plus record, train and learn when
-// labeled), observe (an alert's offense included), verdict, and compile for
-// the entry that paid for a snapshot rebuild.
+// A tweet's stages are the same alone and mid-batch: cache, extract (on a
+// miss, a labeled entry's scan included, plus the normalizer fold),
+// classify (plus record, train and learn when labeled), observe (an alert's
+// offense included), verdict, and compile for the entry that paid for a
+// snapshot rebuild.
 func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result {
 	k := p.snapshot.Load().NumClasses()
 	if need := len(entries) * feature.NumFeatures; len(p.xArena) < need {
@@ -432,81 +421,41 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 	if need := len(entries) * k; len(p.voteArena) < need {
 		p.voteArena = make([]float64, need)
 	}
-	xs, votes := p.xArena, p.voteArena
-	for len(entries) > 0 {
-		n, label := 0, ml.Unlabeled
-		for n < len(entries) && label == ml.Unlabeled {
-			label = p.labelOf(entries[n].Tweet)
-			n++
-		}
-		run := entries[:n]
-		entries = entries[n:]
-		base := len(results)
-
-		raws := p.batchRaws[:0]
-		var scan *feature.Scan // the labeled entry's, kept for phase D's Learn
-		for j, e := range run {
-			raw := feature.GetVec()
-			e.Span.BeginStage(obs.StageCache)
-			if key, hit := p.extractor.Lookup(raw[:], e.Tweet); !hit {
-				e.Span.BeginStage(obs.StageExtract)
-				if j == n-1 && label != ml.Unlabeled {
-					scan = p.extractor.ExtractAndKeepScan(raw, e.Tweet, key)
-				} else {
-					p.extractor.ExtractAndCache(raw[:], e.Tweet, key)
-				}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	raw := &p.raw
+	for j, e := range entries {
+		tw, sp := e.Tweet, e.Span
+		in := ml.Instance{X: stride(p.xArena, j, feature.NumFeatures), Label: p.labelOf(tw), Weight: 1, ID: tw.IDStr, Day: tw.Day}
+		var scan *feature.Scan // a labeled miss's, for absorb's learn
+		sp.BeginStage(obs.StageCache)
+		if key, hit := p.extractor.Lookup(raw[:], tw); !hit {
+			sp.BeginStage(obs.StageExtract)
+			if in.IsLabeled() {
+				scan = p.extractor.ExtractAndKeepScan(raw, tw, key)
+			} else {
+				p.extractor.ExtractAndCache(raw[:], tw, key)
 			}
-			e.Span.EndStage()
-			raws = append(raws, raw)
 		}
+		sp.BeginStage(obs.StageExtract)
+		p.normalizer.Observe(raw[:])
+		p.normalizer.Normalize(raw[:], in.X)
 
-		p.mu.Lock()
-		for j, e := range run {
-			e.Span.BeginStage(obs.StageExtract)
-			p.normalizer.Observe(raws[j][:])
-			p.normalizer.Normalize(raws[j][:], stride(xs, j, feature.NumFeatures))
-			e.Span.EndStage()
+		v := ml.Prediction(stride(p.voteArena, j, k))
+		sp.BeginStage(obs.StageClassify)
+		p.snapshot.Load().PredictInto(v, p.classifyScratch, in.X)
+		if in.IsLabeled() {
+			p.model.Train(in)
+		} else {
+			sp.EndStage()
 		}
-		snap := p.refreshSnapshotLocked(run[0].Span)
-		p.mu.Unlock()
-		for _, raw := range raws {
-			feature.PutVec(raw)
+		results = append(results, Result{Instance: in, Prediction: v, Predicted: v.ArgMax(), Confidence: v.Confidence()})
+		p.absorb(tw, &results[len(results)-1], sp, scan)
+		if e.Logged {
+			p.logOffset = e.Offset
 		}
-		p.batchRaws = raws[:0]
-
-		for j, e := range run {
-			x, v := stride(xs, j, feature.NumFeatures), ml.Prediction(stride(votes, j, k))
-			in := ml.Instance{X: x, Label: ml.Unlabeled, Weight: 1, ID: e.Tweet.IDStr, Day: e.Tweet.Day}
-			if j == n-1 {
-				in.Label = label
-			}
-			e.Span.BeginStage(obs.StageClassify)
-			snap.PredictInto(v, p.classifyScratch, x)
-			e.Span.EndStage()
-			results = append(results, Result{
-				Instance:   in,
-				Prediction: v,
-				Predicted:  v.ArgMax(),
-				Confidence: v.Confidence(),
-			})
-		}
-		xs, votes = xs[n*feature.NumFeatures:], votes[n*k:]
-
-		p.mu.Lock()
-		for j, e := range run {
-			res := &results[base+j]
-			if res.Instance.IsLabeled() {
-				e.Span.BeginStage(obs.StageClassify)
-				p.model.Train(res.Instance)
-			}
-			p.absorb(e.Tweet, res, e.Span, scan) // only the labeled last entry reads scan
-			if e.Logged {
-				p.logOffset = e.Offset
-			}
-			e.Span.EndStage()
-		}
-		p.refreshSnapshotLocked(run[n-1].Span)
-		p.mu.Unlock()
+		sp.EndStage()
+		p.refreshSnapshotLocked(sp)
 	}
 	return results
 }
@@ -554,8 +503,8 @@ func (p *Pipeline) absorb(tw *twitterdata.Tweet, res *Result, sp *obs.Span, scan
 }
 
 // processAllBatch is the ProcessAll chunk size: large enough that the
-// two-locks-per-run amortization dominates, small enough that the reused
-// per-batch working storage stays cache-resident.
+// one lock per batch amortizes, small enough that the result arenas stay
+// cache-resident.
 const processAllBatch = 256
 
 // ProcessAll streams a dataset through ProcessBatch in chunks.

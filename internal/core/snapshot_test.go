@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,8 +19,7 @@ import (
 // mixedStream builds a tweet stream that exercises every processing path:
 // labeled tweets (train), unlabeled tweets (sample/alert), and the
 // occasional unknown label string (resolves to ml.Unlabeled). Stripping
-// every third label creates runs of consecutive unlabeled tweets for the
-// batched path to coalesce.
+// every third label mixes labeled and unlabeled entries in every batch.
 func mixedStream(seed uint64, n, a, h int) []twitterdata.Tweet {
 	tweets := smallDataset(seed, n, a, h)
 	for i := range tweets {
@@ -154,11 +154,12 @@ func detach(res Result) Result {
 	return res
 }
 
-// TestProcessBatchRunBoundaries walks the run splitter over every shape a
-// batch can take — unlabeled entries before and after a labeled one,
-// back-to-back labeled entries, a lone entry of either kind, an unknown
-// label string (an unlabeled entry), and no entries at all — with the
-// batch boundary falling inside, on, and outside each shape.
+// TestProcessBatchRunBoundaries holds ProcessBatch to the one-at-a-time
+// reference over every shape a batch can take — unlabeled entries before
+// and after a labeled one, back-to-back labeled entries, a lone entry of
+// either kind, an unknown label string (an unlabeled entry), and no
+// entries at all — with the batch boundary falling inside, on, and outside
+// each shape.
 func TestProcessBatchRunBoundaries(t *testing.T) {
 	const u, l, spam = "", twitterdata.LabelAbusive, "spam"
 	for _, tc := range []struct {
@@ -449,9 +450,48 @@ func TestFastClassifyRacingTraining(t *testing.T) {
 	}
 }
 
-// FuzzProcessBatchEquivalence fuzzes the run-splitting logic: arbitrary
-// label patterns and batch sizes must never make ProcessBatch diverge
-// from the one-at-a-time reference.
+// TestProcessBatchAtomicToReaders: a batch is one critical section, so a
+// reader polling Processed and LogOffset while the processing goroutine
+// feeds fixed-size logged batches of labeled and unlabeled entries sees
+// every count and offset on a batch boundary, never between two entries of
+// one batch.
+func TestProcessBatchAtomicToReaders(t *testing.T) {
+	const batch = 8
+	tweets := mixedStream(213, 1200, 600, 120)
+	tweets = tweets[:len(tweets)/batch*batch]
+	p := NewPipeline(DefaultOptions())
+
+	var stop atomic.Bool
+	var reads atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if n := p.Processed(); n%batch != 0 {
+				t.Errorf("reader saw %d processed, inside a batch of %d", n, batch)
+				return
+			}
+			if off := p.LogOffset(); (off+1)%batch != 0 {
+				t.Errorf("reader saw log offset %d, inside a batch of %d", off, batch)
+				return
+			}
+			reads.Add(1)
+		}
+	}()
+	for reads.Load() == 0 && !t.Failed() {
+		runtime.Gosched()
+	}
+	processInBatches(p, tweets, batch, true)
+	stop.Store(true)
+	<-done
+	if p.Processed() != int64(len(tweets)) {
+		t.Fatalf("processed %d of %d", p.Processed(), len(tweets))
+	}
+}
+
+// FuzzProcessBatchEquivalence fuzzes batch composition: arbitrary label
+// patterns and batch sizes must never make ProcessBatch diverge from the
+// one-at-a-time reference.
 func FuzzProcessBatchEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint(5), uint64(0x35))
 	f.Add(uint64(7), uint(1), uint64(0xff))

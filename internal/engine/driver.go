@@ -183,14 +183,9 @@ type clusterRun struct {
 	stop  chan struct{}
 	loops sync.WaitGroup // the nodes' supervisors; shutdown waits for them
 
-	// Serialization cache: in the cluster driver every model mutation
-	// flows through ApplyAccumulators, which advances the model's train
-	// count for each labeled observation — so an unchanged train count
-	// proves the model bytes are unchanged and the previous batch's
-	// encoding (an ARF forest is tens of KB of gob work) can be reused.
-	// The vocabulary words are reused while the BoW's version holds.
-	bcModelCount int64
-	last         *broadcast
+	// last is the previous batch's broadcast, whose vocabulary words are
+	// reused while the BoW's version holds.
+	last *broadcast
 
 	broadcastBytes atomic.Int64
 	dataBytes      atomic.Int64
@@ -352,22 +347,11 @@ func (r *clusterRun) makeBroadcast(seq int64) (*broadcast, error) {
 		normMode:   int(r.p.Normalizer().Mode),
 		scheme:     int(r.p.Options().Scheme),
 	}
-	model := r.p.Model()
-	counter, countable := model.(interface{ TrainCount() int64 })
-	if countable && r.last != nil && counter.TrainCount() == r.bcModelCount {
-		// Nothing trained since the last broadcast (steady-state unlabeled
-		// traffic): the previous encoding is still exact.
-		bc.modelBlob, bc.modelHash = r.last.modelBlob, r.last.modelHash
-	} else {
-		modelBlob, err := model.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("engine: broadcast model: %w", err)
-		}
-		bc.modelBlob, bc.modelHash = modelBlob, stream.Hash64(modelBlob)
+	modelBlob, err := r.p.Model().MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("engine: broadcast model: %w", err)
 	}
-	if countable {
-		r.bcModelCount = counter.TrainCount()
-	}
+	bc.modelBlob, bc.modelHash = modelBlob, stream.Hash64(modelBlob)
 	if r.last != nil && r.last.vocabVer == bc.vocabVer {
 		bc.vocabWords = r.last.vocabWords
 	} else {

@@ -28,6 +28,7 @@ package obs
 
 import (
 	"cmp"
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -87,7 +88,8 @@ func (s Stage) String() string {
 // Config configures a Tracer.
 type Config struct {
 	// Shards is the number of independent single-producer capture rings
-	// (one per pipeline shard; the cluster driver uses 1). Default 1.
+	// (one per pipeline shard; the cluster driver uses 1). Default 1, at
+	// most MaxShards.
 	Shards int
 	// SlowBudget is the end-to-end latency above which a span is captured
 	// with its full stage breakdown in its shard's ring (default 25ms;
@@ -105,6 +107,10 @@ type Config struct {
 
 // slowCaptures is each shard's capture ring size.
 const slowCaptures = 64
+
+// MaxShards is the most shards a Tracer serves: a span and its capture
+// keep the shard in one byte.
+const MaxShards = 256
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -141,9 +147,16 @@ type Tracer struct {
 }
 
 // New builds a tracer. Callers that trace nothing hold a nil *Tracer,
-// the universal "tracing off" value.
+// the universal "tracing off" value. It panics when cfg.Shards exceeds
+// MaxShards.
 func New(cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
+	if cfg.Shards > MaxShards {
+		// A wider shard would file its spans under another shard's ring,
+		// which would then have two producers; this is a deployment
+		// error, not a runtime condition.
+		panic(fmt.Sprintf("obs: tracer has %d shards, at most %d are supported", cfg.Shards, MaxShards))
+	}
 	t := &Tracer{
 		cfg:    cfg,
 		epoch:  time.Now(),

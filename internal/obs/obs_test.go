@@ -200,6 +200,24 @@ func TestAbortDoesNotRecord(t *testing.T) {
 	sp2.Finish()
 }
 
+// TestTracerShardLimit: a span keeps its shard in one byte, so 256 shards
+// each capture into their own ring, and a tracer with more is refused
+// rather than filing shard 299's captures in ring 43, which would then
+// have two producers.
+func TestTracerShardLimit(t *testing.T) {
+	tr := New(Config{Shards: 256, SlowBudget: time.Nanosecond})
+	tr.Begin(255).Finish()
+	if got := tr.SlowTraces().Traces; len(got) != 1 || got[0].Shard != 255 {
+		t.Fatalf("shard 255's capture: %+v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted 300 shards")
+		}
+	}()
+	New(Config{Shards: 300, SlowBudget: time.Nanosecond})
+}
+
 func TestSetIDTruncates(t *testing.T) {
 	tr := New(Config{SlowBudget: time.Nanosecond})
 	long := "0123456789012345678901234567890123456789-overflow"

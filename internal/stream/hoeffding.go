@@ -114,9 +114,9 @@ type HoeffdingTree struct {
 	// epoch counts prediction-relevant mutations (train steps, delta
 	// merges, restores); compiled snapshots key their staleness and
 	// incremental-rebuild reuse on it (see compiled.go). Reads and
-	// writes are synchronized by the owning pipeline/engine — the
-	// lock-free classify path only ever touches published Compiled
-	// snapshots, never the live tree.
+	// writes are synchronized by the owning pipeline/engine — classify
+	// and lock-free readers only ever touch published Compiled snapshots,
+	// never the live tree.
 	epoch uint64
 	// compiled is the tree's latest compile (nil after a restore), touched
 	// lists the leaves whose statistics changed since it was built, each
