@@ -33,17 +33,29 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/stream.naiveBayesInto",
 		},
 	},
-	// A non-splitting train step and the freezing of its leaf into the
-	// tree's arena; internal/core.TestLabeledProcessAllocs bounds the
-	// labeled Process around them at the snapshot's 2 allocations.
+	// A non-splitting train step; internal/core.TestLabeledProcessAllocs
+	// holds the labeled Process around it and the compile after it at 0
+	// allocations.
 	"TrainStep": {
 		measuredBy: "internal/stream.TestTrainStepZeroAlloc",
 		funcs: []string{
-			"redhanded/internal/stream.(*HoeffdingTree).appendNaiveBayes",
 			"redhanded/internal/stream.(*HoeffdingTree).attemptSplit",
-			"redhanded/internal/stream.(*HoeffdingTree).freezeLeaf",
 			"redhanded/internal/stream.(*HoeffdingTree).updateLeaf",
 			"redhanded/internal/stream.(*gaussianObserver).bestSplit",
+		},
+	},
+	// The in-place compile after a change that splits nothing: a tree's
+	// leaf re-freeze, the forest's weights, SLR's weight copy.
+	"CompileInPlace": {
+		measuredBy: "internal/stream.TestCompileInPlaceZeroAlloc",
+		funcs: []string{
+			"redhanded/internal/stream.(*AdaptiveRandomForest).CompileSnapshot",
+			"redhanded/internal/stream.(*HoeffdingTree).CompileSnapshot",
+			"redhanded/internal/stream.(*HoeffdingTree).compile",
+			"redhanded/internal/stream.(*HoeffdingTree).freeze",
+			"redhanded/internal/stream.(*HoeffdingTree).freezeLeaf",
+			"redhanded/internal/stream.(*SLR).CompileSnapshot",
+			"redhanded/internal/stream.appendNaiveBayes",
 		},
 	},
 	"FeaturePathFast": {

@@ -148,7 +148,7 @@ func (p *Pipeline) Restore(r io.Reader) error {
 			p.evaluator.Matrix().AddN(i, j, st.EvalCells[i*k+j])
 		}
 	}
-	// The restored model shares no tree with the published snapshot.
-	p.publishLocked(p.model.CompileSnapshot(nil))
+	// The classify step now reads the restored model's compiled form.
+	p.compileLocked()
 	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"redhanded/internal/eval"
@@ -46,8 +45,8 @@ type VerdictSink interface {
 }
 
 // Model is what a Pipeline runs: a streaming classifier that serializes
-// (checkpoints, cluster broadcast, remote accumulator deltas) and flattens
-// into the immutable stream.Compiled snapshot the classify step reads. Both
+// (checkpoints, cluster broadcast, remote accumulator deltas) and compiles
+// into the stream.Compiled form the classify step reads. Both
 // are part of the type, so checkpointing and every engine work for any
 // model a pipeline can hold.
 type Model = stream.Model
@@ -92,15 +91,14 @@ type Pipeline struct {
 	// evaluation step's "interesting statistics").
 	predCounts []int64
 
-	// snapshot is the RCU-published compiled form of the model: an
-	// immutable, pointer-free flattening (see stream.Compiled) that the
-	// classify step predicts from and SnapshotStats reads without taking
-	// mu. It is re-published under mu at the end of every entry that moved
-	// the model's epoch, so at every predict the snapshot is bit-for-bit
-	// the live model.
-	snapshot     atomic.Pointer[stream.Compiled]
-	snapRebuilds atomic.Int64 // snapshot publications that re-flattened something
-	snapTrees    atomic.Int64 // member trees re-flattened across all rebuilds
+	// compiled is the model's compiled form (stream.Compiled), owned by
+	// the model and the form the classify step predicts from. It is
+	// compiled in place under mu at the end of every entry that moved the
+	// model's epoch, so at every predict it is bit-for-bit the live model;
+	// like the model, it is read only under mu.
+	compiled     *stream.Compiled
+	snapRebuilds int64 // compiles
+	snapTrees    int64 // member trees re-compiled across all compiles
 
 	// classifyScratch backs the zero-alloc PredictInto calls; raw is the
 	// entry's raw feature vector; xArena and voteArena hold every Result's
@@ -135,42 +133,37 @@ func NewPipeline(opts Options) *Pipeline {
 		predCounts: make([]int64, k),
 		logOffset:  -1,
 	}
-	snap := p.model.CompileSnapshot(nil)
-	p.publishLocked(snap)
-	p.classifyScratch = make([]float64, snap.ScratchLen())
+	p.compileLocked()
+	p.classifyScratch = make([]float64, p.compiled.ScratchLen())
 	p.oneHot = make(ml.Prediction, p.classes.Len())
 	return p
 }
 
-// refreshSnapshotLocked re-publishes the compiled snapshot if the model
-// mutated since the last publication, reusing every unchanged member
-// tree and, inside a trained tree that did not split, every untouched
-// leaf (see stream.CompileSnapshot). Called with p.mu held. The compile
-// cost is attributed to sp's StageCompile so a tweet that happened to pay
-// for a rebuild shows it in its trace instead of an inflated classify
-// stage.
-func (p *Pipeline) refreshSnapshotLocked(sp *obs.Span) {
-	snap := p.snapshot.Load()
-	if snap.Epoch() == p.model.Epoch() {
+// recompileLocked compiles the model in place if it moved since its last
+// compile, which re-freezes only what changed (see
+// stream.CompileSnapshot). Called with p.mu held. The compile cost is
+// attributed to sp's StageCompile so a tweet that happened to pay for a
+// compile shows it in its trace instead of an inflated classify stage.
+func (p *Pipeline) recompileLocked(sp *obs.Span) {
+	if p.compiled.Epoch() == p.model.Epoch() {
 		return
 	}
 	var start time.Time
 	if sp != nil {
 		start = time.Now()
 	}
-	p.publishLocked(p.model.CompileSnapshot(snap))
+	p.compileLocked()
 	if sp != nil {
 		sp.AddExclusive(obs.StageCompile, time.Since(start))
 	}
 }
 
-// publishLocked makes next the snapshot the classify step predicts from
-// and lock-free readers (SnapshotStats) load, and counts the publication.
-// Called with p.mu held, or before p is shared.
-func (p *Pipeline) publishLocked(next *stream.Compiled) {
-	p.snapshot.Store(next)
-	p.snapRebuilds.Add(1)
-	p.snapTrees.Add(int64(next.Rebuilt()))
+// compileLocked brings the model's compiled form up to date and counts
+// the compile. Called with p.mu held, or before p is shared.
+func (p *Pipeline) compileLocked() {
+	p.compiled = p.model.CompileSnapshot(nil)
+	p.snapRebuilds++
+	p.snapTrees += int64(p.compiled.Rebuilt())
 }
 
 // SnapshotStats is the compiled-snapshot telemetry surfaced on /v1/stats
@@ -179,40 +172,38 @@ type SnapshotStats struct {
 	// Enabled is always true: every model classifies through its compiled
 	// snapshot. The field stays for /v1/stats consumers.
 	Enabled bool `json:"enabled"`
-	// Epoch is the model epoch the published snapshot was compiled at.
+	// Epoch is the model epoch the compiled form was compiled at.
 	Epoch uint64 `json:"epoch"`
 	// ModelEpoch is the live model's current epoch; Age = ModelEpoch -
-	// Epoch is the number of model mutations the snapshot is behind
-	// (0 = fresh; the pipeline re-publishes at the end of every entry and
+	// Epoch is the number of model mutations the compiled form is behind
+	// (0 = fresh; the pipeline compiles at the end of every entry and
 	// every AbsorbBatch, so a reader never sees a nonzero age between
 	// calls).
 	ModelEpoch uint64 `json:"model_epoch"`
 	Age        uint64 `json:"age"`
-	// Rebuilds counts snapshot publications; TreesRebuilt sums the member
-	// trees actually re-flattened across them (the incremental-rebuild
-	// saving is visible as TreesRebuilt growing slower than
-	// Rebuilds × ensemble size).
+	// Rebuilds counts compiles; TreesRebuilt sums the member trees each
+	// changed (the saving of leaving unchanged members alone is visible as
+	// TreesRebuilt growing slower than Rebuilds × ensemble size).
 	Rebuilds     int64 `json:"rebuilds"`
 	TreesRebuilt int64 `json:"trees_rebuilt"`
-	// Trees / Nodes describe the published snapshot's size.
+	// Trees / Nodes describe the compiled form's size.
 	Trees int `json:"trees"`
 	Nodes int `json:"nodes"`
 }
 
 // SnapshotStats reports the compiled-snapshot telemetry.
 func (p *Pipeline) SnapshotStats() SnapshotStats {
-	snap := p.snapshot.Load()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	st := SnapshotStats{
 		Enabled:      true,
-		Epoch:        snap.Epoch(),
-		Rebuilds:     p.snapRebuilds.Load(),
-		TreesRebuilt: p.snapTrees.Load(),
-		Trees:        snap.NumTrees(),
-		Nodes:        snap.NumNodes(),
+		Epoch:        p.compiled.Epoch(),
+		ModelEpoch:   p.model.Epoch(),
+		Rebuilds:     p.snapRebuilds,
+		TreesRebuilt: p.snapTrees,
+		Trees:        p.compiled.NumTrees(),
+		Nodes:        p.compiled.NumNodes(),
 	}
-	p.mu.Lock()
-	st.ModelEpoch = p.model.Epoch()
-	p.mu.Unlock()
 	if st.ModelEpoch >= st.Epoch {
 		st.Age = st.ModelEpoch - st.Epoch
 	}
@@ -381,10 +372,7 @@ func (p *Pipeline) labelOf(tw *twitterdata.Tweet) int {
 }
 
 // Process runs one tweet through the pipeline: a batch of one, over
-// scratch on the caller's stack. (tw itself escapes: it travels in a
-// BatchEntry beside a span the pipeline retains for its sinks, and escape
-// analysis does not tell the two fields apart — callers looping over
-// Process should reuse one Tweet rather than declare one per iteration.)
+// scratch on the caller's stack.
 func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
 	entry := [1]BatchEntry{{Tweet: tw}}
 	var result [1]Result
@@ -403,18 +391,18 @@ func (p *Pipeline) Process(tw *twitterdata.Tweet) Result {
 // The batch is one critical section that takes the entries one at a time,
 // in order, each exactly as the reference does: look up or extract (a
 // labeled entry that misses the cache keeps its scan for the BoW's learn),
-// fold and scale, predict from the published snapshot, train when labeled,
-// apply the effects, record the log offset, and re-publish the snapshot if
-// the model moved. Readers of the pipeline therefore see it only between
-// batches, and the snapshot is current at every predict.
+// fold and scale, predict from the compiled form, train when labeled,
+// apply the effects, record the log offset, and recompile if the model
+// moved. Readers of the pipeline therefore see it only between batches,
+// and the compiled form is current at every predict.
 //
 // A tweet's stages are the same alone and mid-batch: cache, extract (on a
 // miss, a labeled entry's scan included, plus the normalizer fold),
 // classify (plus record, train and learn when labeled), observe (an alert's
 // offense included), verdict, and compile for the entry that paid for a
-// snapshot rebuild.
+// compile.
 func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result {
-	k := p.snapshot.Load().NumClasses()
+	k := p.classes.Len()
 	if need := len(entries) * feature.NumFeatures; len(p.xArena) < need {
 		p.xArena = make([]float64, need)
 	}
@@ -443,7 +431,7 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 
 		v := ml.Prediction(stride(p.voteArena, j, k))
 		sp.BeginStage(obs.StageClassify)
-		p.snapshot.Load().PredictInto(v, p.classifyScratch, in.X)
+		p.compiled.PredictInto(v, p.classifyScratch, in.X)
 		if in.IsLabeled() {
 			p.model.Train(in)
 		} else {
@@ -455,7 +443,7 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 			p.logOffset = e.Offset
 		}
 		sp.EndStage()
-		p.refreshSnapshotLocked(sp)
+		p.recompileLocked(sp)
 	}
 	return results
 }
@@ -554,8 +542,8 @@ func (p *Pipeline) AbsorbBatch(accs []ml.Accumulator, tweets []twitterdata.Tweet
 		}
 		p.absorb(&tweets[i], &res, nil, nil)
 	}
-	// Re-publish so the snapshot catches up with the merged accumulators.
-	p.refreshSnapshotLocked(nil)
+	// Recompile so the compiled form catches up with the merged accumulators.
+	p.recompileLocked(nil)
 }
 
 // Summary returns the cumulative evaluation metrics.

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -220,7 +219,8 @@ func TestProcessBatchRunBoundaries(t *testing.T) {
 // its capacity, so that its clone-on-acceptance is rare (about 0.3 mallocs
 // per tweet here, which AllocsPerRun truncates). The normalized vector and
 // the votes live in the pipeline's arenas; the parent commit allocated both
-// per tweet.
+// per tweet. Process keeps no pointer to its tweet, so a caller's
+// per-iteration copy (engine.RunSequential's loop) stays on its stack too.
 func TestProcessAllocsPerTweet(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -249,6 +249,14 @@ func TestProcessAllocsPerTweet(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("Process allocates %.0f per tweet in steady state, want 0", got)
+	}
+	got = testing.AllocsPerRun(4*len(cycle), func() {
+		tw := cycle[i%len(cycle)]
+		p.Process(&tw)
+		i++
+	})
+	if got != 0 {
+		t.Fatalf("Process of a per-iteration copy allocates %.0f per tweet, want 0", got)
 	}
 }
 
@@ -324,10 +332,10 @@ func TestTraceStagesIndependentOfBatching(t *testing.T) {
 	}
 }
 
-// TestSnapshotStalenessBound pins the publication rule: every Process
-// call leaves the published snapshot caught up with the live model
-// (age 0), so a train step is visible to lock-free classification within
-// the same call — the staleness bound of one micro-batch.
+// TestSnapshotStalenessBound pins the compile rule: every Process call
+// leaves the compiled form caught up with the live model (age 0), so a
+// train step is visible to the next classification — the staleness
+// bound of one entry.
 func TestSnapshotStalenessBound(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Model = ModelARF
@@ -345,7 +353,7 @@ func TestSnapshotStalenessBound(t *testing.T) {
 		t.Fatalf("labeled traffic should force rebuilds: %+v", st)
 	}
 	// Incremental rebuild: counter-based bagging leaves some member trees
-	// untouched on most train steps, so total trees re-flattened must be
+	// untouched on most train steps, so total trees re-compiled must be
 	// well below rebuilds × ensemble size.
 	if st.Trees > 1 && st.TreesRebuilt >= st.Rebuilds*int64(st.Trees) {
 		t.Fatalf("every rebuild re-flattened all %d trees (%d rebuilds, %d trees rebuilt): O(changed trees) lost",
@@ -353,8 +361,8 @@ func TestSnapshotStalenessBound(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreInvalidates proves a checkpoint restore republishes:
-// the model is replaced wholesale, so a stale snapshot would classify
+// TestSnapshotRestoreInvalidates proves a checkpoint restore recompiles:
+// the model is replaced wholesale, so a stale compiled form would classify
 // against the pre-restore model forever.
 func TestSnapshotRestoreInvalidates(t *testing.T) {
 	opts := DefaultOptions()
@@ -382,71 +390,6 @@ func TestSnapshotRestoreInvalidates(t *testing.T) {
 	for i := range probe {
 		probe[i].Label = ""
 		requireSameResult(t, fmt.Sprintf("probe%d", i), q.Process(&probe[i]), p.Process(&probe[i]))
-	}
-}
-
-// TestFastClassifyRacingTraining races lock-free snapshot readers
-// against the processing goroutine while ARF drift replaces member
-// trees. Under -race this proves the published snapshot shares no
-// mutable memory with the live model: readers re-evaluate a probe on
-// whatever snapshot is current while the writer trains through a label
-// flip. Reader classifications on one loaded snapshot must be
-// self-consistent (two evaluations bit-identical), which fails if a
-// published snapshot ever exposes a half-replaced ensemble member.
-func TestFastClassifyRacingTraining(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Model = ModelARF
-	p := NewPipeline(opts)
-	warm := smallDataset(206, 400, 200, 40)
-	p.ProcessAll(warm)
-
-	probe := detach(p.Process(&warm[0])).Instance.X
-
-	var stop atomic.Bool
-	var checks atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var a, b, scratch []float64
-			for !stop.Load() {
-				snap := p.snapshot.Load()
-				if len(a) < snap.NumClasses() {
-					a = make([]float64, snap.NumClasses())
-					b = make([]float64, snap.NumClasses())
-					scratch = make([]float64, snap.ScratchLen())
-				}
-				snap.PredictInto(a[:snap.NumClasses()], scratch, probe)
-				snap.PredictInto(b[:snap.NumClasses()], scratch, probe)
-				for c := range a {
-					if math.Float64bits(a[c]) != math.Float64bits(b[c]) {
-						t.Errorf("snapshot votes changed between evaluations: class %d %v vs %v", c, a[c], b[c])
-						stop.Store(true)
-						return
-					}
-				}
-				checks.Add(1)
-			}
-		}()
-	}
-
-	// Drive drift: same geometry generator, labels flipped by re-tagging
-	// aggressive traffic as normal and vice versa.
-	churn := smallDataset(207, 300, 600, 120)
-	for i := range churn {
-		switch churn[i].Label {
-		case twitterdata.LabelNormal:
-			churn[i].Label = twitterdata.LabelAbusive
-		case twitterdata.LabelAbusive, twitterdata.LabelHateful:
-			churn[i].Label = twitterdata.LabelNormal
-		}
-		p.Process(&churn[i])
-	}
-	stop.Store(true)
-	wg.Wait()
-	if checks.Load() == 0 {
-		t.Fatalf("readers never observed a snapshot")
 	}
 }
 
@@ -546,12 +489,11 @@ func BenchmarkProcessAllBatchedVsLoop(b *testing.B) {
 }
 
 // TestLabeledProcessAllocs holds a labeled Process whose train step does
-// not split to at most 2 allocations, both of them the snapshot it
-// re-publishes: the header (one object) and its table of chunk indices.
-// The train step allocates nothing (stream's TestTrainStepZeroAlloc), and
-// the chunk copy and the re-frozen leaf land in arrays the tree owns. The grace period keeps the tree from
-// ever attempting a split; the stream is warmed like
-// TestProcessAllocsPerTweet's, with 64 labeled tweets cycled.
+// not split to 0 allocations: the train step allocates nothing (stream's
+// TestTrainStepZeroAlloc), and the compile after it re-freezes the leaf
+// where it is stored (stream's TestCompileInPlaceZeroAlloc). The grace
+// period keeps the tree from ever attempting a split; the stream is
+// warmed like TestProcessAllocsPerTweet's, with 64 labeled tweets cycled.
 func TestLabeledProcessAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -582,7 +524,7 @@ func TestLabeledProcessAllocs(t *testing.T) {
 		p.Process(&cycle[i%len(cycle)])
 		i++
 	})
-	if got > 2 {
-		t.Fatalf("a labeled Process allocates %.0f, want <= 2", got)
+	if got != 0 {
+		t.Fatalf("a labeled Process allocates %.0f, want 0", got)
 	}
 }

@@ -229,13 +229,9 @@ func (r *RateLimitedSource) Next() (twitterdata.Tweet, bool) {
 // parallelized processing).
 func RunSequential(p *core.Pipeline, src Source) Stats {
 	m := startRun(p)
-	// One Tweet for the whole run: Process's argument escapes, so a
-	// per-iteration variable would be a heap allocation per tweet, and
-	// nothing retains the pointer past the call.
-	var t twitterdata.Tweet
 	for {
-		var ok bool
-		if t, ok = src.Next(); !ok {
+		t, ok := src.Next()
+		if !ok {
 			break
 		}
 		p.Process(&t)

@@ -202,10 +202,6 @@ type execSession struct {
 	modelKind string
 	model     stream.Model
 	modelHash uint64
-	// snap caches the compiled classify snapshot across shares: reused
-	// whole while broadcasts elide the model, flattened afresh after a
-	// broadcast ships a new one.
-	snap *stream.Compiled
 
 	stats    *norm.FeatureStats
 	normMode int
@@ -373,9 +369,8 @@ func (s *execSession) processData(msg *wireMsg) bool {
 func (s *execSession) runShare(msg *wireMsg) batchResponse {
 	resp := batchResponse{Seq: msg.Seq, Lo: msg.Lo, Hi: msg.Hi}
 	s.e.vocabSize.Store(int64(s.extractor.BoW().Size()))
-	var out shareOutput
-	out, s.snap = computeShare(s.extractor, s.stats, norm.Mode(s.normMode), core.ClassScheme(s.scheme),
-		s.model, s.snap, msg.Tweets, msg.Tasks, s.e.workers)
+	out := computeShare(s.extractor, s.stats, norm.Mode(s.normMode), core.ClassScheme(s.scheme),
+		s.model, msg.Tweets, msg.Tasks, s.e.workers)
 	for _, acc := range out.accs {
 		blob, err := acc.(stream.StatefulAccumulator).State()
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"redhanded/internal/core"
-	"redhanded/internal/stream"
 	"redhanded/internal/twitterdata"
 )
 
@@ -48,13 +47,12 @@ func SparkLocalConfig(cores int) MicroBatchConfig {
 // implies, paying the real encode/decode cost without changing state: the
 // micro-batch management overhead that makes SparkSingle ~7-17% slower than
 // MOA in Fig. 15. (The round trip rebuilds every tree node, so the batch's
-// snapshot compile is necessarily a full one.)
+// compile is necessarily a full flatten.)
 func RunMicroBatch(p *core.Pipeline, src Source, cfg MicroBatchConfig) (Stats, error) {
 	cfg = cfg.withDefaults()
 	m := startRun(p)
 	model := p.Model()
 	var batch []twitterdata.Tweet
-	var snap *stream.Compiled
 	for {
 		batch = nextBatch(src, batch, cfg.BatchSize)
 		if len(batch) == 0 {
@@ -68,9 +66,8 @@ func RunMicroBatch(p *core.Pipeline, src Source, cfg MicroBatchConfig) (Stats, e
 		if err := model.UnmarshalBinary(blob); err != nil {
 			return m.finish(), fmt.Errorf("engine: broadcast unmarshal: %w", err)
 		}
-		var share shareOutput
-		share, snap = computeShare(p.Extractor(), p.Normalizer().Stats, p.Normalizer().Mode, p.Options().Scheme,
-			model, snap, batch, cfg.Workers, cfg.Workers)
+		share := computeShare(p.Extractor(), p.Normalizer().Stats, p.Normalizer().Mode, p.Options().Scheme,
+			model, batch, cfg.Workers, cfg.Workers)
 		mergeBatch(p, batch, []shareOutput{share})
 		m.batch(len(batch), batchStart)
 		if len(batch) < cfg.BatchSize {

@@ -45,15 +45,15 @@ type shareOutput struct {
 // its label, and accumulates one statistics delta per partition; the deltas
 // are folded, in partition order, into the share's local delta. Phase 2
 // normalizes (into one vector per partition) against base plus that local
-// delta, predicts with the compiled snapshot of model (chained from prev,
-// so only what changed since the previous share is re-flattened), and
-// accumulates the labeled instances into one training accumulator per
-// partition. Neither base nor model is modified, and the output depends
-// only on the arguments — never on which node or how many workers ran it —
-// which is what makes failover reassignment exact and the engines
-// interchangeable.
+// delta, predicts with model's compiled form (compiled in place first, so
+// only what changed since the previous share is re-frozen; the partitions
+// then share it, and nothing compiles until they finish), and accumulates
+// the labeled instances into one training accumulator per partition.
+// Neither base nor model is trained, and the output depends only on the
+// arguments — never on which node or how many workers ran it — which is
+// what makes failover reassignment exact and the engines interchangeable.
 func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode norm.Mode, scheme core.ClassScheme,
-	model stream.Model, prev *stream.Compiled, tweets []twitterdata.Tweet, parts, workers int) (shareOutput, *stream.Compiled) {
+	model stream.Model, tweets []twitterdata.Tweet, parts, workers int) shareOutput {
 	parts = min(max(parts, 1), len(tweets))
 
 	raws := make([]*feature.Vec, len(tweets))
@@ -80,7 +80,7 @@ func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode no
 
 	normalizer := &norm.Normalizer{Mode: mode, Stats: base.Clone()}
 	normalizer.Stats.Merge(out.stats)
-	snap := model.CompileSnapshot(prev)
+	snap := model.CompileSnapshot(nil)
 	out.accs = make([]ml.Accumulator, parts)
 	out.classified = make([]classifiedRec, len(tweets))
 	runParts(parts, workers, func(part int) {
@@ -106,7 +106,7 @@ func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode no
 	for _, v := range raws {
 		feature.PutVec(v)
 	}
-	return out, snap
+	return out
 }
 
 // runParts calls fn(0) … fn(parts-1) on at most workers goroutines, each

@@ -85,11 +85,8 @@ func TestShareKernelEdges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := base.Count()
-			out, snap := computeShare(p.Extractor(), base, p.Normalizer().Mode, p.Options().Scheme,
-				p.Model(), nil, tc.tweets, tc.parts, tc.workers)
-			if snap == nil {
-				t.Fatal("no compiled snapshot returned")
-			}
+			out := computeShare(p.Extractor(), base, p.Normalizer().Mode, p.Options().Scheme,
+				p.Model(), tc.tweets, tc.parts, tc.workers)
 			if base.Count() != before {
 				t.Fatalf("kernel folded into the base statistics: %d -> %d", before, base.Count())
 			}

@@ -312,11 +312,11 @@ func newServer(opts Options, start bool) *Server {
 		users := sh.p.Users()
 		reg.GaugeFunc("redhanded_userstate_active_users", "Tracked user records per shard.",
 			labels, func() float64 { return float64(users.Len()) })
-		reg.CounterFunc("redhanded_snapshot_rebuilds", "Compiled-snapshot publications per shard.",
+		reg.CounterFunc("redhanded_snapshot_rebuilds", "Model compiles per shard.",
 			labels, func() float64 { return float64(p.SnapshotStats().Rebuilds) })
-		reg.CounterFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-flattened across snapshot rebuilds per shard.",
+		reg.CounterFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-compiled across model compiles per shard.",
 			labels, func() float64 { return float64(p.SnapshotStats().TreesRebuilt) })
-		reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's published snapshot is behind.",
+		reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's compiled model is behind.",
 			labels, func() float64 { return float64(p.SnapshotStats().Age) })
 		sh.lastEnqueued.Store(-1)
 		if l := opts.Log; l != nil {

@@ -176,9 +176,10 @@ type AdaptiveRandomForest struct {
 	warnings   int
 	// epoch counts prediction-relevant mutations at forest granularity
 	// (every train step touches the accuracy weights even when bagging
-	// draws zero); per-member tree epochs drive the incremental
-	// re-flattening in compiled.go.
-	epoch uint64
+	// draws zero). compiled points at the members' compiled trees, each
+	// kept up to date by its own tree (compiled.go), beside their weights.
+	epoch    uint64
+	compiled Compiled
 }
 
 var _ ml.DistributedClassifier = (*AdaptiveRandomForest)(nil)

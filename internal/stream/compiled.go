@@ -2,74 +2,63 @@ package stream
 
 import (
 	"math"
+	"slices"
 
 	"redhanded/internal/ml"
 )
 
 // Compiled inference snapshots: the live models (HoeffdingTree, SLR,
 // AdaptiveRandomForest) are mutable pointer graphs optimized for
-// incremental training. The serving hot path wants the opposite — an
-// immutable, pointer-free, contiguous representation it can classify
-// against without locks or allocations. CompileSnapshot flattens a
-// model's prediction function into that form:
+// incremental training. The classify step wants the opposite — a
+// pointer-free, contiguous representation it can classify against
+// without allocations. CompileSnapshot brings a model's one compiled
+// form of that shape up to date and returns it:
 //
-//   - tree models become one cnode array per tree (split feature,
-//     threshold, child indices) plus one frozen float64 block per leaf
-//     (class counts, or log priors followed by the precomputed
-//     naive-Bayes per-(feature, class) Gaussian records). Both live in
-//     append-only arrays the tree owns; a leaf table of {off, n} pairs
-//     in fixed-size chunks locates the blocks, so snapshots can share
-//     chunks;
+//   - a Hoeffding tree is one cnode array (split feature, threshold,
+//     child indices) plus one arena of frozen leaf blocks (class counts,
+//     or log priors followed by the precomputed naive-Bayes
+//     per-(feature, class) Gaussian records). Every leaf owns a block of
+//     the same reserved length, so a re-frozen leaf is written where it
+//     is stored;
+//   - an ensemble points at its members' trees and holds their vote
+//     weights;
 //   - SLR becomes a single flat weight vector with a per-class stride.
 //
 // The flattening preserves the exact floating-point operation order of
-// the live predict paths, so a snapshot's votes are bit-for-bit
+// the live predict paths, so the compiled votes are bit-for-bit
 // identical to the source model's Predict at the epoch it was compiled
-// (compiled_test.go proves this per model and under concurrent
-// training, compiled_incremental_test.go after every train step).
+// (compiled_test.go proves this per model, compiled_incremental_test.go
+// after every train step, merge and restore).
 //
-// Rebuilds are incremental at two levels. Every model carries a
-// monotone epoch counter bumped on each mutation, and an ARF snapshot
-// reuses the flattened form of any member tree whose (pointer, epoch)
-// pair is unchanged since the previous snapshot. Within a changed tree,
-// the tree records the leaves touched and the leaves split since its
-// latest compile, and compileTree builds on that compile: it shares the
-// node array and every untouched leaf chunk, and re-freezes only the
-// touched leaves. A split appends its two new leaves (one in the split
-// leaf's slot, one in a fresh slot) and a copy of the path above them to
-// the node array, so it writes no node a snapshot already reads. A
-// touched leaf's chunk is copied to the end of the tree's chunk array
-// and its block appended to the tree's arena, so a one-tree compile
-// allocates its header (one object) and its table of chunk indices.
-// Published snapshots are never written: a compile keeps the prefixes of
-// the tree's arrays it was built with, later compiles append past them,
-// and the sharing needs no coordination with readers. When the arena
-// outgrows twice its live size plus arenaSlack, the compile moves the
-// live blocks into a fresh arena and the live chunks into a fresh chunk
-// array (compaction), and keeps the node array; chunk copies that
-// outgrow the chunk array move the live chunks alone. A full flatten
-// remains for a restore (which drops the tree's latest-compile
-// reference), a prev that is not the latest compile (a second consumer
-// holding its own prev), and splits whose path copies outgrow the node
-// array (its compaction).
+// Each model owns its compiled form and compiles it in place. A tree
+// lists the leaves its training and delta merges touched and the leaves
+// they split since its last compile; the compile rewrites each split
+// leaf's node as an internal node over two appended leaves (the left
+// keeps the split leaf's block, the right gets a new one) and re-freezes
+// each touched leaf into its block. Nothing else is written, and after a
+// non-splitting step nothing is allocated. A tree never compiled, or
+// restored since, is flattened afresh. The forest re-compiles only the
+// member trees that changed and refreshes its weights; SLR copies its
+// weights. The compiled form is therefore valid only until its model's
+// next compile: the code that mutates a model is the code that compiles
+// it, and readers share it only while nothing compiles (DESIGN.md).
 
 // Compilable is a streaming model whose prediction function can be
-// flattened into an immutable Compiled snapshot.
+// flattened into its Compiled form.
 type Compilable interface {
 	// Epoch returns a counter bumped on every mutation of
 	// prediction-relevant state; callers use it to detect staleness
 	// without recompiling.
 	Epoch() uint64
-	// CompileSnapshot flattens the current prediction state. prev, when
-	// non-nil, is an earlier snapshot of the same model: parts whose
-	// source did not change since prev was built are reused instead of
-	// re-flattened.
+	// CompileSnapshot brings the model's one compiled form up to date in
+	// place and returns it: every call returns the same *Compiled. prev
+	// is unused.
 	CompileSnapshot(prev *Compiled) *Compiled
 }
 
 // cnode is one flattened tree node. Internal nodes have feature >= 0
-// and left/right as node-array indices. Leaves have feature == -1 and
-// left is the leaf's slot in the tree's leaf table (right is unused).
+// and left/right as node-array indices. Leaves have feature == -1, and
+// their block is arena[left : left+right].
 type cnode struct {
 	threshold float64
 	feature   int32
@@ -77,73 +66,28 @@ type cnode struct {
 	right     int32
 }
 
-// The leaf table lives in fixed-size chunks: an incremental compile
-// copies the table of chunk indices and the one chunk holding each
-// touched leaf, and shares every other chunk with the previous snapshot.
-const (
-	leafChunkShift = 5
-	leafChunkLen   = 1 << leafChunkShift
-)
-
-// arenaSlack is the arena growth, in values, allowed on top of twice its
-// live size before a compile compacts it, and the headroom a fresh arena
-// gets beyond that bound, so the blocks of the next compiles land
-// without growing it. nodeSlack is the room, in nodes, a fresh node
-// array gets for path copies on top of an eighth of the tree's size:
-// path copies scatter a walk over the array, so the tree is laid out
-// afresh in depth-first order once they fill that room. chunkSlack is the
-// room, in chunks, a fresh chunk array gets for chunk copies on top of
-// the leaf table (after a flatten) or of seven times it (after a move).
-// All stay small so that a small tree's arrays do too: page-sized arrays
-// for every member of a forest put all their roots in the same cache
-// sets.
-const (
-	arenaSlack = 64
-	nodeSlack  = 16
-	chunkSlack = 16
-)
-
-// leafRef locates one leaf's frozen block in its tree's arena:
-// arena[off : off+n]. A block of exactly numClasses values is a
-// majority-class leaf (its raw class counts). A longer block is a
+// compiledTree is one flattened Hoeffding tree, owned by the tree it was
+// flattened from. The walk starts at nodes[0]. Every leaf has block arena
+// values reserved, as many as the longest block its tree's
+// leaf-prediction mode can freeze. A block of exactly numClasses values
+// is a majority-class leaf (its raw class counts); a longer block is a
 // naive-Bayes leaf: the per-class log priors (-Inf for classes the leaf
 // never saw), then the observed-feature count, then per observed feature
-// its index and one (valid, mean, std, log std) record per class.
-type leafRef struct{ off, n uint32 }
-
-// leafChunk locates the blocks of leafChunkLen consecutive leaf slots.
-type leafChunk [leafChunkLen]leafRef
-
-// compiledTree is one flattened Hoeffding tree: the walk starts at
-// nodes[root], and leaf slot s's block is located by
-// chunks[table[s/leafChunkLen]][s%leafChunkLen]. src/srcEpoch identify
-// the live tree it was flattened from — used only as the incremental-
-// rebuild reuse key, never dereferenced at predict time. The node, chunk
-// and arena backings are shared with other compiles of the same tree;
-// nothing a compiledTree can read is written after compileTree returns
-// (later compiles append past len(nodes), len(chunks) and len(arena)
-// only). Those arrays also hold the dead copies later compiles left
-// behind, so size is the tree's node count.
+// its index and one (valid, mean, std, log std) record per class. The
+// arrays hold exactly the tree's nodes and its leaves' reservations.
 type compiledTree struct {
-	src      *HoeffdingTree
-	srcEpoch uint64
-	nodes    []cnode
-	chunks   []leafChunk
-	table    []uint32
-	arena    []float64
-	root     int32
-	size     int32
+	nodes []cnode
+	arena []float64
+	block int
 }
 
-// Compiled is an immutable, pointer-free snapshot of a model's
-// prediction function. It is safe for unsynchronized concurrent use by
-// any number of readers; publication is the caller's concern (the core
-// pipeline uses an atomic.Pointer per the RCU rule in DESIGN.md).
+// Compiled is the flat form of a model's prediction function, owned by
+// the model and brought up to date in place by its CompileSnapshot. Any number of readers may classify with it
+// concurrently while nothing compiles the model.
 type Compiled struct {
-	src        any // source model identity, for prev-reuse checks only
 	epoch      uint64
 	numClasses int
-	rebuilt    int // trees recompiled while building this snapshot
+	rebuilt    int // trees re-compiled by the latest compile
 
 	// Tree models. A single HT compiles to one tree with no ensemble
 	// vote; ARF compiles to one tree per member plus accuracy weights.
@@ -156,11 +100,11 @@ type Compiled struct {
 	slrStride int
 }
 
-// Epoch returns the source-model epoch this snapshot was compiled at.
+// Epoch returns the model epoch this form was last compiled at.
 func (c *Compiled) Epoch() uint64 { return c.epoch }
 
-// Rebuilt returns how many trees were recompiled (rather than reused
-// whole from the previous snapshot) when this snapshot was built.
+// Rebuilt returns how many trees the latest compile changed (1 for
+// SLR).
 func (c *Compiled) Rebuilt() int { return c.rebuilt }
 
 // NumClasses returns the class-domain size of the compiled model.
@@ -173,7 +117,7 @@ func (c *Compiled) NumTrees() int { return len(c.trees) }
 func (c *Compiled) NumNodes() int {
 	n := 0
 	for _, t := range c.trees {
-		n += int(t.size)
+		n += len(t.nodes)
 	}
 	return n
 }
@@ -237,7 +181,7 @@ func (c *Compiled) PredictInto(dst, scratch, x []float64) {
 //
 //redvet:noalloc gate=CompiledClassify
 func (ct *compiledTree) predictInto(votes, logv, x []float64) {
-	i := ct.root
+	i := int32(0)
 	for {
 		nd := ct.nodes[i]
 		if nd.feature >= 0 {
@@ -248,8 +192,7 @@ func (ct *compiledTree) predictInto(votes, logv, x []float64) {
 			}
 			continue
 		}
-		ref := ct.chunks[ct.table[nd.left>>leafChunkShift]][nd.left&(leafChunkLen-1)]
-		blk := ct.arena[ref.off : ref.off+ref.n]
+		blk := ct.arena[nd.left : nd.left+nd.right]
 		if len(blk) == len(votes) {
 			// Majority-class leaf: raw class-count copy.
 			copy(votes, blk)
@@ -339,198 +282,118 @@ func (c *Compiled) predictSLR(dst, x []float64) {
 
 // --- compilation ---
 
-// compileTree fills ct with the compiled form of t's current state. When
-// prev is the tree's latest compile, t.splits and t.touched list exactly
-// what changed since: ct replays the splits onto the tree's node array,
-// shares prev's untouched leaf chunks and re-freezes only the touched
-// leaves, then compacts the arena if it outgrew its bound. Any other
-// prev, or splits whose path copies no longer fit the node array, get a
-// full flatten.
-func compileTree(t *HoeffdingTree, prev, ct *compiledTree) {
-	ct.src, ct.srcEpoch, ct.size = t, t.epoch, int32(t.NumNodes())
-	if prev == nil || prev != t.compiled || !t.replaySplits() {
-		t.flatten(ct)
-	} else {
-		// Chunks from index own on are this compile's: it may write them.
-		nc := (t.NumLeaves() + leafChunkLen - 1) >> leafChunkShift
-		ct.table = make([]uint32, nc)
-		copy(ct.table, prev.table)
-		own := uint32(len(t.chunks))
-		if len(t.chunks)+nc > cap(t.chunks) { // room for a copy of every chunk
-			t.moveChunks(ct.table[:len(prev.table)], nc)
-			own = 0
-		}
-		for ci := len(prev.table); ci < nc; ci++ { // a split's fresh slot starts a chunk
-			ct.table[ci] = uint32(len(t.chunks))
-			t.chunks = append(t.chunks, leafChunk{})
-		}
-		for _, leaf := range t.touched {
-			if !leaf.isLeaf() {
-				continue // split since it was touched
-			}
-			ci, si := leaf.slot>>leafChunkShift, leaf.slot&(leafChunkLen-1)
-			if ct.table[ci] < own {
-				t.chunks = append(t.chunks, t.chunks[ct.table[ci]])
-				ct.table[ci] = uint32(len(t.chunks) - 1)
-			}
-			ref := t.freezeLeaf(leaf.stats)
-			chunk := &t.chunks[ct.table[ci]]
-			t.arenaLive += int(ref.n) - int(chunk[si].n)
-			chunk[si] = ref
-			leaf.dirty = false
-		}
-		if len(t.arena) > 2*t.arenaLive+arenaSlack {
-			t.compactArena(ct)
-		}
-	}
-	ct.nodes, ct.chunks, ct.arena, ct.root = t.nodes, t.chunks, t.arena, t.root.cidx
-	t.touched = t.touched[:0]
-	t.splits = t.splits[:0]
-	t.compiled = ct
-}
-
-// flatten lays the whole tree out in a fresh node array, with room for
-// an eighth as many nodes again plus nodeSlack of path copies, and
-// freezes every leaf into a fresh arena and leaf table.
-func (t *HoeffdingTree) flatten(ct *compiledTree) {
-	n := t.NumNodes()
-	t.nodes = make([]cnode, 0, n+n/8+nodeSlack)
-	t.arena = make([]float64, 0, 2*t.arenaLive+2*arenaSlack)
-	t.arenaLive = 0
-	nc := (t.NumLeaves() + leafChunkLen - 1) >> leafChunkShift
-	ct.table = make([]uint32, nc)
-	for i := range ct.table {
-		ct.table[i] = uint32(i)
-	}
-	t.chunks = make([]leafChunk, nc, 2*nc+chunkSlack)
-	t.addNode(t.root, new(int32))
-}
-
-// addNode appends n (and, for internal nodes, its subtree) to the node
-// array in depth-first order and returns its index. *slots is the next
-// free leaf slot; a leaf takes it, and with it a frozen block and a
-// clean touched mark.
-func (t *HoeffdingTree) addNode(n *htNode, slots *int32) int32 {
-	idx := int32(len(t.nodes))
-	n.cidx = idx
-	t.nodes = append(t.nodes, cnode{})
-	if n.isLeaf() {
-		n.slot, n.dirty = *slots, false
-		*slots++
-		ref := t.freezeLeaf(n.stats)
-		t.arenaLive += int(ref.n)
-		t.chunks[n.slot>>leafChunkShift][n.slot&(leafChunkLen-1)] = ref
-		t.nodes[idx] = cnode{feature: -1, left: n.slot, right: -1}
-		return idx
-	}
-	l := t.addNode(n.left, slots)
-	r := t.addNode(n.right, slots)
-	t.nodes[idx] = cnode{threshold: n.threshold, feature: int32(n.feature), left: l, right: r}
-	return idx
-}
-
-// replaySplits applies t.splits, in the order they happened, to the node
-// array by path copying: no node a published snapshot can reach is
-// written. A split leaf's two children are appended, the left in the
-// leaf's slot and the right in the next free slot (the children are on
-// the touched list, so the caller freezes them). Then the leaf, now
-// internal, and each of its ancestors up to the root are appended again
-// in their new form, each pointing at the copy below it. A split of a
-// leaf at depth d appends d+3 nodes. It reports false, changing nothing,
-// when they do not all fit in the node array's capacity: the caller then
-// flattens the tree, which also drops the dead copies.
-func (t *HoeffdingTree) replaySplits() bool {
-	need := 0
-	for _, n := range t.splits {
-		need += n.depth + 3
-	}
-	if len(t.nodes)+need > cap(t.nodes) {
+// compile brings t.flat up to date in place and reports whether it
+// changed anything. A tree never compiled, or restored since, is
+// flattened afresh; otherwise the splits since the last compile are laid
+// into the node array and the touched leaves re-frozen.
+//
+//redvet:noalloc gate=CompileInPlace
+func (t *HoeffdingTree) compile() bool {
+	switch {
+	case len(t.flat.nodes) == 0:
+		t.flatten()
+		return true
+	case len(t.touched) == 0: // a split touches both its new leaves
 		return false
 	}
-	free := int32(t.NumLeaves() - len(t.splits)) // the leaf count before the first split
-	for _, n := range t.splits {
-		l, r := int32(len(t.nodes)), int32(len(t.nodes)+1)
-		n.left.slot, n.left.cidx = n.slot, l
-		n.right.slot, n.right.cidx = free, r
-		t.nodes = append(t.nodes, cnode{feature: -1, left: n.slot, right: -1}, cnode{feature: -1, left: free, right: -1})
-		free++
-		nd := cnode{threshold: n.threshold, feature: int32(n.feature), left: l, right: r}
-		for {
-			n.cidx = int32(len(t.nodes))
-			t.nodes = append(t.nodes, nd)
-			p := n.parent
-			if p == nil {
-				break
-			}
-			nd = t.nodes[p.cidx]
-			if p.left == n {
-				nd.left = n.cidx
-			} else {
-				nd.right = n.cidx
-			}
-			n = p
+	t.applySplits()
+	for _, n := range t.touched {
+		if n.isLeaf() { // not split since it was touched
+			t.freeze(n)
 		}
+		n.dirty = false
 	}
+	t.touched = t.touched[:0]
 	return true
 }
 
-// moveChunks copies the chunks table names into a fresh chunk array, with
-// room for eight times nc chunks plus chunkSlack, and points table at the
-// copies, which the compile under way owns.
-func (t *HoeffdingTree) moveChunks(table []uint32, nc int) {
-	old := t.chunks
-	t.chunks = make([]leafChunk, len(table), 8*nc+chunkSlack)
-	for i, c := range table {
-		t.chunks[i] = old[c]
-		table[i] = uint32(i)
+// flatten lays the whole tree out in depth-first order, reusing t.flat's
+// arrays, and freezes every leaf.
+func (t *HoeffdingTree) flatten() {
+	k := t.cfg.NumClasses
+	t.flat.block = k
+	if t.cfg.LeafPrediction != MajorityClass {
+		t.flat.block = k + 1 + t.cfg.NumFeatures*(1+4*k)
 	}
+	t.flat.nodes, t.flat.arena = t.flat.nodes[:0], t.flat.arena[:0]
+	t.addNode(t.root)
 }
 
-// compactArena moves the blocks ct's leaf table points at into a fresh
-// arena, with room for twice their size plus twice arenaSlack, and the
-// chunks into a fresh chunk array to point at the copies. The old arrays
-// stay as they are for the snapshots that hold them.
-func (t *HoeffdingTree) compactArena(ct *compiledTree) {
-	t.moveChunks(ct.table, len(ct.table))
-	old := t.arena
-	t.arena = make([]float64, 0, 2*t.arenaLive+2*arenaSlack)
-	for i := range ct.table {
-		chunk := &t.chunks[i]
-		for j, ref := range chunk {
-			if ref.n > 0 { // slots past the last leaf are empty
-				chunk[j] = leafRef{off: uint32(len(t.arena)), n: ref.n}
-				t.arena = append(t.arena, old[ref.off:ref.off+ref.n]...)
-			}
-		}
+// addNode appends n (and, for internal nodes, its subtree) to the node
+// array in depth-first order and returns its index. A leaf gets a
+// reserved block and is frozen into it.
+func (t *HoeffdingTree) addNode(n *htNode) int32 {
+	idx := int32(len(t.flat.nodes))
+	n.cidx = idx
+	t.flat.nodes = append(t.flat.nodes, cnode{})
+	if n.isLeaf() {
+		t.flat.nodes[idx] = cnode{feature: -1, left: t.reserveBlock()}
+		t.freeze(n)
+		return idx
 	}
+	l := t.addNode(n.left)
+	r := t.addNode(n.right)
+	t.flat.nodes[idx] = cnode{threshold: n.threshold, feature: int32(n.feature), left: l, right: r}
+	return idx
 }
 
-// freezeLeaf appends one leaf's prediction to the arena as a block (see
-// leafRef for the layout) and returns where it went. The
-// NaiveBayesAdaptive choice (nbCorrect > mcCorrect) is resolved here: it
-// only changes under training, which marks the leaf touched so it is
-// frozen again. A naive-Bayes leaf that has seen no weight votes
-// all-zero, exactly what copying its zero class counts yields, so it
-// freezes as majority-class.
+// applySplits rewrites the node of each leaf split since the last
+// compile, in the order they split, as an internal node over two
+// appended leaves: the left takes the split leaf's block, the right a
+// newly reserved one. Both new leaves are on the touched list, so the
+// caller freezes them.
+func (t *HoeffdingTree) applySplits() {
+	for _, n := range t.splits {
+		off := t.flat.nodes[n.cidx].left
+		l := int32(len(t.flat.nodes))
+		n.left.cidx, n.right.cidx = l, l+1
+		t.flat.nodes[n.cidx] = cnode{threshold: n.threshold, feature: int32(n.feature), left: l, right: l + 1}
+		t.flat.nodes = append(t.flat.nodes, cnode{feature: -1, left: off}, cnode{feature: -1, left: t.reserveBlock()})
+	}
+	t.splits = t.splits[:0]
+}
+
+// reserveBlock appends one leaf's block reservation to the arena and
+// returns its offset.
+func (t *HoeffdingTree) reserveBlock() int32 {
+	off := len(t.flat.arena)
+	t.flat.arena = slices.Grow(t.flat.arena, t.flat.block)[:off+t.flat.block]
+	return int32(off)
+}
+
+// freeze writes leaf n's block into its reservation and the block's
+// length into n's node.
 //
-//redvet:noalloc gate=TrainStep
-func (t *HoeffdingTree) freezeLeaf(s *leafStats) leafRef {
-	off := len(t.arena)
+//redvet:noalloc gate=CompileInPlace
+func (t *HoeffdingTree) freeze(n *htNode) {
+	nd := &t.flat.nodes[n.cidx]
+	blk := t.freezeLeaf(t.flat.arena[nd.left:nd.left:int(nd.left)+t.flat.block], n.stats)
+	nd.right = int32(len(blk))
+}
+
+// freezeLeaf appends one leaf's prediction to dst as a block (see
+// compiledTree for the layout). The NaiveBayesAdaptive choice
+// (nbCorrect > mcCorrect) is resolved here: it only changes under
+// training, which marks the leaf touched so it is frozen again. A
+// naive-Bayes leaf that has seen no weight votes all-zero, exactly what
+// copying its zero class counts yields, so it freezes as majority-class.
+//
+//redvet:noalloc gate=CompileInPlace
+func (t *HoeffdingTree) freezeLeaf(dst []float64, s *leafStats) []float64 {
 	nb := t.cfg.LeafPrediction == NaiveBayes ||
 		(t.cfg.LeafPrediction == NaiveBayesAdaptive && s.nbCorrect > s.mcCorrect)
 	if total := sum(s.classCounts); nb && total > 0 {
-		t.appendNaiveBayes(s, total)
-	} else {
-		t.arena = append(t.arena, s.classCounts...)
+		return appendNaiveBayes(dst, s, total)
 	}
-	return leafRef{off: uint32(off), n: uint32(len(t.arena) - off)}
+	dst = append(dst, s.classCounts...)
+	return dst
 }
 
 // appendNaiveBayes appends the naive-Bayes block of a leaf that has seen
-// total weight.
+// total weight to dst.
 //
-//redvet:noalloc gate=TrainStep
-func (t *HoeffdingTree) appendNaiveBayes(s *leafStats, total float64) {
+//redvet:noalloc gate=CompileInPlace
+func appendNaiveBayes(dst []float64, s *leafStats, total float64) []float64 {
 	nFeat := 0
 	for _, obs := range s.observers {
 		if obs != nil {
@@ -539,121 +402,97 @@ func (t *HoeffdingTree) appendNaiveBayes(s *leafStats, total float64) {
 	}
 	for _, cnt := range s.classCounts {
 		if cnt == 0 {
-			t.arena = append(t.arena, math.Inf(-1))
+			dst = append(dst, math.Inf(-1))
 		} else {
-			t.arena = append(t.arena, math.Log(cnt/total))
+			dst = append(dst, math.Log(cnt/total))
 		}
 	}
-	t.arena = append(t.arena, float64(nFeat))
+	dst = append(dst, float64(nFeat))
 	for f, obs := range s.observers {
 		if obs == nil {
 			continue
 		}
-		t.arena = append(t.arena, float64(f))
+		dst = append(dst, float64(f))
 		for c := range s.classCounts {
 			w := obs.PerClass[c]
 			if w.N < 2 {
-				t.arena = append(t.arena, 0, 0, 0, 0)
+				dst = append(dst, 0, 0, 0, 0)
 				continue
 			}
 			std := w.Std()
 			if std < 1e-9 {
 				std = 1e-9
 			}
-			t.arena = append(t.arena, 1, w.Mean, std, math.Log(std))
+			dst = append(dst, 1, w.Mean, std, math.Log(std))
 		}
 	}
+	return dst
 }
 
 // Epoch implements Compilable.
 func (t *HoeffdingTree) Epoch() uint64 { return t.epoch }
 
-// oneTree is a single tree's snapshot in one allocation: the header, the
-// compiled tree and the one-element tree table.
-type oneTree struct {
-	Compiled
-	tree  compiledTree
-	table [1]*compiledTree
-}
-
-// CompileSnapshot implements Compilable.
-func (t *HoeffdingTree) CompileSnapshot(prev *Compiled) *Compiled {
-	var prevTree *compiledTree
-	if prev != nil && prev.src == any(t) {
-		if prev.epoch == t.epoch {
-			return prev
-		}
-		prevTree = prev.trees[0]
+// CompileSnapshot implements Compilable: the tree's compiled form,
+// brought up to date by compile.
+//
+//redvet:noalloc gate=CompileInPlace
+func (t *HoeffdingTree) CompileSnapshot(*Compiled) *Compiled {
+	c := &t.compiled
+	if c.trees == nil {
+		c.trees = []*compiledTree{&t.flat} //redvet:ignore noalloc the tree's first compile; TestCompileInPlaceZeroAlloc pins the ones after it at 0
 	}
-	c := &oneTree{Compiled: Compiled{src: t, epoch: t.epoch, numClasses: t.cfg.NumClasses, rebuilt: 1}}
-	compileTree(t, prevTree, &c.tree)
-	c.table[0] = &c.tree
-	c.trees = c.table[:]
-	return &c.Compiled
+	c.epoch, c.numClasses, c.rebuilt = t.epoch, t.cfg.NumClasses, 0
+	if t.compile() {
+		c.rebuilt = 1
+	}
+	return c
 }
 
 // Epoch implements Compilable.
 func (s *SLR) Epoch() uint64 { return s.epoch }
 
-// CompileSnapshot implements Compilable. SLR has no incremental
-// structure — the flat copy is O(weights) and always rebuilt.
-func (s *SLR) CompileSnapshot(prev *Compiled) *Compiled {
-	if prev != nil && prev.src == any(s) && prev.epoch == s.epoch {
-		return prev
-	}
+// CompileSnapshot implements Compilable: the weights are copied into the
+// flat vector, O(weights).
+//
+//redvet:noalloc gate=CompileInPlace
+func (s *SLR) CompileSnapshot(*Compiled) *Compiled {
+	c := &s.compiled
 	stride := 0
 	if len(s.w) > 0 {
 		stride = len(s.w[0])
 	}
-	flat := make([]float64, 0, len(s.w)*stride)
-	for _, row := range s.w {
-		flat = append(flat, row...)
+	if len(c.slrW) != len(s.w)*stride {
+		c.slrW = make([]float64, len(s.w)*stride) //redvet:ignore noalloc the first compile, or one after a restore changed the dimensions
 	}
-	return &Compiled{
-		src:        s,
-		epoch:      s.epoch,
-		numClasses: s.cfg.NumClasses,
-		rebuilt:    1,
-		slrW:       flat,
-		slrStride:  stride,
+	for cl, row := range s.w {
+		copy(c.slrW[cl*stride:], row)
 	}
+	c.epoch, c.numClasses, c.rebuilt, c.slrStride = s.epoch, s.cfg.NumClasses, 1, stride
+	return c
 }
 
 // Epoch implements Compilable.
 func (f *AdaptiveRandomForest) Epoch() uint64 { return f.epoch }
 
 // CompileSnapshot implements Compilable. Member vote weights are
-// recomputed every rebuild (O(members)); a member tree is recompiled
-// only when its (pointer, epoch) reuse key changed since prev — members
-// whose bagging weight drew zero, and the unchanged majority after a
-// drift replacement, are reused as-is — and a recompiled member goes
-// through compileTree with its previous form, so a trained member costs
-// its touched leaves and only a replaced or split one a full flatten.
-func (f *AdaptiveRandomForest) CompileSnapshot(prev *Compiled) *Compiled {
-	if prev != nil && prev.src == any(f) && prev.epoch == f.epoch {
-		return prev
+// recomputed every compile (O(members)); a member tree is compiled in
+// place, which costs nothing for members that did not change (bagging
+// weight zero), its touched leaves for a trained one, and a full
+// flatten only for a member just replaced by a fresh or background tree.
+//
+//redvet:noalloc gate=CompileInPlace
+func (f *AdaptiveRandomForest) CompileSnapshot(*Compiled) *Compiled {
+	c := &f.compiled
+	if n := len(f.members); len(c.trees) != n {
+		c.trees, c.weights = make([]*compiledTree, n), make([]float64, n) //redvet:ignore noalloc the first compile, or one after a restore changed the ensemble size
 	}
-	c := &Compiled{
-		src:        f,
-		epoch:      f.epoch,
-		numClasses: f.cfg.NumClasses,
-		ensemble:   true,
-		trees:      make([]*compiledTree, len(f.members)),
-		weights:    make([]float64, len(f.members)),
-	}
+	c.epoch, c.numClasses, c.ensemble, c.rebuilt = f.epoch, f.cfg.NumClasses, true, 0
 	for i, m := range f.members {
 		c.weights[i] = m.weight()
-		var prevTree *compiledTree
-		if prev != nil && i < len(prev.trees) {
-			prevTree = prev.trees[i]
+		if m.tree.compile() {
+			c.rebuilt++
 		}
-		if prevTree != nil && prevTree.src == m.tree && prevTree.srcEpoch == m.tree.epoch {
-			c.trees[i] = prevTree
-			continue
-		}
-		c.trees[i] = new(compiledTree)
-		compileTree(m.tree, prevTree, c.trees[i])
-		c.rebuilt++
+		c.trees[i] = &m.tree.flat
 	}
 	return c
 }

@@ -2,8 +2,6 @@ package stream
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"redhanded/internal/ml"
@@ -143,22 +141,23 @@ func TestCompiledSerializeRoundTripInvalidates(t *testing.T) {
 		t.Fatalf("UnmarshalBinary did not bump the epoch; stale snapshots would survive a restore")
 	}
 	next := f.CompileSnapshot(snap)
-	if next == snap {
-		t.Fatalf("CompileSnapshot reused a snapshot across a full restore")
+	if next.Epoch() != f.Epoch() || next.Rebuilt() != f.EnsembleSize() {
+		t.Fatalf("the compile after a restore re-compiled %d of %d member trees at epoch %d (model %d), want all",
+			next.Rebuilt(), f.EnsembleSize(), next.Epoch(), f.Epoch())
 	}
 	probe := data[0].X
 	assertVotesIdentical(t, "restored", next.Predict(probe), f.Predict(probe))
 }
 
 // TestCompiledIncrementalRebuild pins the O(changed trees) property: a
-// snapshot rebuild re-flattens exactly the member trees whose epoch
-// moved, reuses the rest by pointer, and a no-op rebuild returns the
-// previous snapshot itself.
+// compile re-compiles exactly the member trees whose epoch moved, leaves
+// the rest as they are, and every compile returns the forest's one
+// compiled form.
 func TestCompiledIncrementalRebuild(t *testing.T) {
 	data := gaussianStream(1200, 3, 8, 1.5, 31)
 	// Lambda 1 makes Poisson zero-draws common (P ≈ 0.37 per member), so
 	// a single train step leaves several member trees untouched and the
-	// pointer-reuse path is actually exercised.
+	// path that leaves them as they are is actually exercised.
 	f := NewAdaptiveRandomForest(ARFConfig{NumClasses: 3, NumFeatures: 8, EnsembleSize: 8, Seed: 9, Lambda: 1})
 	for _, in := range data[:1000] {
 		f.Train(in)
@@ -168,7 +167,7 @@ func TestCompiledIncrementalRebuild(t *testing.T) {
 		t.Fatalf("initial compile rebuilt %d trees, want all %d", snap.Rebuilt(), f.EnsembleSize())
 	}
 	if again := f.CompileSnapshot(snap); again != snap {
-		t.Fatalf("no-op CompileSnapshot built a new snapshot instead of returning prev")
+		t.Fatalf("a second CompileSnapshot returned another compiled form")
 	}
 
 	for _, in := range data[1000:1001] {
@@ -187,101 +186,24 @@ func TestCompiledIncrementalRebuild(t *testing.T) {
 				changed++
 			}
 		}
-		next := f.CompileSnapshot(snap)
-		if next.Rebuilt() != changed {
-			t.Fatalf("rebuild re-flattened %d trees; exactly %d member trees changed", next.Rebuilt(), changed)
+		arena := make([]*float64, len(f.members))
+		for i, m := range f.members {
+			arena[i] = &m.tree.flat.arena[0]
+		}
+		if next := f.CompileSnapshot(snap); next != snap || next.Rebuilt() != changed {
+			t.Fatalf("rebuild re-compiled %d trees; exactly %d member trees changed", next.Rebuilt(), changed)
 		}
 		if changed == f.EnsembleSize() {
 			t.Fatalf("every bagging weight was nonzero; the reuse path went unexercised (pick another seed)")
 		}
-		reused := 0
-		for i := range next.trees {
-			if next.trees[i] == snap.trees[i] {
-				reused++
+		for i, m := range f.members {
+			if snap.trees[i] != &m.tree.flat {
+				t.Fatalf("member %d: the compiled form does not point at the member's own compiled tree", i)
+			}
+			if before[i].epoch == m.tree.epoch && &m.tree.flat.arena[0] != arena[i] {
+				t.Fatalf("member %d did not change, yet its compiled tree moved", i)
 			}
 		}
-		if reused != f.EnsembleSize()-changed {
-			t.Fatalf("%d member trees reused by pointer, want %d", reused, f.EnsembleSize()-changed)
-		}
-		snap = next
-	}
-}
-
-// publishedPair is what the writer goroutine hands to readers: a
-// snapshot plus the votes it produced for a probe at publication time.
-// Readers re-evaluate the same probe on the same snapshot — any
-// divergence means a published snapshot was mutated after publication
-// (e.g. exposed a half-replaced ensemble member).
-type publishedPair struct {
-	snap  *Compiled
-	probe []float64
-	votes ml.Prediction
-}
-
-// TestCompiledSnapshotImmutableUnderConcurrentTraining races lock-free
-// readers against a writer driving the forest through drift-induced
-// tree replacements. Run under -race this also proves PredictInto
-// touches no memory the writer mutates.
-func TestCompiledSnapshotImmutableUnderConcurrentTraining(t *testing.T) {
-	seg1 := gaussianStream(2000, 3, 8, 2.5, 41)
-	seg2 := gaussianStream(2000, 3, 8, 2.5, 42)
-	for i := range seg2 {
-		seg2[i].Label = (seg2[i].Label + 1) % 3
-	}
-	data := append(append([]ml.Instance(nil), seg1...), seg2...)
-	probes := gaussianStream(32, 3, 8, 2.5, 43)
-
-	f := NewAdaptiveRandomForest(ARFConfig{
-		NumClasses: 3, NumFeatures: 8, EnsembleSize: 5, Seed: 3,
-		Tree: HTConfig{LeafPrediction: NaiveBayesAdaptive},
-	})
-
-	var published atomic.Pointer[publishedPair]
-	var stop atomic.Bool
-	var readersFailed atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var dst ml.Prediction
-			var scratch []float64
-			for !stop.Load() {
-				p := published.Load()
-				if p == nil {
-					continue
-				}
-				if cap(dst) < p.snap.NumClasses() {
-					dst = make(ml.Prediction, p.snap.NumClasses())
-					scratch = make([]float64, p.snap.ScratchLen())
-				}
-				p.snap.PredictInto(dst[:p.snap.NumClasses()], scratch, p.probe)
-				for c := range p.votes {
-					if math.Float64bits(dst[c]) != math.Float64bits(p.votes[c]) {
-						readersFailed.Add(1)
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	var snap *Compiled
-	for i, in := range data {
-		f.Train(in)
-		if i%7 == 0 {
-			snap = f.CompileSnapshot(snap)
-			probe := probes[(i/7)%len(probes)].X
-			published.Store(&publishedPair{snap: snap, probe: probe, votes: snap.Predict(probe)})
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-	if n := readersFailed.Load(); n != 0 {
-		t.Fatalf("%d readers observed a published snapshot changing its votes", n)
-	}
-	if f.DriftStats().TreeReplacements == 0 {
-		t.Fatalf("no drift replacements happened; the half-replaced-member hazard went unexercised")
 	}
 }
 
@@ -313,6 +235,83 @@ func TestCompiledPredictZeroAlloc(t *testing.T) {
 			i++
 		}); allocs != 0 {
 			t.Errorf("%s: PredictInto allocates %v per call, want 0", name, allocs)
+		}
+	}
+}
+
+// TestCompileInPlaceZeroAlloc is the CompileInPlace gate: the compile
+// after a change that splits nothing allocates nothing for any model
+// kind — a tree's leaf re-freeze in each leaf-prediction mode, the
+// forest's weights and its members' re-freezes, SLR's weight copy. The
+// models are grown first and their trees then kept from splitting the
+// way TestTrainStepZeroAlloc keeps its own. Each measured run changes
+// the model without allocating and compiles: a tree trains one instance;
+// the forest's members train it directly (the forest's own Train
+// allocates in its live member predictions) and their accuracies move;
+// one SLR weight moves.
+func TestCompileInPlaceZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	data := gaussianStream(4000, 3, 8, 1.0, 61)
+	f := NewAdaptiveRandomForest(ARFConfig{NumClasses: 3, NumFeatures: 8, EnsembleSize: 5, Seed: 1})
+	slr := NewSLR(SLRConfig{NumClasses: 3, NumFeatures: 8})
+	type subject struct {
+		m    Model
+		step func(i int)
+	}
+	subjects := map[string]subject{
+		"arf": {f, func(i int) {
+			for j, m := range f.members {
+				if j%2 == i%2 {
+					m.tree.Train(data[i%len(data)])
+				}
+				m.seen++
+			}
+			f.epoch++
+		}},
+		"slr": {slr, func(i int) {
+			slr.w[i%3][i%9] += 1e-3
+			slr.epoch++
+		}},
+	}
+	for _, mode := range []LeafPrediction{MajorityClass, NaiveBayes, NaiveBayesAdaptive} {
+		ht := NewHoeffdingTree(HTConfig{NumClasses: 3, NumFeatures: 8, GracePeriod: 50, LeafPrediction: mode})
+		subjects["ht/mode "+itoa(int(mode))] = subject{ht, func(i int) { ht.Train(data[i%len(data)]) }}
+	}
+	for name, sub := range subjects {
+		m, step := sub.m, sub.step
+		for _, in := range data {
+			m.Train(in)
+		}
+		m.CompileSnapshot(nil)
+		var trees []*HoeffdingTree
+		switch m := m.(type) {
+		case *HoeffdingTree:
+			trees = append(trees, m)
+		case *AdaptiveRandomForest:
+			for _, mb := range m.members {
+				trees = append(trees, mb.tree)
+			}
+		}
+		splits := int64(0)
+		for _, ht := range trees {
+			ht.cfg.GracePeriod, ht.cfg.SplitConfidence, ht.cfg.TieThreshold = 1, 1e-300, 1e-300
+			splits += ht.splitCount
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(400, func() {
+			step(i)
+			m.CompileSnapshot(nil)
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: the compile after a change that splits nothing allocates %v, want 0", name, allocs)
+		}
+		for _, ht := range trees {
+			splits -= ht.splitCount
+		}
+		if splits != 0 {
+			t.Fatalf("%s: %d splits during the measurement", name, -splits)
 		}
 	}
 }

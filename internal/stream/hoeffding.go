@@ -88,14 +88,11 @@ type htNode struct {
 	threshold float64
 	left      *htNode
 	right     *htNode
-	parent    *htNode
 	stats     *leafStats
-	// Incremental-compile bookkeeping (compiled.go), meaningful only while
-	// the tree holds a latest compile: the node's index in the tree's node
-	// array, and for a leaf its slot in that compile's leaf table and
-	// whether it already sits in the touched list.
+	// Compile bookkeeping (compiled.go), meaningful only while the tree
+	// holds a compiled form: the node's index in its node array, and for
+	// a leaf whether it already sits in the touched list.
 	cidx  int32
-	slot  int32
 	dirty bool
 }
 
@@ -112,29 +109,21 @@ type HoeffdingTree struct {
 	trainCount int64
 	splitCount int64
 	// epoch counts prediction-relevant mutations (train steps, delta
-	// merges, restores); compiled snapshots key their staleness and
-	// incremental-rebuild reuse on it (see compiled.go). Reads and
-	// writes are synchronized by the owning pipeline/engine — classify
-	// and lock-free readers only ever touch published Compiled snapshots,
-	// never the live tree.
+	// merges, restores); the compiled form records the epoch it was
+	// compiled at, so a caller compares the two to learn whether it is
+	// stale (see compiled.go). Reads and writes are synchronized by the
+	// owner of the tree, the code that trains and compiles it.
 	epoch uint64
-	// compiled is the tree's latest compile (nil after a restore), touched
-	// lists the leaves whose statistics changed since it was built, each
-	// once, and splits the leaves split since, in order. The tree owns
-	// all three: training and delta merges append, compileTree consumes
-	// and resets, and a restore drops them.
-	compiled *compiledTree
+	// flat is the tree's compiled form (empty until the first compile and
+	// after a restore) and compiled the header CompileSnapshot returns
+	// for it. touched lists the leaves whose statistics changed since the
+	// last compile, each once, and splits the leaves split since, in
+	// order; both stay empty while flat is. Training and delta merges
+	// append, compile consumes and resets, and a restore drops them.
+	flat     compiledTree
+	compiled Compiled
 	touched  []*htNode
 	splits   []*htNode
-	// nodes, chunks and arena hold the flattened nodes, the leaf-table
-	// chunks and the frozen leaf blocks of the compiles since each was last
-	// started afresh, append-only: a compile keeps the prefixes it was
-	// built with, and later compiles append past them. arenaLive counts
-	// the values the latest compile's leaves still use (compiled.go).
-	nodes     []cnode
-	chunks    []leafChunk
-	arena     []float64
-	arenaLive int
 	// scratch is 2*NumClasses of working space for split attempts and
 	// the naive-Bayes-adaptive score, so a train step allocates nothing.
 	scratch []float64
@@ -297,18 +286,18 @@ func (t *HoeffdingTree) Train(in ml.Instance) {
 	}
 }
 
-// dropCompiled forgets the latest compile: the next compileTree flattens
-// the whole tree. Stale dirty marks are cleared by that flatten.
+// dropCompiled empties the compiled form, keeping its arrays for reuse:
+// the next compile flattens the whole tree.
 func (t *HoeffdingTree) dropCompiled() {
-	t.compiled = nil
+	t.flat.nodes = t.flat.nodes[:0]
 	t.touched = t.touched[:0]
 	t.splits = t.splits[:0]
 }
 
-// touch marks leaf's statistics as changed since the latest compile, so
-// the next compileTree re-freezes it.
+// touch marks leaf's statistics as changed since the last compile, so the
+// next compile re-freezes it.
 func (t *HoeffdingTree) touch(leaf *htNode) {
-	if t.compiled != nil && !leaf.dirty {
+	if len(t.flat.nodes) > 0 && !leaf.dirty {
 		leaf.dirty = true
 		t.touched = append(t.touched, leaf)
 	}
@@ -409,7 +398,6 @@ func (t *HoeffdingTree) split(leaf *htNode, cand candidateSplit) {
 	s := leaf.stats
 	left := t.newLeaf(leaf.depth + 1)
 	right := t.newLeaf(leaf.depth + 1)
-	left.parent, right.parent = leaf, leaf
 	if obs := s.observers[cand.Feature]; obs != nil {
 		for c, cnt := range s.classCounts {
 			w := obs.PerClass[c]
@@ -428,9 +416,9 @@ func (t *HoeffdingTree) split(leaf *htNode, cand candidateSplit) {
 	leaf.left = left
 	leaf.right = right
 	t.splitCount++
-	if t.compiled != nil {
-		// The next compile appends the split to the node array and
-		// freezes the two new leaves.
+	if len(t.flat.nodes) > 0 {
+		// The next compile rewrites the leaf's node and freezes the two
+		// new leaves.
 		t.splits = append(t.splits, leaf)
 		t.touch(left)
 		t.touch(right)

@@ -206,8 +206,7 @@ func TestHTBeatsBaselines(t *testing.T) {
 
 // TestTrainStepZeroAlloc holds a train step that does not split to zero
 // allocations in every leaf-prediction mode, with a split attempt on
-// every step, and the freezing of a leaf into an arena with room to zero
-// as well. Each mode's tree is grown first, so every leaf has met every
+// every step (TestCompileInPlaceZeroAlloc holds the compile after it). Each mode's tree is grown first, so every leaf has met every
 // feature, then made unable to split: a confidence of 1e-300 widens the
 // Hoeffding bound about thirty-fold.
 func TestTrainStepZeroAlloc(t *testing.T) {
@@ -230,14 +229,6 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 		}
 		if ht.splitCount != splits || ht.splitCount == 0 {
 			t.Fatalf("mode %d: %d splits before the measurement, %d after: want some, and none during it", mode, splits, ht.splitCount)
-		}
-		s := ht.sortingLeaf(data[0].X).stats
-		ht.arena = make([]float64, 0, 1<<12)
-		if allocs := testing.AllocsPerRun(100, func() {
-			ht.arena = ht.arena[:0]
-			ht.freezeLeaf(s)
-		}); allocs != 0 {
-			t.Errorf("mode %d: freezeLeaf allocates %v with arena room, want 0", mode, allocs)
 		}
 	}
 }

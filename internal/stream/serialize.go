@@ -177,7 +177,6 @@ func (t *HoeffdingTree) UnmarshalBinary(data []byte) error {
 		if n.right, err = build(); err != nil {
 			return nil, err
 		}
-		n.left.parent, n.right.parent = n, n
 		return n, nil
 	}
 	root, err := build()

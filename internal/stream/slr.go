@@ -61,7 +61,8 @@ type SLR struct {
 	cfg        SLRConfig
 	w          [][]float64 // [class][feature]; last slot is the bias
 	trainCount int64
-	epoch      uint64 // prediction-relevant mutation counter (compiled.go)
+	epoch      uint64   // prediction-relevant mutation counter (compiled.go)
+	compiled   Compiled // the flat weights CompileSnapshot keeps up to date
 }
 
 var _ ml.DistributedClassifier = (*SLR)(nil)
