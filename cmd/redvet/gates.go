@@ -33,15 +33,19 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/stream.naiveBayesInto",
 		},
 	},
-	// A non-splitting train step; internal/core.TestLabeledProcessAllocs
-	// holds the labeled Process around it and the compile after it at 0
-	// allocations.
+	// A non-splitting train step of each model kind;
+	// internal/core.TestLabeledProcessAllocs holds the labeled Process
+	// around it and the compile after it at 0 allocations.
 	"TrainStep": {
 		measuredBy: "internal/stream.TestTrainStepZeroAlloc",
 		funcs: []string{
 			"redhanded/internal/stream.(*HoeffdingTree).attemptSplit",
+			"redhanded/internal/stream.(*HoeffdingTree).predictInto",
 			"redhanded/internal/stream.(*HoeffdingTree).updateLeaf",
+			"redhanded/internal/stream.(*HoeffdingTree).vote",
 			"redhanded/internal/stream.(*gaussianObserver).bestSplit",
+			"redhanded/internal/stream.sgdStep",
+			"redhanded/internal/stream.softmaxMargins",
 		},
 	},
 	// The in-place compile after a change that splits nothing: a tree's
@@ -130,7 +134,6 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/obs.(*Span).EndStage",
 			"redhanded/internal/obs.(*Span).Finish",
 			"redhanded/internal/obs.(*Span).SetID",
-			"redhanded/internal/obs.(*Tracer).Abort",
 			"redhanded/internal/obs.(*Tracer).Begin",
 			"redhanded/internal/obs.(*Tracer).finish",
 			"redhanded/internal/obs.(*Tracer).now",

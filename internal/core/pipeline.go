@@ -521,12 +521,16 @@ type Outcome struct {
 }
 
 // AbsorbBatch applies one micro-batch an engine classified and trained on
-// in parallel, after the engine merged its normalizer deltas: the model
-// accumulators (under the lock, so DriftStats may be read mid-run), then
-// each tweet's effects; outcomes[i] corresponds to tweets[i].
-func (p *Pipeline) AbsorbBatch(accs []ml.Accumulator, tweets []twitterdata.Tweet, outcomes []Outcome) {
+// in parallel, all under the lock, so the pipeline's readers may run
+// alongside an engine: the normalizer deltas and then the model
+// accumulators, each in order, then each tweet's effects; outcomes[i]
+// corresponds to tweets[i].
+func (p *Pipeline) AbsorbBatch(deltas []*norm.FeatureStats, accs []ml.Accumulator, tweets []twitterdata.Tweet, outcomes []Outcome) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for _, d := range deltas {
+		p.normalizer.Stats.Merge(d)
+	}
 	p.model.ApplyAccumulators(accs)
 	for i := range tweets {
 		o := outcomes[i]

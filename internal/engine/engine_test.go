@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"io"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"redhanded/internal/core"
@@ -209,5 +212,39 @@ func TestStatsThroughput(t *testing.T) {
 	}
 	if (Stats{}).Throughput() != 0 {
 		t.Fatalf("zero-duration throughput should be 0")
+	}
+}
+
+// TestMicroBatchReadersDuringRun reads the pipeline the way the serving
+// layer does while RunMicroBatch trains it: every reader takes the
+// pipeline's lock, so under -race nothing the run writes outside that lock
+// may be visible to them.
+func TestMicroBatchReadersDuringRun(t *testing.T) {
+	opts := testOptions()
+	opts.Model = core.ModelARF
+	opts.ARF.EnsembleSize = 3
+	p := core.NewPipeline(opts)
+	data := testDataset(11, 1400, 500, 100)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			p.SnapshotStats()
+			p.DriftStats()
+			if err := p.Checkpoint(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	_, err := RunMicroBatch(p, NewSliceSource(data), MicroBatchConfig{BatchSize: 200, Workers: 2})
+	stop.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Processed(); got != int64(len(data)) {
+		t.Fatalf("processed %d tweets, want %d", got, len(data))
 	}
 }

@@ -370,7 +370,7 @@ func (s *execSession) runShare(msg *wireMsg) batchResponse {
 	resp := batchResponse{Seq: msg.Seq, Lo: msg.Lo, Hi: msg.Hi}
 	s.e.vocabSize.Store(int64(s.extractor.BoW().Size()))
 	out := computeShare(s.extractor, s.stats, norm.Mode(s.normMode), core.ClassScheme(s.scheme),
-		s.model, msg.Tweets, msg.Tasks, s.e.workers)
+		s.model, s.model.CompileSnapshot(nil), msg.Tweets, msg.Tasks, s.e.workers)
 	for _, acc := range out.accs {
 		blob, err := acc.(stream.StatefulAccumulator).State()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"redhanded/internal/core"
+	"redhanded/internal/stream"
 	"redhanded/internal/twitterdata"
 )
 
@@ -42,16 +43,22 @@ func SparkLocalConfig(cores int) MicroBatchConfig {
 // of the paper): every batch is one share — the whole batch, computed by
 // computeShare against the pipeline's own extractor, statistics and model —
 // followed by the driver merge and the sequential alerting/sampling/
-// evaluation steps (mergeBatch). Before each batch the global model goes
-// through the serialization round trip that Spark's broadcast mechanism
-// implies, paying the real encode/decode cost without changing state: the
-// micro-batch management overhead that makes SparkSingle ~7-17% slower than
-// MOA in Fig. 15. (The round trip rebuilds every tree node, so the batch's
-// compile is necessarily a full flatten.)
+// evaluation steps (mergeBatch). Each batch predicts with a broadcast copy
+// of the model: the live model is encoded and decoded into a fresh one, as
+// an executor decodes it, and the copy's compiled form (a full flatten)
+// classifies the batch. That round trip is the micro-batch management
+// overhead that makes SparkSingle ~7-17% slower than MOA in Fig. 15. The
+// live model is only read until mergeBatch, whose AbsorbBatch trains and
+// compiles it under the pipeline's lock, so the pipeline's readers may run
+// alongside.
 func RunMicroBatch(p *core.Pipeline, src Source, cfg MicroBatchConfig) (Stats, error) {
 	cfg = cfg.withDefaults()
 	m := startRun(p)
 	model := p.Model()
+	kind, err := stream.ModelKindOf(model)
+	if err != nil {
+		return m.finish(), err
+	}
 	var batch []twitterdata.Tweet
 	for {
 		batch = nextBatch(src, batch, cfg.BatchSize)
@@ -63,11 +70,12 @@ func RunMicroBatch(p *core.Pipeline, src Source, cfg MicroBatchConfig) (Stats, e
 		if err != nil {
 			return m.finish(), fmt.Errorf("engine: broadcast marshal: %w", err)
 		}
-		if err := model.UnmarshalBinary(blob); err != nil {
+		broadcast, err := stream.DecodeModel(kind, blob)
+		if err != nil {
 			return m.finish(), fmt.Errorf("engine: broadcast unmarshal: %w", err)
 		}
 		share := computeShare(p.Extractor(), p.Normalizer().Stats, p.Normalizer().Mode, p.Options().Scheme,
-			model, batch, cfg.Workers, cfg.Workers)
+			model, broadcast.CompileSnapshot(nil), batch, cfg.Workers, cfg.Workers)
 		mergeBatch(p, batch, []shareOutput{share})
 		m.batch(len(batch), batchStart)
 		if len(batch) < cfg.BatchSize {

@@ -41,29 +41,27 @@ type shareOutput struct {
 // broadcast ones. The tweets are dealt round-robin into parts partitions,
 // executed by at most workers goroutines.
 //
-// Phase 1 extracts every tweet's raw features into pooled vectors, resolves
-// its label, and accumulates one statistics delta per partition; the deltas
-// are folded, in partition order, into the share's local delta. Phase 2
-// normalizes (into one vector per partition) against base plus that local
-// delta, predicts with model's compiled form (compiled in place first, so
-// only what changed since the previous share is re-frozen; the partitions
-// then share it, and nothing compiles until they finish), and accumulates
-// the labeled instances into one training accumulator per partition.
-// Neither base nor model is trained, and the output depends only on the
-// arguments — never on which node or how many workers ran it — which is
-// what makes failover reassignment exact and the engines interchangeable.
+// Phase 1 extracts every tweet's raw features into the share's vectors,
+// resolves its label, and accumulates one statistics delta per partition;
+// the deltas are folded, in partition order, into the share's local delta.
+// Phase 2 normalizes (into one vector per partition) against base plus that
+// local delta, predicts with snap, which the partitions share and nothing
+// compiles until they finish, and accumulates the labeled instances into
+// one training accumulator per partition of model. Neither base nor model
+// is written, and the output depends only on the arguments — never on
+// which node or how many workers ran it — which is what makes failover
+// reassignment exact and the engines interchangeable.
 func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode norm.Mode, scheme core.ClassScheme,
-	model stream.Model, tweets []twitterdata.Tweet, parts, workers int) shareOutput {
+	model stream.Model, snap *stream.Compiled, tweets []twitterdata.Tweet, parts, workers int) shareOutput {
 	parts = min(max(parts, 1), len(tweets))
 
-	raws := make([]*feature.Vec, len(tweets))
+	raws := make([]feature.Vec, len(tweets))
 	labels := make([]int, len(tweets))
 	deltas := make([]*norm.FeatureStats, parts)
 	runParts(parts, workers, func(part int) {
 		delta := norm.NewFeatureStats(base.Dim())
 		for idx := part; idx < len(tweets); idx += parts {
 			tw := &tweets[idx]
-			raws[idx] = feature.GetVec()
 			extractor.ExtractInto(raws[idx][:], tw)
 			delta.Observe(raws[idx][:])
 			labels[idx] = ml.Unlabeled
@@ -80,7 +78,6 @@ func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode no
 
 	normalizer := &norm.Normalizer{Mode: mode, Stats: base.Clone()}
 	normalizer.Stats.Merge(out.stats)
-	snap := model.CompileSnapshot(nil)
 	out.accs = make([]ml.Accumulator, parts)
 	out.classified = make([]classifiedRec, len(tweets))
 	runParts(parts, workers, func(part int) {
@@ -103,9 +100,6 @@ func computeShare(extractor *feature.Extractor, base *norm.FeatureStats, mode no
 		}
 		out.accs[part] = acc
 	})
-	for _, v := range raws {
-		feature.PutVec(v)
-	}
 	return out
 }
 
@@ -133,23 +127,23 @@ func runParts(parts, workers int, fn func(part int)) {
 	wg.Wait()
 }
 
-// mergeBatch is the driver step that ends every micro-batch: fold the
-// shares' statistics deltas into the pipeline's normalizer and collect their
-// accumulators, both in share order (deterministic whichever node served
-// which share), and hand the accumulators and the classified batch to
-// AbsorbBatch, which applies them to the global model and runs the effects
-// section.
+// mergeBatch is the driver step that ends every micro-batch: collect the
+// shares' statistics deltas and accumulators, both in share order
+// (deterministic whichever node served which share), and hand them with
+// the classified batch to AbsorbBatch, which folds them into the
+// pipeline's normalizer and global model and runs the effects section.
 func mergeBatch(p *core.Pipeline, batch []twitterdata.Tweet, shares []shareOutput) {
+	deltas := make([]*norm.FeatureStats, 0, len(shares))
 	var accs []ml.Accumulator
 	outcomes := make([]core.Outcome, len(batch))
 	for _, s := range shares {
-		p.Normalizer().Stats.Merge(s.stats)
+		deltas = append(deltas, s.stats)
 		accs = append(accs, s.accs...)
 		for _, c := range s.classified {
 			outcomes[s.lo+c.Idx] = core.Outcome{Label: c.Label, Pred: c.Pred, Conf: c.Conf}
 		}
 	}
-	p.AbsorbBatch(accs, batch, outcomes)
+	p.AbsorbBatch(deltas, accs, batch, outcomes)
 }
 
 // nextBatch reads up to n tweets from src into buf's storage (a fresh

@@ -86,7 +86,7 @@ func TestShareKernelEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			before := base.Count()
 			out := computeShare(p.Extractor(), base, p.Normalizer().Mode, p.Options().Scheme,
-				p.Model(), tc.tweets, tc.parts, tc.workers)
+				p.Model(), p.Model().CompileSnapshot(nil), tc.tweets, tc.parts, tc.workers)
 			if base.Count() != before {
 				t.Fatalf("kernel folded into the base statistics: %d -> %d", before, base.Count())
 			}

@@ -137,8 +137,7 @@ func BenchmarkExtractCacheHit(b *testing.B) {
 		CreatedAt: "Mon Jan 02 15:04:05 +0000 2006",
 		User:      twitterdata.User{CreatedAt: "Mon Jan 02 15:04:05 +0000 2005", FollowersCount: 10},
 	}
-	x := GetVec()
-	defer PutVec(x)
+	var x Vec
 	ex.ExtractCachedInto(x[:], &tw)
 	ex.ExtractCachedInto(x[:], &tw)
 	if !ex.LookupCached(x[:], &tw) {
@@ -168,8 +167,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		CreatedAt: "Mon Jan 02 15:04:05 +0000 2006",
 		User:      twitterdata.User{CreatedAt: "Mon Jan 02 15:04:05 +0000 2005", FollowersCount: 10},
 	}
-	x := GetVec()
-	defer PutVec(x)
+	var x Vec
 	ex.ExtractCachedInto(x[:], &tw)
 	ex.ExtractCachedInto(x[:], &tw)
 	allocs := testing.AllocsPerRun(200, func() {

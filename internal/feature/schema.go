@@ -29,6 +29,10 @@ const (
 	NumFeatures
 )
 
+// Vec is one raw feature vector by value, for callers that keep vectors
+// in arrays rather than slices.
+type Vec [NumFeatures]float64
+
 // profileFeatureCount is the number of leading per-user slots (AccountAge
 // through CntFriends). Everything at and above this index is a pure
 // function of (text, BoW snapshot), which is what makes the extraction

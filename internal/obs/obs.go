@@ -219,17 +219,6 @@ func (t *Tracer) Begin(shard int) *Span {
 	return sp
 }
 
-// Abort discards a span without recording it (e.g. a tweet rejected by
-// backpressure before reaching its shard), returning it to the pool.
-//
-//redvet:noalloc gate=SpanLifecycle
-func (t *Tracer) Abort(sp *Span) {
-	if t == nil || sp == nil {
-		return
-	}
-	t.shards[sp.shard].pool.Put(sp)
-}
-
 // finish records a completed span — histograms, and a capture in its
 // shard's ring when over budget — then recycles the span. Only the
 // shard's own goroutine finishes its spans, so the ring has one producer.

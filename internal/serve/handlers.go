@@ -191,7 +191,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply := make(chan core.Result, 1)
-	sh, ok, err := s.offerRaw(job{tweet: tw, reply: reply}, raw)
+	sh, ok, err := s.admit(job{tweet: tw, reply: reply}, raw)
 	if err != nil {
 		dec.Discard()
 		outcome = outcomeDraining
@@ -261,7 +261,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			resp.Malformed++
 			continue
 		}
-		_, ok, err := s.offerRaw(job{tweet: tw}, line)
+		_, ok, err := s.admit(job{tweet: tw}, line)
 		if err != nil {
 			dec.Discard()
 			s.recordIngest(resp)

@@ -13,20 +13,17 @@ import (
 	"redhanded/internal/twitterdata"
 )
 
-// Write-ahead ingestion and replay. With Options.Log set, a tweet is
-// accepted in two steps under the shard's ingestMu: append to the
-// shard's log partition, then enqueue. The mutex makes the pair atomic
-// with respect to other producers, so queue order equals log order, and
-// the capacity check before the append guarantees a logged tweet always
-// reaches the pipeline:
+// Write-ahead ingestion and replay. With Options.Log set, admit appends
+// a tweet to its shard's log partition and then enqueues it, both under
+// the shard's mutex, after a capacity check, so queue order equals log
+// order and a logged tweet always reaches the pipeline:
 //
 //   - queue full  -> 429 before anything is written. A client retry
 //     cannot double-append, because the shed tweet never entered the log.
 //   - append fails -> the tweet is not enqueued. ErrBackpressure (fsync
 //     budget exhausted) is shed as 429 like a full queue; a hard I/O
 //     error surfaces as 503.
-//   - append succeeds -> the enqueue cannot block (capacity was checked
-//     under the mutex and only mutex holders send) and cannot be shed.
+//   - append succeeds -> the enqueue cannot block and cannot be shed.
 //
 // Exactly-once replay follows from the pipeline recording each applied
 // offset inside the same critical section as the tweet's effects: a
@@ -68,33 +65,6 @@ func registerLogMetrics(reg *metrics.Registry, l *ingestlog.Log) {
 // errReplaying rejects live traffic while Replay owns the pipelines.
 var errReplaying = errors.New("serve: server is replaying the ingest log")
 
-// offerLogged is the WAL ingestion path. The caller holds enqueueMu.RLock,
-// which excludes Drain closing the queue mid-send. The tweet's NDJSON wire
-// bytes are appended verbatim — no re-marshal on the hot path — so a log
-// record is exactly what a client sent and replay decodes it the way
-// ingress did.
-func (s *Server) offerLogged(sh *shard, j job, raw []byte) (*shard, bool, error) {
-	sh.ingestMu.Lock()
-	defer sh.ingestMu.Unlock()
-	if len(sh.queue) == cap(sh.queue) {
-		s.tracer.Abort(j.span)
-		return sh, false, nil
-	}
-	off, err := s.opts.Log.Append(sh.id, raw)
-	if err != nil {
-		s.tracer.Abort(j.span)
-		if errors.Is(err, ingestlog.ErrBackpressure) {
-			return sh, false, nil
-		}
-		return sh, false, fmt.Errorf("serve: ingest log: %w", err)
-	}
-	j.offset, j.logged = off, true
-	sh.lastEnqueued.Store(off)
-	//redvet:ignore lockorder cannot block: queue capacity was checked under this same ingestMu and the shard goroutine never enqueues, so the send always has room; the mutex is what makes log order equal queue order
-	sh.queue <- j
-	return sh, true, nil
-}
-
 // Log exposes the server's ingest log (nil when ingestion is not
 // write-ahead).
 func (s *Server) Log() *ingestlog.Log { return s.opts.Log }
@@ -102,8 +72,9 @@ func (s *Server) Log() *ingestlog.Log { return s.opts.Log }
 // Replay applies every log record each shard's pipeline has not applied
 // yet — after a restore, the records between the checkpoint's cut and
 // the crash. It returns the number of records applied. Call it before
-// serving traffic: offers are rejected with 503 for the duration so live
-// tweets cannot interleave with the replayed prefix.
+// serving traffic: each shard is marked replaying under its mutex for the
+// duration, so admit answers 503 and live tweets cannot interleave with
+// the replayed prefix.
 //
 // Replay reads the partitions concurrently (one goroutine per shard,
 // mirroring live operation) through mmap'd segment readers and feeds each
@@ -115,16 +86,6 @@ func (s *Server) Replay() (int64, error) {
 	if s.opts.Log == nil {
 		return 0, nil
 	}
-	if !s.replaying.CompareAndSwap(false, true) {
-		return 0, errors.New("serve: replay already in progress")
-	}
-	defer s.replaying.Store(false)
-	// Flush in-flight offers: anyone who read replaying==false holds the
-	// read lock; taking the write side waits them out, so no append can
-	// land between the flag and the reads below. (Replay is meant to run
-	// before traffic is served at all — this only hardens the contract.)
-	s.enqueueMu.Lock()
-	s.enqueueMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	var total atomic.Int64
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -142,6 +103,20 @@ func (s *Server) Replay() (int64, error) {
 }
 
 func (s *Server) replayShard(sh *shard) (int64, error) {
+	sh.mu.Lock()
+	if sh.replaying {
+		sh.mu.Unlock()
+		return 0, fmt.Errorf("serve: replay shard %d: replay already in progress", sh.id)
+	}
+	sh.replaying = true
+	last := sh.lastEnqueued
+	sh.mu.Unlock()
+	defer func() {
+		sh.mu.Lock()
+		sh.replaying = false
+		sh.lastEnqueued = last
+		sh.mu.Unlock()
+	}()
 	r, err := s.opts.Log.OpenReader(sh.id)
 	if err != nil {
 		return 0, fmt.Errorf("serve: replay shard %d: %w", sh.id, err)
@@ -172,7 +147,7 @@ func (s *Server) replayShard(sh *shard) (int64, error) {
 		}
 		entry[0] = core.BatchEntry{Tweet: &tw, Offset: off, Logged: true}
 		sh.p.ProcessBatch(entry[:], result[:0])
-		sh.lastEnqueued.Store(off)
+		last = off
 		n++
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,14 +95,14 @@ type pipelineFingerprint struct {
 	ActiveUsers int
 }
 
-// offer is offerRaw for tests that hold a Tweet rather than wire bytes: it
+// offer is admit for tests that hold a Tweet rather than wire bytes: it
 // marshals the tweet to the NDJSON line a client would have sent.
 func (s *Server) offer(j job) (*shard, bool, error) {
 	raw, err := j.tweet.Marshal()
 	if err != nil {
 		panic(err)
 	}
-	return s.offerRaw(j, raw)
+	return s.admit(j, raw)
 }
 
 func fingerprint(p *core.Pipeline) pipelineFingerprint {
@@ -395,5 +396,97 @@ func TestWALBackpressureSurfacesAs429(t *testing.T) {
 	}
 	if got := l.AppendedOffset(0); got != int64(len(tweets))-1 {
 		t.Fatalf("after retries the log holds offsets through %d, want %d", got, len(tweets)-1)
+	}
+}
+
+// TestDrainRacingIngest pins the admission protocol against Drain, with
+// and without a WAL: /v1/ingest and /v1/classify clients run while Drain
+// closes the shards. The handlers are called directly, so a send on a
+// closed queue would crash the test rather than be recovered by net/http.
+// Every line answered as accepted must be applied, every request sent
+// after Drain returned must get 503, and the drain barrier must pass.
+func TestDrainRacingIngest(t *testing.T) {
+	for _, wal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", wal), func(t *testing.T) {
+			opts := testOptions()
+			if wal {
+				var l *ingestlog.Log
+				opts, l = walOptions(t, t.TempDir(), 4, ingestlog.Options{Fsync: ingestlog.FsyncOff})
+				defer l.Close()
+			}
+			opts.QueueDepth = 16
+			s := NewServer(opts)
+
+			tweets := walTweets(240)
+			lines := make([][]byte, len(tweets))
+			for i := range tweets {
+				blob, err := tweets[i].Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines[i] = blob
+			}
+			var accepted atomic.Int64
+			var drained atomic.Bool
+			ready := make(chan struct{}) // closed once 64 lines are accepted
+			var readyOnce sync.Once
+			accept := func(n int64) {
+				if accepted.Add(n) >= 64 {
+					readyOnce.Do(func() { close(ready) })
+				}
+			}
+			// Each client posts until it has sent one request after Drain
+			// returned, which must be refused with 503.
+			var wg sync.WaitGroup
+			for c := 0; c < 4; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := c; ; i += 4 {
+						after := drained.Load()
+						path, body := "/v1/classify", lines[i%len(lines)]
+						if c%2 == 0 {
+							lo := (i * 8) % len(lines)
+							path, body = "/v1/ingest", bytes.Join(lines[lo:lo+8], []byte("\n"))
+						}
+						rec := httptest.NewRecorder()
+						s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+						switch {
+						case after:
+							if rec.Code != http.StatusServiceUnavailable {
+								t.Errorf("%s after drain: status %d, want 503", path, rec.Code)
+							}
+							return
+						case path == "/v1/classify":
+							if rec.Code == http.StatusOK {
+								accept(1)
+							}
+						default:
+							var ir IngestResponse
+							if err := json.Unmarshal(rec.Body.Bytes(), &ir); err != nil {
+								t.Error(err)
+								return
+							}
+							accept(ir.Accepted)
+						}
+					}
+				}(c)
+			}
+			<-ready
+			err := drainServer(t, s)
+			drained.Store(true)
+			wg.Wait()
+			if err != nil {
+				t.Fatalf("drain barrier: %v", err)
+			}
+			var processed int64
+			for i := 0; i < s.Shards(); i++ {
+				processed += s.Pipeline(i).Processed()
+			}
+			if processed != accepted.Load() || processed != s.accepted.Value() {
+				t.Fatalf("processed %d tweets, clients saw %d accepted, server counted %d",
+					processed, accepted.Load(), s.accepted.Value())
+			}
+		})
 	}
 }

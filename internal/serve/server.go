@@ -24,6 +24,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -127,16 +128,16 @@ type shard struct {
 	// elapsed time it is the shard's busy fraction.
 	busy atomic.Int64
 
-	// WAL state (log-enabled servers only). ingestMu serializes the
-	// append-then-enqueue pair so log order equals queue order, and the
-	// queue-capacity check under it guarantees the enqueue after a
-	// successful append can never block or be shed — a logged tweet is
-	// always applied. lastEnqueued is the highest log offset handed to the
-	// queue or replayed (-1 initially); Drain's barrier compares it
-	// against the pipeline's applied offset to prove nothing logged was
-	// lost between queue and pipeline.
-	ingestMu     sync.Mutex
-	lastEnqueued atomic.Int64
+	// mu guards entering the shard: admit, Drain closing the queue
+	// (closed) and Replay taking the pipeline (replaying). lastEnqueued is
+	// the highest log offset handed to the queue or replayed (-1
+	// initially); Drain's barrier compares it against the pipeline's
+	// applied offset to prove nothing logged was lost between queue and
+	// pipeline.
+	mu           sync.Mutex
+	closed       bool
+	replaying    bool
+	lastEnqueued int64
 }
 
 // run drains the shard queue in micro-batches: block for one job, then
@@ -209,15 +210,9 @@ type Server struct {
 	// HTTP shutdown can complete.
 	drained chan struct{}
 
-	// enqueueMu guards producers against Drain closing the queues: Offer
-	// holds the read side, Drain the write side.
-	enqueueMu sync.RWMutex
-	closed    atomic.Bool
-	// replaying is set while Replay feeds the pipelines directly from the
-	// log; offers are rejected so live traffic cannot interleave with
-	// (and be reordered against) the replayed prefix.
-	replaying atomic.Bool
-	wg        sync.WaitGroup
+	// closed is set by the first Drain, which then closes every shard.
+	closed atomic.Bool
+	wg     sync.WaitGroup
 
 	accepted  *metrics.Counter
 	rejected  *metrics.Counter
@@ -290,10 +285,11 @@ func newServer(opts Options, start bool) *Server {
 	for i := 0; i < opts.Shards; i++ {
 		labels := metrics.Labels{"shard": fmt.Sprint(i)}
 		sh := &shard{
-			id:         i,
-			p:          core.NewPipeline(opts.Pipeline),
-			queue:      make(chan job, opts.QueueDepth),
-			drainBatch: drainBatchMax,
+			id:           i,
+			p:            core.NewPipeline(opts.Pipeline),
+			queue:        make(chan job, opts.QueueDepth),
+			drainBatch:   drainBatchMax,
+			lastEnqueued: -1,
 			drainSize: reg.Histogram("redhanded_shard_drain_batch",
 				"Tweets drained per shard-loop batch.", drainBuckets, labels),
 		}
@@ -318,7 +314,6 @@ func newServer(opts Options, start bool) *Server {
 			labels, func() float64 { return float64(p.SnapshotStats().TreesRebuilt) })
 		reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's compiled model is behind.",
 			labels, func() float64 { return float64(p.SnapshotStats().Age) })
-		sh.lastEnqueued.Store(-1)
 		if l := opts.Log; l != nil {
 			part := sh.id
 			reg.GaugeFunc("redhanded_ingestlog_replay_lag",
@@ -385,39 +380,44 @@ func (s *Server) shardOf(tw *twitterdata.Tweet) *shard {
 // errServerClosed distinguishes drain-time rejection from backpressure.
 var errServerClosed = fmt.Errorf("serve: server is draining")
 
-// offerRaw enqueues a job on the tweet's shard without blocking, returning
-// the shard it routed to. A false return with a nil error means the queue
-// is full (backpressure). raw is the tweet's NDJSON wire form: WAL-backed
-// servers append it verbatim to the shard's log partition (no re-marshal
-// between the wire and the log). Append copies the bytes into the segment
-// synchronously, so the caller may reuse the buffer as soon as offerRaw
-// returns. Tracing starts here: the span's queue stage opens at enqueue,
-// and spans for tweets the server sheds are aborted unrecorded (a 429
-// never reached the pipeline, so it has no stage breakdown to report).
-func (s *Server) offerRaw(j job, raw []byte) (sh *shard, ok bool, err error) {
-	s.enqueueMu.RLock()
-	defer s.enqueueMu.RUnlock()
-	if s.closed.Load() {
+// admit is the one way into a shard. Under the shard's mutex it refuses a
+// drained or replaying shard (an error: 503), sheds on a full queue before
+// anything is written (false: 429), appends raw — the tweet's NDJSON wire
+// form, copied into the log before admit returns — to the shard's log
+// partition when the server has one, and sends the job. A failed append
+// is shed like a full queue when the log is out of fsync budget and is an
+// error otherwise. The send cannot block, since the queue had room and
+// only mutex holders send, so a logged tweet is always applied, and log
+// order equals queue order. The tweet's span opens at the send: its queue
+// stage is the wait for the shard goroutine, and a shed tweet has none.
+func (s *Server) admit(j job, raw []byte) (*shard, bool, error) {
+	sh := s.shardOf(&j.tweet)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	switch {
+	case sh.closed:
 		return nil, false, errServerClosed
-	}
-	if s.replaying.Load() {
+	case sh.replaying:
 		return nil, false, errReplaying
-	}
-	sh = s.shardOf(&j.tweet)
-	if s.tracer != nil {
-		j.span = s.tracer.Begin(sh.id)
-		j.span.SetID(j.tweet.IDStr)
-	}
-	if s.opts.Log != nil {
-		return s.offerLogged(sh, j, raw)
-	}
-	select {
-	case sh.queue <- j:
-		return sh, true, nil
-	default:
-		s.tracer.Abort(j.span)
+	case len(sh.queue) == cap(sh.queue):
 		return sh, false, nil
 	}
+	if l := s.opts.Log; l != nil {
+		off, err := l.Append(sh.id, raw)
+		if errors.Is(err, ingestlog.ErrBackpressure) {
+			return sh, false, nil
+		}
+		if err != nil {
+			return sh, false, fmt.Errorf("serve: ingest log: %w", err)
+		}
+		j.offset, j.logged = off, true
+		sh.lastEnqueued = off
+	}
+	j.span = s.tracer.Begin(sh.id)
+	j.span.SetID(j.tweet.IDStr)
+	//redvet:ignore lockorder cannot block: queue capacity was checked under this same sh.mu and only its holders send, so the send always has room; the mutex is what makes log order equal queue order and keeps Drain from closing the queue mid-send
+	sh.queue <- j
+	return sh, true, nil
 }
 
 // Tracer exposes the server's tracing layer (nil when disabled).
@@ -436,10 +436,12 @@ func (s *Server) Pipeline(i int) *core.Pipeline { return s.shards[i].p }
 // After Drain the ingestion endpoints answer 503; read-only endpoints keep
 // working so the final state remains observable during shutdown.
 func (s *Server) Drain(ctx context.Context) error {
-	s.enqueueMu.Lock()
 	if !s.closed.Swap(true) {
 		for _, sh := range s.shards {
+			sh.mu.Lock()
+			sh.closed = true
 			close(sh.queue)
+			sh.mu.Unlock()
 		}
 		// Outlives a Drain whose ctx expires: the streams still end when
 		// the shards finish, and a later Drain call waits on the same signal.
@@ -448,7 +450,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			close(s.drained)
 		}()
 	}
-	s.enqueueMu.Unlock()
 
 	select {
 	case <-s.drained:
@@ -459,7 +460,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		// instead. (Without a WAL both sides stay -1 and the check is
 		// vacuous; queue drainage is all the old barrier could prove.)
 		for _, sh := range s.shards {
-			if want := sh.lastEnqueued.Load(); sh.p.LogOffset() < want {
+			sh.mu.Lock()
+			want := sh.lastEnqueued
+			sh.mu.Unlock()
+			if sh.p.LogOffset() < want {
 				return fmt.Errorf("serve: drain: shard %d applied log offset %d, but offset %d was enqueued",
 					sh.id, sh.p.LogOffset(), want)
 			}

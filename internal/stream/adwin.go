@@ -44,6 +44,7 @@ type ADWIN struct {
 	Delta float64
 
 	rows          [][]adwinBucket // rows[i] holds buckets of 2^i items, oldest first
+	flat          []adwinBucket   // flatten's result, reused by every cut test
 	maxPerRow     int
 	width         float64
 	total         float64
@@ -105,7 +106,7 @@ func (a *ADWIN) insert(b adwinBucket) {
 			break
 		}
 		merged := mergeBuckets(a.rows[i][0], a.rows[i][1])
-		a.rows[i] = a.rows[i][2:]
+		a.rows[i] = a.rows[i][:copy(a.rows[i], a.rows[i][2:])]
 		if i+1 == len(a.rows) {
 			a.rows = append(a.rows, nil)
 		}
@@ -113,13 +114,14 @@ func (a *ADWIN) insert(b adwinBucket) {
 	}
 }
 
-// flatten returns all buckets ordered oldest to newest.
+// flatten returns all buckets ordered oldest to newest, valid until the
+// next call.
 func (a *ADWIN) flatten() []adwinBucket {
-	var out []adwinBucket
+	a.flat = a.flat[:0]
 	for i := len(a.rows) - 1; i >= 0; i-- {
-		out = append(out, a.rows[i]...)
+		a.flat = append(a.flat, a.rows[i]...)
 	}
-	return out
+	return a.flat
 }
 
 // detectAndShrink runs the ADWIN cut test over every bucket boundary,
@@ -177,7 +179,7 @@ func (a *ADWIN) dropOldest() {
 			continue
 		}
 		b := a.rows[i][0]
-		a.rows[i] = a.rows[i][1:]
+		a.rows[i] = a.rows[i][:copy(a.rows[i], a.rows[i][1:])]
 		a.width -= b.n
 		a.total -= b.sum
 		return

@@ -294,7 +294,7 @@ func (f *AdaptiveRandomForest) Train(in ml.Instance) {
 // the next instance — so the micro-batch merge (tree deltas applied, then
 // detectors replayed) is an exact replay of this order at batch size 1.
 func (f *AdaptiveRandomForest) trainMember(m *arfMember, in ml.Instance, k float64) {
-	pred := m.tree.Predict(in.X).ArgMax()
+	pred := m.tree.vote(m.tree.scratch, in.X)
 	errBit := 1.0
 	if pred == in.Label {
 		errBit = 0
@@ -348,6 +348,7 @@ type arfAccumulator struct {
 	bgGens  []uint64
 	errors  []float64 // per member: errors in this batch
 	seen    []float64 // per member: instances scored
+	scratch []float64 // the members' votes, 2*NumClasses
 	count   int64
 }
 
@@ -357,10 +358,11 @@ var _ ml.Accumulator = (*arfAccumulator)(nil)
 // the forest, so parallel tasks may call it concurrently.
 func (f *AdaptiveRandomForest) NewAccumulator() ml.Accumulator {
 	acc := &arfAccumulator{
-		forest: f,
-		base:   f.trainCount,
-		errors: make([]float64, len(f.members)),
-		seen:   make([]float64, len(f.members)),
+		forest:  f,
+		base:    f.trainCount,
+		errors:  make([]float64, len(f.members)),
+		seen:    make([]float64, len(f.members)),
+		scratch: make([]float64, 2*f.cfg.NumClasses),
 	}
 	for _, m := range f.members {
 		acc.trees = append(acc.trees, m.tree.NewAccumulator())
@@ -382,7 +384,7 @@ func (a *arfAccumulator) Observe(in ml.Instance) {
 	}
 	n := a.base + a.count
 	for i, m := range a.forest.members {
-		if m.tree.Predict(in.X).ArgMax() != in.Label {
+		if m.tree.vote(a.scratch, in.X) != in.Label {
 			a.errors[i]++
 		}
 		a.seen[i]++

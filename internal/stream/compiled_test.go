@@ -245,10 +245,8 @@ func TestCompiledPredictZeroAlloc(t *testing.T) {
 // forest's weights and its members' re-freezes, SLR's weight copy. The
 // models are grown first and their trees then kept from splitting the
 // way TestTrainStepZeroAlloc keeps its own. Each measured run changes
-// the model without allocating and compiles: a tree trains one instance;
-// the forest's members train it directly (the forest's own Train
-// allocates in its live member predictions) and their accuracies move;
-// one SLR weight moves.
+// the model without allocating and compiles: a tree or the forest trains
+// one instance; one SLR weight moves.
 func TestCompileInPlaceZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -261,15 +259,7 @@ func TestCompileInPlaceZeroAlloc(t *testing.T) {
 		step func(i int)
 	}
 	subjects := map[string]subject{
-		"arf": {f, func(i int) {
-			for j, m := range f.members {
-				if j%2 == i%2 {
-					m.tree.Train(data[i%len(data)])
-				}
-				m.seen++
-			}
-			f.epoch++
-		}},
+		"arf": {f, func(i int) { f.Train(data[i%len(data)]) }},
 		"slr": {slr, func(i int) {
 			slr.w[i%3][i%9] += 1e-3
 			slr.epoch++
@@ -292,6 +282,9 @@ func TestCompileInPlaceZeroAlloc(t *testing.T) {
 		case *AdaptiveRandomForest:
 			for _, mb := range m.members {
 				trees = append(trees, mb.tree)
+				if mb.background != nil {
+					trees = append(trees, mb.background)
+				}
 			}
 		}
 		splits := int64(0)

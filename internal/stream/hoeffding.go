@@ -195,35 +195,38 @@ func (t *HoeffdingTree) sortingLeaf(x []float64) *htNode {
 
 // Predict implements ml.Classifier.
 func (t *HoeffdingTree) Predict(x []float64) ml.Prediction {
-	leaf := t.sortingLeaf(x)
-	return t.leafVotes(leaf, x)
+	k := t.cfg.NumClasses
+	return t.predictInto(make(ml.Prediction, k), make([]float64, k), x)
 }
 
-func (t *HoeffdingTree) leafVotes(leaf *htNode, x []float64) ml.Prediction {
-	s := leaf.stats
-	switch t.cfg.LeafPrediction {
-	case MajorityClass:
-		return append(ml.Prediction(nil), s.classCounts...)
-	case NaiveBayes:
-		return t.naiveBayesVotes(s, x)
-	default: // NaiveBayesAdaptive
-		if s.nbCorrect > s.mcCorrect {
-			return t.naiveBayesVotes(s, x)
-		}
-		return append(ml.Prediction(nil), s.classCounts...)
+// predictInto is Predict into caller-owned votes, with logVotes as
+// naive-Bayes working space; both hold NumClasses values.
+//
+//redvet:noalloc gate=TrainStep
+func (t *HoeffdingTree) predictInto(votes ml.Prediction, logVotes []float64, x []float64) ml.Prediction {
+	s := t.sortingLeaf(x).stats
+	switch {
+	case t.cfg.LeafPrediction == NaiveBayes,
+		t.cfg.LeafPrediction == NaiveBayesAdaptive && s.nbCorrect > s.mcCorrect:
+		t.naiveBayesVotesInto(votes, logVotes, s, x)
+	default:
+		copy(votes, s.classCounts)
 	}
-}
-
-// naiveBayesVotes computes class priors times Gaussian likelihoods in log
-// space, returning normalized votes.
-func (t *HoeffdingTree) naiveBayesVotes(s *leafStats, x []float64) ml.Prediction {
-	votes := make(ml.Prediction, t.cfg.NumClasses)
-	t.naiveBayesVotesInto(votes, make([]float64, t.cfg.NumClasses), s, x)
 	return votes
 }
 
-// naiveBayesVotesInto is naiveBayesVotes into caller-owned votes, with
-// logVotes as working space; both hold NumClasses values.
+// vote is Predict(x).ArgMax() in scratch (2*NumClasses values), so a
+// member's prequential check allocates nothing.
+//
+//redvet:noalloc gate=TrainStep
+func (t *HoeffdingTree) vote(scratch []float64, x []float64) int {
+	k := t.cfg.NumClasses
+	return t.predictInto(scratch[:k], scratch[k:2*k], x).ArgMax()
+}
+
+// naiveBayesVotesInto computes class priors times Gaussian likelihoods in
+// log space into caller-owned votes, normalized, with logVotes as working
+// space; both hold NumClasses values.
 func (t *HoeffdingTree) naiveBayesVotesInto(votes, logVotes []float64, s *leafStats, x []float64) {
 	clear(votes)
 	total := sum(s.classCounts)

@@ -205,10 +205,12 @@ func TestHTBeatsBaselines(t *testing.T) {
 }
 
 // TestTrainStepZeroAlloc holds a train step that does not split to zero
-// allocations in every leaf-prediction mode, with a split attempt on
-// every step (TestCompileInPlaceZeroAlloc holds the compile after it). Each mode's tree is grown first, so every leaf has met every
-// feature, then made unable to split: a confidence of 1e-300 widens the
-// Hoeffding bound about thirty-fold.
+// allocations: a tree's in every leaf-prediction mode, with a split
+// attempt on every step, a forest's labeled step and an SLR step
+// (TestCompileInPlaceZeroAlloc holds the compile after it). Each tree is
+// grown first, so every leaf has met every feature, then made unable to
+// split: a confidence of 1e-300 widens the Hoeffding bound about
+// thirty-fold.
 func TestTrainStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -230,5 +232,48 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 		if ht.splitCount != splits || ht.splitCount == 0 {
 			t.Fatalf("mode %d: %d splits before the measurement, %d after: want some, and none during it", mode, splits, ht.splitCount)
 		}
+	}
+
+	// A labeled forest step: every member's prequential vote, bagged
+	// training and detector update, with no split and no tree started or
+	// replaced during the measurement.
+	f := NewAdaptiveRandomForest(ARFConfig{NumClasses: 3, NumFeatures: 8, EnsembleSize: 5, Seed: 1})
+	for _, in := range data {
+		f.Train(in)
+	}
+	var trees []*HoeffdingTree // the members' trees and background trees
+	for _, m := range f.members {
+		trees = append(trees, m.tree)
+		if m.background != nil {
+			trees = append(trees, m.background)
+		}
+	}
+	splits := int64(0)
+	for _, ht := range trees {
+		ht.cfg.GracePeriod, ht.cfg.SplitConfidence, ht.cfg.TieThreshold = 1, 1e-300, 1e-300
+		splits += ht.splitCount
+	}
+	warnings, drifts, i := f.warnings, f.drifts, 0
+	if allocs := testing.AllocsPerRun(400, func() {
+		f.Train(data[i%len(data)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("arf: a labeled Train allocates %v, want 0", allocs)
+	}
+	for _, ht := range trees {
+		splits -= ht.splitCount
+	}
+	if splits != 0 || f.warnings != warnings || f.drifts != drifts {
+		t.Fatalf("arf: %d splits, %d warnings, %d drifts during the measurement, want none",
+			-splits, f.warnings-warnings, f.drifts-drifts)
+	}
+
+	// A labeled SLR step.
+	slr := NewSLR(SLRConfig{NumClasses: 3, NumFeatures: 8})
+	if allocs := testing.AllocsPerRun(400, func() {
+		slr.Train(data[i%len(data)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("slr: a labeled Train allocates %v, want 0", allocs)
 	}
 }

@@ -328,6 +328,7 @@ func (s *SLR) UnmarshalBinary(data []byte) error {
 	}
 	s.cfg = st.Cfg
 	s.w = st.W
+	s.probs = make([]float64, st.Cfg.NumClasses)
 	s.trainCount = st.TrainCount
 	s.epoch++ // weights replaced: invalidate compiled snapshots
 	return nil

@@ -61,8 +61,9 @@ type SLR struct {
 	cfg        SLRConfig
 	w          [][]float64 // [class][feature]; last slot is the bias
 	trainCount int64
-	epoch      uint64   // prediction-relevant mutation counter (compiled.go)
-	compiled   Compiled // the flat weights CompileSnapshot keeps up to date
+	epoch      uint64    // prediction-relevant mutation counter (compiled.go)
+	compiled   Compiled  // the flat weights CompileSnapshot keeps up to date
+	probs      []float64 // NumClasses of working space, so Train allocates nothing
 }
 
 var _ ml.DistributedClassifier = (*SLR)(nil)
@@ -80,7 +81,7 @@ func NewSLR(cfg SLRConfig) *SLR {
 	for c := range w {
 		w[c] = make([]float64, cfg.NumFeatures+1)
 	}
-	return &SLR{cfg: cfg, w: w}
+	return &SLR{cfg: cfg, w: w, probs: make([]float64, cfg.NumClasses)}
 }
 
 // NumClasses implements ml.StreamClassifier.
@@ -104,12 +105,14 @@ func margin(w []float64, x []float64) float64 {
 
 // Predict implements ml.Classifier: softmax class probabilities.
 func (s *SLR) Predict(x []float64) ml.Prediction {
-	return softmaxMargins(s.w, x)
+	return softmaxMargins(make(ml.Prediction, len(s.w)), s.w, x)
 }
 
-// softmaxMargins returns softmax(w_c · x + b_c) over all class heads.
-func softmaxMargins(w [][]float64, x []float64) ml.Prediction {
-	votes := make(ml.Prediction, len(w))
+// softmaxMargins writes softmax(w_c · x + b_c) over all class heads into
+// votes (one value per head) and returns it.
+//
+//redvet:noalloc gate=TrainStep
+func softmaxMargins(votes ml.Prediction, w [][]float64, x []float64) ml.Prediction {
 	maxM := math.Inf(-1)
 	for c := range w {
 		votes[c] = margin(w[c], x)
@@ -137,16 +140,19 @@ func (s *SLR) Train(in ml.Instance) {
 	if weight <= 0 {
 		weight = 1
 	}
-	sgdStep(s.w, in, s.cfg, weight)
+	sgdStep(s.w, s.probs, in, s.cfg, weight)
 	s.trainCount++
 	s.epoch++
 }
 
 // sgdStep performs one (possibly weighted) SGD step: cross-entropy
-// gradient over the softmax outputs, plus the configured penalty.
-func sgdStep(w [][]float64, in ml.Instance, cfg SLRConfig, weight float64) {
+// gradient over the softmax outputs, plus the configured penalty. probs
+// holds the softmax outputs (one value per head).
+//
+//redvet:noalloc gate=TrainStep
+func sgdStep(w [][]float64, probs []float64, in ml.Instance, cfg SLRConfig, weight float64) {
 	lr := cfg.LearningRate * weight
-	p := softmaxMargins(w, in.X)
+	p := softmaxMargins(probs, w, in.X)
 	for c := range w {
 		y := 0.0
 		if in.Label == c {
@@ -189,6 +195,7 @@ func signOf(v float64) float64 {
 type slrAccumulator struct {
 	cfg   SLRConfig
 	w     [][]float64
+	probs []float64 // sgdStep's working space
 	count int64
 }
 
@@ -200,7 +207,7 @@ func (s *SLR) NewAccumulator() ml.Accumulator {
 	for c := range w {
 		w[c] = append([]float64(nil), s.w[c]...)
 	}
-	return &slrAccumulator{cfg: s.cfg, w: w}
+	return &slrAccumulator{cfg: s.cfg, w: w, probs: make([]float64, len(w))}
 }
 
 // Observe implements ml.Accumulator.
@@ -212,7 +219,7 @@ func (a *slrAccumulator) Observe(in ml.Instance) {
 	if weight <= 0 {
 		weight = 1
 	}
-	sgdStep(a.w, in, a.cfg, weight)
+	sgdStep(a.w, a.probs, in, a.cfg, weight)
 	a.count++
 }
 
