@@ -56,7 +56,13 @@ func scalabilityOptions(cfg Config) core.Options {
 	return opts
 }
 
-// RunScalability measures one (setup, tweet-count) point.
+// RunScalability measures one (setup, tweet-count) point. The unlabeled
+// tweets are generated as the engine pulls them, so the sequential and
+// micro-batch legs time UnlabeledSource generation along with the engine:
+// over the same 250 k-tweet sequential run on a 2-vCPU box, generation was
+// 32–38 % of the time with the fmt-based generator and 16–21 % with the
+// append-only one (live against materialised). Materialising instead would
+// hold the 2 M-tweet point's corpus, about 1 GB.
 func RunScalability(cfg Config, setup EngineSetup, tweets int64) (ScalabilityPoint, error) {
 	cfg = cfg.withDefaults()
 	src := newScalabilitySource(cfg, tweets)

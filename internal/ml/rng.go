@@ -112,14 +112,20 @@ func (r *RNG) Poisson(lambda float64) int {
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a pseudo-random permutation of [0, len(p)), making
+// the same draws Perm(len(p)) makes.
+func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Shuffle pseudo-randomly reorders the first n elements using swap.
@@ -133,7 +139,8 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // [0, n). When k >= n it returns all n indices in random order.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
-	p := r.Perm(n)
+	p := make([]int, n)
+	r.PermInto(p)
 	if k >= n {
 		return p
 	}

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -132,4 +133,42 @@ func TestRNGSampleWithoutReplacement(t *testing.T) {
 	if len(all) != 3 {
 		t.Fatalf("oversized k should return n items, got %d", len(all))
 	}
+
+	// Perm, PermInto and SampleWithoutReplacement draw what the allocating
+	// Perm drew before PermInto existed (refPerm), and leave the generator
+	// in the same state.
+	for _, n := range []int{0, 1, 2, 3, 7, 40, 257} {
+		ref, perm, into, sample := NewRNG(23), NewRNG(23), NewRNG(23), NewRNG(23)
+		p := make([]int, n)
+		for round := 0; round < 3; round++ {
+			want := refPerm(ref, n)
+			into.PermInto(p)
+			for name, got := range map[string][]int{
+				"Perm": perm.Perm(n), "PermInto": p, "SampleWithoutReplacement": sample.SampleWithoutReplacement(n, n/2),
+			} {
+				if !slices.Equal(got, want[:len(got)]) {
+					t.Fatalf("n=%d round %d: %s = %v, want %v", n, round, name, got, want)
+				}
+			}
+		}
+		for name, r := range map[string]*RNG{"Perm": perm, "PermInto": into, "SampleWithoutReplacement": sample} {
+			if r.State() != ref.State() {
+				t.Fatalf("n=%d: %s left the generator at %#x, want %#x", n, name, r.State(), ref.State())
+			}
+		}
+	}
+}
+
+// refPerm is Perm as it was written before PermInto: allocate, fill, then
+// swap down from the top.
+func refPerm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
 }

@@ -1,9 +1,8 @@
 package twitterdata
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"slices"
 	"time"
 
 	"redhanded/internal/ml"
@@ -202,6 +201,17 @@ type Generator struct {
 	dupRatio float64
 	recent   [3][]string
 	recentAt [3]int
+
+	// Scratch reused by every tweet: composeText picks words into words,
+	// marks the shouted ones in shout through the permutation drawn into
+	// perm, and appends the text into text; Tweet appends its five
+	// fixed-width fields into fields. Each tweet then costs one string
+	// for its text and one for its fields.
+	words  []string
+	shout  []bool
+	perm   []int
+	text   []byte
+	fields []byte
 }
 
 // dupClassWeight scales DuplicateRatio per class: aggressive content is
@@ -346,21 +356,32 @@ func (g *Generator) Tweet(class, day int) Tweet {
 		}
 	}
 
-	return Tweet{
-		IDStr:     fmt.Sprintf("t%09d", g.counter),
-		Text:      body,
-		CreatedAt: posted.Format(TimeLayout),
-		User: User{
-			IDStr:          fmt.Sprintf("u%07d", g.rng.Intn(2000000)),
-			ScreenName:     fmt.Sprintf("user%05d", g.rng.Intn(100000)),
-			CreatedAt:      created.Format(TimeLayout),
-			FollowersCount: g.logNormalCount(p.followersLogMean, p.followersStd),
-			FriendsCount:   g.logNormalCount(p.friendsLogMean, p.friendsStd),
-			StatusesCount:  g.logNormalCount(p.postsLogMean, p.postsLogStd),
-			ListedCount:    g.rng.Poisson(p.listsMean),
-		},
-		Day: day,
+	// Draw in the order the fields are laid out: every seeded corpus
+	// depends on it (TestGeneratorMatchesParent).
+	uid := g.rng.Intn(2000000)
+	screen := g.rng.Intn(100000)
+	u := User{
+		FollowersCount: g.logNormalCount(p.followersLogMean, p.followersStd),
+		FriendsCount:   g.logNormalCount(p.friendsLogMean, p.friendsStd),
+		StatusesCount:  g.logNormalCount(p.postsLogMean, p.postsLogStd),
+		ListedCount:    g.rng.Poisson(p.listsMean),
 	}
+
+	// Spell t%09d, the posting time, u%07d, user%05d and the account's
+	// creation time into one string and cut the five fields from it.
+	b := appendDec(append(g.fields[:0], 't'), int(g.counter), 9)
+	idEnd := len(b)
+	b = appendTime(b, posted)
+	postedEnd := len(b)
+	b = appendDec(append(b, 'u'), uid, 7)
+	uidEnd := len(b)
+	b = appendDec(append(b, "user"...), screen, 5)
+	screenEnd := len(b)
+	b = appendTime(b, created)
+	g.fields = b
+	f := string(b)
+	u.IDStr, u.ScreenName, u.CreatedAt = f[postedEnd:uidEnd], f[uidEnd:screenEnd], f[screenEnd:]
+	return Tweet{IDStr: f[:idEnd], Text: body, CreatedAt: f[idEnd:postedEnd], User: u, Day: day}
 }
 
 func (g *Generator) logNormalCount(logMean, logStd float64) int {
@@ -401,10 +422,10 @@ func (g *Generator) composeText(p classProfile, day int) string {
 		totalWords = 3
 	}
 
-	var words []string
+	g.words = g.words[:0]
 	add := func(pool []string, n int) {
-		for i := 0; i < n && len(words) < totalWords+6; i++ {
-			words = append(words, pool[g.rng.Intn(len(pool))])
+		for i := 0; i < n && len(g.words) < totalWords+6; i++ {
+			g.words = append(g.words, pool[g.rng.Intn(len(pool))])
 		}
 	}
 
@@ -452,7 +473,7 @@ func (g *Generator) composeText(p classProfile, day int) string {
 	}
 
 	// Fill the remainder: ~18% verbs, ~42% stop words, rest nouns.
-	for len(words) < totalWords {
+	for len(g.words) < totalWords {
 		switch r := g.rng.Float64(); {
 		case r < 0.18:
 			add(neutralVerbs, 1)
@@ -462,9 +483,11 @@ func (g *Generator) composeText(p classProfile, day int) string {
 			add(neutralNouns, 1)
 		}
 	}
+	words := g.words
 	g.rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
 
-	// Uppercase k words ("shouting"): zero-inflated 1+Poisson.
+	// Uppercase k words ("shouting"): zero-inflated 1+Poisson, the first k
+	// of a permutation of the word positions.
 	upper := 0
 	if g.rng.Float64() >= p.upperZeroProb {
 		upper = 1 + g.rng.Poisson(p.upperLambda)
@@ -472,12 +495,16 @@ func (g *Generator) composeText(p classProfile, day int) string {
 	if upper > len(words) {
 		upper = len(words)
 	}
-	for _, idx := range g.rng.SampleWithoutReplacement(len(words), upper) {
-		words[idx] = strings.ToUpper(words[idx])
+	g.perm = slices.Grow(g.perm[:0], len(words))[:len(words)]
+	g.rng.PermInto(g.perm)
+	g.shout = slices.Grow(g.shout[:0], len(words))[:len(words)]
+	clear(g.shout)
+	for _, idx := range g.perm[:upper] {
+		g.shout[idx] = true
 	}
 
-	// Assemble sentences with terminators.
-	var b strings.Builder
+	// Assemble sentences with terminators after room for an RT prefix.
+	b := append(g.text[:0], rtPrefix...)
 	perSent := (len(words) + nSent - 1) / nSent
 	for s := 0; s < nSent; s++ {
 		lo, hi := s*perSent, (s+1)*perSent
@@ -487,35 +514,68 @@ func (g *Generator) composeText(p classProfile, day int) string {
 		if hi > len(words) {
 			hi = len(words)
 		}
-		if s > 0 {
-			b.WriteByte(' ')
+		for i := lo; i < hi; i++ {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = appendWord(b, words[i], g.shout[i])
 		}
-		b.WriteString(strings.Join(words[lo:hi], " "))
 		if g.rng.Float64() < p.exclaimProb {
-			b.WriteString("!")
+			b = append(b, '!')
 			if g.rng.Float64() < 0.4 {
-				b.WriteString("!!")
+				b = append(b, "!!"...)
 			}
 		} else {
-			b.WriteString(".")
+			b = append(b, '.')
 		}
 	}
 
 	// Tweet-specific decorations: mentions, hashtags, URLs, RT prefix.
 	for i := g.rng.Poisson(p.mentionMn); i > 0; i-- {
-		fmt.Fprintf(&b, " @user%04d", g.rng.Intn(10000))
+		b = appendDec(append(b, " @user"...), g.rng.Intn(10000), 4)
 	}
 	for i := g.rng.Poisson(p.hashtagMean); i > 0; i-- {
-		fmt.Fprintf(&b, " #%s", hashtagPool[g.rng.Intn(len(hashtagPool))])
+		b = append(append(b, " #"...), hashtagPool[g.rng.Intn(len(hashtagPool))]...)
 	}
 	for i := g.rng.Poisson(p.urlMean); i > 0; i-- {
-		fmt.Fprintf(&b, " http://t.co/%06x", g.rng.Intn(1<<24))
+		b = appendHex6(append(b, " http://t.co/"...), g.rng.Intn(1<<24))
 	}
-	textOut := b.String()
+	g.text = b
 	if g.rng.Float64() < p.rtProb {
-		textOut = fmt.Sprintf("RT @user%04d: %s", g.rng.Intn(10000), textOut)
+		// Spell the drawn user over the room's "RT @user0000"; its ": "
+		// stays. The number has four digits, so nothing past the room moves.
+		appendDec(append(b[:0], "RT @user"...), g.rng.Intn(10000), 4)
+		return string(b)
 	}
-	return textOut
+	return string(b[len(rtPrefix):])
+}
+
+// rtPrefix is the room composeText leaves for a retweet prefix.
+const rtPrefix = "RT @user0000: "
+
+// appendWord appends w, in upper case when shout is set. Every pool word is
+// lower-case ASCII (TestPoolsUpperCaseAsASCII), so this is strings.ToUpper.
+func appendWord(b []byte, w string, shout bool) []byte {
+	if !shout {
+		return append(b, w...)
+	}
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
+}
+
+// appendHex6 appends v < 1<<24 as six lower-case hex digits (%06x).
+func appendHex6(b []byte, v int) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 20; shift >= 0; shift -= 4 {
+		b = append(b, hex[v>>shift&0xf])
+	}
+	return b
 }
 
 // UnlabeledSource streams endless unlabeled tweets with the dataset's
@@ -576,11 +636,4 @@ func clampF(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

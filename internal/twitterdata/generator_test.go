@@ -1,7 +1,9 @@
 package twitterdata
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -231,5 +233,75 @@ func TestAccountAgeCalibration(t *testing.T) {
 		if math.Abs(mean-wantMean) > wantMean*0.12 {
 			t.Errorf("class %d account age mean = %v, want ~%v", class, mean, wantMean)
 		}
+	}
+}
+
+// TestPoolsUpperCaseAsASCII pins appendWord's byte-wise shouting to
+// strings.ToUpper over every word the composer can shout.
+func TestPoolsUpperCaseAsASCII(t *testing.T) {
+	g := NewGenerator(1, 1)
+	pools := [][]string{
+		neutralNouns, neutralVerbs, neutralAdjectives, neutralAdverbs, stopWords,
+		insultNouns, insultVerbs, negativeAdjectives, positiveWords, mildNegatives,
+		targetGroups, g.swearPool,
+	}
+	for day := 0; day < 64; day++ {
+		pools = append(pools, slangForDay(day))
+	}
+	for _, pool := range pools {
+		for _, w := range pool {
+			if got := string(appendWord(nil, w, true)); got != strings.ToUpper(w) {
+				t.Fatalf("appendWord(%q, shout) = %q, strings.ToUpper = %q", w, got, strings.ToUpper(w))
+			}
+			if got := string(appendWord(nil, w, false)); got != w {
+				t.Fatalf("appendWord(%q) = %q", w, got)
+			}
+		}
+	}
+}
+
+// TestGeneratedTweetAllocs holds a generated tweet at two allocations (its
+// text and its fields) and a repeated text at one (its fields).
+func TestGeneratedTweetAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	src := NewUnlabeledSource(3, 10)
+	for i := 0; i < 1000; i++ { // grow the scratch to steady state
+		src.Next()
+	}
+	if got := testing.AllocsPerRun(2000, func() { src.Next() }); got > 2 {
+		t.Errorf("UnlabeledSource.Next: %v allocs per tweet, want ≤ 2", got)
+	}
+
+	// At this ratio every abusive tweet after the first repeats a text.
+	g := NewGenerator(4, 10)
+	g.SetDuplicateRatio(1)
+	for i := 0; i < 100; i++ {
+		g.Tweet(1, 0)
+	}
+	if got := testing.AllocsPerRun(2000, func() { g.Tweet(1, 0) }); got > 1 {
+		t.Errorf("repeated-text tweet: %v allocs, want ≤ 1", got)
+	}
+}
+
+// BenchmarkGenerate times the unlabeled stream behind the scalability runs
+// and the retweet-heavy corpus, one tweet per op.
+func BenchmarkGenerate(b *testing.B) {
+	for _, dup := range []float64{0, 0.3} {
+		b.Run(fmt.Sprintf("dup=%.1f", dup), func(b *testing.B) {
+			src := NewUnlabeledSource(5, 10)
+			src.SetDuplicateRatio(dup)
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Next()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tweet")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/tweet")
+		})
 	}
 }

@@ -1,10 +1,5 @@
 package twitterdata
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Labels for the two related-behavior datasets of §V-F.
 const (
 	// Sarcasm dataset (Rajadesingan et al. 2015): 6.5k sarcastic of 61k.
@@ -84,32 +79,33 @@ func GenerateSarcasm(cfg SarcasmConfig) []Tweet {
 // sarcasticTweet composes the positive-words-negative-situation pattern.
 func (g *Generator) sarcasticTweet(day int) Tweet {
 	tw := g.Tweet(0, day)
-	var b strings.Builder
 	// Effusive opener with elongation ("soooo great").
 	opener := positiveWords[g.rng.Intn(len(positiveWords))]
+	b := g.text[:0]
 	if g.rng.Float64() < 0.6 {
-		b.WriteString("soooo ")
+		b = append(b, "soooo "...)
 	} else {
-		b.WriteString("just ")
+		b = append(b, "just "...)
 	}
-	b.WriteString(opener)
+	b = append(b, opener...)
 	// Negative situation body.
-	b.WriteString(" that ")
-	b.WriteString(stopWords[g.rng.Intn(len(stopWords))])
-	b.WriteString(" ")
-	b.WriteString(neutralNouns[g.rng.Intn(len(neutralNouns))])
-	b.WriteString(" ")
-	b.WriteString(mildNegatives[g.rng.Intn(len(mildNegatives))])
+	b = append(append(b, " that "...), stopWords[g.rng.Intn(len(stopWords))]...)
+	b = append(append(b, ' '), neutralNouns[g.rng.Intn(len(neutralNouns))]...)
+	b = append(append(b, ' '), mildNegatives[g.rng.Intn(len(mildNegatives))]...)
 	if g.rng.Float64() < 0.5 {
-		b.WriteString(" AGAIN")
+		b = append(b, " AGAIN"...)
 	}
-	b.WriteString("!!")
+	b = append(b, "!!"...)
 	if g.rng.Float64() < 0.4 {
-		fmt.Fprintf(&b, " #%s", []string{"not", "sarcasm", "lucky", "blessed"}[g.rng.Intn(4)])
+		b = append(append(b, " #"...), sarcasmTags[g.rng.Intn(len(sarcasmTags))]...)
 	}
-	tw.Text = b.String()
+	g.text = b
+	tw.Text = string(b)
 	return tw
 }
+
+// sarcasmTags are the hashtags a sarcastic tweet may close with.
+var sarcasmTags = []string{"not", "sarcasm", "lucky", "blessed"}
 
 // OffensiveConfig sizes the synthetic racism/sexism dataset.
 type OffensiveConfig struct {
@@ -149,11 +145,14 @@ func GenerateOffensive(cfg OffensiveConfig) []Tweet {
 	for i, c := range classes {
 		day := i * cfg.Days / total
 		tw := g.offensiveTweet(c, day)
-		tw.Label = []string{LabelNone, LabelRacism, LabelSexism}[c]
+		tw.Label = offensiveLabels[c]
 		out = append(out, tw)
 	}
 	return out
 }
+
+// offensiveLabels names the offensive dataset's classes by index.
+var offensiveLabels = []string{LabelNone, LabelRacism, LabelSexism}
 
 // offensiveTweet generates the three offensive-dataset classes with
 // deliberately muddier separation: ~45% of offensive tweets read almost
@@ -167,23 +166,19 @@ func (g *Generator) offensiveTweet(class, day int) Tweet {
 		}
 		return base
 	}
-	var b strings.Builder
-	b.WriteString(base.Text)
+	b := append(g.text[:0], base.Text...)
 	muddy := g.rng.Float64() < 0.45
 	if !muddy {
-		b.WriteString(" ")
-		b.WriteString(targetGroups[g.rng.Intn(len(targetGroups))])
-		b.WriteString(" ")
-		b.WriteString(insultNouns[g.rng.Intn(len(insultNouns))])
+		b = append(append(b, ' '), targetGroups[g.rng.Intn(len(targetGroups))]...)
+		b = append(append(b, ' '), insultNouns[g.rng.Intn(len(insultNouns))]...)
 	}
 	if g.rng.Float64() < 0.5 {
-		b.WriteString(" ")
-		b.WriteString(negativeAdjectives[g.rng.Intn(len(negativeAdjectives))])
+		b = append(append(b, ' '), negativeAdjectives[g.rng.Intn(len(negativeAdjectives))]...)
 	}
 	if class == 2 && g.rng.Float64() < 0.4 {
-		b.WriteString(" ")
-		b.WriteString(g.swearPool[g.rng.Intn(len(g.swearPool))])
+		b = append(append(b, ' '), g.swearPool[g.rng.Intn(len(g.swearPool))]...)
 	}
-	base.Text = b.String()
+	g.text = b
+	base.Text = string(b)
 	return base
 }

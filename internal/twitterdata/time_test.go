@@ -63,6 +63,46 @@ func FuzzParseTime(f *testing.F) {
 	})
 }
 
+// FuzzAppendTime pins appendTime to time.Format: its arithmetic fast path
+// for UTC in years 1000–9999, and its AppendFormat fallback everywhere else
+// (other zones, other years).
+func FuzzAppendTime(f *testing.F) {
+	utc := func(year int, month time.Month, day, hour, min, sec int) int64 {
+		return time.Date(year, month, day, hour, min, sec, 0, time.UTC).Unix()
+	}
+	for _, sec := range []int64{
+		0, -1, 1, 86399, 86400, -86400, -86401,
+		utc(2017, 6, 1, 0, 0, 0), utc(2017, 6, 10, 23, 59, 59), // the generator's base and horizon
+		minFastUnix - 1, minFastUnix, minFastUnix + 1,
+		endFastUnix - 1, endFastUnix, endFastUnix + 1,
+		utc(2000, 2, 29, 12, 0, 0), utc(2000, 3, 1, 0, 0, 0), // a leap day
+		utc(1900, 2, 28, 23, 59, 59), utc(1900, 3, 1, 0, 0, 0), // no leap day
+		utc(1600, 2, 29, 0, 0, 0), utc(2100, 3, 1, 0, 0, 0),
+		utc(1969, 12, 31, 23, 59, 59), utc(1999, 12, 31, 23, 59, 59),
+		utc(5, 1, 1, 0, 0, 0), utc(-1, 1, 1, 0, 0, 0),
+		math.MinInt64, math.MaxInt64,
+	} {
+		f.Add(sec, uint32(0), int32(0))
+		f.Add(sec, uint32(999999999), int32(0))
+		f.Add(sec, uint32(0), int32(-7*3600))
+	}
+	for m := time.January; m <= time.December; m++ {
+		for d := 1; d <= 7; d++ { // every month and day of the week
+			f.Add(utc(2021, m, d, 8, 30, 15), uint32(0), int32(0))
+		}
+	}
+	f.Fuzz(func(t *testing.T, sec int64, nsec uint32, offset int32) {
+		tm := time.Unix(sec, int64(nsec%1e9)).UTC()
+		if offset != 0 {
+			tm = tm.In(time.FixedZone("", int(offset%86400)))
+		}
+		want := tm.Format(TimeLayout)
+		if got := appendTime([]byte("x"), tm); string(got) != "x"+want {
+			t.Fatalf("appendTime(%v) = %q, time.Format = %q", tm, got[1:], want)
+		}
+	})
+}
+
 // refAccountAgeDays is AccountAgeDays spelled with time.Parse alone.
 func refAccountAgeDays(posted, created string) float64 {
 	p, err := time.Parse(TimeLayout, posted)

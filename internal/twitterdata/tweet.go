@@ -221,6 +221,83 @@ func civilDays(year, month, day int) int64 {
 	return int64(era-1)*146097 + int64(doe) - 719468
 }
 
+// Bounds of appendTime's fast path in Unix seconds: 1000-01-01 and
+// 10000-01-01 UTC, the years time.Format spells with exactly four digits.
+const (
+	minFastUnix = -30610224000
+	endFastUnix = 253402300800
+)
+
+const (
+	dayNames   = "ThuFriSatSunMonTueWed" // from 1970-01-01, a Thursday
+	monthNames = "JanFebMarAprMayJunJulAugSepOctNovDec"
+)
+
+// appendTime appends t.Format(TimeLayout) to b. A UTC time in years
+// 1000–9999 (every time the generator makes) is spelled arithmetically
+// from its Unix seconds; anything else goes to AppendFormat.
+// FuzzAppendTime pins the two together.
+func appendTime(b []byte, t time.Time) []byte {
+	sec := t.Unix()
+	if t.Location() != time.UTC || sec < minFastUnix || sec >= endFastUnix {
+		return t.AppendFormat(b, TimeLayout)
+	}
+	days := sec / 86400
+	sod := int(sec - days*86400)
+	if sod < 0 {
+		days--
+		sod += 86400
+	}
+	year, month, day := civilDate(days)
+	wd := int((days%7 + 7) % 7)
+	b = append(b, dayNames[3*wd:3*wd+3]...)
+	b = append(b, ' ')
+	b = append(b, monthNames[3*month-3:3*month]...)
+	b = append(b, ' ')
+	b = appendDec(b, day, 2)
+	b = append(b, ' ')
+	b = appendDec(b, sod/3600, 2)
+	b = append(b, ':')
+	b = appendDec(b, sod/60%60, 2)
+	b = append(b, ':')
+	b = appendDec(b, sod%60, 2)
+	b = append(b, " +0000 "...)
+	return appendDec(b, year, 4)
+}
+
+// civilDate is civilDays' inverse (Hinnant's civil_from_days) for dates
+// from year 1000 on, where every quotient below is a floor.
+func civilDate(days int64) (year, month, day int) {
+	z := days + 719468 // days since 0000-03-01
+	era, doe := int(z/146097), int(z%146097)
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153
+	day = doy - (153*mp+2)/5 + 1
+	month = (mp+2)%12 + 1
+	year = era*400 + yoe
+	if month <= 2 {
+		year++
+	}
+	return year, month, day
+}
+
+// appendDec appends v in decimal, zero-padded to at least width digits
+// (fmt's %0<width>d for v ≥ 0).
+func appendDec(b []byte, v, width int) []byte {
+	var buf [20]byte
+	i := len(buf)
+	for v >= 10 || width > 1 {
+		i--
+		buf[i] = byte('0' + v%10)
+		v /= 10
+		width--
+	}
+	i--
+	buf[i] = byte('0' + v)
+	return append(b, buf[i:]...)
+}
+
 // num2 reads two ASCII digits, returning a negative number if either byte
 // is not a digit.
 //
