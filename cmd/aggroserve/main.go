@@ -220,18 +220,17 @@ func main() {
 	var activeUsers, evictions, sessionVerdicts, escalations int64
 	for i := 0; i < srv.Shards(); i++ {
 		p := srv.Pipeline(i)
-		processed += p.Processed()
 		if d := p.DriftStats(); d != nil {
 			warnings += d.Warnings
 			drifts += d.Drifts
 			replacements += d.TreeReplacements
 		}
-		users := p.Users()
-		activeUsers += int64(users.Len())
-		capEv, ttlEv := users.Evictions()
-		evictions += capEv + ttlEv
-		sessionVerdicts += users.SessionVerdicts()
-		escalations += users.Escalations()
+		c := p.Counts()
+		processed += c.Processed
+		activeUsers += int64(c.ActiveUsers)
+		evictions += c.EvictionsCap + c.EvictionsTTL
+		sessionVerdicts += c.SessionVerdicts
+		escalations += c.Escalations
 	}
 	fmt.Printf("processed %d tweets across %d shards in %s\n",
 		processed, srv.Shards(), srv.Uptime().Round(time.Millisecond))

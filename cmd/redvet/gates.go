@@ -104,7 +104,6 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/userstate.(*Store).Observe",
 			"redhanded/internal/userstate.(*Store).ObserveAlert",
 			"redhanded/internal/userstate.(*Store).observe",
-			"redhanded/internal/userstate.(*Store).observeLocked",
 			"redhanded/internal/userstate.(*record).slide",
 		},
 	},
@@ -176,6 +175,7 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/feature.(*Extractor).LookupCached",
 			"redhanded/internal/feature.(*Extractor).fillProfile",
 			"redhanded/internal/feature.(*extractCache).lookup",
+			"redhanded/internal/feature.(*extractCache).set",
 			"redhanded/internal/feature.textHash",
 			"redhanded/internal/twitterdata.(*Tweet).AccountAgeDays",
 			"redhanded/internal/twitterdata.civilDays",

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"redhanded/internal/twitterdata"
 	"redhanded/internal/userstate"
 )
@@ -41,14 +39,16 @@ func (f AlertSinkFunc) HandleAlert(a Alert) { f(a) }
 // history and suspension flags live in the pipeline's userstate store, so
 // history survives checkpoints and stays memory-bounded alongside the rest
 // of the user state.
+//
+// An Alerter keeps no lock: it belongs to one pipeline, which raises
+// alerts under its own lock. Subscribe and SuspendAfter are set up before
+// the pipeline processes, and the reads (Raised, OffenseCount, Suspended,
+// SuspendedUsers) are for the goroutine that drives it; a reader racing
+// processing uses Pipeline.Counts.
 type Alerter struct {
-	mu        sync.Mutex
 	threshold float64
-	// sinks is copy-on-write: Subscribe installs a fresh slice and never
-	// writes to a published one, so raise iterates the slice it read
-	// under mu without cloning it per alert.
-	sinks []AlertSink
-	users *userstate.Store
+	sinks     []AlertSink
+	users     *userstate.Store
 	// SuspendAfter is the repeated-offense count that triggers an account
 	// suspension recommendation (0 disables).
 	SuspendAfter int
@@ -62,11 +62,7 @@ func newAlerter(threshold float64, users *userstate.Store) *Alerter {
 }
 
 // Subscribe registers a sink for future alerts.
-func (a *Alerter) Subscribe(s AlertSink) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sinks = append(a.sinks[:len(a.sinks):len(a.sinks)], s)
-}
+func (a *Alerter) Subscribe(s AlertSink) { a.sinks = append(a.sinks, s) }
 
 // arm reports whether a prediction of this confidence raises an alert
 // (a NaN confidence does: it is not below the threshold) and, when it
@@ -75,8 +71,6 @@ func (a *Alerter) arm(confidence float64) (suspendAfter int, ok bool) {
 	if confidence < a.threshold {
 		return 0, false
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.SuspendAfter, true
 }
 
@@ -84,10 +78,7 @@ func (a *Alerter) arm(confidence float64) (suspendAfter int, ok bool) {
 // author's offense history as out reports it after the alert's offense
 // (zero values for a tweet without a user ID).
 func (a *Alerter) raise(tw *twitterdata.Tweet, predicted string, confidence float64, out userstate.Outcome) {
-	a.mu.Lock()
 	a.raised++
-	sinks := a.sinks
-	a.mu.Unlock()
 	alert := Alert{
 		TweetID:    tw.IDStr,
 		UserID:     tw.User.IDStr,
@@ -98,17 +89,13 @@ func (a *Alerter) raise(tw *twitterdata.Tweet, predicted string, confidence floa
 		Offenses:   out.Offenses,
 		Suspended:  out.Suspended,
 	}
-	for _, s := range sinks {
+	for _, s := range a.sinks {
 		s.HandleAlert(alert)
 	}
 }
 
 // Raised returns the total number of alerts raised.
-func (a *Alerter) Raised() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.raised
-}
+func (a *Alerter) Raised() int64 { return a.raised }
 
 // OffenseCount returns the alert history of one user.
 func (a *Alerter) OffenseCount(userID string) int { return a.users.OffenseCount(userID) }

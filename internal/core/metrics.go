@@ -5,12 +5,13 @@ import (
 	"redhanded/internal/stream"
 )
 
-// RegisterMetrics exposes on reg the counts the pipelines' own components
-// keep — alerts raised, user-state verdicts, suspensions, evictions and
-// lock waits, ARF drift signals — as totals over ps, sampled at scrape
-// time. The components stay the only producers, so /metrics reads what
-// /v1/stats and checkpoints read. Registering again (a replacement server
-// on the same registry) hands every series to the new pipelines.
+// RegisterMetrics exposes on reg the counts the pipelines keep — alerts
+// raised, user-state verdicts, suspensions and evictions, waits on the
+// pipeline lock, ARF drift signals — as totals over ps, sampled at scrape
+// time through the pipelines' locked reads (Counts, DriftStats). The
+// pipelines stay the only producers, so /metrics reads what /v1/stats and
+// checkpoints read. Registering again (a replacement server on the same
+// registry) hands every series to the new pipelines.
 func RegisterMetrics(reg *metrics.Registry, ps ...*Pipeline) {
 	sum := func(f func(*Pipeline) int64) func() float64 {
 		return func() float64 {
@@ -21,6 +22,9 @@ func RegisterMetrics(reg *metrics.Registry, ps ...*Pipeline) {
 			return float64(n)
 		}
 	}
+	counts := func(f func(Counts) int64) func() float64 {
+		return sum(func(p *Pipeline) int64 { return f(p.Counts()) })
+	}
 	drift := func(f func(*stream.DriftStats) int64) func() float64 {
 		return sum(func(p *Pipeline) int64 {
 			if st := p.DriftStats(); st != nil {
@@ -30,22 +34,22 @@ func RegisterMetrics(reg *metrics.Registry, ps ...*Pipeline) {
 		})
 	}
 	reg.CounterFunc("redhanded_alerts_raised_total", "Alerts raised by the alerting step.", nil,
-		sum(func(p *Pipeline) int64 { return p.alerter.Raised() }))
+		counts(func(c Counts) int64 { return c.AlertsRaised }))
 	reg.CounterFunc("redhanded_userstate_session_verdicts_total", "Session verdicts emitted by the user-state layer.", nil,
-		sum(func(p *Pipeline) int64 { return p.users.SessionVerdicts() }))
+		counts(func(c Counts) int64 { return c.SessionVerdicts }))
 	reg.CounterFunc("redhanded_userstate_escalations_total", "Escalation verdicts emitted by the user-state layer.", nil,
-		sum(func(p *Pipeline) int64 { return p.users.Escalations() }))
+		counts(func(c Counts) int64 { return c.Escalations }))
 	reg.CounterFunc("redhanded_userstate_suspensions_total", "Users newly recommended for suspension.", nil,
-		sum(func(p *Pipeline) int64 { return p.users.Suspensions() }))
+		counts(func(c Counts) int64 { return c.Suspensions }))
 	const evicted = "User records evicted from the store by reason."
 	reg.CounterFunc("redhanded_userstate_evictions_total", evicted, metrics.Labels{"reason": "cap"},
-		sum(func(p *Pipeline) int64 { n, _ := p.users.Evictions(); return n }))
+		counts(func(c Counts) int64 { return c.EvictionsCap }))
 	reg.CounterFunc("redhanded_userstate_evictions_total", evicted, metrics.Labels{"reason": "ttl"},
-		sum(func(p *Pipeline) int64 { _, n := p.users.Evictions(); return n }))
-	reg.CounterFunc("redhanded_userstate_lock_waits_total", "Observe calls that found their shard stripe held.", nil,
-		sum(func(p *Pipeline) int64 { n, _ := p.users.LockWaits(); return n }))
-	waited := sum(func(p *Pipeline) int64 { _, d := p.users.LockWaits(); return int64(d) })
-	reg.CounterFunc("redhanded_userstate_lock_wait_seconds_total", "Time Observe calls spent blocked on a held shard stripe.", nil,
+		counts(func(c Counts) int64 { return c.EvictionsTTL }))
+	reg.CounterFunc("redhanded_pipeline_lock_waits_total", "Processing calls that found their pipeline's lock held by a reader.", nil,
+		counts(func(c Counts) int64 { return c.LockWaits }))
+	waited := counts(func(c Counts) int64 { return int64(c.LockWaited) })
+	reg.CounterFunc("redhanded_pipeline_lock_wait_seconds_total", "Time processing calls spent blocked on a held pipeline lock.", nil,
 		func() float64 { return waited() / 1e9 })
 	reg.CounterFunc("redhanded_arf_warnings_total", "ARF member warnings (background trees started).", nil,
 		drift(func(st *stream.DriftStats) int64 { return st.Warnings }))

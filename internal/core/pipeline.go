@@ -61,11 +61,17 @@ type Model = stream.Model
 // batch and its model accumulators back through AbsorbBatch, which applies
 // the accumulators and the same effects section.
 //
-// A Pipeline supports one processing goroutine. The read accessors
-// (Processed, Summary, BoWSizeCurve, PredictedDistribution, LogOffset,
-// SnapshotStats, DriftStats, Checkpoint) serialize against it, so the
-// serving layer can report live statistics while a shard runs; engines
-// partition work across pipelines instead of sharing one.
+// A Pipeline supports one processing goroutine, and its lock is the only
+// lock on the state it owns: the extractor (cache and BoW), the user-state
+// store, the alerter and the sampler keep none of their own. The read
+// accessors (Processed, Counts, LookupUser, Summary, BoWSizeCurve,
+// PredictedDistribution, LogOffset, SnapshotStats, DriftStats, Checkpoint)
+// take that lock, so the serving layer can report live statistics while a
+// shard runs. The component accessors (Extractor, Users, Alerter, Sampler,
+// Model, Normalizer, Evaluator) hand out the unlocked components: they are
+// for setup and for the goroutine that drives the pipeline, never for a
+// reader racing it. Engines partition work across pipelines instead of
+// sharing one.
 type Pipeline struct {
 	opts       Options
 	classes    ml.Classes
@@ -111,7 +117,25 @@ type Pipeline struct {
 	voteArena       []float64
 	oneHot          ml.Prediction
 
-	mu sync.Mutex
+	// mu serializes processing and every reader. lockWaits and lockWaited
+	// count the ProcessBatch and AbsorbBatch acquires that found it held
+	// and the time they spent blocked; they are written and read under mu.
+	mu         sync.Mutex
+	lockWaits  int64
+	lockWaited time.Duration
+}
+
+// lock takes p.mu for processing, counting the acquire as a wait when a
+// reader held it. A free lock costs one TryLock and no clock read.
+func (p *Pipeline) lock() {
+	if p.mu.TryLock() {
+		return
+	}
+	t0 := time.Now()
+	p.mu.Lock()
+	p.lockWaited += time.Since(t0)
+	p.lockWaits++
+	//redvet:ignore lockorder lock returns holding p.mu by design; ProcessBatch and AbsorbBatch defer its unlock
 }
 
 // NewPipeline assembles the framework with the given options.
@@ -195,6 +219,10 @@ type SnapshotStats struct {
 func (p *Pipeline) SnapshotStats() SnapshotStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.snapshotStatsLocked()
+}
+
+func (p *Pipeline) snapshotStatsLocked() SnapshotStats {
 	st := SnapshotStats{
 		Enabled:      true,
 		Epoch:        p.compiled.Epoch(),
@@ -231,11 +259,63 @@ func (p *Pipeline) Evaluator() *eval.Prequential { return p.evaluator }
 // Alerter exposes the alerting component.
 func (p *Pipeline) Alerter() *Alerter { return p.alerter }
 
-// Users exposes the sharded per-user state store (session windows,
-// offense history, escalation scores). It is safe to read concurrently
-// with processing; the serving layer's GET /v1/users/{id} goes through
-// it.
+// Users exposes the per-user state store (session windows, offense
+// history, escalation scores) to setup and to the goroutine that drives
+// the pipeline. A reader racing processing uses LookupUser and Counts.
 func (p *Pipeline) Users() *userstate.Store { return p.users }
+
+// LookupUser returns one user's state under the pipeline's lock (GET
+// /v1/users/{id}).
+func (p *Pipeline) LookupUser(id string) (userstate.Snapshot, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.users.Lookup(id)
+}
+
+// Counts is one consistent cut of a pipeline's running counts: the
+// per-shard figures /v1/stats and /metrics show.
+type Counts struct {
+	Processed       int64
+	LogOffset       int64 // see LogOffset
+	AlertsRaised    int64
+	ActiveUsers     int
+	EvictionsCap    int64 // user records evicted by the cap
+	EvictionsTTL    int64 // and by the idle sweep
+	SessionVerdicts int64
+	Escalations     int64
+	Suspensions     int64
+	Cache           feature.CacheStats
+	Snapshot        SnapshotStats
+	// LockWaits counts the processing acquires that found the pipeline's
+	// lock held by a reader, LockWaited the time they blocked. Unlike the
+	// counts above they are not checkpointed: they describe this
+	// process's contention.
+	LockWaits  int64
+	LockWaited time.Duration
+}
+
+// Counts reads the pipeline's counts under its lock, in O(1) of the
+// traffic seen.
+func (p *Pipeline) Counts() Counts {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	capEv, ttlEv := p.users.Evictions()
+	return Counts{
+		Processed:       p.processed,
+		LogOffset:       p.logOffset,
+		AlertsRaised:    p.alerter.Raised(),
+		ActiveUsers:     p.users.Len(),
+		EvictionsCap:    capEv,
+		EvictionsTTL:    ttlEv,
+		SessionVerdicts: p.users.SessionVerdicts(),
+		Escalations:     p.users.Escalations(),
+		Suspensions:     p.users.Suspensions(),
+		Cache:           p.extractor.CacheStats(),
+		Snapshot:        p.snapshotStatsLocked(),
+		LockWaits:       p.lockWaits,
+		LockWaited:      p.lockWaited,
+	}
+}
 
 // SubscribeVerdicts registers a sink for session and escalation
 // verdicts. Sinks run on the processing goroutine and must not block.
@@ -409,7 +489,7 @@ func (p *Pipeline) ProcessBatch(entries []BatchEntry, results []Result) []Result
 	if need := len(entries) * k; len(p.voteArena) < need {
 		p.voteArena = make([]float64, need)
 	}
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	raw := &p.raw
 	for j, e := range entries {
@@ -526,7 +606,7 @@ type Outcome struct {
 // accumulators, each in order, then each tweet's effects; outcomes[i]
 // corresponds to tweets[i].
 func (p *Pipeline) AbsorbBatch(deltas []*norm.FeatureStats, accs []ml.Accumulator, tweets []twitterdata.Tweet, outcomes []Outcome) {
-	p.mu.Lock()
+	p.lock()
 	defer p.mu.Unlock()
 	for _, d := range deltas {
 		p.normalizer.Stats.Merge(d)

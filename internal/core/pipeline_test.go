@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"redhanded/internal/norm"
 	"redhanded/internal/twitterdata"
@@ -270,4 +271,36 @@ func TestPipelineAllThreeModels(t *testing.T) {
 			t.Errorf("%v pipeline F1 = %v, want >= 0.7", kind, f1)
 		}
 	}
+}
+
+// TestLockWaitsCountOnlyContendedAcquires: a ProcessBatch that finds the
+// pipeline's lock free leaves LockWaits at zero; one that has to wait for a
+// reader holding it is counted once, with the time it blocked.
+func TestLockWaitsCountOnlyContendedAcquires(t *testing.T) {
+	p := NewPipeline(DefaultOptions())
+	tweets := smallDataset(3, 40, 20, 10)
+	p.Process(&tweets[0])
+	if c := p.Counts(); c.LockWaits != 0 || c.LockWaited != 0 {
+		t.Fatalf("uncontended Process counted a wait: %d, %v", c.LockWaits, c.LockWaited)
+	}
+	// The processing goroutine may not reach the lock before the reader
+	// releases it; hold it longer each round until one acquire has waited.
+	for i, hold := 1, time.Millisecond; hold < 10*time.Second; i, hold = i+1, hold*2 {
+		p.mu.Lock()
+		done := make(chan struct{})
+		go func() {
+			p.Process(&tweets[i])
+			close(done)
+		}()
+		time.Sleep(hold)
+		p.mu.Unlock()
+		<-done
+		if c := p.Counts(); c.LockWaits > 0 {
+			if c.LockWaits != 1 || c.LockWaited <= 0 {
+				t.Fatalf("one blocked acquire recorded as %d waits, %v", c.LockWaits, c.LockWaited)
+			}
+			return
+		}
+	}
+	t.Fatal("no ProcessBatch ever waited on the held lock")
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"redhanded/internal/ml"
 	"redhanded/internal/twitterdata"
@@ -37,8 +36,11 @@ type sampledTweet struct {
 // — and the reservoir keeps the Capacity highest priorities. The result is
 // a random sample whose aggressive share is boosted without biasing the
 // within-class selection.
+//
+// A BoostedSampler keeps no lock: a pipeline's sampler is offered tweets
+// under the pipeline's lock, and Sample, Offered and Drain are for the
+// goroutine that drives the pipeline.
 type BoostedSampler struct {
-	mu      sync.Mutex
 	cfg     SamplerConfig
 	rng     *ml.RNG
 	entries []sampledTweet // min-heap on key
@@ -62,8 +64,6 @@ func (s *BoostedSampler) Offer(tw *twitterdata.Tweet, votes ml.Prediction) {
 	if votes.ArgMax() > 0 { // predicted aggressive (any non-normal class)
 		w = s.cfg.Boost
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.offered++
 	u := s.rng.Float64()
 	if u == 0 {
@@ -88,8 +88,6 @@ func (s *BoostedSampler) Offer(tw *twitterdata.Tweet, votes ml.Prediction) {
 // Sample returns the current reservoir contents (the tweets to send for
 // manual labeling).
 func (s *BoostedSampler) Sample() []twitterdata.Tweet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]twitterdata.Tweet, len(s.entries))
 	for i, e := range s.entries {
 		out[i] = e.tweet
@@ -98,16 +96,10 @@ func (s *BoostedSampler) Sample() []twitterdata.Tweet {
 }
 
 // Offered returns how many tweets have been considered.
-func (s *BoostedSampler) Offered() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.offered
-}
+func (s *BoostedSampler) Offered() int64 { return s.offered }
 
 // Drain empties the reservoir, returning its contents (a labeling round).
 func (s *BoostedSampler) Drain() []twitterdata.Tweet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]twitterdata.Tweet, len(s.entries))
 	for i, e := range s.entries {
 		out[i] = e.tweet

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"redhanded/internal/text"
 	"redhanded/internal/text/lexicon"
@@ -157,10 +155,13 @@ func (t *wordTable) setFlat(counts map[string]float64) {
 // for aggressive (abusive or hateful) and normal tweets, adds words that
 // occur frequently in aggressive tweets but not in normal ones, and drops
 // learned words that become popular in normal tweets while losing traction
-// in aggressive ones. Seed words are permanent. AdaptiveBoW is safe for
-// concurrent use.
+// in aggressive ones. Seed words are permanent.
+//
+// AdaptiveBoW keeps no lock. It belongs to one Extractor, and through it to
+// one pipeline, whose lock serializes learning and republication against
+// every reader; concurrent extraction is safe while nothing learns or
+// calls SetWords (see Extractor).
 type AdaptiveBoW struct {
-	mu          sync.RWMutex
 	cfg         BoWConfig
 	words       map[string]bool
 	seed        map[string]bool
@@ -170,46 +171,43 @@ type AdaptiveBoW struct {
 	additions   int
 	removals    int
 
-	// snap is the lock-free view used by the extraction fast path: the
-	// fused word table, rebuilt whenever the vocabulary changes, so
-	// per-tweet scoring does neither map hashing nor mutex hops.
-	snap atomic.Pointer[bowSnapshot]
-	// snapVersion numbers snapshot publications; only touched by
-	// rebuildSnapshot under the write lock (or during construction).
+	// snap is the view the extraction fast path scores against: the fused
+	// word table, rebuilt whenever the vocabulary changes, so per-tweet
+	// scoring does no map hashing. snapVersion numbers its publications.
+	snap        *bowSnapshot
 	snapVersion uint64
 }
 
 // bowSnapshot is one immutable publication of the fused word table (see
 // fusedtable.go): the static word lists with this vocabulary's membership
-// overlaid. Vocabulary mutations build a fresh table; readers load the
-// pointer once per tweet and probe.
+// overlaid. Vocabulary mutations build a fresh table; an extraction reads
+// the pointer once per tweet and probes.
 type bowSnapshot struct {
 	slots []tableSlot // open-addressed, linear probing, power-of-two length
 	keys  []string    // slot i's whole key, read by lookup only past 16 bytes
 	// version is a monotone publication counter. It travels with the
-	// snapshot pointer so readers observe (membership, version) as one
-	// consistent pair; the extraction cache keys cached vectors by it so a
-	// vocabulary change can never serve a stale text score.
+	// snapshot so an extraction reads (membership, version) as one pair;
+	// the extraction cache keys cached vectors by it so a vocabulary
+	// change can never serve a stale text score.
 	version uint64
 }
 
-// rebuildSnapshot republishes the lock-free view after a membership
-// change. Callers hold the write lock (or are constructing the BoW).
+// rebuildSnapshot republishes the fused view after a membership change.
 func (b *AdaptiveBoW) rebuildSnapshot() {
 	b.snapVersion++
-	b.snap.Store(buildFusedTable(b.words, b.snapVersion))
+	b.snap = buildFusedTable(b.words, b.snapVersion)
 }
 
 // SnapshotVersion returns the publication counter of the current
 // membership snapshot (monotone; bumps when the vocabulary changes).
 func (b *AdaptiveBoW) SnapshotVersion() uint64 {
-	return b.snap.Load().version
+	return b.snap.version
 }
 
-// lookupSnapshot returns the current lock-free membership view for
-// fast-path scoring within the feature package.
+// lookupSnapshot returns the current membership view for fast-path
+// scoring within the feature package.
 func (b *AdaptiveBoW) lookupSnapshot() *bowSnapshot {
-	return b.snap.Load()
+	return b.snap
 }
 
 // NewAdaptiveBoW creates the feature seeded with the swear-word lexicon.
@@ -231,31 +229,17 @@ func NewAdaptiveBoW(cfg BoWConfig) *AdaptiveBoW {
 }
 
 // Size returns the current number of words in the BoW (Fig. 10's y-axis).
-func (b *AdaptiveBoW) Size() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.words)
-}
+func (b *AdaptiveBoW) Size() int { return len(b.words) }
 
 // Additions returns how many words have been added over time.
-func (b *AdaptiveBoW) Additions() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.additions
-}
+func (b *AdaptiveBoW) Additions() int { return b.additions }
 
 // Removals returns how many learned words have been evicted.
-func (b *AdaptiveBoW) Removals() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.removals
-}
+func (b *AdaptiveBoW) Removals() int { return b.removals }
 
 // Words returns a snapshot of the current BoW contents, used to broadcast
 // the vocabulary to remote tasks each micro-batch.
 func (b *AdaptiveBoW) Words() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	out := make([]string, 0, len(b.words))
 	for w := range b.words {
 		out = append(out, w)
@@ -267,8 +251,6 @@ func (b *AdaptiveBoW) Words() []string {
 // executor side). Rolling statistics are untouched; remote BoWs never
 // adapt locally — adaptation happens at the driver.
 func (b *AdaptiveBoW) SetWords(words []string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.words = make(map[string]bool, len(words))
 	for _, w := range words {
 		b.words[w] = true
@@ -278,18 +260,12 @@ func (b *AdaptiveBoW) SetWords(words []string) {
 
 // Contains reports membership of the lower-cased token.
 func (b *AdaptiveBoW) Contains(token string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	return b.words[strings.ToLower(token)]
 }
 
 // learns reports whether learning adapts the vocabulary: false for the
 // fixed-BoW baseline, which Learn then skips before scanning.
-func (b *AdaptiveBoW) learns() bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return !b.cfg.Frozen
-}
+func (b *AdaptiveBoW) learns() bool { return !b.cfg.Frozen }
 
 // learnScanned folds one labeled tweet's scanned words, their lowered forms
 // being the BoW's lookup keys, into the rolling statistics and periodically
@@ -298,8 +274,6 @@ func (b *AdaptiveBoW) learnScanned(ts *text.Scratch, aggressive bool) {
 	if b.cfg.Frozen {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	t := b.side(aggressive)
 	t.begin()
 	for i, n := 0, ts.Words(); i < n; i++ {
@@ -316,7 +290,7 @@ func (b *AdaptiveBoW) side(aggressive bool) *wordTable {
 }
 
 // learned closes one labeled tweet: every updateEvery of them run an
-// enhancement round. Callers hold the write lock.
+// enhancement round.
 func (b *AdaptiveBoW) learned() {
 	b.sinceUpdate++
 	if b.sinceUpdate >= b.cfg.updateEvery {
@@ -325,7 +299,7 @@ func (b *AdaptiveBoW) learned() {
 	}
 }
 
-// enhance applies the add/remove rules. Callers hold the write lock.
+// enhance applies the add/remove rules.
 func (b *AdaptiveBoW) enhance() {
 	if b.aggressive.tweets < 50 || b.normal.tweets < 50 {
 		return // not enough evidence yet

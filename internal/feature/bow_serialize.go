@@ -27,8 +27,6 @@ type bowState struct {
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *AdaptiveBoW) MarshalBinary() ([]byte, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	st := bowState{
 		Cfg:         b.cfg,
 		AggrCounts:  b.aggressive.flat(),
@@ -56,8 +54,6 @@ func (b *AdaptiveBoW) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("feature: decode BoW: %w", err)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.cfg.Frozen = st.Cfg.Frozen
 	b.words = make(map[string]bool, len(st.Words))
 	for _, w := range st.Words {

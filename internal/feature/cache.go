@@ -21,72 +21,63 @@ package feature
 //   - hash collisions cannot alias: each entry stores its own copy of
 //     the text and a hit requires exact string equality.
 //
-// Admission happens on a text's second sighting. Each shard keeps a
+// Admission happens on a text's second sighting. The cache keeps a
 // doorkeeper: a direct-mapped array of text hashes, twice its slot count,
-// indexed by hash bits that shard and set selection do not use. A miss whose
-// hash is absent there only records it — one atomic load and one store, no
-// lock, no text copy, no entry — so unique traffic pays nothing to admit
-// texts that never return. A miss whose hash is present admits. A second
-// sighting is what predicts a third: Terizi et al. find aggressive content
-// re-shared disproportionately. Doorkeeper races are benign: a lost or
-// overwritten hash only delays an admission, and a hit still requires the
-// exact text.
+// indexed by hash bits that set selection does not use. A miss whose hash
+// is absent there only records it — one load and one store, no text copy,
+// no entry — so unique traffic pays nothing to admit texts that never
+// return. A miss whose hash is present admits. A second sighting is what
+// predicts a third: Terizi et al. find aggressive content re-shared
+// disproportionately. A hash overwritten in the doorkeeper only delays an
+// admission, and a hit still requires the exact text.
 //
-// Concurrency: reads are lock-free — slots are atomic.Pointer values and
-// entries are immutable after publication (except the CLOCK reference
-// bit). Inserts take a per-shard mutex, re-check for duplicates, and evict
-// with per-set CLOCK second-chance, mirroring the userstate idiom.
+// The cache keeps no lock: it belongs to one Extractor, whose owner calls
+// it from one goroutine at a time (see Extractor).
 
 import (
 	"math/bits"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 const (
 	// cacheWays is the set associativity: a text can live in any of 4
 	// slots of its set, so unlucky hash neighborhoods degrade gracefully.
 	cacheWays = 4
-	// defaultCacheShards spreads insert mutexes; reads never contend.
-	defaultCacheShards = 8
+	// cacheGroupBits: hash bits 48-50 pick one of eight groups of sets,
+	// and the low bits a set within the group. This is the mapping of the
+	// eight-shard layout the one table replaced, so eviction order and
+	// every counter equal that layout's on any stream
+	// (internal/core/testdata/parent_cache.golden).
+	cacheGroupBits = 3
 )
 
-// cacheEntry is immutable after publication except for the CLOCK ref bit.
+// cacheEntry is immutable once inserted except for the CLOCK ref bit.
 type cacheEntry struct {
 	hash    uint64
 	version uint64 // BoW snapshot version the vector was extracted under
 	text    string // owned copy; exact-match guard against hash collisions
 	vec     Vec
-	ref     atomic.Bool // CLOCK second-chance bit
+	ref     bool // CLOCK second-chance bit
 }
 
-type cacheShard struct {
-	mu    sync.Mutex
-	slots []atomic.Pointer[cacheEntry] // sets × cacheWays
-	hands []uint8                      // per-set CLOCK hand, guarded by mu
-	mask  uint64                       // sets - 1
-
-	door      []atomic.Uint64 // doorkeeper: hashes sighted once, 2 × len(slots)
-	doorShift uint            // skips the set-index bits
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	evicts atomic.Int64
-}
-
-// extractCache is a bounded, sharded, content-addressed Vec cache.
+// extractCache is a bounded, set-associative, content-addressed Vec cache.
 type extractCache struct {
-	shards []cacheShard
-	mask   uint64 // len(shards) - 1
+	slots    []*cacheEntry // sets × cacheWays
+	hands    []uint8       // per-set CLOCK hand
+	door     []uint64      // doorkeeper: hashes sighted once, 2 × len(slots)
+	setBits  uint          // log2 of the sets per group
+	doorBits uint          // log2 of the doorkeeper slots per group
+
+	hits, misses, evicts int64
+	entries              int // occupied slots
 }
 
 // textHash is the cache key's hash of a text: eight bytes per
 // multiply-rotate step, the last 1-7 bytes folded into one word, the
 // length mixed in, and murmur3's fmix64 finalizer so that every output bit
-// depends on every input bit. Shard selection uses bits 48 and up, set
-// selection the low bits and the doorkeeper the bits just above those, so
-// the three indices stay independent. It has no per-process seed, unlike
+// depends on every input bit. Set selection uses bits 48 and up for the
+// group and the low bits within it, and the doorkeeper the bits just above
+// those, so the indices stay independent. It has no per-process seed, unlike
 // hash/maphash: eviction order and the hit counters are the same on every
 // run. Each step is a bijection of the running state for a fixed word, so
 // two texts of one length that differ only in their last word never
@@ -121,109 +112,105 @@ func textHash(s string) uint64 {
 }
 
 // newExtractCache builds a cache holding at least entries vectors (rounded
-// up to a power-of-two set count per shard).
+// up to a power-of-two set count per group).
 func newExtractCache(entries int) *extractCache {
-	shards := defaultCacheShards
-	perShard := (entries + shards*cacheWays - 1) / (shards * cacheWays)
+	const groups = 1 << cacheGroupBits
+	perGroup := (entries + groups*cacheWays - 1) / (groups * cacheWays)
 	sets := 1
-	for sets < perShard {
+	for sets < perGroup {
 		sets <<= 1
 	}
-	c := &extractCache{shards: make([]cacheShard, shards), mask: uint64(shards - 1)}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.slots = make([]atomic.Pointer[cacheEntry], sets*cacheWays)
-		sh.hands = make([]uint8, sets)
-		sh.mask = uint64(sets - 1)
-		sh.door = make([]atomic.Uint64, 2*len(sh.slots))
-		sh.doorShift = uint(bits.Len64(sh.mask))
+	slots := groups * sets * cacheWays
+	return &extractCache{
+		slots:    make([]*cacheEntry, slots),
+		hands:    make([]uint8, groups*sets),
+		door:     make([]uint64, 2*slots),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
+		doorBits: uint(bits.TrailingZeros(uint(2 * sets * cacheWays))),
 	}
-	return c
+}
+
+// group returns h's set group, from hash bits 48 and up.
+func group(h uint64) uint64 { return h >> 48 & (1<<cacheGroupBits - 1) }
+
+// set returns the index of h's set: its group, then the hash's low bits.
+//
+//redvet:noalloc gate=FeatCacheLookup
+func (c *extractCache) set(h uint64) uint64 {
+	return group(h)<<c.setBits | h&(1<<c.setBits-1)
 }
 
 // lookup copies the cached text-feature slots into dst on a hit for the
-// exact (text, version) pair; h is textHash(txt). Lock-free: one pointer
-// load per way.
+// exact (text, version) pair; h is textHash(txt).
 //
 //redvet:noalloc gate=FeatCacheLookup
 func (c *extractCache) lookup(dst []float64, txt string, h, version uint64) bool {
-	sh := &c.shards[(h>>48)&c.mask]
-	base := (h & sh.mask) * cacheWays
-	for i := uint64(0); i < cacheWays; i++ {
-		e := sh.slots[base+i].Load()
+	base := c.set(h) * cacheWays
+	for _, e := range c.slots[base : base+cacheWays] {
 		if e == nil || e.hash != h || e.version != version || e.text != txt {
 			continue
 		}
-		if !e.ref.Load() {
-			// Store only on a change: a locked write on every hit
-			// would bounce the entry's cache line between readers.
-			e.ref.Store(true)
-		}
+		e.ref = true
 		copy(dst[profileFeatureCount:], e.vec[profileFeatureCount:])
-		sh.hits.Add(1)
+		c.hits++
 		return true
 	}
-	sh.misses.Add(1)
+	c.misses++
 	return false
 }
 
-// insert publishes a freshly extracted vector for (txt, version) if the
+// insert stores a freshly extracted vector for (txt, version) if the
 // doorkeeper has sighted txt before, and otherwise only records its hash h,
 // textHash(txt) as the lookup that missed computed it. The text is cloned
 // so the cache never pins a decoder arena chunk. Victim choice: an empty
 // slot, else a stale-version slot, else per-set CLOCK second-chance.
 func (c *extractCache) insert(txt string, h, version uint64, src []float64) {
-	sh := &c.shards[(h>>48)&c.mask]
-	if seen := &sh.door[(h>>sh.doorShift)&uint64(len(sh.door)-1)]; seen.Load() != h {
-		seen.Store(h)
+	// The doorkeeper slot: h's group, then the hash bits above the set bits.
+	seen := &c.door[group(h)<<c.doorBits|h>>c.setBits&(1<<c.doorBits-1)]
+	if *seen != h {
+		*seen = h
 		return
 	}
-	set := h & sh.mask
-	base := set * cacheWays
-
-	e := &cacheEntry{hash: h, version: version, text: strings.Clone(txt)}
-	copy(e.vec[:], src)
-
-	sh.mu.Lock()
+	set := c.set(h)
+	ways := c.slots[set*cacheWays:][:cacheWays]
 	victim := -1
-	for i := uint64(0); i < cacheWays; i++ {
-		cur := sh.slots[base+i].Load()
+	for i, cur := range ways {
 		if cur == nil {
 			if victim < 0 {
-				victim = int(i)
+				victim = i
 			}
 			continue
 		}
-		if cur.hash == h && cur.version == version && cur.text == e.text {
-			// Raced with another inserter; the published entry wins.
-			sh.mu.Unlock()
-			return
+		if cur.hash == h && cur.version == version && cur.text == txt {
+			return // resident already
 		}
 		if cur.version != version {
-			victim = int(i)
+			victim = i
 		}
 	}
 	if victim < 0 {
-		hand := int(sh.hands[set])
+		hand := int(c.hands[set])
 		for spins := 0; spins < cacheWays*2; spins++ {
-			cur := sh.slots[base+uint64(hand)].Load()
-			if cur == nil || !cur.ref.Load() {
+			if cur := ways[hand]; cur == nil || !cur.ref {
 				victim = hand
 				break
 			}
-			cur.ref.Store(false)
+			ways[hand].ref = false
 			hand = (hand + 1) % cacheWays
 		}
 		if victim < 0 {
 			victim = hand
 		}
-		sh.hands[set] = uint8((victim + 1) % cacheWays)
+		c.hands[set] = uint8((victim + 1) % cacheWays)
 	}
-	if sh.slots[base+uint64(victim)].Load() != nil {
-		sh.evicts.Add(1)
+	if ways[victim] == nil {
+		c.entries++
+	} else {
+		c.evicts++
 	}
-	sh.slots[base+uint64(victim)].Store(e)
-	sh.mu.Unlock()
+	e := &cacheEntry{hash: h, version: version, text: strings.Clone(txt)}
+	copy(e.vec[:], src)
+	ways[victim] = e
 }
 
 // CacheStats aggregates the cache counters for /v1/stats and /metrics.
@@ -237,18 +224,5 @@ type CacheStats struct {
 }
 
 func (c *extractCache) stats() CacheStats {
-	var s CacheStats
-	for i := range c.shards {
-		sh := &c.shards[i]
-		s.Hits += sh.hits.Load()
-		s.Misses += sh.misses.Load()
-		s.Evictions += sh.evicts.Load()
-		s.Capacity += len(sh.slots)
-		for j := range sh.slots {
-			if sh.slots[j].Load() != nil {
-				s.Entries++
-			}
-		}
-	}
-	return s
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evicts, Entries: c.entries, Capacity: len(c.slots)}
 }

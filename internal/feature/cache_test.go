@@ -293,8 +293,8 @@ func TestCacheAdmitsOnSecondSighting(t *testing.T) {
 }
 
 // TestTextHashSpread checks the cache key hash over 65 536 distinct
-// generator texts: the shard index (bits 48-50), the set index (the low
-// bits) and each bit they read are balanced; texts that differ only in
+// generator texts: the set group (bits 48-50), the set index within it
+// (the low bits) and each bit they read are balanced; texts that differ only in
 // their last 1-7 bytes never collide; one flipped byte flips half the
 // output bits.
 func TestTextHashSpread(t *testing.T) {
@@ -311,18 +311,18 @@ func TestTextHashSpread(t *testing.T) {
 			texts = append(texts, txt)
 		}
 	}
-	var shards [defaultCacheShards]int
+	var groups [1 << cacheGroupBits]int
 	var ones [64]int
 	for _, s := range texts {
 		h := textHash(s)
-		shards[h>>48&(defaultCacheShards-1)]++
+		groups[group(h)]++
 		for b := range ones {
 			ones[b] += int(h >> b & 1)
 		}
 	}
-	for i, c := range shards {
+	for i, c := range groups {
 		if share := float64(c) / n; math.Abs(share-0.125) > 0.015 {
-			t.Errorf("shard %d holds %.2f%% of the texts, want 12.5 ± 1.5%%", i, 100*share)
+			t.Errorf("set group %d holds %.2f%% of the texts, want 12.5 ± 1.5%%", i, 100*share)
 		}
 	}
 	for _, b := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 48, 49, 50} {

@@ -22,8 +22,15 @@ func DefaultConfig() Config {
 	return Config{Preprocess: true}
 }
 
-// Extractor turns tweets into fixed-length feature vectors. Extraction is
-// safe for concurrent use; Learn serializes internally.
+// Extractor turns tweets into fixed-length feature vectors. It keeps no
+// lock, nor do its BoW and cache: an Extractor belongs to one pipeline,
+// whose lock serializes the calls that write — the cached paths (Lookup,
+// ExtractAndCache, ExtractAndKeepScan, ExtractCachedInto), Learn and
+// LearnScan, the BoW's SetWords and UnmarshalBinary — against every
+// reader. Only ExtractInto and Extract, which read the BoW and nothing
+// else, may run on several goroutines at once, and only while none of
+// those writers runs: a micro-batch engine's shares extract in parallel,
+// and the pipeline learns after they finish.
 type Extractor struct {
 	cfg Config
 	bow *AdaptiveBoW
@@ -46,8 +53,8 @@ func NewExtractor(cfg Config) *Extractor {
 func (e *Extractor) BoW() *AdaptiveBoW { return e.bow }
 
 // Extract computes the feature vector for one tweet, allocating the
-// result. Hot paths use ExtractInto with a pooled vector (see pool.go);
-// both run the same single-pass extraction.
+// result. Hot paths use ExtractInto with a reused vector; both run the
+// same single-pass extraction.
 func (e *Extractor) Extract(tw *twitterdata.Tweet) []float64 {
 	return e.ExtractInto(make([]float64, NumFeatures), tw)
 }
@@ -63,7 +70,7 @@ type TextKey uint64
 // bit-for-bit what ExtractInto would produce. It reports a miss (leaving
 // dst untouched) when the cache is disabled, dst is mis-sized, or the entry
 // is absent/stale, and returns the text's key for ExtractAndCache or
-// ExtractAndKeepScan. Lock-free.
+// ExtractAndKeepScan.
 //
 //redvet:noalloc gate=FeatCacheLookup
 func (e *Extractor) Lookup(dst []float64, tw *twitterdata.Tweet) (TextKey, bool) {

@@ -20,8 +20,9 @@ import (
 // in reference_test.go, and TestPreprocessOffGolden against the vectors it
 // produced (testdata/preprocess_off.golden).
 
-// extractScratch bundles the reusable per-extraction state. Extract is
-// safe for concurrent use because scratches are pooled, never shared.
+// extractScratch bundles the reusable per-extraction state. Scratches are
+// pooled, never shared, so ExtractInto may run on several goroutines at
+// once (see Extractor).
 type extractScratch struct {
 	ts   text.Scratch
 	step sentiment.Stepper

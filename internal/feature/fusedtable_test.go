@@ -202,10 +202,13 @@ func TestFusedTablePacking(t *testing.T) {
 	}
 }
 
-// TestExtractRacingTableRepublication extracts on several goroutines while
-// Learn republishes the fused table, and asserts that every vector is the
-// legacy vector of some published vocabulary — never a torn mixture. Run
-// under -race it also proves the publication is properly synchronised.
+// TestExtractRacingTableRepublication holds extraction to the contract
+// the micro-batch engine relies on: several goroutines may extract at once
+// while nothing learns, and learning republishes the fused table between
+// such rounds. After every Learn, four goroutines extract the probes
+// concurrently, and every vector must be the legacy vector of the
+// vocabulary published at that point. Run under -race it also proves that
+// joining the extractors before learning orders the republication.
 func TestExtractRacingTableRepublication(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BoW.updateEvery = 50 // many enhancement rounds in a short stream
@@ -214,64 +217,55 @@ func TestExtractRacingTableRepublication(t *testing.T) {
 	})
 	probes := corpus[:64]
 
-	// Reference pass: the same Learn sequence, sequentially, recording the
-	// legacy vector of every probe under every published version.
+	// Reference pass: the same Learn sequence, recording the legacy vector
+	// of every probe under every published version.
 	ref := NewExtractor(cfg)
-	valid := make([]map[Vec]bool, len(probes))
-	for i := range valid {
-		valid[i] = map[Vec]bool{}
-	}
+	var byVersion [][]Vec
 	record := func() {
-		var v Vec
+		vs := make([]Vec, len(probes))
 		for i := range probes {
-			ref.extractLegacyInto(v[:], &probes[i])
-			valid[i][v] = true
+			ref.extractLegacyInto(vs[i][:], &probes[i])
 		}
+		byVersion = append(byVersion, vs)
 	}
 	record()
-	versions := 1
 	for i := range corpus {
 		before := ref.BoW().SnapshotVersion()
 		ref.Learn(&corpus[i])
 		if ref.BoW().SnapshotVersion() != before {
-			versions++
 			record()
 		}
 	}
-	if versions < 5 {
-		t.Fatalf("only %d table publications; the test needs a moving vocabulary", versions)
+	if len(byVersion) < 5 {
+		t.Fatalf("only %d table publications; the test needs a moving vocabulary", len(byVersion))
 	}
 
 	e := NewExtractor(cfg)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var v Vec
-			for n := g; ; n++ {
-				select {
-				case <-done:
-					return
-				default:
+	v0 := e.BoW().SnapshotVersion()
+	for n := range corpus {
+		e.Learn(&corpus[n])
+		want := byVersion[e.BoW().SnapshotVersion()-v0]
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var v Vec
+				for k := 0; k < 4; k++ {
+					i := (4*n + 4*g + k) % len(probes)
+					if e.ExtractInto(v[:], &probes[i]); v != want[i] {
+						t.Errorf("after learn %d, probe %d (%q): vector %v is not the published vocabulary's", n, i, probes[i].Text, v)
+					}
 				}
-				i := n % len(probes)
-				e.ExtractInto(v[:], &probes[i])
-				if !valid[i][v] {
-					t.Errorf("probe %d (%q): vector %v matches no published vocabulary", i, probes[i].Text, v)
-					return
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
 	}
-	for i := range corpus {
-		e.Learn(&corpus[i])
-	}
-	close(done)
-	wg.Wait()
-	if got := e.BoW().SnapshotVersion(); got != uint64(versions) {
-		t.Errorf("concurrent run published %d versions, reference %d", got, versions)
+	if got := e.BoW().SnapshotVersion() - v0 + 1; got != uint64(len(byVersion)) {
+		t.Errorf("run published %d versions, reference %d", got, len(byVersion))
 	}
 }
 

@@ -53,7 +53,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			if diff := vectorDiff(slow, fast); diff != "" {
 				t.Fatalf("p=%v, tweet %d (%q): %s", preprocess, i, tw.Text, diff)
 			}
-			// Learning evolves the vocabulary (and the lock-free snapshot) so
+			// Learning evolves the vocabulary (and the fused snapshot) so
 			// later iterations compare against a shifting BoW.
 			e.Learn(tw)
 		}

@@ -78,8 +78,6 @@ func (e *Extractor) wordsPerSentence(raw string, tokenCount int) float64 {
 // --- internal/feature/bow.go
 
 func (b *AdaptiveBoW) score(tokens []string) float64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	n := 0.0
 	for _, tok := range tokens {
 		if b.words[strings.ToLower(tok)] {

@@ -317,7 +317,7 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx := ShardFor(id, len(s.shards))
-	snap, ok := s.shards[idx].p.Users().Lookup(id)
+	snap, ok := s.shards[idx].p.LookupUser(id)
 	if !ok {
 		s.writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown user (never seen or evicted)"})
 		return
@@ -343,48 +343,43 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st.IngestLog = &IngestLogStats{Dir: l.Dir(), Fsync: l.Fsync().String()}
 	}
 	for _, sh := range s.shards {
-		raised := sh.p.Alerter().Raised()
-		processed := sh.p.Processed()
-		st.Processed += processed
-		st.AlertsRaised += raised
+		c := sh.p.Counts()
+		st.Processed += c.Processed
+		st.AlertsRaised += c.AlertsRaised
 		drift := sh.p.DriftStats()
 		if drift != nil {
 			st.Warnings += drift.Warnings
 			st.Drifts += drift.Drifts
 			st.TreeReplacements += drift.TreeReplacements
 		}
-		users := sh.p.Users()
-		active := users.Len()
-		capEv, ttlEv := users.Evictions()
-		st.ActiveUsers += int64(active)
-		st.UserEvictions += capEv + ttlEv
-		st.SessionVerdicts += users.SessionVerdicts()
-		st.Escalations += users.Escalations()
+		evictions := c.EvictionsCap + c.EvictionsTTL
+		st.ActiveUsers += int64(c.ActiveUsers)
+		st.UserEvictions += evictions
+		st.SessionVerdicts += c.SessionVerdicts
+		st.Escalations += c.Escalations
 		entry := ShardStats{
 			Shard:           sh.id,
-			Processed:       processed,
+			Processed:       c.Processed,
 			QueueDepth:      len(sh.queue),
 			QueueCap:        cap(sh.queue),
-			AlertsRaised:    raised,
-			ActiveUsers:     active,
-			Evictions:       capEv + ttlEv,
-			SessionVerdicts: users.SessionVerdicts(),
-			Escalations:     users.Escalations(),
+			AlertsRaised:    c.AlertsRaised,
+			ActiveUsers:     c.ActiveUsers,
+			Evictions:       evictions,
+			SessionVerdicts: c.SessionVerdicts,
+			Escalations:     c.Escalations,
 			Report:          sh.p.Summary(),
 			Drift:           drift,
+			Snapshot:        &c.Snapshot,
+			FeatCache:       &c.Cache,
 		}
-		snap := sh.p.SnapshotStats()
-		st.SnapshotRebuilds += snap.Rebuilds
-		st.SnapshotTreesRebuilt += snap.TreesRebuilt
-		entry.Snapshot = &snap
-		cs := sh.p.Extractor().CacheStats()
-		st.FeatCacheHits += cs.Hits
-		st.FeatCacheMisses += cs.Misses
-		st.FeatCacheEvictions += cs.Evictions
-		entry.FeatCache = &cs
+		st.SnapshotRebuilds += c.Snapshot.Rebuilds
+		st.SnapshotTreesRebuilt += c.Snapshot.TreesRebuilt
+		st.FeatCacheHits += c.Cache.Hits
+		st.FeatCacheMisses += c.Cache.Misses
+		st.FeatCacheEvictions += c.Cache.Evictions
 		if logStats != nil {
 			ps := logStats[sh.id]
-			applied := sh.p.LogOffset()
+			applied := c.LogOffset
 			entry.IngestLog = &ShardLogStats{
 				Segments: ps.Segments,
 				Bytes:    ps.Bytes,

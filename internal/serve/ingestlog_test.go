@@ -106,14 +106,15 @@ func (s *Server) offer(j job) (*shard, bool, error) {
 }
 
 func fingerprint(p *core.Pipeline) pipelineFingerprint {
+	c := p.Counts()
 	return pipelineFingerprint{
-		Processed:   p.Processed(),
-		LogOffset:   p.LogOffset(),
+		Processed:   c.Processed,
+		LogOffset:   c.LogOffset,
 		Report:      fmt.Sprintf("%+v", p.Summary()),
 		PredDist:    p.PredictedDistribution(),
-		SessionV:    p.Users().SessionVerdicts(),
-		Escalations: p.Users().Escalations(),
-		ActiveUsers: p.Users().Len(),
+		SessionV:    c.SessionVerdicts,
+		Escalations: c.Escalations,
+		ActiveUsers: c.ActiveUsers,
 	}
 }
 
@@ -222,8 +223,8 @@ func TestReplayExactlyOnceUnderConcurrentIngest(t *testing.T) {
 	for i := range tweets {
 		id := tweets[i].User.IDStr
 		sh := ShardFor(id, shards)
-		sa, oka := a.Pipeline(sh).Users().Lookup(id)
-		sb, okb := b.Pipeline(sh).Users().Lookup(id)
+		sa, oka := a.Pipeline(sh).LookupUser(id)
+		sb, okb := b.Pipeline(sh).LookupUser(id)
 		if oka != okb {
 			t.Fatalf("user %s: present=%v in uninterrupted run, %v after replay", id, oka, okb)
 		}

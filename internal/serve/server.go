@@ -302,33 +302,35 @@ func newServer(opts Options, start bool) *Server {
 			labels, func() float64 { return float64(len(q)) })
 		reg.CounterFunc("redhanded_shard_busy_seconds_total", "Wall time the shard loop spent on drained batches.",
 			labels, func() float64 { return float64(sh.busy.Load()) / 1e9 })
+		// Every per-shard series reads the pipeline's counts under its lock.
 		p := sh.p
+		count := func(f func(core.Counts) int64) func() float64 {
+			return func() float64 { return float64(f(p.Counts())) }
+		}
 		reg.CounterFunc("redhanded_shard_processed_total", "Tweets the shard's pipeline has processed (resumed by a restore).",
-			labels, func() float64 { return float64(p.Processed()) })
-		users := sh.p.Users()
+			labels, count(func(c core.Counts) int64 { return c.Processed }))
 		reg.GaugeFunc("redhanded_userstate_active_users", "Tracked user records per shard.",
-			labels, func() float64 { return float64(users.Len()) })
+			labels, count(func(c core.Counts) int64 { return int64(c.ActiveUsers) }))
 		reg.CounterFunc("redhanded_snapshot_rebuilds", "Model compiles per shard.",
-			labels, func() float64 { return float64(p.SnapshotStats().Rebuilds) })
+			labels, count(func(c core.Counts) int64 { return c.Snapshot.Rebuilds }))
 		reg.CounterFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-compiled across model compiles per shard.",
-			labels, func() float64 { return float64(p.SnapshotStats().TreesRebuilt) })
+			labels, count(func(c core.Counts) int64 { return c.Snapshot.TreesRebuilt }))
 		reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's compiled model is behind.",
-			labels, func() float64 { return float64(p.SnapshotStats().Age) })
+			labels, count(func(c core.Counts) int64 { return int64(c.Snapshot.Age) }))
 		if l := opts.Log; l != nil {
 			part := sh.id
 			reg.GaugeFunc("redhanded_ingestlog_replay_lag",
 				"Records appended to the shard's log partition but not yet applied by its pipeline.",
-				labels, func() float64 { return float64(l.AppendedOffset(part) - p.LogOffset()) })
+				labels, count(func(c core.Counts) int64 { return l.AppendedOffset(part) - c.LogOffset }))
 		}
-		ext := sh.p.Extractor()
 		reg.CounterFunc("redhanded_featcache_hits", "Extraction-cache hits per shard.",
-			labels, func() float64 { return float64(ext.CacheStats().Hits) })
+			labels, count(func(c core.Counts) int64 { return c.Cache.Hits }))
 		reg.CounterFunc("redhanded_featcache_misses", "Extraction-cache misses per shard.",
-			labels, func() float64 { return float64(ext.CacheStats().Misses) })
+			labels, count(func(c core.Counts) int64 { return c.Cache.Misses }))
 		reg.CounterFunc("redhanded_featcache_evictions", "Extraction-cache CLOCK evictions per shard.",
-			labels, func() float64 { return float64(ext.CacheStats().Evictions) })
+			labels, count(func(c core.Counts) int64 { return c.Cache.Evictions }))
 		reg.GaugeFunc("redhanded_featcache_entries", "Live extraction-cache entries per shard.",
-			labels, func() float64 { return float64(ext.CacheStats().Entries) })
+			labels, count(func(c core.Counts) int64 { return int64(c.Cache.Entries) }))
 		s.shards = append(s.shards, sh)
 		pipelines = append(pipelines, sh.p)
 	}

@@ -438,8 +438,11 @@ func TestGracefulShutdownCheckpointRestore(t *testing.T) {
 
 	// Restore into a fresh server: per-shard learned state must carry over.
 	b := newServer(opts, true)
-	defer b.Drain(context.Background())
 	if err := b.Restore(dir); err != nil {
+		t.Fatal(err)
+	}
+	// The BoW is read through the component accessor: after Drain.
+	if err := b.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {

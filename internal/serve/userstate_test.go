@@ -208,16 +208,14 @@ func TestServerUserCapDividedAcrossShards(t *testing.T) {
 	waitProcessed(t, s, int64(total))
 
 	active := 0
+	var evictions int64
 	for i := 0; i < s.Shards(); i++ {
-		active += s.Pipeline(i).Users().Len()
+		c := s.Pipeline(i).Counts()
+		active += c.ActiveUsers
+		evictions += c.EvictionsCap + c.EvictionsTTL
 	}
 	if active > 200 {
 		t.Fatalf("server-wide user cap breached: %d records > 200", active)
-	}
-	var evictions int64
-	for i := 0; i < s.Shards(); i++ {
-		c, l := s.Pipeline(i).Users().Evictions()
-		evictions += c + l
 	}
 	if evictions == 0 {
 		t.Fatalf("2000 distinct users produced no evictions under a 200 cap")
@@ -250,7 +248,7 @@ func TestCheckpointRestoresUserState(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	before, ok := s.Pipeline(ShardFor("offender", s.Shards())).Users().Lookup("offender")
+	before, ok := s.Pipeline(ShardFor("offender", s.Shards())).LookupUser("offender")
 	if !ok || before.Tweets != 80 {
 		t.Fatalf("offender record missing before checkpoint: %+v", before)
 	}
@@ -264,7 +262,7 @@ func TestCheckpointRestoresUserState(t *testing.T) {
 	if err := restored.Restore(dir); err != nil {
 		t.Fatal(err)
 	}
-	after, ok := restored.Pipeline(ShardFor("offender", restored.Shards())).Users().Lookup("offender")
+	after, ok := restored.Pipeline(ShardFor("offender", restored.Shards())).LookupUser("offender")
 	if !ok {
 		t.Fatalf("offender record lost through checkpoint")
 	}

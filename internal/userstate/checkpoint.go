@@ -105,30 +105,21 @@ func encodeFrame(buf *bytes.Buffer, v any) error {
 	return nil
 }
 
-// MarshalBinary serializes the full store state. Each shard is snapshot
-// under its own lock; call it on a quiesced store (post-drain) when a
-// globally consistent point is required.
+// MarshalBinary serializes the full store state.
 func (s *Store) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteString(checkpointMagic)
 	var hdr [4]byte
 	binary.BigEndian.PutUint16(hdr[:2], checkpointVersion)
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(s.shards)))
+	binary.BigEndian.PutUint16(hdr[2:], uint16(len(s.stripes)))
 	buf.Write(hdr[:])
 
-	counters := counterState{
-		Verdicts:     s.verdicts.Load(),
-		Escalations:  s.escalations.Load(),
-		Suspensions:  s.suspensions.Load(),
-		EvictionsCap: s.evictionsCap.Load(),
-		EvictionsTTL: s.evictionsTTL.Load(),
-	}
-	if err := encodeFrame(&buf, counters); err != nil {
+	if err := encodeFrame(&buf, s.counts); err != nil {
 		return nil, fmt.Errorf("userstate: encode counters: %w", err)
 	}
 
-	for i, sh := range s.shards {
-		sh.mu.Lock()
+	for i := range s.stripes {
+		sh := &s.stripes[i]
 		st := shardState{Hand: sh.hand, MaxTime: sh.maxTime, Records: make([]recordState, 0, len(sh.ring))}
 		for _, e := range sh.ring {
 			r := sh.slab.at(e.rec)
@@ -159,7 +150,6 @@ func (s *Store) MarshalBinary() ([]byte, error) {
 			}
 			st.Records = append(st.Records, rs)
 		}
-		sh.mu.Unlock()
 		if err := encodeFrame(&buf, st); err != nil {
 			return nil, fmt.Errorf("userstate: encode shard %d: %w", i, err)
 		}
@@ -217,9 +207,9 @@ func (s *Store) UnmarshalBinary(data []byte) error {
 	if v := binary.BigEndian.Uint16(data[4:6]); v != checkpointVersion {
 		return fmt.Errorf("userstate: unsupported checkpoint version %d", v)
 	}
-	if n := int(binary.BigEndian.Uint16(data[6:8])); n != len(s.shards) {
+	if n := int(binary.BigEndian.Uint16(data[6:8])); n != len(s.stripes) {
 		return fmt.Errorf("userstate: checkpoint has %d shards, store has %d (eviction order would break)",
-			n, len(s.shards))
+			n, len(s.stripes))
 	}
 	fr := &frameReader{data: data, off: 8}
 
@@ -227,7 +217,7 @@ func (s *Store) UnmarshalBinary(data []byte) error {
 	if err := decodeFrame(fr, &counters); err != nil {
 		return fmt.Errorf("userstate: decode counters: %w", err)
 	}
-	stripes := make([]stripe, len(s.shards))
+	stripes := make([]stripe, len(s.stripes))
 	for i := range stripes {
 		var st shardState
 		if err := decodeFrame(fr, &st); err != nil {
@@ -242,16 +232,8 @@ func (s *Store) UnmarshalBinary(data []byte) error {
 	}
 
 	// Everything validated: apply.
-	s.verdicts.Store(counters.Verdicts)
-	s.escalations.Store(counters.Escalations)
-	s.suspensions.Store(counters.Suspensions)
-	s.evictionsCap.Store(counters.EvictionsCap)
-	s.evictionsTTL.Store(counters.EvictionsTTL)
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		sh.stripe = stripes[i]
-		sh.mu.Unlock()
-	}
+	s.counts = counters
+	s.stripes = stripes
 	return nil
 }
 

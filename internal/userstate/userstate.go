@@ -1,5 +1,5 @@
 // Package userstate is the per-user behavioral state layer: a
-// lock-striped, power-of-two-sharded store of user records that unifies
+// power-of-two-striped store of user records that unifies
 // the sliding session window, the offense/suspension history, and the
 // longer-horizon behavioral aggregates (EWMA aggression score, tweet
 // cadence, last-N verdict ring) the escalation detector reads.
@@ -10,10 +10,11 @@
 // (aggression recurs per-user over time and escalates across windows).
 // This package makes that state production-scale:
 //
-//   - Sharded: records live in 2^k lock-striped shards keyed by
-//     FNV-1a(userID), so concurrent Observe/Lookup traffic from many
-//     goroutines does not serialize on one mutex.
-//   - Bounded: a configurable MaxUsers cap is enforced per shard with
+//   - Striped: records live in 2^k stripes keyed by FNV-1a(userID), each
+//     with its own CLOCK ring, TTL hand and event clock. The stripes are
+//     data partitions, not locks: a Store keeps no lock of its own, because
+//     it belongs to one pipeline, whose lock serializes every call.
+//   - Bounded: a configurable MaxUsers cap is enforced per stripe with
 //     CLOCK (second-chance) eviction, and idle records are retired by a
 //     TTL sweep amortized into Observe — a few ring slots per call, never
 //     a stop-the-world prune.
@@ -30,8 +31,6 @@ package userstate
 import (
 	"cmp"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -140,8 +139,8 @@ type Config struct {
 	shards, ringSize, sweepPerObserve int
 }
 
-// The store's fixed tuning. stripeCount is the lock-stripe count (a power of
-// two, so shard selection is a mask). verdictRing is the per-user last-N
+// The store's fixed tuning. stripeCount is the stripe count (a power of
+// two, so stripe selection is a mask). verdictRing is the per-user last-N
 // verdict ring feeding the escalation trend check. observeSweep is how
 // many CLOCK-ring slots each Observe examines for expired records — the
 // amortized alternative to a stop-the-world prune.
@@ -340,18 +339,15 @@ type record struct {
 	disordered bool // session window: arrival order is not time order
 }
 
-// shard is one lock stripe.
-type shard struct {
-	mu sync.Mutex
-	stripe
-}
-
-// Store is the sharded, bounded, checkpointable user-state store. It is
-// safe for concurrent use.
+// Store is the striped, bounded, checkpointable user-state store. It is
+// not safe for concurrent use: it keeps no lock, because a Store belongs to
+// one core.Pipeline, which calls it only under its own lock. Other
+// goroutines read it through the pipeline (core.Pipeline.LookupUser and
+// Counts), never directly.
 type Store struct {
 	cfg     Config
 	mask    uint64
-	shards  []*shard
+	stripes []stripe
 	perCap  int // per-shard record cap (0 = unbounded)
 	ttl     int64
 	minSpan int64
@@ -359,16 +355,7 @@ type Store struct {
 	escCd   int64
 	window  int64
 
-	verdicts     atomic.Int64
-	escalations  atomic.Int64
-	suspensions  atomic.Int64
-	evictionsCap atomic.Int64
-	evictionsTTL atomic.Int64
-	// lockWaits and lockWaitNanos count the Observe acquires that found
-	// their shard stripe held and the time they spent blocked; a free
-	// stripe touches neither.
-	lockWaits     atomic.Int64
-	lockWaitNanos atomic.Int64
+	counts counterState // checkpointed as they are
 }
 
 // New builds a store from cfg (zero value = defaults).
@@ -377,7 +364,7 @@ func New(cfg Config) *Store {
 	s := &Store{
 		cfg:     cfg,
 		mask:    uint64(cfg.shards - 1),
-		shards:  make([]*shard, cfg.shards),
+		stripes: make([]stripe, cfg.shards),
 		window:  int64(cfg.Session.Window),
 		sessCd:  int64(cfg.Session.Cooldown),
 		minSpan: int64(cfg.Escalation.MinSpan),
@@ -391,14 +378,14 @@ func New(cfg Config) *Store {
 		// perCap*shards <= MaxUsers: the process-wide cap holds exactly.
 		s.perCap = cfg.MaxUsers / cfg.shards
 	}
-	for i := range s.shards {
-		s.shards[i] = &shard{stripe: stripe{slab: slab{ringLen: cfg.ringSize}}}
+	for i := range s.stripes {
+		s.stripes[i].slab.ringLen = cfg.ringSize
 	}
 	return s
 }
 
-// fnv64a is the user-ID hash: its low bits choose the shard, and the
-// shard's index takes the home slot from the rest.
+// fnv64a is the user-ID hash: its low bits choose the stripe, and the
+// stripe's index takes the home slot from the rest.
 func fnv64a(id string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(id); i++ {
@@ -408,18 +395,16 @@ func fnv64a(id string) uint64 {
 	return h
 }
 
-func (s *Store) shardFor(h uint64) *shard {
-	return s.shards[h&s.mask]
+func (s *Store) stripeFor(h uint64) *stripe {
+	return &s.stripes[h&s.mask]
 }
 
-// read runs fn under userID's shard lock with the stripe and the slab
-// index of the user's record (noRec for an unknown user).
-func (s *Store) read(userID string, fn func(st *stripe, i int32)) {
+// find returns userID's stripe and the slab index of its record there
+// (noRec for an unknown user).
+func (s *Store) find(userID string) (*stripe, int32) {
 	h := fnv64a(userID)
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fn(&sh.stripe, sh.index.find(h, userID, &sh.slab))
+	st := s.stripeFor(h)
+	return st, st.index.find(h, userID, &st.slab)
 }
 
 // maxNanos bounds stored times to what entry.stamp can carry beside its
@@ -455,7 +440,7 @@ func (s *Store) Observe(o Observation) Outcome {
 
 // ObserveAlert folds a tweet that raised an alert: the tweet as a full
 // observation (whatever o.Offense and o.OffenseOnly say), then the alert's
-// offense against o.SuspendAfter, under one lock and one record lookup.
+// offense against o.SuspendAfter, in one record lookup.
 // State and Outcome are exactly those of Observe(o) followed by an
 // offense-only Observe of the same tweet: the session and escalation
 // verdicts are judged before the offense (an EscalationVerdict's Offenses
@@ -468,8 +453,8 @@ func (s *Store) ObserveAlert(o Observation) Outcome {
 	return s.observe(o, true)
 }
 
-// observe takes o's shard stripe, recording the wait when it was held, and
-// folds o, then the alert's offense when alert is set.
+// observe folds o into its author's record on o's stripe, then the
+// alert's offense when alert is set.
 //
 //redvet:noalloc gate=UserstateObserveHot
 func (s *Store) observe(o Observation, alert bool) Outcome {
@@ -477,22 +462,7 @@ func (s *Store) observe(o Observation, alert bool) Outcome {
 		return Outcome{}
 	}
 	h := fnv64a(o.UserID)
-	sh := s.shardFor(h)
-	if !sh.mu.TryLock() {
-		//redvet:ignore hotpathhygiene contended acquires only: the stripe was held, so the wait is real and worth two clock reads
-		t0 := time.Now()
-		sh.mu.Lock()
-		//redvet:ignore hotpathhygiene see t0 above: the pair times the blocked acquire for LockWaits
-		s.lockWaitNanos.Add(int64(time.Since(t0)))
-		s.lockWaits.Add(1)
-	}
-	out := s.observeLocked(sh, h, o, alert)
-	sh.mu.Unlock()
-	return out
-}
-
-//redvet:noalloc gate=UserstateObserveHot
-func (s *Store) observeLocked(sh *shard, h uint64, o Observation, alert bool) Outcome {
+	sh := s.stripeFor(h)
 	at := nanos(o.At)
 	hasTime := at != 0
 	if at > sh.maxTime {
@@ -586,7 +556,7 @@ func (s *Store) offend(res *resident, r *record, suspendAfter int) bool {
 		return false
 	}
 	res.flags |= flagSuspended
-	s.suspensions.Add(1)
+	s.counts.Suspensions++
 	return true
 }
 
@@ -613,7 +583,7 @@ func (s *Store) judgeSession(r *record, at int64) *SessionVerdict {
 	}
 	r.lastVerdict = at
 	r.sessions++
-	s.verdicts.Add(1)
+	s.counts.Verdicts++
 	id, screenName := r.names()
 	return &SessionVerdict{
 		UserID:          id,
@@ -669,7 +639,7 @@ func (s *Store) judgeEscalation(r *record, recent []entry, at int64) *Escalation
 	}
 	r.lastEscalation = at
 	r.escalations++
-	s.escalations.Add(1)
+	s.counts.Escalations++
 	id, screenName := r.names()
 	return &EscalationVerdict{
 		UserID:      id,
@@ -686,10 +656,10 @@ func (s *Store) judgeEscalation(r *record, recent []entry, at int64) *Escalation
 }
 
 // insert creates a record for id, whose hash is h, CLOCK-evicting one
-// first when the shard is at its cap.
+// first when the stripe is at its cap.
 //
 //redvet:noalloc gate=UserstateObserveChurn
-func (s *Store) insert(sh *shard, h uint64, id string) int32 {
+func (s *Store) insert(sh *stripe, h uint64, id string) int32 {
 	if s.perCap > 0 && len(sh.ring) >= s.perCap {
 		s.evictClock(sh)
 	}
@@ -705,7 +675,7 @@ func (s *Store) insert(sh *shard, h uint64, id string) int32 {
 // reads only the ring.
 //
 //redvet:noalloc gate=UserstateObserveChurn
-func (s *Store) evictClock(sh *shard) {
+func (s *Store) evictClock(sh *stripe) {
 	fallback := -1 // ring position of the first unreferenced suspended record
 	for steps := 0; steps < 2*len(sh.ring); steps++ {
 		if sh.hand >= len(sh.ring) {
@@ -725,7 +695,7 @@ func (s *Store) evictClock(sh *shard) {
 			continue
 		}
 		sh.remove(sh.hand)
-		s.evictionsCap.Add(1)
+		s.counts.EvictionsCap++
 		return
 	}
 	if fallback < 0 {
@@ -735,7 +705,7 @@ func (s *Store) evictClock(sh *shard) {
 		fallback = sh.hand
 	}
 	sh.remove(fallback)
-	s.evictionsCap.Add(1)
+	s.counts.EvictionsCap++
 }
 
 // sweep amortizes TTL retirement into Observe: examine a few ring slots
@@ -748,7 +718,7 @@ func (s *Store) evictClock(sh *shard) {
 // cap pressure can reclaim it. It reads only the ring.
 //
 //redvet:noalloc gate=UserstateObserveChurn
-func (s *Store) sweep(sh *shard, current int32, slots int) {
+func (s *Store) sweep(sh *stripe, current int32, slots int) {
 	if s.ttl <= 0 || sh.maxTime <= s.ttl {
 		return
 	}
@@ -761,7 +731,7 @@ func (s *Store) sweep(sh *shard, current int32, slots int) {
 			if from, to := sh.remove(sh.hand); from == current {
 				current = to
 			}
-			s.evictionsTTL.Add(1)
+			s.counts.EvictionsTTL++
 			continue // the swapped-in record now sits at the hand
 		}
 		sh.hand++
@@ -771,16 +741,14 @@ func (s *Store) sweep(sh *shard, current int32, slots int) {
 // Lookup returns a copy of one user's state. It does not touch the CLOCK
 // reference bit, so reads cannot perturb eviction order.
 func (s *Store) Lookup(userID string) (Snapshot, bool) {
-	var sn Snapshot
-	found := false
-	if userID != "" {
-		s.read(userID, func(st *stripe, i int32) {
-			if found = i != noRec; found {
-				sn = st.snapshot(i)
-			}
-		})
+	if userID == "" {
+		return Snapshot{}, false
 	}
-	return sn, found
+	st, i := s.find(userID)
+	if i == noRec {
+		return Snapshot{}, false
+	}
+	return st.snapshot(i), true
 }
 
 // snapshot copies slab slot i's state out of the stripe.
@@ -816,73 +784,60 @@ func (st *stripe) snapshot(i int32) Snapshot {
 
 // OffenseCount returns one user's offense count (0 for unknown users).
 func (s *Store) OffenseCount(userID string) int {
-	n := 0
-	if userID != "" {
-		s.read(userID, func(st *stripe, i int32) {
-			if i != noRec {
-				n = st.slab.at(i).offenses
-			}
-		})
+	if userID == "" {
+		return 0
 	}
-	return n
+	st, i := s.find(userID)
+	if i == noRec {
+		return 0
+	}
+	return st.slab.at(i).offenses
 }
 
 // Suspended reports whether the user crossed the repeated-offense bar.
 func (s *Store) Suspended(userID string) bool {
-	suspended := false
-	if userID != "" {
-		s.read(userID, func(st *stripe, i int32) {
-			suspended = i != noRec && st.ring[st.slab.at(i).ringIdx].flags&flagSuspended != 0
-		})
+	if userID == "" {
+		return false
 	}
-	return suspended
+	st, i := s.find(userID)
+	return i != noRec && st.ring[st.slab.at(i).ringIdx].flags&flagSuspended != 0
 }
 
 // SuspendedUsers returns all users recommended for suspension, sorted so
 // the listing is stable for clients.
 func (s *Store) SuspendedUsers() []string {
 	var out []string
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, e := range sh.ring {
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		for _, e := range st.ring {
 			if e.flags&flagSuspended != 0 {
-				out = append(out, sh.slab.at(e.rec).id.String())
+				out = append(out, st.slab.at(e.rec).id.String())
 			}
 		}
-		sh.mu.Unlock()
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Len returns the number of tracked user records across all shards.
+// Len returns the number of tracked user records across all stripes.
 func (s *Store) Len() int {
 	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.ring)
-		sh.mu.Unlock()
+	for i := range s.stripes {
+		n += len(s.stripes[i].ring)
 	}
 	return n
 }
 
 // SessionVerdicts returns the total session verdicts emitted.
-func (s *Store) SessionVerdicts() int64 { return s.verdicts.Load() }
+func (s *Store) SessionVerdicts() int64 { return s.counts.Verdicts }
 
 // Escalations returns the total escalation verdicts emitted.
-func (s *Store) Escalations() int64 { return s.escalations.Load() }
+func (s *Store) Escalations() int64 { return s.counts.Escalations }
 
 // Suspensions returns the total users newly recommended for suspension.
-func (s *Store) Suspensions() int64 { return s.suspensions.Load() }
+func (s *Store) Suspensions() int64 { return s.counts.Suspensions }
 
 // Evictions returns records evicted by the cap and by the TTL sweep.
 func (s *Store) Evictions() (cap, ttl int64) {
-	return s.evictionsCap.Load(), s.evictionsTTL.Load()
-}
-
-// LockWaits returns how many Observe calls found their shard stripe held
-// and the total time they waited for it. Unlike the verdict counters
-// these are not checkpointed: they describe this process's contention.
-func (s *Store) LockWaits() (n int64, waited time.Duration) {
-	return s.lockWaits.Load(), time.Duration(s.lockWaitNanos.Load())
+	return s.counts.EvictionsCap, s.counts.EvictionsTTL
 }

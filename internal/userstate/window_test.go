@@ -311,13 +311,11 @@ func TestObserveCostIndependentOfWindowLength(t *testing.T) {
 	}
 }
 
-// recordOf returns the record userID's shard holds for it, or nil.
+// recordOf returns the record userID's stripe holds for it, or nil.
 func (s *Store) recordOf(userID string) *record {
-	var r *record
-	s.read(userID, func(st *stripe, i int32) {
-		if i != noRec {
-			r = st.slab.at(i)
-		}
-	})
-	return r
+	st, i := s.find(userID)
+	if i == noRec {
+		return nil
+	}
+	return st.slab.at(i)
 }
