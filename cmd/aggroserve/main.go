@@ -219,13 +219,12 @@ func main() {
 	var processed, warnings, drifts, replacements int64
 	var activeUsers, evictions, sessionVerdicts, escalations int64
 	for i := 0; i < srv.Shards(); i++ {
-		p := srv.Pipeline(i)
-		if d := p.DriftStats(); d != nil {
+		c := srv.Pipeline(i).Counts()
+		if d := c.Drift; d != nil {
 			warnings += d.Warnings
 			drifts += d.Drifts
 			replacements += d.TreeReplacements
 		}
-		c := p.Counts()
 		processed += c.Processed
 		activeUsers += int64(c.ActiveUsers)
 		evictions += c.EvictionsCap + c.EvictionsTTL

@@ -137,7 +137,6 @@ var noallocGates = map[string]struct {
 			"redhanded/internal/obs.(*Tracer).finish",
 			"redhanded/internal/obs.(*Tracer).now",
 			"redhanded/internal/obs.(*ring).append",
-			"redhanded/internal/obs.encodeEntry",
 		},
 	},
 	"IngressDecode": {

@@ -18,9 +18,10 @@ var HotPathHygiene = &Analyzer{
 }
 
 // registryLookupMethods are the metrics.Registry methods that take the
-// registry mutex and hash the metric name — construction-time only.
+// registry mutex and hash the metric name or collector key —
+// construction-time only.
 var registryLookupMethods = map[string]bool{
-	"Counter": true, "CounterFunc": true, "GaugeFunc": true, "Histogram": true,
+	"Counter": true, "Collect": true, "Histogram": true,
 }
 
 func runHotPathHygiene(pass *Pass) {

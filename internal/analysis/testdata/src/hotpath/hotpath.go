@@ -32,10 +32,10 @@ func hot(t *tracer, name string) {
 	for k := range t.seen { // want "map iteration in a hot path"
 		_ = k
 	}
-	t.reg.Counter(name).Add(1)   // want "metrics registry lookup"
-	t.reg.CounterFunc(name, nil) // want "metrics registry lookup \(CounterFunc\)"
-	t.hits.Add(1)                // pre-resolved handle: legal
-	t.count.Add(1)               // method call on the atomic: legal
+	t.reg.Counter(name).Add(1) // want "metrics registry lookup"
+	t.reg.Collect(name, nil)   // want "metrics registry lookup \(Collect\)"
+	t.hits.Add(1)              // pre-resolved handle: legal
+	t.count.Add(1)             // method call on the atomic: legal
 }
 
 //redvet:noalloc

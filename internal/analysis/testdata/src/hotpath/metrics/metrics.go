@@ -11,4 +11,6 @@ type Registry struct{}
 
 func (r *Registry) Counter(name string) *Counter { _ = name; return &Counter{} }
 
-func (r *Registry) CounterFunc(name string, fn func() float64) { _, _ = name, fn }
+type Writer struct{}
+
+func (r *Registry) Collect(key string, fn func(*Writer)) { _, _ = key, fn }

@@ -46,7 +46,7 @@ func TestARFRecoversFromConceptShiftHTDegrades(t *testing.T) {
 			}
 		}
 		o.end = fading.WeightedF1()
-		if d := p.DriftStats(); d != nil {
+		if d := p.Counts().Drift; d != nil {
 			o.drifts = d.TreeReplacements
 		}
 		return o

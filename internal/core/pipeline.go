@@ -65,9 +65,9 @@ type Model = stream.Model
 // lock on the state it owns: the extractor (cache and BoW), the user-state
 // store, the alerter and the sampler keep none of their own. The read
 // accessors (Processed, Counts, LookupUser, Summary, BoWSizeCurve,
-// PredictedDistribution, LogOffset, SnapshotStats, DriftStats, Checkpoint)
-// take that lock, so the serving layer can report live statistics while a
-// shard runs. The component accessors (Extractor, Users, Alerter, Sampler,
+// PredictedDistribution, LogOffset, SnapshotStats, Checkpoint) take that
+// lock, so the serving layer can report live statistics while a shard
+// runs. The component accessors (Extractor, Users, Alerter, Sampler,
 // Model, Normalizer, Evaluator) hand out the unlocked components: they are
 // for setup and for the goroutine that drives the pipeline, never for a
 // reader racing it. Engines partition work across pipelines instead of
@@ -273,7 +273,10 @@ func (p *Pipeline) LookupUser(id string) (userstate.Snapshot, bool) {
 }
 
 // Counts is one consistent cut of a pipeline's running counts: the
-// per-shard figures /v1/stats and /metrics show.
+// per-shard figures /v1/stats and /metrics show, the model's drift
+// telemetry and the prequential report included, read under one
+// acquisition of the pipeline's lock. It is the only read the serving
+// layer makes of a running pipeline.
 type Counts struct {
 	Processed       int64
 	LogOffset       int64 // see LogOffset
@@ -292,6 +295,11 @@ type Counts struct {
 	// process's contention.
 	LockWaits  int64
 	LockWaited time.Duration
+	// Drift is the model's drift telemetry, nil for models without drift
+	// detectors (stream.DriftReporter).
+	Drift *stream.DriftStats
+	// Report is the prequential evaluation so far (Summary).
+	Report eval.Report
 }
 
 // Counts reads the pipeline's counts under its lock, in O(1) of the
@@ -300,7 +308,7 @@ func (p *Pipeline) Counts() Counts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	capEv, ttlEv := p.users.Evictions()
-	return Counts{
+	c := Counts{
 		Processed:       p.processed,
 		LogOffset:       p.logOffset,
 		AlertsRaised:    p.alerter.Raised(),
@@ -314,7 +322,13 @@ func (p *Pipeline) Counts() Counts {
 		Snapshot:        p.snapshotStatsLocked(),
 		LockWaits:       p.lockWaits,
 		LockWaited:      p.lockWaited,
+		Report:          p.evaluator.Summary(),
 	}
+	if dr, ok := p.model.(stream.DriftReporter); ok {
+		st := dr.DriftStats()
+		c.Drift = &st
+	}
+	return c
 }
 
 // SubscribeVerdicts registers a sink for session and escalation
@@ -378,20 +392,6 @@ func (p *Pipeline) Processed() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.processed
-}
-
-// DriftStats reports the model's drift telemetry (nil for models without
-// drift detectors), serialized against the processing lock so the serving
-// layer can read it while a shard goroutine trains.
-func (p *Pipeline) DriftStats() *stream.DriftStats {
-	dr, ok := p.model.(stream.DriftReporter)
-	if !ok {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := dr.DriftStats()
-	return &st
 }
 
 // BoWSizeCurve returns (instances, BoW size) points sampled at the

@@ -232,7 +232,7 @@ func TestMicroBatchReadersDuringRun(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			p.SnapshotStats()
-			p.DriftStats()
+			p.Counts()
 			if err := p.Checkpoint(io.Discard); err != nil {
 				t.Error(err)
 			}

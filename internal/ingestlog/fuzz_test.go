@@ -129,7 +129,7 @@ func FuzzSegmentReader(f *testing.F) {
 		if !headerOK {
 			return // the torn file was dropped; offsets restart at 0
 		}
-		if got := l.AppendedOffset(0); got != base+int64(delivered)-1 {
+		if got := l.Stats()[0].Appended; got != base+int64(delivered)-1 {
 			t.Fatalf("recovery resumed at offset %d, reader resume offset %d", got+1, base+int64(delivered))
 		}
 		if _, err := l.Append(0, []byte("post-recovery")); err != nil {

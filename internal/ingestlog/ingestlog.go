@@ -402,15 +402,6 @@ func (l *Log) SyncAll() {
 	}
 }
 
-// AppendedOffset returns the offset of the last record committed to the
-// partition, or -1 when it is empty.
-func (l *Log) AppendedOffset(partition int) int64 {
-	p := l.parts[partition]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.next - 1
-}
-
 // PartitionStats is one partition's entry in Stats.
 type PartitionStats struct {
 	Partition int   `json:"partition"`

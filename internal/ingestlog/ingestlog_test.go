@@ -95,7 +95,7 @@ func TestReopenResumesOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if got := l.AppendedOffset(0); got != 9 {
+	if got := l.Stats()[0].Appended; got != 9 {
 		t.Fatalf("appended offset after reopen = %d, want 9", got)
 	}
 	off, err := l.Append(0, payloadFor(10))
@@ -270,7 +270,7 @@ func TestIngestLogCrashRecoveryMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotOff := l.AppendedOffset(0); gotOff != int64(n-2) {
+			if gotOff := l.Stats()[0].Appended; gotOff != int64(n-2) {
 				t.Fatalf("recovered appended offset = %d, want %d", gotOff, n-2)
 			}
 			off, err := l.Append(0, payloadFor(n-1))
@@ -315,7 +315,7 @@ func TestCrashRecoveryTornHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if got := l.AppendedOffset(0); got != 5 {
+	if got := l.Stats()[0].Appended; got != 5 {
 		t.Fatalf("appended offset = %d, want 5", got)
 	}
 	if off, err := l.Append(0, payloadFor(6)); err != nil || off != 6 {

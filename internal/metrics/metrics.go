@@ -1,14 +1,17 @@
 // Package metrics is a small, dependency-free metrics registry for the
-// serving subsystem: atomic counters, fixed-bucket latency histograms,
-// counters and gauges sampled from their owner at exposition time, and
-// Prometheus text-format exposition (format 0.0.4). It exists so the
-// serving and engine paths can be observed in production without pulling
-// a client library into the module.
+// serving subsystem: atomic counters and fixed-bucket latency histograms
+// for counts made event by event, collectors for counts an owner already
+// keeps, and Prometheus text-format exposition (format 0.0.4). It exists
+// so the serving and engine paths can be observed in production without
+// pulling a client library into the module.
 //
-// Collectors are registered on a Registry under a family name plus an
-// optional constant label set. Registration is idempotent: asking for the
-// same (name, labels) series again returns the collector created the first
-// time, and registering a sampled series again replaces its function.
+// Counters and histograms are registered on a Registry under a family name
+// plus an optional constant label set. Registration is idempotent: asking
+// for the same (name, labels) series again returns the one created the
+// first time. A collector (Collect) reads its owner once per exposition
+// and writes every family of that owner from the one reading, so each
+// scrape takes an owner's lock once and shows one cut of its counts;
+// registering the same key again replaces the collector.
 package metrics
 
 import (
@@ -135,11 +138,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return 0
 }
 
-// series is one exposed line group (a collector plus its label string).
+// series is one exposed line group (a counter or histogram plus its label
+// string).
 type series struct {
 	labels string
 	c      *Counter
-	fn     func() float64
 	h      *Histogram
 }
 
@@ -152,11 +155,19 @@ type family struct {
 	series map[string]*series
 }
 
-// Registry holds metric families and renders them in text format.
+// collector is one owner's Collect function under its key.
+type collector struct {
+	key string
+	fn  func(*Writer)
+}
+
+// Registry holds metric families and collectors and renders them in text
+// format.
 type Registry struct {
-	mu       sync.Mutex
-	order    []string
-	families map[string]*family
+	mu         sync.Mutex
+	order      []string
+	families   map[string]*family
+	collectors []collector
 }
 
 // NewRegistry creates an empty registry.
@@ -204,25 +215,22 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return s.c
 }
 
-// GaugeFunc registers a gauge whose value is sampled from fn at exposition
-// time (e.g. a live queue depth). Re-registering the same series replaces
-// the function, so a restarted server takes over its series cleanly.
-func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.sampled(name, help, "gauge", labels, fn)
-}
-
-// CounterFunc is GaugeFunc for a count its owner already keeps (alerts a
-// pipeline raised, appends a log partition took): fn is sampled at
-// exposition time and must not decrease while its owner lives.
-func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	r.sampled(name, help, "counter", labels, fn)
-}
-
-func (r *Registry) sampled(name, help, typ string, labels Labels, fn func() float64) {
+// Collect registers fn to write the families of one owner of counts at
+// every exposition: fn reads its owner once and writes each family from
+// that reading through w, so a scrape takes the owner's locks once and
+// every family it writes is one cut. fn runs without the registry lock
+// held. Registering key again replaces fn, so a restarted server takes its
+// families over.
+func (r *Registry) Collect(key string, fn func(w *Writer)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, _ := r.family(name, help, typ).get(labels.render())
-	s.fn = fn
+	for i := range r.collectors {
+		if r.collectors[i].key == key {
+			r.collectors[i].fn = fn
+			return
+		}
+	}
+	r.collectors = append(r.collectors, collector{key, fn})
 }
 
 // Histogram registers (or returns the existing) histogram series with the
@@ -243,9 +251,10 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels
 	return s.h
 }
 
-// WriteText renders the registry in Prometheus text exposition format.
-// Series values (including sampled-series callbacks) are read after the
-// registry lock is released, so a callback may safely touch the registry.
+// WriteText renders the registry in Prometheus text exposition format:
+// the registered families, then each collector's. Series values are read
+// and collectors run after the registry lock is released, so a collector
+// may safely touch the registry.
 func (r *Registry) WriteText(w io.Writer) error {
 	type snap struct {
 		f      *family
@@ -261,6 +270,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 		snaps = append(snaps, snap{f: f, series: ss})
 	}
+	collectors := append([]collector(nil), r.collectors...)
 	r.mu.Unlock()
 	for _, sn := range snaps {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", sn.f.name, sn.f.help, sn.f.name, sn.f.typ); err != nil {
@@ -272,16 +282,49 @@ func (r *Registry) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	return nil
+	cw := &Writer{w: w}
+	for _, c := range collectors {
+		c.fn(cw)
+	}
+	return cw.err
+}
+
+// Writer writes a collector's families during one exposition. Counter and
+// Gauge start a family; the Samples that follow are its series. A write
+// error is kept and ends the exposition's output; WriteText returns it.
+type Writer struct {
+	w    io.Writer
+	name string // the family being written
+	err  error
+}
+
+// Counter starts a counter family: a count that never decreases while its
+// owner lives.
+func (w *Writer) Counter(name, help string) *Writer { return w.family(name, help, "counter") }
+
+// Gauge starts a gauge family.
+func (w *Writer) Gauge(name, help string) *Writer { return w.family(name, help, "gauge") }
+
+func (w *Writer) family(name, help, typ string) *Writer {
+	w.name = name
+	if w.err == nil {
+		_, w.err = fmt.Fprintf(w.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	}
+	return w
+}
+
+// Sample writes one series of the family last started.
+func (w *Writer) Sample(labels Labels, v float64) *Writer {
+	if w.err == nil {
+		_, w.err = fmt.Fprintf(w.w, "%s%s %s\n", w.name, labels.render(), formatFloat(v))
+	}
+	return w
 }
 
 func (s *series) write(w io.Writer, name string) error {
 	switch {
 	case s.c != nil:
 		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, s.c.Value())
-		return err
-	case s.fn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatFloat(s.fn()))
 		return err
 	case s.h != nil:
 		return s.writeHistogram(w, name)

@@ -18,14 +18,14 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
 	depth := 10
-	r.GaugeFunc("g", "help", nil, func() float64 { return float64(depth) })
+	r.Collect("queue", func(w *Writer) { w.Gauge("g", "help").Sample(nil, float64(depth)) })
 	depth -= 3
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "\ng 7\n") {
-		t.Fatalf("sampled gauge not read at exposition time:\n%s", b.String())
+		t.Fatalf("collected gauge not read at exposition time:\n%s", b.String())
 	}
 }
 
@@ -47,52 +47,43 @@ func TestTypeMismatchPanics(t *testing.T) {
 	r.Counter("m", "help", nil)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("registering m as gauge after counter should panic")
+			t.Fatal("registering m as histogram after counter should panic")
 		}
 	}()
-	r.GaugeFunc("m", "help", nil, func() float64 { return 0 })
+	r.Histogram("m", "help", nil, nil)
 }
 
-func TestCounterFuncRendersCounter(t *testing.T) {
+// One collector writes several families, each with one # HELP and # TYPE
+// ahead of all its series.
+func TestCollectRendersFamilies(t *testing.T) {
 	r := NewRegistry()
-	r.CounterFunc("appends_total", "Appends.", Labels{"partition": "1"}, func() float64 { return 42 })
+	r.Collect("log", func(w *Writer) {
+		w.Counter("appends_total", "Appends.").Sample(Labels{"partition": "0"}, 40).Sample(Labels{"partition": "1"}, 2)
+		w.Gauge("segments", "Segments.").Sample(nil, 3)
+	})
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"# HELP appends_total Appends.\n",
-		"# TYPE appends_total counter\n",
-		`appends_total{partition="1"} 42` + "\n",
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("exposition missing %q:\n%s", want, b.String())
-		}
+	want := "# HELP appends_total Appends.\n# TYPE appends_total counter\n" +
+		`appends_total{partition="0"} 40` + "\n" + `appends_total{partition="1"} 2` + "\n" +
+		"# HELP segments Segments.\n# TYPE segments gauge\nsegments 3\n"
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 
-func TestCounterFuncReregistrationReplaces(t *testing.T) {
+func TestCollectReregistrationReplaces(t *testing.T) {
 	r := NewRegistry()
-	r.CounterFunc("owned_total", "help", nil, func() float64 { return 1 })
-	r.CounterFunc("owned_total", "help", nil, func() float64 { return 2 })
+	r.Collect("owner", func(w *Writer) { w.Counter("owned_total", "help").Sample(nil, 1) })
+	r.Collect("owner", func(w *Writer) { w.Counter("owned_total", "help").Sample(nil, 2) })
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	if out := b.String(); strings.Count(out, "\nowned_total ") != 1 || !strings.Contains(out, "\nowned_total 2\n") {
-		t.Fatalf("second registration should replace the first series:\n%s", out)
+		t.Fatalf("second registration should replace the first collector:\n%s", out)
 	}
-}
-
-func TestCounterFuncOnGaugeFamilyPanics(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("depth", "help", nil, func() float64 { return 0 })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering depth as counter after gauge should panic")
-		}
-	}()
-	r.CounterFunc("depth", "help", nil, func() float64 { return 0 })
 }
 
 func TestHistogramBucketsAndQuantile(t *testing.T) {
@@ -119,8 +110,10 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ingest_total", "Tweets ingested.", nil).Add(7)
-	r.GaugeFunc("depth", "Queue depth.", Labels{"shard": "2"}, func() float64 { return 3 })
-	r.GaugeFunc("live", "Sampled.", nil, func() float64 { return 1.5 })
+	r.Collect("owner", func(w *Writer) {
+		w.Gauge("depth", "Queue depth.").Sample(Labels{"shard": "2"}, 3)
+		w.Gauge("live", "Sampled.").Sample(nil, 1.5)
+	})
 	h := r.Histogram("lat_seconds", "Latency.", []float64{0.5}, Labels{"shard": "0"})
 	h.Observe(0.1)
 	h.Observe(2)
@@ -149,10 +142,10 @@ func TestExpositionFormat(t *testing.T) {
 	}
 }
 
-func TestGaugeFuncMayTouchRegistry(t *testing.T) {
+func TestCollectorMayTouchRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("self", "reads the registry", nil, func() float64 {
-		return float64(r.Counter("side_total", "help", nil).Value())
+	r.Collect("self", func(w *Writer) {
+		w.Gauge("self", "reads the registry").Sample(nil, float64(r.Counter("side_total", "help", nil).Value()))
 	})
 	done := make(chan error, 1)
 	go func() {
@@ -165,7 +158,7 @@ func TestGaugeFuncMayTouchRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("WriteText deadlocked on a registry-touching GaugeFunc")
+		t.Fatal("WriteText deadlocked on a registry-touching collector")
 	}
 }
 

@@ -4,7 +4,7 @@
 // userstate observe → verdict fan-out → SSE emit, plus the cluster
 // driver's executor round trips) into per-stage histograms, and captures
 // the full stage breakdown of any span that exceeds a latency budget
-// ("slow verdicts") in its shard's lock-free capture ring.
+// ("slow verdicts") in its shard's capture ring.
 //
 // The package exists because the pipeline's hot paths are zero-alloc
 // (feature extraction, userstate Observe, the cluster share loop) and the
@@ -14,13 +14,10 @@
 //
 //   - spans are pooled per shard (sync.Pool), never escaping to the heap
 //     on the steady state;
-//   - captures are fixed-size entries encoded into a slab of
-//     atomic.Uint64 words. Each shard's spans are finished by that
-//     shard's goroutine alone, so its ring has one producer, which
-//     appends lock-free while /v1/trace/slow readers snapshot
-//     concurrently without a mutex (the producer advances a claim word
-//     before it overwrites a slot, and a reader drops every entry copied
-//     from a slot the claim had reached by the end of its copy).
+//   - captures are fixed-size entries in a per-shard ring under its own
+//     mutex, the span's ID kept as bytes until a reader asks for it. Only
+//     over-budget spans append and only /v1/trace/slow reads, so the
+//     lock is off the common path and a reader never sees a torn entry.
 //
 // A nil *Tracer is valid and free: every method on a nil tracer or nil
 // span is a no-op, so disabled tracing costs one predictable branch.
@@ -87,8 +84,8 @@ func (s Stage) String() string {
 
 // Config configures a Tracer.
 type Config struct {
-	// Shards is the number of independent single-producer capture rings
-	// (one per pipeline shard; the cluster driver uses 1). Default 1, at
+	// Shards is the number of independent capture rings (one per
+	// pipeline shard; the cluster driver uses 1). Default 1, at
 	// most MaxShards.
 	Shards int
 	// SlowBudget is the end-to-end latency above which a span is captured
@@ -124,7 +121,7 @@ func (c Config) withDefaults() Config {
 }
 
 // shardState is one shard's tracing lane: a pooled span slot and the
-// single-producer ring of its over-budget captures.
+// ring of its over-budget captures.
 type shardState struct {
 	pool sync.Pool // *Span
 	slow *ring
@@ -152,8 +149,8 @@ type Tracer struct {
 func New(cfg Config) *Tracer {
 	cfg = cfg.withDefaults()
 	if cfg.Shards > MaxShards {
-		// A wider shard would file its spans under another shard's ring,
-		// which would then have two producers; this is a deployment
+		// A span keeps its shard in one byte, so a wider shard would file
+		// its captures under another shard's number; this is a deployment
 		// error, not a runtime condition.
 		panic(fmt.Sprintf("obs: tracer has %d shards, at most %d are supported", cfg.Shards, MaxShards))
 	}
@@ -220,8 +217,7 @@ func (t *Tracer) Begin(shard int) *Span {
 }
 
 // finish records a completed span — histograms, and a capture in its
-// shard's ring when over budget — then recycles the span. Only the
-// shard's own goroutine finishes its spans, so the ring has one producer.
+// shard's ring when over budget — then recycles the span.
 //
 //redvet:noalloc gate=SpanLifecycle
 func (t *Tracer) finish(sp *Span) {
@@ -236,9 +232,7 @@ func (t *Tracer) finish(sp *Span) {
 	}
 	st := &t.shards[sp.shard]
 	if t.cfg.SlowBudget > 0 && total > int64(t.cfg.SlowBudget) {
-		var w [entryWords]uint64
-		encodeEntry(&w, sp, t.epochUnix, total)
-		st.slow.append(&w)
+		st.slow.append(sp, t.epochUnix+sp.start, total)
 		t.slowSpans.Add(1)
 	}
 	t.spans.Add(1)

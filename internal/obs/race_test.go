@@ -11,9 +11,9 @@ import (
 
 // Shard producers finishing spans while summary and slow readers poll — the
 // contention profile of /v1/trace scrapes against an overloaded server,
-// where every span is over budget. Run with -race; the word-encoded capture
-// rings must stay warning-free. Span i of shard s is "s<s>-<i>" with i+1 ns
-// in the merge stage, so an entry mixing two spans' words fails wholeSpan.
+// where every span is over budget. Run with -race; the capture rings must
+// stay warning-free. Span i of shard s is "s<s>-<i>" with i+1 ns
+// in the merge stage, so an entry mixing two spans' fields fails wholeSpan.
 func TestConcurrentProducersAndReaders(t *testing.T) {
 	const shards = 4
 	tr := New(Config{

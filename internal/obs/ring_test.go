@@ -3,36 +3,16 @@ package obs
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 )
 
-func testEntry(traceID uint64, id string) *[entryWords]uint64 {
+func testSpan(traceID uint64, id string) *Span {
 	sp := &Span{traceID: traceID}
 	sp.SetID(id)
 	sp.dur[StageExtract] = int64(traceID) * 10
-	var w [entryWords]uint64
-	encodeEntry(&w, sp, 0, int64(traceID)*100)
-	return &w
-}
-
-func TestEntryCodecRoundTrip(t *testing.T) {
-	sp := &Span{traceID: 77, shard: 3, start: 1000}
-	sp.SetID("roundtrip-id")
-	sp.dur[StageQueue] = 11
-	sp.dur[StageMerge] = 99
-	var w [entryWords]uint64
-	encodeEntry(&w, sp, 5000, 12345)
-	e := decodeEntry(&w)
-	if e.TraceID != 77 || e.Shard != 3 || e.ID != "roundtrip-id" {
-		t.Fatalf("decoded = %+v", e)
-	}
-	if e.StartUnixNano != 6000 || e.TotalNanos != 12345 {
-		t.Fatalf("times = %d/%d, want 6000/12345", e.StartUnixNano, e.TotalNanos)
-	}
-	if e.Stages[StageQueue] != 11 || e.Stages[StageMerge] != 99 {
-		t.Fatalf("stages = %v", e.Stages)
-	}
+	return sp
 }
 
 // A ring holds exactly its capacity of most-recent entries after wrapping,
@@ -41,7 +21,7 @@ func TestRingWraparound(t *testing.T) {
 	r := newRing(8)
 	const total = 37
 	for i := 1; i <= total; i++ {
-		r.append(testEntry(uint64(i), fmt.Sprintf("t-%d", i)))
+		r.append(testSpan(uint64(i), fmt.Sprintf("t-%d", i)), 0, int64(i)*100)
 	}
 	got := r.snapshot()
 	if len(got) != 8 {
@@ -49,37 +29,38 @@ func TestRingWraparound(t *testing.T) {
 	}
 	for i, e := range got {
 		want := uint64(total - 8 + 1 + i)
-		if e.TraceID != want || e.ID != fmt.Sprintf("t-%d", want) {
+		if e.TraceID != want || e.ID != fmt.Sprintf("t-%d", want) || e.TotalNanos != int64(want)*100 {
 			t.Fatalf("entry %d = %+v, want trace %d", i, e, want)
 		}
 	}
 	// Non-power-of-two sizes round up.
-	if r2 := newRing(5); r2.size != 8 {
-		t.Fatalf("newRing(5) size = %d, want 8", r2.size)
+	if r2 := newRing(5); len(r2.entries) != 8 {
+		t.Fatalf("newRing(5) holds %d entries, want 8", len(r2.entries))
 	}
 }
 
-// A snapshot racing the producer returns only whole entries. Every word of
-// entry v holds v, so an entry mixing two writes shows unequal words. The
-// producer overwrites entry idx-size's slot while it writes entry idx, so a
-// snapshot must drop the oldest entry it copied once that write has begun.
+// A snapshot racing the producer returns only whole entries. Every field
+// of entry v holds v, so an entry mixing two appends shows unequal
+// fields.
 func TestRingSnapshotNeverTorn(t *testing.T) {
 	r := newRing(4)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var w [entryWords]uint64
+		var sp Span
 		for v := uint64(1); ; v++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			for i := range w {
-				w[i] = v
+			sp.traceID, sp.shard = v, uint8(v)
+			sp.SetID(strconv.FormatUint(v, 10))
+			for i := range sp.dur {
+				sp.dur[i] = int64(v)
 			}
-			r.append(&w)
+			r.append(&sp, int64(v), int64(v))
 		}
 	}()
 	defer func() {
@@ -91,9 +72,10 @@ func TestRingSnapshotNeverTorn(t *testing.T) {
 		for _, e := range r.snapshot() {
 			entries++
 			v := e.TraceID
-			whole := uint64(e.StartUnixNano) == v && uint64(e.TotalNanos) == v && e.Shard == int(v&0xff)
-			for _, d := range e.Stages {
-				whole = whole && uint64(d) == v
+			whole := uint64(e.StartUnixNano) == v && uint64(e.TotalNanos) == v && e.Shard == int(v&0xff) &&
+				e.ID == strconv.FormatUint(v, 10) && len(e.Stages) == int(NumStages)
+			for _, st := range e.Stages {
+				whole = whole && uint64(st.Nanos) == v
 			}
 			if !whole {
 				torn++

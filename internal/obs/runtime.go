@@ -5,49 +5,27 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sync"
-	"time"
 
 	"redhanded/internal/metrics"
 )
 
-// memSampler caches runtime.ReadMemStats so a metrics scrape hitting all
-// heap gauges pays one stop-the-world read, not one per gauge.
-type memSampler struct {
-	mu   sync.Mutex
-	at   time.Time
-	stat runtime.MemStats
-}
-
-func (m *memSampler) sample() runtime.MemStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if time.Since(m.at) > time.Second {
-		runtime.ReadMemStats(&m.stat)
-		m.at = time.Now()
-	}
-	return m.stat
-}
-
-// RegisterRuntimeGauges registers Go runtime health series on reg: gauges
-// for goroutines and heap bytes/objects, counters for total GC pause and
-// GC cycles. Heap figures are sampled at most once per second to bound
-// ReadMemStats cost.
+// RegisterRuntimeGauges registers on reg one collector of Go runtime
+// health: gauges for goroutines and heap bytes/objects, counters for total
+// GC pause and GC cycles. Each scrape reads the heap figures with one
+// runtime.ReadMemStats.
 func RegisterRuntimeGauges(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	ms := &memSampler{}
-	reg.GaugeFunc("redhanded_goroutines", "Number of live goroutines.", nil,
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	reg.GaugeFunc("redhanded_heap_alloc_bytes", "Bytes of allocated heap objects.", nil,
-		func() float64 { s := ms.sample(); return float64(s.HeapAlloc) })
-	reg.GaugeFunc("redhanded_heap_objects", "Number of allocated heap objects.", nil,
-		func() float64 { s := ms.sample(); return float64(s.HeapObjects) })
-	reg.CounterFunc("redhanded_gc_pause_total_seconds", "Cumulative GC stop-the-world pause time.", nil,
-		func() float64 { s := ms.sample(); return float64(s.PauseTotalNs) / 1e9 })
-	reg.CounterFunc("redhanded_gc_cycles_total", "Completed GC cycles.", nil,
-		func() float64 { s := ms.sample(); return float64(s.NumGC) })
+	reg.Collect("obs.runtime", func(w *metrics.Writer) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		w.Gauge("redhanded_goroutines", "Number of live goroutines.").Sample(nil, float64(runtime.NumGoroutine()))
+		w.Gauge("redhanded_heap_alloc_bytes", "Bytes of allocated heap objects.").Sample(nil, float64(ms.HeapAlloc))
+		w.Gauge("redhanded_heap_objects", "Number of allocated heap objects.").Sample(nil, float64(ms.HeapObjects))
+		w.Counter("redhanded_gc_pause_total_seconds", "Cumulative GC stop-the-world pause time.").Sample(nil, float64(ms.PauseTotalNs)/1e9)
+		w.Counter("redhanded_gc_cycles_total", "Completed GC cycles.").Sample(nil, float64(ms.NumGC))
+	})
 }
 
 // DebugMux builds the opt-in debug mux: net/http/pprof under /debug/pprof/,

@@ -5,26 +5,15 @@ import (
 	"unsafe"
 )
 
-// The span is pooled and carried through every traced tweet, and the
-// ring holds fixed-width encoded entries; both layouts were hand-packed
-// (field order is checked by redvet's fieldalign analyzer). These pins
-// make an accidental field addition or reorder a visible diff instead
-// of a silent footprint regression. On a field change: re-pack the
+// The span is pooled and carried through every traced tweet; its layout
+// was hand-packed (field order is checked by redvet's fieldalign
+// analyzer). This pin makes an accidental field addition or reorder a
+// visible diff instead of a silent footprint regression. On a field change: re-pack the
 // struct (largest alignment first), re-run `go run ./cmd/redvet ./...`,
 // and update the pinned size here in the same commit.
 func TestSpanSizePinned(t *testing.T) {
 	const want = 168 // bytes on 64-bit, padding-free under the gc sizing model
 	if got := unsafe.Sizeof(Span{}); got != want {
 		t.Fatalf("unsafe.Sizeof(Span{}) = %d, pinned at %d: re-pack the fields and update the pin", got, want)
-	}
-}
-
-func TestRingEntryWordsPinned(t *testing.T) {
-	if entryWords != 20 {
-		t.Fatalf("entryWords = %d, pinned at 20: the ring entry layout changed; update the encoder/decoder and this pin together", entryWords)
-	}
-	var w [entryWords]uint64
-	if got := unsafe.Sizeof(w); got != 160 {
-		t.Fatalf("ring entry = %d bytes, pinned at 160", got)
 	}
 }

@@ -24,22 +24,6 @@ type Trace struct {
 	Stages        []StageNanos `json:"stages"`
 }
 
-func (e Entry) trace() Trace {
-	tr := Trace{
-		TraceID:       e.TraceID,
-		ID:            e.ID,
-		Shard:         e.Shard,
-		StartUnixNano: e.StartUnixNano,
-		TotalNanos:    e.TotalNanos,
-	}
-	for s := Stage(0); s < NumStages; s++ {
-		if d := e.Stages[s]; d > 0 {
-			tr.Stages = append(tr.Stages, StageNanos{Stage: s.String(), Nanos: d})
-		}
-	}
-	return tr
-}
-
 // StageStats summarises one stage's latency distribution (quantiles come
 // from the registry histograms, so they cover every span ever finished).
 type StageStats struct {
@@ -112,14 +96,10 @@ func (t *Tracer) SlowTraces() SlowReport {
 		SlowBudgetNanos: int64(t.cfg.SlowBudget),
 		SlowSpans:       t.slowSpans.Load(),
 	}
-	var entries []Entry
 	for i := range t.shards {
-		entries = append(entries, t.shards[i].slow.snapshot()...)
+		rep.Traces = append(rep.Traces, t.shards[i].slow.snapshot()...)
 	}
-	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.TraceID, b.TraceID) })
-	for _, e := range entries {
-		rep.Traces = append(rep.Traces, e.trace())
-	}
+	slices.SortFunc(rep.Traces, func(a, b Trace) int { return cmp.Compare(a.TraceID, b.TraceID) })
 	return rep
 }
 

@@ -96,7 +96,7 @@ func TestServeARFCheckpointRestoreContinues(t *testing.T) {
 			t.Errorf("shard %d diverged after restore:\nuninterrupted %+v\nrestored      %+v",
 				i, a.Summary(), b.Summary())
 		}
-		da, db := a.DriftStats(), b.DriftStats()
+		da, db := a.Counts().Drift, b.Counts().Drift
 		if (da == nil) != (db == nil) || (da != nil && (da.Warnings != db.Warnings || da.Drifts != db.Drifts)) {
 			t.Errorf("shard %d drift telemetry diverged: %+v vs %+v", i, da, db)
 		}

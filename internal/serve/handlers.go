@@ -12,7 +12,6 @@ import (
 	"redhanded/internal/core"
 	"redhanded/internal/eval"
 	"redhanded/internal/feature"
-	"redhanded/internal/ingestlog"
 	"redhanded/internal/metrics"
 	"redhanded/internal/stream"
 	"redhanded/internal/twitterdata"
@@ -325,32 +324,31 @@ func (s *Server) handleUser(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, UserResponse{Shard: idx, Snapshot: snap})
 }
 
-// handleStats reports per-shard prequential metrics and queue state.
+// handleStats reports per-shard prequential metrics and queue state from
+// one reading.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	r := s.read()
 	st := Stats{
 		UptimeSeconds: s.Uptime().Seconds(),
 		Shards:        len(s.shards),
 		Accepted:      s.accepted.Value(),
 		Rejected:      s.rejected.Value(),
-		Subscribers:   s.hub.Subscribers(),
+		Subscribers:   r.subscribers,
 	}
-	if ds := twitterdata.ReadDecodeStats(); ds.Decodes > 0 || ds.Errors > 0 {
+	if ds := r.decode; ds.Decodes > 0 || ds.Errors > 0 {
 		st.Ingress = &ds
 	}
-	var logStats []ingestlog.PartitionStats
 	if l := s.opts.Log; l != nil {
-		logStats = l.Stats()
 		st.IngestLog = &IngestLogStats{Dir: l.Dir(), Fsync: l.Fsync().String()}
 	}
-	for _, sh := range s.shards {
-		c := sh.p.Counts()
+	for i, sh := range s.shards {
+		c := &r.counts[i]
 		st.Processed += c.Processed
 		st.AlertsRaised += c.AlertsRaised
-		drift := sh.p.DriftStats()
-		if drift != nil {
-			st.Warnings += drift.Warnings
-			st.Drifts += drift.Drifts
-			st.TreeReplacements += drift.TreeReplacements
+		if d := c.Drift; d != nil {
+			st.Warnings += d.Warnings
+			st.Drifts += d.Drifts
+			st.TreeReplacements += d.TreeReplacements
 		}
 		evictions := c.EvictionsCap + c.EvictionsTTL
 		st.ActiveUsers += int64(c.ActiveUsers)
@@ -360,15 +358,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		entry := ShardStats{
 			Shard:           sh.id,
 			Processed:       c.Processed,
-			QueueDepth:      len(sh.queue),
+			QueueDepth:      r.depth[i],
 			QueueCap:        cap(sh.queue),
 			AlertsRaised:    c.AlertsRaised,
 			ActiveUsers:     c.ActiveUsers,
 			Evictions:       evictions,
 			SessionVerdicts: c.SessionVerdicts,
 			Escalations:     c.Escalations,
-			Report:          sh.p.Summary(),
-			Drift:           drift,
+			Report:          c.Report,
+			Drift:           c.Drift,
 			Snapshot:        &c.Snapshot,
 			FeatCache:       &c.Cache,
 		}
@@ -377,19 +375,18 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		st.FeatCacheHits += c.Cache.Hits
 		st.FeatCacheMisses += c.Cache.Misses
 		st.FeatCacheEvictions += c.Cache.Evictions
-		if logStats != nil {
-			ps := logStats[sh.id]
-			applied := c.LogOffset
+		if r.log != nil {
+			ps := r.log[i]
 			entry.IngestLog = &ShardLogStats{
 				Segments: ps.Segments,
 				Bytes:    ps.Bytes,
 				Appended: ps.Appended,
-				Applied:  applied,
-				Lag:      ps.Appended - applied,
+				Applied:  c.LogOffset,
+				Lag:      r.lag(i),
 			}
 			st.IngestLog.Segments += ps.Segments
 			st.IngestLog.Bytes += ps.Bytes
-			st.IngestLog.Lag += ps.Appended - applied
+			st.IngestLog.Lag += r.lag(i)
 		}
 		st.PerShard = append(st.PerShard, entry)
 	}

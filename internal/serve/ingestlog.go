@@ -9,7 +9,6 @@ import (
 
 	"redhanded/internal/core"
 	"redhanded/internal/ingestlog"
-	"redhanded/internal/metrics"
 	"redhanded/internal/twitterdata"
 )
 
@@ -30,37 +29,6 @@ import (
 // checkpoint is a consistent cut (state, offset), and Replay applies
 // precisely the records after it, in log order, on the shard that
 // originally owned them.
-
-// registerLogMetrics exposes the counts the log keeps per partition
-// (Log.Stats): appends, bytes, fsyncs and stalls as process totals,
-// segments and bytes on disk per partition.
-func registerLogMetrics(reg *metrics.Registry, l *ingestlog.Log) {
-	total := func(f func(ingestlog.PartitionStats) int64) func() float64 {
-		return func() float64 {
-			var n int64
-			for _, ps := range l.Stats() {
-				n += f(ps)
-			}
-			return float64(n)
-		}
-	}
-	reg.CounterFunc("redhanded_ingestlog_appends_total", "Records appended to the ingest log.", nil,
-		total(func(ps ingestlog.PartitionStats) int64 { return ps.Appends }))
-	reg.CounterFunc("redhanded_ingestlog_bytes_total", "Bytes appended to the ingest log (framing included).", nil,
-		total(func(ps ingestlog.PartitionStats) int64 { return ps.AppendedBytes }))
-	reg.CounterFunc("redhanded_ingestlog_fsyncs_total", "fsync calls issued by the ingest log.", nil,
-		total(func(ps ingestlog.PartitionStats) int64 { return ps.Fsyncs }))
-	reg.CounterFunc("redhanded_ingestlog_append_stalls_total",
-		"Appends shed with backpressure because the unsynced budget was exhausted.", nil,
-		total(func(ps ingestlog.PartitionStats) int64 { return ps.Stalls }))
-	for i := range l.Partitions() {
-		labels := metrics.Labels{"partition": fmt.Sprint(i)}
-		reg.GaugeFunc("redhanded_ingestlog_segments", "Segment files per partition.",
-			labels, func() float64 { return float64(l.Stats()[i].Segments) })
-		reg.GaugeFunc("redhanded_ingestlog_partition_bytes", "Bytes on disk per partition.",
-			labels, func() float64 { return float64(l.Stats()[i].Bytes) })
-	}
-}
 
 // errReplaying rejects live traffic while Replay owns the pipelines.
 var errReplaying = errors.New("serve: server is replaying the ingest log")

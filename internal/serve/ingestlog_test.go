@@ -309,7 +309,7 @@ func TestWALShedsBeforeAppend(t *testing.T) {
 	if _, ok, err := s.offer(job{tweet: makeTweet("2", "u1", "shed", "")}); err != nil || ok {
 		t.Fatalf("second offer: ok=%v err=%v, want queue-full shed", ok, err)
 	}
-	if got := l.AppendedOffset(0); got != 0 {
+	if got := l.Stats()[0].Appended; got != 0 {
 		t.Fatalf("log holds offsets through %d; the shed tweet was appended", got)
 	}
 }
@@ -359,7 +359,7 @@ func TestWALBackpressureSurfacesAs429(t *testing.T) {
 	if ir.Accepted == 0 || ir.Rejected == 0 || ir.Accepted+ir.Rejected+ir.Malformed != int64(len(tweets)) {
 		t.Fatalf("prefix contract broken: %+v over %d lines", ir, len(tweets))
 	}
-	if got := l.AppendedOffset(0); got != ir.Accepted-1 {
+	if got := l.Stats()[0].Appended; got != ir.Accepted-1 {
 		t.Fatalf("log holds offsets through %d, but %d lines were accepted", got, ir.Accepted)
 	}
 
@@ -395,7 +395,7 @@ func TestWALBackpressureSurfacesAs429(t *testing.T) {
 		}
 		remaining = remaining[rr.Accepted:]
 	}
-	if got := l.AppendedOffset(0); got != int64(len(tweets))-1 {
+	if got := l.Stats()[0].Appended; got != int64(len(tweets))-1 {
 		t.Fatalf("after retries the log holds offsets through %d, want %d", got, len(tweets)-1)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,39 +13,32 @@ import (
 	"testing"
 	"time"
 
-	"redhanded/internal/ingestlog"
-	"redhanded/internal/obs"
 	"redhanded/internal/twitterdata"
 	"redhanded/internal/userstate"
 )
 
 // scrapeMetrics reads the server's /metrics and returns every sample keyed
-// by its series (family name plus label set).
-func scrapeMetrics(t *testing.T, url string) map[string]float64 {
-	t.Helper()
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+// by its series (family name plus label set). Safe off the test goroutine:
+// on an error it records a failure and reports false.
+func scrapeMetrics(t *testing.T, url string) (map[string]float64, bool) {
+	body, ok := httpGet(t, url+"/metrics", http.StatusOK)
+	if !ok {
+		return nil, false
 	}
-	defer resp.Body.Close()
 	samples := make(map[string]float64)
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || line[0] == '#' {
 			continue
 		}
 		i := strings.LastIndexByte(line, ' ')
 		v, err := strconv.ParseFloat(line[i+1:], 64)
 		if err != nil {
-			t.Fatalf("unparsable sample %q: %v", line, err)
+			t.Errorf("unparsable sample %q: %v", line, err)
+			return nil, false
 		}
 		samples[line[:i]] = v
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return samples
+	return samples, true
 }
 
 func fetchStats(t *testing.T, url string) Stats {
@@ -70,7 +62,10 @@ func checkAgreement(t *testing.T, name string, s *Server) Stats {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	st := fetchStats(t, ts.URL)
-	m := scrapeMetrics(t, ts.URL)
+	m, ok := scrapeMetrics(t, ts.URL)
+	if !ok {
+		t.FailNow()
+	}
 	want := map[string]int64{
 		"redhanded_alerts_raised_total":              st.AlertsRaised,
 		"redhanded_userstate_session_verdicts_total": st.SessionVerdicts,
@@ -160,8 +155,7 @@ func TestMetricsAgreeWithStats(t *testing.T) {
 }
 
 // TestMetricsCatalogue holds DESIGN.md's metric catalogue equal to what a
-// server exposes — with a WAL, tracing, runtime gauges and one request of
-// each kind behind it: every family has a row, every row's Type is the
+// server exposes — catalogueServer's, with a WAL: every family has a row, every row's Type is the
 // family's # TYPE, and every row shows up in the scrape except the
 // engine-owned ones, which live on the default registry.
 func TestMetricsCatalogue(t *testing.T) {
@@ -185,53 +179,11 @@ func TestMetricsCatalogue(t *testing.T) {
 		t.Fatal("DESIGN.md has no metric catalogue rows")
 	}
 
-	opts := testOptions()
-	opts.Shards = 2
-	opts.Trace = true
-	l, err := ingestlog.Open(ingestlog.Options{Dir: t.TempDir(), Partitions: opts.Shards, Fsync: ingestlog.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	opts.Log = l
-	obs.RegisterRuntimeGauges(opts.Registry)
-	s := NewServer(opts)
-	defer s.Drain(context.Background())
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	tw := makeTweet("1", "9", "you are a worthless idiot", twitterdata.LabelHateful)
-	blob, _ := tw.Marshal()
-	for _, req := range []struct{ method, path, body string }{
-		{"POST", "/v1/classify", string(blob)},
-		{"POST", "/v1/ingest", string(blob) + "\n"},
-		{"GET", "/v1/users/9", ""},
-		{"GET", "/v1/stats", ""},
-		{"GET", "/v1/trace", ""},
-		{"GET", "/v1/trace/slow", ""},
-		{"GET", "/healthz", ""},
-		{"GET", "/v1/alerts", ""}, // closing the body ends the stream
-	} {
-		r, _ := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
-		resp, err := http.DefaultClient.Do(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-	scrape, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scrape.Body.Close()
-	sc := bufio.NewScanner(scrape.Body)
+	ts := catalogueServer(t, true)
 	scraped := make(map[string]bool)
-	for sc.Scan() {
-		typeLine, ok := strings.CutPrefix(sc.Text(), "# TYPE ")
-		if !ok {
-			continue
-		}
-		name, typ, _ := strings.Cut(typeLine, " ")
+	for _, line := range catalogueOf(t, ts.URL) {
+		f := strings.Fields(line)
+		name, typ := f[0], f[1]
 		scraped[name] = true
 		switch r, ok := catalogued[name]; {
 		case !ok:

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,6 +133,90 @@ func TestLiveReadersWhileShardsProcess(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLiveReadersScrapeOneCut scrapes /metrics back to back while
+// /v1/ingest drives every shard. Every tweet a pipeline processes makes one
+// extraction-cache lookup, a hit or a miss, in the same critical section,
+// so on a fresh server any one cut of a pipeline has featcache_hits +
+// featcache_misses = shard_processed_total; a scrape that read the three
+// series at different moments would show a gap. The writer posts batches
+// of 100 and waits for a scrape after each, so every shard's queue (1 024)
+// holds its share and scrapes interleave with processing.
+func TestLiveReadersScrapeOneCut(t *testing.T) {
+	opts := testOptions()
+	s := NewServer(opts)
+	ts := httptest.NewServer(s)
+	defer s.Drain(context.Background())
+	defer ts.Close()
+
+	tweets := twitterdata.GenerateAggression(twitterdata.AggressionConfig{
+		Seed: 53, Days: 2, NormalCount: 1200, AbusiveCount: 600, HatefulCount: 200,
+	})
+	for i := range tweets {
+		tweets[i].User.IDStr = fmt.Sprint("cut-", i%64)
+		if i%4 == 3 {
+			tweets[i].Text = tweets[i/4].Text // retweets, so the cache hits too
+		}
+		if i%3 == 1 {
+			tweets[i].Label = ""
+		}
+	}
+
+	var scrapes atomic.Int64
+	var processed [4]int64 // the last scrape's per-shard counts
+	scrape := func() bool {
+		series, ok := scrapeMetrics(t, ts.URL)
+		if !ok {
+			return false
+		}
+		for sh := range opts.Shards {
+			label := fmt.Sprintf(`{shard="%d"}`, sh)
+			p, hits, misses := series["redhanded_shard_processed_total"+label],
+				series["redhanded_featcache_hits"+label], series["redhanded_featcache_misses"+label]
+			if hits+misses != p {
+				t.Errorf("scrape %d, shard %d: featcache hits %v + misses %v != processed %v",
+					scrapes.Load(), sh, hits, misses, p)
+				return false
+			}
+			processed[sh] = int64(p)
+		}
+		scrapes.Add(1)
+		return true
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !scrape() {
+				return
+			}
+		}
+	}()
+	for lo := 0; lo < len(tweets); lo += 100 {
+		ingestWithRetry(t, ts.URL, tweets[lo:min(lo+100, len(tweets))])
+		for n := scrapes.Load(); scrapes.Load() == n && !t.Failed(); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	waitProcessed(t, s, int64(len(tweets)))
+	close(stop)
+	<-done
+	if !scrape() {
+		t.FailNow()
+	}
+	for sh, n := range processed {
+		if n == 0 {
+			t.Fatalf("shard %d processed nothing", sh)
+		}
+	}
+	t.Logf("%d scrapes, each one cut of every shard", scrapes.Load())
 }
 
 // httpGet fetches url and reports whether it answered with one of the wanted

@@ -48,7 +48,10 @@ type Options struct {
 	Shards int
 	// QueueDepth bounds each shard's ingestion queue (default 1024).
 	QueueDepth int
-	// Registry receives the server's metrics (default metrics.Default()).
+	// Registry receives the server's metrics (default metrics.Default()):
+	// the event-driven counters and histograms, and one collector that
+	// reads each shard's pipeline, the ingest log and the alert hub once
+	// per scrape and writes every family they own from that reading.
 	Registry *metrics.Registry
 	// Trace turns on the per-tweet stage tracing layer (internal/obs): one
 	// ring per shard, stage histograms in Registry, and slow capture of
@@ -120,6 +123,7 @@ type job struct {
 // goroutine that owns the (non-thread-safe) core.Pipeline.
 type shard struct {
 	id         int
+	labels     metrics.Labels // {shard="<id>"}, on every per-shard series
 	p          *core.Pipeline
 	queue      chan job
 	drainBatch int // drainBatchMax; in-package tests set others
@@ -281,11 +285,11 @@ func newServer(opts Options, start bool) *Server {
 	if opts.Trace {
 		s.tracer = obs.New(obs.Config{Shards: opts.Shards, SlowBudget: opts.slowBudget, Registry: reg})
 	}
-	pipelines := make([]*core.Pipeline, 0, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
 		labels := metrics.Labels{"shard": fmt.Sprint(i)}
 		sh := &shard{
 			id:           i,
+			labels:       labels,
 			p:            core.NewPipeline(opts.Pipeline),
 			queue:        make(chan job, opts.QueueDepth),
 			drainBatch:   drainBatchMax,
@@ -295,59 +299,9 @@ func newServer(opts Options, start bool) *Server {
 		}
 		sh.p.Alerter().Subscribe(s.hub)
 		sh.p.SubscribeVerdicts(s.hub)
-		q := sh.queue
-		// The closure captures only the channel; a replacement server with
-		// the same shard count takes the series over via re-registration.
-		reg.GaugeFunc("redhanded_shard_queue_depth", "Live shard queue depth.",
-			labels, func() float64 { return float64(len(q)) })
-		reg.CounterFunc("redhanded_shard_busy_seconds_total", "Wall time the shard loop spent on drained batches.",
-			labels, func() float64 { return float64(sh.busy.Load()) / 1e9 })
-		// Every per-shard series reads the pipeline's counts under its lock.
-		p := sh.p
-		count := func(f func(core.Counts) int64) func() float64 {
-			return func() float64 { return float64(f(p.Counts())) }
-		}
-		reg.CounterFunc("redhanded_shard_processed_total", "Tweets the shard's pipeline has processed (resumed by a restore).",
-			labels, count(func(c core.Counts) int64 { return c.Processed }))
-		reg.GaugeFunc("redhanded_userstate_active_users", "Tracked user records per shard.",
-			labels, count(func(c core.Counts) int64 { return int64(c.ActiveUsers) }))
-		reg.CounterFunc("redhanded_snapshot_rebuilds", "Model compiles per shard.",
-			labels, count(func(c core.Counts) int64 { return c.Snapshot.Rebuilds }))
-		reg.CounterFunc("redhanded_snapshot_trees_rebuilt", "Member trees re-compiled across model compiles per shard.",
-			labels, count(func(c core.Counts) int64 { return c.Snapshot.TreesRebuilt }))
-		reg.GaugeFunc("redhanded_snapshot_age", "Model mutations the shard's compiled model is behind.",
-			labels, count(func(c core.Counts) int64 { return int64(c.Snapshot.Age) }))
-		if l := opts.Log; l != nil {
-			part := sh.id
-			reg.GaugeFunc("redhanded_ingestlog_replay_lag",
-				"Records appended to the shard's log partition but not yet applied by its pipeline.",
-				labels, count(func(c core.Counts) int64 { return l.AppendedOffset(part) - c.LogOffset }))
-		}
-		reg.CounterFunc("redhanded_featcache_hits", "Extraction-cache hits per shard.",
-			labels, count(func(c core.Counts) int64 { return c.Cache.Hits }))
-		reg.CounterFunc("redhanded_featcache_misses", "Extraction-cache misses per shard.",
-			labels, count(func(c core.Counts) int64 { return c.Cache.Misses }))
-		reg.CounterFunc("redhanded_featcache_evictions", "Extraction-cache CLOCK evictions per shard.",
-			labels, count(func(c core.Counts) int64 { return c.Cache.Evictions }))
-		reg.GaugeFunc("redhanded_featcache_entries", "Live extraction-cache entries per shard.",
-			labels, count(func(c core.Counts) int64 { return int64(c.Cache.Entries) }))
 		s.shards = append(s.shards, sh)
-		pipelines = append(pipelines, sh.p)
 	}
-	core.RegisterMetrics(reg, pipelines...)
-	if opts.Log != nil {
-		registerLogMetrics(reg, opts.Log)
-	}
-	// Ingress decoder telemetry is package-wide (the decoder pool is shared
-	// by every server in the process), registered without a shard label.
-	reg.CounterFunc("redhanded_ingress_decodes_total", "Successful fast NDJSON tweet decodes.",
-		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().Decodes) })
-	reg.CounterFunc("redhanded_ingress_decode_errors_total", "Failed fast NDJSON tweet decodes.",
-		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().Errors) })
-	reg.CounterFunc("redhanded_ingress_arena_chunks", "Decoder arena chunks allocated since process start.",
-		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().ArenaChunks) })
-	reg.CounterFunc("redhanded_ingress_interned_bytes", "String bytes interned into decoder arenas.",
-		nil, func() float64 { return float64(twitterdata.ReadDecodeStats().InternedBytes) })
+	reg.Collect("serve", s.writeMetrics)
 	s.mux = s.routes()
 	if start {
 		for _, sh := range s.shards {

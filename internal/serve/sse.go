@@ -57,8 +57,6 @@ func newAlertHub(buffer int, reg *metrics.Registry) *alertHub {
 		flushEvents: reg.Histogram("redhanded_sse_flush_events",
 			"Events a subscriber's writer coalesced into one write and flush.", drainBuckets, nil),
 	}
-	reg.GaugeFunc("redhanded_sse_subscribers", "Live SSE alert subscribers.", nil,
-		func() float64 { return float64(h.Subscribers()) })
 	return h
 }
 
