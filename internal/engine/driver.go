@@ -8,7 +8,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"redhanded/internal/core"
@@ -22,15 +21,16 @@ import (
 // The cluster driver distributes micro-batch shares across executor nodes
 // over TCP, mirroring the paper's 3-node SparkCluster deployment:
 //
-//   - request/response: a node carries one share exchange at a time — the
-//     share is sent, then its response is read on the same connection
-//     under the share timeout;
+//   - one goroutine per node (runNode) owns its connection: it dials the
+//     node and, while connected, takes shares one at a time from the run's
+//     queue — each share is sent, then its response is read on the same
+//     connection under the share timeout — and reports to the driver
+//     goroutine over one channel;
 //   - failover: a share is done when its response answers that share and
 //     decodes; when its node dies, times out, answers another share or
-//     returns a payload that does not decode, processShare — the one place
-//     a share is retried — moves it to a survivor, so a batch completes as
-//     long as one executor lives. One supervisor goroutine per node redials
-//     it with backoff;
+//     returns a payload that does not decode, the node puts the share back
+//     on the queue for whichever connected node is free and redials with
+//     backoff, so a batch completes as long as one executor lives;
 //   - keyed broadcasts: the model and the BoW vocabulary each ship whole
 //     exactly when their key (model hash, vocabulary version) differs from
 //     the one the node's session acknowledged — so an unchanged
@@ -87,15 +87,15 @@ type ClusterConfig struct {
 	timing clusterTiming
 }
 
-// The driver's failure handling. A node is abandoned after
-// maxConnAttempts consecutive failed (re)connects; its supervisor redials
-// it after reconnectBackoff, doubling per attempt up to 1s. When every node
-// is down, a batch start or a failing-over share waits allDownWait for one
-// to come back before failing the run. shareTimeout bounds the wait for a
-// share's response and every write: a wedged-but-connected executor
-// (stopped process, half-open connection) never produces a transport
-// error, so the timeout is what converts it into a failover. It is
-// generous: a share normally completes in milliseconds.
+// The driver's failure handling. A node whose connection fails is redialed
+// after reconnectBackoff, doubling per attempt up to 1s, and abandoned
+// after maxConnAttempts consecutive failed redials. When every node is
+// down, the driver waits allDownWait for one to come back before failing
+// the run. shareTimeout bounds the wait for a share's response and every
+// write: a wedged-but-connected executor (stopped process, half-open
+// connection) never produces a transport error, so the timeout is what
+// converts it into a failover. It is generous: a share normally completes
+// in milliseconds.
 const (
 	maxConnAttempts  = 5
 	reconnectBackoff = 50 * time.Millisecond
@@ -125,38 +125,62 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
-// execNode is the driver's view of one executor: connection, health, and
-// the broadcast keys the node's session holds. The keys are reset on every
-// (re)connect, so a fresh session receives the full state.
+// execNode is one executor as its goroutine sees it: the connection, the
+// broadcast keys the node's session holds — reset on every (re)connect, so
+// a fresh session receives the full state — and the node's counts, summed
+// into Stats once the goroutine has returned. Only runNode touches it.
 type execNode struct {
 	addr string
+	conn *countingConn
+	enc  *gob.Encoder
+	dec  *gob.Decoder
 
-	// xmu is held for a whole share exchange, send through response decode,
-	// so the connection carries one share at a time.
-	xmu sync.Mutex
-	// down wakes the node's supervisor (one slot: a wake-up is never lost
-	// and never doubled).
-	down chan struct{}
-
-	// mu guards health and the broadcast keys; it is never held across a
-	// response read, so isUp does not wait on a busy node's round trip.
-	mu        sync.Mutex
-	conn      *countingConn
-	enc       *gob.Encoder
-	dec       *gob.Decoder
-	up        bool
-	abandoned bool
-
-	// Broadcast keys held by the node's current session.
 	modelHash    uint64
 	vocabVersion uint64
 	bcSeq        int64
+
+	broadcastBytes, dataBytes, failovers, reconnects int64
 }
 
-func (n *execNode) isUp() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.up
+// nodeState is a node as the driver goroutine last heard of it.
+type nodeState uint8
+
+const (
+	nodeDialing nodeState = iota // on its first dial
+	nodeUp                       // connected, taking shares
+	nodeDown                     // its connection failed; being redialed
+	nodeGone                     // abandoned for the rest of the run
+)
+
+// nodeEvent is what a node's goroutine reports to the driver goroutine: its
+// state, the error that took it down or abandoned it, and a share it is
+// done with.
+type nodeEvent struct {
+	node  int
+	state nodeState
+	err   error
+	share *share
+}
+
+// share is one span of a batch, passed from the queue to the node running
+// it and back to the driver when done. err is its last exchange's error —
+// nil once a response decoded — and hops counts its failed exchanges.
+type share struct {
+	span
+	bc    *broadcast
+	batch []twitterdata.Tweet
+	hops  int
+	out   shareOutput
+	nanos int64 // executor-reported compute time
+	err   error
+}
+
+// sessionRejected is a hello rejection: a version or model-kind mismatch
+// never heals by redialing, so it abandons the node at once.
+type sessionRejected struct{ addr, reason string }
+
+func (e *sessionRejected) Error() string {
+	return fmt.Sprintf("engine: executor %s rejected session: %s", e.addr, e.reason)
 }
 
 // broadcast is one batch's shared broadcast payload, computed once; each
@@ -180,17 +204,24 @@ type clusterRun struct {
 	kind  string
 	cfg   ClusterConfig
 	nodes []*execNode
-	stop  chan struct{}
-	loops sync.WaitGroup // the nodes' supervisors; shutdown waits for them
+	// queue holds the shares waiting for a connected node. It has a slot
+	// per node and a batch never has more shares than nodes, so a put
+	// never blocks.
+	queue  chan *share
+	events chan nodeEvent
+	stop   chan struct{}
+	loops  sync.WaitGroup // the node goroutines
 
-	// last is the previous batch's broadcast, whose vocabulary words are
-	// reused while the BoW's version holds.
-	last *broadcast
-
-	broadcastBytes atomic.Int64
-	dataBytes      atomic.Int64
-	failovers      atomic.Int64
-	reconnects     atomic.Int64
+	// The rest belongs to the driver goroutine: each node's last reported
+	// state and the number of nodes in each state, the last error a node
+	// reported, the all-down deadline of the current wait (nil while a node
+	// is up), and the previous batch's broadcast, whose vocabulary words
+	// are reused while the BoW's version holds.
+	state   []nodeState
+	count   [nodeGone + 1]int
+	lastErr error
+	allDown <-chan time.Time
+	last    *broadcast
 }
 
 // RunCluster executes the pipeline across the executor nodes: each batch is
@@ -210,45 +241,51 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 		return Stats{}, err
 	}
 
-	r := &clusterRun{p: p, kind: kind, cfg: cfg, stop: make(chan struct{})}
+	r := &clusterRun{p: p, kind: kind, cfg: cfg,
+		queue:  make(chan *share, len(cfg.Executors)),
+		events: make(chan nodeEvent),
+		stop:   make(chan struct{}),
+		state:  make([]nodeState, len(cfg.Executors)),
+	}
+	r.count[nodeDialing] = len(cfg.Executors)
 	for _, addr := range cfg.Executors {
-		n := &execNode{addr: addr, bcSeq: -1, down: make(chan struct{}, 1)}
-		r.nodes = append(r.nodes, n)
-		r.loops.Add(1)
-		go r.supervise(n)
+		r.nodes = append(r.nodes, &execNode{addr: addr})
 	}
-	defer r.shutdown()
+	r.loops.Add(len(r.nodes))
+	for i := range r.nodes {
+		go r.runNode(i)
+	}
+	stats, err := r.run(src)
+	close(r.stop)
+	r.loops.Wait()
+	for _, n := range r.nodes {
+		stats.BroadcastBytes += n.broadcastBytes
+		stats.DataBytes += n.dataBytes
+		stats.Failovers += n.failovers
+		stats.Reconnects += n.reconnects
+	}
+	return stats, err
+}
 
-	// Initial connect, in parallel. A node that fails its first dial is
-	// handed to its supervisor; the run starts as long as any node
-	// answered, and fails fast when none did.
-	var connWG sync.WaitGroup
-	errs := make([]error, len(r.nodes))
-	for i, n := range r.nodes {
-		connWG.Add(1)
-		go func(i int, n *execNode) {
-			defer connWG.Done()
-			if errs[i] = r.connect(n); errs[i] != nil && !n.abandonedNow() {
-				n.wake()
-			}
-		}(i, n)
+// run waits for every node's first dial — the nodes up then set the first
+// batch's share count, so it is the same on every run — and fails fast
+// when none connected. Then it runs the batches until the source ends or
+// a batch fails.
+func (r *clusterRun) run(src Source) (Stats, error) {
+	for r.count[nodeDialing] > 0 {
+		r.apply(<-r.events)
 	}
-	connWG.Wait()
-	if len(r.upNodes(nil)) == 0 {
-		for _, err := range errs {
-			if err != nil {
-				return Stats{}, fmt.Errorf("engine: no executor reachable: %w", err)
-			}
-		}
+	if r.count[nodeUp] == 0 {
+		return Stats{}, fmt.Errorf("engine: no executor reachable: %w", r.lastErr)
 	}
 
-	m := startRun(p)
+	m := startRun(r.p)
 	// Prefetch: the source is read one batch ahead of the batch in flight.
 	batches := make(chan []twitterdata.Tweet, 1)
 	go func() {
 		defer close(batches)
 		for {
-			b := nextBatch(src, nil, cfg.BatchSize)
+			b := nextBatch(src, nil, r.cfg.BatchSize)
 			if len(b) == 0 {
 				return
 			}
@@ -257,12 +294,13 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 			case <-r.stop:
 				return
 			}
-			if len(b) < cfg.BatchSize {
+			if len(b) < r.cfg.BatchSize {
 				return
 			}
 		}
 	}()
 
+	var err error
 	var seq int64
 	for batch := range batches {
 		seq++
@@ -272,19 +310,14 @@ func RunCluster(p *core.Pipeline, src Source, cfg ClusterConfig) (Stats, error) 
 		}
 		m.batch(len(batch), batchStart)
 	}
-	stats := m.finish()
-	stats.BroadcastBytes = r.broadcastBytes.Load()
-	stats.DataBytes = r.dataBytes.Load()
-	stats.Failovers = r.failovers.Load()
-	stats.Reconnects = r.reconnects.Load()
-	return stats, err
+	return m.finish(), err
 }
 
-// runBatch executes one micro-batch: broadcast, run one share per healthy
-// node to a decoded output (processShare fails each over on its own), then
-// merge the shares in share order. Decoding reads the global model and
-// nothing mutates it before the merge, which waits for every share — so a
-// batch is applied whole or not at all.
+// runBatch executes one micro-batch: broadcast, queue one share per node
+// up, wait until every share is done, then merge the shares in share
+// order. Decoding reads the global model and nothing mutates it before the
+// merge, which waits for every share — so a batch is applied whole or not
+// at all.
 func (r *clusterRun) runBatch(seq int64, batch []twitterdata.Tweet) error {
 	// The batch span: queue covers broadcast serialization plus the
 	// healthy-node wait (everything before dispatch), then executor_rtt,
@@ -299,40 +332,86 @@ func (r *clusterRun) runBatch(seq int64, batch []twitterdata.Tweet) error {
 	if err != nil {
 		return err
 	}
-	healthy, err := r.awaitHealthy(nil)
-	if err != nil {
-		return err
+	// Take in what the nodes reported since the last batch, then wait for
+	// one to be up.
+	for drained := false; !drained; {
+		select {
+		case ev := <-r.events:
+			r.apply(ev)
+		default:
+			drained = true
+		}
 	}
-	shares := splitSpans(len(batch), len(healthy))
-	sp.BeginStage(obs.StageExecutorRTT)
-
-	outs := make([]shareOutput, len(shares))
-	execNanos := make([]int64, len(shares))
-	errs := make([]error, len(shares))
-	var wg sync.WaitGroup
-	for i, s := range shares {
-		wg.Add(1)
-		go func(i int, s span, pref *execNode) {
-			defer wg.Done()
-			outs[i], execNanos[i], errs[i] = r.processShare(bc, s, batch, pref)
-		}(i, s, healthy[i])
-	}
-	wg.Wait()
-	sp.BeginStage(obs.StageMerge)
-	for _, err := range errs {
-		if err != nil {
+	r.allDown = nil
+	for r.count[nodeUp] == 0 {
+		if _, err := r.await(); err != nil {
 			return err
 		}
 	}
+	spans := splitSpans(len(batch), r.count[nodeUp])
+	sp.BeginStage(obs.StageExecutorRTT)
+
+	shares := make([]share, len(spans))
+	for i, s := range spans {
+		shares[i] = share{span: s, bc: bc, batch: batch}
+		r.queue <- &shares[i]
+	}
+	for done := 0; done < len(shares); {
+		ev, err := r.await()
+		if err != nil {
+			return err
+		}
+		if ev.share != nil {
+			done++
+		}
+	}
+	sp.BeginStage(obs.StageMerge)
+	outs := make([]shareOutput, len(shares))
 	// The serving nodes' compute time, summed across shares. An executor
 	// that reports 0 leaves the stage absent from the breakdown.
 	var nanos int64
-	for _, n := range execNanos {
-		nanos += n
+	for i, sh := range shares {
+		if sh.err != nil {
+			return sh.err
+		}
+		outs[i] = sh.out
+		nanos += sh.nanos
 	}
 	sp.Add(obs.StageExecutorCompute, time.Duration(nanos))
 	mergeBatch(r.p, batch, outs)
 	return nil
+}
+
+// apply records a node event in the driver's view of the nodes.
+func (r *clusterRun) apply(ev nodeEvent) {
+	r.count[r.state[ev.node]]--
+	r.count[ev.state]++
+	r.state[ev.node] = ev.state
+	if ev.err != nil {
+		r.lastErr = ev.err
+	}
+}
+
+// await receives the next node event and applies it. While no node is up
+// the wait is bounded: it fails at once when every node is abandoned, and
+// when none has come up within allDownWait of the batch's first wait that
+// found them all down.
+func (r *clusterRun) await() (nodeEvent, error) {
+	switch {
+	case r.count[nodeUp] > 0:
+		r.allDown = nil
+	case r.count[nodeGone] == len(r.nodes):
+		return nodeEvent{}, fmt.Errorf("engine: every executor is gone (abandoned after %d attempts each): %w", r.cfg.timing.maxConnAttempts, r.lastErr)
+	case r.allDown == nil:
+		r.allDown = time.After(r.cfg.timing.allDownWait)
+	}
+	select {
+	case ev := <-r.events:
+		r.apply(ev)
+		return ev, nil
+	case <-r.allDown:
+		return nodeEvent{}, fmt.Errorf("engine: every executor is down and none reconnected within %v: %w", r.cfg.timing.allDownWait, r.lastErr)
+	}
 }
 
 // makeBroadcast serializes the batch's global state once: the model under
@@ -366,9 +445,138 @@ func (r *clusterRun) makeBroadcast(seq int64) (*broadcast, error) {
 	return bc, nil
 }
 
+// runNode is node i's one goroutine for the whole run. It dials the node
+// and serves shares while connected. When the connection fails it redials
+// (redial), and it abandons the node when the redials run out or on a
+// hello rejection, at the first dial too. It reports every change of state
+// to the driver goroutine and returns once the run has ended.
+func (r *clusterRun) runNode(i int) {
+	defer r.loops.Done()
+	n := r.nodes[i]
+	err := r.connect(n)
+	for {
+		if err == nil {
+			if err = r.serve(i); err == nil {
+				return // the run ended
+			}
+		}
+		if errors.As(err, new(*sessionRejected)) {
+			r.report(nodeEvent{node: i, state: nodeGone, err: err})
+			return
+		}
+		if !r.report(nodeEvent{node: i, state: nodeDown, err: err}) {
+			return
+		}
+		if err = r.redial(n); err != nil {
+			r.report(nodeEvent{node: i, state: nodeGone, err: err})
+			return
+		}
+		n.reconnects++
+		clusterReconnects.Inc()
+	}
+}
+
+// serve runs shares on node i while it is connected: it reports the node
+// up, then takes shares from the queue one at a time and reports each when
+// its response has decoded. A failed exchange closes the connection, puts
+// its share back on the queue — or, past the hop bound (4·nodes+4 failed
+// exchanges), fails it — and is returned. When the run ends, serve sends
+// the shutdown frame and returns nil.
+func (r *clusterRun) serve(i int) error {
+	n := r.nodes[i]
+	for ev := (nodeEvent{node: i, state: nodeUp}); r.report(ev); {
+		var sh *share
+		select {
+		case sh = <-r.queue:
+		case <-r.stop:
+			n.bye()
+			return nil
+		}
+		if sh.err != nil {
+			n.failovers++
+			clusterFailovers.Inc()
+		}
+		if sh.err = r.exchange(n, sh); sh.err != nil {
+			err := sh.err
+			n.conn.Close()
+			if sh.hops++; sh.hops <= 4*len(r.nodes)+4 {
+				r.queue <- sh
+			} else {
+				sh.err = fmt.Errorf("engine: share [%d,%d) of batch %d failed on every executor: %w", sh.lo, sh.hi, sh.bc.seq, err)
+				r.report(nodeEvent{node: i, state: nodeUp, share: sh})
+			}
+			return err
+		}
+		ev.share = sh
+	}
+	n.bye()
+	return nil
+}
+
+// exchange runs one share round trip on n and decodes the response into
+// sh: the broadcast when n's session does not hold this batch's yet (once
+// per node per batch), then the share's data frame, each counted by its
+// bytes, then the response, read inline under the share timeout.
+func (r *clusterRun) exchange(n *execNode, sh *share) error {
+	start, bc, timeout := time.Now(), sh.bc, r.cfg.timing.shareTimeout
+	if n.bcSeq != bc.seq {
+		msg := r.broadcastFor(n, bc)
+		sent, err := n.send(&msg, timeout)
+		if err != nil {
+			return fmt.Errorf("engine: broadcast to executor %s: %w", n.addr, err)
+		}
+		n.broadcastBytes += sent
+		clusterBroadcastBytes.Add(sent)
+		n.bcSeq, n.modelHash, n.vocabVersion = bc.seq, bc.modelHash, bc.vocabVer
+	}
+	sent, err := n.send(&wireMsg{Kind: msgData, Seq: bc.seq, Lo: sh.lo, Hi: sh.hi,
+		Tasks: r.cfg.TasksPerExecutor, Tweets: sh.batch[sh.lo:sh.hi]}, timeout)
+	if err != nil {
+		return fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
+	}
+	n.dataBytes += sent
+	clusterDataBytes.Add(sent)
+	_ = n.conn.SetReadDeadline(time.Now().Add(timeout))
+	var resp batchResponse
+	if err := n.dec.Decode(&resp); err != nil {
+		return fmt.Errorf("engine: receive share [%d,%d) from executor %s: %w", sh.lo, sh.hi, n.addr, err)
+	}
+	clusterShareRTT.Observe(time.Since(start).Seconds())
+	return r.decodeShare(n, sh, &resp)
+}
+
+// decodeShare checks that a response answers share sh and decodes its
+// statistics delta and training accumulators into sh. Decoding only reads
+// the global model.
+func (r *clusterRun) decodeShare(n *execNode, sh *share, resp *batchResponse) error {
+	if resp.Seq != sh.bc.seq || resp.Lo != sh.lo || resp.Hi != sh.hi {
+		return fmt.Errorf("engine: executor %s answered share [%d,%d) of batch %d with [%d,%d) of batch %d",
+			n.addr, sh.lo, sh.hi, sh.bc.seq, resp.Lo, resp.Hi, resp.Seq)
+	}
+	if resp.Err != "" {
+		return fmt.Errorf("engine: executor %s: %s", n.addr, resp.Err)
+	}
+	out := shareOutput{lo: sh.lo, classified: resp.Classified, stats: norm.NewFeatureStats(r.p.Normalizer().Stats.Dim())}
+	if err := out.stats.UnmarshalBinary(resp.StatsBlob); err != nil {
+		return fmt.Errorf("engine: executor %s returned corrupt statistics: %w", n.addr, err)
+	}
+	for _, blob := range resp.DeltaBlobs {
+		acc, err := r.p.Model().AccumulatorFromState(blob)
+		if err == nil && (acc.Count() < 0 || acc.Count() > int64(sh.hi-sh.lo)) {
+			err = fmt.Errorf("delta counts %d instances in a %d-tweet share", acc.Count(), sh.hi-sh.lo)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: executor %s returned corrupt delta: %w", n.addr, err)
+		}
+		out.accs = append(out.accs, acc)
+	}
+	sh.out, sh.nanos = out, resp.ExecNanos
+	return nil
+}
+
 // broadcastFor builds n's broadcast frame: the model blob and the
 // vocabulary words ride along only when the key n's session holds differs
-// from the batch's. Callers hold n.mu.
+// from the batch's.
 func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 	msg := wireMsg{
 		Kind:         msgBroadcast,
@@ -389,138 +597,19 @@ func (r *clusterRun) broadcastFor(n *execNode, bc *broadcast) wireMsg {
 	return msg
 }
 
-// processShare runs one share until its response decodes and returns the
-// decoded output with the executor-reported compute time. Whatever ends an
-// exchange without one — a dead or wedged node, a response to another
-// share, an error or corrupt payload in the response — has already marked
-// the node down, and the share moves to another node. It fails only when
-// no executor can serve the share.
-func (r *clusterRun) processShare(bc *broadcast, s span, batch []twitterdata.Tweet, node *execNode) (shareOutput, int64, error) {
-	tried := make(map[*execNode]bool)
-	var lastErr error
-	for hops := 0; hops <= 4*len(r.nodes)+4; hops++ {
-		if tried[node] || !node.isUp() {
-			up, err := r.awaitHealthy(tried)
-			if err != nil {
-				return shareOutput{}, 0, fmt.Errorf("engine: share [%d,%d) of batch %d unservable: %w", s.lo, s.hi, bc.seq, errors.Join(lastErr, err))
-			}
-			node = up[0]
-			if lastErr != nil {
-				r.failovers.Add(1)
-				clusterFailovers.Inc()
-			}
-		}
-		out, nanos, err := r.exchange(node, bc, s, batch)
-		if err == nil {
-			return out, nanos, nil
-		}
-		lastErr = err
-		tried[node] = true
-	}
-	return shareOutput{}, 0, fmt.Errorf("engine: share [%d,%d) of batch %d failed on every executor: %w", s.lo, s.hi, bc.seq, lastErr)
-}
-
-// exchange performs one share round trip against one node — the share is
-// sent, then its response is read inline under the share timeout — and
-// decodes the response. xmu keeps one exchange on the connection at a time.
-// Any failure marks the node down before it is returned.
-func (r *clusterRun) exchange(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet) (shareOutput, int64, error) {
-	n.xmu.Lock()
-	defer n.xmu.Unlock()
-	start := time.Now()
-	conn, dec, err := r.sendShare(n, bc, s, batch)
-	var resp batchResponse
-	if err == nil {
-		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.timing.shareTimeout))
-		if err = dec.Decode(&resp); err != nil {
-			err = fmt.Errorf("engine: receive share [%d,%d) from executor %s: %w", s.lo, s.hi, n.addr, err)
-		}
-	}
-	var out shareOutput
-	if err == nil {
-		clusterShareRTT.Observe(time.Since(start).Seconds())
-		out, err = r.decodeShare(n, bc.seq, s, &resp)
-	}
-	if err != nil {
-		n.markDown(conn)
-		return shareOutput{}, 0, err
-	}
-	return out, resp.ExecNanos, nil
-}
-
-// decodeShare checks that a response answers share s of batch seq and
-// decodes its statistics delta and training accumulators. Decoding only
-// reads the global model.
-func (r *clusterRun) decodeShare(n *execNode, seq int64, s span, resp *batchResponse) (shareOutput, error) {
-	if resp.Seq != seq || resp.Lo != s.lo || resp.Hi != s.hi {
-		return shareOutput{}, fmt.Errorf("engine: executor %s answered share [%d,%d) of batch %d with [%d,%d) of batch %d",
-			n.addr, s.lo, s.hi, seq, resp.Lo, resp.Hi, resp.Seq)
-	}
-	if resp.Err != "" {
-		return shareOutput{}, fmt.Errorf("engine: executor %s: %s", n.addr, resp.Err)
-	}
-	out := shareOutput{lo: s.lo, classified: resp.Classified, stats: norm.NewFeatureStats(r.p.Normalizer().Stats.Dim())}
-	if err := out.stats.UnmarshalBinary(resp.StatsBlob); err != nil {
-		return shareOutput{}, fmt.Errorf("engine: executor %s returned corrupt statistics: %w", n.addr, err)
-	}
-	for _, blob := range resp.DeltaBlobs {
-		acc, err := r.p.Model().AccumulatorFromState(blob)
-		if err == nil && (acc.Count() < 0 || acc.Count() > int64(s.hi-s.lo)) {
-			err = fmt.Errorf("delta counts %d instances in a %d-tweet share", acc.Count(), s.hi-s.lo)
-		}
-		if err != nil {
-			return shareOutput{}, fmt.Errorf("engine: executor %s returned corrupt delta: %w", n.addr, err)
-		}
-		out.accs = append(out.accs, acc)
-	}
-	return out, nil
-}
-
-// sendShare ships the broadcast when n's session does not hold this
-// batch's yet (once per node per batch), then the share's data frame, and
-// counts each frame's bytes. It returns the connection the frames went out
-// on (nil when n is down) and its decoder, for the response.
-func (r *clusterRun) sendShare(n *execNode, bc *broadcast, s span, batch []twitterdata.Tweet) (*countingConn, *gob.Decoder, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.up {
-		return nil, nil, fmt.Errorf("engine: executor %s is down", n.addr)
-	}
-	if n.bcSeq != bc.seq {
-		msg := r.broadcastFor(n, bc)
-		sent, err := n.send(&msg, r.cfg.timing.shareTimeout)
-		if err != nil {
-			return n.conn, nil, fmt.Errorf("engine: broadcast to executor %s: %w", n.addr, err)
-		}
-		r.broadcastBytes.Add(sent)
-		clusterBroadcastBytes.Add(sent)
-		n.bcSeq, n.modelHash, n.vocabVersion = bc.seq, bc.modelHash, bc.vocabVer
-	}
-	sent, err := n.send(&wireMsg{Kind: msgData, Seq: bc.seq, Lo: s.lo, Hi: s.hi,
-		Tasks: r.cfg.TasksPerExecutor, Tweets: batch[s.lo:s.hi]}, r.cfg.timing.shareTimeout)
-	if err != nil {
-		return n.conn, nil, fmt.Errorf("engine: send share to executor %s: %w", n.addr, err)
-	}
-	r.dataBytes.Add(sent)
-	clusterDataBytes.Add(sent)
-	return n.conn, n.dec, nil
-}
-
 // send writes one frame with a write deadline timeout away and returns its
-// size on the wire. Sends happen under the node mutex, which isUp and
-// shutdown also need — so an unbounded write to a peer that stopped reading
-// would wedge the node forever. The deadline converts it into a send error
-// the caller turns into a failover. Callers hold n.mu.
+// size on the wire. Without the deadline a peer that stopped reading would
+// block the node's goroutine for good; with it, the write fails and the
+// share fails over.
 func (n *execNode) send(msg *wireMsg, timeout time.Duration) (int64, error) {
-	pre := n.conn.out.Load()
+	pre := n.conn.out
 	_ = n.conn.SetWriteDeadline(time.Now().Add(timeout))
 	err := n.enc.Encode(msg)
-	_ = n.conn.SetWriteDeadline(time.Time{})
-	return n.conn.out.Load() - pre, err
+	return n.conn.out - pre, err
 }
 
 // connect dials a node and runs the hello handshake. The node's broadcast
-// keys are reset so the next batch sends the full state.
+// keys are reset so its next share sends the full state.
 func (r *clusterRun) connect(n *execNode) error {
 	raw, err := net.DialTimeout("tcp", n.addr, 3*time.Second)
 	if err != nil {
@@ -530,171 +619,61 @@ func (r *clusterRun) connect(n *execNode) error {
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
 	_ = raw.SetDeadline(time.Now().Add(5 * time.Second))
-	hello := wireMsg{Kind: msgHello, Seq: -1, Proto: clusterProtoVersion, ModelKind: r.kind}
-	if err := enc.Encode(&hello); err != nil {
-		conn.Close()
-		return fmt.Errorf("engine: hello to executor %s: %w", n.addr, err)
-	}
 	var ack batchResponse
-	if err := dec.Decode(&ack); err != nil {
-		conn.Close()
-		return fmt.Errorf("engine: hello ack from executor %s: %w", n.addr, err)
+	if err = enc.Encode(&wireMsg{Kind: msgHello, Seq: -1, Proto: clusterProtoVersion, ModelKind: r.kind}); err != nil {
+		err = fmt.Errorf("engine: hello to executor %s: %w", n.addr, err)
+	} else if err = dec.Decode(&ack); err != nil {
+		err = fmt.Errorf("engine: hello ack from executor %s: %w", n.addr, err)
+	} else if ack.Err != "" {
+		err = &sessionRejected{addr: n.addr, reason: ack.Err}
 	}
-	if ack.Err != "" {
+	if err != nil {
 		conn.Close()
-		n.mu.Lock()
-		n.abandoned = true // version/kind mismatch never heals by retrying
-		n.mu.Unlock()
-		return fmt.Errorf("engine: executor %s rejected session: %s", n.addr, ack.Err)
+		return err
 	}
 	_ = raw.SetDeadline(time.Time{})
-
-	n.mu.Lock()
-	// A reconnect that completes as the run ends must not install a
-	// connection shutdown() has already passed over; shutdown closes stop
-	// before touching any node, so checking it under the node lock makes
-	// the two mutually exclusive.
-	select {
-	case <-r.stop:
-		n.mu.Unlock()
-		conn.Close()
-		return fmt.Errorf("engine: run ended during reconnect to %s", n.addr)
-	default:
-	}
 	n.conn, n.enc, n.dec = conn, enc, dec
-	n.up = true
 	n.modelHash, n.vocabVersion, n.bcSeq = 0, 0, -1
-	n.mu.Unlock()
 	return nil
 }
 
-// markDown takes n out of service once per connection: the first failed
-// exchange on conn closes it and wakes the node's supervisor; a call for a
-// connection that is already down or replaced does nothing.
-func (n *execNode) markDown(conn *countingConn) {
-	n.mu.Lock()
-	if !n.up || n.conn != conn {
-		n.mu.Unlock()
-		return
-	}
-	n.up = false
-	n.mu.Unlock()
-	conn.Close()
-	n.wake()
-}
-
-// wake signals n's supervisor that the node is down.
-func (n *execNode) wake() {
-	select {
-	case n.down <- struct{}{}:
-	default:
-	}
-}
-
-// supervise is n's one reconnect loop, running until the run ends: each
-// wake-up redials the node with exponential backoff, and maxConnAttempts
-// consecutive failures or a hello rejection abandon it for the run.
-func (r *clusterRun) supervise(n *execNode) {
-	defer r.loops.Done()
-	for {
+// redial reconnects n after its connection failed. Each attempt waits the
+// backoff first — reconnectBackoff, doubled after every attempt while under
+// a second — and redial gives up after maxConnAttempts failed attempts, at
+// once on a hello rejection, and when the run ends.
+func (r *clusterRun) redial(n *execNode) error {
+	backoff := r.cfg.timing.reconnectBackoff
+	for attempt := 1; ; attempt++ {
 		select {
 		case <-r.stop:
-			return
-		case <-n.down:
+			return fmt.Errorf("engine: run ended while redialing executor %s", n.addr)
+		case <-time.After(backoff):
 		}
-		backoff := r.cfg.timing.reconnectBackoff
-		for attempt := 1; ; attempt++ {
-			select {
-			case <-r.stop:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff < time.Second {
-				backoff *= 2
-			}
-			if r.connect(n) == nil {
-				r.reconnects.Add(1)
-				clusterReconnects.Inc()
-				break
-			}
-			// A hello rejection (connect sets abandoned) never heals.
-			if attempt == r.cfg.timing.maxConnAttempts || n.abandonedNow() {
-				n.mu.Lock()
-				n.abandoned = true
-				n.mu.Unlock()
-				return
-			}
+		if backoff < time.Second {
+			backoff *= 2
+		}
+		err := r.connect(n)
+		if err == nil || attempt == r.cfg.timing.maxConnAttempts || errors.As(err, new(*sessionRejected)) {
+			return err
 		}
 	}
 }
 
-func (n *execNode) abandonedNow() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.abandoned
-}
-
-// upNodes returns the nodes that are up and not in skip, in node order.
-func (r *clusterRun) upNodes(skip map[*execNode]bool) []*execNode {
-	var up []*execNode
-	for _, n := range r.nodes {
-		if !skip[n] && n.isUp() {
-			up = append(up, n)
-		}
-	}
-	return up
-}
-
-func (r *clusterRun) allAbandoned() bool {
-	for _, n := range r.nodes {
-		if !n.abandonedNow() {
-			return false
-		}
-	}
-	return true
-}
-
-// awaitHealthy is the one wait for a node: a batch start calls it with no
-// skip set, a failing-over share with the nodes it has tried. It returns
-// upNodes(skip), polling every 15 ms while that is empty — clearing skip
-// each time, so a tried node that has reconnected is eligible again — and
-// fails once every node is abandoned or none came up within allDownWait.
-func (r *clusterRun) awaitHealthy(skip map[*execNode]bool) ([]*execNode, error) {
-	deadline := time.Now().Add(r.cfg.timing.allDownWait)
-	for {
-		if up := r.upNodes(skip); len(up) > 0 {
-			return up, nil
-		}
-		if r.allAbandoned() {
-			return nil, fmt.Errorf("engine: every executor is gone (abandoned after %d attempts each)", r.cfg.timing.maxConnAttempts)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("engine: every executor is down and none reconnected within %v", r.cfg.timing.allDownWait)
-		}
-		clear(skip)
-		time.Sleep(15 * time.Millisecond)
+// report hands ev to the driver goroutine. It returns false, without
+// blocking, once the run has ended.
+func (r *clusterRun) report(ev nodeEvent) bool {
+	select {
+	case r.events <- ev:
+		return true
+	case <-r.stop:
+		return false
 	}
 }
 
-// shutdown ends the run: reconnect loops stop, up nodes get the polite
-// shutdown frame, every connection is closed, and the supervisors have
-// returned.
-func (r *clusterRun) shutdown() {
-	close(r.stop)
-	bye := wireMsg{Kind: msgShutdown}
-	for _, n := range r.nodes {
-		n.mu.Lock()
-		if n.conn != nil {
-			if n.up {
-				// Best-effort politeness; a peer that stopped reading must
-				// not block the run from ending.
-				_ = n.conn.SetWriteDeadline(time.Now().Add(time.Second))
-				_ = n.enc.Encode(&bye)
-			}
-			n.conn.Close()
-		}
-		n.up = false
-		n.mu.Unlock()
-	}
-	r.loops.Wait()
+// bye ends n's session with the shutdown frame and closes the connection.
+// The frame is a courtesy: a peer that stopped reading gets a second.
+func (n *execNode) bye() {
+	_ = n.conn.SetWriteDeadline(time.Now().Add(time.Second))
+	_ = n.enc.Encode(&wireMsg{Kind: msgShutdown})
+	n.conn.Close()
 }

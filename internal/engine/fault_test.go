@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,10 +96,12 @@ func TestClusterSurvivesExecutorKill(t *testing.T) {
 // single-accumulator apply equals its sequential SGD step; and min-max
 // normalization merges ranges exactly. Failover cannot perturb any of it
 // because a share's outcome depends only on the broadcast state. With batch
-// size 1 every share lands on the first healthy node, so the faulty node
-// is the one serving: killed mid-share, it sends every later tweet through
-// failover; returning corrupt deltas, it fails each share it serves over
-// on decode, reconnects, and is picked again.
+// size 1 each batch is one share, and the free nodes take the shares from
+// the queue in turn, so the faulty node 0 serves every third or so and
+// reaches its crash point: killed mid-share, it sends that share through
+// failover and leaves the rest to the survivors; returning corrupt deltas,
+// it fails each share it takes over on decode, reconnects, and takes
+// another.
 func TestClusterFailoverMatchesSequential(t *testing.T) {
 	opts := testOptions()
 	opts.Model = core.ModelSLR
@@ -195,8 +198,9 @@ func TestClusterARFMatchesSequential(t *testing.T) {
 		addrs[i] = ex.Addr()
 	}
 	clustered := core.NewPipeline(opts)
-	// With batch size 1 every share lands on the first healthy node, so
-	// crashing it mid-share forces all later tweets through failover.
+	// With batch size 1 each batch is one share, and the free nodes take
+	// the shares in turn, so node 0 still reaches its crash point: the share
+	// it dies on fails over and the survivors serve the rest.
 	crashOnShare(exs[0], 120)
 	stats, err := RunCluster(clustered, NewSliceSource(data), fastReconnect(ClusterConfig{
 		Executors: addrs, BatchSize: 1, TasksPerExecutor: 1,
@@ -827,7 +831,7 @@ func TestExecutorErrSurfacesAcceptFailure(t *testing.T) {
 
 // TestClusterAllCorruptFailsRun bounds the share's failover: when every
 // executor persistently returns corrupt deltas, the run must error out
-// instead of cycling markDown/reconnect forever.
+// instead of cycling a failed exchange and a redial forever.
 func TestClusterAllCorruptFailsRun(t *testing.T) {
 	ex, err := StartExecutor("127.0.0.1:0", 1)
 	if err != nil {
@@ -842,4 +846,96 @@ func TestClusterAllCorruptFailsRun(t *testing.T) {
 	if err == nil {
 		t.Fatal("run with only corrupt executors reported success")
 	}
+}
+
+// TestClusterAllExecutorsDownFailsRun pins the two ways a run ends when its
+// only executor dies after serving one share and never comes back: while
+// the node is still being redialed the run waits allDownWait and fails,
+// and once the node is abandoned after its attempts the run fails at once.
+func TestClusterAllExecutorsDownFailsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		attempts int
+		wait     time.Duration
+		want     string
+	}{
+		{"none reconnected", 1000, 300 * time.Millisecond, "none reconnected within"},
+		{"abandoned", 3, 2 * time.Second, "every executor is gone"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex, err := StartExecutor("127.0.0.1:0", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ex.Close()
+			crashOnShare(ex, 2) // the first share is served, the second kills it
+			cfg := fastReconnect(ClusterConfig{Executors: []string{ex.Addr()}, BatchSize: 100, TasksPerExecutor: 1})
+			cfg.timing.maxConnAttempts = tc.attempts
+			cfg.timing.allDownWait = tc.wait
+			start := time.Now()
+			_, err = RunCluster(core.NewPipeline(testOptions()), NewSliceSource(testDataset(45, 300, 150, 30)), cfg)
+			took := time.Since(start)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run with its only executor gone: err = %v, want one containing %q", err, tc.want)
+			}
+			if tc.attempts > 100 && took < tc.wait {
+				t.Fatalf("run failed after %v, before the %v all-down wait ran out", took, tc.wait)
+			}
+			if took > 5*time.Second {
+				t.Fatalf("run took %v to fail, want within 5s", took)
+			}
+		})
+	}
+}
+
+// rejectingExecutor answers every hello with an Err, as an executor of
+// another protocol version or one that cannot host the model kind does,
+// and counts the hellos it reads.
+func rejectingExecutor(t *testing.T, hellos *atomic.Int64) string {
+	return handExecutor(t, func(enc *gob.Encoder, dec *gob.Decoder) {
+		var hello wireMsg
+		if dec.Decode(&hello) != nil {
+			return
+		}
+		hellos.Add(1)
+		_ = enc.Encode(&batchResponse{Seq: hello.Seq, Err: "engine: this executor rejects every session"})
+	})
+}
+
+// TestClusterHelloRejection pins the driver's side of a rejected hello: a
+// rejection never heals, so the node is abandoned after its one hello and
+// never redialed. Alone it fails the run, naming the rejection; beside a
+// real executor the run completes on that one.
+func TestClusterHelloRejection(t *testing.T) {
+	t.Run("alone", func(t *testing.T) {
+		var hellos atomic.Int64
+		cfg := fastReconnect(ClusterConfig{Executors: []string{rejectingExecutor(t, &hellos)}, BatchSize: 100, TasksPerExecutor: 1})
+		_, err := RunCluster(core.NewPipeline(testOptions()), NewSliceSource(testDataset(46, 200, 100, 20)), cfg)
+		if err == nil || !strings.Contains(err.Error(), "rejected session") {
+			t.Fatalf("run on a rejecting executor: err = %v, want one naming the rejected session", err)
+		}
+		if n := hellos.Load(); n != 1 {
+			t.Fatalf("rejecting executor saw %d hellos, want 1 (a rejection is never redialed)", n)
+		}
+	})
+	t.Run("beside a real executor", func(t *testing.T) {
+		var hellos atomic.Int64
+		addrs := []string{rejectingExecutor(t, &hellos), startCluster(t, 1, 2)[0]}
+		data := testDataset(47, 600, 300, 60)
+		stats, err := RunCluster(core.NewPipeline(testOptions()), NewSliceSource(data), fastReconnect(ClusterConfig{
+			Executors: addrs, BatchSize: 300, TasksPerExecutor: 2,
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Processed != int64(len(data)) {
+			t.Fatalf("processed %d, want %d", stats.Processed, len(data))
+		}
+		if stats.Reconnects != 0 {
+			t.Fatalf("reconnects = %d, want 0 (the rejecting node is never redialed)", stats.Reconnects)
+		}
+		if n := hellos.Load(); n != 1 {
+			t.Fatalf("rejecting executor saw %d hellos, want 1", n)
+		}
+	})
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"net"
-	"sync/atomic"
 
 	"redhanded/internal/twitterdata"
 )
@@ -112,15 +111,15 @@ func splitSpans(n, k int) []span {
 }
 
 // countingConn counts bytes written, so the driver can attribute wire cost
-// to broadcast vs data frames (sends are serialized per node, making the
-// before/after snapshot attribution exact).
+// to broadcast vs data frames. The node's goroutine is the connection's one
+// writer, so a before/after read of out around a frame's encode is exact.
 type countingConn struct {
 	net.Conn
-	out atomic.Int64
+	out int64
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	c.out.Add(int64(n))
+	c.out += int64(n)
 	return n, err
 }
